@@ -3,15 +3,17 @@ GO ?= go
 # Packages exercised under the race detector: the concurrent query stack
 # (sharded store, OPeNDAP caches, federation fan-out, interlinking) plus
 # the fault-injection harness, the SPARQL HTTP transport it exercises,
-# the segment storage engine (concurrent readers vs writer/flush), and
-# the spatial core (parallel join probes, bounded geometry cache).
-RACE_PKGS = ./internal/sparql/ ./internal/strabon/ ./internal/opendap/ ./internal/federation/ ./internal/interlink/ ./internal/faults/ ./internal/endpoint/ ./internal/telemetry/ ./internal/admission/ ./internal/e2e/ ./internal/segment/ ./internal/geom/ ./internal/geom/rtree/ ./internal/geosparql/ ./internal/geographica/
+# the segment storage engine (concurrent readers vs writer/flush), the
+# spatial core (parallel join probes, bounded geometry cache), the result
+# cache, the adaptive OBDA graph and the cluster. ci.sh runs `make race`
+# and `make fuzz`, so these lists are the only ones.
+RACE_PKGS = ./internal/sparql/ ./internal/strabon/ ./internal/opendap/ ./internal/federation/ ./internal/interlink/ ./internal/faults/ ./internal/endpoint/ ./internal/telemetry/ ./internal/admission/ ./internal/e2e/ ./internal/segment/ ./internal/geom/ ./internal/geom/rtree/ ./internal/geosparql/ ./internal/geographica/ ./internal/rescache/ ./internal/obda/ ./internal/cluster/
 
 # End-to-end suites: the golden two-workflow test over live loopback
 # servers plus the cmd-level boot/query/shutdown tests.
 E2E_PKGS = ./internal/e2e/ ./cmd/strabon/ ./cmd/opendapd/
 
-.PHONY: all build test lint race fmt vet fuzz bench bench-telemetry bench-budget bench-segment bench-spatial bench-cache e2e ci
+.PHONY: all build test lint race fmt vet fuzz bench bench-telemetry bench-budget bench-segment bench-spatial bench-cache bench-e2e e2e ci
 
 all: build
 
@@ -37,17 +39,20 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Short mutation runs over the binary/DAP parsers; ci.sh runs the same
-# targets. Each -fuzz invocation may match only one target.
+# Short mutation runs over the seed corpora of every fuzz target. Each
+# -fuzz invocation may match only one target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=3s ./internal/netcdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseConstraint$$' -fuzztime=2s ./internal/opendap/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDDS$$' -fuzztime=2s ./internal/opendap/
 	$(GO) test -run='^$$' -fuzz='^FuzzApplyConstraint$$' -fuzztime=2s ./internal/opendap/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=3s ./internal/sparql/
+	$(GO) test -run='^$$' -fuzz='^FuzzPlanKey$$' -fuzztime=3s ./internal/sparql/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=3s ./internal/strabon/
+	$(GO) test -run='^$$' -fuzz='^FuzzTermCompare$$' -fuzztime=3s ./internal/rdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentOpen$$' -fuzztime=3s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=3s ./internal/segment/
+	$(GO) test -run='^$$' -fuzz='^FuzzWireDecode$$' -fuzztime=3s ./internal/cluster/
 
 # Engine benchmarks: the in-package BenchmarkEngine_* family, the
 # seed-vs-compiled comparison recorded machine-readably in BENCH_PR3.json,
@@ -86,6 +91,13 @@ bench-spatial:
 # cache-disabled Lookup path costs Engine_BGPJoin more than 5%.
 bench-cache:
 	$(GO) run ./cmd/applab-bench -cache-json BENCH_PR9.json
+
+# The end-to-end serving benchmark (bench/README.md): all five workloads
+# with the traced pass, reports appended to BENCH_E2E_OUT for
+# `bash bench/run.sh --compare`.
+BENCH_E2E_OUT ?= .bench_build/bench-e2e.json
+bench-e2e:
+	bash bench/run.sh --workload all --seed 1 --trace 1 --out $(BENCH_E2E_OUT)
 
 # End-to-end golden suite: boots both Figure-1 workflows on loopback
 # servers and asserts exact telemetry counters (see internal/e2e).

@@ -233,9 +233,16 @@ func (p *wktParser) parseCoord() (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	// Tolerate and drop Z/M ordinates.
+	// Tolerate and drop Z/M ordinates. Peeking keeps the usual 2-D
+	// coordinate from building an "expected number" error only to
+	// discard it.
 	for {
 		save := p.pos
+		p.skipSpace()
+		if !isNumberByte(p.peek()) {
+			p.pos = save
+			break
+		}
 		if _, err := p.parseNumber(); err != nil {
 			p.pos = save
 			break
@@ -244,16 +251,16 @@ func (p *wktParser) parseCoord() (Point, error) {
 	return Point{x, y}, nil
 }
 
+// isNumberByte reports whether c can appear in a WKT number.
+func isNumberByte(c byte) bool {
+	return (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
+}
+
 func (p *wktParser) parseNumber() (float64, error) {
 	p.skipSpace()
 	start := p.pos
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		if (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' {
-			p.pos++
-			continue
-		}
-		break
+	for p.pos < len(p.src) && isNumberByte(p.src[p.pos]) {
+		p.pos++
 	}
 	if start == p.pos {
 		return 0, p.errf("expected number")

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -226,5 +227,32 @@ func TestCentroidAndArea(t *testing.T) {
 	line := MustParseWKT("LINESTRING (0 0, 2 0)")
 	if c := Centroid(line); c.X != 1 || c.Y != 0 {
 		t.Errorf("line centroid = %v", c)
+	}
+}
+
+// TestParseWKTCoordAllocations: a 2-D coordinate costs nothing beyond
+// its place in the point slice — in particular the probe for optional
+// Z/M ordinates builds no error to throw away. Doubling the ring
+// therefore adds only the slice's one extra growth step.
+func TestParseWKTCoordAllocations(t *testing.T) {
+	ring := func(n int) string {
+		var b strings.Builder
+		b.WriteString("POLYGON((")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "%d %d, ", i, i*i%7)
+		}
+		b.WriteString("0 0))")
+		return b.String()
+	}
+	allocs := func(n int) float64 {
+		src := ring(n)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ParseWKT(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, big := allocs(64), allocs(128); big > small+1 {
+		t.Fatalf("parsing allocates %v objects for 65 coordinates, %v for 129", small, big)
 	}
 }

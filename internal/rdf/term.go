@@ -214,6 +214,66 @@ func (t Term) Key() string {
 	}
 }
 
+// Compare orders terms exactly as strings.Compare orders their Key()s —
+// blank nodes, then IRIs, then literals by datatype, language tag and
+// lexical form — without building either key.
+func (t Term) Compare(o Term) int {
+	rt, ro := t.keyRank(), o.keyRank()
+	if rt != ro {
+		if rt < ro {
+			return -1
+		}
+		return 1
+	}
+	if rt != 2 || (t.Datatype == o.Datatype && t.Lang == o.Lang) {
+		return strings.Compare(t.Value, o.Value)
+	}
+	a := [5]string{t.Datatype, "@", t.Lang, "\x00", t.Value}
+	b := [5]string{o.Datatype, "@", o.Lang, "\x00", o.Value}
+	return compareConcat(&a, &b)
+}
+
+// keyRank orders the Key() prefix bytes: 'B' < 'I' < 'L'.
+func (t Term) keyRank() int {
+	switch t.Kind {
+	case KindBlank:
+		return 0
+	case KindIRI:
+		return 1
+	default:
+		return 2
+	}
+}
+
+// compareConcat compares the concatenations of a and b chunk by chunk.
+func compareConcat(a, b *[5]string) int {
+	ai, bi := 0, 0
+	as, bs := a[0], b[0]
+	for {
+		for as == "" && ai < len(a)-1 {
+			ai++
+			as = a[ai]
+		}
+		for bs == "" && bi < len(b)-1 {
+			bi++
+			bs = b[bi]
+		}
+		switch {
+		case as == "" && bs == "":
+			return 0
+		case as == "": // a is a proper prefix of b
+			return -1
+		case bs == "":
+			return 1
+		}
+		n := min(len(as), len(bs))
+		if c := strings.Compare(as[:n], bs[:n]); c != 0 {
+			return c
+		}
+		as, bs = as[n:], bs[n:]
+	}
+}
+
 func escapeLiteral(s string) string {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
 		return s

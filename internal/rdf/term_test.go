@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -143,4 +144,59 @@ func TestTripleValidTime(t *testing.T) {
 	if !tr.HasValidTime() {
 		t.Error("triple with interval must report valid time")
 	}
+}
+
+// compareSeeds are term pairs whose keys share long prefixes or differ
+// only in where the datatype, language tag and lexical form meet.
+var compareSeeds = [][2]Term{
+	{NewIRI("http://ex/a"), NewIRI("http://ex/ab")},
+	{NewIRI("http://ex/a"), NewBlank("http://ex/a")},
+	{NewBlank("b"), NewLiteral("b")},
+	{NewIRI("L"), NewLiteral("")},
+	{NewLiteral("x"), NewLiteral("x")},
+	{NewTypedLiteral("1", XSDInteger), NewTypedLiteral("1", XSDInteger+"s")},
+	{NewTypedLiteral("v", "dt"), NewTypedLiteral("v", "dt@")},
+	{NewTypedLiteral("v", "dt@en"), NewLangLiteral("v", "en")},
+	{Term{Kind: KindLiteral, Value: "v", Datatype: "d", Lang: "en"}, Term{Kind: KindLiteral, Value: "v", Datatype: "d@e", Lang: "n"}},
+	{Term{Kind: KindLiteral, Value: "v", Datatype: "d", Lang: "e"}, Term{Kind: KindLiteral, Value: "\x00v", Datatype: "d", Lang: "e\x00"}},
+	{Term{Kind: KindLiteral, Value: "a\x00b", Lang: "x"}, Term{Kind: KindLiteral, Value: "b", Lang: "x\x00a"}},
+	{Term{Kind: KindLiteral, Value: "@", Datatype: ""}, Term{Kind: KindLiteral, Value: "", Datatype: "@"}},
+	{NewLangLiteral("hi", "en"), NewLangLiteral("hi", "en-GB")},
+	{Term{Kind: 7, Value: "odd"}, NewLiteral("odd")},
+}
+
+func checkCompare(t *testing.T, a, b Term) {
+	t.Helper()
+	if got, want := a.Compare(b), strings.Compare(a.Key(), b.Key()); got != want {
+		t.Fatalf("Compare(%#v, %#v) = %d, key order says %d", a, b, got, want)
+	}
+	if got, want := b.Compare(a), strings.Compare(b.Key(), a.Key()); got != want {
+		t.Fatalf("Compare(%#v, %#v) = %d, key order says %d", b, a, got, want)
+	}
+}
+
+func TestTermCompareIsKeyOrder(t *testing.T) {
+	var pool []Term
+	for _, pair := range compareSeeds {
+		checkCompare(t, pair[0], pair[1])
+		pool = append(pool, pair[0], pair[1])
+	}
+	for _, a := range pool {
+		for _, b := range pool {
+			checkCompare(t, a, b)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { pool[8].Compare(pool[9]) }); n != 0 {
+		t.Fatalf("Compare allocates %v objects", n)
+	}
+}
+
+func FuzzTermCompare(f *testing.F) {
+	for _, p := range compareSeeds {
+		f.Add(uint8(p[0].Kind), p[0].Value, p[0].Datatype, p[0].Lang, uint8(p[1].Kind), p[1].Value, p[1].Datatype, p[1].Lang)
+	}
+	f.Fuzz(func(t *testing.T, ak uint8, av, ad, al string, bk uint8, bv, bd, bl string) {
+		checkCompare(t, Term{Kind: TermKind(ak), Value: av, Datatype: ad, Lang: al},
+			Term{Kind: TermKind(bk), Value: bv, Datatype: bd, Lang: bl})
+	})
 }

@@ -176,28 +176,3 @@ func (c *cursor) triple() (rdf.Triple, error) {
 	}
 	return t, nil
 }
-
-// tripleKey is the identity of a triple inside the engine: terms plus
-// valid time, length-prefixed so concatenated term keys cannot collide.
-// It matches the dedup identity of rdf.Graph (term keys + interval).
-func tripleKey(t rdf.Triple) string {
-	sk, pk, ok := t.S.Key(), t.P.Key(), t.O.Key()
-	return fmt.Sprintf("%d,%d,%d,%d,%d;%s%s%s",
-		len(sk), len(pk), len(ok), t.ValidFrom.UnixNano(), t.ValidTo.UnixNano(), sk, pk, ok)
-}
-
-// matchesPattern reports whether t matches the (s, p, o) pattern with
-// zero terms as wildcards — rdf.Graph's matching rule, needed here for
-// tombstones and decoded rows.
-func matchesPattern(t rdf.Triple, s, p, o rdf.Term) bool {
-	if !s.IsZero() && !t.S.Equal(s) {
-		return false
-	}
-	if !p.IsZero() && !t.P.Equal(p) {
-		return false
-	}
-	if !o.IsZero() && !t.O.Equal(o) {
-		return false
-	}
-	return true
-}

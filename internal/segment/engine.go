@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -69,20 +70,22 @@ func (o Options) compactAt() int {
 }
 
 // memtable is the mutable head of the engine: newly added triples in
-// insertion order plus the tombstones that mask older runs. A
-// memory-only engine has no runs (and never will), so its memtable
-// keeps no tombstone map — deletes there are plain graph removals and
-// nothing accumulates.
+// insertion order plus the tombstones that mask older runs. Tombstones
+// live in a graph of their own, so a read reaches the ones that can
+// match its pattern through the graph's indexes instead of walking them
+// all. A memory-only engine has no runs (and never will), so its
+// memtable keeps no tombstones — deletes there are plain graph removals
+// and nothing accumulates.
 type memtable struct {
 	g *rdf.Graph
 	// tombs is nil in a memory-only engine.
-	tombs map[string]rdf.Triple
+	tombs *rdf.Graph
 }
 
 func newMemtable(disk bool) *memtable {
 	m := &memtable{g: rdf.NewGraph()}
 	if disk {
-		m.tombs = map[string]rdf.Triple{}
+		m.tombs = rdf.NewGraph()
 	}
 	return m
 }
@@ -92,7 +95,7 @@ func newMemtable(disk bool) *memtable {
 // shape the way rdf.Graph.Add does.
 func (m *memtable) add(t rdf.Triple) bool {
 	if m.tombs != nil {
-		delete(m.tombs, tripleKey(t))
+		m.tombs.Remove(t)
 	}
 	return m.g.Add(t)
 }
@@ -104,13 +107,18 @@ func (m *memtable) delete(t rdf.Triple) bool {
 	if m.tombs == nil {
 		return removed
 	}
-	k := tripleKey(t)
-	_, hadTomb := m.tombs[k]
-	m.tombs[k] = t
-	return removed || !hadTomb
+	newTomb := m.tombs.Add(t)
+	return removed || newTomb
 }
 
-func (m *memtable) empty() bool { return m.g.Len() == 0 && len(m.tombs) == 0 }
+func (m *memtable) tombstones() int {
+	if m.tombs == nil {
+		return 0
+	}
+	return m.tombs.Len()
+}
+
+func (m *memtable) empty() bool { return m.g.Len() == 0 && m.tombstones() == 0 }
 
 // Stats is a point-in-time snapshot of the engine's shape and
 // lifetime counters, the backing data of the segment_* metrics.
@@ -401,13 +409,13 @@ func (e *Engine) flushLocked() error {
 	if e.mem.empty() {
 		return nil
 	}
-	tombs := make([]rdf.Triple, 0, len(e.mem.tombs))
-	for _, t := range e.mem.tombs {
-		tombs = append(tombs, t)
+	// encodeRun sorts the rows, so the run's bytes do not depend on the
+	// order the memtable hands them over in.
+	img, err := encodeRun(e.mem.g.Triples(), e.mem.tombs.Triples())
+	if err != nil {
+		return err
 	}
-	// Deterministic tombstone order inside the run.
-	sort.Slice(tombs, func(i, j int) bool { return tripleKey(tombs[i]) < tripleKey(tombs[j]) })
-	r, err := e.publishRun(e.mem.g.Triples(), tombs)
+	r, err := e.publishRun(img)
 	if err != nil {
 		return err
 	}
@@ -423,14 +431,10 @@ func (e *Engine) flushLocked() error {
 	return nil
 }
 
-// publishRun encodes a run, writes it to a temp file, fsyncs, renames
-// it into place, fsyncs the directory, and commits it by rewriting the
+// publishRun writes a run image to a temp file, fsyncs, renames it
+// into place, fsyncs the directory, and commits it by rewriting the
 // manifest with the new name appended. Returns the opened run.
-func (e *Engine) publishRun(adds, tombs []rdf.Triple) (*Run, error) {
-	img, err := encodeRun(adds, tombs)
-	if err != nil {
-		return nil, err
-	}
+func (e *Engine) publishRun(img []byte) (*Run, error) {
 	seq := e.next
 	name := runName(seq)
 	path := filepath.Join(e.dir, name)
@@ -491,27 +495,12 @@ func (e *Engine) compactLocked() error {
 	if len(e.segs) < 2 {
 		return nil
 	}
-	// Newest-first merge over runs only (the memtable stays mutable and
-	// keeps masking at read time).
-	seen := map[string]bool{}
-	var alive []rdf.Triple
-	for i := len(e.segs) - 1; i >= 0; i-- {
-		err := e.segs[i].match(rdf.Term{}, rdf.Term{}, rdf.Term{}, func(t rdf.Triple, tomb bool) {
-			k := tripleKey(t)
-			if seen[k] {
-				return
-			}
-			seen[k] = true
-			if !tomb {
-				alive = append(alive, t)
-			}
-		})
-		if err != nil {
-			return err
-		}
+	img, err := e.mergeRuns()
+	if err != nil {
+		return err
 	}
 	old := e.segs
-	r, err := e.publishRun(alive, nil)
+	r, err := e.publishRun(img)
 	if err != nil {
 		return err
 	}
@@ -528,6 +517,82 @@ func (e *Engine) compactLocked() error {
 	}
 	e.stats.Compactions++
 	return nil
+}
+
+// mergeRuns encodes the image of the run that replaces all current
+// runs: the merged cursor over the runs alone (the memtable stays
+// mutable and keeps masking at read time) yields exactly the rows that
+// survive, already in row order, and only their dictionary ids are
+// carried — no triple is materialized.
+func (e *Engine) mergeRuns() ([]byte, error) {
+	var m merge
+	var failed error
+	e.open(&m, rdf.Term{}, rdf.Term{}, rdf.Term{}, false, func(err error) {
+		if failed == nil {
+			failed = err
+		}
+	})
+	if failed != nil {
+		return nil, failed
+	}
+	rows := make([]row, 0, m.upper)
+	from := make([]int, 0, m.upper) // the run each row's ids belong to
+	dicts := make([][]rdf.Term, len(e.segs))
+	used := make([][]bool, len(e.segs))
+	for i := 0; i < m.n; i++ {
+		src := m.src(i)
+		dicts[src.run], used[src.run] = src.terms, make([]bool, len(src.terms))
+	}
+	for h := m.next(); h != nil; h = m.next() {
+		rows = append(rows, *h.row)
+		from = append(from, h.run)
+		u := used[h.run]
+		u[h.row.s], u[h.row.p], u[h.row.o] = true, true, true
+	}
+	terms, remap := mergeDicts(dicts, used)
+	for i := range rows {
+		r, ids := &rows[i], remap[from[i]]
+		r.s, r.p, r.o = ids[r.s], ids[r.p], ids[r.o]
+	}
+	return encodeRows(terms, rows), nil
+}
+
+// mergeDicts folds the used terms of several strictly sorted
+// dictionaries into one, returning it with each dictionary's old-to-new
+// id table.
+func mergeDicts(dicts [][]rdf.Term, used [][]bool) ([]rdf.Term, [][]uint32) {
+	remap := make([][]uint32, len(dicts))
+	pos := make([]int, len(dicts))
+	skip := func(d int) {
+		for pos[d] < len(dicts[d]) && !used[d][pos[d]] {
+			pos[d]++
+		}
+	}
+	for d := range dicts {
+		remap[d] = make([]uint32, len(dicts[d]))
+		skip(d)
+	}
+	var terms []rdf.Term
+	for {
+		least := -1
+		for d := range dicts {
+			if pos[d] < len(dicts[d]) && (least < 0 || dicts[d][pos[d]].Compare(dicts[least][pos[least]]) < 0) {
+				least = d
+			}
+		}
+		if least < 0 {
+			return terms, remap
+		}
+		t := dicts[least][pos[least]]
+		for d := range dicts {
+			if pos[d] < len(dicts[d]) && dicts[d][pos[d]].Equal(t) {
+				remap[d][pos[d]] = uint32(len(terms))
+				pos[d]++
+				skip(d)
+			}
+		}
+		terms = append(terms, t)
+	}
 }
 
 // backgroundCompact is the timer-driven compaction loop.
@@ -586,6 +651,30 @@ func (e *Engine) Close() error {
 	return first
 }
 
+// open points m at the merged cursor over everything the pattern can
+// match: the memtable's live triples and tombstones (withMem) and every
+// run, newest first. A run that cannot be read is reported to fail and
+// left out. The caller holds the lock.
+func (e *Engine) open(m *merge, s, p, o rdf.Term, withMem bool, fail func(error)) {
+	m.free = [3]bool{s.IsZero(), p.IsZero(), o.IsZero()}
+	if withMem {
+		if e.mem.g.Len() > 0 {
+			m.addMem(e.mem.g.Match(s, p, o), 0)
+		}
+		if e.mem.tombstones() > 0 {
+			m.addMem(e.mem.tombs.Match(s, p, o), rowTombstone)
+		}
+	}
+	for i := len(e.segs) - 1; i >= 0; i-- {
+		sc, err := e.segs[i].scan(s, p, o)
+		if err != nil {
+			fail(err)
+			continue
+		}
+		m.addRun(i, sc)
+	}
+}
+
 // Match returns all triples matching the pattern. With no runs it is
 // exactly the memtable graph's answer (insertion order); with runs the
 // merged answer is returned in canonical (term-key) order.
@@ -595,57 +684,22 @@ func (e *Engine) Match(s, p, o rdf.Term) []rdf.Triple {
 	if len(e.segs) == 0 {
 		return e.mem.g.Match(s, p, o)
 	}
-	seen := map[string]bool{}
-	var out []rdf.Triple
-	for _, t := range e.mem.g.Match(s, p, o) {
-		k := tripleKey(t)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, t)
-		}
+	var m merge
+	e.open(&m, s, p, o, true, e.noteReadErr)
+	if m.upper == 0 {
+		return nil
 	}
-	for k, t := range e.mem.tombs {
-		if matchesPattern(t, s, p, o) {
-			seen[k] = true
-		}
+	out := make([]rdf.Triple, 0, m.upper)
+	for h := m.next(); h != nil; h = m.next() {
+		out = append(out, h.triple())
 	}
-	for i := len(e.segs) - 1; i >= 0; i-- {
-		err := e.segs[i].match(s, p, o, func(t rdf.Triple, tomb bool) {
-			k := tripleKey(t)
-			if seen[k] {
-				return
-			}
-			seen[k] = true
-			if !tomb {
-				out = append(out, t)
-			}
-		})
-		if err != nil {
-			e.noteReadErr(err)
-		}
+	if len(out) == 0 {
+		return nil
 	}
-	sortTriples(out)
+	if m.early {
+		hoistTimeless(out)
+	}
 	return out
-}
-
-// sortTriples orders triples canonically by term keys then valid time.
-func sortTriples(ts []rdf.Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if k1, k2 := a.S.Key(), b.S.Key(); k1 != k2 {
-			return k1 < k2
-		}
-		if k1, k2 := a.P.Key(), b.P.Key(); k1 != k2 {
-			return k1 < k2
-		}
-		if k1, k2 := a.O.Key(), b.O.Key(); k1 != k2 {
-			return k1 < k2
-		}
-		if !a.ValidFrom.Equal(b.ValidFrom) {
-			return a.ValidFrom.Before(b.ValidFrom)
-		}
-		return a.ValidTo.Before(b.ValidTo)
-	})
 }
 
 // noteReadErr records the first segment read error seen by a query.
@@ -667,9 +721,6 @@ func (e *Engine) noteReadErr(err error) {
 func (e *Engine) Cardinality(s, p, o rdf.Term) int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if len(e.segs) == 0 {
-		return e.mem.g.Cardinality(s, p, o)
-	}
 	total := e.mem.g.Cardinality(s, p, o)
 	for _, r := range e.segs {
 		n, err := r.cardinality(s, p, o)
@@ -687,13 +738,17 @@ func (e *Engine) Cardinality(s, p, o rdf.Term) int {
 // load-time logs, not the query path).
 func (e *Engine) Len() int {
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if len(e.segs) == 0 {
-		n := e.mem.g.Len()
-		e.mu.RUnlock()
-		return n
+		return e.mem.g.Len()
 	}
-	e.mu.RUnlock()
-	return len(e.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}))
+	var m merge
+	e.open(&m, rdf.Term{}, rdf.Term{}, rdf.Term{}, true, e.noteReadErr)
+	n := 0
+	for m.next() != nil {
+		n++
+	}
+	return n
 }
 
 // Triples returns every live triple (memtable order when memory-only,
@@ -706,34 +761,42 @@ func (e *Engine) Triples() []rdf.Triple {
 // sorted by term key — rdf.Graph's contract.
 func (e *Engine) Subjects(p, o rdf.Term) []rdf.Term {
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if len(e.segs) == 0 {
-		out := e.mem.g.Subjects(p, o)
-		e.mu.RUnlock()
-		return out
+		return e.mem.g.Subjects(p, o)
 	}
-	e.mu.RUnlock()
-	set := map[string]rdf.Term{}
-	for _, t := range e.Match(rdf.Term{}, p, o) {
-		set[t.S.Key()] = t.S
+	var m merge
+	e.open(&m, rdf.Term{}, p, o, true, e.noteReadErr)
+	// Canonical order is subject-major: equal subjects are adjacent.
+	out := []rdf.Term{}
+	for h := m.next(); h != nil; h = m.next() {
+		if len(out) == 0 || !out[len(out)-1].Equal(*h.s) {
+			out = append(out, *h.s)
+		}
 	}
-	return sortedTermSet(set)
+	return out
 }
 
 // Objects returns the distinct objects of triples matching (s, p),
 // sorted by term key.
 func (e *Engine) Objects(s, p rdf.Term) []rdf.Term {
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if len(e.segs) == 0 {
-		out := e.mem.g.Objects(s, p)
-		e.mu.RUnlock()
-		return out
+		return e.mem.g.Objects(s, p)
 	}
-	e.mu.RUnlock()
-	set := map[string]rdf.Term{}
-	for _, t := range e.Match(s, p, rdf.Term{}) {
-		set[t.O.Key()] = t.O
+	var m merge
+	e.open(&m, s, p, rdf.Term{}, true, e.noteReadErr)
+	out := []rdf.Term{}
+	for h := m.next(); h != nil; h = m.next() {
+		out = append(out, *h.o)
 	}
-	return sortedTermSet(set)
+	// With s and p both bound the cursor already yields objects in
+	// order; otherwise they are ordered within each (s, p) only.
+	if s.IsZero() || p.IsZero() {
+		slices.SortFunc(out, rdf.Term.Compare)
+	}
+	return slices.CompactFunc(out, rdf.Term.Equal)
 }
 
 // FirstObject returns the object of the first matching (s, p) triple
@@ -741,30 +804,16 @@ func (e *Engine) Objects(s, p rdf.Term) []rdf.Term {
 // either way).
 func (e *Engine) FirstObject(s, p rdf.Term) (rdf.Term, bool) {
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if len(e.segs) == 0 {
-		o, ok := e.mem.g.FirstObject(s, p)
-		e.mu.RUnlock()
-		return o, ok
+		return e.mem.g.FirstObject(s, p)
 	}
-	e.mu.RUnlock()
-	ts := e.Match(s, p, rdf.Term{})
-	if len(ts) == 0 {
-		return rdf.Term{}, false
+	var m merge
+	e.open(&m, s, p, rdf.Term{}, true, e.noteReadErr)
+	if h := m.next(); h != nil {
+		return *h.o, true
 	}
-	return ts[0].O, true
-}
-
-func sortedTermSet(set map[string]rdf.Term) []rdf.Term {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]rdf.Term, len(keys))
-	for i, k := range keys {
-		out[i] = set[k]
-	}
-	return out
+	return rdf.Term{}, false
 }
 
 // MemGraph exposes the memtable graph. For a memory-only engine this
@@ -808,7 +857,7 @@ func (e *Engine) Stats() Stats {
 		s.SegmentRows += r.Rows()
 		s.Tombstones += r.Tombstones()
 	}
-	s.Tombstones += len(e.mem.tombs)
+	s.Tombstones += e.mem.tombstones()
 	if e.wal != nil {
 		s.WALBytes = e.wal.bytes()
 	}

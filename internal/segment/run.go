@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"applab/internal/rdf"
 )
@@ -100,7 +100,6 @@ type Run struct {
 	// read via loaded copies returned by the ensure* helpers).
 	mu      sync.Mutex
 	terms   []rdf.Term
-	keys    []string
 	rows    []row
 	posPerm []uint32
 	ospPerm []uint32
@@ -137,6 +136,10 @@ func encodeRun(adds, tombs []rdf.Triple) ([]byte, error) {
 		id[k] = uint32(i)
 	}
 
+	terms := make([]rdf.Term, len(keys))
+	for i, k := range keys {
+		terms[i] = termSet[k]
+	}
 	rows := make([]row, 0, n)
 	addRows := func(ts []rdf.Triple, extra uint8) {
 		for _, t := range ts {
@@ -151,7 +154,20 @@ func encodeRun(adds, tombs []rdf.Triple) ([]byte, error) {
 	}
 	addRows(adds, 0)
 	addRows(tombs, rowTombstone)
+	return encodeRows(terms, rows), nil
+}
+
+// encodeRows serializes dictionary-encoded rows (in any order) over a
+// strictly key-sorted dictionary into a complete run image. It sorts
+// rows in place.
+func encodeRows(terms []rdf.Term, rows []row) []byte {
 	sort.Slice(rows, func(i, j int) bool { return rowLess(rows[i], rows[j], bySPO) })
+	nTombs := 0
+	for _, r := range rows {
+		if r.flags&rowTombstone != 0 {
+			nTombs++
+		}
+	}
 
 	perm := func(less func(a, b row) bool) []uint32 {
 		p := make([]uint32, len(rows))
@@ -186,9 +202,9 @@ func encodeRun(adds, tombs []rdf.Triple) ([]byte, error) {
 	oIdx := index(func(r row) uint32 { return r.o }, ospPerm)
 
 	// Serialize the sections.
-	dict := make([]byte, 0, 32*len(keys))
-	for _, k := range keys {
-		dict = appendTerm(dict, termSet[k])
+	dict := make([]byte, 0, 32*len(terms))
+	for _, t := range terms {
+		dict = appendTerm(dict, t)
 	}
 	rowsBuf := make([]byte, 0, rowSize*len(rows))
 	for _, r := range rows {
@@ -220,7 +236,7 @@ func encodeRun(adds, tombs []rdf.Triple) ([]byte, error) {
 
 	img := make([]byte, 0, len(runMagic)+len(dict)+len(rowsBuf)+len(posBuf)+len(ospBuf)+len(sBuf)+len(pBuf)+len(oBuf)+footerSize)
 	img = append(img, runMagic...)
-	foot := runFooter{nTerms: uint32(len(keys)), nRows: uint32(len(rows)), nTombs: uint32(len(tombs)),
+	foot := runFooter{nTerms: uint32(len(terms)), nRows: uint32(len(rows)), nTombs: uint32(nTombs),
 		nS: uint32(len(sIdx)), nP: uint32(len(pIdx)), nO: uint32(len(oIdx))}
 	foot.dictOff, foot.dictLen, foot.dictCRC = uint64(len(img)), uint64(len(dict)), crc32.ChecksumIEEE(dict)
 	img = append(img, dict...)
@@ -237,7 +253,7 @@ func encodeRun(adds, tombs []rdf.Triple) ([]byte, error) {
 	foot.oOff, foot.oCRC = uint64(len(img)), crc32.ChecksumIEEE(oBuf)
 	img = append(img, oBuf...)
 	img = append(img, encodeFooter(foot)...)
-	return img, nil
+	return img
 }
 
 type rowOrderKind int
@@ -248,16 +264,20 @@ const (
 	byOSP
 )
 
-func rowLess(a, b row, ord rowOrderKind) bool {
-	var ka, kb [3]uint32
+// key returns the row's term ids in the significance order of ord.
+func (r *row) key(ord rowOrderKind) [3]uint32 {
 	switch ord {
 	case bySPO:
-		ka, kb = [3]uint32{a.s, a.p, a.o}, [3]uint32{b.s, b.p, b.o}
+		return [3]uint32{r.s, r.p, r.o}
 	case byPOS:
-		ka, kb = [3]uint32{a.p, a.o, a.s}, [3]uint32{b.p, b.o, b.s}
+		return [3]uint32{r.p, r.o, r.s}
 	default:
-		ka, kb = [3]uint32{a.o, a.s, a.p}, [3]uint32{b.o, b.s, b.p}
+		return [3]uint32{r.o, r.s, r.p}
 	}
+}
+
+func rowLess(a, b row, ord rowOrderKind) bool {
+	ka, kb := a.key(ord), b.key(ord)
 	for i := range ka {
 		if ka[i] != kb[i] {
 			return ka[i] < kb[i]
@@ -466,41 +486,40 @@ func (r *Run) section(off uint64, n int, sum uint32) ([]byte, error) {
 	return buf, nil
 }
 
-// ensureDict lazily loads the term dictionary.
-func (r *Run) ensureDict() ([]rdf.Term, []string, error) {
+// ensureDict lazily loads the term dictionary and checks that it is
+// strictly sorted in key order, which is what lets readers treat term
+// ids as ranks.
+func (r *Run) ensureDict() ([]rdf.Term, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.terms != nil {
-		return r.terms, r.keys, nil
+		return r.terms, nil
 	}
 	buf, err := r.section(r.foot.dictOff, int(r.foot.dictLen), r.foot.dictCRC)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	hint := r.foot.nTerms
 	if hint > 1<<16 {
 		hint = 1 << 16
 	}
 	terms := make([]rdf.Term, 0, hint)
-	keys := make([]string, 0, hint)
 	c := cursor{data: buf}
 	for i := uint32(0); i < r.foot.nTerms; i++ {
 		t, err := c.term()
 		if err != nil {
-			return nil, nil, fmt.Errorf("segment: %s: dict term %d: %w", r.path, i, err)
+			return nil, fmt.Errorf("segment: %s: dict term %d: %w", r.path, i, err)
 		}
-		k := t.Key()
-		if len(keys) > 0 && keys[len(keys)-1] >= k {
-			return nil, nil, fmt.Errorf("segment: %s: dict not strictly sorted", r.path)
+		if len(terms) > 0 && terms[len(terms)-1].Compare(t) >= 0 {
+			return nil, fmt.Errorf("segment: %s: dict not strictly sorted", r.path)
 		}
 		terms = append(terms, t)
-		keys = append(keys, k)
 	}
 	if c.remaining() != 0 {
-		return nil, nil, fmt.Errorf("segment: %s: trailing dict bytes", r.path)
+		return nil, fmt.Errorf("segment: %s: trailing dict bytes", r.path)
 	}
-	r.terms, r.keys = terms, keys
-	return terms, keys, nil
+	r.terms = terms
+	return terms, nil
 }
 
 // ensureRows lazily loads and decodes the row section.
@@ -615,20 +634,6 @@ func (r *Run) ensureIdx(pos int) ([]idxEntry, error) {
 
 func (r *Run) idxStore(dst *[]idxEntry, idx []idxEntry) { *dst = idx }
 
-// termID resolves a term to its dictionary id.
-func (r *Run) termID(t rdf.Term) (uint32, bool, error) {
-	_, keys, err := r.ensureDict()
-	if err != nil {
-		return 0, false, err
-	}
-	k := t.Key()
-	i := sort.SearchStrings(keys, k)
-	if i < len(keys) && keys[i] == k {
-		return uint32(i), true, nil
-	}
-	return 0, false, nil
-}
-
 // lookupIdx binary-searches an index section for a term id.
 func lookupIdx(idx []idxEntry, id uint32) (idxEntry, bool) {
 	i := sort.Search(len(idx), func(i int) bool { return idx[i].term >= id })
@@ -638,37 +643,61 @@ func lookupIdx(idx []idxEntry, id uint32) (idxEntry, bool) {
 	return idxEntry{}, false
 }
 
+// runPattern is a triple pattern resolved against one run: the
+// dictionary id of every bound position and, from the index sections
+// alone, the bucket of rows carrying that id there.
+type runPattern struct {
+	bound  [3]bool
+	ids    [3]uint32
+	bucket [3]idxEntry
+}
+
+// resolve translates the pattern into the run's id space. ok is false
+// when a bound term does not occur at its position, so nothing in the
+// run can match.
+func (r *Run) resolve(s, p, o rdf.Term) (pat runPattern, ok bool, err error) {
+	var terms []rdf.Term
+	for pos, t := range [3]rdf.Term{s, p, o} {
+		if t.IsZero() {
+			continue
+		}
+		if terms == nil {
+			if terms, err = r.ensureDict(); err != nil {
+				return pat, false, err
+			}
+		}
+		// The dictionary is sorted by Term.Compare, so the index is the id.
+		id, found := slices.BinarySearchFunc(terms, t, rdf.Term.Compare)
+		if !found {
+			return pat, false, nil
+		}
+		idx, err := r.ensureIdx(pos)
+		if err != nil {
+			return pat, false, err
+		}
+		e, found := lookupIdx(idx, uint32(id))
+		if !found {
+			return pat, false, nil
+		}
+		pat.bound[pos], pat.ids[pos], pat.bucket[pos] = true, uint32(id), e
+	}
+	return pat, true, nil
+}
+
 // cardinality estimates the number of rows matching the pattern: the
 // smallest bound-position bucket (rdf.Graph's estimator), read from the
 // index sections alone. The all-wildcard estimate is the live row
 // count.
 func (r *Run) cardinality(s, p, o rdf.Term) (int, error) {
+	pat, ok, err := r.resolve(s, p, o)
+	if err != nil || !ok {
+		return 0, err
+	}
 	est := -1
-	take := func(n int) {
-		if est < 0 || n < est {
+	for pos, b := range pat.bound {
+		if n := int(pat.bucket[pos].count); b && (est < 0 || n < est) {
 			est = n
 		}
-	}
-	for pos, t := range []rdf.Term{s, p, o} {
-		if t.IsZero() {
-			continue
-		}
-		id, ok, err := r.termID(t)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return 0, nil
-		}
-		idx, err := r.ensureIdx(pos)
-		if err != nil {
-			return 0, err
-		}
-		e, ok := lookupIdx(idx, id)
-		if !ok {
-			return 0, nil
-		}
-		take(int(e.count))
 	}
 	if est < 0 {
 		return int(r.foot.nRows) - int(r.foot.nTombs), nil
@@ -676,78 +705,78 @@ func (r *Run) cardinality(s, p, o rdf.Term) (int, error) {
 	return est, nil
 }
 
-// match streams every row matching the pattern (tombstones included —
-// the engine needs them for masking) to fn in the run's sort order for
-// the chosen access path.
-func (r *Run) match(s, p, o rdf.Term, fn func(t rdf.Triple, tombstone bool)) error {
+// runScan is the exact set of a run's rows matching a pattern, as a
+// range of positions in one of the run's three sort orders: perm[lo:hi]
+// indexes rows, or rows[lo:hi] directly when perm is nil. Visiting the
+// positions in order visits the rows in (S,P,O) order.
+type runScan struct {
+	terms  []rdf.Term
+	rows   []row
+	perm   []uint32
+	lo, hi int
+}
+
+// scan narrows the pattern to a runScan. Every combination of bound
+// positions is a key prefix of one sort order — {s}, {s,p}, {s,p,o} of
+// SPO; {p}, {p,o} of POS; {o}, {o,s} of OSP — so the matching rows are
+// contiguous there: the first bound position's bucket comes from its
+// index section, each further one from a binary search inside it. No
+// row is decoded and no term compared beyond resolving the pattern.
+func (r *Run) scan(s, p, o rdf.Term) (sc runScan, err error) {
 	if r.foot.nRows == 0 {
-		return nil
+		return sc, nil
 	}
-	type path struct {
-		pos   int
-		entry idxEntry
+	pat, ok, err := r.resolve(s, p, o)
+	if err != nil || !ok {
+		return sc, err
 	}
-	best := path{pos: -1}
-	for pos, t := range []rdf.Term{s, p, o} {
-		if t.IsZero() {
-			continue
-		}
-		id, ok, err := r.termID(t)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil // bound term not in this run: nothing matches
-		}
-		idx, err := r.ensureIdx(pos)
-		if err != nil {
-			return err
-		}
-		e, ok := lookupIdx(idx, id)
-		if !ok {
-			return nil
-		}
-		if best.pos < 0 || e.count < best.entry.count {
-			best = path{pos: pos, entry: e}
-		}
+	if sc.terms, err = r.ensureDict(); err != nil {
+		return runScan{}, err
 	}
-	rows, err := r.ensureRows()
-	if err != nil {
-		return err
+	if sc.rows, err = r.ensureRows(); err != nil {
+		return runScan{}, err
 	}
-	terms, _, err := r.ensureDict()
-	if err != nil {
-		return err
+	// first is the leading position of the order to use.
+	var first int
+	switch {
+	case pat.bound[0] && (pat.bound[1] || !pat.bound[2]):
+		first = 0
+	case pat.bound[1]:
+		first = 1
+	case pat.bound[2]:
+		first = 2
+	default:
+		sc.hi = len(sc.rows)
+		return sc, nil
 	}
-	emit := func(rw row) {
-		t := rdf.Triple{S: terms[rw.s], P: terms[rw.p], O: terms[rw.o]}
-		if rw.flags&rowHasVT != 0 {
-			t.ValidFrom = time.Unix(0, rw.vf).UTC()
-			t.ValidTo = time.Unix(0, rw.vt).UTC()
-		}
-		if matchesPattern(t, s, p, o) {
-			fn(t, rw.flags&rowTombstone != 0)
+	ord := [3]rowOrderKind{bySPO, byPOS, byOSP}[first]
+	if ord != bySPO {
+		if sc.perm, err = r.ensurePerm(ord == byOSP); err != nil {
+			return runScan{}, err
 		}
 	}
-	switch best.pos {
-	case -1: // all wildcards: full scan in SPO order
-		for _, rw := range rows {
-			emit(rw)
+	sc.lo = int(pat.bucket[first].start)
+	sc.hi = sc.lo + int(pat.bucket[first].count)
+	want := (&row{s: pat.ids[0], p: pat.ids[1], o: pat.ids[2]}).key(ord)
+	for level := 1; level < 3 && pat.bound[(first+level)%3]; level++ {
+		at := func(i int) uint32 {
+			if sc.perm != nil {
+				i = int(sc.perm[i])
+			}
+			return sc.rows[i].key(ord)[level]
 		}
-	case 0: // subject range directly over rows
-		for _, rw := range rows[best.entry.start : best.entry.start+best.entry.count] {
-			emit(rw)
-		}
-	default: // predicate or object range via the permutation
-		perm, err := r.ensurePerm(best.pos == 2)
-		if err != nil {
-			return err
-		}
-		for _, ri := range perm[best.entry.start : best.entry.start+best.entry.count] {
-			emit(rows[ri])
-		}
+		base, n := sc.lo, sc.hi-sc.lo
+		sc.lo = base + sort.Search(n, func(i int) bool { return at(base+i) >= want[level] })
+		sc.hi = base + sort.Search(n, func(i int) bool { return at(base+i) > want[level] })
 	}
-	return nil
+	if ord == byPOS && !pat.bound[2] {
+		// A predicate bucket is in (O,S) order. Row ids are ranks in
+		// (S,P,O) order, so sorting the ids restores it.
+		sc.perm = append([]uint32(nil), sc.perm[sc.lo:sc.hi]...)
+		slices.Sort(sc.perm)
+		sc.lo, sc.hi = 0, len(sc.perm)
+	}
+	return sc, nil
 }
 
 // bytes reports the file size.
