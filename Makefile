@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzApplyConstraint$$' -fuzztime=2s ./internal/opendap/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=3s ./internal/sparql/
 	$(GO) test -run='^$$' -fuzz='^FuzzPlanKey$$' -fuzztime=3s ./internal/sparql/
+	$(GO) test -run='^$$' -fuzz='^FuzzResultsWriter$$' -fuzztime=3s ./internal/endpoint/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=3s ./internal/strabon/
 	$(GO) test -run='^$$' -fuzz='^FuzzTermCompare$$' -fuzztime=3s ./internal/rdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentOpen$$' -fuzztime=3s ./internal/segment/

@@ -35,6 +35,19 @@ echo "  whole-repo lint in ${lint_elapsed}s (budget 30s)"
 echo "== go test"
 go test ./...
 
+echo "== golden result cache under real parallelism"
+# The endpoint closes the encode stage (span, histogram, trace) before
+# the first body byte is written, so a client-side Snapshot() sees exact
+# counter deltas on any core count.
+go test -count=20 -cpu 1,2,4 -run TestGoldenResultCache ./internal/e2e
+
+echo "== allocation ceilings (handle rows, results writer)"
+# Engine_BGPJoinCompiled's bytes per evaluation may not regrow (rows are
+# 8-byte handles, not 56-byte terms), and encoding a 1000-row result
+# into a warm buffer allocates nothing.
+go test -count=1 -run '^TestBGPJoinBytesCeiling$' ./internal/sparql
+go test -count=1 -run '^TestResultsWriterAllocations$' ./internal/endpoint
+
 echo "== bench module (its own go.mod, outside ./...)"
 (cd bench && go vet . && go test .)
 

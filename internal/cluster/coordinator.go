@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -573,39 +574,22 @@ func (w *latWindow) add(d time.Duration) {
 }
 
 func (w *latWindow) percentile(p float64) time.Duration {
+	// Every fragment read asks: copy the window to the stack under the
+	// lock and sort it there.
 	w.mu.Lock()
 	n := w.n
-	samples := make([]time.Duration, n)
-	copy(samples, w.buf[:n])
+	buf := w.buf
 	w.mu.Unlock()
 	if n == 0 {
 		return 0
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	i := int(float64(n) * p)
-	if i >= n {
-		i = n - 1
-	}
-	return samples[i]
+	samples := buf[:n]
+	slices.Sort(samples)
+	return samples[min(int(float64(n)*p), n-1)]
 }
 
 // sortCanonical orders triples the way the engine's canonical merge
 // does: by term keys, then valid time.
 func sortCanonical(ts []rdf.Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if k1, k2 := a.S.Key(), b.S.Key(); k1 != k2 {
-			return k1 < k2
-		}
-		if k1, k2 := a.P.Key(), b.P.Key(); k1 != k2 {
-			return k1 < k2
-		}
-		if k1, k2 := a.O.Key(), b.O.Key(); k1 != k2 {
-			return k1 < k2
-		}
-		if !a.ValidFrom.Equal(b.ValidFrom) {
-			return a.ValidFrom.Before(b.ValidFrom)
-		}
-		return a.ValidTo.Before(b.ValidTo)
-	})
+	slices.SortFunc(ts, func(a, b rdf.Triple) int { return a.Compare(&b) })
 }

@@ -125,7 +125,7 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 							degraded.Inc()
 							w.Header().Set("X-Applab-Degraded", "stale")
 							w.Header().Set("X-Applab-Cache", "stale")
-							writeResults(w, res)
+							writeResults(w, res, nil)
 							return
 						}
 					}
@@ -134,7 +134,7 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 					if res, derr := sparql.Eval(opts.Degraded, q); derr == nil {
 						degraded.Inc()
 						w.Header().Set("X-Applab-Degraded", "stale")
-						writeResults(w, res)
+						writeResults(w, res, nil)
 						return
 					}
 				}
@@ -146,6 +146,18 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 		}
 		tr := reg.StartTrace("sparql_query")
 		r = r.WithContext(telemetry.WithTrace(r.Context(), tr))
+		// respond encodes res under an "encode" span and closes the trace
+		// before the first body byte leaves: once a client can read the
+		// answer, every counter and histogram of its request is final.
+		respond := func(res *sparql.Results, now time.Time) {
+			sp := tr.StartSpan("encode", now)
+			writeResults(w, res, func() {
+				now := reg.Time()
+				sp.End(now)
+				encodeSec.ObserveDuration(sp.Duration())
+				tr.End(reg, now)
+			})
+		}
 
 		sp := tr.StartSpan("parse", reg.Time())
 		query, err := sparql.Parse(q)
@@ -164,12 +176,7 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 			res, f, st := opts.Cache.Lookup(query, src)
 			if st == rescache.Hit {
 				w.Header().Set("X-Applab-Cache", "hit")
-				sp = tr.StartSpan("encode", now)
-				writeResults(w, res)
-				now = reg.Time()
-				sp.End(now)
-				encodeSec.ObserveDuration(sp.Duration())
-				tr.End(reg, now)
+				respond(res, now)
 				return
 			}
 			if st != rescache.Bypass {
@@ -218,28 +225,16 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 		} else {
 			fill.Store(res)
 		}
-
-		sp = tr.StartSpan("encode", now)
-		writeResults(w, res)
-		now = reg.Time()
-		sp.End(now)
-		encodeSec.ObserveDuration(sp.Duration())
-		tr.End(reg, now)
+		respond(res, now)
 	})
 	return mux
 }
 
-// encodeJSON writes a JSON response body best-effort: a vanished
-// client is not a server error, so the Encode result is deliberately
-// discarded.
+// encodeJSON writes a (small, error-shaped) JSON response body
+// best-effort: a vanished client is not a server error, so the Encode
+// result is deliberately discarded.
 func encodeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeResults encodes a result set as SPARQL-results-JSON.
-func writeResults(w http.ResponseWriter, res *sparql.Results) {
-	w.Header().Set("Content-Type", "application/sparql-results+json")
-	encodeJSON(w, ResultsJSON(res))
 }
 
 // writeOverload renders an Acquire rejection: 503 with a Retry-After
@@ -274,7 +269,10 @@ func writeBudgetError(w http.ResponseWriter, be *admission.BudgetError) {
 }
 
 // ResultsJSON renders results in SPARQL-results-JSON form (simplified: no
-// typed boolean vs bindings distinction beyond the fields used).
+// typed boolean vs bindings distinction beyond the fields used) as a
+// tree for encoding/json. The handler writes the same bytes without the
+// tree (results.go); this form serves callers that want the document as
+// a value.
 func ResultsJSON(res *sparql.Results) map[string]any {
 	bindings := make([]map[string]any, len(res.Bindings))
 	for i, b := range res.Bindings {

@@ -214,6 +214,24 @@ func (t Term) Key() string {
 	}
 }
 
+// AppendKey appends exactly the bytes of Key() to dst, so callers that
+// build composite keys in a reused buffer need no string per term.
+func (t Term) AppendKey(dst []byte) []byte {
+	switch t.Kind {
+	case KindIRI:
+		dst = append(dst, 'I')
+	case KindBlank:
+		dst = append(dst, 'B')
+	default:
+		dst = append(dst, 'L')
+		dst = append(dst, t.Datatype...)
+		dst = append(dst, '@')
+		dst = append(dst, t.Lang...)
+		dst = append(dst, 0)
+	}
+	return append(dst, t.Value...)
+}
+
 // Compare orders terms exactly as strings.Compare orders their Key()s —
 // blank nodes, then IRIs, then literals by datatype, language tag and
 // lexical form — without building either key.
@@ -309,6 +327,25 @@ type Triple struct {
 
 // NewTriple returns a triple without valid time.
 func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
+
+// Compare is the canonical triple order: subject, predicate and object
+// in Term.Compare (term-key) order, then valid time. It allocates
+// nothing, and is zero only for identical triples.
+func (t *Triple) Compare(o *Triple) int {
+	if c := t.S.Compare(o.S); c != 0 {
+		return c
+	}
+	if c := t.P.Compare(o.P); c != 0 {
+		return c
+	}
+	if c := t.O.Compare(o.O); c != 0 {
+		return c
+	}
+	if c := t.ValidFrom.Compare(o.ValidFrom); c != 0 {
+		return c
+	}
+	return t.ValidTo.Compare(o.ValidTo)
+}
 
 // HasValidTime reports whether the triple carries a valid-time interval.
 func (t Triple) HasValidTime() bool { return !t.ValidFrom.IsZero() || !t.ValidTo.IsZero() }

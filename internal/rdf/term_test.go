@@ -167,6 +167,11 @@ var compareSeeds = [][2]Term{
 
 func checkCompare(t *testing.T, a, b Term) {
 	t.Helper()
+	for _, x := range []Term{a, b} {
+		if got := string(x.AppendKey([]byte("pre"))); got != "pre"+x.Key() {
+			t.Fatalf("AppendKey(%#v) = %q, Key() = %q", x, got, x.Key())
+		}
+	}
 	if got, want := a.Compare(b), strings.Compare(a.Key(), b.Key()); got != want {
 		t.Fatalf("Compare(%#v, %#v) = %d, key order says %d", a, b, got, want)
 	}

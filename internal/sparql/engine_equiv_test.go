@@ -38,6 +38,17 @@ func equivGraph(n int) *rdf.Graph {
 	return g
 }
 
+// loopedGraph is equivGraph plus a self loop and a back edge, so that
+// repeated-variable patterns have something to match.
+func loopedGraph(n int) *rdf.Graph {
+	g := equivGraph(n)
+	knows := rdf.NewIRI("http://ex.org/knows")
+	p0, p1 := rdf.NewIRI("http://ex.org/p0"), rdf.NewIRI("http://ex.org/p1")
+	g.Add(rdf.NewTriple(p0, knows, p0))
+	g.Add(rdf.NewTriple(p1, knows, p0))
+	return g
+}
+
 // equivQueries covers every evaluator feature. ORDER BY is only
 // combined with LIMIT on keys that are total orders, so reordering
 // cannot change which rows survive the cut.
@@ -80,6 +91,50 @@ CONSTRUCT { ?s ex:livesIn ?c } WHERE { ?s ex:city ?c . ?s ex:age ?a . FILTER(?a 
 SELECT ?s ?n WHERE { { ?s ex:age 21 . OPTIONAL { ?s ex:name ?n } } UNION { ?s ex:city "Berlin" } }`,
 	`PREFIX ex: <http://ex.org/>
 SELECT ?s WHERE { { ?s ex:city "Paris" . ?s ex:age ?a . FILTER(?a < 30) } }`,
+
+	// Rows are handles into Match slices, VALUES constants and the term
+	// arena, shared across every kind of fan-out: the shapes below make
+	// sibling rows point at one ancestor's terms and then diverge.
+	`PREFIX ex: <http://ex.org/>
+SELECT ?s ?a ?tag ?n WHERE { ?s ex:age ?a . FILTER(?a < 24) { ?s ex:city "Paris" . BIND("p" AS ?tag) } UNION { ?s ex:name ?n } UNION { ?s ex:knows ?n } }`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?s ?b ?o ?on WHERE { ?s ex:age ?a . BIND(?a * 2 AS ?b) OPTIONAL { ?s ex:knows ?o . ?o ex:name ?on . FILTER(?b > 60) } }`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?s ?c WHERE { ?s ex:city ?c . FILTER NOT EXISTS { ?s ex:knows ?o . ?o ex:city ?c } FILTER EXISTS { ?s ex:age ?a . FILTER(?a > 30) } }`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?s ?x ?y ?z WHERE { ?s ex:city "Madrid" . BIND(STR(?s) AS ?x) { BIND(STRLEN(?x) AS ?y) } UNION { BIND(UCASE(?x) AS ?z) } }`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?s ?c ?k WHERE { VALUES (?c ?k) { ("Paris" 1) ("Berlin" 2) ("Paris" 3) } ?s ex:city ?c . ?s ex:age 20 }`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?s ?c WHERE { VALUES ?c { "Athens" } ?s ex:city ?c . VALUES ?c { "Athens" "Paris" } }`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?s ?p WHERE { ?s ?p ?s }`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?s ?o WHERE { ?s ex:knows ?o . ?o ex:knows ?s }`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?c (COUNT(*) AS ?n) (MIN(?a) AS ?lo) (MAX(?a) AS ?hi) (SUM(?a) AS ?sum) WHERE { ?s ex:city ?c . ?s ex:age ?a . FILTER(?a >= 30 && ?a < 60) } GROUP BY ?c ORDER BY DESC(?n) ?c`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?c (COUNT(DISTINCT ?a) AS ?ages) (COUNT(?nope) AS ?zero) (?a + 1 AS ?first) ?s WHERE { ?s ex:city ?c . ?s ex:age ?a } GROUP BY ?c`,
+	`PREFIX ex: <http://ex.org/>
+SELECT (COUNT(*) AS ?n) (COUNT(DISTINCT *) AS ?one) WHERE { ?s ex:city "Nowhere" }`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?c ?a WHERE { ?s ex:city ?c . ?s ex:age ?a } GROUP BY ?c ?a ORDER BY ?c DESC(?a) OFFSET 3 LIMIT 40`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?n WHERE { ?s ex:name ?n . ?s ex:age ?a . ?s ex:city ?c } ORDER BY DESC(?a) ?c ?n LIMIT 25`,
+	`PREFIX ex: <http://ex.org/>
+SELECT ?n (?a * 2 AS ?twice) WHERE { ?s ex:name ?n . ?s ex:age ?a } ORDER BY ?twice ?n OFFSET 7 LIMIT 9`,
+	`PREFIX ex: <http://ex.org/>
+SELECT DISTINCT ?c ?a WHERE { ?s ex:city ?c . ?s ex:age ?a } ORDER BY ?a ?c OFFSET 10 LIMIT 30`,
+	`PREFIX ex: <http://ex.org/>
+SELECT DISTINCT ?c ?n WHERE { ?s ex:city ?c . OPTIONAL { ?s ex:age 20 . ?s ex:name ?n } } ORDER BY ?c ?n`,
+	`PREFIX ex: <http://ex.org/>
+SELECT DISTINCT * WHERE { ?s ex:city ?c . BIND(1 AS ?one) FILTER(?c = "Berlin") }`,
+	`PREFIX ex: <http://ex.org/>
+SELECT * WHERE { ?s ex:age 33 . BIND(STR(?s) AS ?str) VALUES ?v { 1 2 } }`,
+	`PREFIX ex: <http://ex.org/>
+CONSTRUCT { ?s ex:peer _:link . _:link ex:to ?o ; ex:via ?c } WHERE { ?s ex:knows ?o . ?s ex:city ?c . OPTIONAL { ?o ex:age ?a . FILTER(?a > 65) } FILTER(BOUND(?a)) }`,
+	`PREFIX ex: <http://ex.org/>
+CONSTRUCT { ?s ex:label ?n . ?s ex:missing ?never } WHERE { ?s ex:name ?n . ?s ex:age 20 }`,
 }
 
 // resultsKey canonicalizes any result kind (rows as a sorted multiset,
@@ -117,29 +172,36 @@ func orderedKey(res *Results) string {
 }
 
 func TestCompiledEngineMatchesSeed(t *testing.T) {
-	g := equivGraph(400)
+	g := loopedGraph(400)
 	for _, q := range equivQueries {
 		parsed, err := Parse(q)
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)
 		}
 		seed, err1 := parsed.EvalSeed(g)
-		comp, err2 := parsed.Eval(g)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("error disagreement for %q: seed=%v compiled=%v", q, err1, err2)
-		}
-		if err1 != nil {
-			continue
-		}
-		if resultsKey(seed) != resultsKey(comp) {
-			t.Errorf("result mismatch for %q:\nseed:     %d rows\ncompiled: %d rows",
-				q, len(seed.Bindings), len(comp.Bindings))
+		// threshold 1 forces every stage of the 2- and 8-worker runs
+		// through the parallel path.
+		for _, workers := range []int{1, 2, 8} {
+			comp, err2 := parsed.eval(g, workers, 1)
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("error disagreement for %q: seed=%v compiled(%d workers)=%v", q, err1, workers, err2)
+			}
+			if err1 != nil {
+				continue
+			}
+			if resultsKey(seed) != resultsKey(comp) {
+				t.Errorf("result mismatch for %q at %d workers:\nseed:     %d rows\ncompiled: %d rows",
+					q, workers, len(seed.Bindings), len(comp.Bindings))
+			}
+			if len(parsed.OrderBy) > 0 && orderedKey(seed) != orderedKey(comp) {
+				t.Errorf("ORDER BY result order differs from seed for %q at %d workers", q, workers)
+			}
 		}
 	}
 }
 
 func TestParallelWorkersIdenticalResults(t *testing.T) {
-	g := equivGraph(600)
+	g := loopedGraph(600)
 	for _, q := range equivQueries {
 		parsed, err := Parse(q)
 		if err != nil {
@@ -147,15 +209,17 @@ func TestParallelWorkersIdenticalResults(t *testing.T) {
 		}
 		// threshold 1 forces the parallel path for every stage.
 		seq, err1 := parsed.eval(g, 1, 1)
-		par, err2 := parsed.eval(g, 8, 1)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("error disagreement for %q: seq=%v par=%v", q, err1, err2)
-		}
-		if err1 != nil {
-			continue
-		}
-		if orderedKey(seq) != orderedKey(par) || seq.Bool != par.Bool || resultsKey(seq) != resultsKey(par) {
-			t.Errorf("workers=1 vs workers=8 diverge for %q", q)
+		for _, workers := range []int{2, 8} {
+			par, err2 := parsed.eval(g, workers, 1)
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("error disagreement for %q: seq=%v par=%v", q, err1, err2)
+			}
+			if err1 != nil {
+				continue
+			}
+			if orderedKey(seq) != orderedKey(par) || seq.Bool != par.Bool || resultsKey(seq) != resultsKey(par) {
+				t.Errorf("workers=1 vs workers=%d diverge for %q", workers, q)
+			}
 		}
 	}
 }

@@ -2,8 +2,7 @@ package sparql
 
 import (
 	"context"
-	"sort"
-	"strconv"
+	"slices"
 
 	"applab/internal/admission"
 	"applab/internal/rdf"
@@ -92,8 +91,9 @@ func (ec *execCtx) exchangeErr(err error) error {
 // mergeFragments concatenates per-fragment streams into one canonically
 // ordered, duplicate-free stream. Placement sends each triple to one
 // fragment, so duplicates only appear when fragments overlap (replica
-// answers that raced a move); suppressing them here keeps the merged
-// stream set-identical to a single store's answer.
+// answers that raced a move); they sort next to each other (terms plus
+// valid time are the merge identity) and are dropped there, which keeps
+// the merged stream set-identical to a single store's answer.
 func mergeFragments(parts [][]rdf.Triple) []rdf.Triple {
 	total := 0
 	for _, p := range parts {
@@ -103,41 +103,9 @@ func mergeFragments(parts [][]rdf.Triple) []rdf.Triple {
 		return nil
 	}
 	out := make([]rdf.Triple, 0, total)
-	seen := make(map[string]bool, total)
 	for _, p := range parts {
-		for _, t := range p {
-			k := exchangeTripleKey(t)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, t)
-			}
-		}
+		out = append(out, p...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if k1, k2 := a.S.Key(), b.S.Key(); k1 != k2 {
-			return k1 < k2
-		}
-		if k1, k2 := a.P.Key(), b.P.Key(); k1 != k2 {
-			return k1 < k2
-		}
-		if k1, k2 := a.O.Key(), b.O.Key(); k1 != k2 {
-			return k1 < k2
-		}
-		if !a.ValidFrom.Equal(b.ValidFrom) {
-			return a.ValidFrom.Before(b.ValidFrom)
-		}
-		return a.ValidTo.Before(b.ValidTo)
-	})
-	return out
-}
-
-// exchangeTripleKey is the merge identity: terms plus valid time,
-// length-prefixed so concatenated keys cannot collide (the segment
-// engine's rule).
-func exchangeTripleKey(t rdf.Triple) string {
-	sk, pk, ok := t.S.Key(), t.P.Key(), t.O.Key()
-	return strconv.Itoa(len(sk)) + "," + strconv.Itoa(len(pk)) + "," + strconv.Itoa(len(ok)) + "," +
-		strconv.FormatInt(t.ValidFrom.UnixNano(), 10) + "," + strconv.FormatInt(t.ValidTo.UnixNano(), 10) + ";" +
-		sk + pk + ok
+	slices.SortFunc(out, func(a, b rdf.Triple) int { return a.Compare(&b) })
+	return slices.CompactFunc(out, func(a, b rdf.Triple) bool { return a.Compare(&b) == 0 })
 }

@@ -1,8 +1,7 @@
 package sparql
 
 import (
-	"strconv"
-	"strings"
+	"encoding/binary"
 
 	"applab/internal/rdf"
 )
@@ -67,61 +66,27 @@ func (c *compiler) newScanOp(tp TriplePattern) *scanOp {
 	return sc
 }
 
-// rowArena block-allocates result rows so a scan producing thousands of
-// rows costs a handful of slice allocations instead of one per row.
-// Arena rows follow the same discipline as cloned rows: extended
-// copy-on-write, never mutated in place. Arenas are per goroutine
-// (created inside each chunk closure), so they need no locking.
-type rowArena struct {
-	buf   []rdf.Term
-	block int // rows per block, grows geometrically
-}
-
-// arenaMaxBlockRows caps arena block growth so small result sets never
-// pay for large blocks.
-const arenaMaxBlockRows = 512
-
-// clone copies src into arena-backed storage.
-func (a *rowArena) clone(src row) row {
-	n := len(src)
-	if len(a.buf) < n {
-		switch {
-		case a.block == 0:
-			a.block = 8
-		case a.block < arenaMaxBlockRows:
-			a.block *= 4
-			if a.block > arenaMaxBlockRows {
-				a.block = arenaMaxBlockRows
-			}
-		}
-		a.buf = make([]rdf.Term, n*a.block)
-	}
-	dst := a.buf[:n:n]
-	a.buf = a.buf[n:]
-	copy(dst, src)
-	return dst
-}
-
-// extend binds the pattern's variable positions from a matched triple,
-// copying the row (into the arena) on the first new binding. Repeated
-// variables and already-bound slots are checked for agreement. Written
-// straight-line so a no-new-binding extension is allocation free.
-func (sc *scanOp) extend(r row, t rdf.Triple, ar *rowArena) (row, bool) {
+// extend binds the pattern's variable positions to handles into a
+// matched triple — t must point into the Match slice, never at a loop
+// variable — copying the row (into the arena) on the first new binding.
+// Repeated variables and already-bound slots are checked for agreement.
+// Written straight-line so a no-new-binding extension is allocation free.
+func (sc *scanOp) extend(r row, t *rdf.Triple, ar *rowArena) (row, bool) {
 	nr := r
 	cloned := false
 	if sc.sSlot >= 0 {
-		if cur := nr[sc.sSlot]; !cur.IsZero() {
+		if cur := nr[sc.sSlot]; cur != nil {
 			if !cur.Equal(t.S) {
 				return nil, false
 			}
 		} else {
 			nr = ar.clone(nr)
 			cloned = true
-			nr[sc.sSlot] = t.S
+			nr[sc.sSlot] = &t.S
 		}
 	}
 	if sc.pSlot >= 0 {
-		if cur := nr[sc.pSlot]; !cur.IsZero() {
+		if cur := nr[sc.pSlot]; cur != nil {
 			if !cur.Equal(t.P) {
 				return nil, false
 			}
@@ -130,11 +95,11 @@ func (sc *scanOp) extend(r row, t rdf.Triple, ar *rowArena) (row, bool) {
 				nr = ar.clone(nr)
 				cloned = true
 			}
-			nr[sc.pSlot] = t.P
+			nr[sc.pSlot] = &t.P
 		}
 	}
 	if sc.oSlot >= 0 {
-		if cur := nr[sc.oSlot]; !cur.IsZero() {
+		if cur := nr[sc.oSlot]; cur != nil {
 			if !cur.Equal(t.O) {
 				return nil, false
 			}
@@ -142,7 +107,7 @@ func (sc *scanOp) extend(r row, t rdf.Triple, ar *rowArena) (row, bool) {
 			if !cloned {
 				nr = ar.clone(nr)
 			}
-			nr[sc.oSlot] = t.O
+			nr[sc.oSlot] = &t.O
 		}
 	}
 	return nr, true
@@ -154,7 +119,10 @@ func resolve(slot int, constant rdf.Term, r row) rdf.Term {
 	if slot < 0 {
 		return constant
 	}
-	return r[slot]
+	if t := r[slot]; t != nil {
+		return *t
+	}
+	return rdf.Term{}
 }
 
 func (sc *scanOp) run(ec *execCtx, in []row) ([]row, error) {
@@ -170,15 +138,16 @@ func (sc *scanOp) run(ec *execCtx, in []row) ([]row, error) {
 			return nil, nil
 		}
 		return chunked(ec, in, func(rows []row) ([]row, error) {
-			var out []row
-			var ar rowArena
+			// At least this many rows come out (barring a repeated
+			// variable inside the pattern): size for them up front.
+			out, ar := presized(max(len(rows), len(matches)), len(in[0]))
 			n := 0
 			for _, r := range rows {
 				if err := ec.tickN(&n, len(matches)); err != nil {
 					return nil, err
 				}
-				for _, t := range matches {
-					if nr, ok := sc.extend(r, t, &ar); ok {
+				for i := range matches {
+					if nr, ok := sc.extend(r, &matches[i], &ar); ok {
 						out = append(out, nr)
 					}
 				}
@@ -195,8 +164,8 @@ func (sc *scanOp) run(ec *execCtx, in []row) ([]row, error) {
 	}
 	noteJoinStrategy("nested_loop")
 	return chunked(ec, in, func(rows []row) ([]row, error) {
-		var out []row
-		var ar rowArena
+		// A join that keeps its rows emits about one per input row.
+		out, ar := presized(len(rows), len(in[0]))
 		n := 0
 		for _, r := range rows {
 			if err := ec.tick(&n); err != nil {
@@ -212,8 +181,8 @@ func (sc *scanOp) run(ec *execCtx, in []row) ([]row, error) {
 			if err := ec.tickN(&n, len(matches)); err != nil {
 				return nil, err
 			}
-			for _, t := range matches {
-				if nr, ok := sc.extend(r, t, &ar); ok {
+			for i := range matches {
+				if nr, ok := sc.extend(r, &matches[i], &ar); ok {
 					out = append(out, nr)
 				}
 			}
@@ -224,10 +193,10 @@ func (sc *scanOp) run(ec *execCtx, in []row) ([]row, error) {
 
 // hashJoin matches the pattern once with constants only, hashes the
 // result on the shared (definitely-bound) slots, and probes per row.
-// Buckets keep Match order, so each row's extensions come out in the
-// same order the nested-loop strategy would produce them; extend
-// re-checks every bound position, so the key only has to be sound, not
-// exact.
+// Buckets are int32 chains through the build slice in Match order, so
+// each row's extensions come out in the same order the nested-loop
+// strategy would produce them and no triple is copied; extend re-checks
+// every bound position, so the key only has to be sound, not exact.
 func (sc *scanOp) hashJoin(ec *execCtx, in []row) ([]row, error) {
 	build, err := ec.match(sc.s, sc.p, sc.o)
 	if err != nil {
@@ -236,22 +205,28 @@ func (sc *scanOp) hashJoin(ec *execCtx, in []row) ([]row, error) {
 	if len(build) == 0 {
 		return nil, nil
 	}
-	table := make(map[string][]rdf.Triple, len(build))
-	var sb strings.Builder
-	tripleKey := func(t rdf.Triple) string {
-		sb.Reset()
-		for _, slot := range sc.keys {
-			appendSolutionKey(&sb, sc.tripleAt(t, slot), true)
-		}
-		return sb.String()
-	}
+	// first[b] heads bucket b's chain, next[i] continues it; filling from
+	// the back leaves every chain in ascending build order.
+	buckets := make(map[string]int32, len(build))
+	var first []int32
+	next := make([]int32, len(build))
+	var kb []byte
 	n := 0
-	for _, t := range build {
+	for i := len(build) - 1; i >= 0; i-- {
 		if err := ec.tick(&n); err != nil {
 			return nil, err
 		}
-		k := tripleKey(t)
-		table[k] = append(table[k], t)
+		kb = kb[:0]
+		for _, slot := range sc.keys {
+			kb = appendSolutionKey(kb, sc.tripleAt(&build[i], slot))
+		}
+		b, ok := buckets[string(kb)]
+		if !ok {
+			b = int32(len(first))
+			buckets[string(kb)] = b
+			first = append(first, -1)
+		}
+		next[i], first[b] = first[b], int32(i)
 	}
 	return chunked(ec, in, func(rows []row) ([]row, error) {
 		var out []row
@@ -264,18 +239,18 @@ func (sc *scanOp) hashJoin(ec *execCtx, in []row) ([]row, error) {
 			}
 			kb = kb[:0]
 			for _, slot := range sc.keys {
-				k := r[slot].Key()
-				kb = strconv.AppendInt(kb, int64(len(k)), 10)
-				kb = append(kb, ':')
-				kb = append(kb, k...)
+				kb = appendSolutionKey(kb, r[slot])
 			}
 			// map lookup on string(kb) does not allocate.
-			bucket := table[string(kb)]
-			if err := ec.tickN(&n, len(bucket)); err != nil {
-				return nil, err
+			b, ok := buckets[string(kb)]
+			if !ok {
+				continue
 			}
-			for _, t := range bucket {
-				if nr, ok := sc.extend(r, t, &ar); ok {
+			for i := first[b]; i >= 0; i = next[i] {
+				if err := ec.tick(&n); err != nil {
+					return nil, err
+				}
+				if nr, ok := sc.extend(r, &build[i], &ar); ok {
 					out = append(out, nr)
 				}
 			}
@@ -286,13 +261,27 @@ func (sc *scanOp) hashJoin(ec *execCtx, in []row) ([]row, error) {
 
 // tripleAt returns the triple's term at the first pattern position
 // carrying the given slot.
-func (sc *scanOp) tripleAt(t rdf.Triple, slot int) rdf.Term {
+func (sc *scanOp) tripleAt(t *rdf.Triple, slot int) *rdf.Term {
 	switch {
 	case sc.sSlot == slot:
-		return t.S
+		return &t.S
 	case sc.pSlot == slot:
-		return t.P
+		return &t.P
 	default:
-		return t.O
+		return &t.O
 	}
+}
+
+// appendSolutionKey appends one solution position to a composite hash /
+// group / DISTINCT key: the term's key followed by its length as four
+// bytes, nothing but a zero length for an unbound position. A composite
+// decodes unambiguously from its end, so no literal content — '|',
+// digits, NULs — can make two different solutions collide, and no bound
+// term (its key is never empty) collides with an unbound position.
+func appendSolutionKey(kb []byte, t *rdf.Term) []byte {
+	start := len(kb)
+	if t != nil {
+		kb = t.AppendKey(kb)
+	}
+	return binary.LittleEndian.AppendUint32(kb, uint32(len(kb)-start))
 }

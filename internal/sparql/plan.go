@@ -210,35 +210,33 @@ func runOps(ec *execCtx, ops []op, in []row) ([]row, error) {
 // solution set is large enough. Chunk outputs are concatenated in
 // partition order: the result is identical to fn(in) row-for-row.
 // fn must not mutate its input rows (rows are shared across UNION
-// branches and with the caller). On error the lowest-indexed failing
-// chunk wins, and budgets record only their first violation, so an
-// aborted stage reports the same error for any worker count.
+// branches and with the caller).
 func chunked(ec *execCtx, in []row, fn func([]row) ([]row, error)) ([]row, error) {
-	if ec.workers <= 1 || len(in) < ec.threshold {
-		return fn(in)
+	return chunkedRange(ec, len(in), func(lo, hi int) ([]row, error) { return fn(in[lo:hi]) })
+}
+
+// chunkedRange is chunked over an index range: fn gets [lo, hi)
+// partitions of [0, n). On error the lowest-indexed failing chunk wins,
+// and budgets record only their first violation, so an aborted stage
+// reports the same error for any worker count.
+func chunkedRange(ec *execCtx, n int, fn func(lo, hi int) ([]row, error)) ([]row, error) {
+	if ec.workers <= 1 || n < ec.threshold {
+		return fn(0, n)
 	}
-	w := ec.workers
-	if w > len(in) {
-		w = len(in)
-	}
-	size := (len(in) + w - 1) / w
-	nchunks := (len(in) + size - 1) / size
+	w := min(ec.workers, n)
+	size := (n + w - 1) / w
+	nchunks := (n + size - 1) / size
 	done := noteParallelStage(nchunks)
 	defer done()
 	outs := make([][]row, nchunks)
 	errs := make([]error, nchunks)
 	var wg sync.WaitGroup
 	for i := 0; i < nchunks; i++ {
-		lo := i * size
-		hi := lo + size
-		if hi > len(in) {
-			hi = len(in)
-		}
 		wg.Add(1)
-		go func(i int, part []row) {
+		go func(i, lo, hi int) {
 			defer wg.Done()
-			outs[i], errs[i] = fn(part)
-		}(i, in[lo:hi])
+			outs[i], errs[i] = fn(lo, hi)
+		}(i, i*size, min((i+1)*size, n))
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -299,6 +297,7 @@ type bindOp struct {
 func (b *bindOp) run(ec *execCtx, in []row) ([]row, error) {
 	return chunked(ec, in, func(rows []row) ([]row, error) {
 		var out []row
+		var ar rowArena
 		n := 0
 		for _, r := range rows {
 			if err := ec.tick(&n); err != nil {
@@ -309,14 +308,14 @@ func (b *bindOp) run(ec *execCtx, in []row) ([]row, error) {
 				out = append(out, r)
 				continue
 			}
-			if old := r[b.slot]; !old.IsZero() {
+			if old := r[b.slot]; old != nil {
 				if old.Equal(v) {
 					out = append(out, r)
 				}
 				continue
 			}
-			nr := r.clone()
-			nr[b.slot] = v
+			nr := ar.clone(r)
+			nr[b.slot] = ar.term(v)
 			out = append(out, nr)
 		}
 		return out, nil
@@ -332,6 +331,7 @@ type valuesOp struct {
 func (v *valuesOp) run(ec *execCtx, in []row) ([]row, error) {
 	return chunked(ec, in, func(rows []row) ([]row, error) {
 		var out []row
+		var ar rowArena
 		n := 0
 		for _, r := range rows {
 			if err := ec.tick(&n); err != nil {
@@ -342,19 +342,19 @@ func (v *valuesOp) run(ec *execCtx, in []row) ([]row, error) {
 				cloned := false
 				ok := true
 				for i, slot := range v.slots {
-					val := vr[i]
+					val := &vr[i] // a constant of the parsed query, never mutated
 					if val.IsZero() {
 						continue // UNDEF joins with anything
 					}
-					if old := nr[slot]; !old.IsZero() {
-						if !old.Equal(val) {
+					if old := nr[slot]; old != nil {
+						if !old.Equal(*val) {
 							ok = false
 							break
 						}
 						continue
 					}
 					if !cloned {
-						nr = nr.clone()
+						nr = ar.clone(nr)
 						cloned = true
 					}
 					nr[slot] = val
@@ -451,10 +451,12 @@ const (
 	varDef
 )
 
-// program is a compiled query body.
+// program is a compiled query: the WHERE clause's plan and the
+// solution modifiers that turn its rows into Results.
 type program struct {
-	ops []op
-	vt  *varTable
+	ops  []op
+	vt   *varTable
+	tail *tail
 }
 
 type compiler struct {
@@ -472,7 +474,7 @@ func compileQuery(q *Query, src Source) *program {
 		c.stats = st
 	}
 	ops := c.compileGroup(q.Where)
-	return &program{ops: ops, vt: c.vt}
+	return &program{ops: ops, vt: c.vt, tail: c.compileTail(q)}
 }
 
 func (c *compiler) cloneStates() map[string]varState {

@@ -6,12 +6,13 @@ import (
 	"applab/internal/rdf"
 )
 
-// The compiled engine runs solutions as flat []rdf.Term rows instead of
-// map[string]rdf.Term bindings: the query compiler assigns every variable
-// a slot in a per-query variable table, row extension is a single slice
-// copy, and variable lookup is an array index. The zero rdf.Term marks an
-// unbound slot — the same convention Source.Match already uses for
-// wildcards, so a term that IsZero can never be produced by data.
+// The compiled engine runs solutions as flat rows of term handles instead
+// of map[string]rdf.Term bindings: the query compiler assigns every
+// variable a slot in a per-query variable table, row extension copies
+// 8-byte handles, and variable lookup is an array index. Terms
+// materialize only where a value is needed — FILTER/BIND expressions,
+// spatial refinement, and the one Binding built per row that leaves the
+// engine.
 
 // varTable assigns query variables to row slots.
 type varTable struct {
@@ -35,47 +36,77 @@ func (vt *varTable) slot(name string) int {
 	return s
 }
 
-// lookup returns the slot for name without assigning one.
-func (vt *varTable) lookup(name string) (int, bool) {
-	s, ok := vt.index[name]
-	return s, ok
-}
-
 func (vt *varTable) size() int { return len(vt.names) }
 
-// row is one solution: term-per-slot, zero term = unbound.
-type row []rdf.Term
+// row is one solution: a handle per slot, nil = unbound. A handle points
+// at the rdf.Term where the value already lives: a position of a triple
+// in a slice Source.Match returned (the caller owns that slice and the
+// source never touches it again — see Source), a VALUES constant of the
+// parsed query, or a rowArena term for values the engine computed. Rows
+// and the terms behind them are immutable once built, so rows share
+// handles freely across UNION/OPTIONAL fan-out and parallel chunks; a
+// Match slice lives as long as any row that points into it.
+type row []*rdf.Term
 
-// bound reports whether the slot carries a binding.
-func (r row) bound(slot int) bool { return !r[slot].IsZero() }
-
-// clone copies the row so it can be extended without mutating shared
-// ancestors (rows fan out through UNION and OPTIONAL).
-func (r row) clone() row {
-	c := make(row, len(r))
-	copy(c, r)
-	return c
+// rowArena block-allocates result rows and computed terms so an operator
+// producing thousands of rows costs a handful of slice allocations
+// instead of one per row. Arena rows are extended copy-on-write, never
+// mutated in place. Arenas are per goroutine (created inside each chunk
+// closure), so they need no locking.
+type rowArena struct {
+	buf   []*rdf.Term
+	block int        // rows per block, grows geometrically
+	terms []rdf.Term // current term block; full blocks stay alive through their handles
 }
 
-// asBinding converts a row back to the public map representation.
+// arenaMaxBlock caps arena block growth (in rows, and in terms) so small
+// result sets never pay for large blocks.
+const arenaMaxBlock = 512
+
+// presized returns an output slice and an arena with room for n rows of
+// the given width, for operators that know roughly how many rows they
+// emit; past n both grow as usual. A single row gets nothing up front, so
+// an OPTIONAL/EXISTS body run per row allocates only if it matches.
+func presized(n, width int) ([]row, rowArena) {
+	if n < 2 {
+		return nil, rowArena{}
+	}
+	return make([]row, 0, n), rowArena{buf: make([]*rdf.Term, n*width)}
+}
+
+// clone copies src into arena-backed storage.
+func (a *rowArena) clone(src row) row {
+	n := len(src)
+	if len(a.buf) < n {
+		a.block = min(max(8, a.block*4), arenaMaxBlock)
+		a.buf = make([]*rdf.Term, n*a.block)
+	}
+	dst := a.buf[:n:n]
+	a.buf = a.buf[n:]
+	copy(dst, src)
+	return dst
+}
+
+// term stores a computed value (BIND, projection expression, aggregate)
+// and returns its handle.
+func (a *rowArena) term(t rdf.Term) *rdf.Term {
+	if len(a.terms) == cap(a.terms) {
+		a.terms = make([]rdf.Term, 0, min(max(8, 4*cap(a.terms)), arenaMaxBlock))
+	}
+	a.terms = append(a.terms, t)
+	return &a.terms[len(a.terms)-1]
+}
+
+// asBinding converts a row to the public map representation. Only the
+// bridge to Expr implementations the compiler does not know uses it.
 func (r row) asBinding(vt *varTable) Binding {
 	b := make(Binding, len(r))
 	for s, t := range r {
-		if !t.IsZero() {
-			b[vt.names[s]] = t
+		if t != nil {
+			b[vt.names[s]] = *t
 		}
 	}
 	return b
-}
-
-// rowsToBindings converts an executed solution set to map bindings for
-// the (unchanged) projection / aggregation / ordering machinery.
-func rowsToBindings(rows []row, vt *varTable) []Binding {
-	out := make([]Binding, len(rows))
-	for i, r := range rows {
-		out[i] = r.asBinding(vt)
-	}
-	return out
 }
 
 // compiledExpr is a slot-resolved expression evaluator: variable lookups
@@ -92,8 +123,8 @@ func compileExpr(e Expr, vt *varTable) compiledExpr {
 	case VarExpr:
 		s := vt.slot(x.Name)
 		return func(r row) (rdf.Term, error) {
-			if t := r[s]; !t.IsZero() {
-				return t, nil
+			if t := r[s]; t != nil {
+				return *t, nil
 			}
 			return rdf.Term{}, errUnbound
 		}
@@ -197,7 +228,7 @@ func compileExpr(e Expr, vt *varTable) compiledExpr {
 			}
 			s := vt.slot(v.Name)
 			return func(r row) (rdf.Term, error) {
-				return rdf.NewBool(r.bound(s)), nil
+				return rdf.NewBool(r[s] != nil), nil
 			}
 		}
 		args := make([]compiledExpr, len(x.Args))

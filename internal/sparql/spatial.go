@@ -43,7 +43,8 @@ import (
 type SpatialSource interface {
 	Source
 	// SpatialCandidates returns the geo:asWKT triples whose geometry
-	// envelope intersects env, and whether the index is available.
+	// envelope intersects env, and whether the index is available. Like
+	// Match, it returns a slice the caller owns.
 	SpatialCandidates(env geom.Envelope) ([]rdf.Triple, bool)
 }
 
@@ -350,8 +351,8 @@ func newGeomBatch() *geomBatch {
 // decode resolves a term to its arena-backed geometry and envelope.
 // Unbound slots, non-literals and unparsable WKT report ok=false — the
 // rows the per-row filter path drops as expression errors.
-func (gb *geomBatch) decode(t rdf.Term) (geom.Geometry, geom.Envelope, bool) {
-	if t.IsZero() || !t.IsLiteral() {
+func (gb *geomBatch) decode(t *rdf.Term) (geom.Geometry, geom.Envelope, bool) {
+	if t == nil || !t.IsLiteral() {
 		return nil, geom.EmptyEnvelope(), false
 	}
 	if id, ok := gb.ids[t.Value]; ok {
@@ -388,71 +389,17 @@ type spatialJoinOp struct {
 	scan *scanOp
 }
 
-// chunkedRange is chunked over an index range instead of a row slice:
-// fn gets [lo, hi) partitions of [0, n) and outputs are concatenated in
-// partition order, so results are identical for any worker count.
-func chunkedRange(ec *execCtx, n int, fn func(lo, hi int) ([]row, error)) ([]row, error) {
-	if ec.workers <= 1 || n < ec.threshold {
-		return fn(0, n)
-	}
-	w := ec.workers
-	if w > n {
-		w = n
-	}
-	size := (n + w - 1) / w
-	nchunks := (n + size - 1) / size
-	done := noteParallelStage(nchunks)
-	defer done()
-	outs := make([][]row, nchunks)
-	errs := make([]error, nchunks)
-	var wg sync.WaitGroup
-	for i := 0; i < nchunks; i++ {
-		lo := i * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			outs[i], errs[i] = fn(lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := 0
-	var agg int
-	for _, o := range outs {
-		if err := ec.tick(&agg); err != nil {
-			return nil, err
-		}
-		total += len(o)
-	}
-	out := make([]row, 0, total)
-	for _, o := range outs {
-		if err := ec.tick(&agg); err != nil {
-			return nil, err
-		}
-		out = append(out, o...)
-	}
-	return out, nil
-}
-
 // mergeRow joins a probe row with a build row. The two sides bind
 // disjoint slot sets by construction; the agreement check is a cheap
 // guard, mirroring scanOp.extend.
-func mergeRow(a, b row) (row, bool) {
-	nr := a.clone()
+func mergeRow(a, b row, ar *rowArena) (row, bool) {
+	nr := ar.clone(a)
 	for s, t := range b {
-		if t.IsZero() {
+		if t == nil {
 			continue
 		}
-		if cur := nr[s]; !cur.IsZero() {
-			if !cur.Equal(t) {
+		if cur := nr[s]; cur != nil {
+			if !cur.Equal(*t) {
 				return nil, false
 			}
 			continue
@@ -527,6 +474,7 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 
 	return chunkedRange(ec, len(in), func(lo, hi int) ([]row, error) {
 		pb := newGeomBatch()
+		var ar rowArena
 		var out []row
 		var cand []int32
 		probes := 0
@@ -569,7 +517,7 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 				if !hit {
 					continue
 				}
-				if nr, ok := mergeRow(r, bRows[bi]); ok {
+				if nr, ok := mergeRow(r, bRows[bi], &ar); ok {
 					out = append(out, nr)
 				}
 			}
@@ -613,8 +561,9 @@ func (sj *spatialJoinOp) runStore(ec *execCtx, sp SpatialSource, in []row) ([]ro
 			if err := ec.tickN(&n, len(cands)); err != nil {
 				return nil, err
 			}
-			for _, t := range cands {
-				bgeom, _, ok := pb.decode(t.O)
+			for ci := range cands {
+				t := &cands[ci]
+				bgeom, _, ok := pb.decode(&t.O)
 				if !ok {
 					continue
 				}
