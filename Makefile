@@ -5,9 +5,10 @@ GO ?= go
 # the fault-injection harness, the SPARQL HTTP transport it exercises,
 # the segment storage engine (concurrent readers vs writer/flush), the
 # spatial core (parallel join probes, bounded geometry cache), the result
-# cache, the adaptive OBDA graph and the cluster. ci.sh runs `make race`
-# and `make fuzz`, so these lists are the only ones.
-RACE_PKGS = ./internal/sparql/ ./internal/strabon/ ./internal/opendap/ ./internal/federation/ ./internal/interlink/ ./internal/faults/ ./internal/endpoint/ ./internal/telemetry/ ./internal/admission/ ./internal/e2e/ ./internal/segment/ ./internal/geom/ ./internal/geom/rtree/ ./internal/geosparql/ ./internal/geographica/ ./internal/rescache/ ./internal/obda/ ./internal/cluster/
+# cache, the adaptive OBDA graph, the cluster and the id-space graph
+# (readers never intern). ci.sh runs `make race` and `make fuzz`, so
+# these lists are the only ones.
+RACE_PKGS = ./internal/rdf/ ./internal/sparql/ ./internal/strabon/ ./internal/opendap/ ./internal/federation/ ./internal/interlink/ ./internal/faults/ ./internal/endpoint/ ./internal/telemetry/ ./internal/admission/ ./internal/e2e/ ./internal/segment/ ./internal/geom/ ./internal/geom/rtree/ ./internal/geosparql/ ./internal/geographica/ ./internal/rescache/ ./internal/obda/ ./internal/cluster/
 
 # End-to-end suites: the golden two-workflow test over live loopback
 # servers plus the cmd-level boot/query/shutdown tests.
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzResultsWriter$$' -fuzztime=3s ./internal/endpoint/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=3s ./internal/strabon/
 	$(GO) test -run='^$$' -fuzz='^FuzzTermCompare$$' -fuzztime=3s ./internal/rdf/
+	$(GO) test -run='^$$' -fuzz='^FuzzGraphOps$$' -fuzztime=3s ./internal/rdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentOpen$$' -fuzztime=3s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=3s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='^FuzzWireDecode$$' -fuzztime=3s ./internal/cluster/

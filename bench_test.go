@@ -486,3 +486,86 @@ func BenchmarkAblation_FederationSourceSelection(b *testing.B) {
 		}
 	})
 }
+
+// ---- rdf.Graph and the per-request OBDA snapshot ----
+
+// graphBenchTriples is the materialized form of a 6x6x4 LAI grid: five
+// triples per observation, the shape every OBDA snapshot loads.
+func graphBenchTriples(b *testing.B) []rdf.Triple {
+	b.Helper()
+	opts := workload.DefaultLAIOptions()
+	opts.NLat, opts.NLon, opts.Times = 6, 6, 4
+	ts, err := workload.LAIGridToRDF(workload.LAIGrid(opts), "LAI")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ts
+}
+
+// Graph_Add loads the triples into a fresh graph; ns/op is per graph.
+func BenchmarkGraph_Add(b *testing.B) {
+	ts := graphBenchTriples(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := rdf.NewGraph()
+		for _, t := range ts {
+			g.Add(t)
+		}
+	}
+}
+
+var graphBenchSink []rdf.Triple
+
+// Graph_MatchBoundSubject is the nested-loop probe: one subject's triples.
+func BenchmarkGraph_MatchBoundSubject(b *testing.B) {
+	ts := graphBenchTriples(b)
+	g := rdf.NewGraph()
+	g.AddAll(ts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graphBenchSink = g.Match(ts[i%len(ts)].S, rdf.Term{}, rdf.Term{})
+	}
+}
+
+// Graph_MatchUnknown is the memtable probe of a read whose bound term
+// only the runs hold.
+func BenchmarkGraph_MatchUnknown(b *testing.B) {
+	ts := graphBenchTriples(b)
+	g := rdf.NewGraph()
+	g.AddAll(ts)
+	unknown := rdf.NewIRI(rdf.NSLAI + "obs/none")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graphBenchSink = g.Match(unknown, ts[i%len(ts)].P, rdf.Term{})
+	}
+}
+
+// OBDA_Snapshot rebuilds the virtual graph of the Listing 2 mapping over
+// a 5x6x3 grid (the per-mapping size of the otf-opendap workload) with
+// the OPeNDAP window cache warm, so the mapping instantiation and the
+// graph load carry the cost.
+func BenchmarkOBDA_Snapshot(b *testing.B) {
+	opts := workload.DefaultLAIOptions()
+	opts.NLat, opts.NLon, opts.Times = 5, 6, 3
+	grid := workload.LAIGrid(opts)
+	grid.Name = "lai"
+	fly, err := core.NewOnTheFlyStack(core.Listing2Mapping, grid)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fly.Close()
+	if _, err := fly.Graph.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fly.Graph.Invalidate()
+		if _, err := fly.Graph.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

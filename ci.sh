@@ -41,12 +41,21 @@ echo "== golden result cache under real parallelism"
 # counter deltas on any core count.
 go test -count=20 -cpu 1,2,4 -run TestGoldenResultCache ./internal/e2e
 
-echo "== allocation ceilings (handle rows, results writer)"
+echo "== golden cluster workflows under real parallelism"
+# Benched members are failover-only and the test's driver steps fake
+# time only while the fabric is parked on injected latency, so the hedge
+# timer never races a reply that takes no time: exact counters, 60/60.
+go test -count=20 -cpu 1,2,4 -run TestClusterGoldenWorkflows ./internal/e2e
+
+echo "== allocation ceilings (handle rows, results writer, id-space graph)"
 # Engine_BGPJoinCompiled's bytes per evaluation may not regrow (rows are
-# 8-byte handles, not 56-byte terms), and encoding a 1000-row result
-# into a warm buffer allocates nothing.
+# 8-byte handles, not 56-byte terms), encoding a 1000-row result into a
+# warm buffer allocates nothing, and neither does rdf.Graph on a read
+# with an unknown bound term or (amortized, presized) on an Add of
+# interned terms.
 go test -count=1 -run '^TestBGPJoinBytesCeiling$' ./internal/sparql
 go test -count=1 -run '^TestResultsWriterAllocations$' ./internal/endpoint
+go test -count=1 -run '^TestGraphAllocations$' ./internal/rdf
 
 echo "== bench module (its own go.mod, outside ./...)"
 (cd bench && go vet . && go test .)

@@ -249,7 +249,8 @@ func (c *Coordinator) fragmentRead(ctx context.Context, shard uint32, s, p, o rd
 	now := c.now()
 	// Eligible members first in configured order; demoted members still
 	// queue at the back so an all-demoted group gets probed rather than
-	// abandoned.
+	// abandoned. They are failover-only: a hedge duplicates a read that
+	// may still answer, which is never worth waking a benched member.
 	ordered := make([]string, 0, len(members))
 	var benched []string
 	for _, m := range members {
@@ -259,6 +260,7 @@ func (c *Coordinator) fragmentRead(ctx context.Context, shard uint32, s, p, o rd
 			benched = append(benched, m)
 		}
 	}
+	eligible := len(ordered)
 	ordered = append(ordered, benched...)
 	want := c.logs[shard].last()
 	budget := admission.FromContext(ctx)
@@ -291,7 +293,7 @@ func (c *Coordinator) fragmentRead(ctx context.Context, shard uint32, s, p, o rd
 		return nil, false, err
 	}
 	var hedge <-chan time.Time
-	if next < len(ordered) {
+	if next < eligible {
 		hedge = c.after(c.hedgeDelay())
 	}
 	for inflight > 0 {
@@ -314,12 +316,12 @@ func (c *Coordinator) fragmentRead(ctx context.Context, shard uint32, s, p, o rd
 			}
 		case <-hedge:
 			hedge = nil
-			if next < len(ordered) {
+			if next < eligible {
 				c.noteHedge()
 				if err := issue(true); err != nil && inflight == 0 {
 					return nil, false, err
 				}
-				if next < len(ordered) {
+				if next < eligible {
 					hedge = c.after(c.hedgeDelay())
 				}
 			}

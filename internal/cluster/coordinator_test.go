@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -307,6 +308,46 @@ func TestClusterHedgedRead(t *testing.T) {
 	}
 	// Drain n2's late answer; it must not disturb anything.
 	tc.clk.Advance(50 * time.Millisecond)
+}
+
+// TestClusterHedgeSkipsBenched: a benched member is failover-only. With
+// group 1's leader slow and its other member demoted, no hedge timer is
+// armed at all, the fabric parks on the leader's latency alone, and the
+// leader's late answer is the read's answer.
+func TestClusterHedgeSkipsBenched(t *testing.T) {
+	tc := newTestCluster(t, func(c *Config) { c.RetryCooldown = 24 * time.Hour })
+	ctx := context.Background()
+	if _, err := tc.c.AddAll(ctx, clusterTriples(30, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for !tc.c.health.Record("n3", false, tc.clk.Now()) {
+	}
+	tc.net.SetSlow("n2", 50*time.Millisecond)
+	before := tc.reg.Snapshot()
+	timersBefore := tc.clk.Timers()
+	if tc.net.Parked() {
+		t.Fatal("an idle fabric reported parked")
+	}
+	done := make(chan bool, 1)
+	go func() {
+		_, ok, _ := tc.c.fragmentRead(ctx, 1, rdf.Term{}, rdf.NewIRI("http://ex/p0"), rdf.Term{})
+		done <- ok
+	}()
+	tc.clk.AwaitTimers(timersBefore + 1)
+	for !tc.net.Parked() {
+		runtime.Gosched()
+	}
+	tc.clk.Advance(50 * time.Millisecond)
+	if !<-done {
+		t.Fatal("the slow leader's answer was not accepted")
+	}
+	after := tc.reg.Snapshot()
+	if d := after.Counters["cluster_hedges_total"] - before.Counters["cluster_hedges_total"]; d != 0 {
+		t.Fatalf("hedges fired = %d, want 0: the only other member is benched", d)
+	}
+	if got := tc.clk.Timers(); got != timersBefore+1 {
+		t.Fatalf("%d timers armed, want 1 (n2's latency; no hedge)", got-timersBefore)
+	}
 }
 
 func exchangeTripleKeyForTest(t rdf.Triple) string {

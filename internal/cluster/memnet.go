@@ -26,6 +26,10 @@ type MemNetwork struct {
 	down  map[string]bool
 	cut   map[string]bool
 	slow  map[string]time.Duration
+	// calls counts the calls in flight; waits holds the latency timer of
+	// each one that is waiting its injected latency out.
+	calls int
+	waits map[<-chan time.Time]struct{}
 }
 
 // NewMemNetwork returns an empty fabric.
@@ -35,6 +39,7 @@ func NewMemNetwork() *MemNetwork {
 		down:  map[string]bool{},
 		cut:   map[string]bool{},
 		slow:  map[string]time.Duration{},
+		waits: map[<-chan time.Time]struct{}{},
 	}
 }
 
@@ -97,6 +102,30 @@ func (m *MemNetwork) SetSlow(id string, d time.Duration) {
 	m.slow[id] = d
 }
 
+// Parked reports whether the fabric can only move on by its clock
+// advancing: calls are in flight and every one of them waits on a
+// latency timer that has not fired. A driver that steps a fake clock
+// steps it only then — while a call is still running, or has its reply
+// under way, fake time would overtake a delivery that takes no time and
+// fire hedge timers a real clock never reaches. A fired timer shows as
+// a buffered value, which an After hook like faults.Clock's leaves until
+// the call wakes; between its waking and its leaving waits a call still
+// looks parked, so a schedule with injected latency can get one step
+// more than it needed, one without never gets any.
+func (m *MemNetwork) Parked() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.calls == 0 || len(m.waits) < m.calls {
+		return false
+	}
+	for timer := range m.waits {
+		if len(timer) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Call delivers the request unless the node is dead or partitioned,
 // waiting out any injected latency on the fabric's clock first. Faults
 // are re-checked after the wait: a node killed while a slow call was in
@@ -107,7 +136,13 @@ func (m *MemNetwork) Call(ctx context.Context, id string, req Message) (Message,
 	unreachable := n == nil || m.down[id] || m.cut[id]
 	d := m.slow[id]
 	after := m.After
+	m.calls++
 	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		m.calls--
+		m.mu.Unlock()
+	}()
 	if unreachable {
 		return Message{}, ErrUnreachable
 	}
@@ -115,14 +150,23 @@ func (m *MemNetwork) Call(ctx context.Context, id string, req Message) (Message,
 		if after == nil {
 			after = time.After
 		}
+		timer := after(d)
+		m.mu.Lock()
+		m.waits[timer] = struct{}{}
+		m.mu.Unlock()
+		var err error
 		select {
-		case <-after(d):
+		case <-timer:
 		case <-ctx.Done():
-			return Message{}, ctx.Err()
+			err = ctx.Err()
 		}
 		m.mu.Lock()
+		delete(m.waits, timer)
 		unreachable = m.down[id] || m.cut[id]
 		m.mu.Unlock()
+		if err != nil {
+			return Message{}, err
+		}
 		if unreachable {
 			return Message{}, ErrUnreachable
 		}

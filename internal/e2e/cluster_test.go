@@ -29,7 +29,11 @@ import (
 
 // evalCluster evaluates a query against the coordinator while driving
 // the fake clock, so reads blocked on injected latency make progress.
-func evalCluster(t *testing.T, clk *faults.Clock, c *cluster.Coordinator, q string) (*sparql.Results, bool) {
+// The clock steps only while the fabric is parked on that latency: a
+// call that is running, or has answered, needs no time, and stepping
+// past it would fire the coordinator's hedge timer on a reply that is
+// already on its way — the counters below are exact only without that.
+func evalCluster(t *testing.T, clk *faults.Clock, net *cluster.MemNetwork, c *cluster.Coordinator, q string) (*sparql.Results, bool) {
 	t.Helper()
 	var res *sparql.Results
 	var partial bool
@@ -51,7 +55,9 @@ func evalCluster(t *testing.T, clk *faults.Clock, c *cluster.Coordinator, q stri
 		if i > 1_000_000 {
 			t.Fatal("cluster eval made no progress")
 		}
-		clk.Advance(time.Millisecond)
+		if net.Parked() {
+			clk.Advance(time.Millisecond)
+		}
 		runtime.Gosched()
 	}
 }
@@ -107,7 +113,7 @@ func TestClusterGoldenWorkflows(t *testing.T) {
 	}
 
 	// Workflow run 1: healthy cluster.
-	res, partial := evalCluster(t, clk, coord, core.Listing3Query)
+	res, partial := evalCluster(t, clk, net, coord, core.Listing3Query)
 	if partial {
 		t.Fatal("healthy cluster answered partial")
 	}
@@ -123,7 +129,7 @@ func TestClusterGoldenWorkflows(t *testing.T) {
 	s0 := reg.Snapshot()
 	probe := `SELECT ?s ?o WHERE { ?s <` + rdf.NSLAI + `lai> ?o }`
 	for i := 0; i < 3; i++ {
-		if _, partial := evalCluster(t, clk, coord, probe); partial {
+		if _, partial := evalCluster(t, clk, net, coord, probe); partial {
 			t.Fatalf("probe %d answered partial with one node down", i)
 		}
 	}
@@ -138,7 +144,7 @@ func TestClusterGoldenWorkflows(t *testing.T) {
 	// Workflow run 2: the Listing 3 workflow with the node still dead —
 	// same canonical answer, no partiality, and the demoted n2 is never
 	// contacted again (zero new n2 errors).
-	res, partial = evalCluster(t, clk, coord, core.Listing3Query)
+	res, partial = evalCluster(t, clk, net, coord, core.Listing3Query)
 	if partial {
 		t.Fatal("cluster answered partial with replication available")
 	}
@@ -220,7 +226,7 @@ func TestClusterGoldenWorkflows(t *testing.T) {
 	// Workflow run 3: everything healed (n3 still slow is fine — n2 is
 	// caught up but benched; n1 serves). Answers remain golden.
 	net.SetSlow("n3", 0)
-	res, partial = evalCluster(t, clk, coord, core.Listing3Query)
+	res, partial = evalCluster(t, clk, net, coord, core.Listing3Query)
 	if partial {
 		t.Fatal("post-repair cluster answered partial")
 	}

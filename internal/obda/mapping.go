@@ -8,8 +8,10 @@ package obda
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
+	"applab/internal/madis"
 	"applab/internal/rdf"
 )
 
@@ -46,60 +48,154 @@ type TermTemplate struct {
 	Lang     string
 }
 
-// Columns returns the placeholder column names used by the template.
-func (t TermTemplate) Columns() []string {
-	var out []string
+// split cuts the template text at its {col} placeholders: the text is
+// parts[0] {cols[0]} parts[1] ... parts[len(cols)]. An unclosed brace
+// is literal text.
+func (t TermTemplate) split() (parts, cols []string) {
 	s := t.Text
 	for {
-		i := strings.IndexByte(s, '{')
-		if i < 0 {
-			return out
+		i, j := strings.IndexByte(s, '{'), -1
+		if i >= 0 {
+			j = strings.IndexByte(s[i:], '}')
 		}
-		j := strings.IndexByte(s[i:], '}')
 		if j < 0 {
-			return out
+			return append(parts, s), cols
 		}
-		out = append(out, s[i+1:i+j])
+		parts = append(parts, s[:i])
+		cols = append(cols, s[i+1:i+j])
 		s = s[i+j+1:]
 	}
 }
 
-// Instantiate substitutes row values into the template. Row keys are
-// matched case-insensitively. A placeholder resolving to nil reports
-// ok=false, dropping the triple (SQL NULL semantics).
-func (t TermTemplate) Instantiate(row map[string]string, seq int) (rdf.Term, bool) {
-	switch t.Kind {
-	case TmplBlank:
-		return rdf.NewBlank(fmt.Sprintf("%s_r%d", t.Text, seq)), true
-	default:
-		text := t.Text
-		for {
-			i := strings.IndexByte(text, '{')
-			if i < 0 {
-				break
-			}
-			j := strings.IndexByte(text[i:], '}')
-			if j < 0 {
-				break
-			}
-			col := text[i+1 : i+j]
-			v, ok := row[strings.ToLower(col)]
-			if !ok {
-				return rdf.Term{}, false
-			}
-			text = text[:i] + v + text[i+j+1:]
-		}
-		if t.Kind == TmplIRI {
-			return rdf.NewIRI(text), true
-		}
-		if t.Lang != "" {
-			return rdf.NewLangLiteral(text, t.Lang), true
-		}
-		if t.Datatype != "" {
-			return rdf.NewTypedLiteral(text, t.Datatype), true
-		}
-		return rdf.NewLiteral(text), true
+// Columns returns the placeholder column names used by the template.
+func (t TermTemplate) Columns() []string {
+	_, cols := t.split()
+	return cols
+}
+
+// term builds the template's kind of term around its instantiated text.
+func (t TermTemplate) term(text string) rdf.Term {
+	switch {
+	case t.Kind == TmplIRI:
+		return rdf.NewIRI(text)
+	case t.Kind == TmplBlank:
+		return rdf.NewBlank(text)
+	case t.Lang != "":
+		return rdf.NewLangLiteral(text, t.Lang)
+	case t.Datatype != "":
+		return rdf.NewTypedLiteral(text, t.Datatype)
 	}
+	return rdf.NewLiteral(text)
+}
+
+// termPlan is a term template bound to the result table of its
+// mapping's source: split once, each placeholder resolved to the column
+// it reads.
+type termPlan struct {
+	tmpl  TermTemplate
+	parts []string
+	cols  []int
+}
+
+func (t TermTemplate) compile(table *madis.Table) termPlan {
+	tp := termPlan{tmpl: t}
+	var names []string
+	tp.parts, names = t.split()
+	for _, name := range names {
+		c, ok := table.ColIndex(name)
+		if !ok {
+			c = len(table.Cols) // the slot of a row's values that is always NULL
+		}
+		tp.cols = append(tp.cols, c)
+	}
+	return tp
+}
+
+// constant reports whether every row instantiates the same term.
+func (tp *termPlan) constant() bool { return len(tp.cols) == 0 && tp.tmpl.Kind != TmplBlank }
+
+// instantiate substitutes a row's values (nil is SQL NULL) into the
+// template. A placeholder resolving to NULL reports ok=false, dropping
+// the triple; a blank template mints the node of row seq.
+func (tp *termPlan) instantiate(vals []*string, seq int) (rdf.Term, bool) {
+	if tp.tmpl.Kind == TmplBlank {
+		return tp.tmpl.term(tp.tmpl.Text + "_r" + strconv.Itoa(seq)), true
+	}
+	n := len(tp.parts[0])
+	for i, c := range tp.cols {
+		if vals[c] == nil {
+			return rdf.Term{}, false
+		}
+		n += len(*vals[c]) + len(tp.parts[i+1])
+	}
+	if len(tp.cols) == 1 && n == len(*vals[tp.cols[0]]) {
+		return tp.tmpl.term(*vals[tp.cols[0]]), true // a bare {col}: the value is the text
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(tp.parts[0])
+	for i, c := range tp.cols {
+		b.WriteString(*vals[c])
+		b.WriteString(tp.parts[i+1])
+	}
+	return tp.tmpl.term(b.String()), true
+}
+
+// materialize adds the mapping's target triples for every row of its
+// source's result to g, numbering the rows on from seq, and returns the
+// last number used. A row instantiates each distinct template of the
+// target once, however many triples share it, and a template without
+// placeholders is instantiated once for the whole table.
+func (m Mapping) materialize(g *rdf.Graph, table *madis.Table, seq int) int {
+	var plans []termPlan
+	plan := func(t TermTemplate) int {
+		for i := range plans {
+			if plans[i].tmpl == t {
+				return i
+			}
+		}
+		plans = append(plans, t.compile(table))
+		return len(plans) - 1
+	}
+	targets := make([][3]int, len(m.Target))
+	for i, tt := range m.Target {
+		targets[i] = [3]int{plan(tt.S), plan(tt.P), plan(tt.O)}
+	}
+	terms, ok := make([]rdf.Term, len(plans)), make([]bool, len(plans))
+	for i := range plans {
+		if plans[i].constant() {
+			terms[i], ok[i] = plans[i].instantiate(nil, 0)
+		}
+	}
+	strs := make([]string, len(table.Cols))
+	vals := make([]*string, len(table.Cols)+1)
+	for _, row := range table.Rows {
+		seq++
+		for i := range strs {
+			vals[i] = &strs[i]
+			switch v := row[i].(type) {
+			case nil:
+				vals[i] = nil
+			case string:
+				strs[i] = v
+			case float64:
+				strs[i] = strconv.FormatFloat(v, 'g', -1, 64)
+			default:
+				strs[i] = fmt.Sprint(v)
+			}
+		}
+		for i := range plans {
+			if !plans[i].constant() {
+				terms[i], ok[i] = plans[i].instantiate(vals, seq)
+			}
+		}
+		for _, tt := range targets {
+			if ok[tt[0]] && ok[tt[1]] && ok[tt[2]] {
+				g.Add(rdf.NewTriple(terms[tt[0]], terms[tt[1]], terms[tt[2]]))
+			}
+		}
+	}
+	return seq
 }
 
 // ParseMappings parses a mapping document in Ontop's native syntax:

@@ -246,14 +246,29 @@ func TestCacheWindowReducesCalls(t *testing.T) {
 }
 
 func TestInstantiateNullDropsTriple(t *testing.T) {
-	tmpl := TermTemplate{Kind: TmplLiteral, Text: "{missing}"}
-	if _, ok := tmpl.Instantiate(map[string]string{"other": "x"}, 1); ok {
-		t.Error("missing column must drop the triple")
+	table := &madis.Table{Cols: []string{"Other", "N"}}
+	x := "{n}x"
+	vals := []*string{&x, nil, nil} // the last slot: a column the table lacks
+	inst := func(tmpl TermTemplate, seq int) (rdf.Term, bool) {
+		tp := tmpl.compile(table)
+		return tp.instantiate(vals, seq)
+	}
+	for _, text := range []string{"{missing}", "{n}", "a{other}{N}"} {
+		if _, ok := inst(TermTemplate{Kind: TmplLiteral, Text: text}, 1); ok {
+			t.Errorf("%s: a missing or NULL column must drop the triple", text)
+		}
+	}
+	// Column names match case-insensitively, a value is never expanded
+	// again, and an unclosed brace is text.
+	for text, want := range map[string]string{"{OTHER}": "{n}x", "a{other}b{Other}": "a{n}xb{n}x", "a{other": "a{other"} {
+		if got, ok := inst(TermTemplate{Kind: TmplIRI, Text: text}, 1); !ok || got != rdf.NewIRI(want) {
+			t.Errorf("%s = %v %v, want <%s>", text, got, ok, want)
+		}
 	}
 	// Blank templates are per-row unique.
 	b := TermTemplate{Kind: TmplBlank, Text: "g"}
-	t1, _ := b.Instantiate(nil, 1)
-	t2, _ := b.Instantiate(nil, 2)
+	t1, _ := inst(b, 1)
+	t2, _ := inst(b, 2)
 	if t1.Equal(t2) {
 		t.Error("blank nodes must be unique per row")
 	}

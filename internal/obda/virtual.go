@@ -3,8 +3,6 @@ package obda
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"applab/internal/admission"
@@ -70,9 +68,11 @@ func (vg *VirtualGraph) SnapshotContext(ctx context.Context) (*rdf.Graph, error)
 	if vg.snap != nil {
 		return vg.snap, nil
 	}
-	g := rdf.NewGraph()
-	seq := 0
-	for _, m := range vg.mappings {
+	// Run every source first: the graph is then sized once, for all the
+	// triples the rows can produce.
+	tables := make([]*madis.Table, len(vg.mappings))
+	size := 0
+	for i, m := range vg.mappings {
 		if err := admission.Check(ctx); err != nil {
 			return nil, err
 		}
@@ -81,38 +81,13 @@ func (vg *VirtualGraph) SnapshotContext(ctx context.Context) (*rdf.Graph, error)
 			vg.lastErr = fmt.Errorf("obda: mapping %s: %v", m.ID, err)
 			return nil, vg.lastErr
 		}
-		cols := make([]string, len(table.Cols))
-		for i, c := range table.Cols {
-			cols[i] = strings.ToLower(c)
-		}
-		for _, row := range table.Rows {
-			seq++
-			vals := make(map[string]string, len(cols))
-			skip := false
-			for i, c := range cols {
-				switch v := row[i].(type) {
-				case nil:
-					// leave missing; templates referencing it drop
-				case string:
-					vals[c] = v
-				case float64:
-					vals[c] = strconv.FormatFloat(v, 'g', -1, 64)
-				default:
-					vals[c] = fmt.Sprintf("%v", v)
-				}
-			}
-			if skip {
-				continue
-			}
-			for _, tt := range m.Target {
-				s, okS := tt.S.Instantiate(vals, seq)
-				p, okP := tt.P.Instantiate(vals, seq)
-				o, okO := tt.O.Instantiate(vals, seq)
-				if okS && okP && okO {
-					g.Add(rdf.NewTriple(s, p, o))
-				}
-			}
-		}
+		tables[i] = table
+		size += len(table.Rows) * len(m.Target)
+	}
+	g := rdf.NewGraphSized(size)
+	seq := 0
+	for i, m := range vg.mappings {
+		seq = m.materialize(g, tables[i], seq)
 	}
 	vg.snap = g
 	vg.lastErr = nil

@@ -1,109 +1,186 @@
 package rdf
 
 import (
-	"sort"
+	"slices"
+	"time"
 )
 
-// Graph is an in-memory set of triples with SPO/POS/OSP hash indexes. It is
-// the simple (non-spatial) store of the stack; the Strabon package wraps a
-// Graph-compatible model with spatial and temporal indexes.
+// Graph is an in-memory set of triples held in id space: a term
+// dictionary, one 12-byte (s, p, o) id row per triple and, per position,
+// a posting list of slots for every term (the SPO/POS/OSP indexes). It
+// is the simple (non-spatial) store of the stack; the Strabon package
+// wraps a Graph-compatible model with spatial and temporal indexes.
 //
-// Graph is not safe for concurrent mutation; concurrent readers are fine
-// once loading is complete.
+// Terms become rdf.Triple values again only in the slices Match and
+// Triples hand out. Only Add interns: every reader resolves its bound
+// terms with a plain dictionary lookup and answers empty on a miss, so
+// Graph is not safe for concurrent mutation but concurrent readers are
+// fine once loading is complete.
+//
+// Valid time is kept the way every persisted form keeps it (segment
+// runs, the WAL, .astr images): nanoseconds since 1970 plus a has-valid
+// -time bit, read back in UTC.
 type Graph struct {
-	triples []Triple
-	// dead marks removed slots in triples (parallel slice); removals
-	// keep slot numbering stable so the index positions stay valid.
-	// Slots are compacted away once the dead outnumber the live.
+	ids   map[Term]uint32 // term -> id
+	terms []Term          // id -> term, in first-use order
+
+	// rows holds the triples in insertion order. Removal marks the slot
+	// dead, so slot numbers stay valid in the posting lists; the slots
+	// are compacted away once the dead outnumber the live.
+	rows  [][3]uint32
 	dead  []bool
 	ndead int
-	// indexes map term keys to positions in triples.
-	bySubject   map[string][]int
-	byPredicate map[string][]int
-	byObject    map[string][]int
-	seen        map[tripleKey]int
+	// times is the valid-time column, parallel to rows. It stays nil
+	// until the first triple with valid time arrives.
+	times []validTime
+
+	// post[id][k] lists, ascending, the live slots whose position k
+	// (0 subject, 1 predicate, 2 object) holds term id.
+	post [][3][]int32
+	// seen and seenTimed map a live triple (without and with valid
+	// time) to its slot.
+	seen      map[[3]uint32]int32
+	seenTimed map[timedRow]int32
 }
 
-type tripleKey struct {
-	s, p, o string
-	vf, vt  int64
+type validTime struct {
+	from, to int64
+	has      bool
 }
 
-func keyOf(t Triple) tripleKey {
-	return tripleKey{t.S.Key(), t.P.Key(), t.O.Key(), t.ValidFrom.UnixNano(), t.ValidTo.UnixNano()}
+type timedRow struct {
+	row [3]uint32
+	validTime
+}
+
+func validTimeOf(t *Triple) validTime {
+	if !t.HasValidTime() {
+		return validTime{}
+	}
+	return validTime{t.ValidFrom.UnixNano(), t.ValidTo.UnixNano(), true}
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph {
+func NewGraph() *Graph { return NewGraphSized(0) }
+
+// NewGraphSized returns an empty graph with room for n triples, and as
+// many distinct terms, before any of its tables regrows.
+func NewGraphSized(n int) *Graph {
 	return &Graph{
-		bySubject:   map[string][]int{},
-		byPredicate: map[string][]int{},
-		byObject:    map[string][]int{},
-		seen:        map[tripleKey]int{},
+		ids:   make(map[Term]uint32, n),
+		terms: make([]Term, 0, n),
+		post:  make([][3][]int32, 0, n),
+		rows:  make([][3]uint32, 0, n),
+		dead:  make([]bool, 0, n),
+		seen:  make(map[[3]uint32]int32, n),
 	}
+}
+
+func (g *Graph) intern(t Term) uint32 {
+	id, ok := g.ids[t]
+	if !ok {
+		id = uint32(len(g.terms))
+		g.ids[t] = id
+		g.terms = append(g.terms, t)
+		g.post = append(g.post, [3][]int32{})
+	}
+	return id
+}
+
+// slot returns the slot of a live triple.
+func (g *Graph) slot(row [3]uint32, vt validTime) (int32, bool) {
+	if vt.has {
+		i, ok := g.seenTimed[timedRow{row, vt}]
+		return i, ok
+	}
+	i, ok := g.seen[row]
+	return i, ok
+}
+
+// lookup finds a live triple without interning its terms.
+func (g *Graph) lookup(t *Triple) (row [3]uint32, vt validTime, i int32, ok bool) {
+	var okS, okP, okO bool
+	row[0], okS = g.ids[t.S]
+	row[1], okP = g.ids[t.P]
+	row[2], okO = g.ids[t.O]
+	if vt = validTimeOf(t); okS && okP && okO {
+		i, ok = g.slot(row, vt)
+	}
+	return row, vt, i, ok
+}
+
+// triple materializes the triple in slot i.
+func (g *Graph) triple(i int32) Triple {
+	r := g.rows[i]
+	t := Triple{S: g.terms[r[0]], P: g.terms[r[1]], O: g.terms[r[2]]}
+	if int(i) < len(g.times) && g.times[i].has {
+		t.ValidFrom = time.Unix(0, g.times[i].from).UTC()
+		t.ValidTo = time.Unix(0, g.times[i].to).UTC()
+	}
+	return t
 }
 
 // Add inserts a triple. Duplicate triples (including valid time) are
 // ignored; Add reports whether the triple was newly inserted.
 func (g *Graph) Add(t Triple) bool {
-	k := keyOf(t)
-	if _, dup := g.seen[k]; dup {
+	row := [3]uint32{g.intern(t.S), g.intern(t.P), g.intern(t.O)}
+	vt := validTimeOf(&t)
+	if _, dup := g.slot(row, vt); dup {
 		return false
 	}
-	i := len(g.triples)
-	g.triples = append(g.triples, t)
+	i := int32(len(g.rows))
+	g.rows = append(g.rows, row)
 	g.dead = append(g.dead, false)
-	g.seen[k] = i
-	g.bySubject[t.S.Key()] = append(g.bySubject[t.S.Key()], i)
-	g.byPredicate[t.P.Key()] = append(g.byPredicate[t.P.Key()], i)
-	g.byObject[t.O.Key()] = append(g.byObject[t.O.Key()], i)
+	if vt.has {
+		if g.times == nil {
+			g.times = make([]validTime, i, cap(g.rows))
+			g.seenTimed = map[timedRow]int32{}
+		}
+		g.seenTimed[timedRow{row, vt}] = i
+	} else {
+		g.seen[row] = i
+	}
+	if g.times != nil {
+		g.times = append(g.times, vt)
+	}
+	for k, id := range row {
+		g.post[id][k] = append(g.post[id][k], i)
+	}
 	return true
 }
 
 // Remove deletes a triple (exact identity: terms plus valid time),
 // reporting whether it was present. The slot is marked dead and its
-// index entries pruned — O(index bucket) per call, amortized O(1) on
-// the backing slice, which is compacted (insertion order preserved)
+// posting-list entries pruned — O(log bucket) to find, a bucket tail to
+// close up — and the table is compacted (insertion order preserved)
 // once dead slots outnumber live ones.
 func (g *Graph) Remove(t Triple) bool {
-	k := keyOf(t)
-	i, ok := g.seen[k]
+	row, vt, i, ok := g.lookup(&t)
 	if !ok {
 		return false
 	}
-	delete(g.seen, k)
-	removeIdx(g.bySubject, t.S.Key(), i)
-	removeIdx(g.byPredicate, t.P.Key(), i)
-	removeIdx(g.byObject, t.O.Key(), i)
+	if vt.has {
+		delete(g.seenTimed, timedRow{row, vt})
+	} else {
+		delete(g.seen, row)
+	}
+	for k, id := range row {
+		j, _ := slices.BinarySearch(g.post[id][k], i)
+		g.post[id][k] = slices.Delete(g.post[id][k], j, j+1)
+	}
 	g.dead[i] = true
 	g.ndead++
-	if g.ndead > 16 && g.ndead > len(g.triples)/2 {
+	if g.ndead > 16 && g.ndead > len(g.rows)/2 {
 		g.compact()
 	}
 	return true
 }
 
-// removeIdx drops position i from an index bucket, preserving the
-// bucket's insertion order.
-func removeIdx(idx map[string][]int, key string, i int) {
-	bucket := idx[key]
-	for j, v := range bucket {
-		if v == i {
-			bucket = append(bucket[:j], bucket[j+1:]...)
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(idx, key)
-	} else {
-		idx[key] = bucket
-	}
-}
-
-// compact rebuilds the graph over its live triples only.
+// compact rebuilds the graph over its live triples only, which also
+// drops the dictionary entries no live triple uses any more.
 func (g *Graph) compact() {
 	live := g.Triples()
-	*g = *NewGraph()
+	*g = *NewGraphSized(len(live))
 	for _, t := range live {
 		g.Add(t)
 	}
@@ -121,14 +198,14 @@ func (g *Graph) AddAll(ts []Triple) int {
 }
 
 // Len returns the number of triples in the graph.
-func (g *Graph) Len() int { return len(g.triples) - g.ndead }
+func (g *Graph) Len() int { return len(g.rows) - g.ndead }
 
 // Triples returns a copy of all live triples in insertion order.
 func (g *Graph) Triples() []Triple {
 	out := make([]Triple, 0, g.Len())
-	for i, t := range g.triples {
+	for i := range g.rows {
 		if !g.dead[i] {
-			out = append(out, t)
+			out = append(out, g.triple(int32(i)))
 		}
 	}
 	return out
@@ -136,135 +213,173 @@ func (g *Graph) Triples() []Triple {
 
 // Contains reports whether the graph holds the exact triple.
 func (g *Graph) Contains(t Triple) bool {
-	_, ok := g.seen[keyOf(t)]
+	_, _, _, ok := g.lookup(&t)
 	return ok
 }
 
-// Match returns all triples matching the pattern. Zero-valued terms
-// (Term{}) act as wildcards. The smallest available index drives the scan.
+// pattern is a triple pattern in id space. known is false when a bound
+// term is not in the dictionary, so nothing can match.
+type pattern struct {
+	ids   [3]uint32
+	bound [3]bool
+	known bool
+}
+
+func (g *Graph) pattern(s, p, o Term) pattern {
+	pt := pattern{known: true}
+	for k, t := range [3]*Term{&s, &p, &o} {
+		if t.IsZero() {
+			continue
+		}
+		pt.ids[k], pt.known = g.ids[*t]
+		if !pt.known {
+			break
+		}
+		pt.bound[k] = true
+	}
+	return pt
+}
+
+// candidates returns the shortest posting list among the pattern's
+// bound positions and how many positions are bound.
+func (g *Graph) candidates(pt *pattern) (list []int32, nbound int) {
+	for k, b := range pt.bound {
+		if !b {
+			continue
+		}
+		if l := g.post[pt.ids[k]][k]; nbound == 0 || len(l) < len(list) {
+			list = l
+		}
+		nbound++
+	}
+	return list, nbound
+}
+
+func (pt *pattern) matches(row [3]uint32) bool {
+	for k, b := range pt.bound {
+		if b && row[k] != pt.ids[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// Match returns all triples matching the pattern, in insertion order, in
+// a slice of exactly that size which is the caller's. Zero-valued terms
+// (Term{}) act as wildcards. The shortest posting list drives the scan.
 func (g *Graph) Match(s, p, o Term) []Triple {
-	var candidates []int
-	switch {
-	case !s.IsZero():
-		candidates = g.bySubject[s.Key()]
-	case !o.IsZero():
-		candidates = g.byObject[o.Key()]
-	case !p.IsZero():
-		candidates = g.byPredicate[p.Key()]
-	default:
+	pt := g.pattern(s, p, o)
+	if !pt.known {
+		return nil
+	}
+	list, nbound := g.candidates(&pt)
+	if nbound == 0 {
 		return g.Triples()
 	}
-	// Prefer the most selective index among the bound terms.
-	if !s.IsZero() && !o.IsZero() {
-		if alt := g.byObject[o.Key()]; len(alt) < len(candidates) {
-			candidates = alt
+	n := len(list)
+	if nbound > 1 {
+		n = 0
+		for _, i := range list {
+			if pt.matches(g.rows[i]) {
+				n++
+			}
 		}
 	}
-	if !p.IsZero() {
-		if alt := g.byPredicate[p.Key()]; len(alt) < len(candidates) {
-			candidates = alt
-		}
+	if n == 0 {
+		return nil
 	}
-	var out []Triple
-	for _, i := range candidates {
-		t := g.triples[i]
-		if matches(t, s, p, o) {
-			out = append(out, t)
+	out := make([]Triple, 0, n)
+	for _, i := range list {
+		if nbound == 1 || pt.matches(g.rows[i]) {
+			out = append(out, g.triple(i))
 		}
 	}
 	return out
 }
 
 // Cardinality estimates how many triples match the pattern without
-// materializing them: the size of the smallest index bucket among the
+// materializing them: the size of the shortest posting list among the
 // bound positions (an upper bound on the true count, exact when one
 // position is bound). Zero terms are wildcards; an all-wildcard pattern
 // estimates the graph size. Implements the query planner's StatsSource.
 func (g *Graph) Cardinality(s, p, o Term) int {
-	est := -1
-	take := func(n int) {
-		if est < 0 || n < est {
-			est = n
-		}
+	pt := g.pattern(s, p, o)
+	if !pt.known {
+		return 0
 	}
-	if !s.IsZero() {
-		take(len(g.bySubject[s.Key()]))
-	}
-	if !p.IsZero() {
-		take(len(g.byPredicate[p.Key()]))
-	}
-	if !o.IsZero() {
-		take(len(g.byObject[o.Key()]))
-	}
-	if est < 0 {
+	list, nbound := g.candidates(&pt)
+	if nbound == 0 {
 		return g.Len()
 	}
-	return est
-}
-
-func matches(t Triple, s, p, o Term) bool {
-	if !s.IsZero() && !t.S.Equal(s) {
-		return false
-	}
-	if !p.IsZero() && !t.P.Equal(p) {
-		return false
-	}
-	if !o.IsZero() && !t.O.Equal(o) {
-		return false
-	}
-	return true
+	return len(list)
 }
 
 // Subjects returns the distinct subjects of triples matching (p, o),
 // sorted by term key for determinism.
 func (g *Graph) Subjects(p, o Term) []Term {
-	set := map[string]Term{}
-	for _, t := range g.Match(Term{}, p, o) {
-		set[t.S.Key()] = t.S
-	}
-	return sortedTerms(set)
+	return g.distinct(0, g.pattern(Term{}, p, o))
 }
 
 // Objects returns the distinct objects of triples matching (s, p), sorted
 // by term key.
 func (g *Graph) Objects(s, p Term) []Term {
-	set := map[string]Term{}
-	for _, t := range g.Match(s, p, Term{}) {
-		set[t.O.Key()] = t.O
+	return g.distinct(2, g.pattern(s, p, Term{}))
+}
+
+// distinct returns, sorted, the distinct terms at position k of the
+// triples matching pt.
+func (g *Graph) distinct(k int, pt pattern) []Term {
+	if !pt.known {
+		return []Term{}
 	}
-	return sortedTerms(set)
+	var ids []uint32
+	list, nbound := g.candidates(&pt)
+	if nbound == 0 {
+		for i, row := range g.rows {
+			if !g.dead[i] {
+				ids = append(ids, row[k])
+			}
+		}
+	}
+	for _, i := range list {
+		if pt.matches(g.rows[i]) {
+			ids = append(ids, g.rows[i][k])
+		}
+	}
+	slices.Sort(ids)
+	return g.sortedTerms(slices.Compact(ids))
 }
 
 // Predicates returns the distinct predicates in the graph, sorted.
 func (g *Graph) Predicates() []Term {
-	set := map[string]Term{}
-	for i, t := range g.triples {
-		if !g.dead[i] {
-			set[t.P.Key()] = t.P
+	var ids []uint32
+	for id := range g.post {
+		if len(g.post[id][1]) > 0 {
+			ids = append(ids, uint32(id))
 		}
 	}
-	return sortedTerms(set)
+	return g.sortedTerms(ids)
 }
 
-func sortedTerms(set map[string]Term) []Term {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Term, len(keys))
-	for i, k := range keys {
-		out[i] = set[k]
+// sortedTerms orders distinct ids by term key and materializes them.
+func (g *Graph) sortedTerms(ids []uint32) []Term {
+	slices.SortFunc(ids, func(a, b uint32) int { return g.terms[a].Compare(g.terms[b]) })
+	out := make([]Term, len(ids))
+	for i, id := range ids {
+		out[i] = g.terms[id]
 	}
 	return out
 }
 
 // FirstObject returns the object of the first triple matching (s, p).
 func (g *Graph) FirstObject(s, p Term) (Term, bool) {
-	for _, i := range g.bySubject[s.Key()] {
-		t := g.triples[i]
-		if t.P.Equal(p) {
-			return t.O, true
+	sid, okS := g.ids[s]
+	pid, okP := g.ids[p]
+	if okS && okP {
+		for _, i := range g.post[sid][0] {
+			if g.rows[i][1] == pid {
+				return g.terms[g.rows[i][2]], true
+			}
 		}
 	}
 	return Term{}, false
@@ -274,8 +389,8 @@ func (g *Graph) FirstObject(s, p Term) (Term, bool) {
 // added.
 func (g *Graph) Merge(other *Graph) int {
 	n := 0
-	for i, t := range other.triples {
-		if !other.dead[i] && g.Add(t) {
+	for i := range other.rows {
+		if !other.dead[i] && g.Add(other.triple(int32(i))) {
 			n++
 		}
 	}

@@ -3,8 +3,8 @@
 // in-memory graphs, and Turtle / N-Triples serialization.
 //
 // The package is deliberately small and allocation-conscious: terms are value
-// types, and graphs use map-based indexes keyed on the compact string
-// encoding of each term.
+// types, and a graph interns them once and holds its triples and indexes as
+// ids.
 package rdf
 
 import (

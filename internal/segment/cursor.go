@@ -65,8 +65,9 @@ func (h *head) triple() rdf.Triple {
 	return t
 }
 
-// source is one input of the merge: a runScan, or a sorted slice of
-// memtable triples that are all live or all tombstones.
+// source is one input of the merge: a runScan, or a slice of memtable
+// triples, all live or all tombstones, read in canonical order through
+// perm.
 type source struct {
 	runScan
 	run      int
@@ -84,14 +85,14 @@ func (s *source) advance() bool {
 	}
 	i := s.lo
 	s.lo++
+	if s.perm != nil {
+		i = int(s.perm[i])
+	}
 	if s.mem != nil {
 		t := &s.mem[i]
 		s.head = head{s: &t.S, p: &t.P, o: &t.O, validTime: validTimeOf(t), run: -1, mem: t}
 		s.head.flags |= s.memFlags
 		return true
-	}
-	if s.perm != nil {
-		i = int(s.perm[i])
 	}
 	rw := &s.rows[i]
 	s.head = head{s: &s.terms[rw.s], p: &s.terms[rw.p], o: &s.terms[rw.o], validTime: validTime{rw.vf, rw.vt, rw.flags}, run: s.run, row: rw}
@@ -152,13 +153,22 @@ func (m *merge) addRun(run int, sc runScan) {
 	}
 }
 
-// addMem adds memtable triples, sorting them in place.
+// addMem adds memtable triples. They are ordered through a permutation,
+// compared in place: a triple is 216 bytes, too many to copy per
+// comparison or move per swap.
 func (m *merge) addMem(ts []rdf.Triple, flags uint8) {
 	if len(ts) == 0 {
 		return
 	}
-	slices.SortFunc(ts, func(a, b rdf.Triple) int { return compareTriples(&a, &b) })
-	m.add(source{runScan: runScan{hi: len(ts)}, mem: ts, memFlags: flags})
+	var perm []uint32
+	if len(ts) > 1 {
+		perm = make([]uint32, len(ts))
+		for i := range perm {
+			perm[i] = uint32(i)
+		}
+		slices.SortFunc(perm, func(a, b uint32) int { return compareTriples(&ts[a], &ts[b]) })
+	}
+	m.add(source{runScan: runScan{perm: perm, hi: len(ts)}, mem: ts, memFlags: flags})
 	if flags&rowTombstone == 0 {
 		m.upper += len(ts)
 	}
