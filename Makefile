@@ -5,10 +5,11 @@ GO ?= go
 # the fault-injection harness, the SPARQL HTTP transport it exercises,
 # the segment storage engine (concurrent readers vs writer/flush), the
 # spatial core (parallel join probes, bounded geometry cache), the result
-# cache, the adaptive OBDA graph, the cluster and the id-space graph
-# (readers never intern). ci.sh runs `make race` and `make fuzz`, so
+# cache, the adaptive OBDA graph, the cluster, the id-space graph
+# (readers never intern) and MadIS (prepared statements and relations are
+# shared between requests). ci.sh runs `make race` and `make fuzz`, so
 # these lists are the only ones.
-RACE_PKGS = ./internal/rdf/ ./internal/sparql/ ./internal/strabon/ ./internal/opendap/ ./internal/federation/ ./internal/interlink/ ./internal/faults/ ./internal/endpoint/ ./internal/telemetry/ ./internal/admission/ ./internal/e2e/ ./internal/segment/ ./internal/geom/ ./internal/geom/rtree/ ./internal/geosparql/ ./internal/geographica/ ./internal/rescache/ ./internal/obda/ ./internal/cluster/
+RACE_PKGS = ./internal/rdf/ ./internal/sparql/ ./internal/strabon/ ./internal/opendap/ ./internal/federation/ ./internal/interlink/ ./internal/faults/ ./internal/endpoint/ ./internal/telemetry/ ./internal/admission/ ./internal/e2e/ ./internal/segment/ ./internal/geom/ ./internal/geom/rtree/ ./internal/geosparql/ ./internal/geographica/ ./internal/rescache/ ./internal/obda/ ./internal/cluster/ ./internal/madis/
 
 # End-to-end suites: the golden two-workflow test over live loopback
 # servers plus the cmd-level boot/query/shutdown tests.

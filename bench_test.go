@@ -543,26 +543,56 @@ func BenchmarkGraph_MatchUnknown(b *testing.B) {
 	}
 }
 
-// OBDA_Snapshot rebuilds the virtual graph of the Listing 2 mapping over
-// a 5x6x3 grid (the per-mapping size of the otf-opendap workload) with
-// the OPeNDAP window cache warm, so the mapping instantiation and the
-// graph load carry the cost.
-func BenchmarkOBDA_Snapshot(b *testing.B) {
+// obdaBenchGrid is a 5x6x3 LAI grid, the per-mapping size of the
+// otf-opendap workload.
+func obdaBenchGrid(seed int64) *netcdf.Dataset {
 	opts := workload.DefaultLAIOptions()
-	opts.NLat, opts.NLon, opts.Times = 5, 6, 3
+	opts.NLat, opts.NLon, opts.Times, opts.Seed = 5, 6, 3, seed
 	grid := workload.LAIGrid(opts)
 	grid.Name = "lai"
+	return grid
+}
+
+// obdaBenchStack is the Listing 2 mapping over grid, evaluated once.
+func obdaBenchStack(b *testing.B, grid *netcdf.Dataset) *core.OnTheFlyStack {
 	fly, err := core.NewOnTheFlyStack(core.Listing2Mapping, grid)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer fly.Close()
+	b.Cleanup(func() { fly.Close() })
 	if _, err := fly.Graph.Snapshot(); err != nil {
 		b.Fatal(err)
 	}
+	return fly
+}
+
+// OBDA_Revalidate is an evaluation over an unchanged source with the
+// OPeNDAP window cache warm: the mapping source is executed, resolves to
+// the relation the view was built from, and the view is published again.
+func BenchmarkOBDA_Revalidate(b *testing.B) {
+	fly := obdaBenchStack(b, obdaBenchGrid(42))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		fly.Graph.Invalidate()
+		if _, err := fly.Graph.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// OBDA_Rebuild is an evaluation after the server re-published the
+// product with other values and the window ran out: one fetch over
+// loopback, then the relation, the mapping instantiation and the graph
+// load.
+func BenchmarkOBDA_Rebuild(b *testing.B) {
+	grids := [2]*netcdf.Dataset{obdaBenchGrid(43), obdaBenchGrid(42)}
+	fly := obdaBenchStack(b, grids[1])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fly.Server.Publish(grids[i%2])
+		fly.Adapter.InvalidateCaches()
 		fly.Graph.Invalidate()
 		if _, err := fly.Graph.Snapshot(); err != nil {
 			b.Fatal(err)

@@ -47,15 +47,17 @@ echo "== golden cluster workflows under real parallelism"
 # timer never races a reply that takes no time: exact counters, 60/60.
 go test -count=20 -cpu 1,2,4 -run TestClusterGoldenWorkflows ./internal/e2e
 
-echo "== allocation ceilings (handle rows, results writer, id-space graph)"
+echo "== allocation ceilings (handle rows, results writer, id-space graph, view revalidation)"
 # Engine_BGPJoinCompiled's bytes per evaluation may not regrow (rows are
 # 8-byte handles, not 56-byte terms), encoding a 1000-row result into a
-# warm buffer allocates nothing, and neither does rdf.Graph on a read
-# with an unknown bound term or (amortized, presized) on an Add of
-# interned terms.
+# warm buffer allocates nothing, neither does rdf.Graph on a read with an
+# unknown bound term or (amortized, presized) on an Add of interned
+# terms, and an on-the-fly evaluation over unchanged sources re-publishes
+# the view it has (three Listing-2 mappings, warm window cache: < 4 KiB).
 go test -count=1 -run '^TestBGPJoinBytesCeiling$' ./internal/sparql
 go test -count=1 -run '^TestResultsWriterAllocations$' ./internal/endpoint
 go test -count=1 -run '^TestGraphAllocations$' ./internal/rdf
+go test -count=1 -run '^TestRevalidateAllocations$' ./internal/obda
 
 echo "== bench module (its own go.mod, outside ./...)"
 (cd bench && go vet . && go test .)
@@ -94,6 +96,8 @@ check_cover ./internal/geom/ 85
 check_cover ./internal/geom/rtree/ 85
 check_cover ./internal/rescache/ 90
 check_cover ./internal/cluster/ 85
+check_cover ./internal/obda/ 80
+check_cover ./internal/madis/ 85
 
 echo "== fuzz smoke (seed corpus + a few seconds of mutation)"
 make fuzz

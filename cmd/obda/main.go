@@ -124,6 +124,7 @@ func main() {
 	}
 
 	vg := obda.NewVirtualGraph(db, mappings)
+	vg.Metrics = reg
 	var src sparql.Source = vg
 	var ag *obda.AdaptiveGraph
 	if *promoteAfter > 0 {

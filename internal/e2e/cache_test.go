@@ -14,14 +14,10 @@ package e2e
 // fake clock; the background promotion is awaited with Quiesce.
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"sort"
-	"strconv"
 	"testing"
 	"time"
 
@@ -49,27 +45,17 @@ func cacheGet(t *testing.T, base string) (string, []string) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var doc struct {
-		Results struct {
-			Bindings []map[string]map[string]any `json:"bindings"`
-		} `json:"results"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]string, 0, len(doc.Results.Bindings))
-	for _, b := range doc.Results.Bindings {
-		lai, err := strconv.ParseFloat(fmt.Sprint(b["lai"]["value"]), 64)
-		if err != nil {
-			t.Fatalf("non-numeric lai: %v", b["lai"])
-		}
-		rows = append(rows, fmt.Sprintf("%s|%g", b["wkt"]["value"], lai))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	sort.Strings(rows)
+	rows, err := listing3Rows(body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return resp.Header.Get("X-Applab-Cache"), rows
 }
 

@@ -26,7 +26,10 @@ type Value any
 // Row is one table row.
 type Row []Value
 
-// Table is a named relation.
+// Table is a named relation. A table is complete before it is registered
+// with CreateTable or returned by a virtual table function and is never
+// mutated afterwards (replace it instead), so a relation's content is
+// identified by its pointer.
 type Table struct {
 	Name string
 	Cols []string
@@ -95,18 +98,41 @@ func (db *DB) virtualTable(name string) (VirtualTable, bool) {
 
 // Query parses and evaluates a SQL statement.
 func (db *DB) Query(sql string) (*Table, error) {
-	stmt, err := parseSQL(sql)
+	stmt, err := db.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	return db.eval(stmt)
+	base, err := stmt.Base()
+	if err != nil {
+		return nil, err
+	}
+	return stmt.Over(base)
 }
 
-func (db *DB) eval(stmt *selectStmt) (*Table, error) {
-	var base *Table
-	switch {
-	case stmt.fromVTable != "":
-		fn, ok := db.virtualTable(stmt.fromVTable)
+// Stmt is a parsed statement bound to its database. It holds no
+// per-execution state, so one Stmt may be executed from many goroutines.
+type Stmt struct {
+	db  *DB
+	sel *selectStmt
+}
+
+// Prepare parses a SQL statement once, for repeated execution.
+func (db *DB) Prepare(sql string) (*Stmt, error) {
+	sel, err := parseSQL(sql)
+	if err != nil {
+		return nil, err
+	}
+	return &Stmt{db: db, sel: sel}, nil
+}
+
+// Base resolves the statement's single FROM relation: the stored table
+// as registered now, or one call of the virtual table function. Tables
+// are immutable once registered or returned, so the statement and the
+// pointer Base returns together determine what Over answers.
+func (st *Stmt) Base() (*Table, error) {
+	stmt := st.sel
+	if stmt.fromVTable != "" {
+		fn, ok := st.db.virtualTable(stmt.fromVTable)
 		if !ok {
 			return nil, fmt.Errorf("madis: unknown virtual table %q", stmt.fromVTable)
 		}
@@ -114,14 +140,18 @@ func (db *DB) eval(stmt *selectStmt) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("madis: virtual table %s: %v", stmt.fromVTable, err)
 		}
-		base = t
-	default:
-		t, ok := db.Table(stmt.fromTable)
-		if !ok {
-			return nil, fmt.Errorf("madis: no table %q", stmt.fromTable)
-		}
-		base = t
+		return t, nil
 	}
+	t, ok := st.db.Table(stmt.fromTable)
+	if !ok {
+		return nil, fmt.Errorf("madis: no table %q", stmt.fromTable)
+	}
+	return t, nil
+}
+
+// Over filters, orders and projects base, the relation Base resolved.
+func (st *Stmt) Over(base *Table) (*Table, error) {
+	stmt := st.sel
 
 	// Resolve filter columns.
 	type boundCond struct {

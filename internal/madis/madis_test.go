@@ -2,6 +2,7 @@ package madis
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -213,5 +214,108 @@ func TestCaseInsensitivity(t *testing.T) {
 	}
 	if len(res.Rows) != 2 || res.Rows[0][0] != "Alice" {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// A prepared statement is parsed once; Base resolves the FROM relation as
+// it is now (a stored table by pointer, a virtual table by one call) and
+// Over answers what Query answers.
+func TestPreparedStatement(t *testing.T) {
+	db := NewDB()
+	people := peopleTable()
+	db.CreateTable(people)
+	stmt, err := db.Prepare("SELECT name FROM people WHERE city = 'Paris' ORDER BY age DESC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := stmt.Base()
+	if err != nil || base != people {
+		t.Fatalf("Base = %p, %v; want the registered table %p", base, err, people)
+	}
+	got, err := stmt.Over(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := db.Query("SELECT name FROM people WHERE city = 'Paris' ORDER BY age DESC")
+	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) || fmt.Sprint(got.Rows) != "[[Carol] [Alice]]" {
+		t.Fatalf("Over = %v, Query = %v", got.Rows, want.Rows)
+	}
+	if len(people.Rows) != 4 || people.Rows[0][1] != "Alice" {
+		t.Fatal("Over mutated its base")
+	}
+
+	// Replacing the table is what changes the relation.
+	replaced := &Table{Name: "people", Cols: people.Cols, Rows: people.Rows[:1]}
+	db.CreateTable(replaced)
+	if base, _ := stmt.Base(); base != replaced {
+		t.Fatal("Base must resolve the table registered now")
+	}
+
+	calls := 0
+	db.RegisterVirtualTable("gen", func(args []string) (*Table, error) {
+		calls++
+		return &Table{Name: "gen", Cols: []string{"n"}, Rows: []Row{{float64(calls)}}}, nil
+	})
+	vstmt, err := db.Prepare("SELECT n FROM (gen 1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want := 1; want <= 2; want++ {
+		base, err := vstmt.Base()
+		if err != nil || calls != want {
+			t.Fatalf("Base call %d: %d virtual table calls, %v", want, calls, err)
+		}
+		if res, _ := vstmt.Over(base); res.Rows[0][0] != float64(want) {
+			t.Fatalf("Over = %v", res.Rows)
+		}
+	}
+
+	if _, err := db.Prepare("DELETE FROM people"); err == nil {
+		t.Error("Prepare must report parse errors")
+	}
+	missing, err := db.Prepare("SELECT x FROM missing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := missing.Base(); err == nil {
+		t.Error("Base must report an unknown table")
+	}
+	badCol, _ := db.Prepare("SELECT nope FROM people")
+	if _, err := badCol.Over(replaced); err == nil {
+		t.Error("Over must report an unknown column")
+	}
+}
+
+// One statement and one base relation serve many goroutines (make race).
+func TestStmtSharedAcrossGoroutines(t *testing.T) {
+	db := NewDB()
+	db.CreateTable(peopleTable())
+	stmt, err := db.Prepare("SELECT name FROM people WHERE age > 26 ORDER BY name DESC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50 && errs[g] == nil; i++ {
+				base, err := stmt.Base()
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if res, err := stmt.Over(base); err != nil || fmt.Sprint(res.Rows) != "[[Carol] [Alice]]" {
+					errs[g] = fmt.Errorf("Over = %v, %v", res, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -2,9 +2,6 @@ package obda
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
-	"math"
 	"strings"
 	"sync"
 	"time"
@@ -228,8 +225,10 @@ func (ag *AdaptiveGraph) QueryContext(ctx context.Context, q string) (*sparql.Re
 
 // UpstreamStamp fetches the region's dataset directly from the OPeNDAP
 // client — bypassing the window caches and the physical-call counter,
-// so revalidation does not perturb Generation — and returns a content
-// hash. This is the default drift-detection stamp of the promoter.
+// so revalidation does not perturb Generation — and returns a hash of
+// everything the virtual table reads of it: the variable's values, its
+// shape, the lat/lon axes and the time axis with its units. This is the
+// default drift-detection stamp of the promoter.
 func (a *OpendapAdapter) UpstreamStamp(region string) (string, error) {
 	spec := region
 	if i := strings.LastIndex(spec, "?w="); i >= 0 {
@@ -243,18 +242,9 @@ func (a *OpendapAdapter) UpstreamStamp(region string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	v, ok := ds.Var(varName)
-	if !ok {
-		return "", fmt.Errorf("opendap: stamp fetch lacks %q", varName)
+	g, err := readGrid(ds, varName)
+	if err != nil {
+		return "", err
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, f := range v.Data {
-		bits := math.Float64bits(f)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return g.stamp(), nil
 }

@@ -83,9 +83,9 @@ func TestParseMappingErrors(t *testing.T) {
 	}
 }
 
-// laiServer publishes a small LAI grid and returns a DB with the opendap
-// adapter registered.
-func laiServer(t testing.TB, latency time.Duration) (*madis.DB, *OpendapAdapter, *opendap.Server, func()) {
+// laiFixture is the small LAI grid laiServer publishes; tests republish
+// edited copies of it.
+func laiFixture(t testing.TB) *netcdf.Dataset {
 	t.Helper()
 	d := netcdf.NewDataset("lai")
 	d.AddDim("time", 2)
@@ -110,6 +110,14 @@ func laiServer(t testing.TB, latency time.Duration) (*madis.DB, *OpendapAdapter,
 		0.8, 2.2, 5.0,
 	}
 	add(&netcdf.Variable{Name: "LAI", Dims: []string{"time", "lat", "lon"}, Data: vals})
+	return d
+}
+
+// laiServer publishes a small LAI grid and returns a DB with the opendap
+// adapter registered.
+func laiServer(t testing.TB, latency time.Duration) (*madis.DB, *OpendapAdapter, *opendap.Server, func()) {
+	t.Helper()
+	d := laiFixture(t)
 
 	srv := opendap.NewServer()
 	srv.Latency = latency

@@ -1,7 +1,11 @@
 package obda
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,6 +64,10 @@ type OpendapAdapter struct {
 
 	mu     sync.Mutex
 	caches map[time.Duration]*opendap.WindowCache
+	// slots holds, per region key (so at most one per distinct FROM
+	// clause in the mappings), the dataset last fetched for it and the
+	// relation derived from that dataset.
+	slots map[string]tableSlot
 	// Now overrides the cache clock in tests.
 	Now func() time.Time
 	// Calls counts physical fetches through the adapter (per window cache
@@ -69,7 +77,7 @@ type OpendapAdapter struct {
 
 // NewOpendapAdapter returns an adapter that fetches from client.
 func NewOpendapAdapter(client *opendap.Client) *OpendapAdapter {
-	return &OpendapAdapter{client: client, caches: map[time.Duration]*opendap.WindowCache{}}
+	return &OpendapAdapter{client: client, caches: map[time.Duration]*opendap.WindowCache{}, slots: map[string]tableSlot{}}
 }
 
 // Register installs the adapter as the "opendap" virtual table of db.
@@ -150,7 +158,20 @@ func (a *OpendapAdapter) Stats(w time.Duration) opendap.CacheStats {
 	return a.cacheFor(w).Stats()
 }
 
-// Table is the virtual table function.
+// tableSlot pairs a fetched dataset with the relation GridToTable derived
+// from it.
+type tableSlot struct {
+	ds    *netcdf.Dataset
+	grid  grid
+	table *madis.Table
+}
+
+// Table is the virtual table function. Every call goes to the fetcher;
+// the relation is derived again only when what came back is not the grid
+// the region's slot was built from. A window-cache hit hands back the
+// same dataset pointer; an un-windowed fetch of an unchanged upstream,
+// or the flagged copy ServeStale hands out, is compared field by field.
+// Callers can therefore tell an unchanged source by the returned pointer.
 func (a *OpendapAdapter) Table(args []string) (*madis.Table, error) {
 	if len(args) == 0 {
 		return nil, fmt.Errorf("opendap: missing dataset argument")
@@ -167,8 +188,9 @@ func (a *OpendapAdapter) Table(args []string) (*madis.Table, error) {
 		}
 		window = time.Duration(mins * float64(time.Minute))
 	}
+	region := dataset + "/" + varName + "?w=" + strconv.FormatFloat(window.Minutes(), 'g', -1, 64)
 	if hook := a.OnTable; hook != nil {
-		hook(dataset + "/" + varName + "?w=" + strconv.FormatFloat(window.Minutes(), 'g', -1, 64))
+		hook(region)
 	}
 	fetcher := opendap.Fetcher(countingFetcher{a})
 	if window > 0 {
@@ -178,7 +200,24 @@ func (a *OpendapAdapter) Table(args []string) (*madis.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return GridToTable(ds, varName)
+	a.mu.Lock()
+	slot := a.slots[region]
+	a.mu.Unlock()
+	if slot.ds == ds {
+		return slot.table, nil
+	}
+	g, err := readGrid(ds, varName)
+	if err != nil {
+		return nil, err
+	}
+	if slot.ds != nil && slot.grid.equal(g) {
+		return slot.table, nil
+	}
+	table := g.table(ds, varName)
+	a.mu.Lock()
+	a.slots[region] = tableSlot{ds: ds, grid: g, table: table}
+	a.mu.Unlock()
+	return table, nil
 }
 
 // parseDatasetArg extracts "<dataset>/<var>" from the argument, tolerating
@@ -192,55 +231,132 @@ func parseDatasetArg(arg string) (dataset, varName string, err error) {
 	return parts[len(parts)-2], parts[len(parts)-1], nil
 }
 
+// grid is everything GridToTable reads of a dataset for one variable.
+// The table slots compare it and UpstreamStamp hashes it, so the two
+// cannot disagree on what "the same grid" means.
+type grid struct {
+	nt, nlat, nlon int
+	data           []float64
+	// Coordinate axes; nil where the dataset has none of the right
+	// length and GridToTable falls back to index coordinates (lat, lon)
+	// or daily steps from 2018-01-01 (time; always nil for 2-D grids).
+	lat, lon, time []float64
+	timeUnits      string
+}
+
+func readGrid(ds *netcdf.Dataset, varName string) (grid, error) {
+	v, ok := ds.Var(varName)
+	if !ok {
+		return grid{}, fmt.Errorf("opendap: fetched dataset lacks %q", varName)
+	}
+	if len(v.Dims) != 3 && len(v.Dims) != 2 {
+		return grid{}, fmt.Errorf("opendap: variable %s has rank %d, want 2 or 3", varName, len(v.Dims))
+	}
+	axis := func(name string, n int) []float64 {
+		if cv, ok := ds.Var(name); ok && len(cv.Data) == n {
+			return cv.Data
+		}
+		return nil
+	}
+	size := func(dim string) int {
+		d, _ := ds.Dim(dim)
+		return d.Size
+	}
+	rank := len(v.Dims)
+	g := grid{nt: 1, nlat: size(v.Dims[rank-2]), nlon: size(v.Dims[rank-1]), data: v.Data}
+	if rank == 3 {
+		g.nt = size(v.Dims[0])
+		if g.time = axis("time", g.nt); g.time != nil {
+			tv, _ := ds.Var("time")
+			g.timeUnits = tv.Attrs["units"]
+		}
+	}
+	g.lat, g.lon = axis("lat", g.nlat), axis("lon", g.nlon)
+	return g, nil
+}
+
+// equal reports whether GridToTable derives the same relation from both
+// grids. Values compare by bit pattern, so NaN fill values match.
+func (g grid) equal(o grid) bool {
+	if g.nt != o.nt || g.nlat != o.nlat || g.nlon != o.nlon || g.timeUnits != o.timeUnits {
+		return false
+	}
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	others := o.arrays()
+	for i, fs := range g.arrays() {
+		if !slices.EqualFunc(fs, others[i], sameBits) {
+			return false
+		}
+	}
+	return true
+}
+
+// stamp hashes exactly what equal compares.
+func (g grid) stamp() string {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(bits uint64) {
+		binary.LittleEndian.PutUint64(buf[:], bits)
+		h.Write(buf[:])
+	}
+	put(uint64(g.nt))
+	put(uint64(g.nlat))
+	put(uint64(g.nlon))
+	for _, fs := range g.arrays() {
+		put(uint64(len(fs)))
+		for _, f := range fs {
+			put(math.Float64bits(f))
+		}
+	}
+	h.Write([]byte(g.timeUnits))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+func (g grid) arrays() [4][]float64 { return [4][]float64{g.data, g.lat, g.lon, g.time} }
+
 // GridToTable flattens a CF grid (VAR[time][lat][lon], with coordinate
 // variables) into the (id, VAR, ts, loc) relation of the paper's Listing 2.
 // 2-D grids (lat, lon) produce a single unnamed time of the zero instant.
 func GridToTable(ds *netcdf.Dataset, varName string) (*madis.Table, error) {
-	v, ok := ds.Var(varName)
-	if !ok {
-		return nil, fmt.Errorf("opendap: fetched dataset lacks %q", varName)
+	g, err := readGrid(ds, varName)
+	if err != nil {
+		return nil, err
 	}
-	shape := v.Shape(ds)
-	if len(shape) != 3 && len(shape) != 2 {
-		return nil, fmt.Errorf("opendap: variable %s has rank %d, want 2 or 3", varName, len(shape))
-	}
-	coord := func(name string, n int) []float64 {
-		if cv, ok := ds.Var(name); ok && len(cv.Data) == n {
-			return cv.Data
+	return g.table(ds, varName), nil
+}
+
+// table is GridToTable over a grid already read from ds.
+func (g grid) table(ds *netcdf.Dataset, varName string) *madis.Table {
+	coord := func(axis []float64, n int) []float64 {
+		if axis != nil {
+			return axis
 		}
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = float64(i)
+		axis = make([]float64, n)
+		for i := range axis {
+			axis[i] = float64(i)
 		}
-		return out
+		return axis
 	}
+	lats, lons := coord(g.lat, g.nlat), coord(g.lon, g.nlon)
 	var times []time.Time
-	var nt, nlat, nlon int
-	if len(shape) == 3 {
-		nt, nlat, nlon = shape[0], shape[1], shape[2]
-		if tv, err := ds.TimeValues(); err == nil && len(tv) == nt {
-			times = tv
-		} else {
-			times = make([]time.Time, nt)
-			base := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
-			for i := range times {
-				times[i] = base.AddDate(0, 0, i)
-			}
-		}
-	} else {
-		nt, nlat, nlon = 1, shape[0], shape[1]
-		times = []time.Time{time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)}
+	if g.time != nil {
+		times, _ = ds.TimeValues() // nil on unparsable units
 	}
-	lats := coord("lat", nlat)
-	lons := coord("lon", nlon)
+	if times == nil {
+		times = make([]time.Time, g.nt)
+		base := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
+		for i := range times {
+			times[i] = base.AddDate(0, 0, i)
+		}
+	}
 
 	tb := &madis.Table{Name: "opendap", Cols: []string{"id", varName, "ts", "loc"}}
-	for ti := 0; ti < nt; ti++ {
+	for ti := 0; ti < g.nt; ti++ {
 		ts := times[ti].UTC().Format("2006-01-02T15:04:05Z")
-		for yi := 0; yi < nlat; yi++ {
-			for xi := 0; xi < nlon; xi++ {
-				off := (ti*nlat+yi)*nlon + xi
-				val := v.Data[off]
+		for yi := 0; yi < g.nlat; yi++ {
+			for xi := 0; xi < g.nlon; xi++ {
+				off := (ti*g.nlat+yi)*g.nlon + xi
+				val := g.data[off]
 				id := fmt.Sprintf("obs_%s_%s_%s",
 					fnum(lons[xi]), fnum(lats[yi]), times[ti].UTC().Format("20060102T150405"))
 				loc := fmt.Sprintf("POINT (%s %s)", fnum(lons[xi]), fnum(lats[yi]))
@@ -248,7 +364,7 @@ func GridToTable(ds *netcdf.Dataset, varName string) (*madis.Table, error) {
 			}
 		}
 	}
-	return tb, nil
+	return tb
 }
 
 func fnum(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

@@ -3,6 +3,7 @@ package obda
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"applab/internal/admission"
@@ -11,6 +12,7 @@ import (
 	"applab/internal/rdf"
 	"applab/internal/rescache"
 	"applab/internal/sparql"
+	"applab/internal/telemetry"
 )
 
 // VirtualGraph exposes a set of mappings over a MadIS database as a
@@ -20,6 +22,13 @@ import (
 // OPeNDAP server, moderated only by the adapter's window cache, exactly the
 // behaviour the paper measures in §5 ("when the data gets downloaded at
 // query-time...").
+//
+// Executing the sources is a revalidation of the RDF view, not a rebuild
+// of it. MadIS tables are immutable, so the relation a mapping's FROM
+// clause resolved to is identified by its pointer, and the view is derived
+// again only when some mapping resolved to another relation than the one
+// the last view was built from. Otherwise the same immutable graph is
+// published again (DESIGN.md §17).
 type VirtualGraph struct {
 	db       *madis.DB
 	mappings []Mapping
@@ -29,20 +38,28 @@ type VirtualGraph struct {
 	// first query.
 	EpochFn func() uint64
 
+	// Metrics, when set, counts view rebuilds and reuses. Set before the
+	// first query.
+	Metrics *telemetry.Registry
+
 	mu          sync.Mutex
-	snap        *rdf.Graph // per-query transient view; nil = stale
-	lastErr     error      // most recent Snapshot failure; nil after success
-	rebuilds    uint64     // snapshot builds (DataEpoch fallback)
+	stmts       []*madis.Stmt  // mapping sources, prepared on first use
+	snap        *rdf.Graph     // published view; nil = stale
+	view        *rdf.Graph     // last view built, kept across Invalidate
+	bases       []*madis.Table // source relations view was built from
+	lastErr     error          // most recent Snapshot failure; nil after success
+	evals       uint64         // successful revalidations (DataEpoch fallback)
 	fingerprint string
 }
 
 // NewVirtualGraph builds a virtual graph over db with the given mappings.
 func NewVirtualGraph(db *madis.DB, mappings []Mapping) *VirtualGraph {
 	geosparql.Register()
-	return &VirtualGraph{db: db, mappings: mappings, fingerprint: rescache.NextFingerprint("obda")}
+	return &VirtualGraph{db: db, mappings: mappings, stmts: make([]*madis.Stmt, len(mappings)),
+		fingerprint: rescache.NextFingerprint("obda")}
 }
 
-// Invalidate drops the transient view so the next query re-executes the
+// Invalidate marks the view stale so the next query re-executes the
 // mapping sources.
 func (vg *VirtualGraph) Invalidate() {
 	vg.mu.Lock()
@@ -50,8 +67,9 @@ func (vg *VirtualGraph) Invalidate() {
 	vg.snap = nil
 }
 
-// Snapshot executes every mapping source and returns the resulting
-// (transient) RDF view.
+// Snapshot returns the RDF view, executing every mapping source first if
+// the view is stale. The graph is shared with every other caller and with
+// later evaluations: it is read-only.
 func (vg *VirtualGraph) Snapshot() (*rdf.Graph, error) {
 	return vg.SnapshotContext(context.Background())
 }
@@ -60,39 +78,65 @@ func (vg *VirtualGraph) Snapshot() (*rdf.Graph, error) {
 // mapping sources (each potentially a live OPeNDAP call through the
 // SQL layer) it polls ctx and the attached admission budget, so an
 // over-deadline query stops before the next expensive fetch instead of
-// materializing the rest of the view. An abort is not recorded in
-// LastError — the source is fine, the query ran out of budget.
+// executing the rest of the sources. An abort is not recorded in
+// LastError — the source is fine, the query ran out of budget. A failed
+// or aborted revalidation publishes nothing; the previous view is never
+// served in its place.
 func (vg *VirtualGraph) SnapshotContext(ctx context.Context) (*rdf.Graph, error) {
 	vg.mu.Lock()
 	defer vg.mu.Unlock()
 	if vg.snap != nil {
 		return vg.snap, nil
 	}
-	// Run every source first: the graph is then sized once, for all the
-	// triples the rows can produce.
-	tables := make([]*madis.Table, len(vg.mappings))
-	size := 0
+	fail := func(m Mapping, err error) (*rdf.Graph, error) {
+		vg.lastErr = fmt.Errorf("obda: mapping %s: %v", m.ID, err)
+		return nil, vg.lastErr
+	}
+	bases := make([]*madis.Table, len(vg.mappings))
 	for i, m := range vg.mappings {
 		if err := admission.Check(ctx); err != nil {
 			return nil, err
 		}
-		table, err := vg.db.Query(m.Source)
-		if err != nil {
-			vg.lastErr = fmt.Errorf("obda: mapping %s: %v", m.ID, err)
-			return nil, vg.lastErr
+		if vg.stmts[i] == nil {
+			stmt, err := vg.db.Prepare(m.Source)
+			if err != nil {
+				return fail(m, err)
+			}
+			vg.stmts[i] = stmt
 		}
-		tables[i] = table
-		size += len(table.Rows) * len(m.Target)
+		base, err := vg.stmts[i].Base()
+		if err != nil {
+			return fail(m, err)
+		}
+		bases[i] = base
 	}
-	g := rdf.NewGraphSized(size)
-	seq := 0
-	for i, m := range vg.mappings {
-		seq = m.materialize(g, tables[i], seq)
+	if vg.view == nil || !slices.Equal(bases, vg.bases) {
+		// Filter every source first: the graph is then sized once, for
+		// all the triples the rows can produce.
+		tables := make([]*madis.Table, len(bases))
+		size := 0
+		for i, m := range vg.mappings {
+			table, err := vg.stmts[i].Over(bases[i])
+			if err != nil {
+				return fail(m, err)
+			}
+			tables[i] = table
+			size += len(table.Rows) * len(m.Target)
+		}
+		g := rdf.NewGraphSized(size)
+		seq := 0
+		for i, m := range vg.mappings {
+			seq = m.materialize(g, tables[i], seq)
+		}
+		vg.view, vg.bases = g, bases
+		vg.noteRebuild()
+	} else {
+		vg.noteReuse()
 	}
-	vg.snap = g
+	vg.snap = vg.view
 	vg.lastErr = nil
-	vg.rebuilds++
-	return g, nil
+	vg.evals++
+	return vg.snap, nil
 }
 
 // Match implements sparql.Source over the current snapshot (building it on
@@ -152,17 +196,18 @@ func (vg *VirtualGraph) Cardinality(s, p, o rdf.Term) int {
 // DataEpoch implements rescache.Epocher. With EpochFn wired (usually to
 // the OPeNDAP adapter's Generation) the epoch moves exactly when
 // upstream content may have changed, so cached answers survive window
-// -cache hits; without it every snapshot rebuild counts — safe but
-// never validating across the Invalidate each query performs.
+// -cache hits; without it every revalidation counts, whether or not it
+// rebuilt the view — safe but never validating across the Invalidate
+// each query performs.
 func (vg *VirtualGraph) DataEpoch() uint64 {
 	vg.mu.Lock()
-	rebuilds := vg.rebuilds
+	evals := vg.evals
 	fn := vg.EpochFn
 	vg.mu.Unlock()
 	if fn != nil {
 		return fn()
 	}
-	return rebuilds
+	return evals
 }
 
 // EpochAdvancesOnEval marks the virtual graph as a self-mutating source
