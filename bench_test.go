@@ -1,6 +1,6 @@
 // Package applab holds the benchmark harness mirroring EXPERIMENTS.md:
 // one testing.B benchmark family per experiment (E1-E7). The printable
-// tables come from cmd/applab-bench; these benches give per-operation
+// tables come from `applab-bench -exp`; these benches give per-operation
 // timings and allocation counts for the same code paths.
 package applab
 

@@ -47,14 +47,18 @@ echo "== golden cluster workflows under real parallelism"
 # timer never races a reply that takes no time: exact counters, 60/60.
 go test -count=20 -cpu 1,2,4 -run TestClusterGoldenWorkflows ./internal/e2e
 
-echo "== allocation ceilings (handle rows, results writer, id-space graph, view revalidation)"
+echo "== allocation ceilings (handle rows, join variants, results writer, id-space graph, view revalidation)"
 # Engine_BGPJoinCompiled's bytes per evaluation may not regrow (rows are
-# 8-byte handles, not 56-byte terms), encoding a 1000-row result into a
-# warm buffer allocates nothing, neither does rdf.Graph on a read with an
-# unknown bound term or (amortized, presized) on an Add of interned
-# terms, and an on-the-fly evaluation over unchanged sources re-publishes
-# the view it has (three Listing-2 mappings, warm window cache: < 4 KiB).
-go test -count=1 -run '^TestBGPJoinBytesCeiling$' ./internal/sparql
+# 8-byte handles, not 56-byte terms), and served instrumented, budgeted,
+# with spatial detection off, from the memory-mode store or behind a
+# bypassing result cache it may cost no more than +8 KiB and +64 allocs
+# over plain (one per-row allocation trips it); encoding a 1000-row
+# result into a warm buffer allocates nothing, neither does rdf.Graph
+# on a read with an unknown bound term or (amortized, presized) on an
+# Add of interned terms, and an on-the-fly evaluation over unchanged
+# sources re-publishes the view it has (three Listing-2 mappings, warm
+# window cache: < 4 KiB).
+go test -count=1 -cpu 1,2,4 -run '^TestBGPJoinBytesCeiling$' ./internal/sparql
 go test -count=1 -run '^TestResultsWriterAllocations$' ./internal/endpoint
 go test -count=1 -run '^TestGraphAllocations$' ./internal/rdf
 go test -count=1 -run '^TestRevalidateAllocations$' ./internal/obda
@@ -102,49 +106,11 @@ check_cover ./internal/madis/ 85
 echo "== fuzz smoke (seed corpus + a few seconds of mutation)"
 make fuzz
 
-# The gates below write their reports to a scratch directory: the
-# tracked BENCH_PR*.json are the numbers their PRs recorded, not a file
-# every CI run rewrites.
-reports=$(mktemp -d)
-trap 'rm -rf "$reports"' EXIT
-
-echo "== budget overhead gate (budgeted vs unlimited engine)"
-# Query budgets may not slow the engine down: applab-bench fails when
-# Engine_BGPJoin's budgeted path exceeds the 5% ns/op overhead budget.
-go run ./cmd/applab-bench -budget-json "$reports/BENCH_PR5.json"
-
-echo "== segment store gate (ingest, cold start, memory-mode overhead)"
-# The disk-backed store may not slow the in-memory path down:
-# applab-bench fails when Engine_BGPJoin through the memory-mode
-# segment store exceeds the 5% ns/op overhead budget. The report also
-# records ingest throughput and the cold-start (footer open) vs .astr
-# (full image replay) latency this PR's lazy boot is built on.
-go run ./cmd/applab-bench -segment-json "$reports/BENCH_PR7.json"
-
-echo "== spatial join gate (envelope index vs per-row filtering)"
-# The planner-selected spatial join must beat the per-row filter path by
-# at least 3x on the Geographica join queries, every strategy (inl,
-# cells, store) must return the filter path's exact row count, and plans
-# with no spatial filter may not pay more than 5% for the detection.
-go run ./cmd/applab-bench -spatial-json "$reports/BENCH_PR8.json"
-
-echo "== result cache gate (federated collapse + lookup overhead)"
-# The plan-keyed result cache must collapse the repeated federated
-# workload's upstream requests at least 10x, and the cache-disabled
-# Lookup path (Bypass on an anonymous source) may not cost
-# Engine_BGPJoin more than 5% ns/op.
-go run ./cmd/applab-bench -cache-json "$reports/BENCH_PR9.json"
-
-echo "== cluster serving gate (read scaling + hedged tail latency)"
-# The replicated cluster must scale: 4 nodes serve the routed read
-# workload at least 2.5x faster than 1 node in the deterministic
-# queueing model, hedged reads must cut the slow-replica p99 at least
-# 3x, and no hedged read may ever return duplicate rows.
-go run ./cmd/applab-bench -cluster-json "$reports/BENCH_PR10.json"
-
 echo "== bench compile smoke"
 # Benchmarks must at least compile and run one iteration; keeps the
-# BenchmarkEngine_* family (and BENCH_PR3.json's source) from rotting.
+# BenchmarkEngine_* family and BenchmarkSpatialJoin from rotting. They
+# are measured (`make bench`), not gated: the deterministic guards are
+# the allocation ceilings above.
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
 
 echo "CI OK"

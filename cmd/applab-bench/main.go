@@ -27,61 +27,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("applab-bench: ")
 	var (
-		expFlag    = flag.String("exp", "all", "comma-separated experiment ids (e1..e7, f1..f4) or 'all'")
-		outPath    = flag.String("out", "paris.svg", "output path for F4's SVG")
-		quick      = flag.Bool("quick", false, "smaller scales for a fast smoke run")
-		jsonPath   = flag.String("json", "", "benchmark the SPARQL engine (seed vs compiled) and write the records to this file, then exit")
-		telePath   = flag.String("telemetry-json", "", "benchmark the engine instrumented vs uninstrumented, write the comparison to this file (enforcing the Engine_BGPJoin overhead budget), then exit")
-		budgetPath = flag.String("budget-json", "", "benchmark the engine with vs without query budgets, write the comparison to this file (enforcing the Engine_BGPJoin overhead budget), then exit")
-		segPath    = flag.String("segment-json", "", "benchmark the disk-backed segment store (ingest, cold start vs .astr, memory-mode query overhead), write the report to this file (enforcing the Engine_BGPJoin overhead budget), then exit")
-		spatPath   = flag.String("spatial-json", "", "benchmark the spatial join vs per-row filtering on Geographica join queries, write the report to this file (enforcing the speedup floor and the Engine_BGPJoin overhead budget), then exit")
-		cachePath  = flag.String("cache-json", "", "benchmark the plan-keyed result cache (federated upstream-request collapse and per-query lookup overhead), write the report to this file (enforcing the collapse floor and the Engine_BGPJoin overhead budget), then exit")
-		clustPath  = flag.String("cluster-json", "", "benchmark cluster serving (4-node vs 1-node read throughput in the queueing model, hedged vs unhedged slow-replica p99) on the deterministic fake clock, write the report to this file (enforcing the scaling and hedging floors), then exit")
+		expFlag = flag.String("exp", "all", "comma-separated experiment ids (e1..e7, f1..f4) or 'all'")
+		outPath = flag.String("out", "paris.svg", "output path for F4's SVG")
+		quick   = flag.Bool("quick", false, "smaller scales for a fast smoke run")
 	)
 	flag.Parse()
-
-	if *jsonPath != "" {
-		if err := runEngineBenchJSON(*jsonPath); err != nil {
-			log.Fatalf("engine bench: %v", err)
-		}
-		return
-	}
-	if *telePath != "" {
-		if err := runTelemetryBenchJSON(*telePath); err != nil {
-			log.Fatalf("telemetry bench: %v", err)
-		}
-		return
-	}
-	if *budgetPath != "" {
-		if err := runBudgetBenchJSON(*budgetPath); err != nil {
-			log.Fatalf("budget bench: %v", err)
-		}
-		return
-	}
-	if *segPath != "" {
-		if err := runSegmentBenchJSON(*segPath); err != nil {
-			log.Fatalf("segment bench: %v", err)
-		}
-		return
-	}
-	if *spatPath != "" {
-		if err := runSpatialBenchJSON(*spatPath); err != nil {
-			log.Fatalf("spatial bench: %v", err)
-		}
-		return
-	}
-	if *cachePath != "" {
-		if err := runCacheBenchJSON(*cachePath); err != nil {
-			log.Fatalf("cache bench: %v", err)
-		}
-		return
-	}
-	if *clustPath != "" {
-		if err := runClusterBenchJSON(*clustPath); err != nil {
-			log.Fatalf("cluster bench: %v", err)
-		}
-		return
-	}
 
 	cfg := scaleConfig(*quick)
 	experiments := []experiment{

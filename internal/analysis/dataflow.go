@@ -142,3 +142,17 @@ func Solve[F any](cfg *CFG, p Problem[F]) map[*Block]*Facts[F] {
 	}
 	return facts
 }
+
+// Replay runs transfer once over every solved block, in block order,
+// from the block's converged In fact. Checkers that report from inside
+// their transfer do it here rather than during Solve: the solver re-runs
+// a loop body's transfer each time its input grows, so a finding emitted
+// while solving repeats once per iteration (and may rest on a fact that
+// had not converged yet).
+func Replay[F any](cfg *CFG, facts map[*Block]*Facts[F], transfer func(*Block, F) F) {
+	for _, b := range cfg.Blocks {
+		if f, ok := facts[b]; ok {
+			transfer(b, f.In)
+		}
+	}
+}

@@ -107,6 +107,9 @@ func errflowFunc(pass *Pass, fb funcBody) []Finding {
 	cfg := BuildCFG(pass.Info, fb.body)
 	var out []Finding
 
+	// Overwrite findings are recorded only by the Replay over the
+	// converged facts, so each assignment reports once.
+	report := false
 	transfer := func(blk *Block, in errFact) errFact {
 		f := in
 		if !f.valid {
@@ -160,7 +163,7 @@ func errflowFunc(pass *Pass, fb funcBody) []Finding {
 					if v == nil || !tracked[v] {
 						continue
 					}
-					if old, ok := f.m[v]; ok && mustUnchecked(old) {
+					if old, ok := f.m[v]; ok && report && mustUnchecked(old) {
 						out = append(out, pass.finding(id.Pos(), "errflow",
 							"this assignment overwrites the error assigned at line %d before anyone checked it",
 							pass.Fset.Position(old.pos).Line))
@@ -211,6 +214,8 @@ func errflowFunc(pass *Pass, fb funcBody) []Finding {
 		Equal:    efEqual,
 		Transfer: transfer,
 	})
+	report = true
+	Replay(cfg, facts, transfer)
 
 	if exit, ok := facts[cfg.Exit]; ok && exit.In.valid {
 		var leaks []*types.Var

@@ -121,6 +121,22 @@ func run(fallback bool) error {
 			wantSubstr: "overwrites",
 		},
 		{
+			name: "overwrite inside a loop body is reported once",
+			src: errflowPrelude + `
+func run(n int) {
+	var err error
+	_ = err
+	for i := 0; i < n; i++ {
+		err = step()
+		err = step()
+	}
+	_ = err
+}
+`,
+			want:       1, // the solver visits the body twice; the finding comes from the converged fact
+			wantSubstr: "overwrites the error assigned at line",
+		},
+		{
 			name: "checked then reassigned on the same branch is fine",
 			src: errflowPrelude + `
 func run(fallback bool) error {

@@ -241,6 +241,41 @@ func lockflowFunc(pass *Pass, fb funcBody, summaries map[*types.Func]map[string]
 	// canonOf caches per-key canonical names (from the first lock site).
 	canonOf := func(op lockOp) string { return lockCanonical(pass.Info, op.call) }
 
+	// acquire reports what taking op's lock in state f means: a definite
+	// double lock or read-to-write upgrade, and a lock-order edge from
+	// every other key held on every path.
+	acquire := func(op lockOp, f lockFact) {
+		bits := f.m[op.key]
+		switch {
+		case !mustHeld(bits):
+		case bits&lfWrite != 0 && op.op == "Lock":
+			out = append(out, pass.finding(op.pos, "lockflow",
+				"%s is already write-locked on every path reaching this Lock; this deadlocks", op.key))
+		case bits&lfWrite != 0:
+			out = append(out, pass.finding(op.pos, "lockflow",
+				"%s is write-locked on every path reaching this RLock; this deadlocks", op.key))
+		case bits&lfRead != 0 && op.op == "Lock":
+			out = append(out, pass.finding(op.pos, "lockflow",
+				"%s is read-locked on every path reaching this Lock; a read-to-write upgrade deadlocks", op.key))
+		}
+		acq := canonOf(op)
+		if acq == "" {
+			return
+		}
+		for key, held := range f.m {
+			if key != op.key && mustHeld(held) {
+				if hc, ok := firstLock[key]; ok {
+					if heldCanon := canonOf(hc); heldCanon != "" && heldCanon != acq {
+						*edges = append(*edges, lockOrderEdge{held: heldCanon, acquired: acq, pos: op.pos})
+					}
+				}
+			}
+		}
+	}
+
+	// Findings and lock-order edges are recorded only by the Replay over
+	// the converged facts, so each site reports once.
+	report := false
 	transfer := func(blk *Block, in lockFact) lockFact {
 		f := in
 		if !f.valid {
@@ -252,7 +287,7 @@ func lockflowFunc(pass *Pass, fb funcBody, summaries map[*types.Func]map[string]
 			// Same-package calls: lock-order edges via callee summaries.
 			for _, callee := range packageCalls(pass.Info, node) {
 				acq := summaries[callee.fn]
-				if len(acq) == 0 {
+				if !report || len(acq) == 0 {
 					continue
 				}
 				for key, bits := range f.m {
@@ -284,41 +319,13 @@ func lockflowFunc(pass *Pass, fb funcBody, summaries map[*types.Func]map[string]
 				case op.deferred:
 					// defer Lock: pathological; ignore.
 				case op.op == "Lock":
-					if mustHeld(bits) && bits&lfWrite != 0 {
-						out = append(out, pass.finding(op.pos, "lockflow",
-							"%s is already write-locked on every path reaching this Lock; this deadlocks", op.key))
-					} else if mustHeld(bits) && bits&lfRead != 0 {
-						out = append(out, pass.finding(op.pos, "lockflow",
-							"%s is read-locked on every path reaching this Lock; a read-to-write upgrade deadlocks", op.key))
-					}
-					// Direct lock-order edges from currently-held keys.
-					if acq := canonOf(op); acq != "" {
-						for key, held := range f.m {
-							if key != op.key && mustHeld(held) {
-								if hc, ok := firstLock[key]; ok {
-									if heldCanon := canonOf(hc); heldCanon != "" && heldCanon != acq {
-										*edges = append(*edges, lockOrderEdge{held: heldCanon, acquired: acq, pos: op.pos})
-									}
-								}
-							}
-						}
+					if report {
+						acquire(op, f)
 					}
 					f.m[op.key] = lfWrite | bits&(lfDeferW|lfDeferR)
 				case op.op == "RLock":
-					if mustHeld(bits) && bits&lfWrite != 0 {
-						out = append(out, pass.finding(op.pos, "lockflow",
-							"%s is write-locked on every path reaching this RLock; this deadlocks", op.key))
-					}
-					if acq := canonOf(op); acq != "" {
-						for key, held := range f.m {
-							if key != op.key && mustHeld(held) {
-								if hc, ok := firstLock[key]; ok {
-									if heldCanon := canonOf(hc); heldCanon != "" && heldCanon != acq {
-										*edges = append(*edges, lockOrderEdge{held: heldCanon, acquired: acq, pos: op.pos})
-									}
-								}
-							}
-						}
+					if report {
+						acquire(op, f)
 					}
 					f.m[op.key] = lfRead | bits&(lfDeferW|lfDeferR)
 				case op.op == "Unlock":
@@ -339,6 +346,8 @@ func lockflowFunc(pass *Pass, fb funcBody, summaries map[*types.Func]map[string]
 		Equal:    lfEqual,
 		Transfer: transfer,
 	})
+	report = true
+	Replay(cfg, facts, transfer)
 
 	if exit, ok := facts[cfg.Exit]; ok && exit.In.valid {
 		keys := make([]string, 0, len(exit.In.m))

@@ -91,6 +91,20 @@ func (s *store) bad(keys []string) {
 			wantSubstr: "may still be write-locked",
 		},
 		{
+			name: "finding inside a loop body is reported once",
+			src: lockflowPrelude + `
+func (s *store) bad(n int) {
+	s.rw.Lock()
+	for i := 0; i < n; i++ {
+		s.rw.RLock()
+	}
+	s.rw.Unlock()
+}
+`,
+			want:       1, // the solver visits the body twice; the finding comes from the converged fact
+			wantSubstr: "write-locked on every path reaching this RLock",
+		},
+		{
 			name: "read-to-write upgrade deadlocks",
 			src: lockflowPrelude + `
 func (s *store) bad() {

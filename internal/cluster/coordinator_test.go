@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -183,6 +184,74 @@ func TestClusterRouting(t *testing.T) {
 	}
 	if _, ok := tc.c.Route(rdf.Term{}, rdf.NewIRI("http://ex/p0"), rdf.Term{}); ok {
 		t.Fatal("unbound subject must not route")
+	}
+}
+
+// countingTransport counts match RPCs per node on their way to the
+// in-memory fabric.
+type countingTransport struct {
+	inner Transport
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (ct *countingTransport) Call(ctx context.Context, node string, req Message) (Message, error) {
+	if req.Type == MsgMatchReq {
+		ct.mu.Lock()
+		ct.calls[node]++
+		ct.mu.Unlock()
+	}
+	return ct.inner.Call(ctx, node, req)
+}
+
+func (ct *countingTransport) total() int {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	n := 0
+	for _, c := range ct.calls {
+		n += c
+	}
+	return n
+}
+
+// TestClusterRoutedReadBalance: four nodes in four RF=2 groups, 256
+// one-triple subjects. Every subject-bound Match is one RPC to one
+// replica, and no node serves more than 40% of the reads — which is what
+// lets four nodes serve >= 2.5x the reads of one. Routing and ring
+// balance are the only inputs; the fake clock never moves.
+func TestClusterRoutedReadBalance(t *testing.T) {
+	const nsubj = 256
+	ct := &countingTransport{calls: map[string]int{}}
+	tc := newTestCluster(t, func(c *Config) {
+		c.Groups = [][]string{{"m1", "m2"}, {"m2", "m3"}, {"m3", "m4"}, {"m4", "m1"}}
+		ct.inner = c.Transport
+		c.Transport = ct
+	})
+	ts := make([]rdf.Triple, nsubj)
+	for i := range ts {
+		ts[i] = rdf.NewTriple(rdf.NewIRI(testSubjectIRI(i)), rdf.NewIRI("http://ex/p0"), rdf.NewInteger(int64(i)))
+	}
+	if applied, err := tc.c.AddAll(context.Background(), ts); err != nil || len(applied) != nsubj {
+		t.Fatalf("preload: %d/%d applied: %v", len(applied), nsubj, err)
+	}
+	for i, tr := range ts {
+		before := ct.total()
+		if rows := tc.c.Match(tr.S, rdf.Term{}, rdf.Term{}); len(rows) != 1 {
+			t.Fatalf("subject %d: %d rows, want 1", i, len(rows))
+		}
+		if n := ct.total() - before; n != 1 {
+			t.Fatalf("subject %d: Match cost %d RPCs, want 1", i, n)
+		}
+	}
+	busiest := ""
+	for node, n := range ct.calls {
+		if busiest == "" || n > ct.calls[busiest] {
+			busiest = node
+		}
+	}
+	t.Logf("match RPCs per node: %v", ct.calls)
+	if share := float64(ct.calls[busiest]) / nsubj; share > 0.40 {
+		t.Fatalf("busiest node %s serves %.0f%% of routed reads, ceiling is 40%%", busiest, 100*share)
 	}
 }
 

@@ -170,3 +170,39 @@ func TestSpatialJoinOracle(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSpatialJoin times the oracle queries on the per-row filter
+// path (off) and on the planner-selected spatial join (auto); which
+// strategies run and that they agree is TestSpatialJoinOracle's job.
+func BenchmarkSpatialJoin(b *testing.B) {
+	sys, err := NewStrabonSystem(NewWorkload(200, 11))
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := sys.Store()
+	defer st.Close()
+	var queries []*sparql.Query
+	for _, qs := range oracleQueries() {
+		q, err := sparql.Parse(qs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	for _, mode := range []string{sparql.SpatialJoinOff, sparql.SpatialJoinAuto} {
+		b.Run(mode, func(b *testing.B) {
+			if err := sparql.SetSpatialJoin(mode); err != nil {
+				b.Fatal(err)
+			}
+			defer sparql.SetSpatialJoin("")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					if _, err := q.Eval(st); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

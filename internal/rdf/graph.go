@@ -18,8 +18,8 @@ import (
 // fine once loading is complete.
 //
 // Valid time is kept the way every persisted form keeps it (segment
-// runs, the WAL, .astr images): nanoseconds since 1970 plus a has-valid
-// -time bit, read back in UTC.
+// runs, the WAL): nanoseconds since 1970 plus a has-valid-time bit,
+// read back in UTC.
 type Graph struct {
 	ids   map[Term]uint32 // term -> id
 	terms []Term          // id -> term, in first-use order

@@ -14,8 +14,7 @@ import (
 // bounds-checked against the buffer it reads from: the formats are
 // opened on files that crashed mid-write or were corrupted at rest, so
 // a decoder must fail with an error — never panic, never allocate
-// proportionally to a declared-but-absent payload (the same contract
-// strabon.Load already enforces for store images).
+// proportionally to a declared-but-absent payload.
 const (
 	// maxStringLen caps a single encoded string (term value, datatype,
 	// language tag).

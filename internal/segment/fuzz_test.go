@@ -11,8 +11,8 @@ import (
 
 // Fuzz targets for the two decoders that open hostile files: run
 // images (FuzzSegmentOpen) and write-ahead logs (FuzzWALReplay). The
-// invariant under fuzz is the same as strabon.Load's: corrupt input
-// must produce an error (or, for the WAL, a shorter committed prefix)
+// invariant under fuzz is codec.go's contract: corrupt input must
+// produce an error (or, for the WAL, a shorter committed prefix)
 // — never a panic, never an allocation proportional to a declared but
 // absent payload. Seeds are real encodings plus deterministic
 // truncations and bit-flips from the faults injector.

@@ -228,7 +228,7 @@ func decodeWALPayload(payload []byte) (walOp, error) {
 		return walOp{}, errCorrupt
 	}
 	// Preallocation capped: the declared count only sizes the slice up
-	// to a bound, real decodes grow it (strabon.Load's rule).
+	// to a bound, real decodes grow it.
 	hint := count
 	if hint > 1<<14 {
 		hint = 1 << 14

@@ -99,8 +99,8 @@ type execCtx struct {
 // budgetCheckInterval is how many rows an operator loop may process
 // between cancellation/budget checkpoints. Small enough that an
 // over-budget or cancelled query stops within one interval, large
-// enough that the per-row cost is one local increment (the
-// applab-bench budget mode holds the Engine_BGPJoin overhead < 5%).
+// enough that the per-row cost is one local increment (the budgeted
+// row of TestBGPJoinBytesCeiling allows no per-row allocation).
 const budgetCheckInterval = 64
 
 // tick is the per-row checkpoint every operator loop calls (the

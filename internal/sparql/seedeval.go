@@ -13,8 +13,7 @@ import (
 // modifiers included. The compiled slot engine (plan.go, join.go,
 // slots.go, modifiers.go) replaced it behind Eval; the seed path stays as
 // the differential-testing oracle (see engine_equiv_test.go) and as the
-// baseline for the BenchmarkEngine_* comparisons recorded in
-// BENCH_PR3.json. The two share only leaf semantics (applyBinary,
+// baseline of the BenchmarkEngine_*Seed benchmarks. The two share only leaf semantics (applyBinary,
 // applyCall, compareTerms, foldAggregate).
 
 // EvalSeed parses and evaluates a query with the original map-based
