@@ -1,7 +1,7 @@
 GO ?= go
 
 # Packages exercised under the race detector: the concurrent query stack
-# (sharded store, OPeNDAP caches, federation fan-out, interlinking) plus
+# (store, OPeNDAP caches, federation fan-out, interlinking) plus
 # the fault-injection harness, the SPARQL HTTP transport it exercises,
 # the segment storage engine (concurrent readers vs writer/flush), the
 # spatial core (parallel join probes, bounded geometry cache), the result
@@ -13,7 +13,7 @@ RACE_PKGS = ./internal/rdf/ ./internal/sparql/ ./internal/strabon/ ./internal/op
 
 # End-to-end suites: the golden two-workflow test over live loopback
 # servers plus the cmd-level boot/query/shutdown tests.
-E2E_PKGS = ./internal/e2e/ ./cmd/strabon/ ./cmd/opendapd/
+E2E_PKGS = ./internal/e2e/ ./cmd/strabon/ ./cmd/opendapd/ ./cmd/obda/
 
 .PHONY: all build test lint race fmt vet fuzz bench bench-e2e e2e ci
 

@@ -41,7 +41,7 @@ func main() {
 		{"e4", "GeoTriples sequential vs parallel mapping processor ([22])", func() error { return runE4(cfg) }},
 		{"e5", "Strabon indexed spatio-temporal queries vs naive scan ([6,15])", func() error { return runE5(cfg) }},
 		{"e6", "index-aligned tile cache vs exact-request cache (mobile viewport, §5)", func() error { return runE6(cfg) }},
-		{"e7", "interlinking: grid blocking + multi-core vs naive ([25])", func() error { return runE7(cfg) }},
+		{"e7", "interlinking: cell-index blocking + multi-core vs naive ([25])", func() error { return runE7(cfg) }},
 		{"f1", "Figure 1: both workflows wired end-to-end", runF1},
 		{"f2", "Figure 2: the LAI ontology (Turtle)", runF2},
 		{"f3", "Figure 3: the GADM ontology (Turtle)", runF3},

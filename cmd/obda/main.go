@@ -11,17 +11,22 @@
 //	     -serve :7861 -result-cache 256 -cache-ttl 10m       # SPARQL endpoint
 //	obda -mapping listing2.obda -opendap http://localhost:8080 \
 //	     -serve :7861 -promote-after 3                       # adaptive materialization
+//
+// The endpoint and the metrics server drain in-flight requests for
+// endpoint.DefaultDrain on SIGINT/SIGTERM.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"applab/internal/admission"
@@ -35,75 +40,108 @@ import (
 	"applab/internal/telemetry"
 )
 
+// errUsage marks a bad invocation (usage already printed by the FlagSet).
+var errUsage = errors.New("usage")
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("obda: ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], nil); err != nil {
+		if errors.Is(err, errUsage) || errors.Is(err, flag.ErrHelp) {
+			os.Exit(2)
+		}
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command, factored out of main so tests can drive it:
+// ctx cancellation triggers graceful shutdown of the servers, and ready
+// (when non-nil) receives each listener's name and bound address.
+func run(ctx context.Context, args []string, ready func(name, addr string)) (err error) {
+	fs := flag.NewFlagSet("obda", flag.ContinueOnError)
 	var (
-		mappingPath = flag.String("mapping", "", "mapping file (Ontop native syntax)")
-		opendapURL  = flag.String("opendap", "", "OPeNDAP server base URL for the opendap virtual table")
-		query       = flag.String("query", "", "GeoSPARQL query")
-		serve       = flag.String("serve", "", "address to serve a SPARQL endpoint over the virtual graph on (e.g. :7861)")
+		mappingPath = fs.String("mapping", "", "mapping file (Ontop native syntax)")
+		opendapURL  = fs.String("opendap", "", "OPeNDAP server base URL for the opendap virtual table")
+		query       = fs.String("query", "", "GeoSPARQL query")
+		serve       = fs.String("serve", "", "address to serve a SPARQL endpoint over the virtual graph on (e.g. :7861)")
 
-		resultCache     = flag.Int("result-cache", 0, "plan-keyed result cache capacity in entries for -serve (0 disables); cache hits skip mapping execution entirely")
-		cacheTTL        = flag.Duration("cache-ttl", 0, "result-cache entry lifetime; match the mapping's cache window (e.g. 10m for Listing 2) so upstream changes inside the window stay invisible for exactly as long as the window cache would hide them anyway")
-		cacheBytes      = flag.Int64("cache-bytes", 0, "result-cache byte budget; entry cost is the encoded answer size (0 = entry-count bound only)")
-		promoteAfter    = flag.Int("promote-after", 0, "adaptive materialization: promote the virtual view into a local store after this many uses per opendap region (0 disables; requires -opendap)")
-		revalidateEvery = flag.Duration("revalidate-every", time.Minute, "how often a promoted region's upstream content stamp is rechecked; drift demotes back to the virtual path")
+		resultCache     = fs.Int("result-cache", 0, "plan-keyed result cache capacity in entries for -serve (0 disables); cache hits skip mapping execution entirely")
+		cacheTTL        = fs.Duration("cache-ttl", 0, "result-cache entry lifetime; match the mapping's cache window (e.g. 10m for Listing 2) so upstream changes inside the window stay invisible for exactly as long as the window cache would hide them anyway")
+		cacheBytes      = fs.Int64("cache-bytes", 0, "result-cache byte budget; entry cost is the encoded answer size (0 = entry-count bound only)")
+		promoteAfter    = fs.Int("promote-after", 0, "adaptive materialization: promote the virtual view into a local store after this many uses per opendap region (0 disables; requires -opendap)")
+		revalidateEvery = fs.Duration("revalidate-every", time.Minute, "how often a promoted region's upstream content stamp is rechecked; drift demotes back to the virtual path")
 
-		timeout  = flag.Duration("timeout", 30*time.Second, "per-request OPeNDAP deadline (0 disables)")
-		retries  = flag.Int("retries", 3, "max OPeNDAP retries after the first attempt (idempotent GETs only)")
-		brkFails = flag.Int("breaker-failures", 5, "consecutive OPeNDAP failures before the circuit opens (0 disables the breaker)")
-		brkCool  = flag.Duration("breaker-cooldown", 10*time.Second, "how long an open circuit waits before a half-open probe")
-		staleOK  = flag.Bool("serve-stale", false, "serve stale cached OPeNDAP windows when the upstream is down")
+		timeout  = fs.Duration("timeout", 30*time.Second, "per-request OPeNDAP deadline (0 disables)")
+		retries  = fs.Int("retries", 3, "max OPeNDAP retries after the first attempt (idempotent GETs only)")
+		brkFails = fs.Int("breaker-failures", 5, "consecutive OPeNDAP failures before the circuit opens (0 disables the breaker)")
+		brkCool  = fs.Duration("breaker-cooldown", 10*time.Second, "how long an open circuit waits before a half-open probe")
+		staleOK  = fs.Bool("serve-stale", false, "serve stale cached OPeNDAP windows when the upstream is down")
 
-		queryWorkers      = flag.Int("query-workers", 0, "SPARQL evaluator worker pool size (0 = GOMAXPROCS; capped at GOMAXPROCS; parallel execution stays off for remote-backed sources)")
-		parallelThreshold = flag.Int("parallel-threshold", 0, "minimum intermediate solutions before the evaluator parallelizes a stage (0 = default)")
-		spatialJoin       = flag.String("spatial-join", "auto", "spatial-join strategy: auto, off, inl, cells, store")
-		spatialCells      = flag.Int("spatial-cells", 0, "Hilbert grid order for the cells strategy (2^order cells per side; 0 = default)")
+		queryWorkers      = fs.Int("query-workers", 0, "SPARQL evaluator worker pool size (0 = GOMAXPROCS; capped at GOMAXPROCS; parallel execution stays off for remote-backed sources)")
+		parallelThreshold = fs.Int("parallel-threshold", 0, "minimum intermediate solutions before the evaluator parallelizes a stage (0 = default)")
+		spatialJoin       = fs.String("spatial-join", "auto", "spatial-join strategy: auto, off, inl, cells, store")
+		spatialCells      = fs.Int("spatial-cells", 0, "Hilbert grid order for the cells strategy (2^order cells per side; 0 = default)")
 
-		queryDeadline   = flag.Duration("query-deadline", 0, "wall-clock budget for the query, including mapping execution (0 disables)")
-		maxRows         = flag.Int("max-rows", 0, "cap on final result rows (0 disables)")
-		maxIntermediate = flag.Int("max-intermediate", 0, "cap on intermediate solution rows examined (0 disables)")
+		queryDeadline   = fs.Duration("query-deadline", 0, "wall-clock budget for the query, including mapping execution (0 disables)")
+		maxRows         = fs.Int("max-rows", 0, "cap on final result rows (0 disables)")
+		maxIntermediate = fs.Int("max-intermediate", 0, "cap on intermediate solution rows examined (0 disables)")
 
-		metricsAddr = flag.String("metrics-addr", "", "address to serve /metrics and /debug/applab on while the query runs; the final Prometheus text is also dumped to stderr")
+		metricsAddr = fs.String("metrics-addr", "", "address to serve /metrics and /debug/applab on while the query runs; the final Prometheus text is also dumped to stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	sparql.SetQueryWorkers(*queryWorkers)
 	sparql.SetParallelThreshold(*parallelThreshold)
 	if err := sparql.SetSpatialJoin(*spatialJoin); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sparql.SetSpatialCells(*spatialCells)
 	if *mappingPath == "" || (*query == "" && *serve == "") {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errUsage
 	}
 	if *promoteAfter > 0 && *opendapURL == "" {
-		log.Fatal("-promote-after requires -opendap (promotion tracks opendap virtual-table regions)")
+		return errors.New("-promote-after requires -opendap (promotion tracks opendap virtual-table regions)")
 	}
 
 	reg := telemetry.NewRegistry()
 	sparql.SetMetrics(reg)
 	geosparql.SetMetrics(reg)
+	// A one-shot query returns with the metrics server still up; the
+	// cancel on return shuts it down, and run waits for its drain.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			log.Fatal(err)
+		// lerr, not err: the deferred drain below must see run's result.
+		mln, lerr := net.Listen("tcp", *metricsAddr)
+		if lerr != nil {
+			return lerr
 		}
-		log.Printf("metrics on http://%s/metrics (JSON at /debug/applab)", ln.Addr())
-		//lint:ignore goleak reason: metrics server lives for the one-shot process; the OS reaps it at exit
-		go func() {
-			http.Serve(ln, telemetry.NewHandler(reg))
+		if ready != nil {
+			ready("metrics", mln.Addr().String())
+		}
+		log.Printf("metrics on http://%s/metrics (JSON at /debug/applab)", mln.Addr())
+		msrv := endpoint.NewServer(telemetry.NewHandler(reg))
+		metricsDone := make(chan error, 1)
+		go func() { metricsDone <- endpoint.ServeGraceful(ctx, msrv, mln, endpoint.DefaultDrain, nil) }()
+		defer func() {
+			cancel()
+			if merr := <-metricsDone; err == nil {
+				err = merr
+			}
 		}()
 	}
 
 	doc, err := os.ReadFile(*mappingPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	mappings, err := obda.ParseMappings(string(doc))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	db := madis.NewDB()
@@ -142,7 +180,10 @@ func main() {
 	if *serve != "" {
 		ln, err := net.Listen("tcp", *serve)
 		if err != nil {
-			log.Fatal(err)
+			return err
+		}
+		if ready != nil {
+			ready("sparql", ln.Addr().String())
 		}
 		opts := endpoint.Options{Limits: limits}
 		if *resultCache > 0 {
@@ -156,28 +197,26 @@ func main() {
 			}
 		}
 		log.Printf("serving SPARQL endpoint on %s/sparql", ln.Addr())
-		if err := http.Serve(ln, endpoint.NewHandlerOpts(src, reg, opts)); err != nil {
-			log.Fatal(err)
-		}
-		return
+		srv := endpoint.NewServer(endpoint.NewHandlerOpts(src, reg, opts))
+		return endpoint.ServeGraceful(ctx, srv, ln, endpoint.DefaultDrain, nil)
 	}
 
-	ctx := context.Background()
+	qctx := ctx
 	if limits.Enabled() {
 		budget := admission.NewBudget(limits, reg)
 		var stopDeadline context.CancelFunc
-		ctx = admission.WithBudget(ctx, budget)
-		ctx, stopDeadline = budget.StartDeadline(ctx, nil)
+		qctx = admission.WithBudget(qctx, budget)
+		qctx, stopDeadline = budget.StartDeadline(qctx, nil)
 		defer stopDeadline()
 	}
 	var res *sparql.Results
 	if ag != nil {
-		res, err = ag.QueryContext(ctx, *query)
+		res, err = ag.QueryContext(qctx, *query)
 	} else {
-		res, err = vg.QueryContext(ctx, *query)
+		res, err = vg.QueryContext(qctx, *query)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println(strings.Join(res.Vars, "\t"))
 	for _, b := range res.Bindings {
@@ -193,4 +232,5 @@ func main() {
 	if *metricsAddr != "" {
 		fmt.Fprint(os.Stderr, reg.RenderText())
 	}
+	return nil
 }

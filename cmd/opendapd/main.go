@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 		latency     = fs.Duration("latency", 0, "simulated per-request latency")
 		tokens      = fs.String("tokens", "", "comma-separated user:token pairs; enables data access control")
 		metricsAddr = fs.String("metrics-addr", "", "address to serve /metrics (Prometheus text) and /debug/applab (JSON) on")
-		drain       = fs.Duration("drain", 5*time.Second, "how long in-flight requests may drain on shutdown (0 waits forever)")
+		drain       = fs.Duration("drain", endpoint.DefaultDrain, "how long in-flight requests may drain on shutdown (0 waits forever)")
 
 		maxInflight  = fs.Int("max-inflight", 0, "max concurrent DAP requests (0 disables admission control)")
 		maxQueue     = fs.Int("max-queue", 0, "max requests waiting for a slot; beyond this requests are shed with 503")

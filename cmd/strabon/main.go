@@ -70,7 +70,6 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 		query    = fs.String("query", "", "GeoSPARQL query to answer")
 		serve    = fs.String("serve", "", "address to serve a SPARQL endpoint on (e.g. :7860)")
 		federate = fs.String("federate", "", "comma-separated remote SPARQL endpoints to federate with")
-		shards   = fs.Int("shards", 1, "number of store shards (>1 enables the partitioned store)")
 
 		dataDir    = fs.String("data-dir", "", "directory for the disk-backed segment store (empty = in-memory); boots from segment footers, no dataset replay")
 		flushEvery = fs.Int("flush-every", 0, "memtable triples per segment flush (0 = engine default, <0 disables auto-flush)")
@@ -105,7 +104,7 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 		maxFanout       = fs.Int("max-fanout", 0, "per-query cap on federation member requests (0 disables)")
 
 		metricsAddr = fs.String("metrics-addr", "", "address to serve /metrics (Prometheus text) and /debug/applab (JSON) on")
-		drain       = fs.Duration("drain", 5*time.Second, "how long in-flight queries may drain on shutdown (0 waits forever)")
+		drain       = fs.Duration("drain", endpoint.DefaultDrain, "how long in-flight queries may drain on shutdown (0 waits forever)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -166,15 +165,6 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 		count = func() int { return loaded }
 		registerStore = func(*telemetry.Registry) {}
 		closeStore = func() error { tr.Close(); return nil }
-	case *shards > 1 && *dataDir != "":
-		st, err := strabon.OpenSharded(*dataDir, *shards, segOpts)
-		if err != nil {
-			return err
-		}
-		src, load, count, registerStore, closeStore = st, st.AddAll, st.Len, st.RegisterMetrics, st.Close
-	case *shards > 1:
-		st := strabon.NewSharded(*shards)
-		src, load, count, registerStore, closeStore = st, st.AddAll, st.Len, st.RegisterMetrics, st.Close
 	case *dataDir != "":
 		st, err := strabon.Open(*dataDir, segOpts)
 		if err != nil {

@@ -8,8 +8,8 @@ import (
 // sharedmapChecker flags writes to map-typed struct fields on types that
 // participate in goroutine fan-out but carry no guarding mutex in the
 // struct. Concurrent map writes crash the runtime outright; this is the
-// sharded-store / federation failure mode (owner tables, capability
-// caches, usage counters) that only shows up under production load.
+// fan-out failure mode (routing tables, capability caches, usage
+// counters) that only shows up under production load.
 //
 // A type "participates in goroutine fan-out" when one of its methods
 // spawns a goroutine, or a value of the type is captured inside a

@@ -48,7 +48,7 @@ func instrument(r *Registry) {
 			src: telemetryStub + `
 func shards(r *Registry, n int) {
 	for i := 0; i < n; i++ {
-		r.Gauge("strabon_shard_triples", "shard", string(rune('0'+i)))
+		r.Gauge("cluster_shard_triples", "shard", string(rune('0'+i)))
 	}
 }
 `,

@@ -1,9 +1,10 @@
-// Package cluster promotes the in-process ShardedStore to a replicated
-// multi-node serving layer: consistent-hash placement of triples across
-// replica groups, node processes answering shard RPCs over a versioned
-// wire protocol, and a coordinator that pushes per-shard BGP fragments
-// through the query engine's exchange operator, hedging slow replicas
-// and degrading to partial answers when a whole replica group is down.
+// Package cluster is the one partitioned deployment of the store, a
+// replicated multi-node serving layer: consistent-hash placement of
+// triples across replica groups, node processes answering shard RPCs
+// over a versioned wire protocol, and a coordinator that pushes
+// per-shard BGP fragments through the query engine's exchange operator,
+// hedging slow replicas and degrading to partial answers when a whole
+// replica group is down.
 //
 // The wire protocol is deliberately tiny: one frame shape, a dozen
 // message types, and triple batches carried as the segment engine's

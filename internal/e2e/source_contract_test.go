@@ -67,8 +67,6 @@ func TestSourcesHandOutCallerOwnedSlices(t *testing.T) {
 	store.AddAll(data)
 	naive := strabon.NewNaive()
 	naive.AddAll(data)
-	sharded := strabon.NewSharded(3)
-	sharded.AddAll(data)
 
 	db := madis.NewDB()
 	table := &madis.Table{Name: "things", Cols: []string{"id", "name"}}
@@ -117,7 +115,6 @@ source		SELECT id, name FROM things
 		"segment.Engine (mem)":  mem,
 		"strabon.Store":         store,
 		"strabon.NaiveStore":    naive,
-		"strabon.ShardedStore":  sharded,
 		"obda.VirtualGraph":     virtual,
 		"obda.AdaptiveGraph":    adaptive,
 		"endpoint.RemoteSource": remote,

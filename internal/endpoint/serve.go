@@ -21,11 +21,15 @@ const (
 	DefaultWriteTimeout = 2 * time.Minute
 	// DefaultIdleTimeout reaps idle keep-alive connections.
 	DefaultIdleTimeout = 2 * time.Minute
+	// DefaultDrain is how long in-flight requests may finish after
+	// shutdown starts: the default of the daemons' -drain flag, and
+	// cmd/obda's fixed drain.
+	DefaultDrain = 5 * time.Second
 )
 
 // NewServer returns an *http.Server for h hardened with the slow-loris
-// timeouts above. All daemons (cmd/strabon, cmd/opendapd, cmd/obda's
-// metrics listener) build their servers through it.
+// timeouts above. All daemons (cmd/strabon, cmd/opendapd, cmd/obda)
+// build every listener's server through it.
 func NewServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
@@ -42,7 +46,7 @@ func NewServer(h http.Handler) *http.Server {
 // (time.After when nil), so the deadline is testable with a fake clock;
 // drain <= 0 waits for in-flight requests indefinitely.
 //
-// The daemons (cmd/strabon, cmd/opendapd) pair this with
+// The daemons (cmd/strabon, cmd/opendapd, cmd/obda) pair this with
 // signal.NotifyContext so SIGINT/SIGTERM drains queries instead of
 // dropping them mid-response.
 //

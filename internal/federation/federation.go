@@ -96,10 +96,6 @@ type Federation struct {
 	// deadline and demotion behaviour is testable without real sleeps.
 	Now   func() time.Time
 	After func(time.Duration) <-chan time.Time
-	// OnResult, when set, observes every member outcome as the fan-out
-	// collector processes it — an observability hook for metrics and for
-	// deterministic sequencing in tests.
-	OnResult func(MemberResult)
 	// Metrics, when set, records fan-out counts, per-member latency,
 	// failures and demotions in the registry (see metrics.go).
 	Metrics *telemetry.Registry
@@ -441,12 +437,6 @@ collect:
 	f.mu.Unlock()
 	f.noteFanout(rep.Partial)
 
-	if f.OnResult != nil {
-		for _, mr := range rep.Results {
-			f.OnResult(mr)
-		}
-	}
-
 	// Union with dedup, deterministic order (member order then local).
 	type contribution struct {
 		idx     int
@@ -685,6 +675,14 @@ func (f *Federation) QueryPartialContext(ctx context.Context, q string) (*sparql
 	return res, &qr, err
 }
 
+// EvalPartialContext implements endpoint.PartialEvaluator, so a served
+// federation marks an answer missing a member X-Applab-Partial and keeps
+// it out of the endpoint's result cache.
+func (f *Federation) EvalPartialContext(ctx context.Context, q string) (*sparql.Results, bool, error) {
+	res, rep, err := f.QueryPartialContext(ctx, q)
+	return res, rep.Partial, err
+}
+
 // DataEpoch implements rescache.Epocher by summing the members' epochs.
 // Members without an epoch (remote endpoints) contribute nothing — their
 // changes are invisible here, so federations with such members should
@@ -726,10 +724,4 @@ func (f *Federation) ForgetCapabilities() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.capable = map[string][]int{}
-}
-
-// ResetHealth clears demotion state and failure counters (e.g. after an
-// operator fixes a member).
-func (f *Federation) ResetHealth() {
-	f.health.Reset()
 }

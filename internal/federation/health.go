@@ -118,10 +118,3 @@ func (h *HealthTracker) Status(name string) (consecFails int, demoted bool) {
 	}
 	return st.consecFails, st.demoted
 }
-
-// Reset clears all health state (e.g. after an operator intervention).
-func (h *HealthTracker) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.m = map[string]*memberHealth{}
-}

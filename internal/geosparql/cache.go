@@ -18,8 +18,8 @@ import (
 // survives rotation while abandoned literals age out after two
 // generations. Live entries never exceed the cap.
 
-// DefaultGeometryCacheCap bounds the parsed-geometry cache when
-// SetGeometryCacheCap has not been called.
+// DefaultGeometryCacheCap bounds the parsed-geometry cache (tests swap
+// in smaller caps through setGeometryCacheCap).
 const DefaultGeometryCacheCap = 8192
 
 type boundedGeomCache struct {
@@ -107,13 +107,6 @@ func activeGeomCache() *boundedGeomCache {
 		return c
 	}
 	return geomCache.Load()
-}
-
-// SetGeometryCacheCap replaces the parsed-geometry cache with an empty
-// one bounded to n live entries; n <= 0 restores the default cap. Safe
-// for concurrent use (in-flight lookups finish against the old cache).
-func SetGeometryCacheCap(n int) {
-	geomCache.Store(newBoundedGeomCache(n))
 }
 
 // GeometryCacheStats reports the live entry count and approximate

@@ -10,12 +10,19 @@ import (
 	"applab/internal/telemetry"
 )
 
+// setGeometryCacheCap replaces the parsed-geometry cache with an empty
+// one bounded to n live entries; n <= 0 restores the default cap.
+// In-flight lookups finish against the old cache.
+func setGeometryCacheCap(n int) {
+	geomCache.Store(newBoundedGeomCache(n))
+}
+
 // TestGeometryCacheBounded is the churn regression the unbounded
 // sync.Map failed: stream far more distinct WKT literals through the
 // parser than the cap and check the live entry count stays bounded.
 func TestGeometryCacheBounded(t *testing.T) {
-	SetGeometryCacheCap(64)
-	t.Cleanup(func() { SetGeometryCacheCap(0) })
+	setGeometryCacheCap(64)
+	t.Cleanup(func() { setGeometryCacheCap(0) })
 	for i := 0; i < 10000; i++ {
 		w := rdf.NewWKT(fmt.Sprintf("POINT (%d %d)", i%500, i/500))
 		if _, err := ParseGeometryTerm(w); err != nil {
@@ -34,8 +41,8 @@ func TestGeometryCacheBounded(t *testing.T) {
 // TestGeometryCachePromotion: entries hit in the previous generation
 // survive rotation instead of being dropped with their arena.
 func TestGeometryCachePromotion(t *testing.T) {
-	SetGeometryCacheCap(8) // generations of 4
-	t.Cleanup(func() { SetGeometryCacheCap(0) })
+	setGeometryCacheCap(8) // generations of 4
+	t.Cleanup(func() { setGeometryCacheCap(0) })
 	hot := rdf.NewWKT("POINT (1 1)")
 	if _, err := ParseGeometryTerm(hot); err != nil {
 		t.Fatal(err)
@@ -64,8 +71,8 @@ func TestGeometryCachePromotion(t *testing.T) {
 // TestGeometryCacheConcurrent hammers the cache from many goroutines
 // with overlapping keys; run under -race this pins the locking.
 func TestGeometryCacheConcurrent(t *testing.T) {
-	SetGeometryCacheCap(32)
-	t.Cleanup(func() { SetGeometryCacheCap(0) })
+	setGeometryCacheCap(32)
+	t.Cleanup(func() { setGeometryCacheCap(0) })
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -89,8 +96,8 @@ func TestGeometryCacheConcurrent(t *testing.T) {
 // TestGeometryCacheSemantics: cached geometries behave identically to
 // freshly parsed ones, and non-literals / bad WKT still error.
 func TestGeometryCacheSemantics(t *testing.T) {
-	SetGeometryCacheCap(16)
-	t.Cleanup(func() { SetGeometryCacheCap(0) })
+	setGeometryCacheCap(16)
+	t.Cleanup(func() { setGeometryCacheCap(0) })
 	w := rdf.NewWKT("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))")
 	first, err := ParseGeometryTerm(w)
 	if err != nil {
@@ -120,10 +127,10 @@ func TestGeometryCacheSemantics(t *testing.T) {
 func TestArenaBytesGauge(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	SetMetrics(reg)
-	SetGeometryCacheCap(16)
+	setGeometryCacheCap(16)
 	t.Cleanup(func() {
 		SetMetrics(nil)
-		SetGeometryCacheCap(0)
+		setGeometryCacheCap(0)
 	})
 	if _, err := ParseGeometryTerm(rdf.NewWKT("POINT (3 4)")); err != nil {
 		t.Fatal(err)

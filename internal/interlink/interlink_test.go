@@ -2,6 +2,7 @@ package interlink
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,57 @@ func ent(id string, g geom.Geometry) Entity {
 	return Entity{ID: rdf.NewIRI("http://ex.org/" + id), Geom: g}
 }
 
+// assertMatchesNaive checks Discover against DiscoverNaive for
+// geom.Intersects, order-exactly, at workers {1, 4}.
+func assertMatchesNaive(t *testing.T, label string, src, dst []Entity) {
+	t.Helper()
+	naive := DiscoverNaive(src, dst, geom.Intersects, rdf.NSGeo+"sfIntersects")
+	for _, workers := range []int{1, 4} {
+		l := &SpatialLinker{Relation: geom.Intersects, Predicate: rdf.NSGeo + "sfIntersects", Workers: workers}
+		got := l.Discover(src, dst)
+		if len(got) != len(naive) {
+			t.Fatalf("%s, workers=%d: %d links, naive %d", label, workers, len(got), len(naive))
+		}
+		for i := range got {
+			if got[i] != naive[i] {
+				t.Fatalf("%s, workers=%d: link %d differs: %+v vs %+v", label, workers, i, got[i], naive[i])
+			}
+		}
+	}
+}
+
+// randomEntities draws n entities on a half-unit lattice, so shared
+// edges, corners and coincident points are common: points, rectangles,
+// slivers, segments and the odd extent-spanning rectangle. About one in
+// five repeats an earlier entity's ID with a second geometry, the shape
+// EntitiesFromGraph emits for a subject with two geo:hasGeometry.
+func randomEntities(r *rand.Rand, prefix string, n int) []Entity {
+	coord := func() float64 { return float64(r.Intn(41)) / 2 }
+	var out []Entity
+	for i := 0; i < n; i++ {
+		id := rdf.NewIRI(fmt.Sprintf("http://ex.org/%s%d", prefix, i))
+		if i > 0 && r.Intn(5) == 0 {
+			id = out[r.Intn(len(out))].ID
+		}
+		x, y := coord(), coord()
+		var g geom.Geometry
+		switch k := r.Intn(20); {
+		case k < 5:
+			g = geom.NewPoint(x, y)
+		case k < 11:
+			g = geom.NewRect(x, y, x+0.5+coord()/4, y+0.5+coord()/4)
+		case k < 13:
+			g = geom.NewRect(x, y, x+0.5+coord(), y+1e-6)
+		case k < 19:
+			g = &geom.LineString{Points: []geom.Point{{X: x, Y: y}, {X: coord(), Y: coord()}}}
+		default:
+			g = geom.NewRect(-5, -5, 25, 25)
+		}
+		out = append(out, Entity{ID: id, Geom: g})
+	}
+	return out
+}
+
 func TestSpatialLinkerMatchesNaive(t *testing.T) {
 	parks := workload.OSMParks(workload.VectorOptions{Extent: workload.ParisExtent, N: 60, Seed: 3})
 	clc := workload.CorineLandCover(workload.VectorOptions{Extent: workload.ParisExtent, N: 80, Seed: 4})
@@ -25,32 +77,49 @@ func TestSpatialLinkerMatchesNaive(t *testing.T) {
 	for _, f := range clc {
 		dst = append(dst, ent("clc/"+f.ID, f.Geom))
 	}
-	naive := DiscoverNaive(src, dst, geom.Intersects, rdf.NSGeo+"sfIntersects")
-	if len(naive) == 0 {
+	if len(DiscoverNaive(src, dst, geom.Intersects, "p")) == 0 {
 		t.Fatal("naive discovery found nothing; bad workload")
 	}
-	for _, workers := range []int{1, 4} {
-		l := &SpatialLinker{Relation: geom.Intersects, Predicate: rdf.NSGeo + "sfIntersects", Workers: workers}
-		got := l.Discover(src, dst)
-		if len(got) != len(naive) {
-			t.Fatalf("workers=%d: %d links, naive %d", workers, len(got), len(naive))
+	assertMatchesNaive(t, "paris", src, dst)
+
+	// One ID, two geometries: the first shares blocking cells with b but
+	// misses it, the second intersects it; then both intersect it. Every
+	// geometry pair is verified, so the links are naive's — the link via
+	// the second geometry included, and one link per intersecting pair.
+	b := []Entity{ent("b", geom.NewRect(1.05, 1.05, 5.5, 5.5))}
+	assertMatchesNaive(t, "second geometry hits", []Entity{
+		ent("a", geom.NewRect(0, 0, 1, 1)),
+		ent("a", geom.NewRect(5, 5, 6, 6)),
+	}, b)
+	assertMatchesNaive(t, "both geometries hit", []Entity{
+		ent("a", geom.NewRect(1, 1, 2, 2)),
+		ent("a", geom.NewRect(5, 5, 6, 6)),
+	}, b)
+
+	for seed := int64(1); seed <= 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		src := randomEntities(r, "s", 1+r.Intn(30))
+		var dst []Entity
+		switch r.Intn(4) {
+		case 0: // self-join: every entity also meets itself
+			dst = src
+		case 1: // overlapping sets
+			dst = append(src[:len(src)/2:len(src)/2], randomEntities(r, "d", 1+r.Intn(30))...)
+		default:
+			dst = randomEntities(r, "d", 1+r.Intn(30))
 		}
-		for i := range got {
-			if got[i] != naive[i] {
-				t.Fatalf("workers=%d: link %d differs: %+v vs %+v", workers, i, got[i], naive[i])
-			}
-		}
+		assertMatchesNaive(t, fmt.Sprintf("seed %d", seed), src, dst)
 	}
 }
 
-func TestSpatialLinkerExplicitCellSize(t *testing.T) {
+func TestSpatialLinkerRectangles(t *testing.T) {
 	a := []Entity{ent("a", geom.NewRect(0, 0, 1, 1))}
 	b := []Entity{
 		ent("b1", geom.NewRect(0.5, 0.5, 2, 2)), // intersects
 		ent("b2", geom.NewRect(10, 10, 11, 11)), // disjoint
 		ent("b3", geom.NewRect(0.9, 0.9, 5, 5)), // intersects
 	}
-	l := &SpatialLinker{Relation: geom.Intersects, Predicate: "p", CellSize: 0.5}
+	l := &SpatialLinker{Relation: geom.Intersects, Predicate: "p"}
 	links := l.Discover(a, b)
 	if len(links) != 2 {
 		t.Fatalf("links = %+v", links)
@@ -187,7 +256,7 @@ func TestBlockingScalesBetterThanNaive(t *testing.T) {
 	l := &SpatialLinker{Relation: func(a, b geom.Geometry) bool {
 		blockedCalls++
 		return geom.Intersects(a, b)
-	}, Predicate: "p", CellSize: 10}
+	}, Predicate: "p"}
 	l.Discover(src, dst)
 	if blockedCalls*10 > naiveCalls {
 		t.Errorf("blocking visited %d pairs, naive %d — expected >=10x reduction", blockedCalls, naiveCalls)

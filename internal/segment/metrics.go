@@ -3,22 +3,20 @@ package segment
 import "applab/internal/telemetry"
 
 // RegisterMetrics exposes the engine's shape and lifetime counters on
-// reg under the segment_* namespace. labels distinguish multiple
-// engines in one process (e.g. "shard", "0"); gauges snapshot Stats
-// lazily at scrape time, so registration costs nothing on the write
-// path.
-func RegisterMetrics(reg *telemetry.Registry, e *Engine, labels ...string) {
+// reg under the segment_* namespace; gauges snapshot Stats lazily at
+// scrape time, so registration costs nothing on the write path.
+func RegisterMetrics(reg *telemetry.Registry, e *Engine) {
 	if reg == nil || e == nil {
 		return
 	}
-	reg.GaugeFunc("segment_segments", func() float64 { return float64(e.Stats().Segments) }, labels...)
-	reg.GaugeFunc("segment_bytes", func() float64 { return float64(e.Stats().SegmentBytes) }, labels...)
-	reg.GaugeFunc("segment_memtable_triples", func() float64 { return float64(e.Stats().MemtableTriples) }, labels...)
-	reg.GaugeFunc("segment_tombstones", func() float64 { return float64(e.Stats().Tombstones) }, labels...)
-	reg.GaugeFunc("segment_wal_bytes", func() float64 { return float64(e.Stats().WALBytes) }, labels...)
-	reg.GaugeFunc("segment_flushes_total", func() float64 { return float64(e.Stats().Flushes) }, labels...)
-	reg.GaugeFunc("segment_compactions_total", func() float64 { return float64(e.Stats().Compactions) }, labels...)
-	reg.GaugeFunc("segment_wal_records_total", func() float64 { return float64(e.Stats().WALRecords) }, labels...)
-	reg.GaugeFunc("segment_wal_fsyncs_total", func() float64 { return float64(e.Stats().WALFsyncs) }, labels...)
-	reg.GaugeFunc("segment_read_errors_total", func() float64 { return float64(e.Stats().ReadErrors) }, labels...)
+	reg.GaugeFunc("segment_segments", func() float64 { return float64(e.Stats().Segments) })
+	reg.GaugeFunc("segment_bytes", func() float64 { return float64(e.Stats().SegmentBytes) })
+	reg.GaugeFunc("segment_memtable_triples", func() float64 { return float64(e.Stats().MemtableTriples) })
+	reg.GaugeFunc("segment_tombstones", func() float64 { return float64(e.Stats().Tombstones) })
+	reg.GaugeFunc("segment_wal_bytes", func() float64 { return float64(e.Stats().WALBytes) })
+	reg.GaugeFunc("segment_flushes_total", func() float64 { return float64(e.Stats().Flushes) })
+	reg.GaugeFunc("segment_compactions_total", func() float64 { return float64(e.Stats().Compactions) })
+	reg.GaugeFunc("segment_wal_records_total", func() float64 { return float64(e.Stats().WALRecords) })
+	reg.GaugeFunc("segment_wal_fsyncs_total", func() float64 { return float64(e.Stats().WALFsyncs) })
+	reg.GaugeFunc("segment_read_errors_total", func() float64 { return float64(e.Stats().ReadErrors) })
 }

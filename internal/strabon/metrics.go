@@ -1,13 +1,11 @@
 package strabon
 
 import (
-	"strconv"
-
 	"applab/internal/segment"
 	"applab/internal/telemetry"
 )
 
-// Store sizes are values the stores already track, so they surface as
+// Store sizes are values the store already tracks, so they surface as
 // callback gauges evaluated at snapshot time — zero cost on the write
 // path. GaugeFunc panics on double registration, so RegisterMetrics
 // must be called once per store per registry (daemon startup does).
@@ -17,25 +15,6 @@ import (
 // strabon_triples gauge, plus the storage engine's segment_* family
 // (runs, bytes, WAL activity, compactions).
 func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
-	registerTriplesGauge(reg, s.Len)
+	reg.GaugeFunc("strabon_triples", func() float64 { return float64(s.Len()) })
 	segment.RegisterMetrics(reg, s.eng)
-}
-
-// RegisterMetrics exposes the total triple count as strabon_triples,
-// each shard's size as strabon_shard_triples{shard="i"}, and each
-// shard's engine as segment_*{shard="i"}.
-func (s *ShardedStore) RegisterMetrics(reg *telemetry.Registry) {
-	registerTriplesGauge(reg, s.Len)
-	for i, sh := range s.shards {
-		reg.GaugeFunc("strabon_shard_triples", lenGauge(sh.Len), "shard", strconv.Itoa(i))
-		segment.RegisterMetrics(reg, sh.eng, "shard", strconv.Itoa(i))
-	}
-}
-
-func registerTriplesGauge(reg *telemetry.Registry, n func() int) {
-	reg.GaugeFunc("strabon_triples", lenGauge(n))
-}
-
-func lenGauge(n func() int) func() float64 {
-	return func() float64 { return float64(n()) }
 }

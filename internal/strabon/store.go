@@ -13,8 +13,13 @@
 package strabon
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -93,8 +98,23 @@ func New() *Store {
 // segment engine reads the manifest, the run footers, and the WAL tail
 // — not the dataset — so the store answers its first query within
 // milliseconds of boot regardless of data volume.
+//
+// A directory written by the removed -shards mode (data only in
+// shard-NN/ subdirectories, no MANIFEST of its own) is refused: the
+// engine ignores subdirectories, so opening it would answer every query
+// from an empty store.
 func Open(dir string, opts segment.Options) (*Store, error) {
 	geosparql.Register()
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); errors.Is(err, fs.ErrNotExist) {
+		// A ReadDir error is segment.Open's to report (or, for a
+		// missing dir, to fix by creating it).
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
+				return nil, fmt.Errorf("strabon: %s holds shard-* directories from the removed -shards mode and no store of its own; re-ingest the data into a fresh directory", dir)
+			}
+		}
+	}
 	eng, err := segment.Open(dir, opts)
 	if err != nil {
 		return nil, err
