@@ -9,7 +9,7 @@ GO ?= go
 # (readers never intern) and MadIS (prepared statements and relations are
 # shared between requests). ci.sh runs `make race` and `make fuzz`, so
 # these lists are the only ones.
-RACE_PKGS = ./internal/rdf/ ./internal/sparql/ ./internal/strabon/ ./internal/opendap/ ./internal/federation/ ./internal/interlink/ ./internal/faults/ ./internal/endpoint/ ./internal/telemetry/ ./internal/admission/ ./internal/e2e/ ./internal/segment/ ./internal/geom/ ./internal/geom/rtree/ ./internal/geosparql/ ./internal/geographica/ ./internal/rescache/ ./internal/obda/ ./internal/cluster/ ./internal/madis/
+RACE_PKGS = ./internal/rdf/ ./internal/sparql/ ./internal/strabon/ ./internal/opendap/ ./internal/federation/ ./internal/interlink/ ./internal/faults/ ./internal/endpoint/ ./internal/telemetry/ ./internal/admission/ ./internal/e2e/ ./internal/segment/ ./internal/geom/ ./internal/geom/rtree/ ./internal/geosparql/ ./internal/rescache/ ./internal/obda/ ./internal/cluster/ ./internal/madis/
 
 # End-to-end suites: the golden two-workflow test over live loopback
 # servers plus the cmd-level boot/query/shutdown tests.
@@ -60,10 +60,11 @@ fuzz:
 # Engine benchmarks, measured and not gated: the BenchmarkEngine_*
 # family (seed vs compiled, and the BGP join through each serving layer
 # in BenchmarkEngine_BGPJoinVariants) and BenchmarkSpatialJoin (per-row
-# filter vs spatial join). The deterministic guards are ci.sh's
-# allocation ceilings; the serving numbers come from bench-e2e.
+# filter vs spatial join over the Geographica workload). The
+# deterministic guards are ci.sh's allocation ceilings; the serving
+# numbers come from bench-e2e.
 bench:
-	$(GO) test -run=NONE -bench='Engine_|SpatialJoin' -benchmem ./internal/sparql/ ./internal/geographica/
+	$(GO) test -run=NONE -bench='Engine_|SpatialJoin' -benchmem ./internal/sparql/
 
 # The end-to-end serving benchmark (bench/README.md): all five workloads
 # with the traced pass, reports appended to BENCH_E2E_OUT for

@@ -32,6 +32,18 @@ if [ "$lint_elapsed" -ge 30 ]; then
 fi
 echo "  whole-repo lint in ${lint_elapsed}s (budget 30s)"
 
+echo "== no hidden engine configuration"
+# The evaluator derives its worker count, parallel threshold and spatial
+# strategy, and calls geosparql directly: internal/sparql and
+# internal/geosparql export no Register* and no Set* but SetMetrics.
+globals=$( (go doc -short ./internal/sparql; go doc -short ./internal/geosparql) |
+    grep -E '^[[:space:]]*(func|var) (Register|Set)' | grep -v 'func SetMetrics(' || true)
+if [ -n "$globals" ]; then
+    echo "exported engine globals:" >&2
+    echo "$globals" >&2
+    exit 1
+fi
+
 echo "== go test"
 go test ./...
 

@@ -79,11 +79,6 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) (err
 		brkCool  = fs.Duration("breaker-cooldown", 10*time.Second, "how long an open circuit waits before a half-open probe")
 		staleOK  = fs.Bool("serve-stale", false, "serve stale cached OPeNDAP windows when the upstream is down")
 
-		queryWorkers      = fs.Int("query-workers", 0, "SPARQL evaluator worker pool size (0 = GOMAXPROCS; capped at GOMAXPROCS; parallel execution stays off for remote-backed sources)")
-		parallelThreshold = fs.Int("parallel-threshold", 0, "minimum intermediate solutions before the evaluator parallelizes a stage (0 = default)")
-		spatialJoin       = fs.String("spatial-join", "auto", "spatial-join strategy: auto, off, inl, cells, store")
-		spatialCells      = fs.Int("spatial-cells", 0, "Hilbert grid order for the cells strategy (2^order cells per side; 0 = default)")
-
 		queryDeadline   = fs.Duration("query-deadline", 0, "wall-clock budget for the query, including mapping execution (0 disables)")
 		maxRows         = fs.Int("max-rows", 0, "cap on final result rows (0 disables)")
 		maxIntermediate = fs.Int("max-intermediate", 0, "cap on intermediate solution rows examined (0 disables)")
@@ -93,12 +88,6 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) (err
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sparql.SetQueryWorkers(*queryWorkers)
-	sparql.SetParallelThreshold(*parallelThreshold)
-	if err := sparql.SetSpatialJoin(*spatialJoin); err != nil {
-		return err
-	}
-	sparql.SetSpatialCells(*spatialCells)
 	if *mappingPath == "" || (*query == "" && *serve == "") {
 		fs.Usage()
 		return errUsage

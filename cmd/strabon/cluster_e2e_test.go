@@ -42,8 +42,12 @@ func TestRunClusterEndToEnd(t *testing.T) {
 		nodes = append(nodes, addrs["cluster-node"])
 	}
 
+	// A geometry beside the plain triples: the coordinator must answer
+	// GeoSPARQL FILTERs although it never builds a store of its own.
+	data := e2eTriples + `<http://example.org/w> <http://www.opengis.net/ont/geosparql#asWKT> "POINT (1 1)"^^<http://www.opengis.net/ont/geosparql#wktLiteral> .
+`
 	nt := filepath.Join(t.TempDir(), "data.nt")
-	if err := os.WriteFile(nt, []byte(e2eTriples), 0o644); err != nil {
+	if err := os.WriteFile(nt, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	spec := nodes[0] + "," + nodes[1] + ";" + nodes[1] + "," + nodes[2] + ";" + nodes[2] + "," + nodes[0]
@@ -56,28 +60,35 @@ func TestRunClusterEndToEnd(t *testing.T) {
 	}, "sparql")
 	defer cancel()
 
-	q := url.QueryEscape(`SELECT ?s ?o WHERE { ?s <http://example.org/p> ?o }`)
-	resp, err := http.Get("http://" + addrs["sparql"] + "/sparql?query=" + q)
-	if err != nil {
-		t.Fatal(err)
+	rows := func(query string) int {
+		t.Helper()
+		resp, err := http.Get("http://" + addrs["sparql"] + "/sparql?query=" + url.QueryEscape(query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query status = %d", resp.StatusCode)
+		}
+		if resp.Header.Get("X-Applab-Partial") != "" {
+			t.Fatal("healthy cluster answered partial")
+		}
+		var doc struct {
+			Results struct {
+				Bindings []map[string]any `json:"bindings"`
+			} `json:"results"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return len(doc.Results.Bindings)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status = %d", resp.StatusCode)
+	if n := rows(`SELECT ?s ?o WHERE { ?s <http://example.org/p> ?o }`); n != 2 {
+		t.Fatalf("got %d bindings, want 2", n)
 	}
-	if resp.Header.Get("X-Applab-Partial") != "" {
-		t.Fatal("healthy cluster answered partial")
-	}
-	var doc struct {
-		Results struct {
-			Bindings []map[string]any `json:"bindings"`
-		} `json:"results"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Results.Bindings) != 2 {
-		t.Fatalf("got %d bindings, want 2", len(doc.Results.Bindings))
+	if n := rows(`SELECT ?w WHERE { ?w geo:asWKT ?g .
+  FILTER(geof:sfIntersects(?g, "POLYGON((0 0,2 0,2 2,0 2,0 0))"^^geo:wktLiteral)) }`); n != 1 {
+		t.Fatalf("GeoSPARQL FILTER: got %d bindings, want 1", n)
 	}
 
 	cancel()

@@ -33,11 +33,9 @@ type Config struct {
 	Now   func() time.Time
 	After func(time.Duration) <-chan time.Time
 	// HedgeAfter fixes the hedge delay. When zero the delay is the
-	// HedgePercentile of the recent read-latency window, floored at
-	// HedgeMin (defaults: p95, 1ms; 5ms while the window is empty).
-	HedgeAfter      time.Duration
-	HedgePercentile float64
-	HedgeMin        time.Duration
+	// hedgePercentile of the recent read-latency window, floored at
+	// hedgeMin (defaultHedge while the window is empty).
+	HedgeAfter time.Duration
 	// DemoteAfter / RetryCooldown tune the replica health tracker
 	// (federation cooldown semantics; zero picks its defaults).
 	DemoteAfter   int
@@ -71,16 +69,19 @@ type Coordinator struct {
 	after  func(time.Duration) <-chan time.Time
 
 	hedgeAfter time.Duration
-	hedgeMin   time.Duration
-	hedgePct   float64
 
 	wmu  []sync.Mutex
 	logs []*shardLog
 	lat  latWindow
 }
 
-// defaultHedge is the hedge delay before any latency samples exist.
-const defaultHedge = 5 * time.Millisecond
+// Adaptive hedging: the delay is the p95 of recent reads, never under
+// 1 ms, and defaultHedge before any latency samples exist.
+const (
+	hedgePercentile = 0.95
+	hedgeMin        = time.Millisecond
+	defaultHedge    = 5 * time.Millisecond
+)
 
 // NewCoordinator validates the topology and builds a coordinator.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
@@ -104,8 +105,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		now:        cfg.Now,
 		after:      cfg.After,
 		hedgeAfter: cfg.HedgeAfter,
-		hedgeMin:   cfg.HedgeMin,
-		hedgePct:   cfg.HedgePercentile,
 		wmu:        make([]sync.Mutex, len(cfg.Groups)),
 		logs:       make([]*shardLog, len(cfg.Groups)),
 	}
@@ -114,12 +113,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	if c.after == nil {
 		c.after = time.After
-	}
-	if c.hedgePct <= 0 || c.hedgePct > 1 {
-		c.hedgePct = 0.95
-	}
-	if c.hedgeMin <= 0 {
-		c.hedgeMin = time.Millisecond
 	}
 	for i := range c.logs {
 		c.logs[i] = newShardLog()
@@ -367,11 +360,8 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	if c.hedgeAfter > 0 {
 		return c.hedgeAfter
 	}
-	if d := c.lat.percentile(c.hedgePct); d > 0 {
-		if d < c.hedgeMin {
-			return c.hedgeMin
-		}
-		return d
+	if d := c.lat.percentile(hedgePercentile); d > 0 {
+		return max(d, hedgeMin)
 	}
 	return defaultHedge
 }

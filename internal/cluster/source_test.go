@@ -81,12 +81,8 @@ func TestNewCoordinatorValidation(t *testing.T) {
 	if _, err := NewCoordinator(Config{Groups: [][]string{{"n1"}}}); err == nil {
 		t.Fatal("nil transport accepted")
 	}
-	c, err := NewCoordinator(Config{Groups: [][]string{{"n1"}}, Transport: NewMemNetwork(), HedgePercentile: 2})
-	if err != nil {
+	if _, err := NewCoordinator(Config{Groups: [][]string{{"n1"}}, Transport: NewMemNetwork()}); err != nil {
 		t.Fatal(err)
-	}
-	if c.hedgePct != 0.95 || c.hedgeMin != time.Millisecond {
-		t.Fatalf("defaults not applied: pct=%v min=%v", c.hedgePct, c.hedgeMin)
 	}
 }
 
@@ -96,7 +92,7 @@ func TestHedgeDelayFromLatencyWindow(t *testing.T) {
 	if d := tc.c.hedgeDelay(); d != defaultHedge {
 		t.Fatalf("empty-window hedge delay = %v", d)
 	}
-	// A loaded window: the p95, floored at HedgeMin.
+	// A loaded window: the p95, floored at hedgeMin.
 	for i := 0; i < 100; i++ {
 		tc.c.lat.add(time.Duration(i+1) * time.Millisecond)
 	}
@@ -105,14 +101,11 @@ func TestHedgeDelayFromLatencyWindow(t *testing.T) {
 		t.Fatalf("p95 hedge delay = %v", d)
 	}
 	// Tiny latencies hit the floor.
-	tc2 := newTestCluster(t, func(cfg *Config) {
-		cfg.HedgeAfter = 0
-		cfg.HedgeMin = 3 * time.Millisecond
-	})
+	tc2 := newTestCluster(t, func(cfg *Config) { cfg.HedgeAfter = 0 })
 	for i := 0; i < 100; i++ {
 		tc2.c.lat.add(time.Microsecond)
 	}
-	if d := tc2.c.hedgeDelay(); d != 3*time.Millisecond {
+	if d := tc2.c.hedgeDelay(); d != hedgeMin {
 		t.Fatalf("floored hedge delay = %v", d)
 	}
 }

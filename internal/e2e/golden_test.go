@@ -306,8 +306,10 @@ func TestGoldenWorkflows(t *testing.T) {
 
 // TestGoldenSpatialJoin pins the spatial-join operator's telemetry the
 // way TestGoldenWorkflows pins the engine's: a tiny deterministic store
-// where every strategy's counter deltas and the probe count are exact,
-// and every strategy returns the filter path's answer.
+// where the strategy the planner picks for each query shape, the counter
+// deltas and the probe count are exact, and every answer is the seed
+// evaluator's. The cells strategy, which needs a build side past
+// spatialINLMaxBuild, is pinned in internal/sparql.
 func TestGoldenSpatialJoin(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sparql.SetMetrics(reg)
@@ -315,9 +317,6 @@ func TestGoldenSpatialJoin(t *testing.T) {
 	t.Cleanup(func() {
 		sparql.SetMetrics(nil)
 		geosparql.SetMetrics(nil)
-		if err := sparql.SetSpatialJoin(""); err != nil {
-			t.Fatal(err)
-		}
 	})
 
 	// 3 unit-square regions along the x axis; 3 places inside them plus
@@ -358,8 +357,8 @@ func TestGoldenSpatialJoin(t *testing.T) {
   ?gb geo:asWKT ?wb .
   FILTER(geof:sfIntersects(?wa, ?wb))
 }`
-	// The bare geo:asWKT build side is the store-pushdown shape auto mode
-	// routes to the store's own R-tree.
+	// The bare geo:asWKT build side is the store-pushdown shape the
+	// planner routes to the store's own R-tree.
 	storeQ := `SELECT ?a ?gb WHERE {
   ?a <http://ex.org/placeKind> ?ka .
   ?a geo:hasGeometry ?ga .
@@ -377,48 +376,38 @@ func TestGoldenSpatialJoin(t *testing.T) {
 		return rows
 	}
 
-	// Baseline: the per-row filter path must not touch the join counters.
-	if err := sparql.SetSpatialJoin(sparql.SpatialJoinOff); err != nil {
-		t.Fatal(err)
-	}
+	// Baseline: the seed evaluator runs no spatial join and must not touch
+	// the join counters.
 	s0 := reg.Snapshot()
-	baseGeneric, err := store.Query(genericQ)
-	if err != nil {
-		t.Fatal(err)
+	seed := func(query string) *sparql.Results {
+		t.Helper()
+		q, err := sparql.Parse(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := q.EvalSeed(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	baseStore, err := store.Query(storeQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseGeneric, baseStore := seed(genericQ), seed(storeQ)
 	if len(baseGeneric.Bindings) != 3 {
-		t.Fatalf("filter-path generic join = %d rows, want 3", len(baseGeneric.Bindings))
+		t.Fatalf("seed generic join = %d rows, want 3", len(baseGeneric.Bindings))
 	}
 	s1 := reg.Snapshot()
-	wantCounters(t, "spatial off", s0, s1, map[string]int64{
+	wantCounters(t, "seed", s0, s1, map[string]int64{
 		`spatial_join_total{strategy="inl"}`:   0,
 		`spatial_join_total{strategy="cells"}`: 0,
 		`spatial_join_total{strategy="store"}`: 0,
 		"spatial_index_probes_total":           0,
 	})
 
-	// One run per strategy: forced R-tree, forced cells, and auto routing
-	// the store-shape query to the store index. Each drives exactly the 4
-	// place geometries through a candidate index.
-	if err := sparql.SetSpatialJoin(sparql.SpatialJoinINL); err != nil {
-		t.Fatal(err)
-	}
+	// The planner takes the R-tree for the generic query (3 build rows)
+	// and the store's own index for the bare geo:asWKT build side. Each
+	// drives exactly the 4 place geometries through a candidate index.
 	inlRes, err := store.Query(genericQ)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sparql.SetSpatialJoin(sparql.SpatialJoinCells); err != nil {
-		t.Fatal(err)
-	}
-	cellsRes, err := store.Query(genericQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sparql.SetSpatialJoin(sparql.SpatialJoinAuto); err != nil {
 		t.Fatal(err)
 	}
 	storeRes, err := store.Query(storeQ)
@@ -428,21 +417,18 @@ func TestGoldenSpatialJoin(t *testing.T) {
 	s2 := reg.Snapshot()
 	wantCounters(t, "spatial joins", s1, s2, map[string]int64{
 		`spatial_join_total{strategy="inl"}`:   1,
-		`spatial_join_total{strategy="cells"}`: 1,
+		`spatial_join_total{strategy="cells"}`: 0,
 		`spatial_join_total{strategy="store"}`: 1,
-		"spatial_index_probes_total":           12,
+		"spatial_index_probes_total":           8,
 	})
 	if got := s2.Gauges["spatial_arena_bytes"]; got <= 0 {
 		t.Errorf("spatial_arena_bytes = %g, want > 0", got)
 	}
 
 	if !equalRows(pairs(t, baseGeneric, "a", "b"), pairs(t, inlRes, "a", "b")) {
-		t.Error("inl strategy diverged from the filter path")
-	}
-	if !equalRows(pairs(t, baseGeneric, "a", "b"), pairs(t, cellsRes, "a", "b")) {
-		t.Error("cells strategy diverged from the filter path")
+		t.Error("inl strategy diverged from the seed evaluator")
 	}
 	if !equalRows(pairs(t, baseStore, "a", "gb"), pairs(t, storeRes, "a", "gb")) {
-		t.Error("store pushdown diverged from the filter path")
+		t.Error("store pushdown diverged from the seed evaluator")
 	}
 }

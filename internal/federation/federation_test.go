@@ -5,13 +5,10 @@ import (
 	"testing"
 
 	"applab/internal/endpoint"
-	"applab/internal/geosparql"
 	"applab/internal/rdf"
 	"applab/internal/strabon"
 	"applab/internal/workload"
 )
-
-func init() { geosparql.Register() }
 
 // buildMembers creates two stores holding disjoint datasets: GADM areas
 // and OSM parks (the paper's federation example).

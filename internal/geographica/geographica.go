@@ -37,18 +37,11 @@ const (
 	RelTouches    Relation = "sfTouches"
 )
 
+// fn is the relation the OBDA system refines R-tree candidates with:
+// the same envelope-conservative predicate GeoSPARQL evaluates.
 func (r Relation) fn() func(a, b geom.Geometry) bool {
-	switch r {
-	case RelIntersects:
-		return geom.Intersects
-	case RelWithin:
-		return geom.Within
-	case RelContains:
-		return geom.Contains
-	case RelTouches:
-		return geom.Touches
-	}
-	return nil
+	rel, _ := geosparql.Relation(rdf.NSGeof + string(r))
+	return rel
 }
 
 // System is one system under test.
@@ -440,7 +433,3 @@ func Suite() []Query {
 		}},
 	}
 }
-
-// Check that the geof functions are registered before any Strabon query
-// runs (NewStrabonSystem does this too; keep the import anchored).
-var _ = geosparql.Register

@@ -16,12 +16,8 @@ import (
 // Geo-L / JedAI-spatial linkers), sitting alongside the STR-packed
 // R-tree as the second candidate generator.
 
-// DefaultCellOrder is the default grid order (64 × 64 cells).
-const DefaultCellOrder = 6
-
-// maxCellOrder bounds the grid so one world-spanning envelope cannot
-// explode into millions of per-cell entries.
-const maxCellOrder = 8
+// cellOrder is the grid order BuildCellIndex uses (64 × 64 cells).
+const cellOrder = 6
 
 // hilbertD returns the distance of grid cell (x, y) along the Hilbert
 // curve of the given order (grid side 1<<order).
@@ -64,21 +60,16 @@ type CellIndex struct {
 	envs []Envelope // the indexed envelope column, by id
 }
 
-// clampOrder normalizes a requested grid order.
-func clampOrder(order int) uint {
-	if order < 1 {
-		return DefaultCellOrder
-	}
-	if order > maxCellOrder {
-		return maxCellOrder
-	}
-	return uint(order)
+// BuildCellIndex indexes the envelope column (ids are positions in the
+// slice; empty envelopes are skipped) on a grid of order cellOrder.
+func BuildCellIndex(envs []Envelope) *CellIndex {
+	return buildCellIndex(envs, cellOrder)
 }
 
-// BuildCellIndex indexes the envelope column (ids are positions in the
-// slice; empty envelopes are skipped). order <= 0 uses DefaultCellOrder.
-func BuildCellIndex(envs []Envelope, order int) *CellIndex {
-	ci := &CellIndex{order: clampOrder(order), envs: envs}
+// buildCellIndex is BuildCellIndex on a 2^order × 2^order grid
+// (1 <= order <= 8; tests build other orders).
+func buildCellIndex(envs []Envelope, order uint) *CellIndex {
+	ci := &CellIndex{order: order, envs: envs}
 	ci.nside = uint32(1) << ci.order
 	world := EmptyEnvelope()
 	for _, e := range envs {

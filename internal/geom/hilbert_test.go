@@ -61,12 +61,12 @@ func randomEnvs(rng *rand.Rand, n int, world float64, maxSize float64) []Envelop
 // against the O(n) envelope scan, across grid orders and skews.
 func TestCellIndexProbeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, order := range []int{1, 3, 6, 8} {
+	for _, order := range []uint{1, 3, 6, 8} {
 		for trial := 0; trial < 5; trial++ {
 			envs := randomEnvs(rng, 200, 100, 12)
 			// Inject degenerates: empty, point-sized, and world-spanning.
 			envs = append(envs, EmptyEnvelope(), Envelope{50, 50, 50, 50}, Envelope{-5, -5, 200, 200})
-			ci := BuildCellIndex(envs, order)
+			ci := buildCellIndex(envs, order)
 			for probe := 0; probe < 30; probe++ {
 				q := randomEnvs(rng, 1, 110, 25)[0]
 				var got []int32
@@ -101,7 +101,7 @@ func TestCellIndexReportsOnce(t *testing.T) {
 		{10, 10, 90, 90},
 		{0, 0, 0.5, 0.5},
 	}
-	ci := BuildCellIndex(envs, 6)
+	ci := BuildCellIndex(envs)
 	counts := map[int32]int{}
 	ci.Probe(Envelope{-10, -10, 110, 110}, func(id int32) bool { counts[id]++; return true })
 	for id, c := range counts {
@@ -116,7 +116,7 @@ func TestCellIndexReportsOnce(t *testing.T) {
 
 func TestCellIndexEarlyStop(t *testing.T) {
 	envs := randomEnvs(rand.New(rand.NewSource(9)), 50, 10, 10)
-	ci := BuildCellIndex(envs, 4)
+	ci := buildCellIndex(envs, 4)
 	calls := 0
 	ci.Probe(Envelope{0, 0, 20, 20}, func(int32) bool { calls++; return false })
 	if calls != 1 {
@@ -126,14 +126,14 @@ func TestCellIndexEarlyStop(t *testing.T) {
 
 func TestCellIndexDegenerate(t *testing.T) {
 	// No envelopes at all.
-	ci := BuildCellIndex(nil, 0)
+	ci := BuildCellIndex(nil)
 	ci.Probe(Envelope{0, 0, 1, 1}, func(int32) bool { t.Fatal("candidate from empty index"); return false })
 	if ci.Cells() != 0 {
 		t.Fatalf("empty index has %d cells", ci.Cells())
 	}
 	// All envelopes identical points: degenerate world extent.
 	pt := Envelope{5, 5, 5, 5}
-	ci = BuildCellIndex([]Envelope{pt, pt, pt}, 6)
+	ci = BuildCellIndex([]Envelope{pt, pt, pt})
 	n := 0
 	ci.Probe(Envelope{4, 4, 6, 6}, func(int32) bool { n++; return true })
 	if n != 3 {
@@ -141,11 +141,4 @@ func TestCellIndexDegenerate(t *testing.T) {
 	}
 	// Empty probe envelope finds nothing.
 	ci.Probe(EmptyEnvelope(), func(int32) bool { t.Fatal("candidate for empty probe"); return false })
-	// Orders are clamped, not rejected.
-	if got := clampOrder(99); got != maxCellOrder {
-		t.Fatalf("clampOrder(99) = %d", got)
-	}
-	if got := clampOrder(-1); got != DefaultCellOrder {
-		t.Fatalf("clampOrder(-1) = %d", got)
-	}
 }

@@ -57,11 +57,7 @@ func (c *boundedGeomCache) get(wkt string) (geom.Geometry, bool) {
 	return c.insert(wkt, g), true
 }
 
-// add parses nothing itself — the caller parses outside the lock.
-func (c *boundedGeomCache) add(wkt string, g geom.Geometry) geom.Geometry {
-	return c.insert(wkt, g)
-}
-
+// insert parses nothing itself — the caller parses outside the lock.
 func (c *boundedGeomCache) insert(wkt string, g geom.Geometry) geom.Geometry {
 	c.mu.Lock()
 	if cur, ok := c.cur[wkt]; ok { // raced with another inserter

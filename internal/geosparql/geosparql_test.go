@@ -1,13 +1,12 @@
-package geosparql
+package geosparql_test
 
 import (
 	"testing"
 
+	"applab/internal/geosparql"
 	"applab/internal/rdf"
 	"applab/internal/sparql"
 )
-
-func init() { Register() }
 
 func geoGraph(t *testing.T) *rdf.Graph {
 	t.Helper()
@@ -122,7 +121,7 @@ WHERE {}`)
 		if b[v].Datatype != rdf.WKTLiteral {
 			t.Errorf("%s datatype = %s", v, b[v].Datatype)
 		}
-		if _, err := ParseGeometryTerm(b[v]); err != nil {
+		if _, err := geosparql.ParseGeometryTerm(b[v]); err != nil {
 			t.Errorf("%s output unparseable: %v", v, err)
 		}
 	}
@@ -188,18 +187,18 @@ SELECT ?lai WHERE {
 }
 
 func TestParseGeometryTermErrors(t *testing.T) {
-	if _, err := ParseGeometryTerm(rdf.NewIRI("http://x")); err == nil {
+	if _, err := geosparql.ParseGeometryTerm(rdf.NewIRI("http://x")); err == nil {
 		t.Error("IRI must not parse as geometry")
 	}
-	if _, err := ParseGeometryTerm(rdf.NewWKT("JUNK")); err == nil {
+	if _, err := geosparql.ParseGeometryTerm(rdf.NewWKT("JUNK")); err == nil {
 		t.Error("junk WKT must error")
 	}
 	// memoization returns identical geometry
-	g1, err := ParseGeometryTerm(rdf.NewWKT("POINT (1 2)"))
+	g1, err := geosparql.ParseGeometryTerm(rdf.NewWKT("POINT (1 2)"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := ParseGeometryTerm(rdf.NewWKT("POINT (1 2)"))
+	g2, _ := geosparql.ParseGeometryTerm(rdf.NewWKT("POINT (1 2)"))
 	if g1 != g2 {
 		t.Error("memoized geometries must be identical")
 	}
@@ -243,11 +242,39 @@ func TestFunctionArgumentErrors(t *testing.T) {
 	}
 }
 
-func TestRegisterIdempotent(t *testing.T) {
-	Register()
-	Register() // must not panic or double-register
-	if _, ok := sparql.LookupFunction(FnSfIntersects); !ok {
-		t.Error("geof:sfIntersects unregistered")
+// TestFunctionAndRelationTables: every envelope-conservative geof:sf*
+// relation is also a filter function, geof:sfDisjoint is a function but
+// not a relation (disjoint pairs have no envelope overlap to prune by),
+// and an unknown IRI is neither.
+func TestFunctionAndRelationTables(t *testing.T) {
+	for _, iri := range []string{
+		geosparql.FnSfIntersects, geosparql.FnSfContains, geosparql.FnSfWithin, geosparql.FnSfTouches,
+		geosparql.FnSfOverlaps, geosparql.FnSfCrosses, geosparql.FnSfEquals,
+	} {
+		if _, ok := geosparql.Relation(iri); !ok {
+			t.Errorf("%s is not a relation", iri)
+		}
+		if _, ok := geosparql.Function(iri); !ok {
+			t.Errorf("%s is not a function", iri)
+		}
+	}
+	if _, ok := geosparql.Relation(geosparql.FnSfDisjoint); ok {
+		t.Error("sfDisjoint must not be a spatial-join relation")
+	}
+	for _, iri := range []string{
+		geosparql.FnSfDisjoint, geosparql.FnDistance, geosparql.FnBuffer, geosparql.FnEnvelope,
+		geosparql.FnConvexHull, geosparql.FnArea, geosparql.FnIntersection, geosparql.FnTimeDuring,
+		geosparql.FnTimeBefore, geosparql.FnTimeAfter, geosparql.FnTimeOverlaps,
+	} {
+		if _, ok := geosparql.Function(iri); !ok {
+			t.Errorf("%s is not a function", iri)
+		}
+	}
+	if _, ok := geosparql.Function(rdf.NSGeof + "noSuchFunction"); ok {
+		t.Error("unknown IRI resolved to a function")
+	}
+	if _, ok := geosparql.Relation(rdf.NSGeof + "noSuchFunction"); ok {
+		t.Error("unknown IRI resolved to a relation")
 	}
 }
 
@@ -273,7 +300,7 @@ WHERE {}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clipped, err := ParseGeometryTerm(res.Bindings[0]["l"])
+	clipped, err := geosparql.ParseGeometryTerm(res.Bindings[0]["l"])
 	if err != nil {
 		t.Fatal(err)
 	}

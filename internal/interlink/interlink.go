@@ -126,7 +126,7 @@ func (l *SpatialLinker) Discover(src, dst []Entity) []Link {
 	for i, d := range dst {
 		envs[i] = d.Geom.Envelope()
 	}
-	index := geom.BuildCellIndex(envs, 0)
+	index := geom.BuildCellIndex(envs)
 
 	workers := max(l.Workers, 1)
 	results := make([][]Link, workers)

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"applab/internal/admission"
-	"applab/internal/geosparql"
 	"applab/internal/madis"
 	"applab/internal/rdf"
 	"applab/internal/rescache"
@@ -54,7 +53,6 @@ type VirtualGraph struct {
 
 // NewVirtualGraph builds a virtual graph over db with the given mappings.
 func NewVirtualGraph(db *madis.DB, mappings []Mapping) *VirtualGraph {
-	geosparql.Register()
 	return &VirtualGraph{db: db, mappings: mappings, stmts: make([]*madis.Stmt, len(mappings)),
 		fingerprint: rescache.NextFingerprint("obda")}
 }

@@ -1,9 +1,9 @@
 // Package sparql implements the SPARQL subset used by the App Lab stack:
 // SELECT / ASK / CONSTRUCT queries with basic graph patterns, FILTER,
 // OPTIONAL, UNION, DISTINCT, ORDER BY, LIMIT/OFFSET, GROUP BY with the
-// standard aggregates, a full expression language, and an extension-function
-// registry through which the geosparql package contributes the geof:*
-// functions of the paper's Listing 1.
+// standard aggregates, a full expression language, and the geof:* and
+// time:* functions of the paper's Listing 1, which it calls from the
+// geosparql package.
 //
 // The engine evaluates against any Source (the rdf.Graph, the Strabon store,
 // or an OBDA virtual graph).

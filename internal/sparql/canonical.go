@@ -145,9 +145,8 @@ func (c *canonicalizer) buildGroup(g *Group) *cGroup {
 // foldExpr collapses constant-only arithmetic/comparison/logical subtrees
 // through the evaluator itself (BinaryExpr.Eval needs no binding when the
 // leaves are constants), so the fold cannot diverge from runtime
-// semantics. Function calls are left alone: the extension registry admits
-// arbitrary functions and folding one at key time would bake a possibly
-// process-local answer into a shared key.
+// semantics. Function calls are left alone: folding one would put WKT
+// parsing or regexp compilation on the key path of every lookup.
 func foldExpr(e Expr) Expr {
 	switch x := e.(type) {
 	case BinaryExpr:

@@ -1,6 +1,9 @@
 package sparql
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // BenchmarkEngine_* compares the compiled slot engine against the seed
 // map evaluator on the workloads the tentpole targets: multi-pattern
@@ -24,7 +27,7 @@ func benchEval(b *testing.B, query string, workers int, seed bool) {
 	b.Helper()
 	g := equivGraph(benchSubjects)
 	if workers == 0 {
-		workers = QueryWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	q, err := Parse(query)
 	if err != nil {
@@ -38,7 +41,7 @@ func benchEval(b *testing.B, query string, workers int, seed bool) {
 		if seed {
 			res, err = q.EvalSeed(g)
 		} else {
-			res, err = q.eval(g, workers, ParallelThreshold())
+			res, err = q.eval(g, workers, parallelThreshold)
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -54,10 +54,7 @@ func bgpJoinVariants() []joinVariant {
 			}
 		}},
 		{"spatial-off", func(tb testing.TB, q *sparql.Query, g *rdf.Graph) evalFunc {
-			if err := sparql.SetSpatialJoin(sparql.SpatialJoinOff); err != nil {
-				tb.Fatal(err)
-			}
-			tb.Cleanup(func() { _ = sparql.SetSpatialJoin("") })
+			sparql.Force(tb, 1, 0, sparql.SpatialOff)
 			return plainEval(q, g)
 		}},
 		{"memstore", func(tb testing.TB, q *sparql.Query, g *rdf.Graph) evalFunc {

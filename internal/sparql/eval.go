@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"context"
+	"runtime"
 
 	"applab/internal/admission"
 	"applab/internal/rdf"
@@ -70,7 +71,7 @@ func Eval(src Source, query string) (*Results, error) {
 // flat rows of term handles, BGPs are reordered by estimated selectivity when
 // src provides statistics (StatsSource), patterns may be joined by hash
 // join or cross-join materialization, and large solution sets are
-// partitioned across a worker pool (see SetQueryWorkers). Results are
+// partitioned across GOMAXPROCS workers (see parallelThreshold). Results are
 // identical to the original evaluator up to the order of un-ORDER-BY'd
 // rows; EvalSeed retains the original path.
 func (q *Query) Eval(src Source) (*Results, error) {
@@ -85,11 +86,11 @@ func (q *Query) Eval(src Source) (*Results, error) {
 // instead of hanging. A background context with no budget evaluates on
 // the exact unlimited path Eval always used.
 func (q *Query) EvalContext(ctx context.Context, src Source) (*Results, error) {
-	return q.evalCtx(ctx, src, QueryWorkers(), ParallelThreshold())
-}
-
-func (q *Query) eval(src Source, workers, threshold int) (*Results, error) {
-	return q.evalCtx(context.Background(), src, workers, threshold)
+	workers, threshold := runtime.GOMAXPROCS(0), parallelThreshold
+	if f := forced.Load(); f != nil {
+		workers, threshold = f.workers, f.threshold
+	}
+	return q.evalCtx(ctx, src, workers, threshold)
 }
 
 func (q *Query) evalCtx(ctx context.Context, src Source, workers, threshold int) (*Results, error) {

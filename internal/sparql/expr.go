@@ -5,8 +5,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 
+	"applab/internal/geosparql"
 	"applab/internal/rdf"
 )
 
@@ -212,8 +212,8 @@ func applyNeg(v rdf.Term) (rdf.Term, error) {
 
 func (e UnaryExpr) String() string { return e.Op + e.X.String() }
 
-// CallExpr is a function call: a builtin (BOUND, STR, REGEX, ...) or a
-// registered extension function such as geof:sfIntersects.
+// CallExpr is a function call: a builtin (BOUND, STR, REGEX, ...) or an
+// extension function such as geof:sfIntersects.
 type CallExpr struct {
 	// IRI is the resolved function IRI for extension functions, or the
 	// upper-cased builtin name.
@@ -247,12 +247,12 @@ func (e CallExpr) Eval(b Binding) (rdf.Term, error) {
 }
 
 // applyCall dispatches an already-evaluated argument list to a builtin
-// or registered extension function (shared with the compiled engine).
+// or a geof:/time: function (shared with the compiled engine).
 func applyCall(iri string, args []rdf.Term) (rdf.Term, error) {
 	if fn, ok := builtins[iri]; ok {
 		return fn(args)
 	}
-	if fn, ok := LookupFunction(iri); ok {
+	if fn, ok := geosparql.Function(iri); ok {
 		return fn(args)
 	}
 	return rdf.Term{}, fmt.Errorf("sparql: unknown function %q", iri)
@@ -378,11 +378,7 @@ var builtins = map[string]termFunc{
 		if len(args) < 2 || len(args) > 3 {
 			return rdf.Term{}, fmt.Errorf("REGEX takes 2 or 3 arguments")
 		}
-		pat := args[1].Value
-		if len(args) == 3 && strings.Contains(args[2].Value, "i") {
-			pat = "(?i)" + pat
-		}
-		re, err := compileRegex(pat)
+		re, err := compileRegex(args[1:])
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -460,7 +456,10 @@ var builtins = map[string]termFunc{
 		}
 		return rdf.NewInteger(int64(tm.Month())), nil
 	},
-	"XSD:DOUBLE": func(args []rdf.Term) (rdf.Term, error) {
+	rdf.XSDDouble: func(args []rdf.Term) (rdf.Term, error) {
+		if len(args) != 1 {
+			return rdf.Term{}, fmt.Errorf("xsd:double takes 1 argument")
+		}
 		f, ok := args[0].Float()
 		if !ok {
 			v, err := strconv.ParseFloat(args[0].Value, 64)
@@ -473,39 +472,14 @@ var builtins = map[string]termFunc{
 	},
 }
 
-var regexCache sync.Map // string -> *regexp.Regexp
-
-func compileRegex(pat string) (*regexp.Regexp, error) {
-	if re, ok := regexCache.Load(pat); ok {
-		return re.(*regexp.Regexp), nil
+// compileRegex compiles REGEX's pattern argument under its optional
+// flags argument. The compiled engine calls it once per plan for a
+// constant pattern (compileExpr); a pattern bound at run time is
+// compiled per call.
+func compileRegex(patFlags []rdf.Term) (*regexp.Regexp, error) {
+	pat := patFlags[0].Value
+	if len(patFlags) == 2 && strings.Contains(patFlags[1].Value, "i") {
+		pat = "(?i)" + pat
 	}
-	re, err := regexp.Compile(pat)
-	if err != nil {
-		return nil, err
-	}
-	regexCache.Store(pat, re)
-	return re, nil
-}
-
-// ---- extension function registry ----
-
-var (
-	extMu sync.RWMutex
-	exts  = map[string]termFunc{}
-)
-
-// RegisterFunction installs an extension function under its IRI (e.g. the
-// geof:* functions). Later registrations replace earlier ones.
-func RegisterFunction(iri string, fn func(args []rdf.Term) (rdf.Term, error)) {
-	extMu.Lock()
-	defer extMu.Unlock()
-	exts[iri] = fn
-}
-
-// LookupFunction returns the extension function registered under iri.
-func LookupFunction(iri string) (func(args []rdf.Term) (rdf.Term, error), bool) {
-	extMu.RLock()
-	defer extMu.RUnlock()
-	fn, ok := exts[iri]
-	return fn, ok
+	return regexp.Compile(pat)
 }

@@ -6,9 +6,8 @@ import (
 	"applab/internal/telemetry"
 )
 
-// The compiled engine is configured package-wide (like SetQueryWorkers),
-// so its registry hookup is too: SetMetrics installs the registry all
-// query evaluations report into. Every sparql metric name literal lives
+// SetMetrics installs the registry all query evaluations report into,
+// package-wide. Every sparql metric name literal lives
 // in this file, one call site each (enforced by the applab-lint
 // telemetry checker), and everything no-ops while no registry is set.
 

@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -26,60 +25,26 @@ type StatsSource interface {
 	Cardinality(s, p, o rdf.Term) int
 }
 
-// ---- parallel-execution configuration ----
+// ---- parallel execution ----
 
-// Parallel execution partitions large intermediate solution sets across
-// a bounded worker pool. It is disabled for ErrorSource-backed sources
-// (remote endpoints, OBDA virtual graphs, federations) so error
-// semantics and federation deadlines are untouched, and partition
-// results are concatenated in partition order, so query results are
-// identical for any worker count.
-var (
-	cfgQueryWorkers      atomic.Int32 // 0 = GOMAXPROCS
-	cfgParallelThreshold atomic.Int32 // 0 = defaultParallelThreshold
-)
+// Parallel execution partitions intermediate solution sets of at least
+// parallelThreshold rows across GOMAXPROCS workers. It is disabled for
+// ErrorSource-backed sources (remote endpoints, OBDA virtual graphs,
+// federations, the cluster coordinator) so error semantics and
+// federation deadlines are untouched, and partition results are
+// concatenated in partition order, so query results are identical for
+// any worker count.
+const parallelThreshold = 256
 
-// defaultParallelThreshold is the minimum intermediate-solution count
-// before a pipeline stage fans out to the worker pool.
-const defaultParallelThreshold = 256
+// forced replaces what the evaluator otherwise derives — the worker
+// count, the parallel threshold and the planner's spatial-join strategy
+// — so differential tests can drive every path (export_test.go). It is
+// nil outside tests.
+var forced atomic.Pointer[forcedEval]
 
-// SetQueryWorkers sets the evaluator worker-pool size. Values above
-// GOMAXPROCS are capped at evaluation time; n <= 0 restores the default
-// (GOMAXPROCS). Safe for concurrent use.
-func SetQueryWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	cfgQueryWorkers.Store(int32(n))
-}
-
-// QueryWorkers reports the effective worker-pool size.
-func QueryWorkers() int {
-	maxProcs := runtime.GOMAXPROCS(0)
-	if v := int(cfgQueryWorkers.Load()); v > 0 {
-		if v > maxProcs {
-			return maxProcs
-		}
-		return v
-	}
-	return maxProcs
-}
-
-// SetParallelThreshold sets the minimum intermediate-solution count for
-// parallel stages; n <= 0 restores the default. Safe for concurrent use.
-func SetParallelThreshold(n int) {
-	if n < 0 {
-		n = 0
-	}
-	cfgParallelThreshold.Store(int32(n))
-}
-
-// ParallelThreshold reports the effective parallel threshold.
-func ParallelThreshold() int {
-	if v := int(cfgParallelThreshold.Load()); v > 0 {
-		return v
-	}
-	return defaultParallelThreshold
+type forcedEval struct {
+	workers, threshold int
+	spatial            string // one of the spatial* strategies
 }
 
 // ---- execution ----

@@ -235,6 +235,9 @@ func compileExpr(e Expr, vt *varTable) compiledExpr {
 		for i, a := range x.Args {
 			args[i] = compileExpr(a, vt)
 		}
+		if ce := constRegex(x, args); ce != nil {
+			return ce
+		}
 		iri := x.IRI
 		return func(r row) (rdf.Term, error) {
 			vals := make([]rdf.Term, len(args))
@@ -252,6 +255,35 @@ func compileExpr(e Expr, vt *varTable) compiledExpr {
 		return func(r row) (rdf.Term, error) {
 			return e.Eval(r.asBinding(vt))
 		}
+	}
+}
+
+// constRegex lowers a REGEX call whose pattern and flags are constants,
+// compiling the pattern once per plan instead of once per row; nil for
+// any other call.
+func constRegex(x CallExpr, args []compiledExpr) compiledExpr {
+	if x.IRI != "REGEX" || len(args) < 2 || len(args) > 3 {
+		return nil
+	}
+	patFlags := make([]rdf.Term, 0, 2)
+	for _, a := range x.Args[1:] {
+		c, ok := a.(ConstExpr)
+		if !ok {
+			return nil
+		}
+		patFlags = append(patFlags, c.Term)
+	}
+	re, err := compileRegex(patFlags)
+	if err != nil {
+		return func(row) (rdf.Term, error) { return rdf.Term{}, err }
+	}
+	text := args[0]
+	return func(r row) (rdf.Term, error) {
+		v, err := text(r)
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		return rdf.NewBool(re.MatchString(v.Value)), nil
 	}
 }
 

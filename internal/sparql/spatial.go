@@ -1,13 +1,11 @@
 package sparql
 
 import (
-	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"applab/internal/geom"
 	"applab/internal/geom/rtree"
+	"applab/internal/geosparql"
 	"applab/internal/rdf"
 )
 
@@ -17,8 +15,8 @@ import (
 // The compiler detects that shape (see compileSpatialUnit) and lowers
 // the whole unit to a spatialJoinOp: the build side's WKT column is
 // batch-decoded into a columnar geom.Arena, an envelope index prunes
-// candidate pairs, and the registered exact predicate refines the
-// survivors. Three interchangeable candidate generators:
+// candidate pairs, and the exact predicate (geosparql.Relation) refines
+// the survivors. Three interchangeable candidate generators:
 //
 //   - "inl":   index nested loop — STR-bulk-load an R-tree over the
 //     build side, probe per probe-side row. Wins while the build side
@@ -48,88 +46,23 @@ type SpatialSource interface {
 	SpatialCandidates(env geom.Envelope) ([]rdf.Triple, bool)
 }
 
-// ---- spatial relation registry ----
-
-var (
-	spatialRelMu sync.RWMutex
-	spatialRels  = map[string]func(a, b geom.Geometry) bool{}
-)
-
-// RegisterSpatialRelation declares iri as a spatial predicate the
-// planner may execute as a spatial join. The relation must be
-// envelope-conservative — rel(a, b) implies a and b's envelopes
-// intersect — which is what lets the join discard envelope-disjoint
-// pairs without calling rel (geof:sfDisjoint, for example, must NOT be
-// registered). geosparql.Register installs the geof:sf* family.
-func RegisterSpatialRelation(iri string, rel func(a, b geom.Geometry) bool) {
-	spatialRelMu.Lock()
-	defer spatialRelMu.Unlock()
-	spatialRels[iri] = rel
-}
-
-func spatialRelation(iri string) (func(a, b geom.Geometry) bool, bool) {
-	spatialRelMu.RLock()
-	defer spatialRelMu.RUnlock()
-	rel, ok := spatialRels[iri]
-	return rel, ok
-}
-
-// ---- configuration ----
-
-// Spatial-join modes accepted by SetSpatialJoin.
+// Spatial-join strategies. spatialAuto is the planner's own choice from
+// runtime sizes; the others exist to be forced in tests (see forced).
 const (
-	SpatialJoinAuto  = "auto"  // pick a strategy from runtime sizes
-	SpatialJoinOff   = "off"   // per-row filter path (the seed shape)
-	SpatialJoinINL   = "inl"   // force index nested loop
-	SpatialJoinCells = "cells" // force the Hilbert cell index
-	SpatialJoinStore = "store" // force the store index (falls back to auto)
+	spatialAuto  = "auto"  // pick a strategy from runtime sizes
+	spatialOff   = "off"   // per-row filter path (the seed shape)
+	spatialINL   = "inl"   // index nested loop
+	spatialCells = "cells" // Hilbert cell index
+	spatialStore = "store" // the store's index (falls back to auto)
 )
 
-var (
-	cfgSpatialJoin  atomic.Value // string; empty = auto
-	cfgSpatialCells atomic.Int32 // grid order; 0 = geom.DefaultCellOrder
-)
-
-// SetSpatialJoin selects the spatial-join strategy ("auto", "off",
-// "inl", "cells", "store"); empty restores "auto". Safe for concurrent
-// use.
-func SetSpatialJoin(mode string) error {
-	switch mode {
-	case "", SpatialJoinAuto, SpatialJoinOff, SpatialJoinINL, SpatialJoinCells, SpatialJoinStore:
-	default:
-		return fmt.Errorf("sparql: unknown spatial-join mode %q", mode)
+// spatialMode is the strategy the planner runs with: spatialAuto unless
+// a test forced another.
+func spatialMode() string {
+	if f := forced.Load(); f != nil {
+		return f.spatial
 	}
-	if mode == "" {
-		mode = SpatialJoinAuto
-	}
-	cfgSpatialJoin.Store(mode)
-	return nil
-}
-
-// SpatialJoinMode reports the effective spatial-join mode.
-func SpatialJoinMode() string {
-	if v, ok := cfgSpatialJoin.Load().(string); ok && v != "" {
-		return v
-	}
-	return SpatialJoinAuto
-}
-
-// SetSpatialCells sets the Hilbert grid order for the cells strategy
-// (the grid is 2^order cells per side, clamped by internal/geom);
-// n <= 0 restores the default. Safe for concurrent use.
-func SetSpatialCells(order int) {
-	if order < 0 {
-		order = 0
-	}
-	cfgSpatialCells.Store(int32(order))
-}
-
-// SpatialCellOrder reports the effective grid order.
-func SpatialCellOrder() int {
-	if v := int(cfgSpatialCells.Load()); v > 0 {
-		return v
-	}
-	return geom.DefaultCellOrder
+	return spatialAuto
 }
 
 // spatialINLMaxBuild is the build-side row count up to which auto mode
@@ -168,7 +101,7 @@ func patternVars(tp TriplePattern) []string {
 // success (the caller then skips the filter elements); nil, false keeps
 // the ordinary compilation.
 //
-// The unit splits when one of the filters is a registered spatial
+// The unit splits when one of the filters is a geosparql spatial
 // relation over two variables bound by pattern components that share no
 // variable (directly or transitively, counting variables bound by
 // earlier plan ops as one shared "outer" component): the component of
@@ -178,7 +111,7 @@ func patternVars(tp TriplePattern) []string {
 // builds); a component reachable from outer bindings must stay on the
 // probe side, where the incoming rows are.
 func (c *compiler) compileSpatialUnit(pats []TriplePattern, filters []Element) ([]op, bool) {
-	if SpatialJoinMode() == SpatialJoinOff || len(pats) < 2 || len(filters) == 0 {
+	if spatialMode() == spatialOff || len(pats) < 2 || len(filters) == 0 {
 		return nil, false
 	}
 
@@ -227,7 +160,7 @@ func (c *compiler) compileSpatialUnit(pats []TriplePattern, filters []Element) (
 		if !ok {
 			continue
 		}
-		r, ok := spatialRelation(iri)
+		r, ok := geosparql.Relation(iri)
 		if !ok {
 			continue
 		}
@@ -410,8 +343,8 @@ func mergeRow(a, b row, ar *rowArena) (row, bool) {
 }
 
 func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
-	mode := SpatialJoinMode()
-	if sj.scan != nil && (mode == SpatialJoinAuto || mode == SpatialJoinStore) {
+	mode := spatialMode()
+	if sj.scan != nil && (mode == spatialAuto || mode == spatialStore) {
 		if sp, ok := ec.src.(SpatialSource); ok {
 			if _, avail := sp.SpatialCandidates(geom.EmptyEnvelope()); avail {
 				return sj.runStore(ec, sp, in)
@@ -444,11 +377,11 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 	}
 
 	strategy := mode
-	if strategy == SpatialJoinStore || strategy == SpatialJoinAuto {
+	if strategy == spatialStore || strategy == spatialAuto {
 		if len(bRows) <= spatialINLMaxBuild {
-			strategy = SpatialJoinINL
+			strategy = spatialINL
 		} else {
-			strategy = SpatialJoinCells
+			strategy = spatialCells
 		}
 	}
 
@@ -456,7 +389,7 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 	// (undecodable rows) are excluded from both generators.
 	var tree *rtree.Tree
 	var cells *geom.CellIndex
-	if strategy == SpatialJoinINL {
+	if strategy == spatialINL {
 		items := make([]rtree.Item, 0, len(bRows))
 		for bi, env := range bEnvs {
 			if err := ec.tick(&n); err != nil {
@@ -468,7 +401,7 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 		}
 		tree = rtree.Bulk(items)
 	} else {
-		cells = geom.BuildCellIndex(bEnvs, SpatialCellOrder())
+		cells = geom.BuildCellIndex(bEnvs)
 	}
 	noteSpatialJoin(strategy)
 
@@ -531,7 +464,7 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 // spatial index per row and extend rows through the build-side scan
 // exactly like a nested-loop match would.
 func (sj *spatialJoinOp) runStore(ec *execCtx, sp SpatialSource, in []row) ([]row, error) {
-	noteSpatialJoin(SpatialJoinStore)
+	noteSpatialJoin(spatialStore)
 	return chunkedRange(ec, len(in), func(lo, hi int) ([]row, error) {
 		pb := newGeomBatch()
 		var ar rowArena

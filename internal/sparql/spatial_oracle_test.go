@@ -1,16 +1,14 @@
-package geographica
+package sparql_test
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
+	"applab/internal/geographica"
 	"applab/internal/rdf"
 	"applab/internal/segment"
 	"applab/internal/sparql"
 	"applab/internal/strabon"
-	"applab/internal/workload"
 )
 
 // The spatial-join operator must be answer-invisible: for every
@@ -58,65 +56,22 @@ func oracleQueries() []string {
 	}
 }
 
-// canonicalRows renders a result as a sorted row multiset.
-func canonicalRows(t *testing.T, res *sparql.Results) string {
-	t.Helper()
-	rows := make([]string, 0, len(res.Bindings))
-	for _, b := range res.Bindings {
-		vars := make([]string, 0, len(b))
-		for v := range b {
-			vars = append(vars, v)
-		}
-		sort.Strings(vars)
-		var sb strings.Builder
-		for _, v := range vars {
-			fmt.Fprintf(&sb, "%s=%s;", v, b[v].Key())
-		}
-		rows = append(rows, sb.String())
-	}
-	sort.Strings(rows)
-	return strings.Join(rows, "\n")
-}
-
-func restoreEngineKnobs(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() {
-		sparql.SetQueryWorkers(0)
-		sparql.SetParallelThreshold(0)
-		if err := sparql.SetSpatialJoin(""); err != nil {
-			t.Fatal(err)
-		}
-		sparql.SetSpatialCells(0)
-	})
-}
-
 func TestSpatialJoinOracle(t *testing.T) {
-	restoreEngineKnobs(t)
-	w := NewWorkload(40, 7)
-	sys, err := NewStrabonSystem(w)
+	sys, err := geographica.NewStrabonSystem(geographica.NewWorkload(40, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Store().Close()
 	mem := sys.Store()
+	defer mem.Close()
 
 	// The same triples in a segment-backed store, flushed, closed, and
 	// reopened cold: the R-tree is rebuilt from segments on first use.
-	var triples []rdf.Triple
-	for _, name := range []string{"osm", "clc", "ua", "gadm"} {
-		feats, err := w.dataset(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns := datasetNS[name]
-		triples = append(triples, workload.FeaturesToRDF(ns.ns, ns.classProp, feats)...)
-	}
 	dir := t.TempDir()
 	disk, err := strabon.Open(dir, segment.Options{FlushEvery: 128, CompactAt: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk.AddAll(triples)
+	disk.AddAll(mem.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}))
 	if err := disk.Err(); err != nil {
 		t.Fatalf("disk ingest: %v", err)
 	}
@@ -129,10 +84,9 @@ func TestSpatialJoinOracle(t *testing.T) {
 	}
 	defer cold.Close()
 
-	sparql.SetParallelThreshold(1)
 	modes := []string{
-		sparql.SpatialJoinOff, sparql.SpatialJoinINL, sparql.SpatialJoinCells,
-		sparql.SpatialJoinStore, sparql.SpatialJoinAuto,
+		sparql.SpatialOff, sparql.SpatialINL, sparql.SpatialCells,
+		sparql.SpatialStore, sparql.SpatialAuto,
 	}
 	for qi, qs := range oracleQueries() {
 		parsed, err := sparql.Parse(qs)
@@ -143,7 +97,7 @@ func TestSpatialJoinOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d seed: %v", qi, err)
 		}
-		oracle := canonicalRows(t, seedRes)
+		oracle := sparql.RowsKey(seedRes)
 		if oracle == "" {
 			t.Fatalf("query %d: oracle is empty; workload too sparse to prove anything", qi)
 		}
@@ -152,16 +106,13 @@ func TestSpatialJoinOracle(t *testing.T) {
 			st   *strabon.Store
 		}{{"memory", mem}, {"disk-reopened", cold}} {
 			for _, mode := range modes {
-				if err := sparql.SetSpatialJoin(mode); err != nil {
-					t.Fatal(err)
-				}
 				for _, workers := range []int{1, 4} {
-					sparql.SetQueryWorkers(workers)
+					sparql.Force(t, workers, 1, mode)
 					res, err := store.st.Query(qs)
 					if err != nil {
 						t.Fatalf("query %d %s mode=%s workers=%d: %v", qi, store.name, mode, workers, err)
 					}
-					if got := canonicalRows(t, res); got != oracle {
+					if got := sparql.RowsKey(res); got != oracle {
 						t.Fatalf("query %d %s mode=%s workers=%d: %d rows diverge from seed oracle (%d rows)",
 							qi, store.name, mode, workers, len(res.Bindings), len(seedRes.Bindings))
 					}
@@ -175,7 +126,7 @@ func TestSpatialJoinOracle(t *testing.T) {
 // path (off) and on the planner-selected spatial join (auto); which
 // strategies run and that they agree is TestSpatialJoinOracle's job.
 func BenchmarkSpatialJoin(b *testing.B) {
-	sys, err := NewStrabonSystem(NewWorkload(200, 11))
+	sys, err := geographica.NewStrabonSystem(geographica.NewWorkload(200, 11))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -189,12 +140,9 @@ func BenchmarkSpatialJoin(b *testing.B) {
 		}
 		queries = append(queries, q)
 	}
-	for _, mode := range []string{sparql.SpatialJoinOff, sparql.SpatialJoinAuto} {
+	for _, mode := range []string{sparql.SpatialOff, sparql.SpatialAuto} {
 		b.Run(mode, func(b *testing.B) {
-			if err := sparql.SetSpatialJoin(mode); err != nil {
-				b.Fatal(err)
-			}
-			defer sparql.SetSpatialJoin("")
+			sparql.Force(b, 0, 0, mode)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {

@@ -4,58 +4,20 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"applab/internal/admission"
 	"applab/internal/geom"
 	"applab/internal/rdf"
+	"applab/internal/telemetry"
 )
 
 // The spatial-join operator must be invisible except for speed: every
 // strategy (R-tree nested loop, Hilbert cells, store pushdown) has to
 // produce exactly the rows the per-row filter path produces, in the
 // same order for any worker count. These tests pin the detection rules
-// and the equivalence.
-
-const spatialTestIntersects = "urn:test:intersects"
-
-var spatialTestRegisterOnce sync.Once
-
-// registerSpatialTestFn installs the test predicate on both sides of
-// the contract: as an ordinary extension function (the filter path) and
-// as a spatial relation (the join path).
-func registerSpatialTestFn() {
-	spatialTestRegisterOnce.Do(func() {
-		RegisterFunction(spatialTestIntersects, func(args []rdf.Term) (rdf.Term, error) {
-			if len(args) != 2 {
-				return rdf.Term{}, fmt.Errorf("urn:test:intersects takes two arguments")
-			}
-			ga, err := geom.ParseWKT(args[0].Value)
-			if err != nil {
-				return rdf.Term{}, err
-			}
-			gb, err := geom.ParseWKT(args[1].Value)
-			if err != nil {
-				return rdf.Term{}, err
-			}
-			return rdf.NewBool(geom.Intersects(ga, gb)), nil
-		})
-		RegisterSpatialRelation(spatialTestIntersects, geom.Intersects)
-	})
-}
-
-// restoreSpatialKnobs resets the package-wide spatial configuration.
-func restoreSpatialKnobs(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() {
-		if err := SetSpatialJoin(""); err != nil {
-			t.Fatal(err)
-		}
-		SetSpatialCells(0)
-	})
-}
+// and the equivalence, forcing each strategy through Force.
 
 var (
 	spKind = rdf.NewIRI("urn:sp:kind")
@@ -98,11 +60,11 @@ func spatialGraph(nRegions, nPlaces int) *rdf.Graph {
 	return g
 }
 
-const spatialJoinQuery = `PREFIX sp: <urn:sp:> PREFIX t: <urn:test:>
+const spatialJoinQuery = `PREFIX sp: <urn:sp:>
 SELECT ?a ?b WHERE {
   ?a sp:kind "place" . ?a sp:wkt ?wa .
   ?b sp:kind "region" . ?b sp:wkt ?wb .
-  FILTER(t:intersects(?wa, ?wb))
+  FILTER(geof:sfIntersects(?wa, ?wb))
 }`
 
 func opsContainSpatialJoin(ops []op) *spatialJoinOp {
@@ -124,8 +86,6 @@ func compileOps(t *testing.T, query string, src Source) []op {
 }
 
 func TestSpatialJoinDetection(t *testing.T) {
-	registerSpatialTestFn()
-	restoreSpatialKnobs(t)
 	g := spatialGraph(40, 40)
 
 	sj := opsContainSpatialJoin(compileOps(t, spatialJoinQuery, g))
@@ -137,11 +97,11 @@ func TestSpatialJoinDetection(t *testing.T) {
 	}
 
 	// A second, non-spatial filter in the run must survive as a filterOp.
-	withExtra := `PREFIX sp: <urn:sp:> PREFIX t: <urn:test:>
+	withExtra := `PREFIX sp: <urn:sp:>
 SELECT ?a ?b WHERE {
   ?a sp:kind "place" . ?a sp:wkt ?wa .
   ?b sp:kind "region" . ?b sp:wkt ?wb .
-  FILTER(t:intersects(?wa, ?wb)) FILTER(?a != ?b)
+  FILTER(geof:sfIntersects(?wa, ?wb)) FILTER(?a != ?b)
 }`
 	ops := compileOps(t, withExtra, g)
 	if opsContainSpatialJoin(ops) == nil {
@@ -158,11 +118,11 @@ SELECT ?a ?b WHERE {
 	}
 
 	// The bare geo:asWKT build side is the store-pushdown shape.
-	storeShape := `PREFIX sp: <urn:sp:> PREFIX geo: <http://www.opengis.net/ont/geosparql#> PREFIX t: <urn:test:>
+	storeShape := `PREFIX sp: <urn:sp:> PREFIX geo: <http://www.opengis.net/ont/geosparql#>
 SELECT ?a ?b WHERE {
   ?a sp:kind "place" . ?a geo:asWKT ?wa .
   ?b geo:asWKT ?wb .
-  FILTER(t:intersects(?wa, ?wb))
+  FILTER(geof:sfIntersects(?wa, ?wb))
 }`
 	sj = opsContainSpatialJoin(compileOps(t, storeShape, spatialSourceGraph(10, 20)))
 	if sj == nil {
@@ -174,21 +134,19 @@ SELECT ?a ?b WHERE {
 }
 
 func TestSpatialJoinNotDetected(t *testing.T) {
-	registerSpatialTestFn()
-	restoreSpatialKnobs(t)
 	g := spatialGraph(10, 10)
 	cases := map[string]string{
-		"shared variable connects the components": `PREFIX sp: <urn:sp:> PREFIX t: <urn:test:>
-SELECT ?a WHERE { ?a sp:wkt ?wa . ?a sp:kind ?wb . FILTER(t:intersects(?wa, ?wb)) }`,
-		"unregistered relation": `PREFIX sp: <urn:sp:> PREFIX t: <urn:test:>
+		"shared variable connects the components": `PREFIX sp: <urn:sp:>
+SELECT ?a WHERE { ?a sp:wkt ?wa . ?a sp:kind ?wb . FILTER(geof:sfIntersects(?wa, ?wb)) }`,
+		"function that is not a relation": `PREFIX sp: <urn:sp:>
 SELECT ?a ?b WHERE { ?a sp:kind "place" . ?a sp:wkt ?wa . ?b sp:kind "region" . ?b sp:wkt ?wb .
-  FILTER(t:nosuchrel(?wa, ?wb)) }`,
-		"constant argument": `PREFIX sp: <urn:sp:> PREFIX t: <urn:test:>
+  FILTER(geof:sfDisjoint(?wa, ?wb)) }`,
+		"constant argument": `PREFIX sp: <urn:sp:>
 SELECT ?a ?b WHERE { ?a sp:kind "place" . ?a sp:wkt ?wa . ?b sp:kind "region" . ?b sp:wkt ?wb .
-  FILTER(t:intersects(?wa, "POINT (1 1)")) }`,
-		"argument bound before the unit": `PREFIX sp: <urn:sp:> PREFIX t: <urn:test:>
+  FILTER(geof:sfIntersects(?wa, "POINT (1 1)")) }`,
+		"argument bound before the unit": `PREFIX sp: <urn:sp:>
 SELECT ?b WHERE { VALUES ?wa { "POINT (1 1)" } ?b sp:kind "region" . ?b sp:wkt ?wb .
-  FILTER(t:intersects(?wa, ?wb)) }`,
+  FILTER(geof:sfIntersects(?wa, ?wb)) }`,
 	}
 	for name, query := range cases {
 		if opsContainSpatialJoin(compileOps(t, query, g)) != nil {
@@ -196,9 +154,7 @@ SELECT ?b WHERE { VALUES ?wa { "POINT (1 1)" } ?b sp:kind "region" . ?b sp:wkt ?
 		}
 	}
 
-	if err := SetSpatialJoin(SpatialJoinOff); err != nil {
-		t.Fatal(err)
-	}
+	Force(t, 0, 0, SpatialOff)
 	if opsContainSpatialJoin(compileOps(t, spatialJoinQuery, g)) != nil {
 		t.Error("mode off still detected a spatial unit")
 	}
@@ -208,17 +164,13 @@ SELECT ?b WHERE { VALUES ?wa { "POINT (1 1)" } ?b sp:kind "region" . ?b sp:wkt ?
 // strategy and worker count returns the canonical filter-path answer,
 // and within a mode the row order is identical across worker counts.
 func TestSpatialJoinMatchesFilterPath(t *testing.T) {
-	registerSpatialTestFn()
-	restoreSpatialKnobs(t)
 	g := spatialGraph(60, 150)
 	q, err := Parse(spatialJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if err := SetSpatialJoin(SpatialJoinOff); err != nil {
-		t.Fatal(err)
-	}
+	Force(t, 0, 0, SpatialOff)
 	base, err := q.Eval(g)
 	if err != nil {
 		t.Fatal(err)
@@ -234,27 +186,22 @@ func TestSpatialJoinMatchesFilterPath(t *testing.T) {
 		t.Fatal("compiled filter path disagrees with seed evaluator")
 	}
 
-	for _, mode := range []string{SpatialJoinAuto, SpatialJoinINL, SpatialJoinCells, SpatialJoinStore} {
-		for _, order := range []int{0, 3} {
-			if err := SetSpatialJoin(mode); err != nil {
-				t.Fatal(err)
+	for _, mode := range []string{SpatialAuto, SpatialINL, SpatialCells, SpatialStore} {
+		Force(t, 0, 0, mode)
+		var firstOrdered string
+		for _, workers := range []int{1, 8} {
+			res, err := q.eval(g, workers, 1)
+			if err != nil {
+				t.Fatalf("mode=%s workers=%d: %v", mode, workers, err)
 			}
-			SetSpatialCells(order)
-			var firstOrdered string
-			for _, workers := range []int{1, 8} {
-				res, err := q.eval(g, workers, 1)
-				if err != nil {
-					t.Fatalf("mode=%s order=%d workers=%d: %v", mode, order, workers, err)
-				}
-				if resultsKey(res) != resultsKey(base) {
-					t.Fatalf("mode=%s order=%d workers=%d: %d rows, filter path %d rows",
-						mode, order, workers, len(res.Bindings), len(base.Bindings))
-				}
-				if firstOrdered == "" {
-					firstOrdered = orderedKey(res)
-				} else if orderedKey(res) != firstOrdered {
-					t.Fatalf("mode=%s order=%d: row order differs between worker counts", mode, order)
-				}
+			if resultsKey(res) != resultsKey(base) {
+				t.Fatalf("mode=%s workers=%d: %d rows, filter path %d rows",
+					mode, workers, len(res.Bindings), len(base.Bindings))
+			}
+			if firstOrdered == "" {
+				firstOrdered = orderedKey(res)
+			} else if orderedKey(res) != firstOrdered {
+				t.Fatalf("mode=%s: row order differs between worker counts", mode)
 			}
 		}
 	}
@@ -305,23 +252,19 @@ func (f *fakeSpatialSource) SpatialCandidates(env geom.Envelope) ([]rdf.Triple, 
 }
 
 func TestSpatialJoinStorePushdown(t *testing.T) {
-	registerSpatialTestFn()
-	restoreSpatialKnobs(t)
 	src := &fakeSpatialSource{Graph: spatialSourceGraph(25, 120)}
-	query := `PREFIX sp: <urn:sp:> PREFIX geo: <http://www.opengis.net/ont/geosparql#> PREFIX t: <urn:test:>
+	query := `PREFIX sp: <urn:sp:> PREFIX geo: <http://www.opengis.net/ont/geosparql#>
 SELECT ?a ?b WHERE {
   ?a sp:kind "place" . ?a geo:asWKT ?wa .
   ?b geo:asWKT ?wb .
-  FILTER(t:intersects(?wa, ?wb))
+  FILTER(geof:sfIntersects(?wa, ?wb))
 }`
 	q, err := Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if err := SetSpatialJoin(SpatialJoinOff); err != nil {
-		t.Fatal(err)
-	}
+	Force(t, 0, 0, SpatialOff)
 	base, err := q.Eval(src)
 	if err != nil {
 		t.Fatal(err)
@@ -330,10 +273,8 @@ SELECT ?a ?b WHERE {
 		t.Fatal("baseline empty")
 	}
 
-	for _, mode := range []string{SpatialJoinStore, SpatialJoinAuto} {
-		if err := SetSpatialJoin(mode); err != nil {
-			t.Fatal(err)
-		}
+	for _, mode := range []string{SpatialStore, SpatialAuto} {
+		Force(t, 0, 0, mode)
 		src.calls.Store(0)
 		var firstOrdered string
 		for _, workers := range []int{1, 6} {
@@ -360,17 +301,13 @@ SELECT ?a ?b WHERE {
 // intermediate cap reports the structured budget error for every
 // strategy and worker count, like any other operator.
 func TestSpatialJoinBudgetAbort(t *testing.T) {
-	registerSpatialTestFn()
-	restoreSpatialKnobs(t)
 	g := spatialGraph(80, 400)
 	q, err := Parse(spatialJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{SpatialJoinINL, SpatialJoinCells} {
-		if err := SetSpatialJoin(mode); err != nil {
-			t.Fatal(err)
-		}
+	for _, mode := range []string{SpatialINL, SpatialCells} {
+		Force(t, 0, 0, mode)
 		for _, workers := range []int{1, 8} {
 			b := admission.NewBudget(admission.Limits{MaxIntermediate: 60}, nil)
 			ctx := admission.WithBudget(context.Background(), b)
@@ -386,26 +323,84 @@ func TestSpatialJoinBudgetAbort(t *testing.T) {
 	}
 }
 
-func TestSpatialKnobs(t *testing.T) {
-	restoreSpatialKnobs(t)
-	if err := SetSpatialJoin("bogus"); err == nil {
-		t.Fatal("SetSpatialJoin accepted an unknown mode")
+// pinnedSpatialGraph holds 3 unit-square regions along the x axis and 4
+// places, 3 of them inside a region, all under geo:asWKT: when the
+// places are the probe side of a join, exactly 4 geometries go through a
+// candidate index.
+func pinnedSpatialGraph() *rdf.Graph {
+	g := rdf.NewGraph()
+	for i, p := range []geom.Point{{X: 0.5, Y: 0.5}, {X: 2.5, Y: 0.5}, {X: 4.5, Y: 0.5}, {X: 9, Y: 9}} {
+		s := rdf.NewIRI(fmt.Sprintf("urn:sp:p%d", i))
+		g.Add(rdf.NewTriple(s, spKind, rdf.NewLiteral("place")))
+		g.Add(rdf.NewTriple(s, asWKTTerm, rdf.NewWKT(geom.NewPoint(p.X, p.Y).WKT())))
 	}
-	if got := SpatialJoinMode(); got != SpatialJoinAuto {
-		t.Fatalf("default mode = %q", got)
+	for i := 0; i < 3; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("urn:sp:r%d", i))
+		x := float64(2 * i)
+		g.Add(rdf.NewTriple(s, spKind, rdf.NewLiteral("region")))
+		g.Add(rdf.NewTriple(s, asWKTTerm, rdf.NewWKT(geom.NewRect(x, 0, x+1, 1).WKT())))
 	}
-	if err := SetSpatialJoin(SpatialJoinCells); err != nil {
-		t.Fatal(err)
+	return g
+}
+
+// TestSpatialJoinCounters pins each strategy's telemetry exactly: one
+// spatial_join_total tick for the strategy that ran and one index probe
+// per probe-side geometry. The planner picks inl and store by itself
+// (internal/e2e pins those over strabon.Store); cells needs more build
+// rows than spatialINLMaxBuild, so it is pinned here, forced.
+func TestSpatialJoinCounters(t *testing.T) {
+	src := &fakeSpatialSource{Graph: pinnedSpatialGraph()}
+	generic := `PREFIX sp: <urn:sp:>
+SELECT ?a ?b WHERE {
+  ?a sp:kind "place" . ?a geo:asWKT ?wa .
+  ?b sp:kind "region" . ?b geo:asWKT ?wb .
+  FILTER(geof:sfIntersects(?wa, ?wb))
+}`
+	storeShape := `PREFIX sp: <urn:sp:>
+SELECT ?a ?b WHERE {
+  ?a sp:kind "place" . ?a geo:asWKT ?wa .
+  ?b geo:asWKT ?wb .
+  FILTER(geof:sfIntersects(?wa, ?wb))
+}`
+	cases := []struct{ mode, query, want string }{
+		{SpatialINL, generic, "inl"},
+		{SpatialCells, generic, "cells"},
+		{SpatialStore, storeShape, "store"},
+		{SpatialAuto, generic, "inl"},
+		{SpatialAuto, storeShape, "store"},
 	}
-	if got := SpatialJoinMode(); got != SpatialJoinCells {
-		t.Fatalf("mode after set = %q", got)
-	}
-	SetSpatialCells(5)
-	if got := SpatialCellOrder(); got != 5 {
-		t.Fatalf("cell order = %d", got)
-	}
-	SetSpatialCells(0)
-	if got := SpatialCellOrder(); got != geom.DefaultCellOrder {
-		t.Fatalf("default cell order = %d", got)
+	for _, c := range cases {
+		q, err := Parse(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed, err := q.EvalSeed(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		SetMetrics(reg)
+		Force(t, 1, 0, c.mode)
+		res, err := q.Eval(src)
+		SetMetrics(nil)
+		if err != nil {
+			t.Fatalf("mode=%s: %v", c.mode, err)
+		}
+		if len(res.Bindings) == 0 || resultsKey(res) != resultsKey(seed) {
+			t.Fatalf("mode=%s %s: %d rows, the seed evaluator's %d", c.mode, c.want, len(res.Bindings), len(seed.Bindings))
+		}
+		counters := reg.Snapshot().Counters
+		for _, strategy := range []string{"inl", "cells", "store"} {
+			want := int64(0)
+			if strategy == c.want {
+				want = 1
+			}
+			if got := counters[`spatial_join_total{strategy="`+strategy+`"}`]; got != want {
+				t.Errorf("mode=%s: spatial_join_total{strategy=%q} = %d, want %d", c.mode, strategy, got, want)
+			}
+		}
+		if got := counters["spatial_index_probes_total"]; got != 4 {
+			t.Errorf("mode=%s: spatial_index_probes_total = %d, want 4", c.mode, got)
+		}
 	}
 }

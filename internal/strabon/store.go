@@ -85,12 +85,10 @@ type Store struct {
 	fingerprint string
 }
 
-// New returns an empty in-memory store and ensures the geof:* functions
-// are registered with the SPARQL engine. An in-memory store behaves
+// New returns an empty in-memory store. An in-memory store behaves
 // exactly like the pre-engine seed store (the differential tests pin
 // this); use Open for a disk-backed store.
 func New() *Store {
-	geosparql.Register()
 	return &Store{eng: segment.New(), dirty: true, fingerprint: rescache.NextFingerprint("strabon")}
 }
 
@@ -104,7 +102,6 @@ func New() *Store {
 // engine ignores subdirectories, so opening it would answer every query
 // from an empty store.
 func Open(dir string, opts segment.Options) (*Store, error) {
-	geosparql.Register()
 	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); errors.Is(err, fs.ErrNotExist) {
 		// A ReadDir error is segment.Open's to report (or, for a
 		// missing dir, to fix by creating it).
