@@ -59,7 +59,12 @@ echo "== golden cluster workflows under real parallelism"
 # timer never races a reply that takes no time: exact counters, 60/60.
 go test -count=20 -cpu 1,2,4 -run TestClusterGoldenWorkflows ./internal/e2e
 
-echo "== allocation ceilings (handle rows, join variants, results writer, id-space graph, view revalidation)"
+echo "== golden spatial join against a warm geometry memo"
+# The memo is process-wide: the second run finds it warm and sees no
+# insert, so the spatial_arena_bytes gauge must come from SetMetrics.
+go test -count=2 -run TestGoldenSpatialJoin ./internal/e2e
+
+echo "== allocation ceilings (handle rows, join variants, results writer, id-space graph, view revalidation, geometry decoding)"
 # Engine_BGPJoinCompiled's bytes per evaluation may not regrow (rows are
 # 8-byte handles, not 56-byte terms), and served instrumented, budgeted,
 # with spatial detection off, from the memory-mode store or behind a
@@ -69,8 +74,14 @@ echo "== allocation ceilings (handle rows, join variants, results writer, id-spa
 # on a read with an unknown bound term or (amortized, presized) on an
 # Add of interned terms, and an on-the-fly evaluation over unchanged
 # sources re-publishes the view it has (three Listing-2 mappings, warm
-# window cache: < 4 KiB).
+# window cache: < 4 KiB). Geometry literals are decoded once per process
+# and constant ones once per plan: a warm SJ1-shaped join over 1,000
+# polygons decodes none of them, FILTER(geof:sfWithin(?w, CONST)) over
+# 1,000 rows allocates for rows only, and the OGC predicates on two
+# polygons allocate nothing.
 go test -count=1 -cpu 1,2,4 -run '^TestBGPJoinBytesCeiling$' ./internal/sparql
+go test -count=1 -run '^(TestSpatialJoinWarmAllocations|TestConstGeometryFilterAllocations)$' ./internal/sparql
+go test -count=1 -run '^TestPredicateAllocations$' ./internal/geom
 go test -count=1 -run '^TestResultsWriterAllocations$' ./internal/endpoint
 go test -count=1 -run '^TestGraphAllocations$' ./internal/rdf
 go test -count=1 -run '^TestRevalidateAllocations$' ./internal/obda

@@ -99,104 +99,179 @@ func pointInPolygon(p Point, g *Polygon) int {
 
 // ---- decomposition ----
 
-// segments returns all line segments of the geometry (polygon ring edges and
-// polyline edges).
-func segments(g Geometry) [][2]Point {
-	var out [][2]Point
-	addRing := func(ring []Point) {
-		for i := 0; i+1 < len(ring); i++ {
-			out = append(out, [2]Point{ring[i], ring[i+1]})
-		}
-	}
-	switch t := g.(type) {
-	case *LineString:
-		addRing(t.Points)
-	case *MultiLineString:
-		for _, l := range t.Lines {
-			addRing(l.Points)
-		}
-	case *Polygon:
-		for _, r := range t.Rings {
-			addRing(r)
-		}
-	case *MultiPolygon:
-		for _, p := range t.Polygons {
-			for _, r := range p.Rings {
-				addRing(r)
-			}
-		}
-	case *Collection:
-		for _, m := range t.Members {
-			out = append(out, segments(m)...)
-		}
-	}
-	return out
-}
+// The predicates walk a geometry's parts in place instead of collecting
+// them: each any* walker calls fn on the parts in order and stops at the
+// first fn that returns true, reporting whether one did. The callbacks
+// never outlive the call, so a predicate over parsed geometries
+// allocates nothing.
 
-// vertices returns all coordinates of the geometry.
-func vertices(g Geometry) []Point {
-	var out []Point
+// anyVertex walks every coordinate of g.
+func anyVertex(g Geometry, fn func(Point) bool) bool {
 	switch t := g.(type) {
 	case *PointGeom:
-		out = append(out, t.P)
+		return fn(t.P)
 	case *MultiPoint:
-		out = append(out, t.Points...)
+		return anyPoint(t.Points, fn)
 	case *LineString:
-		out = append(out, t.Points...)
+		return anyPoint(t.Points, fn)
 	case *MultiLineString:
 		for _, l := range t.Lines {
-			out = append(out, l.Points...)
+			if anyPoint(l.Points, fn) {
+				return true
+			}
 		}
 	case *Polygon:
 		for _, r := range t.Rings {
-			out = append(out, r...)
+			if anyPoint(r, fn) {
+				return true
+			}
 		}
 	case *MultiPolygon:
 		for _, p := range t.Polygons {
 			for _, r := range p.Rings {
-				out = append(out, r...)
+				if anyPoint(r, fn) {
+					return true
+				}
 			}
 		}
 	case *Collection:
 		for _, m := range t.Members {
-			out = append(out, vertices(m)...)
+			if anyVertex(m, fn) {
+				return true
+			}
 		}
 	}
-	return out
+	return false
 }
 
-// polygons returns the areal components of the geometry.
-func polygons(g Geometry) []*Polygon {
+func anyPoint(pts []Point, fn func(Point) bool) bool {
+	for _, p := range pts {
+		if fn(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// anySegment walks every line segment of g: polyline edges and polygon
+// ring edges.
+func anySegment(g Geometry, fn func(a, b Point) bool) bool {
+	switch t := g.(type) {
+	case *LineString:
+		return anyEdge(t.Points, fn)
+	case *MultiLineString:
+		for _, l := range t.Lines {
+			if anyEdge(l.Points, fn) {
+				return true
+			}
+		}
+	case *Polygon:
+		for _, r := range t.Rings {
+			if anyEdge(r, fn) {
+				return true
+			}
+		}
+	case *MultiPolygon:
+		for _, p := range t.Polygons {
+			for _, r := range p.Rings {
+				if anyEdge(r, fn) {
+					return true
+				}
+			}
+		}
+	case *Collection:
+		for _, m := range t.Members {
+			if anySegment(m, fn) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func anyEdge(pts []Point, fn func(a, b Point) bool) bool {
+	for i := 0; i+1 < len(pts); i++ {
+		if fn(pts[i], pts[i+1]) {
+			return true
+		}
+	}
+	return false
+}
+
+// anySegmentPair walks every pair of a segment of a and a segment of b.
+func anySegmentPair(a, b Geometry, fn func(p1, p2, q1, q2 Point) bool) bool {
+	return anySegment(a, func(p1, p2 Point) bool {
+		return anySegment(b, func(q1, q2 Point) bool { return fn(p1, p2, q1, q2) })
+	})
+}
+
+// anyPolygon walks the areal components of g.
+func anyPolygon(g Geometry, fn func(*Polygon) bool) bool {
 	switch t := g.(type) {
 	case *Polygon:
-		return []*Polygon{t}
+		return fn(t)
 	case *MultiPolygon:
-		return t.Polygons
-	case *Collection:
-		var out []*Polygon
-		for _, m := range t.Members {
-			out = append(out, polygons(m)...)
+		for _, p := range t.Polygons {
+			if fn(p) {
+				return true
+			}
 		}
-		return out
+	case *Collection:
+		for _, m := range t.Members {
+			if anyPolygon(m, fn) {
+				return true
+			}
+		}
 	}
-	return nil
+	return false
 }
 
-// pointInAny returns the max containment value of p over the polygons:
-// +1 strictly inside some polygon, 0 on some boundary, -1 outside all.
-func pointInAny(p Point, polys []*Polygon) int {
-	best := -1
-	for _, pg := range polys {
-		r := pointInPolygon(p, pg)
-		if r > best {
-			best = r
-		}
-		if best == 1 {
-			return 1
+// anyLoosePoint walks the point components of g (point and multipoint
+// members).
+func anyLoosePoint(g Geometry, fn func(Point) bool) bool {
+	switch t := g.(type) {
+	case *PointGeom:
+		return fn(t.P)
+	case *MultiPoint:
+		return anyPoint(t.Points, fn)
+	case *Collection:
+		for _, m := range t.Members {
+			if anyLoosePoint(m, fn) {
+				return true
+			}
 		}
 	}
+	return false
+}
+
+// hasArea reports whether g has an areal component.
+func hasArea(g Geometry) bool { return anyPolygon(g, func(*Polygon) bool { return true }) }
+
+// pointInAny returns the max containment value of p over g's polygons:
+// +1 strictly inside some polygon, 0 on some boundary, -1 outside all.
+func pointInAny(p Point, g Geometry) int {
+	best := -1
+	anyPolygon(g, func(pg *Polygon) bool {
+		best = max(best, pointInPolygon(p, pg))
+		return best == 1
+	})
 	return best
 }
+
+// onAnySegment reports whether p lies on some segment of g.
+func onAnySegment(p Point, g Geometry) bool {
+	return anySegment(g, func(a, b Point) bool { return onSegment(p, a, b) })
+}
+
+// inSegmentInterior reports whether p lies on some segment of g other
+// than at its endpoints.
+func inSegmentInterior(p Point, g Geometry) bool {
+	return anySegment(g, func(a, b Point) bool {
+		return onSegment(p, a, b) && !samePoint(p, a) && !samePoint(p, b)
+	})
+}
+
+func midpoint(a, b Point) Point { return Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2} }
 
 // ---- OGC simple feature predicates ----
 
@@ -208,71 +283,25 @@ func Intersects(a, b Geometry) bool {
 	if !a.Envelope().Intersects(b.Envelope()) {
 		return false
 	}
-	pa, pb := polygons(a), polygons(b)
 	// Any vertex of one inside/on the other's areal part.
-	if len(pb) > 0 {
-		for _, v := range vertices(a) {
-			if pointInAny(v, pb) >= 0 {
-				return true
-			}
-		}
+	if hasArea(b) && anyVertex(a, func(v Point) bool { return pointInAny(v, b) >= 0 }) {
+		return true
 	}
-	if len(pa) > 0 {
-		for _, v := range vertices(b) {
-			if pointInAny(v, pa) >= 0 {
-				return true
-			}
-		}
+	if hasArea(a) && anyVertex(b, func(v Point) bool { return pointInAny(v, a) >= 0 }) {
+		return true
 	}
 	// Point-only geometries against point/line parts.
-	sa, sb := segments(a), segments(b)
-	for _, v := range pointsOnly(a) {
-		for _, s := range sb {
-			if onSegment(v, s[0], s[1]) {
-				return true
-			}
-		}
-		for _, w := range pointsOnly(b) {
-			if samePoint(v, w) {
-				return true
-			}
-		}
+	if anyLoosePoint(a, func(v Point) bool {
+		return onAnySegment(v, b) || anyLoosePoint(b, func(w Point) bool { return samePoint(v, w) })
+	}) {
+		return true
 	}
-	for _, v := range pointsOnly(b) {
-		for _, s := range sa {
-			if onSegment(v, s[0], s[1]) {
-				return true
-			}
-		}
+	if anyLoosePoint(b, func(v Point) bool { return onAnySegment(v, a) }) {
+		return true
 	}
 	// Segment-segment intersection (covers line/line, line/polygon edge,
 	// polygon/polygon edge cases).
-	for _, s1 := range sa {
-		for _, s2 := range sb {
-			if segmentsIntersect(s1[0], s1[1], s2[0], s2[1]) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// pointsOnly returns the point components of the geometry (point and
-// multipoint members).
-func pointsOnly(g Geometry) []Point {
-	switch t := g.(type) {
-	case *PointGeom:
-		return []Point{t.P}
-	case *MultiPoint:
-		return t.Points
-	case *Collection:
-		var out []Point
-		for _, m := range t.Members {
-			out = append(out, pointsOnly(m)...)
-		}
-		return out
-	}
-	return nil
+	return anySegmentPair(a, b, segmentsIntersect)
 }
 
 func samePoint(a, b Point) bool {
@@ -291,107 +320,55 @@ func Contains(a, b Geometry) bool {
 	if !a.Envelope().ContainsEnvelope(b.Envelope()) {
 		return false
 	}
-	pa := polygons(a)
-	if len(pa) > 0 {
+	if hasArea(a) {
 		// Areal container: all of b's vertices inside or on boundary, at
 		// least one strictly inside, and no segment of b crossing out.
-		vb := vertices(b)
 		interior := false
-		for _, v := range vb {
-			r := pointInAny(v, pa)
-			if r < 0 {
-				return false
-			}
+		outside := func(p Point) bool {
+			r := pointInAny(p, a)
 			if r > 0 {
 				interior = true
 			}
+			return r < 0
 		}
-		for _, s := range segments(b) {
-			for _, sa := range segments(a) {
-				if segmentsProperCross(s[0], s[1], sa[0], sa[1]) {
-					return false
-				}
-			}
-			// Midpoint must not fall outside (handles b's edge passing
-			// through a hole or a concavity without proper crossings).
-			mid := Point{(s[0].X + s[1].X) / 2, (s[0].Y + s[1].Y) / 2}
-			r := pointInAny(mid, pa)
-			if r < 0 {
-				return false
-			}
-			if r > 0 {
-				interior = true
-			}
+		if anyVertex(b, outside) {
+			return false
+		}
+		if anySegment(b, func(p, q Point) bool {
+			return anySegment(a, func(r, s Point) bool { return segmentsProperCross(p, q, r, s) }) ||
+				// Midpoint must not fall outside (handles b's edge passing
+				// through a hole or a concavity without proper crossings).
+				outside(midpoint(p, q))
+		}) {
+			return false
 		}
 		if !interior {
 			// All sampled points sit on a's boundary. For an areal b this
 			// happens when the boundaries coincide (Contains(A, A) must
-			// hold): probe interior points of b's polygons.
-			for _, pb := range polygons(b) {
+			// hold): probe interior points of b's polygons. Otherwise b (a
+			// point/line) lies entirely on a's boundary.
+			interior = anyPolygon(b, func(pb *Polygon) bool {
 				c := polygonCentroid(pb)
-				if pointInPolygon(c, pb) > 0 && pointInAny(c, pa) > 0 {
-					interior = true
-					break
-				}
-			}
+				return pointInPolygon(c, pb) > 0 && pointInAny(c, a) > 0
+			})
 		}
-		if !interior {
-			// b (a point/line) lies entirely on a's boundary.
-			return false
-		}
-		return true
+		return interior
 	}
 	switch ta := a.(type) {
 	case *LineString, *MultiLineString:
 		// Line contains points / sub-lines: every vertex and midpoint of b
-		// must lie on some segment of a.
-		sa := segments(a)
-		check := func(p Point) bool {
-			for _, s := range sa {
-				if onSegment(p, s[0], s[1]) {
-					return true
-				}
-			}
-			return false
-		}
-		for _, v := range vertices(b) {
-			if !check(v) {
-				return false
-			}
-		}
-		for _, s := range segments(b) {
-			mid := Point{(s[0].X + s[1].X) / 2, (s[0].Y + s[1].Y) / 2}
-			if !check(mid) {
-				return false
-			}
-		}
-		if _, isPt := b.(*PointGeom); isPt {
-			// A line contains a point only in its interior; endpoints are
-			// boundary. Accept boundary too (pragmatic covers semantics).
-			return true
-		}
-		return true
+		// must lie on some segment of a. A line contains a point only in
+		// its interior; endpoints are boundary. Accept boundary too
+		// (pragmatic covers semantics).
+		offLine := func(p Point) bool { return !onAnySegment(p, a) }
+		return !anyVertex(b, offLine) &&
+			!anySegment(b, func(p, q Point) bool { return offLine(midpoint(p, q)) })
 	case *PointGeom:
-		for _, v := range vertices(b) {
-			if !samePoint(ta.P, v) {
-				return false
-			}
-		}
-		return true
+		return !anyVertex(b, func(v Point) bool { return !samePoint(ta.P, v) })
 	case *MultiPoint:
-		for _, v := range vertices(b) {
-			found := false
-			for _, p := range ta.Points {
-				if samePoint(p, v) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
+		return !anyVertex(b, func(v Point) bool {
+			return !anyPoint(ta.Points, func(p Point) bool { return samePoint(p, v) })
+		})
 	}
 	return false
 }
@@ -403,111 +380,50 @@ func Within(a, b Geometry) bool { return Contains(b, a) }
 // (approximated by strict containment of vertices/midpoints and proper
 // segment crossings).
 func interiorsIntersect(a, b Geometry) bool {
-	pa, pb := polygons(a), polygons(b)
-	if len(pa) > 0 && len(pb) > 0 {
-		for _, v := range vertices(b) {
-			if pointInAny(v, pa) > 0 {
-				return true
-			}
-		}
-		for _, v := range vertices(a) {
-			if pointInAny(v, pb) > 0 {
-				return true
-			}
-		}
-		for _, s1 := range segments(a) {
-			for _, s2 := range segments(b) {
-				if segmentsProperCross(s1[0], s1[1], s2[0], s2[1]) {
-					return true
-				}
-			}
-		}
-		// One polygon entirely inside the other with no vertex strictly
-		// inside is impossible once envelopes overlap and edges don't
-		// cross, except identical boundaries — treat midpoints.
-		for _, s := range segments(b) {
-			mid := Point{(s[0].X + s[1].X) / 2, (s[0].Y + s[1].Y) / 2}
-			if pointInAny(mid, pa) > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	if len(pa) > 0 {
-		// b is line/point: interior intersection means some point of b
-		// strictly inside a.
-		for _, v := range vertices(b) {
-			if pointInAny(v, pa) > 0 {
-				return true
-			}
-		}
-		for _, s := range segments(b) {
-			mid := Point{(s[0].X + s[1].X) / 2, (s[0].Y + s[1].Y) / 2}
-			if pointInAny(mid, pa) > 0 {
-				return true
-			}
-		}
-		for _, s1 := range segments(a) {
-			for _, s2 := range segments(b) {
-				if segmentsProperCross(s1[0], s1[1], s2[0], s2[1]) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if len(pb) > 0 {
+	areaA, areaB := hasArea(a), hasArea(b)
+	if areaB && !areaA {
 		return interiorsIntersect(b, a)
 	}
-	// line/line: proper crossing or collinear overlap.
-	for _, s1 := range segments(a) {
-		for _, s2 := range segments(b) {
-			if segmentsProperCross(s1[0], s1[1], s2[0], s2[1]) {
-				return true
-			}
-			// collinear overlap of positive length
-			if collinearOverlap(s1, s2) {
-				return true
-			}
-		}
+	if areaA {
+		// b strictly inside a somewhere (for a line/point b, that is what
+		// interior intersection means), a strictly inside an areal b, or
+		// proper crossings. One polygon entirely inside the other with no
+		// vertex strictly inside is impossible once envelopes overlap and
+		// edges don't cross, except identical boundaries — hence the
+		// midpoints.
+		insideA := func(p Point) bool { return pointInAny(p, a) > 0 }
+		return anyVertex(b, insideA) ||
+			(areaB && anyVertex(a, func(p Point) bool { return pointInAny(p, b) > 0 })) ||
+			anySegmentPair(a, b, segmentsProperCross) ||
+			anySegment(b, func(p, q Point) bool { return insideA(midpoint(p, q)) })
 	}
-	// point against line/point interiors
-	for _, v := range pointsOnly(a) {
-		for _, s := range segments(b) {
-			if onSegment(v, s[0], s[1]) && !samePoint(v, s[0]) && !samePoint(v, s[1]) {
-				return true
-			}
-		}
-		for _, w := range pointsOnly(b) {
-			if samePoint(v, w) {
-				return true
-			}
-		}
-	}
-	for _, v := range pointsOnly(b) {
-		for _, s := range segments(a) {
-			if onSegment(v, s[0], s[1]) && !samePoint(v, s[0]) && !samePoint(v, s[1]) {
-				return true
-			}
-		}
-	}
-	return false
+	// line/line: proper crossing or collinear overlap of positive length,
+	// then points against line/point interiors.
+	return anySegmentPair(a, b, func(p1, p2, q1, q2 Point) bool {
+		return segmentsProperCross(p1, p2, q1, q2) || collinearOverlap(p1, p2, q1, q2)
+	}) ||
+		anyLoosePoint(a, func(v Point) bool {
+			return inSegmentInterior(v, b) || anyLoosePoint(b, func(w Point) bool { return samePoint(v, w) })
+		}) ||
+		anyLoosePoint(b, func(v Point) bool { return inSegmentInterior(v, a) })
 }
 
-func collinearOverlap(s1, s2 [2]Point) bool {
-	if math.Abs(orient(s1[0], s1[1], s2[0])) > eps || math.Abs(orient(s1[0], s1[1], s2[1])) > eps {
+// collinearOverlap reports whether segments ab and cd are collinear and
+// overlap along a positive length.
+func collinearOverlap(a, b, c, d Point) bool {
+	if math.Abs(orient(a, b, c)) > eps || math.Abs(orient(a, b, d)) > eps {
 		return false
 	}
 	// Project onto the dominant axis and check interval overlap length.
-	ax := math.Abs(s1[1].X - s1[0].X)
-	ay := math.Abs(s1[1].Y - s1[0].Y)
+	ax := math.Abs(b.X - a.X)
+	ay := math.Abs(b.Y - a.Y)
 	var a1, a2, b1, b2 float64
 	if ax >= ay {
-		a1, a2 = math.Min(s1[0].X, s1[1].X), math.Max(s1[0].X, s1[1].X)
-		b1, b2 = math.Min(s2[0].X, s2[1].X), math.Max(s2[0].X, s2[1].X)
+		a1, a2 = math.Min(a.X, b.X), math.Max(a.X, b.X)
+		b1, b2 = math.Min(c.X, d.X), math.Max(c.X, d.X)
 	} else {
-		a1, a2 = math.Min(s1[0].Y, s1[1].Y), math.Max(s1[0].Y, s1[1].Y)
-		b1, b2 = math.Min(s2[0].Y, s2[1].Y), math.Max(s2[0].Y, s2[1].Y)
+		a1, a2 = math.Min(a.Y, b.Y), math.Max(a.Y, b.Y)
+		b1, b2 = math.Min(c.Y, d.Y), math.Max(c.Y, d.Y)
 	}
 	return math.Min(a2, b2)-math.Max(a1, b1) > eps
 }
@@ -531,18 +447,8 @@ func Overlaps(a, b Geometry) bool {
 func Crosses(a, b Geometry) bool {
 	da, db := dimension(a), dimension(b)
 	if da == db {
-		if da != 1 {
-			return false
-		}
 		// Two lines cross when they properly cross at points.
-		for _, s1 := range segments(a) {
-			for _, s2 := range segments(b) {
-				if segmentsProperCross(s1[0], s1[1], s2[0], s2[1]) {
-					return true
-				}
-			}
-		}
-		return false
+		return da == 1 && anySegmentPair(a, b, segmentsProperCross)
 	}
 	return interiorsIntersect(a, b) && !Contains(a, b) && !Contains(b, a)
 }
@@ -566,33 +472,15 @@ func Equals(a, b Geometry) bool {
 
 // coveredBy reports whether every sampled point of a lies on/in b.
 func coveredBy(a, b Geometry) bool {
-	pb := polygons(b)
-	checkPoly := func(p Point) bool { return pointInAny(p, pb) >= 0 }
-	sb := segments(b)
-	checkLine := func(p Point) bool {
-		for _, s := range sb {
-			if onSegment(p, s[0], s[1]) {
-				return true
-			}
+	areal := hasArea(b)
+	outside := func(p Point) bool {
+		if areal {
+			return pointInAny(p, b) < 0
 		}
-		return false
+		return !onAnySegment(p, b)
 	}
-	check := checkLine
-	if len(pb) > 0 {
-		check = checkPoly
-	}
-	for _, v := range vertices(a) {
-		if !check(v) {
-			return false
-		}
-	}
-	for _, s := range segments(a) {
-		mid := Point{(s[0].X + s[1].X) / 2, (s[0].Y + s[1].Y) / 2}
-		if !check(mid) {
-			return false
-		}
-	}
-	return true
+	return !anyVertex(a, outside) &&
+		!anySegment(a, func(p, q Point) bool { return outside(midpoint(p, q)) })
 }
 
 func dimension(g Geometry) int {
@@ -622,28 +510,25 @@ func Distance(a, b Geometry) float64 {
 		return 0
 	}
 	best := math.Inf(1)
-	va, vb := vertices(a), vertices(b)
-	sa, sb := segments(a), segments(b)
-	for _, p := range va {
-		for _, s := range sb {
-			best = math.Min(best, pointSegDist(p, s[0], s[1]))
-		}
-		if len(sb) == 0 {
-			for _, q := range vb {
+	// nearest lowers best to p's distance from g's segments, or from its
+	// vertices when g has none.
+	nearest := func(p Point, g Geometry) bool {
+		segs := false
+		anySegment(g, func(s0, s1 Point) bool {
+			segs = true
+			best = math.Min(best, pointSegDist(p, s0, s1))
+			return false
+		})
+		if !segs {
+			anyVertex(g, func(q Point) bool {
 				best = math.Min(best, dist(p, q))
-			}
+				return false
+			})
 		}
+		return false
 	}
-	for _, p := range vb {
-		for _, s := range sa {
-			best = math.Min(best, pointSegDist(p, s[0], s[1]))
-		}
-		if len(sa) == 0 {
-			for _, q := range va {
-				best = math.Min(best, dist(p, q))
-			}
-		}
-	}
+	anyVertex(a, func(p Point) bool { return nearest(p, b) })
+	anyVertex(b, func(p Point) bool { return nearest(p, a) })
 	return best
 }
 
@@ -663,7 +548,7 @@ func pointSegDist(p, a, b Point) float64 {
 // distinct points) yield a point or line wrapped in a collection-friendly
 // geometry.
 func ConvexHull(g Geometry) Geometry {
-	pts := dedupPoints(vertices(g))
+	pts := distinctVertices(g)
 	if len(pts) == 0 {
 		return &MultiPoint{}
 	}
@@ -696,15 +581,18 @@ func ConvexHull(g Geometry) Geometry {
 	return &Polygon{Rings: [][]Point{hull}}
 }
 
-func dedupPoints(pts []Point) []Point {
+// distinctVertices returns g's coordinates in order, first occurrences
+// only.
+func distinctVertices(g Geometry) []Point {
 	seen := map[Point]bool{}
 	var out []Point
-	for _, p := range pts {
+	anyVertex(g, func(p Point) bool {
 		if !seen[p] {
 			seen[p] = true
 			out = append(out, p)
 		}
-	}
+		return false
+	})
 	return out
 }
 

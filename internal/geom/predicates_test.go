@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -369,5 +370,96 @@ func TestPredicateImplicationsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPredicateAllocations: the predicates walk geometry parts in place,
+// so testing two polygons allocates nothing — the spatial join and the
+// FILTER path call them once per candidate pair.
+func TestPredicateAllocations(t *testing.T) {
+	preds := []struct {
+		name string
+		fn   func(a, b Geometry) bool
+	}{
+		{"Intersects", Intersects}, {"Contains", Contains}, {"Within", Within},
+		{"Touches", Touches}, {"Overlaps", Overlaps},
+	}
+	pairs := [][2]Geometry{{unitSquare, innerSquare}, {unitSquare, overlapping}, {holed, rightSquare}, {innerSquare, farSquare}}
+	for _, p := range preds {
+		for _, pair := range pairs {
+			if n := testing.AllocsPerRun(50, func() { p.fn(pair[0], pair[1]) }); n != 0 {
+				t.Errorf("%s(%s, %s): %.0f allocations, want 0", p.name, pair[0].WKT(), pair[1].WKT(), n)
+			}
+		}
+	}
+}
+
+// everyKindWKTs covers every geometry kind, empty bodies, holes and
+// multi-member bodies, for the walkers the predicates share.
+var everyKindWKTs = []string{
+	"POINT (1 2)",
+	"MULTIPOINT ((1 1), (2 2), (3 1))",
+	"MULTIPOINT EMPTY",
+	"LINESTRING (0 0, 1 1, 2 0)",
+	"LINESTRING (1 -1, 1 3)",
+	"LINESTRING EMPTY",
+	"MULTILINESTRING ((0 0, 1 1), (2 2, 3 3, 4 2))",
+	"MULTILINESTRING EMPTY",
+	"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))",
+	"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))",
+	"POLYGON EMPTY",
+	"MULTIPOLYGON (((0 0, 1 0, 1 1, 0 1, 0 0)), ((2 2, 3 2, 3 3, 2 3, 2 2), (2.2 2.2, 2.8 2.2, 2.8 2.8, 2.2 2.8, 2.2 2.2)))",
+	"MULTIPOLYGON EMPTY",
+	"GEOMETRYCOLLECTION (POINT (1 2), LINESTRING (0 0, 1 1))",
+	"GEOMETRYCOLLECTION (POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0)), MULTIPOINT ((5 5)))",
+	"GEOMETRYCOLLECTION EMPTY",
+}
+
+// TestEveryKindPredicatesAgree runs every predicate over every pair of
+// kinds and checks the identities that hold between them: symmetry,
+// Within as the converse of Contains, Disjoint as the negation of
+// Intersects, containment implying intersection, and distance zero
+// exactly on intersection.
+func TestEveryKindPredicatesAgree(t *testing.T) {
+	gs := make([]Geometry, len(everyKindWKTs))
+	for i, w := range everyKindWKTs {
+		gs[i] = MustParseWKT(w)
+		if again := MustParseWKT(gs[i].WKT()); again.WKT() != gs[i].WKT() || again.Kind() != gs[i].Kind() {
+			t.Fatalf("%s does not round-trip: %s", w, again.WKT())
+		}
+		if !strings.HasPrefix(w, strings.ToUpper(gs[i].Kind().String())) {
+			t.Fatalf("%s parsed as a %s", w, gs[i].Kind())
+		}
+		if a := Area(gs[i]); a < 0 || math.IsNaN(a) {
+			t.Fatalf("Area(%s) = %g", w, a)
+		}
+		if c := Centroid(gs[i]); math.IsNaN(c.X) || math.IsNaN(c.Y) {
+			t.Fatalf("Centroid(%s) = %v", w, c)
+		}
+	}
+	for i, a := range gs {
+		for j, b := range gs {
+			name := everyKindWKTs[i] + " / " + everyKindWKTs[j]
+			in := Intersects(a, b)
+			if in != Intersects(b, a) || Disjoint(a, b) == in {
+				t.Fatalf("%s: Intersects not symmetric or Disjoint not its negation", name)
+			}
+			if Within(a, b) != Contains(b, a) {
+				t.Fatalf("%s: Within is not the converse of Contains", name)
+			}
+			if Contains(a, b) && !in {
+				t.Fatalf("%s: Contains without Intersects", name)
+			}
+			if Touches(a, b) != Touches(b, a) || Overlaps(a, b) != Overlaps(b, a) ||
+				Crosses(a, b) != Crosses(b, a) || Equals(a, b) != Equals(b, a) {
+				t.Fatalf("%s: a symmetric predicate is not symmetric", name)
+			}
+			if a.IsEmpty() || b.IsEmpty() {
+				continue
+			}
+			if d := Distance(a, b); (d == 0) != in || d != Distance(b, a) {
+				t.Fatalf("%s: Distance %g, Intersects %v", name, d, in)
+			}
+		}
 	}
 }

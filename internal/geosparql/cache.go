@@ -7,90 +7,155 @@ import (
 	"applab/internal/geom"
 )
 
-// The seed memoized every geometry literal it ever parsed in an
-// unbounded sync.Map — a slow leak on churny workloads (each OBDA
-// refresh or store reload brings a fresh set of WKT lexical forms).
-// boundedGeomCache replaces it with a two-generation cache backed by
-// columnar geom.Arenas: entries land in the current generation's arena,
-// and when the generation fills, it becomes the previous one and the
-// oldest arena is dropped wholesale. Hits in the previous generation
-// are promoted (re-added to the current arena), so the working set
-// survives rotation while abandoned literals age out after two
-// generations. Live entries never exceed the cap.
+// The memo is the only place a WKT literal is decoded: the FILTER/BIND
+// path, the spatial join's build and probe sides and the store-pushdown
+// path all look lexical forms up here, so a stored geometry is parsed
+// once per process, not once per query. It is a second-chance (CLOCK)
+// table: a hit sets the slot's reference bit under the read lock and
+// copies nothing; an insert into a full table advances the hand,
+// clearing set bits, and evicts the first slot whose bit was clear. A
+// geometry touched at least once per sweep of the hand never leaves.
+//
+// Memoized geometries are shared by every goroutine that decodes the same
+// literal, so they are immutable: insert clips every slice to its length,
+// so an append by any caller reallocates instead of writing into a
+// shared backing array.
 
-// DefaultGeometryCacheCap bounds the parsed-geometry cache (tests swap
-// in smaller caps through setGeometryCacheCap).
+// DefaultGeometryCacheCap bounds the memo (tests swap in smaller caps
+// through setGeometryCacheCap). The benchmark data holds 4,720 distinct
+// WKT literals and the browse pool adds 2,048 query constants, which
+// the compiled engine decodes without the memo.
 const DefaultGeometryCacheCap = 8192
 
+type memoSlot struct {
+	key string
+	g   geom.Geometry
+	env geom.Envelope
+	// ref is set by hits under the read lock, hence atomic.
+	ref   atomic.Bool
+	bytes int
+}
+
 type boundedGeomCache struct {
-	mu       sync.RWMutex
-	cap      int
-	cur      map[string]geom.Geometry
-	prev     map[string]geom.Geometry
-	curArena *geom.Arena
-	prevAren *geom.Arena
+	mu    sync.RWMutex
+	cap   int
+	index map[string]int32
+	slots []memoSlot
+	hand  int
+	bytes int
 }
 
 func newBoundedGeomCache(capacity int) *boundedGeomCache {
 	if capacity <= 0 {
 		capacity = DefaultGeometryCacheCap
 	}
-	return &boundedGeomCache{
-		cap:      capacity,
-		cur:      map[string]geom.Geometry{},
-		curArena: geom.NewArena(),
-	}
+	return &boundedGeomCache{cap: capacity, index: map[string]int32{}}
 }
 
-func (c *boundedGeomCache) get(wkt string) (geom.Geometry, bool) {
+func (c *boundedGeomCache) get(wkt string) (geom.Geometry, geom.Envelope, bool) {
 	c.mu.RLock()
-	if g, ok := c.cur[wkt]; ok {
-		c.mu.RUnlock()
-		return g, true
-	}
-	g, ok := c.prev[wkt]
-	c.mu.RUnlock()
+	defer c.mu.RUnlock()
+	i, ok := c.index[wkt]
 	if !ok {
-		return nil, false
+		return nil, geom.Envelope{}, false
 	}
-	// Promote: hot entries must outlive the generation they landed in.
-	return c.insert(wkt, g), true
+	s := &c.slots[i]
+	if !s.ref.Load() {
+		s.ref.Store(true)
+	}
+	return s.g, s.env, true
 }
 
-// insert parses nothing itself — the caller parses outside the lock.
-func (c *boundedGeomCache) insert(wkt string, g geom.Geometry) geom.Geometry {
+// insert memoizes a geometry the caller parsed outside the lock and
+// returns the memoized value (another inserter's, if it won a race).
+func (c *boundedGeomCache) insert(wkt string, g geom.Geometry) (geom.Geometry, geom.Envelope) {
+	bytes := freeze(g) + len(wkt)
 	c.mu.Lock()
-	if cur, ok := c.cur[wkt]; ok { // raced with another inserter
+	if i, ok := c.index[wkt]; ok {
+		g, env := c.slots[i].g, c.slots[i].env
 		c.mu.Unlock()
-		return cur
+		return g, env
 	}
-	id := c.curArena.Add(g)
-	v := c.curArena.Geometry(id)
-	c.cur[wkt] = v
-	// Each generation holds at most cap/2 entries, so cur+prev <= cap.
-	if len(c.cur) >= (c.cap+1)/2 {
-		c.prev, c.prevAren = c.cur, c.curArena
-		c.cur, c.curArena = map[string]geom.Geometry{}, geom.NewArena()
+	var i int
+	if len(c.slots) < c.cap {
+		i = len(c.slots)
+		c.slots = append(c.slots, memoSlot{})
+	} else {
+		i = c.victim()
+		delete(c.index, c.slots[i].key)
+		c.bytes -= c.slots[i].bytes
 	}
-	bytes := c.curArena.Bytes()
-	if c.prevAren != nil {
-		bytes += c.prevAren.Bytes()
-	}
+	s := &c.slots[i]
+	s.key, s.g, s.env, s.bytes = wkt, g, g.Envelope(), bytes
+	s.ref.Store(false)
+	c.index[wkt] = int32(i)
+	c.bytes += bytes
+	total, env := c.bytes, s.env
 	c.mu.Unlock()
-	noteArenaBytes(bytes)
-	return v
+	noteMemoBytes(total)
+	return g, env
+}
+
+// victim advances the hand past referenced slots, giving each a second
+// chance, and returns the first unreferenced one. Callers hold the write
+// lock on a full table.
+func (c *boundedGeomCache) victim() int {
+	for {
+		i := c.hand
+		c.hand = (c.hand + 1) % len(c.slots)
+		if !c.slots[i].ref.Swap(false) {
+			return i
+		}
+	}
 }
 
 func (c *boundedGeomCache) stats() (entries, bytes int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	entries = len(c.cur) + len(c.prev)
-	bytes = c.curArena.Bytes()
-	if c.prevAren != nil {
-		bytes += c.prevAren.Bytes()
-	}
-	return entries, bytes
+	return len(c.index), c.bytes
 }
+
+// freeze clips every slice of a freshly parsed geometry to its length and
+// returns the geometry's approximate size in bytes.
+func freeze(g geom.Geometry) int {
+	const (
+		ptSize   = 16 // 2 × float64
+		partSize = 48 // rough cost of a part's header and slice
+	)
+	n := partSize
+	switch t := g.(type) {
+	case *geom.MultiPoint:
+		t.Points = clipped(t.Points)
+		n += len(t.Points) * ptSize
+	case *geom.LineString:
+		t.Points = clipped(t.Points)
+		n += len(t.Points) * ptSize
+	case *geom.MultiLineString:
+		t.Lines = clipped(t.Lines)
+		for _, l := range t.Lines {
+			n += freeze(l)
+		}
+	case *geom.Polygon:
+		t.Rings = clipped(t.Rings)
+		for i := range t.Rings {
+			t.Rings[i] = clipped(t.Rings[i])
+			n += partSize + len(t.Rings[i])*ptSize
+		}
+	case *geom.MultiPolygon:
+		t.Polygons = clipped(t.Polygons)
+		for _, p := range t.Polygons {
+			n += freeze(p)
+		}
+	case *geom.Collection:
+		t.Members = clipped(t.Members)
+		for _, m := range t.Members {
+			n += freeze(m)
+		}
+	}
+	return n
+}
+
+func clipped[T any](s []T) []T { return s[:len(s):len(s)] }
 
 var geomCache atomic.Pointer[boundedGeomCache]
 
@@ -105,8 +170,8 @@ func activeGeomCache() *boundedGeomCache {
 	return geomCache.Load()
 }
 
-// GeometryCacheStats reports the live entry count and approximate
-// arena bytes of the parsed-geometry cache.
+// GeometryCacheStats reports the live entry count and the approximate
+// bytes of the memoized geometries.
 func GeometryCacheStats() (entries, bytes int) {
 	return activeGeomCache().stats()
 }

@@ -49,11 +49,8 @@ const (
 	FnTimeOverlaps = rdf.NSTime + "overlaps"
 )
 
-// relations are the envelope-conservative geof:sf* predicates — rel(a, b)
-// implies intersecting envelopes — which the query engine may run as a
-// spatial join that never calls rel on envelope-disjoint pairs. Hence
-// geof:sfDisjoint is a function but not a relation.
-var relations = map[string]func(a, b geom.Geometry) bool{
+// predicates are the eight geof:sf* relations over decoded geometries.
+var predicates = map[string]func(a, b geom.Geometry) bool{
 	FnSfIntersects: geom.Intersects,
 	FnSfContains:   geom.Contains,
 	FnSfWithin:     geom.Within,
@@ -61,26 +58,49 @@ var relations = map[string]func(a, b geom.Geometry) bool{
 	FnSfOverlaps:   geom.Overlaps,
 	FnSfCrosses:    geom.Crosses,
 	FnSfEquals:     geom.Equals,
+	FnSfDisjoint:   geom.Disjoint,
 }
 
-// functions maps every geof:* and time:* IRI to its implementation. Like
-// relations it is filled at package initialization and only read after.
-var functions = map[string]func(args []rdf.Term) (rdf.Term, error){
-	FnSfIntersects: relationFunc(geom.Intersects),
-	FnSfContains:   relationFunc(geom.Contains),
-	FnSfWithin:     relationFunc(geom.Within),
-	FnSfTouches:    relationFunc(geom.Touches),
-	FnSfOverlaps:   relationFunc(geom.Overlaps),
-	FnSfCrosses:    relationFunc(geom.Crosses),
-	FnSfEquals:     relationFunc(geom.Equals),
-	FnSfDisjoint:   relationFunc(geom.Disjoint),
-	FnDistance: func(args []rdf.Term) (rdf.Term, error) {
-		a, b, err := twoGeoms(args[:min(2, len(args))])
+// geometryFunc is a binary geof:* function over two decoded geometries.
+type geometryFunc = func(a, b geom.Geometry) (rdf.Term, error)
+
+// geometryFuncs are the binary geof:* functions at the geometry level: the
+// sf* predicates (added by init), distance and intersection. The query
+// engine calls them directly when one argument is a constant it decoded
+// once per plan; functions lifts them to term arguments, so each is
+// defined once.
+var geometryFuncs = map[string]geometryFunc{
+	FnDistance: func(a, b geom.Geometry) (rdf.Term, error) {
+		return rdf.NewDouble(geom.Distance(a, b)), nil
+	},
+	FnIntersection: intersection,
+}
+
+// intersection clips one geometry to the other; the clipper needs one
+// convex-polygon operand, so either side may serve (intersection is
+// symmetric).
+func intersection(a, b geom.Geometry) (rdf.Term, error) {
+	if clip, ok := b.(*geom.Polygon); ok && geom.IsConvex(clip) {
+		out, err := geom.ClipToConvex(a, clip)
 		if err != nil {
 			return rdf.Term{}, err
 		}
-		return rdf.NewDouble(geom.Distance(a, b)), nil
-	},
+		return rdf.NewWKT(out.WKT()), nil
+	}
+	if clip, ok := a.(*geom.Polygon); ok && geom.IsConvex(clip) {
+		out, err := geom.ClipToConvex(b, clip)
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		return rdf.NewWKT(out.WKT()), nil
+	}
+	return rdf.Term{}, fmt.Errorf("geof:intersection needs one convex polygon operand")
+}
+
+// functions maps every geof:* and time:* IRI to its implementation; init
+// adds the lifted geometryFuncs. Like the tables above it is filled at
+// package initialization and only read after.
+var functions = map[string]func(args []rdf.Term) (rdf.Term, error){
 	FnBuffer: func(args []rdf.Term) (rdf.Term, error) {
 		if len(args) < 2 {
 			return rdf.Term{}, fmt.Errorf("geof:buffer needs geometry and radius")
@@ -124,29 +144,6 @@ var functions = map[string]func(args []rdf.Term) (rdf.Term, error){
 			return rdf.Term{}, err
 		}
 		return rdf.NewDouble(geom.Area(g)), nil
-	},
-	FnIntersection: func(args []rdf.Term) (rdf.Term, error) {
-		a, b, err := twoGeoms(args)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		// The clipper needs one convex-polygon operand; try either
-		// side (intersection is symmetric).
-		if clip, ok := b.(*geom.Polygon); ok && geom.IsConvex(clip) {
-			out, err := geom.ClipToConvex(a, clip)
-			if err != nil {
-				return rdf.Term{}, err
-			}
-			return rdf.NewWKT(out.WKT()), nil
-		}
-		if clip, ok := a.(*geom.Polygon); ok && geom.IsConvex(clip) {
-			out, err := geom.ClipToConvex(b, clip)
-			if err != nil {
-				return rdf.Term{}, err
-			}
-			return rdf.NewWKT(out.WKT()), nil
-		}
-		return rdf.Term{}, fmt.Errorf("geof:intersection needs one convex polygon operand")
 	},
 
 	// Temporal relations over (aFrom, aTo, bFrom, bTo) or (a, bFrom, bTo).
@@ -213,15 +210,21 @@ var functions = map[string]func(args []rdf.Term) (rdf.Term, error){
 	},
 }
 
-// relationFunc lifts a binary spatial predicate to a filter function over
-// two geometry literals.
-func relationFunc(rel func(a, b geom.Geometry) bool) func(args []rdf.Term) (rdf.Term, error) {
-	return func(args []rdf.Term) (rdf.Term, error) {
-		a, b, err := twoGeoms(args)
-		if err != nil {
-			return rdf.Term{}, err
+func init() {
+	for iri, pred := range predicates {
+		geometryFuncs[iri] = func(a, b geom.Geometry) (rdf.Term, error) { return rdf.NewBool(pred(a, b)), nil }
+	}
+	for iri, fn := range geometryFuncs {
+		functions[iri] = func(args []rdf.Term) (rdf.Term, error) {
+			if iri == FnDistance {
+				args = args[:min(2, len(args))] // an optional unit of measure
+			}
+			a, b, err := twoGeoms(args)
+			if err != nil {
+				return rdf.Term{}, err
+			}
+			return fn(a, b)
 		}
-		return rdf.NewBool(rel(a, b)), nil
 	}
 }
 
@@ -231,10 +234,22 @@ func Function(iri string) (func(args []rdf.Term) (rdf.Term, error), bool) {
 	return fn, ok
 }
 
+// GeometryFunction returns the binary geof:* function named by iri — an
+// sf* predicate, distance or intersection — over decoded geometries.
+func GeometryFunction(iri string) (func(a, b geom.Geometry) (rdf.Term, error), bool) {
+	fn, ok := geometryFuncs[iri]
+	return fn, ok
+}
+
 // Relation returns the envelope-conservative spatial predicate named by
-// iri, for the query engine's spatial join; geof:sfDisjoint is not one.
+// iri, for the query engine's spatial join: rel(a, b) implies
+// intersecting envelopes, so the join never calls rel on
+// envelope-disjoint pairs. Hence geof:sfDisjoint is not one.
 func Relation(iri string) (func(a, b geom.Geometry) bool, bool) {
-	rel, ok := relations[iri]
+	if iri == FnSfDisjoint {
+		return nil, false
+	}
+	rel, ok := predicates[iri]
 	return rel, ok
 }
 
@@ -254,22 +269,37 @@ func interval(fromT, toT rdf.Term) (from, to time.Time, err error) {
 
 // ---- geometry literal parsing with memoization ----
 
-// ParseGeometryTerm parses a geo:wktLiteral (or plain string holding WKT)
-// into a geometry, memoizing by lexical form in the bounded
-// arena-backed cache (see cache.go).
-func ParseGeometryTerm(t rdf.Term) (geom.Geometry, error) {
-	if !t.IsLiteral() {
-		return nil, fmt.Errorf("geosparql: %s is not a geometry literal", t)
+// Decode returns the geometry and envelope of a geo:wktLiteral (or plain
+// string holding WKT) through the process-wide memo (see cache.go).
+// Unbound (nil) terms, non-literals and unparsable WKT report false. The
+// geometry is shared and must not be mutated.
+func Decode(t *rdf.Term) (geom.Geometry, geom.Envelope, bool) {
+	if t == nil || !t.IsLiteral() {
+		return nil, geom.EmptyEnvelope(), false
 	}
 	c := activeGeomCache()
-	if g, ok := c.get(t.Value); ok {
-		return g, nil
+	if g, env, ok := c.get(t.Value); ok {
+		return g, env, true
 	}
 	g, err := geom.ParseWKT(t.Value)
 	if err != nil {
-		return nil, fmt.Errorf("geosparql: %v", err)
+		return nil, geom.EmptyEnvelope(), false
 	}
-	return c.insert(t.Value, g), nil
+	g, env := c.insert(t.Value, g)
+	return g, env, true
+}
+
+// ParseGeometryTerm is Decode with an error saying why a term is not a
+// geometry.
+func ParseGeometryTerm(t rdf.Term) (geom.Geometry, error) {
+	if g, _, ok := Decode(&t); ok {
+		return g, nil
+	}
+	if !t.IsLiteral() {
+		return nil, fmt.Errorf("geosparql: %s is not a geometry literal", t)
+	}
+	_, err := geom.ParseWKT(t.Value)
+	return nil, fmt.Errorf("geosparql: %v", err)
 }
 
 func twoGeoms(args []rdf.Term) (geom.Geometry, geom.Geometry, error) {

@@ -14,17 +14,22 @@ import (
 var geoMetrics atomic.Pointer[telemetry.Registry]
 
 // SetMetrics installs (or, with nil, removes) the registry geosparql
-// reports into. Safe for concurrent use.
+// reports into, publishing the memo's current size at once: a memo
+// already warm when the registry arrives may see no insert for a long
+// time. Safe for concurrent use.
 func SetMetrics(r *telemetry.Registry) {
 	geoMetrics.Store(r)
+	_, bytes := GeometryCacheStats()
+	noteMemoBytes(bytes)
 }
 
 func metricsReg() *telemetry.Registry {
 	return geoMetrics.Load()
 }
 
-// noteArenaBytes publishes the live size of the parsed-geometry cache's
-// columnar arenas.
-func noteArenaBytes(n int) {
+// noteMemoBytes publishes the approximate bytes of the memoized
+// geometries. The series keeps its historical name, which dashboards and
+// the benchmark report read.
+func noteMemoBytes(n int) {
 	metricsReg().Gauge("spatial_arena_bytes").Set(float64(n))
 }

@@ -146,3 +146,41 @@ func TestRegexConstantPatternAllocations(t *testing.T) {
 	}
 	t.Logf("%.0f allocations per evaluation", allocs)
 }
+
+// TestConstGeometryFilterAllocations: a constant geometry argument is
+// decoded once per plan and the bound one is a memo hit, so with a warm
+// memo FILTER(geof:sfWithin(?w, CONST)) over 1,000 rows allocates for
+// the rows it scans and keeps (~250), nothing per predicate call. The
+// generic call path costs ~1,450, most of it an argument slice per row.
+// Even one allocation per row trips the ceiling.
+func TestConstGeometryFilterAllocations(t *testing.T) {
+	const rows = 1000
+	g := rdf.NewGraph()
+	for i := 0; i < rows; i++ {
+		g.Add(rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("urn:f:s%d", i)), rdf.NewIRI("urn:f:w"),
+			rdf.NewWKT(fmt.Sprintf("POINT (%d %d)", i%40, i/40))))
+	}
+	q, err := Parse(`SELECT ?s WHERE { ?s <urn:f:w> ?w .
+  FILTER(geof:sfWithin(?w, "POLYGON ((-0.5 -0.5, 9.5 -0.5, 9.5 9.5, -0.5 9.5, -0.5 -0.5))"^^geo:wktLiteral)) }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	eval := func() {
+		res, err := q.eval(g, 1, parallelThreshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n = len(res.Bindings)
+	}
+	eval() // warm the memo
+	allocs := testing.AllocsPerRun(5, eval)
+	if n != 100 {
+		t.Fatalf("rows = %d, want 100", n)
+	}
+	const ceiling = 500
+	if allocs > ceiling {
+		t.Fatalf("%.0f allocations per evaluation, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("%.0f allocations per evaluation", allocs)
+}

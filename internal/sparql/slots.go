@@ -3,6 +3,8 @@ package sparql
 import (
 	"fmt"
 
+	"applab/internal/geom"
+	"applab/internal/geosparql"
 	"applab/internal/rdf"
 )
 
@@ -238,6 +240,9 @@ func compileExpr(e Expr, vt *varTable) compiledExpr {
 		if ce := constRegex(x, args); ce != nil {
 			return ce
 		}
+		if ce := constGeometry(x, args); ce != nil {
+			return ce
+		}
 		iri := x.IRI
 		return func(r row) (rdf.Term, error) {
 			vals := make([]rdf.Term, len(args))
@@ -284,6 +289,54 @@ func constRegex(x CallExpr, args []compiledExpr) compiledExpr {
 			return rdf.Term{}, err
 		}
 		return rdf.NewBool(re.MatchString(v.Value)), nil
+	}
+}
+
+// constGeometry lowers a binary geof:* call (an sf* predicate, distance
+// or intersection) with exactly one constant argument that parses as a
+// geometry literal: the constant is decoded once per plan, outside the
+// memo, and the other argument goes through geosparql.Decode per row.
+// Anything else — no or two constants, a constant that is not a literal
+// or does not parse — returns nil and takes the generic call path with
+// its errors.
+func constGeometry(x CallExpr, args []compiledExpr) compiledExpr {
+	if len(args) != 2 {
+		return nil
+	}
+	fn, ok := geosparql.GeometryFunction(x.IRI)
+	if !ok {
+		return nil
+	}
+	c0, const0 := x.Args[0].(ConstExpr)
+	c1, const1 := x.Args[1].(ConstExpr)
+	if const0 == const1 {
+		return nil
+	}
+	c, other := c1, args[0]
+	if const0 {
+		c, other = c0, args[1]
+	}
+	if !c.Term.IsLiteral() {
+		return nil
+	}
+	cg, err := geom.ParseWKT(c.Term.Value)
+	if err != nil {
+		return nil
+	}
+	return func(r row) (rdf.Term, error) {
+		v, err := other(r)
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		g, _, ok := geosparql.Decode(&v)
+		if !ok {
+			_, err := geosparql.ParseGeometryTerm(v)
+			return rdf.Term{}, err
+		}
+		if const0 {
+			return fn(cg, g)
+		}
+		return fn(g, cg)
 	}
 }
 

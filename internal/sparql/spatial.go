@@ -1,7 +1,7 @@
 package sparql
 
 import (
-	"sort"
+	"slices"
 
 	"applab/internal/geom"
 	"applab/internal/geom/rtree"
@@ -14,9 +14,9 @@ import (
 // per-row filter path evaluates in O(|A|·|B|) exact predicate calls.
 // The compiler detects that shape (see compileSpatialUnit) and lowers
 // the whole unit to a spatialJoinOp: the build side's WKT column is
-// batch-decoded into a columnar geom.Arena, an envelope index prunes
-// candidate pairs, and the exact predicate (geosparql.Relation) refines
-// the survivors. Three interchangeable candidate generators:
+// looked up in geosparql's process-wide geometry memo, an envelope index
+// prunes candidate pairs, and the exact predicate (geosparql.Relation)
+// refines the survivors. Three interchangeable candidate generators:
 //
 //   - "inl":   index nested loop — STR-bulk-load an R-tree over the
 //     build side, probe per probe-side row. Wins while the build side
@@ -266,44 +266,6 @@ func (c *compiler) componentEstimate(pats []TriplePattern, find func(int) int, r
 	return est
 }
 
-// ---- batch WKT decoding ----
-
-// geomBatch memoizes WKT decoding into a columnar arena: one parse and
-// one materialized view per distinct lexical form. Not safe for
-// concurrent use — each worker chunk builds its own.
-type geomBatch struct {
-	ar   *geom.Arena
-	ids  map[string]int32 // lexical form -> arena id; -1 = undecodable
-	mats []geom.Geometry  // materialized views, by arena id
-}
-
-func newGeomBatch() *geomBatch {
-	return &geomBatch{ar: geom.NewArena(), ids: map[string]int32{}}
-}
-
-// decode resolves a term to its arena-backed geometry and envelope.
-// Unbound slots, non-literals and unparsable WKT report ok=false — the
-// rows the per-row filter path drops as expression errors.
-func (gb *geomBatch) decode(t *rdf.Term) (geom.Geometry, geom.Envelope, bool) {
-	if t == nil || !t.IsLiteral() {
-		return nil, geom.EmptyEnvelope(), false
-	}
-	if id, ok := gb.ids[t.Value]; ok {
-		if id < 0 {
-			return nil, geom.EmptyEnvelope(), false
-		}
-		return gb.mats[id], gb.ar.Envelope(id), true
-	}
-	id, err := gb.ar.AddWKT(t.Value)
-	if err != nil {
-		gb.ids[t.Value] = -1
-		return nil, geom.EmptyEnvelope(), false
-	}
-	gb.ids[t.Value] = id
-	gb.mats = append(gb.mats, gb.ar.Geometry(id))
-	return gb.mats[id], gb.ar.Envelope(id), true
-}
-
 // ---- the operator ----
 
 type spatialJoinOp struct {
@@ -352,7 +314,7 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 		}
 	}
 
-	// Materialize and batch-decode the build side once.
+	// Materialize the build side and look its geometries up once.
 	bRows, err := runOps(ec, sj.body, []row{make(row, len(in[0]))})
 	if err != nil {
 		return nil, err
@@ -360,7 +322,6 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 	if len(bRows) == 0 {
 		return nil, nil
 	}
-	bg := newGeomBatch()
 	bGeoms := make([]geom.Geometry, len(bRows))
 	bEnvs := make([]geom.Envelope, len(bRows))
 	n := 0
@@ -368,12 +329,7 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 		if err := ec.tick(&n); err != nil {
 			return nil, err
 		}
-		g, env, ok := bg.decode(br[sj.buildSlot])
-		if !ok {
-			bEnvs[bi] = geom.EmptyEnvelope()
-			continue
-		}
-		bGeoms[bi], bEnvs[bi] = g, env
+		bGeoms[bi], bEnvs[bi], _ = geosparql.Decode(br[sj.buildSlot])
 	}
 
 	strategy := mode
@@ -406,7 +362,6 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 	noteSpatialJoin(strategy)
 
 	return chunkedRange(ec, len(in), func(lo, hi int) ([]row, error) {
-		pb := newGeomBatch()
 		var ar rowArena
 		var out []row
 		var cand []int32
@@ -417,7 +372,7 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 				return nil, err
 			}
 			r := in[i]
-			pg, env, ok := pb.decode(r[sj.probeSlot])
+			pg, env, ok := geosparql.Decode(r[sj.probeSlot])
 			if !ok {
 				continue
 			}
@@ -436,7 +391,7 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 			}
 			// Candidates come out in index order; sort by build-row index
 			// so every strategy emits the same rows in the same order.
-			sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
+			slices.Sort(cand)
 			if err := ec.tickN(&n, len(cand)); err != nil {
 				return nil, err
 			}
@@ -466,7 +421,6 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 func (sj *spatialJoinOp) runStore(ec *execCtx, sp SpatialSource, in []row) ([]row, error) {
 	noteSpatialJoin(spatialStore)
 	return chunkedRange(ec, len(in), func(lo, hi int) ([]row, error) {
-		pb := newGeomBatch()
 		var ar rowArena
 		var out []row
 		probes := 0
@@ -476,27 +430,26 @@ func (sj *spatialJoinOp) runStore(ec *execCtx, sp SpatialSource, in []row) ([]ro
 				return nil, err
 			}
 			r := in[i]
-			pg, env, ok := pb.decode(r[sj.probeSlot])
+			pg, env, ok := geosparql.Decode(r[sj.probeSlot])
 			if !ok {
 				continue
 			}
 			probes++
 			cands, _ := sp.SpatialCandidates(env)
 			// The index returns tree order; fix a deterministic emission
-			// order (the canonical triple order of the candidates).
-			sort.Slice(cands, func(a, b int) bool {
-				ka, kb := cands[a].S.Key(), cands[b].S.Key()
-				if ka != kb {
-					return ka < kb
+			// order (subject, then object, in term-key order).
+			slices.SortFunc(cands, func(a, b rdf.Triple) int {
+				if c := a.S.Compare(b.S); c != 0 {
+					return c
 				}
-				return cands[a].O.Key() < cands[b].O.Key()
+				return a.O.Compare(b.O)
 			})
 			if err := ec.tickN(&n, len(cands)); err != nil {
 				return nil, err
 			}
 			for ci := range cands {
 				t := &cands[ci]
-				bgeom, _, ok := pb.decode(&t.O)
+				bgeom, _, ok := geosparql.Decode(&t.O)
 				if !ok {
 					continue
 				}

@@ -1,6 +1,7 @@
 package sparql_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -153,4 +154,65 @@ func BenchmarkSpatialJoin(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestSpatialJoinWarmAllocations: the spatial join reads both sides'
+// geometries from geosparql's memo, so once one evaluation has decoded
+// the store's 1,000 polygons, an SJ1-shaped evaluation over them
+// allocates for its scans, joins and envelope index (~2,500, four in
+// five of them the store's Match slices) and decodes nothing. Decoding
+// per evaluation costs six allocations a polygon (~14,700 in all); even
+// one a polygon trips the ceiling.
+func TestSpatialJoinWarmAllocations(t *testing.T) {
+	const perSide = 500
+	kind := rdf.NewIRI("urn:sj:kind")
+	hasGeom := rdf.NewIRI(rdf.NSGeo + "hasGeometry")
+	asWKT := rdf.NewIRI(rdf.NSGeo + "asWKT")
+	st := strabon.New()
+	t.Cleanup(func() { _ = st.Close() })
+	var triples []rdf.Triple
+	for side, class := range []string{"a", "b"} {
+		for i := 0; i < perSide; i++ {
+			f := rdf.NewIRI(fmt.Sprintf("urn:sj:%s%d", class, i))
+			gn := rdf.NewIRI(fmt.Sprintf("urn:sj:%s%d/geom", class, i))
+			x, y := float64(i%25)+0.3*float64(side), float64(i/25)+0.3*float64(side)
+			triples = append(triples,
+				rdf.NewTriple(f, kind, rdf.NewIRI("urn:sj:"+class)),
+				rdf.NewTriple(f, hasGeom, gn),
+				rdf.NewTriple(gn, asWKT, rdf.NewWKT(fmt.Sprintf(
+					"POLYGON ((%g %g, %g %g, %g %g, %g %g, %g %g))", x, y, x+0.5, y, x+0.5, y+0.5, x, y+0.5, x, y))))
+		}
+	}
+	st.AddAll(triples)
+	q, err := sparql.Parse(`SELECT (COUNT(*) AS ?n) WHERE {
+  ?a <urn:sj:kind> <urn:sj:a> .
+  ?a geo:hasGeometry ?ga .
+  ?ga geo:asWKT ?wa .
+  ?b <urn:sj:kind> <urn:sj:b> .
+  ?b geo:hasGeometry ?gb .
+  ?gb geo:asWKT ?wb .
+  FILTER(geof:sfIntersects(?wa, ?wb))
+  FILTER(geof:sfIntersects(?wa, "POLYGON ((0 0, 30 0, 30 30, 0 30, 0 0))"^^geo:wktLiteral))
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n rdf.Term
+	eval := func() {
+		res, err := q.EvalOneWorker(context.Background(), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n = res.Bindings[0]["n"]
+	}
+	eval() // decode every polygon into the memo
+	allocs := testing.AllocsPerRun(5, eval)
+	if v, _ := n.Int(); v != perSide {
+		t.Fatalf("COUNT = %s, want %d pairs", n, perSide)
+	}
+	const ceiling = 3000
+	if allocs > ceiling {
+		t.Fatalf("%.0f allocations per warm evaluation, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("%.0f allocations per warm evaluation", allocs)
 }
