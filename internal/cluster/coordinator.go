@@ -258,10 +258,12 @@ func (c *Coordinator) fragmentRead(ctx context.Context, shard uint32, s, p, o rd
 	want := c.logs[shard].last()
 	budget := admission.FromContext(ctx)
 
+	// Each issuing goroutine decodes its own answer, so a reply carries
+	// the triples rather than the message they came in.
 	type reply struct {
 		node   string
-		msg    Message
-		err    error
+		ts     []rdf.Triple
+		good   bool
 		hedged bool
 		start  time.Time
 	}
@@ -278,7 +280,8 @@ func (c *Coordinator) fragmentRead(ctx context.Context, shard uint32, s, p, o rd
 		start := c.now()
 		go func() {
 			msg, err := c.tr.Call(ctx, node, Message{Type: MsgMatchReq, Shard: shard, S: s, P: p, O: o})
-			replies <- reply{node: node, msg: msg, err: err, hedged: hedged, start: start}
+			ts, good := acceptRead(msg, err, want)
+			replies <- reply{node: node, ts: ts, good: good, hedged: hedged, start: start}
 		}()
 		return nil
 	}
@@ -293,13 +296,14 @@ func (c *Coordinator) fragmentRead(ctx context.Context, shard uint32, s, p, o rd
 		select {
 		case r := <-replies:
 			inflight--
-			if triples, good := c.acceptRead(r.node, r.msg, r.err, want); good {
+			c.recordRead(r.node, r.good)
+			if r.good {
 				c.noteReadLatency(c.now().Sub(r.start))
 				c.lat.add(c.now().Sub(r.start))
 				if r.hedged {
 					c.noteHedgeWin()
 				}
-				return triples, true, nil
+				return r.ts, true, nil
 			}
 			// Failover: escalate to the next replica immediately.
 			if next < len(ordered) {
@@ -329,30 +333,35 @@ func (c *Coordinator) fragmentRead(ctx context.Context, shard uint32, s, p, o rd
 }
 
 // acceptRead validates one replica's match answer against the
-// committed log position and folds the outcome into health tracking.
-func (c *Coordinator) acceptRead(node string, msg Message, err error, want uint64) ([]rdf.Triple, bool) {
-	var triples []rdf.Triple
-	good := err == nil && msg.Type == MsgMatchResp && msg.Seq >= want
-	if good {
-		recs, derr := segment.DecodeLogRecords(msg.Records)
-		if derr != nil {
-			good = false
-		} else {
-			for _, rec := range recs {
-				triples = append(triples, rec.Triples...)
-			}
-		}
+// committed log position and decodes its triples. An answer framed as
+// one record (every answer under the record cap) comes back as the
+// slice its payload decoded into.
+func acceptRead(msg Message, err error, want uint64) ([]rdf.Triple, bool) {
+	if err != nil || msg.Type != MsgMatchResp || msg.Seq < want {
+		return nil, false
 	}
+	recs, err := segment.DecodeLogRecords(msg.Records)
+	if err != nil {
+		return nil, false
+	}
+	if len(recs) == 1 {
+		return recs[0].Triples, true
+	}
+	var triples []rdf.Triple
+	for _, rec := range recs {
+		triples = append(triples, rec.Triples...)
+	}
+	return triples, true
+}
+
+// recordRead folds one replica's read outcome into health tracking.
+func (c *Coordinator) recordRead(node string, good bool) {
 	if !good {
 		c.noteReplicaError(node)
 	}
 	if c.health.Record(node, good, c.now()) {
 		c.noteDemotion(node)
 	}
-	if !good {
-		return nil, false
-	}
-	return triples, true
 }
 
 // hedgeDelay resolves the current hedge delay.

@@ -62,13 +62,18 @@ func errMsg(format string, args ...any) Message {
 }
 
 // Handle serves one request message. It never panics on hostile input:
-// malformed record payloads come back as MsgErr.
-func (n *Node) Handle(req Message) Message {
+// malformed record payloads come back as MsgErr. The answer owns its
+// bytes.
+func (n *Node) Handle(req Message) Message { return n.handle(req, nil) }
+
+// handle is Handle with a match answer's records appended to scratch:
+// the answer aliases scratch until the caller reuses it.
+func (n *Node) handle(req Message, scratch []byte) Message {
 	switch req.Type {
 	case MsgPingReq:
 		return Message{Type: MsgPingResp}
 	case MsgMatchReq:
-		return n.handleMatch(req)
+		return n.handleMatch(req, scratch)
 	case MsgCardReq:
 		sh := n.shard(req.Shard)
 		sh.mu.Lock()
@@ -93,13 +98,13 @@ func (n *Node) Handle(req Message) Message {
 	}
 }
 
-func (n *Node) handleMatch(req Message) Message {
+func (n *Node) handleMatch(req Message, scratch []byte) Message {
 	sh := n.shard(req.Shard)
 	sh.mu.Lock()
 	ts := sh.store.Match(req.S, req.P, req.O)
 	seq := sh.lastSeq
 	sh.mu.Unlock()
-	img, err := segment.EncodeLogRecord(segment.LogRecord{Triples: ts})
+	img, err := segment.AppendLogRecord(scratch, segment.LogRecord{Triples: ts})
 	if err != nil {
 		return errMsg("cluster: encoding match result: %v", err)
 	}

@@ -14,6 +14,42 @@ type Transport interface {
 	Call(ctx context.Context, node string, req Message) (Message, error)
 }
 
+// maxConnBuf caps the frame buffers a connection keeps between calls: a
+// buffer grown past it (a snapshot, a large fan-out answer) is dropped
+// after the call rather than pinned for the connection's lifetime.
+const maxConnBuf = 1 << 20
+
+// reuse empties b for the next call, or drops it once it has grown past
+// maxConnBuf.
+func reuse(b []byte) []byte {
+	if cap(b) > maxConnBuf {
+		return nil
+	}
+	return b[:0]
+}
+
+// tcpConn is a pooled connection and the buffer its calls encode their
+// request into and read their response into.
+type tcpConn struct {
+	net.Conn
+	buf []byte
+}
+
+// roundTrip writes one request frame and reads one response frame,
+// both through c.buf.
+func (c *tcpConn) roundTrip(req Message) (Message, error) {
+	var err error
+	if c.buf, err = appendMessage(c.buf[:0], req); err != nil {
+		return Message{}, err
+	}
+	if _, err := c.Write(c.buf); err != nil {
+		return Message{}, err
+	}
+	var resp Message
+	resp, c.buf, err = readMessage(c.Conn, c.buf)
+	return resp, err
+}
+
 // TCPTransport speaks the wire protocol over TCP with a per-address
 // connection pool. The node name passed to Call is its dial address.
 type TCPTransport struct {
@@ -21,15 +57,15 @@ type TCPTransport struct {
 	DialTimeout time.Duration
 
 	mu    sync.Mutex
-	conns map[string][]net.Conn
+	conns map[string][]*tcpConn
 }
 
 // NewTCPTransport returns a transport with an empty pool.
 func NewTCPTransport() *TCPTransport {
-	return &TCPTransport{conns: map[string][]net.Conn{}}
+	return &TCPTransport{conns: map[string][]*tcpConn{}}
 }
 
-func (t *TCPTransport) get(addr string) (net.Conn, error) {
+func (t *TCPTransport) get(addr string) (*tcpConn, error) {
 	t.mu.Lock()
 	pool := t.conns[addr]
 	if n := len(pool); n > 0 {
@@ -43,37 +79,51 @@ func (t *TCPTransport) get(addr string) (net.Conn, error) {
 	if d <= 0 {
 		d = 2 * time.Second
 	}
-	return net.DialTimeout("tcp", addr, d)
+	c, err := net.DialTimeout("tcp", addr, d)
+	if err != nil {
+		return nil, err
+	}
+	return &tcpConn{Conn: c}, nil
 }
 
-func (t *TCPTransport) put(addr string, c net.Conn) {
+func (t *TCPTransport) put(addr string, c *tcpConn) {
 	t.mu.Lock()
 	t.conns[addr] = append(t.conns[addr], c)
 	t.mu.Unlock()
 }
 
+// expired is a deadline long past: setting it fails a blocked read or
+// write at once.
+var expired = time.Unix(1, 0)
+
 // Call sends one request frame and reads one response frame. A failed
 // exchange closes the connection instead of returning it to the pool,
-// so a half-dead connection cannot poison later calls.
+// so a half-dead connection cannot poison later calls. Cancelling ctx
+// ends the exchange whether or not ctx carries a deadline: the
+// connection is closed, never pooled, and Call returns ctx.Err() — a
+// replica that accepts and never answers costs a failed call, not a
+// goroutine and a connection forever.
 func (t *TCPTransport) Call(ctx context.Context, addr string, req Message) (Message, error) {
 	c, err := t.get(addr)
 	if err != nil {
 		return Message{}, err
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		_ = c.SetDeadline(dl)
-	} else {
-		_ = c.SetDeadline(time.Time{})
+	dl, _ := ctx.Deadline() // the zero time clears a pooled deadline
+	_ = c.SetDeadline(dl)
+	stop := func() bool { return true }
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { _ = c.SetDeadline(expired) })
 	}
-	if err := WriteMessage(c, req); err != nil {
+	resp, err := c.roundTrip(req)
+	if !stop() {
 		_ = c.Close()
-		return Message{}, err
+		return Message{}, ctx.Err()
 	}
-	resp, err := ReadMessage(c)
 	if err != nil {
 		_ = c.Close()
 		return Message{}, err
 	}
+	c.buf = reuse(c.buf)
 	t.put(addr, c)
 	return resp, nil
 }
@@ -81,11 +131,11 @@ func (t *TCPTransport) Call(ctx context.Context, addr string, req Message) (Mess
 // Close drops every pooled connection.
 func (t *TCPTransport) Close() {
 	t.mu.Lock()
-	var conns []net.Conn
+	var conns []*tcpConn
 	for _, pool := range t.conns {
 		conns = append(conns, pool...)
 	}
-	t.conns = map[string][]net.Conn{}
+	t.conns = map[string][]*tcpConn{}
 	t.mu.Unlock()
 	for _, c := range conns {
 		_ = c.Close()
@@ -146,13 +196,25 @@ func (s *NodeServer) serveConn(c net.Conn) {
 		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
+	// Three buffers live as long as the connection: the request frame,
+	// the records of a match answer, and the response frame.
+	var in, records, out []byte
 	for {
-		req, err := ReadMessage(c)
+		req, buf, err := readMessage(c, in)
 		if err != nil {
 			return
 		}
-		if err := WriteMessage(c, s.node.Handle(req)); err != nil {
+		resp := s.node.handle(req, records)
+		frame, err := appendMessage(out, resp)
+		if err != nil {
 			return
+		}
+		if _, err := c.Write(frame); err != nil {
+			return
+		}
+		in, out = reuse(buf), reuse(frame)
+		if resp.Type == MsgMatchResp {
+			records = reuse(resp.Records)
 		}
 	}
 }

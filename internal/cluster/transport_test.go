@@ -2,12 +2,19 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"applab/internal/rdf"
 	"applab/internal/segment"
+	"applab/internal/sparql"
+	"applab/internal/strabon"
 )
 
 func TestTCPTransportRoundtrip(t *testing.T) {
@@ -76,21 +83,29 @@ func TestTCPTransportServerDown(t *testing.T) {
 	}
 }
 
-// TestTCPCluster runs the full coordinator over real TCP loopback: the
-// production transport end to end.
-func TestTCPCluster(t *testing.T) {
-	tr := NewTCPTransport()
-	defer tr.Close()
+// serveNodes starts n nodes on loopback listeners, each named by its
+// address, and stops them when the test ends.
+func serveNodes(t *testing.T, n int) []string {
+	t.Helper()
 	var addrs []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < n; i++ {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv := ServeNode(l, NewNode(l.Addr().String()))
-		defer srv.Close()
+		t.Cleanup(func() { _ = srv.Close() })
 		addrs = append(addrs, srv.Addr())
 	}
+	return addrs
+}
+
+// TestTCPCluster runs the full coordinator over real TCP loopback: the
+// production transport end to end.
+func TestTCPCluster(t *testing.T) {
+	tr := NewTCPTransport()
+	defer tr.Close()
+	addrs := serveNodes(t, 3)
 	c, err := NewCoordinator(Config{
 		Groups:    [][]string{{addrs[0], addrs[1]}, {addrs[1], addrs[2]}, {addrs[2], addrs[0]}},
 		Transport: tr,
@@ -110,5 +125,208 @@ func TestTCPCluster(t *testing.T) {
 	}
 	if len(res.Bindings) != 20 {
 		t.Fatalf("eval over tcp: %d rows, want 20", len(res.Bindings))
+	}
+}
+
+// TestTCPCallCancelWithoutDeadline: a replica that accepts the
+// connection and reads the request but never answers. Cancelling a
+// context that carries no deadline ends the call promptly with the
+// context's error; the connection is closed rather than pooled, and
+// nothing is left running.
+func TestTCPCallCancelWithoutDeadline(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	// One goroutine accepts, reads each request frame's header and holds
+	// the connection open without a word.
+	received := make(chan struct{})
+	served := make(chan struct{})
+	var held []net.Conn
+	go func() {
+		defer close(served)
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, c)
+			if _, err := io.ReadFull(c, make([]byte, wireHeaderLen)); err == nil {
+				received <- struct{}{}
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		_ = l.Close()
+		<-served
+		for _, c := range held {
+			_ = c.Close()
+		}
+	})
+	tr := NewTCPTransport()
+	defer tr.Close()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := tr.Call(ctx, addr, Message{Type: MsgPingReq})
+			done <- err
+		}()
+		<-received // the request is on the replica; the call waits for an answer
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("call %d: %v, want context.Canceled", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("call %d: still blocked after its context was cancelled", i)
+		}
+	}
+	tr.mu.Lock()
+	pooled := len(tr.conns[addr])
+	tr.mu.Unlock()
+	if pooled != 0 {
+		t.Fatalf("%d interrupted connections pooled, want 0", pooled)
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the calls", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClusterTCPMatchesMem: the same writes and the chaos harness's
+// queries, over the production TCP transport and over the in-memory
+// fabric, give order-exact equal answers, and both equal a golden
+// store. (The chaos harness itself never encodes a frame.)
+func TestClusterTCPMatchesMem(t *testing.T) {
+	tr := NewTCPTransport()
+	defer tr.Close()
+	a := serveNodes(t, 3)
+	tcp, err := NewCoordinator(Config{
+		Groups:    [][]string{{a[0], a[1]}, {a[1], a[2]}, {a[2], a[0]}},
+		Transport: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := newTestCluster(t, nil)
+	oracle := strabon.New()
+	ctx := context.Background()
+	write := func(del bool, ts []rdf.Triple) {
+		t.Helper()
+		apply := func(c *Coordinator) ([]rdf.Triple, error) {
+			if del {
+				return c.DeleteAll(ctx, ts)
+			}
+			return c.AddAll(ctx, ts)
+		}
+		for _, c := range []*Coordinator{tcp, mem.c} {
+			if applied, err := apply(c); err != nil || len(applied) != len(ts) {
+				t.Fatalf("write: %d of %d applied: %v", len(applied), len(ts), err)
+			}
+		}
+		if del {
+			for _, d := range ts {
+				oracle.Delete(d)
+			}
+		} else {
+			oracle.AddAll(ts)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, q := range chaosQueries() {
+			got, partial, err := tcp.EvalPartialContext(ctx, q)
+			if err != nil || partial {
+				t.Fatalf("%s: tcp %q: partial=%v err=%v", stage, q, partial, err)
+			}
+			want, partial, err := mem.c.EvalPartialContext(ctx, q)
+			if err != nil || partial {
+				t.Fatalf("%s: mem %q: partial=%v err=%v", stage, q, partial, err)
+			}
+			if g, w := orderedResults(got), orderedResults(want); g != w {
+				t.Fatalf("%s: %q over tcp differs from the in-memory fabric:\n got:\n%s\nwant:\n%s", stage, q, g, w)
+			}
+			gold, err := sparql.Eval(oracle, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := canonResults(got), canonResults(gold); g != w {
+				t.Fatalf("%s: %q diverged from the golden store:\n got:\n%s\nwant:\n%s", stage, q, g, w)
+			}
+		}
+	}
+	write(false, clusterTriples(30, 0))
+	check("initial")
+	write(false, clusterTriples(20, 100))
+	write(true, clusterTriples(30, 0)[:15])
+	check("after delete")
+}
+
+// orderedResults renders results in their delivered order.
+func orderedResults(res *sparql.Results) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "bool=%v vars=%v\n", res.Bool, res.Vars)
+	for _, b := range res.Bindings {
+		for _, v := range res.Vars {
+			sb.WriteString(b[v].Key())
+			sb.WriteByte('\x1f')
+		}
+		sb.WriteByte('\n')
+	}
+	for _, tr := range res.Graph {
+		sb.WriteString(tr.String())
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestRoutedReadAllocations: an 8-triple routed read over TCP — request
+// encode, node-side match and answer encode, response read and decode —
+// costs at most 40 allocations and 8 KiB, counted across both ends. Each
+// message is encoded into and read from per-connection buffers and the
+// triples are decoded once, into the slice the coordinator returns.
+func TestRoutedReadAllocations(t *testing.T) {
+	tr := NewTCPTransport()
+	defer tr.Close()
+	a := serveNodes(t, 1)
+	c, err := NewCoordinator(Config{Groups: [][]string{{a[0]}}, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := rdf.NewIRI(testSubjectIRI(7))
+	ts := make([]rdf.Triple, 8)
+	for i := range ts {
+		ts[i] = rdf.NewTriple(s, rdf.NewIRI("http://ex/p"+itoa(i)), rdf.NewInteger(int64(i)))
+	}
+	if _, err := c.AddAll(ctx, ts); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		got, err := c.FragmentMatch(ctx, 0, s, rdf.Term{}, rdf.Term{})
+		if err != nil || len(got) != len(ts) {
+			t.Fatalf("routed read: %d triples, err %v", len(got), err)
+		}
+	}
+	read() // dial, and size the connection's buffers
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("routed 8-triple read: %.1f allocs, %.0f bytes", allocs, bytes)
+	if allocs > 40 || bytes > 8<<10 {
+		t.Fatalf("routed 8-triple read costs %.1f allocs and %.0f bytes, ceiling 40 and %d", allocs, bytes, 8<<10)
 	}
 }

@@ -8,9 +8,18 @@
 //
 // The wire protocol is deliberately tiny: one frame shape, a dozen
 // message types, and triple batches carried as the segment engine's
-// AWAL1 record framing (segment.EncodeLogRecord) so that snapshot
+// AWAL1 record framing (segment.AppendLogRecord) so that snapshot
 // transfer, log-tail catch-up and disk recovery all share one fuzzed
 // codec.
+//
+// Each RPC is encoded once and decoded once. Frames are appended in
+// place into buffers each TCP connection keeps for its lifetime (a node
+// also encodes a match answer's records straight into a per-connection
+// scratch buffer); a buffer grown past maxConnBuf is dropped after the
+// call, so one snapshot does not pin its size. Decoding copies out
+// everything it returns, so a reused buffer never aliases a message,
+// and a match answer's triples come back as the one slice its record
+// payload decoded into.
 package cluster
 
 import (
@@ -18,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"applab/internal/rdf"
 )
@@ -82,7 +92,7 @@ type Message struct {
 	// S, P, O are the MatchReq/CardReq pattern; zero terms are wildcards.
 	S, P, O rdf.Term
 	// Records holds AWAL1-framed triple batches
-	// (segment.EncodeLogRecord / DecodeLogRecords).
+	// (segment.AppendLogRecord / DecodeLogRecords).
 	Records []byte
 	// Msg is the MsgErr error text.
 	Msg string
@@ -210,54 +220,72 @@ func appendTerm(b []byte, t rdf.Term) []byte {
 	return appendStr(b, t.Lang)
 }
 
+func putU32(b []byte, v uint32) {
+	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+}
+
 // EncodeMessage frames a message: version, type, body length, body
 // CRC32, body. It returns an error only when the body exceeds the frame
 // cap.
 func EncodeMessage(m Message) ([]byte, error) {
-	body := make([]byte, 0, 64+len(m.Records))
+	out, err := appendMessage(make([]byte, 0, wireHeaderLen+64+len(m.Records)), m)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// appendMessage appends m's frame to dst: the body is written after a
+// reserved header, whose length and CRC are patched once the body is
+// complete. On error dst comes back at its original length.
+func appendMessage(dst []byte, m Message) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, wireVersion, byte(m.Type))
+	dst = appendU32(dst, 0) // body length, patched below
+	dst = appendU32(dst, 0) // body CRC, patched below
+	body := len(dst)
 	switch m.Type {
 	case MsgMatchReq, MsgCardReq:
-		body = appendU32(body, m.Shard)
-		body = appendTerm(body, m.S)
-		body = appendTerm(body, m.P)
-		body = appendTerm(body, m.O)
+		dst = appendU32(dst, m.Shard)
+		dst = appendTerm(dst, m.S)
+		dst = appendTerm(dst, m.P)
+		dst = appendTerm(dst, m.O)
 	case MsgMatchResp, MsgSnapResp:
-		body = appendU64(body, m.Seq)
-		body = appendU32(body, uint32(len(m.Records)))
-		body = append(body, m.Records...)
+		dst = appendU64(dst, m.Seq)
+		dst = appendU32(dst, uint32(len(m.Records)))
+		dst = append(dst, m.Records...)
 	case MsgCardResp:
-		body = appendU64(body, m.Seq)
-		body = appendU64(body, uint64(m.Card))
+		dst = appendU64(dst, m.Seq)
+		dst = appendU64(dst, uint64(m.Card))
 	case MsgApplyReq, MsgInstallReq:
-		body = appendU32(body, m.Shard)
-		body = appendU64(body, m.Seq)
-		body = appendU32(body, uint32(len(m.Records)))
-		body = append(body, m.Records...)
+		dst = appendU32(dst, m.Shard)
+		dst = appendU64(dst, m.Seq)
+		dst = appendU32(dst, uint32(len(m.Records)))
+		dst = append(dst, m.Records...)
 	case MsgApplyResp:
-		body = appendU64(body, m.Seq)
+		dst = appendU64(dst, m.Seq)
 		ok := byte(0)
 		if m.OK {
 			ok = 1
 		}
-		body = append(body, ok)
+		dst = append(dst, ok)
 	case MsgSnapReq, MsgSeqReq:
-		body = appendU32(body, m.Shard)
+		dst = appendU32(dst, m.Shard)
 	case MsgSeqResp:
-		body = appendU64(body, m.Seq)
+		dst = appendU64(dst, m.Seq)
 	case MsgInstallResp, MsgPingReq, MsgPingResp:
 	case MsgErr:
-		body = appendStr(body, m.Msg)
+		dst = appendStr(dst, m.Msg)
 	default:
-		return nil, fmt.Errorf("cluster: cannot encode message type %d", m.Type)
+		return dst[:start], fmt.Errorf("cluster: cannot encode message type %d", m.Type)
 	}
-	if len(body) > maxWireBody {
-		return nil, fmt.Errorf("cluster: frame body %d exceeds cap", len(body))
+	n := len(dst) - body
+	if n > maxWireBody {
+		return dst[:start], fmt.Errorf("cluster: frame body %d exceeds cap", n)
 	}
-	out := make([]byte, 0, wireHeaderLen+len(body))
-	out = append(out, wireVersion, byte(m.Type))
-	out = appendU32(out, uint32(len(body)))
-	out = appendU32(out, crc32.ChecksumIEEE(body))
-	return append(out, body...), nil
+	putU32(dst[start+2:], uint32(n))
+	putU32(dst[start+6:], crc32.ChecksumIEEE(dst[body:]))
+	return dst, nil
 }
 
 // DecodeMessage decodes one frame from the front of data, returning the
@@ -336,22 +364,46 @@ func DecodeMessage(data []byte) (Message, int, error) {
 
 // ReadMessage reads exactly one frame from a stream.
 func ReadMessage(r io.Reader) (Message, error) {
-	hdr := make([]byte, wireHeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return Message{}, err
+	m, _, err := readMessage(r, nil)
+	return m, err
+}
+
+// readChunk caps how far a frame buffer grows ahead of the bytes that
+// have actually arrived.
+const readChunk = 64 << 10
+
+// readMessage reads one frame into buf's storage and decodes it,
+// returning the buffer (grown if the frame needed it) for the next
+// read. The body is read in chunks that at most double what has
+// arrived, so a header declaring a huge body on a stream that then ends
+// costs a bounded allocation, not the declared size. The message never
+// aliases buf: DecodeMessage copies what it returns.
+func readMessage(r io.Reader, buf []byte) (Message, []byte, error) {
+	buf = append(buf[:0], make([]byte, wireHeaderLen)...)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Message{}, buf, err
 	}
-	hc := wireCursor{data: hdr[2:]}
+	hc := wireCursor{data: buf[2:wireHeaderLen]}
 	n := hc.u32()
 	if n > maxWireBody {
-		return Message{}, fmt.Errorf("cluster: frame body length %d exceeds cap", n)
+		return Message{}, buf, fmt.Errorf("cluster: frame body length %d exceeds cap", n)
 	}
-	buf := make([]byte, wireHeaderLen+int(n))
-	copy(buf, hdr)
-	if _, err := io.ReadFull(r, buf[wireHeaderLen:]); err != nil {
-		return Message{}, err
+	total := wireHeaderLen + int(n)
+	for len(buf) < total {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(total-len(buf), max(len(buf), readChunk)))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), total)])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return Message{}, buf, err
+		}
 	}
 	m, _, err := DecodeMessage(buf)
-	return m, err
+	return m, buf, err
 }
 
 // WriteMessage frames and writes one message to a stream.

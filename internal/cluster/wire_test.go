@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"hash/crc32"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"applab/internal/rdf"
@@ -103,6 +106,103 @@ func TestWireDecodeStrict(t *testing.T) {
 	for name, data := range cases {
 		if _, _, err := DecodeMessage(data); err == nil {
 			t.Errorf("%s: decode accepted malformed frame", name)
+		}
+	}
+}
+
+// referenceEncodeMessage is the frame encoder appendMessage replaced:
+// body built in a buffer of its own, then copied behind a header. It is
+// the byte oracle for TestWireFramesUnchanged.
+func referenceEncodeMessage(m Message) []byte {
+	var body []byte
+	switch m.Type {
+	case MsgMatchReq, MsgCardReq:
+		body = appendU32(body, m.Shard)
+		body = appendTerm(body, m.S)
+		body = appendTerm(body, m.P)
+		body = appendTerm(body, m.O)
+	case MsgMatchResp, MsgSnapResp:
+		body = appendU64(body, m.Seq)
+		body = appendU32(body, uint32(len(m.Records)))
+		body = append(body, m.Records...)
+	case MsgCardResp:
+		body = appendU64(body, m.Seq)
+		body = appendU64(body, uint64(m.Card))
+	case MsgApplyReq, MsgInstallReq:
+		body = appendU32(body, m.Shard)
+		body = appendU64(body, m.Seq)
+		body = appendU32(body, uint32(len(m.Records)))
+		body = append(body, m.Records...)
+	case MsgApplyResp:
+		body = appendU64(body, m.Seq)
+		ok := byte(0)
+		if m.OK {
+			ok = 1
+		}
+		body = append(body, ok)
+	case MsgSnapReq, MsgSeqReq:
+		body = appendU32(body, m.Shard)
+	case MsgSeqResp:
+		body = appendU64(body, m.Seq)
+	case MsgErr:
+		body = appendStr(body, m.Msg)
+	}
+	out := []byte{1, byte(m.Type)}
+	out = appendU32(out, uint32(len(body)))
+	out = appendU32(out, crc32.ChecksumIEEE(body))
+	return append(out, body...)
+}
+
+// TestWireFramesUnchanged: encoding in place into a reused buffer — and
+// after bytes a buffer already holds — writes exactly the frames the
+// copying encoder wrote, under wire version 1.
+func TestWireFramesUnchanged(t *testing.T) {
+	if wireVersion != 1 {
+		t.Fatalf("wire version %d: frames changed", wireVersion)
+	}
+	buf := bytes.Repeat([]byte{0xa5}, 512) // stale bytes from an earlier call
+	prefix := []byte("earlier frame")
+	for _, m := range wireMessages(t) {
+		want := referenceEncodeMessage(m)
+		var err error
+		if buf, err = appendMessage(buf[:0], m); err != nil {
+			t.Fatalf("type %v: %v", m.Type, err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("type %v: reused buffer\n got %x\nwant %x", m.Type, buf, want)
+		}
+		after, err := appendMessage(append([]byte(nil), prefix...), m)
+		if err != nil || !bytes.Equal(after, append(append([]byte(nil), prefix...), want...)) {
+			t.Fatalf("type %v: appended after %d bytes: %x (err %v)", m.Type, len(prefix), after, err)
+		}
+		if enc, err := EncodeMessage(m); err != nil || !bytes.Equal(enc, want) {
+			t.Fatalf("type %v: EncodeMessage %x (err %v)", m.Type, enc, err)
+		}
+	}
+	// A refused message leaves the buffer as it was.
+	kept, err := appendMessage(append([]byte(nil), prefix...), Message{Type: msgTypeEnd})
+	if err == nil || !bytes.Equal(kept, prefix) {
+		t.Fatalf("unencodable type: %x, err %v", kept, err)
+	}
+}
+
+// TestReadMessageHostileLength: a 10-byte header declaring the largest
+// legal body, then end of stream, is a truncation error — and costs a
+// bounded buffer, not the 64 MiB the header asked for.
+func TestReadMessageHostileLength(t *testing.T) {
+	hdr := appendU32([]byte{wireVersion, byte(MsgMatchResp)}, maxWireBody)
+	hdr = appendU32(hdr, 0)
+	for _, tail := range [][]byte{nil, bytes.Repeat([]byte{7}, 100<<10)} {
+		in := bytes.NewReader(append(append([]byte(nil), hdr...), tail...))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadMessage(in)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%d body bytes of %d: %v, want io.ErrUnexpectedEOF", len(tail), maxWireBody, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("%d body bytes of %d: allocated %d bytes, want < 1 MiB", len(tail), maxWireBody, d)
 		}
 	}
 }

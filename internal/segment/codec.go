@@ -69,8 +69,10 @@ func (c *cursor) i64() (int64, error) {
 
 // str reads a u32-length-prefixed string. The length is validated
 // against both the global cap and the bytes actually present, so a
-// hostile header cannot force a large allocation.
-func (c *cursor) str() (string, error) {
+// hostile header cannot force a large allocation. When the bytes equal
+// like, like itself is returned and nothing is allocated: consecutive
+// triples of a batch repeat their subjects, predicates and datatypes.
+func (c *cursor) str(like string) (string, error) {
 	n, err := c.u32()
 	if err != nil {
 		return "", err
@@ -78,9 +80,12 @@ func (c *cursor) str() (string, error) {
 	if n > maxStringLen || int(n) > c.remaining() {
 		return "", errCorrupt
 	}
-	v := string(c.data[c.off : c.off+int(n)])
+	b := c.data[c.off : c.off+int(n)]
 	c.off += int(n)
-	return v, nil
+	if string(b) == like {
+		return like, nil
+	}
+	return string(b), nil
 }
 
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
@@ -107,7 +112,9 @@ func appendTerm(b []byte, t rdf.Term) []byte {
 	return b
 }
 
-func (c *cursor) term() (rdf.Term, error) {
+// term decodes a term, sharing the strings of like (the term at the
+// same position of the previous triple) wherever the bytes are equal.
+func (c *cursor) term(like *rdf.Term) (rdf.Term, error) {
 	kind, err := c.u8()
 	if err != nil {
 		return rdf.Term{}, err
@@ -116,14 +123,14 @@ func (c *cursor) term() (rdf.Term, error) {
 		return rdf.Term{}, fmt.Errorf("segment: term kind %d invalid", kind)
 	}
 	t := rdf.Term{Kind: rdf.TermKind(kind)}
-	if t.Value, err = c.str(); err != nil {
+	if t.Value, err = c.str(like.Value); err != nil {
 		return rdf.Term{}, err
 	}
 	if t.Kind == rdf.KindLiteral {
-		if t.Datatype, err = c.str(); err != nil {
+		if t.Datatype, err = c.str(like.Datatype); err != nil {
 			return rdf.Term{}, err
 		}
-		if t.Lang, err = c.str(); err != nil {
+		if t.Lang, err = c.str(like.Lang); err != nil {
 			return rdf.Term{}, err
 		}
 	}
@@ -145,16 +152,18 @@ func appendTriple(b []byte, t rdf.Triple) []byte {
 	return b
 }
 
-func (c *cursor) triple() (rdf.Triple, error) {
+// triple decodes a triple, sharing term strings with prev (the triple
+// decoded before it) where they repeat.
+func (c *cursor) triple(prev *rdf.Triple) (rdf.Triple, error) {
 	var t rdf.Triple
 	var err error
-	if t.S, err = c.term(); err != nil {
+	if t.S, err = c.term(&prev.S); err != nil {
 		return rdf.Triple{}, err
 	}
-	if t.P, err = c.term(); err != nil {
+	if t.P, err = c.term(&prev.P); err != nil {
 		return rdf.Triple{}, err
 	}
-	if t.O, err = c.term(); err != nil {
+	if t.O, err = c.term(&prev.O); err != nil {
 		return rdf.Triple{}, err
 	}
 	flags, err := c.u8()

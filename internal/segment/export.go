@@ -25,34 +25,32 @@ type LogRecord struct {
 // returns the concatenated frames. It fails only when a single triple
 // is too large to frame at all — the same refusal the WAL applies.
 func EncodeLogRecord(rec LogRecord) ([]byte, error) {
+	img, err := AppendLogRecord(nil, rec)
+	if err != nil {
+		return nil, err
+	}
+	return img, nil
+}
+
+// AppendLogRecord appends one batch's frames to dst, encoding them in
+// place; on error dst comes back unchanged.
+func AppendLogRecord(dst []byte, rec LogRecord) ([]byte, error) {
 	op := byte(opAdd)
 	if rec.Delete {
 		op = opDelete
 	}
-	frames, err := encodeFrames(op, rec.Triples)
-	if err != nil {
-		return nil, err
-	}
-	size := 0
-	for _, f := range frames {
-		size += len(f)
-	}
-	out := make([]byte, 0, size)
-	for _, f := range frames {
-		out = append(out, f...)
-	}
-	return out, nil
+	dst, _, err := appendFrames(dst, op, rec.Triples)
+	return dst, err
 }
 
 // AppendLogRecords encodes a record sequence back-to-back; the result
 // decodes with DecodeLogRecords.
 func AppendLogRecords(dst []byte, recs []LogRecord) ([]byte, error) {
 	for _, rec := range recs {
-		img, err := EncodeLogRecord(rec)
-		if err != nil {
+		var err error
+		if dst, err = AppendLogRecord(dst, rec); err != nil {
 			return nil, err
 		}
-		dst = append(dst, img...)
 	}
 	return dst, nil
 }
@@ -63,7 +61,8 @@ func AppendLogRecords(dst []byte, recs []LogRecord) ([]byte, error) {
 // unfinished frame sequence is an error, because a transport must
 // deliver frames whole or not at all. Preallocation stays capped the
 // way decodeWALPayload caps it, so a hostile header cannot force a
-// large allocation.
+// large allocation. A batch framed as one record keeps the slice its
+// payload decoded into; an empty batch decodes to nil triples.
 func DecodeLogRecords(data []byte) ([]LogRecord, error) {
 	var recs []LogRecord
 	var pending []rdf.Triple
@@ -93,6 +92,14 @@ func DecodeLogRecords(data []byte) ([]LogRecord, error) {
 			return nil, fmt.Errorf("segment: wire chunk group switched op mid-batch")
 		}
 		pendingOp = op.op
+		if len(pending) == 0 && !op.more {
+			// A whole batch in one frame: hand its slice over as is.
+			if len(op.triples) == 0 {
+				op.triples = nil
+			}
+			recs = append(recs, LogRecord{Delete: op.op == opDelete, Triples: op.triples})
+			continue
+		}
 		pending = append(pending, op.triples...)
 		if op.more {
 			continue

@@ -506,7 +506,7 @@ func (r *Run) ensureDict() ([]rdf.Term, error) {
 	terms := make([]rdf.Term, 0, hint)
 	c := cursor{data: buf}
 	for i := uint32(0); i < r.foot.nTerms; i++ {
-		t, err := c.term()
+		t, err := c.term(&rdf.Term{})
 		if err != nil {
 			return nil, fmt.Errorf("segment: %s: dict term %d: %w", r.path, i, err)
 		}

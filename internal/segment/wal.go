@@ -55,7 +55,7 @@ const (
 
 // maxWALRecord caps a record's declared payload size: larger frames are
 // treated as corruption. The writer enforces the same bound by
-// chunking oversized batches (see chunkPayloads), so every frame it
+// chunking oversized batches (see appendFrames), so every frame it
 // commits is one replay accepts.
 const maxWALRecord = 1 << 26
 
@@ -234,12 +234,14 @@ func decodeWALPayload(payload []byte) (walOp, error) {
 		hint = 1 << 14
 	}
 	triples := make([]rdf.Triple, 0, hint)
+	var prev rdf.Triple
 	for i := uint32(0); i < count; i++ {
-		t, err := c.triple()
+		t, err := c.triple(&prev)
 		if err != nil {
 			return walOp{}, err
 		}
 		triples = append(triples, t)
+		prev = t
 	}
 	if c.remaining() != 0 {
 		return walOp{}, errCorrupt
@@ -247,85 +249,86 @@ func decodeWALPayload(payload []byte) (walOp, error) {
 	return walOp{op: op, more: more, triples: triples}, nil
 }
 
-// chunkPayloads encodes a batch into one or more record payloads, each
-// within walChunkPayload (and therefore within the maxWALRecord bound
-// replay enforces). A single triple too large to frame at all is an
-// error: append must never emit a record replay would reject.
-func chunkPayloads(op byte, triples []rdf.Triple) ([][]byte, error) {
-	newChunk := func() []byte {
-		p := make([]byte, 0, 256)
-		p = append(p, op)
-		return appendU32(p, 0) // count, patched when the chunk seals
+// appendFrames appends a batch's frame sequence to dst and reports how
+// many frames it wrote. Each chunk's frame header is reserved, its
+// payload encoded in place, and the chunk sealed by patching the count,
+// the walMore flag (every chunk but the last carries it, so the group is
+// only committed once its final frame is durable), the length and the
+// CRC. A chunk holds as many triples as fit within walChunkPayload (and
+// therefore within the maxWALRecord bound replay enforces); a single
+// triple too large to frame at all is an error, because append must
+// never emit a record replay would reject. On error dst comes back at
+// its original length.
+func appendFrames(dst []byte, op byte, triples []rdf.Triple) ([]byte, int, error) {
+	start := len(dst)
+	// open reserves a frame header plus the op byte and count of a new
+	// chunk, returning the offset of the frame.
+	open := func() int {
+		at := len(dst)
+		dst = appendU32(dst, 0) // payload length, patched on seal
+		dst = appendU32(dst, 0) // payload CRC, patched on seal
+		dst = append(dst, op)
+		dst = appendU32(dst, 0) // count, patched on seal
+		return at
 	}
-	seal := func(p []byte, count uint32) []byte {
-		putU32(p[1:5], count)
-		return p
-	}
-	var payloads [][]byte
-	cur := newChunk()
-	count := uint32(0)
-	for _, t := range triples {
-		prev := len(cur)
-		cur = appendTriple(cur, t)
-		if len(cur) > walChunkPayload {
-			if count == 0 {
-				return nil, fmt.Errorf("segment: triple of %d bytes exceeds the %d-byte WAL record cap",
-					len(cur)-5, walChunkPayload)
-			}
-			payloads = append(payloads, seal(cur[:prev], count))
-			cur = newChunk()
-			count = 0
-			cur = appendTriple(cur, t)
-			if len(cur) > walChunkPayload {
-				return nil, fmt.Errorf("segment: triple of %d bytes exceeds the %d-byte WAL record cap",
-					len(cur)-5, walChunkPayload)
-			}
-		}
-		count++
-	}
-	return append(payloads, seal(cur, count)), nil
-}
-
-// encodeFrames turns a batch into its on-disk frame sequence: every
-// chunk but the last carries the walMore flag, so the group is only
-// committed once its final frame is durable.
-func encodeFrames(op byte, triples []rdf.Triple) ([][]byte, error) {
-	payloads, err := chunkPayloads(op, triples)
-	if err != nil {
-		return nil, err
-	}
-	frames := make([][]byte, len(payloads))
-	for i, payload := range payloads {
-		if i < len(payloads)-1 {
+	seal := func(at, end int, count uint32, more bool) {
+		payload := dst[at+8 : end]
+		if more {
 			payload[0] |= walMore
 		}
-		frame := make([]byte, 0, len(payload)+8)
-		frame = appendU32(frame, uint32(len(payload)))
-		frame = appendU32(frame, crc32.ChecksumIEEE(payload))
-		frames[i] = append(frame, payload...)
+		putU32(payload[1:5], count)
+		putU32(dst[at:], uint32(len(payload)))
+		putU32(dst[at+4:], crc32.ChecksumIEEE(payload))
 	}
-	return frames, nil
+	tooBig := func(at int) error {
+		return fmt.Errorf("segment: triple of %d bytes exceeds the %d-byte WAL record cap",
+			len(dst)-at-8-5, walChunkPayload)
+	}
+	frames := 1
+	at := open()
+	count := uint32(0)
+	for _, t := range triples {
+		prev := len(dst)
+		dst = appendTriple(dst, t)
+		if len(dst)-at-8 <= walChunkPayload {
+			count++
+			continue
+		}
+		if count == 0 {
+			return dst[:start], 0, tooBig(at)
+		}
+		// The triple overflows this chunk: seal the chunk without it and
+		// encode it again as the first triple of the next one.
+		dst = dst[:prev]
+		seal(at, prev, count, true)
+		frames++
+		at = open()
+		dst = appendTriple(dst, t)
+		if len(dst)-at-8 > walChunkPayload {
+			return dst[:start], 0, tooBig(at)
+		}
+		count = 1
+	}
+	seal(at, len(dst), count, false)
+	return dst, frames, nil
 }
 
 // append frames, writes, and fsyncs one batch (one record, or a chunk
-// group for batches over the record cap — one fsync either way). On
-// any failure it repairs the tail back to the last committed boundary
-// and returns the error; none of the batch is committed.
+// group for batches over the record cap — one write and one fsync
+// either way). On any failure it repairs the tail back to the last
+// committed boundary and returns the error; none of the batch is
+// committed.
 func (w *wal) append(op byte, triples []rdf.Triple) error {
 	if w.broken {
 		return fmt.Errorf("segment: WAL %s is broken after an unrepaired write failure", w.path)
 	}
-	frames, err := encodeFrames(op, triples)
+	group, frames, err := appendFrames(nil, op, triples)
 	if err != nil {
 		return err
 	}
-	var total int64
-	for _, frame := range frames {
-		if _, err := w.sink.Write(frame); err != nil {
-			w.repair()
-			return fmt.Errorf("segment: WAL append: %w", err)
-		}
-		total += int64(len(frame))
+	if _, err := w.sink.Write(group); err != nil {
+		w.repair()
+		return fmt.Errorf("segment: WAL append: %w", err)
 	}
 	if err := w.sink.Sync(); err != nil {
 		// The bytes may or may not be durable; either way the batch is
@@ -333,9 +336,9 @@ func (w *wal) append(op byte, triples []rdf.Triple) error {
 		w.repair()
 		return fmt.Errorf("segment: WAL fsync: %w", err)
 	}
-	w.size += total
+	w.size += int64(len(group))
 	if w.records != nil {
-		*w.records += uint64(len(frames))
+		*w.records += uint64(frames)
 	}
 	if w.fsyncs != nil {
 		*w.fsyncs++

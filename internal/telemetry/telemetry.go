@@ -36,11 +36,13 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // DefBuckets is the default latency histogram layout (seconds), tuned
@@ -106,63 +108,83 @@ func validName(s string) bool {
 	return true
 }
 
+// keyBuf is the stack buffer a series lookup renders its key into; a
+// lookup of an existing series converts it to a string only for the map
+// index, which allocates nothing.
+type keyBuf [128]byte
+
 // seriesKey renders name plus sorted label pairs into the canonical
 // series key ("name" or `name{k1="v1",k2="v2"}`), validating the name
 // and label keys. Label values are escaped like Prometheus text format.
 func seriesKey(name string, labels []string) string {
+	var kb keyBuf
+	return string(appendSeriesKey(kb[:0], name, labels))
+}
+
+// appendSeriesKey appends the series key of name + labels to dst. Pairs
+// are ordered by key with an insertion sort (stable, as sort.Slice is at
+// the sizes a label list has), over an index array on the stack for up
+// to 8 pairs.
+func appendSeriesKey(dst []byte, name string, labels []string) []byte {
 	if !validName(name) {
 		panic(fmt.Sprintf("telemetry: metric name %q is not lowercase_snake", name))
 	}
 	if len(labels)%2 != 0 {
-		panic(fmt.Sprintf("telemetry: metric %s: odd label list %q", name, labels))
+		// Format a copy: handing labels itself to fmt would move every
+		// caller's variadic label array to the heap.
+		panic(fmt.Sprintf("telemetry: metric %s: odd label list %q", name, slices.Clone(labels)))
 	}
+	dst = append(dst, name...)
 	if len(labels) == 0 {
-		return name
+		return dst
 	}
-	type kv struct{ k, v string }
-	pairs := make([]kv, 0, len(labels)/2)
+	var stack [8]int
+	order := stack[:0]
+	if len(labels)/2 > len(stack) {
+		order = make([]int, 0, len(labels)/2)
+	}
 	for i := 0; i < len(labels); i += 2 {
 		if !validName(labels[i]) {
 			panic(fmt.Sprintf("telemetry: metric %s: label key %q is not lowercase_snake", name, labels[i]))
 		}
-		pairs = append(pairs, kv{labels[i], labels[i+1]})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var sb strings.Builder
-	sb.WriteString(name)
-	sb.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			sb.WriteByte(',')
+		order = append(order, i)
+		for j := len(order) - 1; j > 0 && labels[order[j]] < labels[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
-		sb.WriteString(p.k)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(p.v))
-		sb.WriteByte('"')
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	dst = append(dst, '{')
+	for n, i := range order {
+		if n > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, labels[i]...)
+		dst = append(dst, `="`...)
+		dst = appendLabelValue(dst, labels[i+1])
+		dst = append(dst, '"')
+	}
+	return append(dst, '}')
 }
 
-// escapeLabel escapes a label value for the text format.
-func escapeLabel(v string) string {
+// appendLabelValue appends a label value escaped for the text format.
+// Values that need escaping are re-encoded rune by rune, so invalid
+// UTF-8 comes out as U+FFFD.
+func appendLabelValue(dst []byte, v string) []byte {
 	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
+		return append(dst, v...)
 	}
-	var sb strings.Builder
 	for _, c := range v {
 		switch c {
 		case '\\':
-			sb.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '"':
-			sb.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		default:
-			sb.WriteRune(c)
+			dst = utf8.AppendRune(dst, c)
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 // checkKind records (or verifies) the kind of a series key. Callers
@@ -180,22 +202,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	key := seriesKey(name, labels)
-	r.mu.RLock()
-	c := r.counters[key]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c := r.counters[key]; c != nil {
-		return c
-	}
-	r.checkKind(key, "counter")
-	c = &Counter{}
-	r.counters[key] = c
-	return c
+	return lookup(r, r.counters, "counter", name, labels, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns (registering on first use) the gauge series for
@@ -204,22 +211,32 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	key := seriesKey(name, labels)
+	return lookup(r, r.gauges, "gauge", name, labels, func() *Gauge { return &Gauge{} })
+}
+
+// lookup returns the series of name + labels in m, registering mk()
+// under the write lock on first use. The key is rendered on the stack
+// and becomes a string only when the series is new, so looking up an
+// existing series allocates nothing.
+func lookup[T any](r *Registry, m map[string]*T, kind, name string, labels []string, mk func() *T) *T {
+	var kb keyBuf
+	key := appendSeriesKey(kb[:0], name, labels)
 	r.mu.RLock()
-	g := r.gauges[key]
+	s := m[string(key)]
 	r.mu.RUnlock()
-	if g != nil {
-		return g
+	if s != nil {
+		return s
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g := r.gauges[key]; g != nil {
-		return g
+	if s := m[string(key)]; s != nil {
+		return s
 	}
-	r.checkKind(key, "gauge")
-	g = &Gauge{}
-	r.gauges[key] = g
-	return g
+	k := string(key)
+	r.checkKind(k, kind)
+	s = mk()
+	m[k] = s
+	return s
 }
 
 // GaugeFunc registers a callback gauge evaluated at snapshot time —
@@ -252,30 +269,13 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	key := seriesKey(name, labels)
-	r.mu.RLock()
-	h := r.histograms[key]
-	r.mu.RUnlock()
-	if h == nil {
-		h = func() *Histogram {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			if h := r.histograms[key]; h != nil {
-				return h
-			}
-			r.checkKind(key, "histogram")
-			h := newHistogram(buckets)
-			r.histograms[key] = h
-			return h
-		}()
-	}
-	if len(h.bounds) != len(buckets) {
-		panic(fmt.Sprintf("telemetry: histogram %s re-registered with %d buckets, have %d", key, len(buckets), len(h.bounds)))
-	}
-	for i, b := range buckets {
-		if h.bounds[i] != b {
-			panic(fmt.Sprintf("telemetry: histogram %s re-registered with different buckets", key))
+	h := lookup(r, r.histograms, "histogram", name, labels, func() *Histogram { return newHistogram(buckets) })
+	if !slices.Equal(h.bounds, buckets) {
+		key := seriesKey(name, labels)
+		if len(h.bounds) != len(buckets) {
+			panic(fmt.Sprintf("telemetry: histogram %s re-registered with %d buckets, have %d", key, len(buckets), len(h.bounds)))
 		}
+		panic(fmt.Sprintf("telemetry: histogram %s re-registered with different buckets", key))
 	}
 	return h
 }

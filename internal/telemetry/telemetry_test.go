@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 func TestCounter(t *testing.T) {
@@ -40,6 +41,59 @@ func TestCounterLabels(t *testing.T) {
 	key := `reqs_total{code="200",method="GET"}`
 	if got := r.Snapshot().Counters[key]; got != 1 {
 		t.Fatalf("snapshot[%s] = %d, want 1", key, got)
+	}
+}
+
+// TestSeriesKeyCompat pins the rendered series keys: labels sorted by
+// key (stably), values escaped like the Prometheus text format, and
+// invalid UTF-8 in a value that needs escaping replaced by U+FFFD.
+func TestSeriesKeyCompat(t *testing.T) {
+	cases := []struct {
+		name   string
+		labels []string
+		want   string
+	}{
+		{"plain_total", nil, `plain_total`},
+		{"one_total", []string{"code", "200"}, `one_total{code="200"}`},
+		{"sorted_total", []string{"z", "1", "a", "2", "m", "3"}, `sorted_total{a="2",m="3",z="1"}`},
+		{"dup_total", []string{"k", "first", "a", "x", "k", "second"}, `dup_total{a="x",k="first",k="second"}`},
+		{"esc_total", []string{"v", `a\b"c` + "\nd"}, `esc_total{v="a\\b\"c\nd"}`},
+		{"utf8_total", []string{"v", "caf\xe9 \"x\""}, `utf8_total{v="caf` + string(utf8.RuneError) + ` \"x\""}`},
+		{"raw_total", []string{"v", "caf\xe9"}, "raw_total{v=\"caf\xe9\"}"},
+		{"many_total", []string{"j", "9", "i", "8", "h", "7", "g", "6", "f", "5", "e", "4", "d", "3", "c", "2", "b", "1"},
+			`many_total{b="1",c="2",d="3",e="4",f="5",g="6",h="7",i="8",j="9"}`},
+		{"long_total", []string{"value", strings.Repeat("v", 200)}, `long_total{value="` + strings.Repeat("v", 200) + `"}`},
+	}
+	r := NewRegistry()
+	for _, c := range cases {
+		if got := seriesKey(c.name, c.labels); got != c.want {
+			t.Errorf("seriesKey(%s, %q) = %q, want %q", c.name, c.labels, got, c.want)
+		}
+		r.Counter(c.name, c.labels...).Inc()
+		if got := r.Snapshot().Counters[c.want]; got != 1 {
+			t.Errorf("%s: snapshot has %d under %q", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSeriesLookupAllocations: looking up a series that already exists
+// allocates nothing, for every handle kind, at 0, 1 and 2 label pairs.
+func TestSeriesLookupAllocations(t *testing.T) {
+	r := NewRegistry()
+	node := "n1"
+	lookups := map[string]func(){
+		"counter/0":   func() { r.Counter("rpcs_total").Inc() },
+		"counter/1":   func() { r.Counter("rpcs_total", "type", "match").Inc() },
+		"counter/2":   func() { r.Counter("errors_total", "node", node, "type", "match").Inc() },
+		"gauge/1":     func() { r.Gauge("busy", "node", node).Set(1) },
+		"histogram/0": func() { r.Histogram("read_seconds", nil).Observe(0.1) },
+		"histogram/2": func() { r.Histogram("read_seconds", nil, "node", node, "type", "match").Observe(0.1) },
+	}
+	for name, fn := range lookups {
+		fn() // registers the series
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocations per lookup of an existing series, want 0", name, n)
+		}
 	}
 }
 
