@@ -20,11 +20,11 @@ go vet ./...
 echo "== applab-lint (self-lint: the linter and its framework first)"
 go run ./cmd/applab-lint ./internal/analysis/... ./cmd/applab-lint
 
-echo "== applab-lint (whole repo, against the committed baseline)"
+echo "== applab-lint (whole repo: zero findings)"
 # The dataflow checkers must stay fast enough to run on every commit:
 # the whole-repo pass gets a 30-second wall budget.
 lint_start=$(date +%s)
-go run ./cmd/applab-lint -baseline lint-baseline.json ./...
+go run ./cmd/applab-lint ./...
 lint_elapsed=$(( $(date +%s) - lint_start ))
 if [ "$lint_elapsed" -ge 30 ]; then
     echo "applab-lint took ${lint_elapsed}s; budget is 30s" >&2
@@ -120,6 +120,7 @@ check_cover() {
 }
 check_cover ./internal/opendap/ 85
 check_cover ./internal/federation/ 85
+check_cover ./internal/scatter/ 85
 check_cover ./internal/telemetry/ 90
 check_cover ./internal/sparql/ 80
 check_cover ./internal/admission/ 90

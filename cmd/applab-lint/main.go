@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	applab-lint [-checks list] [-list] [-json] [-fix]
-//	            [-baseline file] [-write-baseline file] [packages]
+//	applab-lint [-checks list] [-list] [packages]
 //
 // Packages are directories or dir/... patterns; the default is ./...
 // from the module root. Findings print as
@@ -14,11 +13,7 @@
 //	file:line:col: [check] message
 //
 // sorted by (file, line, col, check), with module-root-relative paths,
-// so output is byte-stable across runs and machines. -json emits the
-// same findings as a JSON array. -baseline subtracts pre-existing
-// findings recorded with -write-baseline. -fix applies the mechanical
-// suggested fixes (defer unlock/close insertions) in place and reports
-// what remains.
+// so output is byte-stable across runs and machines.
 //
 // Exit status: 0 clean, 1 findings, 2 usage/load/type-check errors —
 // a broken load can never masquerade as a clean run.
@@ -28,8 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"applab/internal/analysis"
 )
@@ -41,10 +34,6 @@ func main() {
 func run() int {
 	checks := flag.String("checks", "all", "comma-separated checker names to run")
 	list := flag.Bool("list", false, "list available checkers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	fix := flag.Bool("fix", false, "apply mechanical suggested fixes in place")
-	baselinePath := flag.String("baseline", "", "subtract findings recorded in this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "record surviving findings to this file and exit 0")
 	flag.Parse()
 
 	if *list {
@@ -58,15 +47,6 @@ func run() int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "applab-lint:", err)
 		return 2
-	}
-
-	var baseline *analysis.Baseline
-	if *baselinePath != "" {
-		baseline, err = analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "applab-lint:", err)
-			return 2
-		}
 	}
 
 	loader := analysis.NewLoader()
@@ -86,38 +66,8 @@ func run() int {
 		findings = append(findings, analysis.RunAll(pkg.Pass, checkers)...)
 	}
 	analysis.SortFindings(findings)
-	findings = baseline.Filter(findings)
-
-	if *writeBaseline != "" {
-		if err := analysis.WriteBaseline(*writeBaseline, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "applab-lint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "applab-lint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		if broken {
-			return 2
-		}
-		return 0
-	}
-
-	if *fix {
-		var fixErr error
-		findings, fixErr = applyFixes(findings)
-		if fixErr != nil {
-			fmt.Fprintln(os.Stderr, "applab-lint:", fixErr)
-			return 2
-		}
-	}
-
-	if *jsonOut {
-		if err := analysis.EncodeJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "applab-lint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 
 	switch {
@@ -129,48 +79,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// applyFixes groups the fixable findings per file, rewrites each file
-// bottom-up, and returns the findings that had no mechanical fix.
-func applyFixes(findings []analysis.Finding) ([]analysis.Finding, error) {
-	byFile := map[string][]analysis.SuggestedFix{}
-	var rest []analysis.Finding
-	fixed := 0
-	for _, f := range findings {
-		if f.Fix == nil {
-			rest = append(rest, f)
-			continue
-		}
-		byFile[f.Pos.Filename] = append(byFile[f.Pos.Filename], *f.Fix)
-		fixed++
-	}
-	root, err := analysis.ModuleRoot()
-	if err != nil {
-		return nil, err
-	}
-	files := make([]string, 0, len(byFile))
-	for file := range byFile {
-		files = append(files, file)
-	}
-	sort.Strings(files)
-	for _, file := range files {
-		path := filepath.Join(root, filepath.FromSlash(file))
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		out, err := analysis.ApplyFixes(src, byFile[file])
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", file, err)
-		}
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "applab-lint: fixed %s (%d edit(s))\n", file, len(byFile[file]))
-	}
-	if fixed > 0 {
-		fmt.Fprintf(os.Stderr, "applab-lint: applied %d fix(es); re-run to verify\n", fixed)
-	}
-	return rest, nil
 }

@@ -76,8 +76,8 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 		compactAt  = fs.Int("compact-at", 0, "segment count that triggers compaction (0 = engine default, <0 disables)")
 
 		memberTimeout = fs.Duration("member-timeout", 0, "per-member deadline for federated pattern fan-outs (0 waits forever)")
-		demoteAfter   = fs.Int("demote-after", 3, "consecutive failures before a federation member is demoted (-1 disables)")
-		retryDemoted  = fs.Duration("retry-demoted", 30*time.Second, "how long a demoted member sits out before being probed again")
+		demoteAfter   = fs.Int("demote-after", 3, "consecutive failures before a federation member or cluster replica is demoted (-1 disables)")
+		retryDemoted  = fs.Duration("retry-demoted", 30*time.Second, "how long a demoted member or replica sits out before being probed again")
 
 		resultCache = fs.Int("result-cache", 0, "plan-keyed result cache capacity in entries (0 disables); served responses carry X-Applab-Cache")
 		cacheTTL    = fs.Duration("cache-ttl", 0, "result-cache entry lifetime (0 = epoch-validated only; set this when federating with remote endpoints, whose ingests are invisible to epoch validation)")
@@ -85,9 +85,6 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 
 		clusterNode        = fs.String("cluster-node", "", "serve this process as a cluster shard node on the given address (node mode; other serving flags are ignored)")
 		clusterSpec        = fs.String("cluster", "", "replica groups of node addresses, ';' between groups and ',' within (coordinator mode; e.g. \"a:1,b:2;b:2,c:3;c:3,a:1\")")
-		clusterHedge       = fs.Duration("cluster-hedge", 0, "fixed hedge delay before a read is duplicated to another replica (0 = adaptive p95 of recent reads)")
-		clusterDemote      = fs.Int("cluster-demote-after", 3, "consecutive failures before a cluster replica is demoted (-1 disables)")
-		clusterRetry       = fs.Duration("cluster-retry-demoted", 30*time.Second, "how long a demoted replica sits out before being probed again")
 		clusterRepairEvery = fs.Duration("cluster-repair-every", 0, "cadence for background log-tail catch-up of lagging replicas (0 disables)")
 
 		maxInflight     = fs.Int("max-inflight", 0, "max concurrent query evaluations (0 disables admission control)")
@@ -129,9 +126,8 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 			Groups:        groups,
 			Transport:     tr,
 			Metrics:       reg,
-			HedgeAfter:    *clusterHedge,
-			DemoteAfter:   *clusterDemote,
-			RetryCooldown: *clusterRetry,
+			DemoteAfter:   *demoteAfter,
+			RetryCooldown: *retryDemoted,
 		})
 		if err != nil {
 			tr.Close()

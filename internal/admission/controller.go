@@ -196,29 +196,38 @@ func (c *Controller) releaseFunc() func() {
 }
 
 // release hands the slot to the queue head, skipping (and evicting)
-// heads that already waited past the queue deadline.
+// heads that already waited past the queue deadline. Every verdict is
+// decided under c.mu but sent after unlocking: each waiter is already
+// out of the queue, so nothing else can answer it.
 func (c *Controller) release() {
+	var evicted []*waiter
+	var next *waiter
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.queue) > 0 {
+	for len(c.queue) > 0 && next == nil {
 		w := c.queue[0]
 		c.queue = c.queue[1:]
 		c.met.depth.Set(float64(len(c.queue)))
 		wait := c.now().Sub(w.enqueued)
 		if c.QueueTimeout > 0 && wait > c.QueueTimeout {
 			c.met.evicted.Inc()
-			//lint:ignore lockio reason: admit is buffered (cap 1) and each waiter gets exactly one verdict, so the send never blocks
-			w.admit <- &Overload{Evicted: true, RetryAfter: c.retryAfter()}
+			evicted = append(evicted, w)
 			continue
 		}
 		c.met.waitSeconds.Observe(wait.Seconds())
 		c.met.admitted.Inc()
-		//lint:ignore lockio reason: admit is buffered (cap 1) and each waiter gets exactly one verdict, so the send never blocks
-		w.admit <- nil
-		return
+		next = w
 	}
-	c.inflight--
-	c.met.inflight.Set(float64(c.inflight))
+	if next == nil {
+		c.inflight--
+		c.met.inflight.Set(float64(c.inflight))
+	}
+	c.mu.Unlock()
+	for _, w := range evicted {
+		w.admit <- &Overload{Evicted: true, RetryAfter: c.retryAfter()}
+	}
+	if next != nil {
+		next.admit <- nil
+	}
 }
 
 // Middleware wraps next with admission control: rejected requests get

@@ -28,13 +28,11 @@ import (
 	"strings"
 )
 
-// Finding is one diagnostic produced by a checker. Fix, when non-nil,
-// is a mechanical edit `applab-lint -fix` can apply.
+// Finding is one diagnostic produced by a checker.
 type Finding struct {
 	Pos     token.Position
 	Check   string
 	Message string
-	Fix     *SuggestedFix
 }
 
 // String renders the finding in the driver's file:line: [check] message

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -230,12 +229,8 @@ func closeflowFunc(pass *Pass, fb funcBody) []Finding {
 		if site.isBody {
 			target += ".Body"
 		}
-		f := pass.finding(site.pos, "closeflow",
-			"%s opened here may not be closed on every path out of the function; close it or add defer %s.Close()", site.varName, target)
-		if fix := closeFix(pass, fb, v, site); fix != nil {
-			f.Fix = fix
-		}
-		out = append(out, f)
+		out = append(out, pass.finding(site.pos, "closeflow",
+			"%s opened here may not be closed on every path out of the function; close it or add defer %s.Close()", site.varName, target))
 	}
 	return out
 }
@@ -490,113 +485,6 @@ func condFailedEdge(cond ast.Expr, succIdx int) bool {
 		return succIdx == 0
 	case token.EQL:
 		return succIdx == 1
-	}
-	return false
-}
-
-// closeFix builds the mechanical `defer x.Close()` fix when provably
-// safe: the resource is never closed and never escapes anywhere in the
-// function, the open is a plain statement not inside a loop, and any
-// open error is checked (with an early return) in the very next
-// statement so the defer lands after the guard.
-func closeFix(pass *Pass, fb funcBody, v *types.Var, site *openSite) *SuggestedFix {
-	closes, escapes := resourceEvents(fb.body, func(id *ast.Ident) *types.Var {
-		u, _ := pass.Info.Uses[id].(*types.Var)
-		if u == v {
-			return v
-		}
-		return nil
-	})
-	if len(closes) > 0 || len(escapes) > 0 {
-		return nil
-	}
-
-	// Locate the open statement's enclosing statement list; a defer
-	// inside a loop body would pile up, so loops disqualify the fix.
-	var anchor ast.Node
-	ok := false
-	loop := false
-	ast.Inspect(fb.body, func(n ast.Node) bool {
-		var list []ast.Stmt
-		switch b := n.(type) {
-		case *ast.ForStmt:
-			if containsNode(b.Body, site.assign) {
-				loop = true
-			}
-			return true
-		case *ast.RangeStmt:
-			if containsNode(b.Body, site.assign) {
-				loop = true
-			}
-			return true
-		case *ast.BlockStmt:
-			list = b.List
-		case *ast.CaseClause:
-			list = b.Body
-		case *ast.CommClause:
-			list = b.Body
-		default:
-			return true
-		}
-		for i, s := range list {
-			if ast.Node(s) != site.assign {
-				continue
-			}
-			if site.errVar == nil {
-				anchor, ok = s, true
-				return false
-			}
-			// Need `if err != nil { ...return }` immediately after.
-			if i+1 < len(list) {
-				if ifs, okIf := list[i+1].(*ast.IfStmt); okIf {
-					if condNilCheckVar(pass.Info, ifs.Cond) == site.errVar && endsInExit(pass.Info, ifs.Body) {
-						anchor, ok = ifs, true
-						return false
-					}
-				}
-			}
-			return false
-		}
-		return true
-	})
-	if !ok || loop {
-		return nil
-	}
-	target := site.varName
-	if site.isBody {
-		target += ".Body"
-	}
-	return &SuggestedFix{
-		InsertAfter: pass.Fset.Position(anchor.End()),
-		Text:        fmt.Sprintf("defer %s.Close()", target),
-	}
-}
-
-// containsNode reports whether target occurs within root.
-func containsNode(root, target ast.Node) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == target {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// endsInExit reports whether the block's last statement leaves the
-// function (return, panic, os.Exit, log.Fatal…).
-func endsInExit(info *types.Info, b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			return isTerminalCall(info, call)
-		}
 	}
 	return false
 }

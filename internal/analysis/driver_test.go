@@ -1,9 +1,7 @@
 package analysis_test
 
 import (
-	"bytes"
 	"go/token"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,157 +13,6 @@ func mkFinding(file string, line, col int, check, msg string) analysis.Finding {
 		Pos:     token.Position{Filename: file, Line: line, Column: col},
 		Check:   check,
 		Message: msg,
-	}
-}
-
-func TestApplyFixes(t *testing.T) {
-	src := []byte(`package p
-
-import "sync"
-
-type s struct{ mu sync.Mutex }
-
-func (x *s) a() {
-	x.mu.Lock()
-}
-
-func (x *s) b() {
-	x.mu.Lock()
-}
-`)
-	fixes := []analysis.SuggestedFix{
-		{InsertAfter: token.Position{Line: 8}, Text: "defer x.mu.Unlock()"},
-		{InsertAfter: token.Position{Line: 12}, Text: "defer x.mu.Unlock()"},
-	}
-	got, err := analysis.ApplyFixes(src, fixes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(got), "defer x.mu.Unlock()"); n != 2 {
-		t.Errorf("want 2 inserted defers, got %d in:\n%s", n, got)
-	}
-	// Each defer must land directly after its Lock, with the same
-	// indentation (gofmt would keep a tab).
-	if !strings.Contains(string(got), "\tx.mu.Lock()\n\tdefer x.mu.Unlock()\n") {
-		t.Errorf("defer not adjacent to its lock:\n%s", got)
-	}
-}
-
-func TestApplyFixesRejectsBadAnchor(t *testing.T) {
-	if _, err := analysis.ApplyFixes([]byte("package p\n"), []analysis.SuggestedFix{
-		{InsertAfter: token.Position{Line: 99}, Text: "x"},
-	}); err == nil {
-		t.Error("out-of-range anchor must error")
-	}
-}
-
-func TestApplyFixesRejectsBrokenResult(t *testing.T) {
-	if _, err := analysis.ApplyFixes([]byte("package p\n\nfunc f() {}\n"), []analysis.SuggestedFix{
-		{InsertAfter: token.Position{Line: 1}, Text: "not a go statement ]["},
-	}); err == nil {
-		t.Error("unparseable fixed source must error")
-	}
-}
-
-func TestApplyFixesNoop(t *testing.T) {
-	src := []byte("package p\n")
-	got, err := analysis.ApplyFixes(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, src) {
-		t.Error("no fixes must leave the source untouched")
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	findings := []analysis.Finding{
-		mkFinding("b.go", 3, 1, "lockflow", "leak"),
-		mkFinding("a.go", 9, 2, "closeflow", "leak"),
-		mkFinding("a.go", 4, 1, "errflow", "dropped"),
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := analysis.WriteBaseline(path, findings); err != nil {
-		t.Fatal(err)
-	}
-	b, err := analysis.LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Entries) != 3 {
-		t.Fatalf("want 3 entries, got %d", len(b.Entries))
-	}
-	// Entries come back sorted by (file, check, message).
-	if b.Entries[0].File != "a.go" || b.Entries[0].Check != "closeflow" {
-		t.Errorf("entries not sorted: %+v", b.Entries)
-	}
-	// Every recorded finding is filtered out; a new one survives.
-	newFinding := mkFinding("c.go", 1, 1, "lockflow", "fresh")
-	out := b.Filter(append(findings, newFinding))
-	if len(out) != 1 || out[0].Pos.Filename != "c.go" {
-		t.Errorf("filter should keep only the fresh finding, got %v", out)
-	}
-}
-
-func TestBaselineMultiset(t *testing.T) {
-	// One baseline entry covers one occurrence: a second identical
-	// finding must still be reported.
-	b := &analysis.Baseline{Entries: []analysis.BaselineEntry{
-		{File: "a.go", Check: "errflow", Message: "dropped"},
-	}}
-	two := []analysis.Finding{
-		mkFinding("a.go", 1, 1, "errflow", "dropped"),
-		mkFinding("a.go", 9, 1, "errflow", "dropped"),
-	}
-	out := b.Filter(two)
-	if len(out) != 1 {
-		t.Errorf("multiset filter: want 1 surviving finding, got %d", len(out))
-	}
-}
-
-func TestBaselineNilPassesThrough(t *testing.T) {
-	var b *analysis.Baseline
-	fs := []analysis.Finding{mkFinding("a.go", 1, 1, "x", "y")}
-	if got := b.Filter(fs); len(got) != 1 {
-		t.Errorf("nil baseline must pass findings through, got %v", got)
-	}
-}
-
-func TestLoadBaselineMissingFileErrors(t *testing.T) {
-	if _, err := analysis.LoadBaseline(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Error("missing baseline file must be an error, not an empty baseline")
-	}
-}
-
-func TestEncodeJSON(t *testing.T) {
-	f := mkFinding("internal/x/y.go", 7, 3, "lockflow", "leaked lock")
-	f.Fix = &analysis.SuggestedFix{InsertAfter: token.Position{Line: 7}, Text: "defer mu.Unlock()"}
-	var buf bytes.Buffer
-	if err := analysis.EncodeJSON(&buf, []analysis.Finding{f}); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	for _, want := range []string{
-		`"file": "internal/x/y.go"`,
-		`"line": 7`,
-		`"col": 3`,
-		`"check": "lockflow"`,
-		`"message": "leaked lock"`,
-		`"fix": "defer mu.Unlock()"`,
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("JSON output lacks %s:\n%s", want, got)
-		}
-	}
-}
-
-func TestEncodeJSONEmptyIsArray(t *testing.T) {
-	var buf bytes.Buffer
-	if err := analysis.EncodeJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(buf.String()); got != "[]" {
-		t.Errorf("empty findings must encode as [], got %q", got)
 	}
 }
 

@@ -217,22 +217,16 @@ func lockflowFunc(pass *Pass, fb funcBody, summaries map[*types.Func]map[string]
 	cfg := BuildCFG(pass.Info, fb.body)
 	var out []Finding
 
-	// First lock site per key, for exit-leak messages and fixes.
+	// First lock site per key, for exit-leak messages.
 	firstLock := map[string]lockOp{}
-	unlockCount := map[string]int{}
 	for _, blk := range cfg.Blocks {
 		for _, node := range blk.Nodes {
 			for _, op := range lockOpsIn(pass.Info, node) {
-				switch op.op {
-				case "Lock", "RLock":
-					if op.deferred {
-						continue
-					}
-					if _, ok := firstLock[op.key]; !ok {
-						firstLock[op.key] = op
-					}
-				case "Unlock", "RUnlock":
-					unlockCount[op.key]++
+				if op.deferred || (op.op != "Lock" && op.op != "RLock") {
+					continue
+				}
+				if _, ok := firstLock[op.key]; !ok {
+					firstLock[op.key] = op
 				}
 			}
 		}
@@ -367,49 +361,14 @@ func lockflowFunc(pass *Pass, fb funcBody, summaries map[*types.Func]map[string]
 				continue
 			}
 			kind := "write-locked"
-			unlock := "Unlock"
 			if !leakW {
 				kind = "read-locked"
-				unlock = "RUnlock"
 			}
-			f := pass.finding(op.pos, "lockflow",
-				"%s may still be %s when the function returns; unlock it on every path or defer the unlock", k, kind)
-			if unlockCount[k] == 0 && !insideLoop(fb.body, op.call) {
-				// No release anywhere and not in a loop body (where a
-				// defer would pile up): a defer right after the lock is
-				// provably equivalent and safe.
-				f.Fix = &SuggestedFix{
-					InsertAfter: pass.Fset.Position(op.call.End()),
-					Text:        fmt.Sprintf("defer %s.%s()", k, unlock),
-				}
-			}
-			out = append(out, f)
+			out = append(out, pass.finding(op.pos, "lockflow",
+				"%s may still be %s when the function returns; unlock it on every path or defer the unlock", k, kind))
 		}
 	}
 	return out
-}
-
-// insideLoop reports whether target sits inside a for/range body within
-// root.
-func insideLoop(root, target ast.Node) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch nn := n.(type) {
-		case *ast.ForStmt:
-			if containsNode(nn.Body, target) {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if containsNode(nn.Body, target) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // packageCall is a static call to a function declared in this package.

@@ -187,8 +187,8 @@ func (s *store) handoff() {
 	})
 }
 
-// TestLockflowFix: a lock with no unlock anywhere gets a mechanical
-// `defer mu.Unlock()` fix.
+// TestLockflowFix: a lock with no unlock anywhere is one leak finding
+// that names the lock.
 func TestLockflowFix(t *testing.T) {
 	got := runChecker(t, "lockflow", checkerCase{
 		name: "fix",
@@ -202,16 +202,13 @@ func (s *store) set(k string, v int) {
 	if len(got) != 1 {
 		t.Fatalf("want 1 finding, got %v", got)
 	}
-	if got[0].Fix == nil {
-		t.Fatal("finding has no suggested fix")
-	}
-	if got[0].Fix.Text != "defer s.mu.Unlock()" {
-		t.Errorf("fix text = %q, want defer s.mu.Unlock()", got[0].Fix.Text)
+	if want := "s.mu may still be write-locked"; !containsStr(got[0].Message, want) {
+		t.Errorf("message %q lacks %q", got[0].Message, want)
 	}
 }
 
-// TestLockflowNoFixInLoop: a defer inside a loop body would pile up, so
-// the leak finding must come without a mechanical fix.
+// TestLockflowNoFixInLoop: a lock taken in a loop body and never
+// released is one leak finding, not one per iteration.
 func TestLockflowNoFixInLoop(t *testing.T) {
 	got := runChecker(t, "lockflow", checkerCase{
 		name: "loop",
@@ -226,13 +223,10 @@ func (s *store) bad(keys []string) {
 	if len(got) != 1 {
 		t.Fatalf("want 1 finding, got %v", got)
 	}
-	if got[0].Fix != nil {
-		t.Errorf("lock inside a loop must not get a defer fix, got %q", got[0].Fix.Text)
-	}
 }
 
-// TestLockflowNoFixWithPartialUnlock: some paths unlock, so a blanket
-// defer would double-unlock.
+// TestLockflowNoFixWithPartialUnlock: an unlock on the main path does
+// not hide the early return that leaks the lock.
 func TestLockflowNoFixWithPartialUnlock(t *testing.T) {
 	got := runChecker(t, "lockflow", checkerCase{
 		name: "partial",
@@ -249,9 +243,6 @@ func (s *store) set(k string, v int) {
 	})
 	if len(got) != 1 {
 		t.Fatalf("want 1 finding, got %v", got)
-	}
-	if got[0].Fix != nil {
-		t.Errorf("partial unlock must not get a mechanical fix, got %q", got[0].Fix.Text)
 	}
 }
 

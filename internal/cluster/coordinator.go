@@ -2,16 +2,16 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"applab/internal/admission"
-	"applab/internal/federation"
 	"applab/internal/rdf"
+	"applab/internal/scatter"
 	"applab/internal/segment"
 	"applab/internal/sparql"
 	"applab/internal/telemetry"
@@ -37,7 +37,7 @@ type Config struct {
 	// hedgeMin (defaultHedge while the window is empty).
 	HedgeAfter time.Duration
 	// DemoteAfter / RetryCooldown tune the replica health tracker
-	// (federation cooldown semantics; zero picks its defaults).
+	// (scatter.Health; zero picks its defaults).
 	DemoteAfter   int
 	RetryCooldown time.Duration
 }
@@ -64,9 +64,10 @@ type Coordinator struct {
 	ring   *Ring
 	groups [][]string
 	tr     Transport
-	health *federation.HealthTracker
-	now    func() time.Time
-	after  func(time.Duration) <-chan time.Time
+	health *scatter.Health
+	// fan reads replica groups: health-ordered failover, hedging, fan-out
+	// charging. Its Now is always set; the write path shares it.
+	fan scatter.Fanout
 
 	hedgeAfter time.Duration
 
@@ -101,18 +102,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		ring:       NewRing(len(cfg.Groups)),
 		groups:     cfg.Groups,
 		tr:         cfg.Transport,
-		health:     federation.NewHealthTracker(cfg.DemoteAfter, cfg.RetryCooldown),
-		now:        cfg.Now,
-		after:      cfg.After,
+		health:     scatter.NewHealth(cfg.DemoteAfter, cfg.RetryCooldown),
 		hedgeAfter: cfg.HedgeAfter,
 		wmu:        make([]sync.Mutex, len(cfg.Groups)),
 		logs:       make([]*shardLog, len(cfg.Groups)),
 	}
-	if c.now == nil {
-		c.now = time.Now
-	}
-	if c.after == nil {
-		c.after = time.After
+	c.fan = scatter.Fanout{Health: c.health, Now: cfg.Now, After: cfg.After, HedgeAfter: c.hedgeDelay, Observe: c.observe}
+	if c.fan.Now == nil {
+		c.fan.Now = time.Now
 	}
 	for i := range c.logs {
 		c.logs[i] = newShardLog()
@@ -210,7 +207,7 @@ func (c *Coordinator) writeShard(ctx context.Context, shard uint32, rec segment.
 			if !ok {
 				c.noteReplicaError(node)
 			}
-			if c.health.Record(node, ok, c.now()) {
+			if c.health.Record(node, ok, c.fan.Now()) {
 				c.noteDemotion(node)
 			}
 		}(i, node)
@@ -238,130 +235,51 @@ func (c *Coordinator) writeShard(ctx context.Context, shard uint32, rec segment.
 // A non-nil error is always an admission abort (cancellation/budget)
 // and aborts the query.
 func (c *Coordinator) fragmentRead(ctx context.Context, shard uint32, s, p, o rdf.Term) (ts []rdf.Triple, ok bool, err error) {
-	members := c.groups[shard]
-	now := c.now()
-	// Eligible members first in configured order; demoted members still
-	// queue at the back so an all-demoted group gets probed rather than
-	// abandoned. They are failover-only: a hedge duplicates a read that
-	// may still answer, which is never worth waking a benched member.
-	ordered := make([]string, 0, len(members))
-	var benched []string
-	for _, m := range members {
-		if c.health.Eligible(m, now) {
-			ordered = append(ordered, m)
-		} else {
-			benched = append(benched, m)
-		}
-	}
-	eligible := len(ordered)
-	ordered = append(ordered, benched...)
-	want := c.logs[shard].last()
-	budget := admission.FromContext(ctx)
-
-	// Each issuing goroutine decodes its own answer, so a reply carries
-	// the triples rather than the message they came in.
-	type reply struct {
-		node   string
-		ts     []rdf.Triple
-		good   bool
-		hedged bool
-		start  time.Time
-	}
-	replies := make(chan reply, len(ordered))
-	inflight, next := 0, 0
-	issue := func(hedged bool) error {
-		if err := budget.AddFanout(1); err != nil {
-			return err
-		}
-		node := ordered[next]
-		next++
-		inflight++
-		c.noteRPC("match")
-		start := c.now()
-		go func() {
-			msg, err := c.tr.Call(ctx, node, Message{Type: MsgMatchReq, Shard: shard, S: s, P: p, O: o})
-			ts, good := acceptRead(msg, err, want)
-			replies <- reply{node: node, ts: ts, good: good, hedged: hedged, start: start}
-		}()
-		return nil
-	}
-	if err := issue(false); err != nil {
-		return nil, false, err
-	}
-	var hedge <-chan time.Time
-	if next < eligible {
-		hedge = c.after(c.hedgeDelay())
-	}
-	for inflight > 0 {
-		select {
-		case r := <-replies:
-			inflight--
-			c.recordRead(r.node, r.good)
-			if r.good {
-				c.noteReadLatency(c.now().Sub(r.start))
-				c.lat.add(c.now().Sub(r.start))
-				if r.hedged {
-					c.noteHedgeWin()
-				}
-				return r.ts, true, nil
-			}
-			// Failover: escalate to the next replica immediately.
-			if next < len(ordered) {
-				if err := issue(false); err != nil && inflight == 0 {
-					return nil, false, err
-				}
-			}
-		case <-hedge:
-			hedge = nil
-			if next < eligible {
-				c.noteHedge()
-				if err := issue(true); err != nil && inflight == 0 {
-					return nil, false, err
-				}
-				if next < eligible {
-					hedge = c.after(c.hedgeDelay())
-				}
-			}
-		case <-ctx.Done():
-			if berr := budget.Err(); berr != nil {
-				return nil, false, berr
-			}
-			return nil, false, ctx.Err()
-		}
-	}
-	return nil, false, nil
+	ts, res, err := c.fan.Read(ctx, c.matchTarget(shard, s, p, o))
+	return ts, res.OK(), err
 }
+
+// matchTarget is one shard's read of a pattern: its replica group, each
+// answer accepted only when it covers everything committed to the shard
+// when the read began.
+func (c *Coordinator) matchTarget(shard uint32, s, p, o rdf.Term) scatter.Target {
+	want := c.logs[shard].last()
+	return scatter.Target{
+		Replicas: c.groups[shard],
+		Call: func(ctx context.Context, node string) ([]rdf.Triple, error) {
+			msg, err := c.tr.Call(ctx, node, Message{Type: MsgMatchReq, Shard: shard, S: s, P: p, O: o})
+			return acceptRead(msg, err, want)
+		},
+	}
+}
+
+// errStaleRead rejects a replica answer that is not a match answer or
+// lags the shard's committed log position.
+var errStaleRead = errors.New("cluster: replica answer stale or malformed")
 
 // acceptRead validates one replica's match answer against the
 // committed log position and decodes its triples. An answer framed as
 // one record (every answer under the record cap) comes back as the
 // slice its payload decoded into.
-func acceptRead(msg Message, err error, want uint64) ([]rdf.Triple, bool) {
-	if err != nil || msg.Type != MsgMatchResp || msg.Seq < want {
-		return nil, false
+func acceptRead(msg Message, err error, want uint64) ([]rdf.Triple, error) {
+	if err != nil {
+		return nil, err
+	}
+	if msg.Type != MsgMatchResp || msg.Seq < want {
+		return nil, errStaleRead
 	}
 	recs, err := segment.DecodeLogRecords(msg.Records)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	if len(recs) == 1 {
-		return recs[0].Triples, true
+		return recs[0].Triples, nil
 	}
 	var triples []rdf.Triple
 	for _, rec := range recs {
 		triples = append(triples, rec.Triples...)
 	}
-	return triples, true
-}
-
-// recordRead folds one replica's read outcome into health tracking.
-func (c *Coordinator) recordRead(node string, good bool) {
-	if !good {
-		c.noteReplicaError(node)
-	}
-	if c.health.Record(node, good, c.now()) {
-		c.noteDemotion(node)
-	}
+	return triples, nil
 }
 
 // hedgeDelay resolves the current hedge delay.
@@ -390,8 +308,8 @@ func (c *Coordinator) Route(s, p, o rdf.Term) (int, bool) {
 }
 
 // FragmentMatch implements sparql.ExchangeSource. An unreadable group
-// degrades to an empty contribution (counted as partial); use
-// EvalPartialContext to observe the flag per evaluation.
+// degrades to an empty contribution (counted as partial, and marked on
+// the context's scatter.Tally; EvalPartialContext reads the mark).
 func (c *Coordinator) FragmentMatch(ctx context.Context, frag int, s, p, o rdf.Term) ([]rdf.Triple, error) {
 	ts, ok, err := c.fragmentRead(ctx, uint32(frag), s, p, o)
 	if err != nil {
@@ -411,11 +329,11 @@ func (c *Coordinator) Match(s, p, o rdf.Term) []rdf.Triple {
 }
 
 // MatchErr implements sparql.ErrorSource, surfacing group
-// unavailability as an error for callers that care.
+// unavailability as an error for callers that care. An unrouted pattern
+// reads every group in parallel, so it takes as long as the slowest
+// group, not their sum.
 func (c *Coordinator) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
 	ctx := context.Background()
-	var out []rdf.Triple
-	var firstErr error
 	if frag, routed := c.Route(s, p, o); routed {
 		ts, ok, err := c.fragmentRead(ctx, uint32(frag), s, p, o)
 		if err == nil && !ok {
@@ -424,41 +342,23 @@ func (c *Coordinator) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
 		}
 		return ts, err
 	}
-	for frag := range c.groups {
-		ts, ok, err := c.fragmentRead(ctx, uint32(frag), s, p, o)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			c.notePartial()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: replica group %d unreadable", frag)
-			}
-			continue
-		}
-		out = append(out, ts...)
+	targets := make([]scatter.Target, len(c.groups))
+	for frag := range targets {
+		targets[frag] = c.matchTarget(uint32(frag), s, p, o)
 	}
-	sortCanonical(out)
-	return out, firstErr
-}
-
-// partialSession wraps the coordinator for one evaluation, recording
-// whether any fragment degraded to a partial (empty) answer.
-type partialSession struct {
-	*Coordinator
-	partial atomic.Bool
-}
-
-func (s *partialSession) FragmentMatch(ctx context.Context, frag int, a, b, o rdf.Term) ([]rdf.Triple, error) {
-	ts, ok, err := s.fragmentRead(ctx, uint32(frag), a, b, o)
+	out, results, err := c.fan.Gather(ctx, targets, 0)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		s.notePartial()
-		s.partial.Store(true)
+	for frag, r := range results {
+		if !r.OK() {
+			c.notePartial()
+			if err == nil {
+				err = fmt.Errorf("cluster: replica group %d unreadable", frag)
+			}
+		}
 	}
-	return ts, nil
+	return out, err
 }
 
 // EvalPartialContext evaluates a query against the cluster and reports
@@ -469,9 +369,9 @@ func (c *Coordinator) EvalPartialContext(ctx context.Context, query string) (*sp
 	if err != nil {
 		return nil, false, err
 	}
-	sess := &partialSession{Coordinator: c}
-	res, err := q.EvalContext(ctx, sess)
-	return res, sess.partial.Load(), err
+	ctx, tally := scatter.WithTally(ctx)
+	res, err := q.EvalContext(ctx, c)
+	return res, tally.Partial, err
 }
 
 // ---- catch-up ----
@@ -498,7 +398,7 @@ func (c *Coordinator) repairShard(ctx context.Context, shard uint32) {
 		}
 		nodeSeq := resp.Seq
 		if nodeSeq >= target {
-			if c.health.Record(node, true, c.now()) {
+			if c.health.Record(node, true, c.fan.Now()) {
 				c.noteDemotion(node)
 			}
 			continue
@@ -525,7 +425,7 @@ func (c *Coordinator) repairShard(ctx context.Context, shard uint32) {
 		}
 		c.noteCatchupRecords(replayed)
 		if replayed == len(imgs) {
-			c.health.Record(node, true, c.now())
+			c.health.Record(node, true, c.fan.Now())
 		}
 	}
 }
@@ -587,10 +487,4 @@ func (w *latWindow) percentile(p float64) time.Duration {
 	samples := buf[:n]
 	slices.Sort(samples)
 	return samples[min(int(float64(n)*p), n-1)]
-}
-
-// sortCanonical orders triples the way the engine's canonical merge
-// does: by term keys, then valid time.
-func sortCanonical(ts []rdf.Triple) {
-	slices.SortFunc(ts, func(a, b rdf.Triple) int { return a.Compare(&b) })
 }

@@ -419,6 +419,46 @@ func TestClusterHedgeSkipsBenched(t *testing.T) {
 	}
 }
 
+// TestClusterMatchErrReadsGroupsInParallel: a direct, unrouted MatchErr
+// reads the three replica groups at once. With every node slowed by d,
+// all three reads wait out their latency together, and the answer comes
+// after one d of fake time, not three.
+func TestClusterMatchErrReadsGroupsInParallel(t *testing.T) {
+	const d = 50 * time.Millisecond
+	tc := newTestCluster(t, func(c *Config) { c.Groups = [][]string{{"n1"}, {"n2"}, {"n3"}} })
+	if _, err := tc.c.AddAll(context.Background(), clusterTriples(30, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []string{"n1", "n2", "n3"} {
+		tc.net.SetSlow(node, d)
+	}
+	type out struct {
+		ts  []rdf.Triple
+		err error
+	}
+	done := make(chan out, 1)
+	start, timers := tc.clk.Now(), tc.clk.Timers()
+	go func() {
+		ts, err := tc.c.MatchErr(rdf.Term{}, rdf.NewIRI("http://ex/p0"), rdf.Term{})
+		done <- out{ts, err}
+	}()
+	// One latency timer per group read in flight; the clock stays put
+	// until all three are armed.
+	for wait := time.Now().Add(10 * time.Second); tc.clk.Timers() < timers+3 || !tc.net.Parked(); runtime.Gosched() {
+		if time.Now().After(wait) {
+			t.Fatalf("%d of 3 group reads in flight: the groups are read one after another", tc.clk.Timers()-timers)
+		}
+	}
+	tc.clk.Advance(d)
+	got := <-done
+	if got.err != nil || len(got.ts) != 30 {
+		t.Fatalf("MatchErr = %d triples, %v; want 30", len(got.ts), got.err)
+	}
+	if elapsed := tc.clk.Now().Sub(start); elapsed != d {
+		t.Fatalf("answered after %v of fake time, want %v", elapsed, d)
+	}
+}
+
 func exchangeTripleKeyForTest(t rdf.Triple) string {
 	return t.S.Key() + "\x1f" + t.P.Key() + "\x1f" + t.O.Key()
 }

@@ -1,6 +1,6 @@
 package cluster
 
-import "time"
+import "applab/internal/scatter"
 
 // Metric registration helpers: every cluster metric name literal lives
 // here, one call site each (enforced by the applab-lint telemetry
@@ -17,15 +17,29 @@ func (c *Coordinator) noteReplicaError(node string) {
 	c.Metrics.Counter("cluster_replica_errors_total", "node", node).Inc()
 }
 
-// noteHedge counts a hedge fired at a backup replica after the primary
-// stayed silent past the hedge delay.
-func (c *Coordinator) noteHedge() {
-	c.Metrics.Counter("cluster_hedges_total").Inc()
-}
-
-// noteHedgeWin counts a hedged request whose backup answered first.
-func (c *Coordinator) noteHedgeWin() {
-	c.Metrics.Counter("cluster_hedge_wins_total").Inc()
+// observe turns a replica read's events into the cluster_* series: RPCs,
+// hedges fired at a backup replica after the primary stayed silent past
+// the hedge delay, hedged backups that answered first, replica errors
+// and demotions. Answered latencies, on the coordinator's clock so
+// fake-clock tests see exact values, also feed the adaptive hedge delay.
+func (c *Coordinator) observe(ev scatter.Event) {
+	switch ev.Kind {
+	case scatter.Asked:
+		c.noteRPC("match")
+	case scatter.Hedged:
+		c.Metrics.Counter("cluster_hedges_total").Inc()
+	case scatter.Answered:
+		c.Metrics.Histogram("cluster_read_seconds", nil).ObserveDuration(ev.Latency)
+		c.lat.add(ev.Latency)
+		if ev.Hedge {
+			c.Metrics.Counter("cluster_hedge_wins_total").Inc()
+		}
+	case scatter.Failed:
+		c.noteReplicaError(ev.Replica)
+		if ev.Demoted {
+			c.noteDemotion(ev.Replica)
+		}
+	}
 }
 
 // notePartial counts a fragment read degraded to empty because its
@@ -56,11 +70,4 @@ func (c *Coordinator) noteCatchupRecords(n int) {
 // transfer because the log tail was truncated past it.
 func (c *Coordinator) noteCatchupSnapshot() {
 	c.Metrics.Counter("cluster_catchup_snapshots_total").Inc()
-}
-
-// noteReadLatency records one replica answer latency on the
-// coordinator's clock, so fake-clock tests see exact values and the
-// hedge delay can be derived from the same distribution.
-func (c *Coordinator) noteReadLatency(d time.Duration) {
-	c.Metrics.Histogram("cluster_read_seconds", nil).ObserveDuration(d)
 }

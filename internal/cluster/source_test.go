@@ -14,7 +14,6 @@ var (
 	_ sparql.Source         = (*Coordinator)(nil)
 	_ sparql.ErrorSource    = (*Coordinator)(nil)
 	_ sparql.ExchangeSource = (*Coordinator)(nil)
-	_ sparql.ExchangeSource = (*partialSession)(nil)
 )
 
 func TestCoordinatorSourceSurface(t *testing.T) {

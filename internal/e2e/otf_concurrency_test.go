@@ -75,7 +75,8 @@ func listing3Rows(body []byte) ([]string, error) {
 // the upstream bumped between rounds every answer of a round is the
 // seed evaluator's over that round's generation, and each generation
 // costs one rebuild. (A bump during an evaluation can still show that
-// evaluation two generations: ROADMAP item 4b.)
+// evaluation two generations; the ROADMAP item "Dictionary ids through
+// the engine" closes it.)
 func TestConcurrentEvaluationsShareOneView(t *testing.T) {
 	const clients, perClient, generations = 4, 12, 3
 

@@ -19,13 +19,14 @@
 // deadline-bounded and failure-aware: each member gets MemberTimeout to
 // answer, slow or broken members are skipped and reported instead of
 // stalling the query (partial results), and members that fail repeatedly
-// are demoted out of source selection until a cooldown elapses.
+// are demoted out of source selection until a cooldown elapses. The
+// fan-out itself is internal/scatter's, with every member a one-replica
+// target; the federation chooses the targets.
 package federation
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -33,6 +34,7 @@ import (
 	"applab/internal/admission"
 	"applab/internal/rdf"
 	"applab/internal/rescache"
+	"applab/internal/scatter"
 	"applab/internal/sparql"
 	"applab/internal/telemetry"
 )
@@ -43,23 +45,11 @@ type Member struct {
 	Source sparql.Source
 }
 
-// MemberResult is one member's outcome for one pattern fan-out.
-type MemberResult struct {
-	Member string
-	// Triples is how many triples the member contributed.
-	Triples int
-	// Err is the member's failure, when its source surfaces errors
-	// (sparql.ErrorSource).
-	Err error
-	// TimedOut marks a member that exceeded its per-member deadline; its
-	// answer (if it ever comes) is discarded.
-	TimedOut bool
-	// Skipped marks a demoted member that was not asked at all.
-	Skipped bool
-}
-
-// OK reports whether the member answered normally.
-func (r MemberResult) OK() bool { return r.Err == nil && !r.TimedOut && !r.Skipped }
+// MemberResult is one member's outcome for one pattern fan-out: Err is
+// the member's failure when its source surfaces errors
+// (sparql.ErrorSource), TimedOut a member past its per-member deadline,
+// Skipped a demoted member that was not asked at all.
+type MemberResult = scatter.Result
 
 // Report describes one pattern fan-out: every targeted (or skipped)
 // member with its outcome.
@@ -68,17 +58,6 @@ type Report struct {
 	// Partial is set when at least one member failed, timed out, or was
 	// skipped: the union may be missing that member's triples.
 	Partial bool
-}
-
-// failed lists the non-OK member results.
-func (r Report) failed() []MemberResult {
-	var out []MemberResult
-	for _, m := range r.Results {
-		if !m.OK() {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // Federation is a sparql.Source spanning several endpoints.
@@ -107,10 +86,10 @@ type Federation struct {
 	members []Member
 
 	// onCollect, when set, observes each member answer as the fan-out
-	// collector receives it — before the deadline decision. Tests in
-	// this package use it to sequence fake-clock advances so "the
-	// healthy members have answered, now expire the hung one" is
-	// deterministic rather than scheduler-dependent.
+	// collects it — before the deadline decision. Tests in this package
+	// use it to sequence fake-clock advances so "the healthy members have
+	// answered, now expire the hung one" is deterministic rather than
+	// scheduler-dependent.
 	onCollect func()
 
 	mu sync.Mutex
@@ -119,16 +98,9 @@ type Federation struct {
 	capable map[string][]int
 	// stats counts per-member pattern requests (for tests/diagnostics).
 	stats map[string]int64
-	// health tracks per-member consecutive failures and demotion — the
-	// shared cooldown machinery (see health.go) the cluster coordinator
-	// reuses for replica selection.
-	health *HealthTracker
-}
-
-type memberHealth struct {
-	consecFails int
-	demoted     bool
-	demotedAt   time.Time
+	// health tracks per-member consecutive failures and demotion, with
+	// the cooldown rules every fan-out shares (scatter.Health).
+	health *scatter.Health
 }
 
 // New returns a federation over the given members.
@@ -137,36 +109,8 @@ func New(members ...Member) *Federation {
 		members: members,
 		capable: map[string][]int{},
 		stats:   map[string]int64{},
-		health:  NewHealthTracker(0, 0),
+		health:  scatter.NewHealth(0, 0),
 	}
-}
-
-func (f *Federation) now() time.Time {
-	if f.Now != nil {
-		return f.Now()
-	}
-	return time.Now()
-}
-
-func (f *Federation) after(d time.Duration) <-chan time.Time {
-	if f.After != nil {
-		return f.After(d)
-	}
-	return time.After(d)
-}
-
-func (f *Federation) demoteAfter() int {
-	if f.DemoteAfter != 0 {
-		return f.DemoteAfter
-	}
-	return 3
-}
-
-func (f *Federation) retryDemoted() time.Duration {
-	if f.RetryDemoted > 0 {
-		return f.RetryDemoted
-	}
-	return 30 * time.Second
 }
 
 // AddMember appends an endpoint and resets source-selection knowledge for
@@ -178,13 +122,19 @@ func (f *Federation) AddMember(m Member) {
 	f.capable = map[string][]int{}
 }
 
-// Members returns the member names in order.
-func (f *Federation) Members() []string {
+// snapshot copies the member list: a concurrent AddMember may reallocate
+// it while a caller iterates.
+func (f *Federation) snapshot() []Member {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]string, len(f.members))
-	for i, m := range f.members {
-		out[i] = m.Name
+	return append([]Member(nil), f.members...)
+}
+
+// Members returns the member names in order.
+func (f *Federation) Members() []string {
+	var out []string
+	for _, m := range f.snapshot() {
+		out = append(out, m.Name)
 	}
 	return out
 }
@@ -212,39 +162,41 @@ func capKey(s, p, o rdf.Term) (string, bool) {
 	return p.Key() + "|" + o.Key(), true
 }
 
-// matchMember asks one member, preferring the error-surfacing interface
-// when the source provides it.
-func matchMember(src sparql.Source, s, p, o rdf.Term) ([]rdf.Triple, error) {
-	if es, ok := src.(sparql.ErrorSource); ok {
-		return es.MatchErr(s, p, o)
+// matchMember asks one member through its context-aware path when it
+// has one, so cancelling the fan-out aborts in-flight member requests
+// instead of just abandoning their answers, and else through the
+// error-surfacing one when it has that.
+func matchMember(ctx context.Context, src sparql.Source, s, p, o rdf.Term) ([]rdf.Triple, error) {
+	switch src := src.(type) {
+	case sparql.ContextSource:
+		return src.MatchContext(ctx, s, p, o)
+	case sparql.ErrorSource:
+		return src.MatchErr(s, p, o)
 	}
 	return src.Match(s, p, o), nil
-}
-
-// matchMemberCtx is matchMember through the member's context-aware path
-// when it has one, so cancelling the fan-out aborts in-flight member
-// requests instead of just abandoning their answers.
-func matchMemberCtx(ctx context.Context, src sparql.Source, s, p, o rdf.Term) ([]rdf.Triple, error) {
-	if cs, ok := src.(sparql.ContextSource); ok {
-		return cs.MatchContext(ctx, s, p, o)
-	}
-	return matchMember(src, s, p, o)
 }
 
 // allFailedErr applies the federation's error rule: a fan-out fails only
 // when every targeted member failed, so a federation nests as a member
 // of another federation with sensible semantics.
 func allFailedErr(rep Report) error {
-	if len(rep.Results) == 0 {
-		return nil
-	}
+	var failed []string
 	for _, m := range rep.Results {
-		if m.OK() {
+		switch {
+		case m.OK():
 			return nil
+		case m.TimedOut:
+			failed = append(failed, m.Member+": timed out")
+		case m.Skipped:
+			failed = append(failed, m.Member+": demoted")
+		default:
+			failed = append(failed, m.Member+": "+m.Err.Error())
 		}
 	}
-	return fmt.Errorf("federation: all %d members failed: %v",
-		len(rep.Results), describeFailures(rep.failed()))
+	if len(failed) == 0 {
+		return nil
+	}
+	return fmt.Errorf("federation: all %d members failed: [%s]", len(failed), strings.Join(failed, "; "))
 }
 
 // Match implements sparql.Source: the pattern is sent to every member
@@ -252,21 +204,19 @@ func allFailedErr(rep Report) error {
 // unknown), and the union is deduplicated. Failures degrade to partial
 // results; use MatchReport or MatchErr when the error report matters.
 func (f *Federation) Match(s, p, o rdf.Term) []rdf.Triple {
-	triples, _ := f.MatchReport(s, p, o)
+	triples, _ := f.MatchErr(s, p, o)
 	return triples
 }
 
 // MatchErr implements sparql.ErrorSource: it fails only when every
-// targeted member failed, so a federation nests as a member of another
-// federation with sensible semantics.
+// targeted member failed.
 func (f *Federation) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
-	triples, rep := f.MatchReport(s, p, o)
-	return triples, allFailedErr(rep)
+	return f.MatchContext(context.Background(), s, p, o)
 }
 
-// MatchContext implements sparql.ContextSource: the fan-out is charged
-// against the context's federation fan-out budget before any member is
-// asked, member requests run under ctx, and a cancellation or budget
+// MatchContext implements sparql.ContextSource: every member request is
+// charged against the context's federation fan-out budget before it is
+// sent, member requests run under ctx, and a cancellation or budget
 // violation aborts collection (the union gathered so far is returned
 // with the error).
 func (f *Federation) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rdf.Triple, error) {
@@ -277,237 +227,102 @@ func (f *Federation) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rdf.
 	return triples, allFailedErr(rep)
 }
 
-func describeFailures(failed []MemberResult) string {
-	parts := make([]string, len(failed))
-	for i, m := range failed {
-		switch {
-		case m.TimedOut:
-			parts[i] = m.Member + ": timed out"
-		case m.Skipped:
-			parts[i] = m.Member + ": demoted"
-		case m.Err != nil:
-			parts[i] = m.Member + ": " + m.Err.Error()
-		default:
-			parts[i] = m.Member + ": failed"
-		}
-	}
-	return "[" + strings.Join(parts, "; ") + "]"
-}
-
 // MatchReport is Match plus the per-member outcome report. Each targeted
-// member gets MemberTimeout to answer; late answers are abandoned (their
-// goroutines drain into a buffered channel) and the union is returned as
-// a partial result with the slow/broken members reported.
+// member gets MemberTimeout to answer; late answers are abandoned and
+// the union is returned as a partial result with the slow/broken members
+// reported.
 func (f *Federation) MatchReport(s, p, o rdf.Term) ([]rdf.Triple, Report) {
 	triples, rep, _ := f.MatchReportContext(context.Background(), s, p, o)
 	return triples, rep
 }
 
-// MatchReportContext is MatchReport under a context: the fan-out size
-// is charged to the context's budget (admission.Limits.MaxFanout)
-// before any member is asked, members that support it are queried with
-// ctx, and a cancellation or budget violation stops collection early.
-// An abort marks unanswered members timed out in the report but does
-// not count against their health — the query ran out of budget, the
-// members did nothing wrong.
+// MatchReportContext is MatchReport under a context: each member request
+// is charged to the context's budget (admission.Limits.MaxFanout) before
+// it is sent, members that support it are queried with ctx, and a
+// cancellation or budget violation stops collection early. An abort
+// marks unanswered members timed out in the report but does not count
+// against their health — the query ran out of budget, the members did
+// nothing wrong. The union is sorted with rdf.Triple.Compare and holds
+// each triple once, whichever members returned it.
 func (f *Federation) MatchReportContext(ctx context.Context, s, p, o rdf.Term) ([]rdf.Triple, Report, error) {
 	if err := admission.Check(ctx); err != nil {
 		return nil, Report{}, err
 	}
-	// targets, skipped and members are snapshotted under the lock: a
-	// concurrent AddMember may reallocate f.members while the fan-out
-	// runs.
-	targets, skipped, members := f.selectSources(s, p, o)
-	if err := admission.FromContext(ctx).AddFanout(len(targets)); err != nil {
-		return nil, Report{}, err
-	}
+	targets, idxs := f.selectSources(s, p, o)
+	fan := scatter.Fanout{Health: f.health, Now: f.Now, After: f.After, Observe: f.observe}
+	out, results, abortErr := fan.Gather(ctx, targets, f.MemberTimeout)
 
-	type result struct {
-		pos     int // index into targets
-		triples []rdf.Triple
-		err     error
-	}
-	resCh := make(chan result, len(targets))
-	for i, idx := range targets {
-		go func(pos, idx int) {
-			start := f.now()
-			triples, err := matchMemberCtx(ctx, members[idx].Source, s, p, o)
-			// Observed before the send, so once the collector has every
-			// answer the histogram is already settled — golden tests can
-			// assert it deterministically.
-			f.noteMemberLatency(members[idx].Name, f.now().Sub(start))
-			resCh <- result{pos: pos, triples: triples, err: err}
-		}(i, idx)
-	}
-	// The deadline timer starts before collection so it bounds the whole
-	// fan-out; all members were started together, so one timer implements
-	// every member's budget.
-	var deadline <-chan time.Time
-	if f.MemberTimeout > 0 {
-		deadline = f.after(f.MemberTimeout)
-	}
-
-	outcomes := make([]*result, len(targets))
-	got := 0
-collect:
-	for got < len(targets) {
-		select {
-		case r := <-resCh:
-			outcomes[r.pos] = &r
-			got++
-			if f.onCollect != nil {
-				f.onCollect()
-			}
-		case <-deadline:
-			// Grace drain: anything already delivered still counts.
-			for got < len(targets) {
-				select {
-				case r := <-resCh:
-					outcomes[r.pos] = &r
-					got++
-					if f.onCollect != nil {
-						f.onCollect()
-					}
-				default:
-					break collect
-				}
-			}
-		case <-ctx.Done():
-			// Cancelled or over budget: keep what already arrived.
-			for got < len(targets) {
-				select {
-				case r := <-resCh:
-					outcomes[r.pos] = &r
-					got++
-					if f.onCollect != nil {
-						f.onCollect()
-					}
-				default:
-					break collect
-				}
-			}
-		}
-	}
-	abortErr := admission.Check(ctx)
-
-	// Build the report and update health/stats/capabilities.
-	rep := Report{Results: make([]MemberResult, 0, len(targets)+len(skipped))}
-	now := f.now()
+	rep := Report{Results: results}
 	f.mu.Lock()
-	for i, idx := range targets {
-		name := members[idx].Name
-		f.stats[name]++
-		f.noteMemberRequest(name)
-		mr := MemberResult{Member: name}
-		if r := outcomes[i]; r == nil {
-			mr.TimedOut = true
-		} else {
-			mr.Err = r.err
-			mr.Triples = len(r.triples)
+	for _, mr := range results {
+		rep.Partial = rep.Partial || !mr.OK()
+		if !mr.Skipped {
+			f.stats[mr.Member]++
 		}
-		if abortErr == nil || outcomes[i] != nil {
-			f.recordHealthLocked(name, mr, now)
-		}
-		if !mr.OK() {
-			rep.Partial = true
-			f.noteMemberFailure(name)
-		}
-		rep.Results = append(rep.Results, mr)
-	}
-	for _, idx := range skipped {
-		name := members[idx].Name
-		mr := MemberResult{Member: name, Skipped: true}
-		rep.Partial = true
-		f.noteMemberSkip(name)
-		rep.Results = append(rep.Results, mr)
 	}
 	// Capability learning stays sound only on complete fan-outs: a member
 	// that timed out or errored may well hold the predicate.
 	if key, ok := capKey(s, p, o); ok && !rep.Partial {
 		if _, known := f.capable[key]; !known {
 			var able []int
-			for i, idx := range targets {
-				if outcomes[i] != nil && len(outcomes[i].triples) > 0 {
-					able = append(able, idx)
+			for i, mr := range results {
+				if mr.Triples > 0 {
+					able = append(able, idxs[i])
 				}
 			}
 			f.capable[key] = able
 		}
 	}
 	f.mu.Unlock()
-	f.noteFanout(rep.Partial)
-
-	// Union with dedup, deterministic order (member order then local).
-	type contribution struct {
-		idx     int
-		triples []rdf.Triple
-	}
-	var contribs []contribution
-	for i, idx := range targets {
-		if r := outcomes[i]; r != nil && r.err == nil {
-			contribs = append(contribs, contribution{idx, r.triples})
-		}
-	}
-	sort.Slice(contribs, func(i, j int) bool { return contribs[i].idx < contribs[j].idx })
-	seen := map[string]bool{}
-	var out []rdf.Triple
-	for _, c := range contribs {
-		for _, t := range c.triples {
-			k := t.S.Key() + "|" + t.P.Key() + "|" + t.O.Key()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, t)
-			}
-		}
-	}
+	f.noteFanout(rep)
 	return out, rep, abortErr
 }
 
-// recordHealthLocked folds one member outcome into the health tracker.
-// Demotion requires DemoteAfter consecutive failures; a success fully
-// rehabilitates the member. Callers hold f.mu (for the surrounding
-// stats writes; the tracker locks itself).
-func (f *Federation) recordHealthLocked(name string, mr MemberResult, now time.Time) {
-	if f.health.Record(name, mr.OK(), now) {
-		f.noteDemotion(name)
-	}
-}
-
-// selectSources picks member indexes for a pattern and snapshots the
-// member list so the caller can fan out without holding the lock. The
-// skipped list holds demoted members still inside their cooldown; a
-// demoted member past its cooldown is included again as a probe. When
-// demotion would leave no members at all, everyone is probed: an answer
+// selectSources turns a pattern into fan-out targets, with the member
+// index of each: every member that may hold matches (all of them while
+// the pattern class is unknown) is a one-replica target. A demoted member
+// still inside its cooldown is a target with no replica — reported
+// skipped, not asked — and one past it is asked again as a probe. When
+// demotion would skip every member, all are probed instead: an answer
 // with every member skipped helps nobody.
-func (f *Federation) selectSources(s, p, o rdf.Term) (targets, skipped []int, members []Member) {
-	now := f.now()
-	f.health.SetLimits(f.demoteAfter(), f.retryDemoted())
+func (f *Federation) selectSources(s, p, o rdf.Term) ([]scatter.Target, []int) {
+	now := time.Now()
+	if f.Now != nil {
+		now = f.Now()
+	}
+	f.health.SetLimits(f.DemoteAfter, f.RetryDemoted)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	members = append([]Member(nil), f.members...)
 	var candidates []int
 	if key, ok := capKey(s, p, o); ok {
-		if able, known := f.capable[key]; known {
-			candidates = append([]int(nil), able...)
-		}
+		candidates = append(candidates, f.capable[key]...)
 	}
 	if candidates == nil {
-		candidates = make([]int, len(members))
-		for i := range candidates {
-			candidates[i] = i
+		for i := range f.members {
+			candidates = append(candidates, i)
 		}
 	}
+	var asked, skipped []int
 	for _, idx := range candidates {
-		if !f.health.Eligible(members[idx].Name, now) {
+		if f.health.Eligible(f.members[idx].Name, now) {
+			asked = append(asked, idx)
+		} else {
 			skipped = append(skipped, idx)
-			continue
 		}
-		targets = append(targets, idx)
 	}
-	if len(targets) == 0 && len(skipped) > 0 {
-		targets, skipped = skipped, nil
+	if len(asked) == 0 {
+		asked, skipped = skipped, nil
 	}
-	return targets, skipped, members
+	targets := make([]scatter.Target, 0, len(candidates))
+	for _, idx := range asked {
+		m := f.members[idx]
+		targets = append(targets, scatter.Target{Name: m.Name, Replicas: []string{m.Name},
+			Call: func(ctx context.Context, _ string) ([]rdf.Triple, error) { return matchMember(ctx, m.Source, s, p, o) }})
+	}
+	for _, idx := range skipped {
+		targets = append(targets, scatter.Target{Name: f.members[idx].Name})
+	}
+	return targets, append(asked, skipped...)
 }
 
 // Query evaluates a (Geo)SPARQL query over the federation.
@@ -516,15 +331,7 @@ func (f *Federation) Query(q string) (*sparql.Results, error) {
 }
 
 // MemberReport aggregates one member's outcomes over a whole query.
-type MemberReport struct {
-	Member   string
-	Answers  int
-	Errors   int
-	Timeouts int
-	Skips    int
-	// LastErr is the member's most recent error during the query.
-	LastErr error
-}
+type MemberReport = scatter.MemberTally
 
 // QueryReport describes the reliability of one query evaluation: how
 // many pattern fan-outs ran, whether any produced partial results, and
@@ -538,76 +345,23 @@ type QueryReport struct {
 	Cached bool
 }
 
-// reportingSource funnels every pattern of a query evaluation through
-// MatchReport, aggregating the per-pattern reports.
-type reportingSource struct {
-	f  *Federation
-	mu sync.Mutex
-	qr QueryReport
+// session is the federation as one evaluation sees it: every pattern is
+// asked under the evaluation's context, however the engine asks, so the
+// context's scatter.Tally sees every fan-out. As an ErrorSource it keeps
+// the engine on sequential Match calls, with no parallel fan-out on top
+// of the federation's own.
+type session struct {
+	*Federation
+	ctx context.Context
 }
 
-func (r *reportingSource) Match(s, p, o rdf.Term) []rdf.Triple {
-	triples, _ := r.record(s, p, o)
+func (s session) Match(a, p, o rdf.Term) []rdf.Triple {
+	triples, _ := s.MatchErr(a, p, o)
 	return triples
 }
 
-func (r *reportingSource) record(s, p, o rdf.Term) ([]rdf.Triple, Report) {
-	triples, rep, _ := r.recordCtx(context.Background(), s, p, o)
-	return triples, rep
-}
-
-func (r *reportingSource) recordCtx(ctx context.Context, s, p, o rdf.Term) ([]rdf.Triple, Report, error) {
-	triples, rep, err := r.f.MatchReportContext(ctx, s, p, o)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.qr.Patterns++
-	if rep.Partial {
-		r.qr.Partial = true
-	}
-	for _, mr := range rep.Results {
-		agg := r.qr.Members[mr.Member]
-		if agg == nil {
-			agg = &MemberReport{Member: mr.Member}
-			r.qr.Members[mr.Member] = agg
-		}
-		switch {
-		case mr.Skipped:
-			agg.Skips++
-		case mr.TimedOut:
-			agg.Timeouts++
-		case mr.Err != nil:
-			agg.Errors++
-			agg.LastErr = mr.Err
-		default:
-			agg.Answers++
-		}
-	}
-	return triples, rep, err
-}
-
-// MatchErr implements sparql.ErrorSource with the federation's
-// per-pattern all-members-failed rule, so the evaluator treats a
-// partial-results query as remote-backed (sequential Match calls, no
-// parallel fan-out on top of the federation's own).
-func (r *reportingSource) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
-	triples, rep := r.record(s, p, o)
-	return triples, allFailedErr(rep)
-}
-
-// MatchContext implements sparql.ContextSource, so budgeted partial-
-// results evaluation (QueryPartialContext) threads cancellation and the
-// fan-out budget into every pattern.
-func (r *reportingSource) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rdf.Triple, error) {
-	triples, rep, err := r.recordCtx(ctx, s, p, o)
-	if err != nil {
-		return triples, err
-	}
-	return triples, allFailedErr(rep)
-}
-
-// Cardinality forwards the planner's statistics probe to the federation.
-func (r *reportingSource) Cardinality(s, p, o rdf.Term) int {
-	return r.f.Cardinality(s, p, o)
+func (s session) MatchErr(a, p, o rdf.Term) ([]rdf.Triple, error) {
+	return s.MatchContext(s.ctx, a, p, o)
 }
 
 // Cardinality implements sparql.StatsSource by summing the members'
@@ -616,11 +370,8 @@ func (r *reportingSource) Cardinality(s, p, o rdf.Term) int {
 // bias the plan toward whichever members happen to be introspectable.
 // No requests are counted and no capabilities are learned.
 func (f *Federation) Cardinality(s, p, o rdf.Term) int {
-	f.mu.Lock()
-	members := append([]Member(nil), f.members...)
-	f.mu.Unlock()
 	total := 0
-	for _, m := range members {
+	for _, m := range f.snapshot() {
 		st, ok := m.Source.(sparql.StatsSource)
 		if !ok {
 			return -1
@@ -644,7 +395,7 @@ func (f *Federation) QueryPartial(q string) (*sparql.Results, *QueryReport, erro
 }
 
 // QueryPartialContext is QueryPartial under a context: with an
-// admission.Budget attached, every pattern fan-out charges the
+// admission.Budget attached, every member request charges the
 // federation fan-out budget and the evaluation stops cooperatively on
 // cancellation or violation, returning the structured budget error with
 // the report of whatever work was done.
@@ -663,16 +414,13 @@ func (f *Federation) QueryPartialContext(ctx context.Context, q string) (*sparql
 			fill = fl
 		}
 	}
-	rec := &reportingSource{f: f}
-	rec.qr.Members = map[string]*MemberReport{}
-	res, err := query.EvalContext(ctx, rec)
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	qr := rec.qr
+	ctx, tally := scatter.WithTally(ctx)
+	res, err := query.EvalContext(ctx, session{f, ctx})
+	qr := &QueryReport{Patterns: tally.Fanouts, Partial: tally.Partial, Members: tally.Members}
 	if err == nil && !qr.Partial {
 		fill.Store(res)
 	}
-	return res, &qr, err
+	return res, qr, err
 }
 
 // EvalPartialContext implements endpoint.PartialEvaluator, so a served
@@ -688,11 +436,8 @@ func (f *Federation) EvalPartialContext(ctx context.Context, q string) (*sparql.
 // changes are invisible here, so federations with such members should
 // run the cache with a TTL bound.
 func (f *Federation) DataEpoch() uint64 {
-	f.mu.Lock()
-	members := append([]Member(nil), f.members...)
-	f.mu.Unlock()
 	var total uint64
-	for _, m := range members {
+	for _, m := range f.snapshot() {
 		if ep, ok := m.Source.(rescache.Epocher); ok {
 			total += ep.DataEpoch()
 		}
@@ -704,11 +449,8 @@ func (f *Federation) DataEpoch() uint64 {
 // fingerprints (position-sensitive), so replacing any member instance
 // re-keys the whole federation.
 func (f *Federation) Fingerprint() string {
-	f.mu.Lock()
-	members := append([]Member(nil), f.members...)
-	f.mu.Unlock()
 	fp := "fed"
-	for _, m := range members {
+	for _, m := range f.snapshot() {
 		if fpr, ok := m.Source.(rescache.Fingerprinter); ok {
 			fp += "|" + fpr.Fingerprint()
 		} else {

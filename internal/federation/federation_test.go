@@ -109,6 +109,28 @@ func TestFederationDeduplicates(t *testing.T) {
 	}
 }
 
+// TestFederationUnionIsCanonical: a triple both members hold comes back
+// once, and the union is in rdf.Triple.Compare order whatever order the
+// members answered in.
+func TestFederationUnionIsCanonical(t *testing.T) {
+	p := rdf.NewIRI("http://ex/p")
+	tr := func(s string) rdf.Triple { return rdf.NewTriple(rdf.NewIRI("http://ex/"+s), p, rdf.NewLiteral(s)) }
+	a, b := strabon.New(), strabon.New()
+	a.AddAll([]rdf.Triple{tr("z"), tr("m")})
+	b.AddAll([]rdf.Triple{tr("m"), tr("a")})
+	fed := New(Member{"a", a}, Member{"b", b})
+	got := fed.Match(rdf.Term{}, p, rdf.Term{})
+	want := []rdf.Triple{tr("a"), tr("m"), tr("z")}
+	if len(got) != len(want) {
+		t.Fatalf("union = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i].Compare(&want[i]) != 0 {
+			t.Fatalf("union = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestFederationOverHTTPEndpoints(t *testing.T) {
 	gadm, osm := buildMembers(t)
 	gadmSrv := httptest.NewServer(endpoint.Handler(gadm))

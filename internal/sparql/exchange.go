@@ -2,10 +2,10 @@ package sparql
 
 import (
 	"context"
-	"slices"
 
 	"applab/internal/admission"
 	"applab/internal/rdf"
+	"applab/internal/scatter"
 )
 
 // ExchangeSource is implemented by partitioned sources — the cluster
@@ -49,7 +49,7 @@ func (ec *execCtx) exchangeMatch(s, p, o rdf.Term) ([]rdf.Triple, error) {
 		if err != nil {
 			return nil, ec.exchangeErr(err)
 		}
-		return mergeFragments([][]rdf.Triple{ts}), nil
+		return scatter.Merge([][]rdf.Triple{ts}), nil
 	}
 	parts := make([][]rdf.Triple, n)
 	errs := make([]error, n)
@@ -70,7 +70,7 @@ func (ec *execCtx) exchangeMatch(s, p, o rdf.Term) ([]rdf.Triple, error) {
 			}
 		}
 	}
-	return mergeFragments(parts), nil
+	return scatter.Merge(parts), nil
 }
 
 // exchangeErr maps a fragment error onto the engine's abort rule: only
@@ -86,26 +86,4 @@ func (ec *execCtx) exchangeErr(err error) error {
 		}
 	}
 	return err
-}
-
-// mergeFragments concatenates per-fragment streams into one canonically
-// ordered, duplicate-free stream. Placement sends each triple to one
-// fragment, so duplicates only appear when fragments overlap (replica
-// answers that raced a move); they sort next to each other (terms plus
-// valid time are the merge identity) and are dropped there, which keeps
-// the merged stream set-identical to a single store's answer.
-func mergeFragments(parts [][]rdf.Triple) []rdf.Triple {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]rdf.Triple, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	slices.SortFunc(out, func(a, b rdf.Triple) int { return a.Compare(&b) })
-	return slices.CompactFunc(out, func(a, b rdf.Triple) bool { return a.Compare(&b) == 0 })
 }
