@@ -43,6 +43,18 @@ if [ -n "$globals" ]; then
     echo "$globals" >&2
     exit 1
 fi
+# Stacks are assembled by internal/core alone, so the engine's registry
+# is installed at one site: core.NewRegistry (the bench module keeps its
+# own copy of the stacks).
+installs=$(grep -rnE --include='*.go' --exclude='*_test.go' \
+    '\b(sparql|geosparql)\.SetMetrics\(' cmd internal examples || true)
+if [ "$(echo "$installs" | cut -d: -f1 | sort -u)" != "internal/core/applab.go" ] ||
+    [ "$(echo "$installs" | grep -c '\bsparql\.SetMetrics(')" != 1 ] ||
+    [ "$(echo "$installs" | grep -c 'geosparql\.SetMetrics(')" != 1 ]; then
+    echo "SetMetrics must be called once per package, from internal/core only:" >&2
+    echo "$installs" >&2
+    exit 1
+fi
 
 echo "== go test"
 go test ./...

@@ -18,208 +18,77 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-	"time"
 
-	"applab/internal/admission"
-	"applab/internal/endpoint"
-	"applab/internal/geosparql"
-	"applab/internal/madis"
-	"applab/internal/obda"
-	"applab/internal/opendap"
-	"applab/internal/rescache"
-	"applab/internal/sparql"
-	"applab/internal/telemetry"
+	"applab/internal/core"
 )
 
-// errUsage marks a bad invocation (usage already printed by the FlagSet).
-var errUsage = errors.New("usage")
+func main() { core.Main("obda", run) }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("obda: ")
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], nil); err != nil {
-		if errors.Is(err, errUsage) || errors.Is(err, flag.ErrHelp) {
-			os.Exit(2)
-		}
-		log.Fatal(err)
-	}
+// config is the command line: the serving and OPeNDAP settings plus what
+// the command reads.
+type config struct {
+	core.Options
+	mapping, opendap, query string
 }
 
-// run is the whole command, factored out of main so tests can drive it:
-// ctx cancellation triggers graceful shutdown of the servers, and ready
-// (when non-nil) receives each listener's name and bound address.
-func run(ctx context.Context, args []string, ready func(name, addr string)) (err error) {
+func (c *config) flags() *flag.FlagSet {
+	c.Options = core.Defaults()
 	fs := flag.NewFlagSet("obda", flag.ContinueOnError)
-	var (
-		mappingPath = fs.String("mapping", "", "mapping file (Ontop native syntax)")
-		opendapURL  = fs.String("opendap", "", "OPeNDAP server base URL for the opendap virtual table")
-		query       = fs.String("query", "", "GeoSPARQL query")
-		serve       = fs.String("serve", "", "address to serve a SPARQL endpoint over the virtual graph on (e.g. :7861)")
+	fs.StringVar(&c.mapping, "mapping", "", "mapping file (Ontop native syntax)")
+	fs.StringVar(&c.opendap, "opendap", "", "OPeNDAP server base URL for the opendap virtual table")
+	fs.StringVar(&c.query, "query", "", "GeoSPARQL query")
+	fs.StringVar(&c.Addr, "serve", "", "address to serve a SPARQL endpoint over the virtual graph on (e.g. :7861)")
 
-		resultCache     = fs.Int("result-cache", 0, "plan-keyed result cache capacity in entries for -serve (0 disables); cache hits skip mapping execution entirely")
-		cacheTTL        = fs.Duration("cache-ttl", 0, "result-cache entry lifetime; match the mapping's cache window (e.g. 10m for Listing 2) so upstream changes inside the window stay invisible for exactly as long as the window cache would hide them anyway")
-		cacheBytes      = fs.Int64("cache-bytes", 0, "result-cache byte budget; entry cost is the encoded answer size (0 = entry-count bound only)")
-		promoteAfter    = fs.Int("promote-after", 0, "adaptive materialization: promote the virtual view into a local store after this many uses per opendap region (0 disables; requires -opendap)")
-		revalidateEvery = fs.Duration("revalidate-every", time.Minute, "how often a promoted region's upstream content stamp is rechecked; drift demotes back to the virtual path")
+	fs.IntVar(&c.CacheEntries, "result-cache", 0, "plan-keyed result cache capacity in entries for -serve (0 disables); cache hits skip mapping execution entirely")
+	fs.DurationVar(&c.CacheTTL, "cache-ttl", 0, "result-cache entry lifetime; match the mapping's cache window (e.g. 10m for Listing 2) so upstream changes inside the window stay invisible for exactly as long as the window cache would hide them anyway")
+	fs.Int64Var(&c.CacheBytes, "cache-bytes", 0, "result-cache byte budget; entry cost is the encoded answer size (0 = entry-count bound only)")
+	fs.IntVar(&c.PromoteAfter, "promote-after", 0, "adaptive materialization: promote the virtual view into a local store after this many uses per opendap region (0 disables; requires -opendap)")
+	fs.DurationVar(&c.RevalidateEvery, "revalidate-every", c.RevalidateEvery, "how often a promoted region's upstream content stamp is rechecked; drift demotes back to the virtual path")
 
-		timeout  = fs.Duration("timeout", 30*time.Second, "per-request OPeNDAP deadline (0 disables)")
-		retries  = fs.Int("retries", 3, "max OPeNDAP retries after the first attempt (idempotent GETs only)")
-		brkFails = fs.Int("breaker-failures", 5, "consecutive OPeNDAP failures before the circuit opens (0 disables the breaker)")
-		brkCool  = fs.Duration("breaker-cooldown", 10*time.Second, "how long an open circuit waits before a half-open probe")
-		staleOK  = fs.Bool("serve-stale", false, "serve stale cached OPeNDAP windows when the upstream is down")
+	fs.DurationVar(&c.Timeout, "timeout", c.Timeout, "per-request OPeNDAP deadline (0 disables)")
+	fs.IntVar(&c.Retries, "retries", c.Retries, "max OPeNDAP retries after the first attempt (idempotent GETs only)")
+	fs.IntVar(&c.BreakerFailures, "breaker-failures", c.BreakerFailures, "consecutive OPeNDAP failures before the circuit opens (0 disables the breaker)")
+	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", c.BreakerCooldown, "how long an open circuit waits before a half-open probe")
+	fs.BoolVar(&c.ServeStale, "serve-stale", false, "serve stale cached OPeNDAP windows when the upstream is down")
 
-		queryDeadline   = fs.Duration("query-deadline", 0, "wall-clock budget for the query, including mapping execution (0 disables)")
-		maxRows         = fs.Int("max-rows", 0, "cap on final result rows (0 disables)")
-		maxIntermediate = fs.Int("max-intermediate", 0, "cap on intermediate solution rows examined (0 disables)")
+	fs.DurationVar(&c.Limits.Deadline, "query-deadline", 0, "wall-clock budget for the query, including mapping execution (0 disables)")
+	fs.IntVar(&c.Limits.MaxRows, "max-rows", 0, "cap on final result rows (0 disables)")
+	fs.IntVar(&c.Limits.MaxIntermediate, "max-intermediate", 0, "cap on intermediate solution rows examined (0 disables)")
 
-		metricsAddr = fs.String("metrics-addr", "", "address to serve /metrics and /debug/applab on while the query runs; the final Prometheus text is also dumped to stderr")
-	)
+	fs.StringVar(&c.MetricsAddr, "metrics-addr", "", "address to serve /metrics and /debug/applab on while the query runs; the final Prometheus text is also dumped to stderr")
+	return fs
+}
+
+// run is the whole command (see core.Main); ready tells tests the
+// listeners' bound addresses.
+func run(ctx context.Context, args []string, ready func(name, addr string)) error {
+	var c config
+	fs := c.flags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *mappingPath == "" || (*query == "" && *serve == "") {
+	if c.mapping == "" || (c.query == "" && c.Addr == "") {
 		fs.Usage()
-		return errUsage
+		return core.ErrUsage
 	}
-	if *promoteAfter > 0 && *opendapURL == "" {
-		return errors.New("-promote-after requires -opendap (promotion tracks opendap virtual-table regions)")
-	}
-
-	reg := telemetry.NewRegistry()
-	sparql.SetMetrics(reg)
-	geosparql.SetMetrics(reg)
-	// A one-shot query returns with the metrics server still up; the
-	// cancel on return shuts it down, and run waits for its drain.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	if *metricsAddr != "" {
-		// lerr, not err: the deferred drain below must see run's result.
-		mln, lerr := net.Listen("tcp", *metricsAddr)
-		if lerr != nil {
-			return lerr
-		}
-		if ready != nil {
-			ready("metrics", mln.Addr().String())
-		}
-		log.Printf("metrics on http://%s/metrics (JSON at /debug/applab)", mln.Addr())
-		msrv := endpoint.NewServer(telemetry.NewHandler(reg))
-		metricsDone := make(chan error, 1)
-		go func() { metricsDone <- endpoint.ServeGraceful(ctx, msrv, mln, endpoint.DefaultDrain, nil) }()
-		defer func() {
-			cancel()
-			if merr := <-metricsDone; err == nil {
-				err = merr
-			}
-		}()
-	}
-
-	doc, err := os.ReadFile(*mappingPath)
+	doc, err := os.ReadFile(c.mapping)
 	if err != nil {
 		return err
 	}
-	mappings, err := obda.ParseMappings(string(doc))
+	reg := core.NewRegistry()
+	fly, err := core.NewOnTheFly(c.opendap, string(doc), c.Options, reg)
 	if err != nil {
 		return err
 	}
-
-	db := madis.NewDB()
-	var adapter *obda.OpendapAdapter
-	if *opendapURL != "" {
-		client := opendap.NewClient(*opendapURL)
-		client.Timeout = *timeout
-		client.MaxRetries = *retries
-		client.Metrics = reg
-		if *brkFails > 0 {
-			client.Breaker = opendap.NewBreaker(*brkFails, *brkCool)
-			client.Breaker.Metrics = reg
-		}
-		adapter = obda.NewOpendapAdapter(client)
-		adapter.ServeStale = *staleOK
-		adapter.Metrics = reg
-		adapter.Register(db)
+	defer fly.Close()
+	if c.Addr == "" {
+		return core.Query(ctx, reg, c.Options, fly.Source(), c.query, ready)
 	}
-
-	vg := obda.NewVirtualGraph(db, mappings)
-	vg.Metrics = reg
-	var src sparql.Source = vg
-	var ag *obda.AdaptiveGraph
-	if *promoteAfter > 0 {
-		ag = obda.NewAdaptiveGraph(vg, adapter, *promoteAfter, *revalidateEvery)
-		ag.SetMetrics(reg)
-		src = ag
-		log.Printf("adaptive materialization: promote after %d uses, revalidate every %s", *promoteAfter, *revalidateEvery)
+	if c.CacheEntries > 0 && c.CacheTTL == 0 && c.opendap != "" {
+		log.Printf("WARNING: -cache-ttl 0 over OPeNDAP: a cache hit revalidates nothing, so an upstream change is seen only once a miss rebuilds the view; set -cache-ttl to bound staleness")
 	}
-	limits := admission.Limits{
-		Deadline:        *queryDeadline,
-		MaxRows:         *maxRows,
-		MaxIntermediate: *maxIntermediate,
-	}
-
-	if *serve != "" {
-		ln, err := net.Listen("tcp", *serve)
-		if err != nil {
-			return err
-		}
-		if ready != nil {
-			ready("sparql", ln.Addr().String())
-		}
-		opts := endpoint.Options{Limits: limits}
-		if *resultCache > 0 {
-			cache := rescache.New(*resultCache, *cacheTTL)
-			cache.Metrics = reg
-			cache.SetMaxBytes(*cacheBytes)
-			opts.Cache = cache
-			log.Printf("result cache: %d entries, %d bytes, ttl %s", *resultCache, *cacheBytes, *cacheTTL)
-			if *cacheTTL == 0 && *opendapURL != "" {
-				log.Printf("WARNING: -cache-ttl 0 over OPeNDAP: upstream changes inside the mapping's cache window never move the data epoch; set -cache-ttl to the window duration to bound staleness")
-			}
-		}
-		log.Printf("serving SPARQL endpoint on %s/sparql", ln.Addr())
-		srv := endpoint.NewServer(endpoint.NewHandlerOpts(src, reg, opts))
-		return endpoint.ServeGraceful(ctx, srv, ln, endpoint.DefaultDrain, nil)
-	}
-
-	qctx := ctx
-	if limits.Enabled() {
-		budget := admission.NewBudget(limits, reg)
-		var stopDeadline context.CancelFunc
-		qctx = admission.WithBudget(qctx, budget)
-		qctx, stopDeadline = budget.StartDeadline(qctx, nil)
-		defer stopDeadline()
-	}
-	var res *sparql.Results
-	if ag != nil {
-		res, err = ag.QueryContext(qctx, *query)
-	} else {
-		res, err = vg.QueryContext(qctx, *query)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Println(strings.Join(res.Vars, "\t"))
-	for _, b := range res.Bindings {
-		row := make([]string, len(res.Vars))
-		for i, v := range res.Vars {
-			if t, ok := b[v]; ok {
-				row[i] = t.String()
-			}
-		}
-		fmt.Println(strings.Join(row, "\t"))
-	}
-	fmt.Fprintf(os.Stderr, "%d rows\n", len(res.Bindings))
-	if *metricsAddr != "" {
-		fmt.Fprint(os.Stderr, reg.RenderText())
-	}
-	return nil
+	return core.Serve(ctx, reg, c.Options, fly.Source(), ready)
 }

@@ -2,10 +2,14 @@
 // (GeoTriples → Strabon → interlinking → Sextant) and the on-the-fly
 // workflow (OPeNDAP → MadIS opendap adapter → Ontop-spatial virtual
 // graphs), plus the INSPIRE-compliant ontologies of the paper's Figures
-// 2-3 and the case-study vocabularies.
+// 2-3 and the case-study vocabularies. It is also the one place a serving
+// stack is assembled: the commands build their source and hand it to
+// Serve, ServeDAP or Query.
 package core
 
 import (
+	"slices"
+
 	"applab/internal/rdf"
 )
 
@@ -139,11 +143,5 @@ func UrbanAtlasOntology() []rdf.Triple {
 
 // AllOntologies returns every ontology of the case study merged.
 func AllOntologies() []rdf.Triple {
-	var out []rdf.Triple
-	out = append(out, LAIOntology()...)
-	out = append(out, GADMOntology()...)
-	out = append(out, CORINEOntology()...)
-	out = append(out, OSMOntology()...)
-	out = append(out, UrbanAtlasOntology()...)
-	return out
+	return slices.Concat(LAIOntology(), GADMOntology(), CORINEOntology(), OSMOntology(), UrbanAtlasOntology())
 }

@@ -94,9 +94,10 @@ func TestGoldenResultCache(t *testing.T) {
 
 	// ---- Stage 1: on-the-fly workflow behind a cached endpoint. The
 	// cache runs with TTL = the Listing 2 window, preserving the window
-	// cache's freshness contract: the OPeNDAP generation counter only
-	// moves when the virtual path actually refetches, so upstream
-	// changes inside the window are (by design) invisible to both.
+	// cache's freshness contract: the virtual graph's epoch only moves
+	// when an evaluation rebuilds the view from changed content, so
+	// upstream changes inside the window are (by design) invisible to
+	// both.
 	client := opendap.NewClient(dapHTTP.URL)
 	client.Metrics = reg
 	client.Now = clk.Now
@@ -110,7 +111,6 @@ func TestGoldenResultCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	vg := obda.NewVirtualGraph(db, mappings)
-	vg.EpochFn = adapter.Generation
 	flyCache := rescache.New(64, 10*time.Minute)
 	flyCache.Now = clk.Now
 	flyCache.Metrics = reg
@@ -352,9 +352,7 @@ func TestGoldenResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vg2 := obda.NewVirtualGraph(db2, mappings2)
-	vg2.EpochFn = adapter2.Generation
-	ag := obda.NewAdaptiveGraph(vg2, adapter2, 2, 30*time.Minute)
+	ag := obda.NewAdaptiveGraph(obda.NewVirtualGraph(db2, mappings2), adapter2, 2, 30*time.Minute)
 	ag.SetClock(clk.Now)
 	ag.SetMetrics(reg)
 

@@ -20,6 +20,7 @@ import (
 	"applab/internal/madis"
 	"applab/internal/obda"
 	"applab/internal/opendap"
+	"applab/internal/rescache"
 	"applab/internal/sparql"
 	"applab/internal/telemetry"
 	"applab/internal/workload"
@@ -195,4 +196,88 @@ func TestConcurrentEvaluationsShareOneView(t *testing.T) {
 		})
 		wantBuilds(name, 1+gen, reg.Snapshot().Counters["obda_view_reuses_total"])
 	}
+}
+
+// TestResultCacheFollowsViewContent: a result cache over the virtual
+// graph validates with nothing wired. The "live" mapping has no window,
+// so every evaluation refetches; over a static upstream that revalidation
+// re-publishes the view and the epoch stays put, so an entry filled
+// before another query's evaluation still hits after it. Once the
+// upstream publishes a changed grid, the next miss rebuilds the view, the
+// old entry reads stale and its query is answered from the new content.
+func TestResultCacheFollowsViewContent(t *testing.T) {
+	dapSrv := opendap.NewServer()
+	publish := func(name string, seed int64) {
+		opts := workload.DefaultLAIOptions()
+		opts.NLat, opts.NLon, opts.Times = 4, 4, 2
+		opts.Seed = seed
+		g := workload.LAIGrid(opts)
+		g.Name = name
+		dapSrv.Publish(g)
+	}
+	publish("lai", 42)
+	publish("live", 1)
+	dapHTTP := httptest.NewServer(dapSrv)
+	defer dapHTTP.Close()
+
+	reg := telemetry.NewRegistry()
+	vg := otfStack(t, dapHTTP.URL)
+	vg.Metrics = reg
+	cache := rescache.New(64, 0)
+	cache.Metrics = reg
+	ep := httptest.NewServer(endpoint.NewHandlerOpts(vg, reg, endpoint.Options{Cache: cache}))
+	defer ep.Close()
+
+	const q2 = `SELECT ?s ?lai WHERE { ?s lai:lai ?lai }`
+	const q3 = `SELECT ?lai WHERE { ?s lai:lai ?lai }`
+	header := func(q string) string {
+		t.Helper()
+		resp, err := http.Get(ep.URL + "/sparql?query=" + url.QueryEscape(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		return resp.Header.Get("X-Applab-Cache")
+	}
+
+	s0 := reg.Snapshot()
+	hdr, before := cacheGet(t, ep.URL)
+	if hdr != "miss" {
+		t.Fatalf("Q1 cold header = %q, want miss", hdr)
+	}
+	if hdr := header(q2); hdr != "miss" {
+		t.Fatalf("Q2 cold header = %q, want miss", hdr)
+	}
+	hdr, rows := cacheGet(t, ep.URL)
+	if hdr != "hit" || !equalRows(rows, before) {
+		t.Fatalf("Q1 after Q2's revalidation: header %q, want a hit with the same answer", hdr)
+	}
+	s1 := reg.Snapshot()
+	wantCounters(t, "static upstream", s0, s1, map[string]int64{
+		"obda_view_rebuilds_total": 1,
+		"obda_view_reuses_total":   1,
+		"rescache_hits_total":      1,
+		"rescache_stale_total":     0,
+	})
+
+	publish("live", 2)
+	if hdr := header(q3); hdr != "miss" {
+		t.Fatalf("Q3 cold header = %q, want miss", hdr)
+	}
+	hdr, after := cacheGet(t, ep.URL)
+	if hdr != "miss" || equalRows(after, before) {
+		t.Fatalf("Q1 after the upstream change: header %q, want a miss with a new answer", hdr)
+	}
+	if hdr, rows := cacheGet(t, ep.URL); hdr != "hit" || !equalRows(rows, after) {
+		t.Fatalf("Q1 refilled: header %q, want a hit with the new answer", hdr)
+	}
+	wantCounters(t, "changed upstream", s1, reg.Snapshot(), map[string]int64{
+		"obda_view_rebuilds_total": 1,
+		"obda_view_reuses_total":   1,
+		"rescache_stale_total":     1,
+		"rescache_hits_total":      1,
+	})
 }

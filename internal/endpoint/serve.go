@@ -28,8 +28,8 @@ const (
 )
 
 // NewServer returns an *http.Server for h hardened with the slow-loris
-// timeouts above. All daemons (cmd/strabon, cmd/opendapd, cmd/obda)
-// build every listener's server through it.
+// timeouts above. internal/core builds every daemon listener's server
+// (cmd/strabon, cmd/opendapd, cmd/obda) through it.
 func NewServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
@@ -46,9 +46,9 @@ func NewServer(h http.Handler) *http.Server {
 // (time.After when nil), so the deadline is testable with a fake clock;
 // drain <= 0 waits for in-flight requests indefinitely.
 //
-// The daemons (cmd/strabon, cmd/opendapd, cmd/obda) pair this with
-// signal.NotifyContext so SIGINT/SIGTERM drains queries instead of
-// dropping them mid-response.
+// internal/core serves the daemons (cmd/strabon, cmd/opendapd, cmd/obda)
+// through it under signal.NotifyContext, so SIGINT/SIGTERM drains queries
+// instead of dropping them mid-response.
 //
 // Returns nil after a clean drain, the Shutdown context error when the
 // drain deadline forced connections closed, or the Serve error when the

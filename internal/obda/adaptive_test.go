@@ -40,9 +40,7 @@ func newAdaptive(t *testing.T, promoteAfter int, revalidate time.Duration) (*Ada
 	if err != nil {
 		t.Fatal(err)
 	}
-	vg := NewVirtualGraph(db, ms)
-	vg.EpochFn = adapter.Generation
-	ag := NewAdaptiveGraph(vg, adapter, promoteAfter, revalidate)
+	ag := NewAdaptiveGraph(NewVirtualGraph(db, ms), adapter, promoteAfter, revalidate)
 	return ag, adapter, srv, closeFn
 }
 

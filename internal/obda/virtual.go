@@ -27,15 +27,11 @@ import (
 // clause resolved to is identified by its pointer, and the view is derived
 // again only when some mapping resolved to another relation than the one
 // the last view was built from. Otherwise the same immutable graph is
-// published again (DESIGN.md §17).
+// published again (DESIGN.md §17). The data epoch counts rebuilds, so a
+// result cache over the graph validates without any wiring.
 type VirtualGraph struct {
 	db       *madis.DB
 	mappings []Mapping
-
-	// EpochFn, when set, supplies the upstream data epoch (typically
-	// OpendapAdapter.Generation) folded into DataEpoch. Set before the
-	// first query.
-	EpochFn func() uint64
 
 	// Metrics, when set, counts view rebuilds and reuses. Set before the
 	// first query.
@@ -47,7 +43,7 @@ type VirtualGraph struct {
 	view        *rdf.Graph     // last view built, kept across Invalidate
 	bases       []*madis.Table // source relations view was built from
 	lastErr     error          // most recent Snapshot failure; nil after success
-	evals       uint64         // successful revalidations (DataEpoch fallback)
+	rebuilds    uint64         // views built: the data epoch
 	fingerprint string
 }
 
@@ -127,13 +123,13 @@ func (vg *VirtualGraph) SnapshotContext(ctx context.Context) (*rdf.Graph, error)
 			seq = m.materialize(g, tables[i], seq)
 		}
 		vg.view, vg.bases = g, bases
+		vg.rebuilds++
 		vg.noteRebuild()
 	} else {
 		vg.noteReuse()
 	}
 	vg.snap = vg.view
 	vg.lastErr = nil
-	vg.evals++
 	return vg.snap, nil
 }
 
@@ -191,21 +187,15 @@ func (vg *VirtualGraph) Cardinality(s, p, o rdf.Term) int {
 	return snap.Cardinality(s, p, o)
 }
 
-// DataEpoch implements rescache.Epocher. With EpochFn wired (usually to
-// the OPeNDAP adapter's Generation) the epoch moves exactly when
-// upstream content may have changed, so cached answers survive window
-// -cache hits; without it every revalidation counts, whether or not it
-// rebuilt the view — safe but never validating across the Invalidate
-// each query performs.
+// DataEpoch implements rescache.Epocher: the number of views built. A
+// revalidation that re-publishes the view leaves it alone, so cached
+// answers survive the Invalidate each evaluation performs and stay valid
+// until some evaluation finds a source changed. A cache hit revalidates
+// nothing, so staleness is bounded by the next miss or the cache's TTL.
 func (vg *VirtualGraph) DataEpoch() uint64 {
 	vg.mu.Lock()
-	evals := vg.evals
-	fn := vg.EpochFn
-	vg.mu.Unlock()
-	if fn != nil {
-		return fn()
-	}
-	return evals
+	defer vg.mu.Unlock()
+	return vg.rebuilds
 }
 
 // EpochAdvancesOnEval marks the virtual graph as a self-mutating source
