@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,36 +114,30 @@ func BenchmarkE2(b *testing.B) {
 
 // ---- E3: cache window ----
 
+// BenchmarkE3_WindowCache runs Listing 3 through the Listing 2 mapping
+// with the cache window w at 0 (every query fetches) and at 10 minutes
+// (every query after the first is served inside the window).
 func BenchmarkE3_WindowCache(b *testing.B) {
 	grid := e1Grid(b)
-	srv := opendap.NewServer()
-	srv.Publish(grid)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
+	for _, w := range []string{"0", "10"} {
+		b.Run("window="+w+"m", func(b *testing.B) {
+			mapping := strings.Replace(core.Listing2Mapping, "LAI/, 10)", "LAI/, "+w+")", 1)
+			if !strings.Contains(mapping, "LAI/, "+w+")") {
+				b.Fatal("Listing 2 has no window argument to set")
+			}
+			fly, err := core.NewOnTheFlyStack(mapping, grid)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer fly.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := fly.Query(core.Listing3Query); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)
-	defer hs.Close()
-	client := opendap.NewClient("http://" + ln.Addr().String())
-	constraint := opendap.Constraint{Var: "LAI"}
-
-	b.Run("window=0", func(b *testing.B) {
-		cache := opendap.NewWindowCache(client, 0)
-		for i := 0; i < b.N; i++ {
-			if _, err := cache.Fetch("lai", constraint); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("window=10m", func(b *testing.B) {
-		cache := opendap.NewWindowCache(client, 10*time.Minute)
-		for i := 0; i < b.N; i++ {
-			if _, err := cache.Fetch("lai", constraint); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // ---- E4: GeoTriples mapping processor ----
@@ -358,8 +353,7 @@ func BenchmarkE7_BlockedParallel(b *testing.B) {
 
 // ---- Ablations: design choices called out in DESIGN.md ----
 
-// Ablation: R-tree bulk (STR) packing vs incremental insertion — build
-// cost and query cost.
+// Ablation: R-tree bulk (STR) packing — build cost and query cost.
 func BenchmarkAblation_RTreeBuild(b *testing.B) {
 	items := make([]rtree.Item, 5000)
 	rng := rand.New(rand.NewSource(5))
@@ -367,19 +361,9 @@ func BenchmarkAblation_RTreeBuild(b *testing.B) {
 		x, y := rng.Float64()*1000, rng.Float64()*1000
 		items[i] = rtree.Item{Env: geom.Envelope{MinX: x, MinY: y, MaxX: x + 5, MaxY: y + 5}, Data: i}
 	}
-	b.Run("bulk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rtree.Bulk(items)
-		}
-	})
-	b.Run("insert", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tr := rtree.New()
-			for _, it := range items {
-				tr.Insert(it.Env, it.Data)
-			}
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		rtree.Bulk(items)
+	}
 }
 
 func BenchmarkAblation_RTreeQuery(b *testing.B) {
@@ -389,22 +373,13 @@ func BenchmarkAblation_RTreeQuery(b *testing.B) {
 		x, y := rng.Float64()*1000, rng.Float64()*1000
 		items[i] = rtree.Item{Env: geom.Envelope{MinX: x, MinY: y, MaxX: x + 5, MaxY: y + 5}, Data: i}
 	}
-	bulk := rtree.Bulk(items)
-	ins := rtree.New()
-	for _, it := range items {
-		ins.Insert(it.Env, it.Data)
-	}
+	tr := rtree.Bulk(items)
 	q := geom.Envelope{MinX: 200, MinY: 200, MaxX: 320, MaxY: 320}
-	b.Run("bulk-packed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bulk.SearchAll(q)
-		}
-	})
-	b.Run("insert-built", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ins.SearchAll(q)
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		tr.Search(q, func(rtree.Item) bool { n++; return true })
+	}
 }
 
 // Ablation: geometry-literal memoization — geof filter evaluation with the

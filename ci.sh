@@ -85,8 +85,8 @@ echo "== allocation ceilings (handle rows, join variants, results writer, id-spa
 # result into a warm buffer allocates nothing, neither does rdf.Graph
 # on a read with an unknown bound term or (amortized, presized) on an
 # Add of interned terms, and an on-the-fly evaluation over unchanged
-# sources re-publishes the view it has (three Listing-2 mappings, warm
-# window cache: < 4 KiB). Geometry literals are decoded once per process
+# sources re-publishes the view it has (three Listing-2 mappings inside
+# their windows: < 1 KiB). Geometry literals are decoded once per process
 # and constant ones once per plan: a warm SJ1-shaped join over 1,000
 # polygons decodes none of them, FILTER(geof:sfWithin(?w, CONST)) over
 # 1,000 rows allocates for rows only, and the OGC predicates on two

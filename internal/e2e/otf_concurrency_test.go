@@ -32,8 +32,9 @@ import (
 var otfMappings = core.Listing2Mapping + strings.NewReplacer(
 	"opendap_mapping", "live_mapping", "lai/LAI/, 10", "live/LAI/, 0").Replace(core.Listing2Mapping)
 
-// otfStack is one virtual graph over the OPeNDAP server at base.
-func otfStack(t *testing.T, base string) *obda.VirtualGraph {
+// otfStack is one virtual graph over the OPeNDAP server at base, and
+// the adapter under it.
+func otfStack(t *testing.T, base string) (*obda.VirtualGraph, *obda.OpendapAdapter) {
 	t.Helper()
 	adapter := obda.NewOpendapAdapter(opendap.NewClient(base))
 	db := madis.NewDB()
@@ -42,7 +43,7 @@ func otfStack(t *testing.T, base string) *obda.VirtualGraph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return obda.NewVirtualGraph(db, mappings)
+	return obda.NewVirtualGraph(db, mappings), adapter
 }
 
 // listing3Rows canonicalizes a SPARQL-JSON answer to Listing 3 the way
@@ -95,7 +96,7 @@ func TestConcurrentEvaluationsShareOneView(t *testing.T) {
 	dapHTTP := httptest.NewServer(dapSrv)
 	defer dapHTTP.Close()
 
-	vg := otfStack(t, dapHTTP.URL)
+	vg, _ := otfStack(t, dapHTTP.URL)
 	reg := telemetry.NewRegistry()
 	vg.Metrics = reg
 	ep := httptest.NewServer(endpoint.NewHandler(vg, nil))
@@ -174,7 +175,8 @@ func TestConcurrentEvaluationsShareOneView(t *testing.T) {
 	for gen := int64(1); gen <= generations; gen++ {
 		publish("live", 1+gen, time.Date(2018, 9, 1, 0, 0, 0, 0, time.UTC))
 		// The oracle is a second stack of its own over the same upstream.
-		oracle, err := otfStack(t, dapHTTP.URL).Snapshot()
+		oracleVG, _ := otfStack(t, dapHTTP.URL)
+		oracle, err := oracleVG.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,13 +201,25 @@ func TestConcurrentEvaluationsShareOneView(t *testing.T) {
 }
 
 // TestResultCacheFollowsViewContent: a result cache over the virtual
-// graph validates with nothing wired. The "live" mapping has no window,
-// so every evaluation refetches; over a static upstream that revalidation
-// re-publishes the view and the epoch stays put, so an entry filled
-// before another query's evaluation still hits after it. Once the
-// upstream publishes a changed grid, the next miss rebuilds the view, the
-// old entry reads stale and its query is answered from the new content.
+// graph, or over an adaptive graph that has not promoted, validates with
+// nothing wired. The "live" mapping has no window, so every evaluation
+// refetches; over a static upstream that revalidation re-publishes the
+// view and the epoch stays put, so an entry filled before another
+// query's evaluation still hits after it. Once the upstream publishes a
+// changed grid, the next miss rebuilds the view, the old entry reads
+// stale and its query is answered from the new content.
 func TestResultCacheFollowsViewContent(t *testing.T) {
+	t.Run("virtual", func(t *testing.T) {
+		resultCacheFollowsViewContent(t, func(vg *obda.VirtualGraph, _ *obda.OpendapAdapter) sparql.Source { return vg })
+	})
+	t.Run("adaptive", func(t *testing.T) {
+		resultCacheFollowsViewContent(t, func(vg *obda.VirtualGraph, a *obda.OpendapAdapter) sparql.Source {
+			return obda.NewAdaptiveGraph(vg, a, 1000, 0)
+		})
+	})
+}
+
+func resultCacheFollowsViewContent(t *testing.T, serve func(*obda.VirtualGraph, *obda.OpendapAdapter) sparql.Source) {
 	dapSrv := opendap.NewServer()
 	publish := func(name string, seed int64) {
 		opts := workload.DefaultLAIOptions()
@@ -221,11 +235,11 @@ func TestResultCacheFollowsViewContent(t *testing.T) {
 	defer dapHTTP.Close()
 
 	reg := telemetry.NewRegistry()
-	vg := otfStack(t, dapHTTP.URL)
+	vg, adapter := otfStack(t, dapHTTP.URL)
 	vg.Metrics = reg
 	cache := rescache.New(64, 0)
 	cache.Metrics = reg
-	ep := httptest.NewServer(endpoint.NewHandlerOpts(vg, reg, endpoint.Options{Cache: cache}))
+	ep := httptest.NewServer(endpoint.NewHandlerOpts(serve(vg, adapter), reg, endpoint.Options{Cache: cache}))
 	defer ep.Close()
 
 	const q2 = `SELECT ?s ?lai WHERE { ?s lai:lai ?lai }`

@@ -51,7 +51,7 @@ type Options struct {
 	// intermediate rows, federation fan-out). Zero disables budgets.
 	Limits admission.Limits
 	// Degraded, when set, is the fallback source for shed requests —
-	// typically a snapshot or cache-backed view (the applab_stale path)
+	// typically a snapshot or cache-backed view (like -serve-stale)
 	// that answers without touching live upstreams. A shed request whose
 	// query the degraded source can evaluate gets 200 with an
 	// X-Applab-Degraded header instead of 503.

@@ -1,8 +1,8 @@
 // Package rtree provides an R-tree spatial index over geometry envelopes.
-// It supports incremental insertion (quadratic split) and bulk loading
-// (sort-tile-recursive packing), and answers envelope-intersection and
-// nearest-neighbour queries. The Strabon store and the OPeNDAP viewport
-// cache both build on it.
+// Trees are bulk loaded (sort-tile-recursive packing) and answer
+// envelope-intersection and nearest-neighbour queries. The Strabon
+// store, the evaluator's spatial join and the Geographica systems build
+// on it.
 package rtree
 
 import (
@@ -13,10 +13,7 @@ import (
 	"applab/internal/geom"
 )
 
-const (
-	maxEntries = 16
-	minEntries = maxEntries * 2 / 5
-)
+const maxEntries = 16
 
 // Item is a value stored in the tree together with its envelope.
 type Item struct {
@@ -31,19 +28,13 @@ type node struct {
 	children []*node // internal children
 }
 
-// Tree is an R-tree. The zero value is not usable; call New or Bulk.
+// Tree is an R-tree. The zero value is not usable; call Bulk.
 type Tree struct {
 	root *node
 	size int
 }
 
-// New returns an empty tree.
-func New() *Tree {
-	return &Tree{root: &node{leaf: true, env: geom.EmptyEnvelope()}}
-}
-
-// Bulk builds a tree from items using sort-tile-recursive packing, which
-// yields better query performance than repeated insertion.
+// Bulk builds a tree from items using sort-tile-recursive packing.
 func Bulk(items []Item) *Tree {
 	t := &Tree{}
 	if len(items) == 0 {
@@ -117,171 +108,6 @@ func packNodes(nodes []*node) []*node {
 // Len returns the number of stored items.
 func (t *Tree) Len() int { return t.size }
 
-// Insert adds an item to the tree.
-func (t *Tree) Insert(env geom.Envelope, data any) {
-	t.size++
-	leaf := t.chooseLeaf(t.root, env)
-	leaf.items = append(leaf.items, Item{env, data})
-	leaf.env = leaf.env.Extend(env)
-	if len(leaf.items) > maxEntries {
-		t.splitUpward(leaf)
-	} else {
-		t.adjustUpward(leaf, env)
-	}
-}
-
-// chooseLeaf descends to the leaf whose envelope needs the least enlargement.
-func (t *Tree) chooseLeaf(n *node, env geom.Envelope) *node {
-	for !n.leaf {
-		var best *node
-		bestGrow := math.Inf(1)
-		for _, c := range n.children {
-			grow := c.env.Extend(env).Area() - c.env.Area()
-			if grow < bestGrow || (grow == bestGrow && best != nil && c.env.Area() < best.env.Area()) {
-				bestGrow = grow
-				best = c
-			}
-		}
-		n = best
-	}
-	return n
-}
-
-// parentOf finds the parent of target beneath n (nil when target is root).
-func (t *Tree) parentOf(n, target *node) *node {
-	if n.leaf {
-		return nil
-	}
-	for _, c := range n.children {
-		if c == target {
-			return n
-		}
-	}
-	for _, c := range n.children {
-		if !c.leaf || c == target {
-			if p := t.parentOf(c, target); p != nil {
-				return p
-			}
-		}
-	}
-	return nil
-}
-
-func (t *Tree) splitUpward(n *node) {
-	for {
-		a, b := splitNode(n)
-		parent := t.parentOf(t.root, n)
-		if parent == nil {
-			t.root = &node{children: []*node{a, b}, env: a.env.Extend(b.env)}
-			return
-		}
-		// Replace n with a, add b.
-		for i, c := range parent.children {
-			if c == n {
-				parent.children[i] = a
-				break
-			}
-		}
-		parent.children = append(parent.children, b)
-		parent.env = geom.EmptyEnvelope()
-		for _, c := range parent.children {
-			parent.env = parent.env.Extend(c.env)
-		}
-		if len(parent.children) <= maxEntries {
-			t.adjustUpward(parent, parent.env)
-			return
-		}
-		n = parent
-	}
-}
-
-func (t *Tree) adjustUpward(n *node, env geom.Envelope) {
-	for {
-		p := t.parentOf(t.root, n)
-		if p == nil {
-			return
-		}
-		p.env = p.env.Extend(env)
-		n = p
-	}
-}
-
-// splitNode performs a quadratic split of an overflowing node.
-func splitNode(n *node) (*node, *node) {
-	if n.leaf {
-		seedsA, seedsB := quadraticSeeds(len(n.items), func(i int) geom.Envelope { return n.items[i].Env })
-		a := &node{leaf: true, env: geom.EmptyEnvelope()}
-		b := &node{leaf: true, env: geom.EmptyEnvelope()}
-		assign := func(dst *node, it Item) {
-			dst.items = append(dst.items, it)
-			dst.env = dst.env.Extend(it.Env)
-		}
-		assign(a, n.items[seedsA])
-		assign(b, n.items[seedsB])
-		for i, it := range n.items {
-			if i == seedsA || i == seedsB {
-				continue
-			}
-			if preferA(a, b, it.Env) {
-				assign(a, it)
-			} else {
-				assign(b, it)
-			}
-		}
-		return a, b
-	}
-	seedsA, seedsB := quadraticSeeds(len(n.children), func(i int) geom.Envelope { return n.children[i].env })
-	a := &node{env: geom.EmptyEnvelope()}
-	b := &node{env: geom.EmptyEnvelope()}
-	assign := func(dst *node, c *node) {
-		dst.children = append(dst.children, c)
-		dst.env = dst.env.Extend(c.env)
-	}
-	assign(a, n.children[seedsA])
-	assign(b, n.children[seedsB])
-	for i, c := range n.children {
-		if i == seedsA || i == seedsB {
-			continue
-		}
-		if preferA(a, b, c.env) {
-			assign(a, c)
-		} else {
-			assign(b, c)
-		}
-	}
-	return a, b
-}
-
-func preferA(a, b *node, env geom.Envelope) bool {
-	// Keep minimum fill, then least enlargement.
-	remA := maxEntries - len(a.items) - len(a.children)
-	remB := maxEntries - len(b.items) - len(b.children)
-	if remA <= maxEntries-minEntries && remB > maxEntries-minEntries {
-		return false
-	}
-	if remB <= maxEntries-minEntries && remA > maxEntries-minEntries {
-		return true
-	}
-	growA := a.env.Extend(env).Area() - a.env.Area()
-	growB := b.env.Extend(env).Area() - b.env.Area()
-	return growA <= growB
-}
-
-func quadraticSeeds(n int, envAt func(int) geom.Envelope) (int, int) {
-	worst := -math.MaxFloat64
-	si, sj := 0, 1
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := envAt(i).Extend(envAt(j)).Area() - envAt(i).Area() - envAt(j).Area()
-			if d > worst {
-				worst = d
-				si, sj = i, j
-			}
-		}
-	}
-	return si, sj
-}
-
 // Search calls fn for every item whose envelope intersects query. Returning
 // false from fn stops the search early.
 func (t *Tree) Search(query geom.Envelope, fn func(Item) bool) {
@@ -308,16 +134,6 @@ func searchNode(n *node, q geom.Envelope, fn func(Item) bool) bool {
 		}
 	}
 	return true
-}
-
-// SearchAll returns every item whose envelope intersects query.
-func (t *Tree) SearchAll(query geom.Envelope) []Item {
-	var out []Item
-	t.Search(query, func(it Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
 }
 
 // Nearest returns up to k items closest (by envelope distance) to p,
@@ -367,14 +183,3 @@ func (q nnQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
 func (q nnQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *nnQueue) Push(x any)        { *q = append(*q, x.(nnEntry)) }
 func (q *nnQueue) Pop() any          { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-
-// Height returns the tree height (1 for a single leaf); for diagnostics.
-func (t *Tree) Height() int {
-	h := 1
-	n := t.root
-	for !n.leaf {
-		h++
-		n = n.children[0]
-	}
-	return h
-}

@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -12,78 +13,13 @@ import (
 
 func ptEnv(x, y float64) geom.Envelope { return geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y} }
 
-func TestEmptyTree(t *testing.T) {
-	tr := New()
-	if tr.Len() != 0 {
-		t.Fatal("empty tree Len != 0")
-	}
-	if got := tr.SearchAll(geom.Envelope{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}); len(got) != 0 {
-		t.Fatalf("empty tree returned %v", got)
-	}
-	if got := tr.Nearest(geom.Point{}, 3); got != nil {
-		t.Fatalf("empty tree Nearest = %v", got)
-	}
-}
-
-func TestInsertAndSearch(t *testing.T) {
-	tr := New()
-	for i := 0; i < 100; i++ {
-		x, y := float64(i%10), float64(i/10)
-		tr.Insert(ptEnv(x, y), i)
-	}
-	if tr.Len() != 100 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	got := tr.SearchAll(geom.Envelope{MinX: 2.5, MinY: 2.5, MaxX: 5.5, MaxY: 5.5})
-	if len(got) != 9 { // x,y in {3,4,5}
-		t.Fatalf("window query returned %d items, want 9", len(got))
-	}
-	// point query
-	hit := tr.SearchAll(ptEnv(7, 3))
-	if len(hit) != 1 || hit[0].Data.(int) != 37 {
-		t.Fatalf("point query = %v", hit)
-	}
-	// miss
-	if m := tr.SearchAll(geom.Envelope{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101}); len(m) != 0 {
-		t.Fatalf("miss query = %v", m)
-	}
-}
-
-func TestBulkMatchesInsert(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var items []Item
-	ins := New()
-	for i := 0; i < 500; i++ {
-		x, y := rng.Float64()*1000, rng.Float64()*1000
-		w, h := rng.Float64()*10, rng.Float64()*10
-		e := geom.Envelope{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
-		items = append(items, Item{e, i})
-		ins.Insert(e, i)
-	}
-	bulk := Bulk(items)
-	if bulk.Len() != 500 || ins.Len() != 500 {
-		t.Fatalf("sizes: bulk=%d ins=%d", bulk.Len(), ins.Len())
-	}
-	for q := 0; q < 50; q++ {
-		x, y := rng.Float64()*1000, rng.Float64()*1000
-		query := geom.Envelope{MinX: x, MinY: y, MaxX: x + 50, MaxY: y + 50}
-		a := idsOf(bulk.SearchAll(query))
-		b := idsOf(ins.SearchAll(query))
-		c := bruteForce(items, query)
-		if !equalInts(a, c) {
-			t.Fatalf("bulk query %d: got %v want %v", q, a, c)
-		}
-		if !equalInts(b, c) {
-			t.Fatalf("insert query %d: got %v want %v", q, b, c)
-		}
-	}
-}
-
-func idsOf(items []Item) []int {
-	out := make([]int, len(items))
-	for i, it := range items {
-		out[i] = it.Data.(int)
-	}
+// searchIDs is the sorted ids of every item Search finds for q.
+func searchIDs(tr *Tree, q geom.Envelope) []int {
+	var out []int
+	tr.Search(q, func(it Item) bool {
+		out = append(out, it.Data.(int))
+		return true
+	})
 	sort.Ints(out)
 	return out
 }
@@ -99,25 +35,46 @@ func bruteForce(items []Item, q geom.Envelope) []int {
 	return out
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+func TestEmptyTree(t *testing.T) {
+	tr := Bulk(nil)
+	if tr.Len() != 0 {
+		t.Fatal("empty tree Len != 0")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	if got := searchIDs(tr, geom.Envelope{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}); len(got) != 0 {
+		t.Fatalf("empty tree returned %v", got)
 	}
-	return true
+	if got := tr.Nearest(geom.Point{}, 3); got != nil {
+		t.Fatalf("empty tree Nearest = %v", got)
+	}
+}
+
+func TestBulkSearch(t *testing.T) {
+	var items []Item
+	for i := 0; i < 100; i++ {
+		items = append(items, Item{ptEnv(float64(i%10), float64(i/10)), i})
+	}
+	tr := Bulk(items)
+	if tr.Len() != 100 {
+		t.Fatalf("Len = %d", tr.Len())
+	}
+	if got := searchIDs(tr, geom.Envelope{MinX: 2.5, MinY: 2.5, MaxX: 5.5, MaxY: 5.5}); len(got) != 9 { // x,y in {3,4,5}
+		t.Fatalf("window query returned %d items, want 9", len(got))
+	}
+	if hit := searchIDs(tr, ptEnv(7, 3)); !slices.Equal(hit, []int{37}) {
+		t.Fatalf("point query = %v", hit)
+	}
+	if m := searchIDs(tr, geom.Envelope{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101}); len(m) != 0 {
+		t.Fatalf("miss query = %v", m)
+	}
 }
 
 func TestSearchEarlyStop(t *testing.T) {
-	tr := New()
+	var items []Item
 	for i := 0; i < 50; i++ {
-		tr.Insert(ptEnv(float64(i), 0), i)
+		items = append(items, Item{ptEnv(float64(i), 0), i})
 	}
 	count := 0
-	tr.Search(geom.Envelope{MinX: -1, MinY: -1, MaxX: 100, MaxY: 1}, func(Item) bool {
+	Bulk(items).Search(geom.Envelope{MinX: -1, MinY: -1, MaxX: 100, MaxY: 1}, func(Item) bool {
 		count++
 		return count < 5
 	})
@@ -127,66 +84,43 @@ func TestSearchEarlyStop(t *testing.T) {
 }
 
 func TestNearest(t *testing.T) {
-	tr := New()
+	var items []Item
 	for i := 0; i < 10; i++ {
-		tr.Insert(ptEnv(float64(i*10), 0), i)
+		items = append(items, Item{ptEnv(float64(i*10), 0), i})
 	}
+	tr := Bulk(items)
 	got := tr.Nearest(geom.Point{X: 34, Y: 0}, 3)
-	if len(got) != 3 {
-		t.Fatalf("Nearest returned %d", len(got))
+	ids := make([]int, len(got))
+	for i, it := range got {
+		ids[i] = it.Data.(int)
 	}
 	// nearest to x=34 are 30 (d=4), 40 (d=6), 20 (d=14)
-	want := []int{3, 4, 2}
-	for i, it := range got {
-		if it.Data.(int) != want[i] {
-			t.Fatalf("Nearest order = %v, want %v", idsRaw(got), want)
-		}
+	if want := []int{3, 4, 2}; !slices.Equal(ids, want) {
+		t.Fatalf("Nearest order = %v, want %v", ids, want)
 	}
 	// k larger than size
-	all := tr.Nearest(geom.Point{}, 100)
-	if len(all) != 10 {
+	if all := tr.Nearest(geom.Point{}, 100); len(all) != 10 {
 		t.Fatalf("Nearest k>size returned %d", len(all))
 	}
 }
 
-func idsRaw(items []Item) []int {
-	out := make([]int, len(items))
-	for i, it := range items {
-		out[i] = it.Data.(int)
-	}
-	return out
-}
-
-func TestHeightGrows(t *testing.T) {
-	tr := New()
-	if tr.Height() != 1 {
-		t.Fatal("fresh tree height != 1")
-	}
-	for i := 0; i < 1000; i++ {
-		tr.Insert(ptEnv(float64(i%37), float64(i%53)), i)
-	}
-	if tr.Height() < 2 {
-		t.Fatalf("height after 1000 inserts = %d", tr.Height())
-	}
-}
-
-// Property: tree search is exactly brute force for random rectangles.
+// Property: tree search is exactly brute force for random rectangles,
+// over trees of one to several levels.
 func TestSearchEquivalenceProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 10 + int(nRaw)%200
+		n := 10 + 2*int(nRaw)
 		var items []Item
-		tr := New()
 		for i := 0; i < n; i++ {
 			x, y := rng.Float64()*100, rng.Float64()*100
 			e := geom.Envelope{MinX: x, MinY: y, MaxX: x + rng.Float64()*5, MaxY: y + rng.Float64()*5}
 			items = append(items, Item{e, i})
-			tr.Insert(e, i)
 		}
+		tr := Bulk(items)
 		q := geom.Envelope{MinX: rng.Float64() * 80, MinY: rng.Float64() * 80, MaxX: 0, MaxY: 0}
 		q.MaxX = q.MinX + rng.Float64()*30
 		q.MaxY = q.MinY + rng.Float64()*30
-		return equalInts(idsOf(tr.SearchAll(q)), bruteForce(items, q))
+		return tr.Len() == n && slices.Equal(searchIDs(tr, q), bruteForce(items, q))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -197,15 +131,15 @@ func TestSearchEquivalenceProperty(t *testing.T) {
 func TestNearestProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := New()
 		var pts []geom.Point
+		var items []Item
 		for i := 0; i < 100; i++ {
 			p := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 			pts = append(pts, p)
-			tr.Insert(ptEnv(p.X, p.Y), i)
+			items = append(items, Item{ptEnv(p.X, p.Y), i})
 		}
 		q := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-		got := tr.Nearest(q, 1)
+		got := Bulk(items).Nearest(q, 1)
 		if len(got) != 1 {
 			return false
 		}

@@ -2,9 +2,12 @@ package geotriples
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
+	"applab/internal/netcdf"
+	"applab/internal/obda"
 	"applab/internal/rdf"
 	"applab/internal/workload"
 )
@@ -269,6 +272,50 @@ func TestFromNetCDF(t *testing.T) {
 	}
 	if _, err := FromNetCDF(ds, "nope"); err == nil {
 		t.Error("unknown variable must error")
+	}
+}
+
+// The materialized workflow (FromNetCDF, then an R2RML mapping) and the
+// on-the-fly one (the opendap virtual table) flatten one grid into the
+// same rows, so they mint the same resource for one cell.
+func TestNetCDFRowsMatchVirtualTable(t *testing.T) {
+	opts := workload.DefaultLAIOptions()
+	opts.NLat, opts.NLon, opts.Times = 3, 4, 2
+	flat := netcdf.NewDataset("flat")
+	flat.AddDim("lat", 2)
+	flat.AddDim("lon", 3)
+	for _, v := range []*netcdf.Variable{
+		{Name: "lat", Dims: []string{"lat"}, Data: []float64{48.8566123, 48.9}},
+		{Name: "lon", Dims: []string{"lon"}, Data: []float64{2.3522219, 2.4, 2.5}},
+		{Name: "NDVI", Dims: []string{"lat", "lon"}, Data: []float64{0.125, -1, 3, 4.5, 5, 1e-7}},
+	} {
+		if err := flat.AddVar(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		ds      *netcdf.Dataset
+		varName string
+		cells   int
+	}{{workload.LAIGrid(opts), "LAI", 24}, {flat, "NDVI", 6}} {
+		mat, err := FromNetCDF(c.ds, c.varName)
+		if err != nil {
+			t.Fatalf("%s: %v", c.varName, err)
+		}
+		virt, err := obda.GridToTable(c.ds, c.varName)
+		if err != nil {
+			t.Fatalf("%s: %v", c.varName, err)
+		}
+		if len(mat.Rows) != c.cells || len(virt.Rows) != c.cells {
+			t.Fatalf("%s: %d and %d rows, want %d", c.varName, len(mat.Rows), len(virt.Rows), c.cells)
+		}
+		for i, row := range virt.Rows {
+			want := []string{row[0].(string), strconv.FormatFloat(row[1].(float64), 'g', -1, 64),
+				row[2].(string), row[3].(string)}
+			if got := mat.Rows[i]; strings.Join(got, "|") != strings.Join(want, "|") {
+				t.Fatalf("%s cell %d: materialized %q, virtual %q", c.varName, i, got, want)
+			}
+		}
 	}
 }
 

@@ -181,39 +181,17 @@ func ringList(rings [][][]float64) string {
 // script produced for the LAI product ("Since GeoTriples does not support
 // NetCDF files as input, the translation was done by writing a custom
 // Python script"; this method removes that gap, one of the paper's §5
-// open problems).
+// open problems). The rows are the ones the on-the-fly workflow's opendap
+// virtual table derives from the same grid, so both workflows mint the
+// same resource for one cell.
 func FromNetCDF(ds *netcdf.Dataset, varName string) (*Table, error) {
-	v, ok := ds.Var(varName)
-	if !ok {
-		return nil, fmt.Errorf("geotriples: dataset lacks variable %q", varName)
-	}
-	shape := v.Shape(ds)
-	if len(shape) != 3 {
-		return nil, fmt.Errorf("geotriples: %s must be time x lat x lon", varName)
-	}
-	times, err := ds.TimeValues()
+	g, err := netcdf.ReadGrid(ds, varName)
 	if err != nil {
 		return nil, err
 	}
-	latV, okLat := ds.Var("lat")
-	lonV, okLon := ds.Var("lon")
-	if !okLat || !okLon {
-		return nil, fmt.Errorf("geotriples: dataset lacks lat/lon coordinate variables")
-	}
 	t := &Table{Cols: []string{"id", varName, "ts", "loc"}}
-	for ti := 0; ti < shape[0]; ti++ {
-		ts := times[ti].UTC().Format("2006-01-02T15:04:05Z")
-		for yi := 0; yi < shape[1]; yi++ {
-			for xi := 0; xi < shape[2]; xi++ {
-				val := v.Data[(ti*shape[1]+yi)*shape[2]+xi]
-				t.Rows = append(t.Rows, []string{
-					fmt.Sprintf("obs_%d_%d_%d", ti, yi, xi),
-					strconv.FormatFloat(val, 'g', -1, 64),
-					ts,
-					fmt.Sprintf("POINT (%g %g)", lonV.Data[xi], latV.Data[yi]),
-				})
-			}
-		}
-	}
+	g.Cells(func(id string, v float64, ts, loc string) {
+		t.Rows = append(t.Rows, []string{id, strconv.FormatFloat(v, 'g', -1, 64), ts, loc})
+	})
 	return t, nil
 }

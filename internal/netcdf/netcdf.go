@@ -12,7 +12,6 @@ package netcdf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -265,14 +264,4 @@ func ParseCFTimeUnits(units string) (base time.Time, step time.Duration, err err
 		}
 	}
 	return time.Time{}, 0, fmt.Errorf("netcdf: bad time origin %q", stamp)
-}
-
-// VarNames returns the variable names sorted.
-func (d *Dataset) VarNames() []string {
-	out := make([]string, len(d.Vars))
-	for i, v := range d.Vars {
-		out[i] = v.Name
-	}
-	sort.Strings(out)
-	return out
 }

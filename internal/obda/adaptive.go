@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"applab/internal/netcdf"
 	"applab/internal/opendap"
 	"applab/internal/rdf"
 	"applab/internal/rescache"
@@ -29,7 +30,7 @@ import (
 // Region granularity is used for counting and revalidation; the
 // materialization itself is whole-graph (all mappings), which keeps the
 // local copy consistent with what the virtual path would serve — both
-// are built through the same window caches.
+// are built through the same adapter regions.
 type AdaptiveGraph struct {
 	vg       *VirtualGraph
 	adapter  *OpendapAdapter
@@ -167,8 +168,8 @@ func (ag *AdaptiveGraph) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]
 
 // Invalidate lets the endpoint's per-evaluation refresh hook reach the
 // wrapped virtual graph: while virtual, the snapshot is dropped so the
-// next evaluation re-executes mapping sources (the adapter's window
-// caches decide what is actually refetched, and each execution feeds
+// next evaluation re-executes mapping sources (the adapter's windows
+// decide what is actually refetched, and each execution feeds
 // the promoter's use counters). Once promoted the local copy is
 // canonical until revalidation demotes it — nothing to refresh.
 func (ag *AdaptiveGraph) Invalidate() {
@@ -186,12 +187,13 @@ func (ag *AdaptiveGraph) Cardinality(s, p, o rdf.Term) int {
 }
 
 // DataEpoch implements rescache.Epocher: the promoter's flip counter
-// plus the adapter's content generation. Both components are monotonic,
-// so the sum moves on every serving-mode flip and on every upstream
-// content change while virtual. The local copy is immutable once built,
-// so it contributes nothing.
+// plus the virtual graph's rebuild count. Both components are monotonic,
+// so the sum moves on every serving-mode flip and on every view rebuilt
+// from changed content while virtual; a fetch of unchanged content moves
+// neither. The local copy is immutable once built, so it contributes
+// nothing.
 func (ag *AdaptiveGraph) DataEpoch() uint64 {
-	return ag.promoter.Epoch() + ag.adapter.Generation()
+	return ag.promoter.Epoch() + ag.vg.DataEpoch()
 }
 
 // EpochAdvancesOnEval marks the adaptive graph for fill-time epoch
@@ -224,11 +226,11 @@ func (ag *AdaptiveGraph) QueryContext(ctx context.Context, q string) (*sparql.Re
 }
 
 // UpstreamStamp fetches the region's dataset directly from the OPeNDAP
-// client — bypassing the window caches and the physical-call counter,
-// so revalidation does not perturb Generation — and returns a hash of
-// everything the virtual table reads of it: the variable's values, its
-// shape, the lat/lon axes and the time axis with its units. This is the
-// default drift-detection stamp of the promoter.
+// client — bypassing the adapter's regions, so revalidation neither
+// counts as a physical fetch nor refreshes a window — and returns a hash
+// of everything the virtual table reads of it: the variable's values,
+// its shape, the lat/lon axes and the time axis with its units. This is
+// the default drift-detection stamp of the promoter.
 func (a *OpendapAdapter) UpstreamStamp(region string) (string, error) {
 	spec := region
 	if i := strings.LastIndex(spec, "?w="); i >= 0 {
@@ -242,9 +244,9 @@ func (a *OpendapAdapter) UpstreamStamp(region string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	g, err := readGrid(ds, varName)
+	g, err := netcdf.ReadGrid(ds, varName)
 	if err != nil {
 		return "", err
 	}
-	return g.stamp(), nil
+	return g.Stamp(), nil
 }

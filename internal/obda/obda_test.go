@@ -10,6 +10,7 @@ import (
 	"applab/internal/netcdf"
 	"applab/internal/opendap"
 	"applab/internal/rdf"
+	"applab/internal/sparql"
 )
 
 const listing2 = `
@@ -186,7 +187,7 @@ WHERE { ?s lai:lai ?lai .
 		}
 	}
 	// rdf:type triples exist in the virtual view
-	res, err = vg.QueryCached(`SELECT (COUNT(*) AS ?n) WHERE { ?s a lai:Observation }`)
+	res, err = sparql.Eval(vg, `SELECT (COUNT(*) AS ?n) WHERE { ?s a lai:Observation }`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,12 +241,3 @@ func (vg *VirtualGraph) QueryContext(ctx context.Context, q string) (*sparql.Res
 	}
 	return query.EvalContext(ctx, vg)
 }
-
-// QueryCached evaluates a query against the existing snapshot without
-// re-executing mapping sources (the materialized-comparison mode).
-func (vg *VirtualGraph) QueryCached(q string) (*sparql.Results, error) {
-	if _, err := vg.Snapshot(); err != nil {
-		return nil, err
-	}
-	return sparql.Eval(vg, q)
-}

@@ -2,19 +2,14 @@ package opendap
 
 import (
 	"sync"
-	"time"
 
 	"applab/internal/netcdf"
-	"applab/internal/telemetry"
 )
 
 // CacheStats reports cache effectiveness.
 type CacheStats struct {
 	Hits   int64
 	Misses int64
-	// Stale counts responses served from an expired entry because the
-	// upstream was down (WindowCache stale-while-error mode).
-	Stale int64
 }
 
 // HitRatio returns hits / (hits+misses), 0 for an unused cache.
@@ -30,137 +25,6 @@ func (s CacheStats) HitRatio() float64 {
 // implements it; the caches wrap any Fetcher.
 type Fetcher interface {
 	Fetch(name string, constraint Constraint) (*netcdf.Dataset, error)
-}
-
-// WindowCache is the time-window response cache of the paper's §3.2 OPeNDAP
-// adapter (the "w" argument of the Opendap virtual table operator, Listing
-// 2): results of an OPeNDAP call are reused for identical calls arriving
-// within the window. Window <= 0 disables caching.
-type WindowCache struct {
-	inner  Fetcher
-	window time.Duration
-	// Now allows tests to control the clock; time.Now when nil.
-	Now func() time.Time
-	// Metrics, when set, mirrors the hit/miss/stale counters into the
-	// registry (see metrics.go) so they are visible outside tests.
-	Metrics *telemetry.Registry
-	// StaleWhileError, when set, serves the last cached window — even an
-	// expired one — when the upstream fetch fails, instead of failing the
-	// query. Served datasets are flagged via the StaleAttr attribute
-	// (check with IsStale) so callers can distinguish live from stale
-	// data. Requires window > 0: with caching disabled there is nothing
-	// to fall back to.
-	StaleWhileError bool
-
-	mu      sync.Mutex
-	entries map[string]windowEntry
-	stats   CacheStats
-	// gen counts content changes: every fresh upstream response stored
-	// and every Invalidate. Result caches layered above the adapter fold
-	// it into their data epoch so window refreshes invalidate them.
-	gen uint64
-}
-
-// StaleAttr is the global attribute set on datasets served from an
-// expired cache entry while the upstream is down.
-const StaleAttr = "applab_stale"
-
-// IsStale reports whether a dataset was served stale by a WindowCache
-// in stale-while-error mode.
-func IsStale(ds *netcdf.Dataset) bool {
-	return ds != nil && ds.Attrs[StaleAttr] == "true"
-}
-
-// markStale returns a shallow copy of ds flagged as stale. The copy
-// shares variable data with the cached entry but gets its own attribute
-// map, so the cache's canonical entry is never mutated.
-func markStale(ds *netcdf.Dataset) *netcdf.Dataset {
-	cp := *ds
-	cp.Attrs = make(map[string]string, len(ds.Attrs)+1)
-	for k, v := range ds.Attrs {
-		cp.Attrs[k] = v
-	}
-	cp.Attrs[StaleAttr] = "true"
-	return &cp
-}
-
-type windowEntry struct {
-	ds      *netcdf.Dataset
-	fetched time.Time
-}
-
-// NewWindowCache wraps inner with a time-window cache.
-func NewWindowCache(inner Fetcher, window time.Duration) *WindowCache {
-	return &WindowCache{inner: inner, window: window, entries: map[string]windowEntry{}}
-}
-
-func (c *WindowCache) now() time.Time {
-	if c.Now != nil {
-		return c.Now()
-	}
-	return time.Now()
-}
-
-// Fetch implements Fetcher with window caching.
-func (c *WindowCache) Fetch(name string, constraint Constraint) (*netcdf.Dataset, error) {
-	key := name + "?" + constraint.String()
-	now := c.now()
-	if c.window > 0 {
-		c.mu.Lock()
-		if e, ok := c.entries[key]; ok && now.Sub(e.fetched) < c.window {
-			c.stats.Hits++
-			c.mu.Unlock()
-			c.cacheHit()
-			return e.ds, nil
-		}
-		c.mu.Unlock()
-	}
-	ds, err := c.inner.Fetch(name, constraint)
-	if err != nil {
-		if c.StaleWhileError && c.window > 0 {
-			c.mu.Lock()
-			if e, ok := c.entries[key]; ok {
-				c.stats.Stale++
-				c.mu.Unlock()
-				c.cacheStale()
-				return markStale(e.ds), nil
-			}
-			c.mu.Unlock()
-		}
-		return nil, err
-	}
-	c.mu.Lock()
-	c.stats.Misses++
-	if c.window > 0 {
-		c.entries[key] = windowEntry{ds: ds, fetched: now}
-	}
-	c.gen++
-	c.mu.Unlock()
-	c.cacheMiss()
-	return ds, nil
-}
-
-// Stats returns a snapshot of the hit/miss counters.
-func (c *WindowCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// Invalidate drops every cached entry.
-func (c *WindowCache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[string]windowEntry{}
-	c.gen++
-}
-
-// Generation returns a counter bumped on every content change (fresh
-// upstream response stored, invalidation). Monotonic; never reset.
-func (c *WindowCache) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
 }
 
 // TileCache is the index-aligned cache of the paper's §5 discussion:

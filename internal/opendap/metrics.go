@@ -35,14 +35,6 @@ func (b *Breaker) noteState(s BreakerState) {
 	b.Metrics.Counter("opendap_breaker_transitions_total", "to", s.String()).Inc()
 }
 
-// cacheHit / cacheMiss / cacheStale lift the WindowCache CacheStats
-// counters into the registry.
-func (c *WindowCache) cacheHit()  { c.Metrics.Counter("opendap_cache_hits_total").Inc() }
-func (c *WindowCache) cacheMiss() { c.Metrics.Counter("opendap_cache_misses_total").Inc() }
-func (c *WindowCache) cacheStale() {
-	c.Metrics.Counter("opendap_cache_stale_total").Inc()
-}
-
 // noteServerRequest counts requests handled by the DAP server.
 func (s *Server) noteServerRequest() {
 	s.Metrics.Counter("opendap_server_requests_total").Inc()

@@ -4,7 +4,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"applab/internal/netcdf"
 )
@@ -165,67 +164,6 @@ func TestFetchSubset(t *testing.T) {
 	fv, _ := full.Var("LAI")
 	if len(fv.Data) != 400 {
 		t.Errorf("full fetch = %d values", len(fv.Data))
-	}
-}
-
-func TestWindowCache(t *testing.T) {
-	srv, client, closeFn := newTestServer(t)
-	defer closeFn()
-	clock := time.Date(2018, 6, 1, 12, 0, 0, 0, time.UTC)
-	cache := NewWindowCache(client, 10*time.Minute)
-	cache.Now = func() time.Time { return clock }
-
-	c := Constraint{Var: "LAI", Ranges: []netcdf.Range{
-		{Start: 0, Stride: 1, Stop: 1}, {Start: 0, Stride: 1, Stop: 1}, {Start: 0, Stride: 1, Stop: 1}}}
-
-	before := srv.Requests()
-	if _, err := cache.Fetch("lai", c); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cache.Fetch("lai", c); err != nil {
-		t.Fatal(err)
-	}
-	st := cache.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if srv.Requests() != before+1 {
-		t.Errorf("server saw %d extra requests, want 1", srv.Requests()-before)
-	}
-	// Advance past the window: same call misses again.
-	clock = clock.Add(11 * time.Minute)
-	cache.Fetch("lai", c)
-	st = cache.Stats()
-	if st.Misses != 2 {
-		t.Errorf("after expiry stats = %+v", st)
-	}
-	// Different constraint is a different key.
-	c2 := c
-	c2.Ranges = append([]netcdf.Range(nil), c.Ranges...)
-	c2.Ranges[2] = netcdf.Range{Start: 0, Stride: 1, Stop: 2}
-	cache.Fetch("lai", c2)
-	if cache.Stats().Misses != 3 {
-		t.Errorf("different constraint must miss: %+v", cache.Stats())
-	}
-	// window <= 0 disables caching
-	nocache := NewWindowCache(client, 0)
-	nocache.Fetch("lai", c)
-	nocache.Fetch("lai", c)
-	if nocache.Stats().Hits != 0 || nocache.Stats().Misses != 2 {
-		t.Errorf("uncached stats = %+v", nocache.Stats())
-	}
-}
-
-func TestWindowCacheInvalidate(t *testing.T) {
-	_, client, closeFn := newTestServer(t)
-	defer closeFn()
-	cache := NewWindowCache(client, time.Hour)
-	c := Constraint{Var: "time"}
-	cache.Fetch("lai", c)
-	cache.Invalidate()
-	cache.Fetch("lai", c)
-	if cache.Stats().Hits != 0 || cache.Stats().Misses != 2 {
-		t.Errorf("stats after invalidate = %+v", cache.Stats())
 	}
 }
 

@@ -1,14 +1,11 @@
 package opendap
 
-// Race stress tests for the cache layer: concurrent get/put/expire on
-// WindowCache against a fake clock, and concurrent tile fetches with
+// Race stress test for the cache layer: concurrent tile fetches with
 // shape declarations on TileCache. Run under `go test -race`.
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func mustConstraint(t testing.TB, s string) Constraint {
@@ -18,58 +15,6 @@ func mustConstraint(t testing.TB, s string) Constraint {
 		t.Fatalf("ParseConstraint(%q): %v", s, err)
 	}
 	return c
-}
-
-func TestWindowCacheConcurrency(t *testing.T) {
-	_, client, closeFn := newTestServer(t)
-	defer closeFn()
-
-	cache := NewWindowCache(client, 50*time.Millisecond)
-	// The Now hook is read unsynchronized by Fetch, so it must be installed
-	// before any goroutine starts; the fake clock itself advances atomically.
-	var tick int64
-	cache.Now = func() time.Time {
-		return time.Unix(0, atomic.LoadInt64(&tick))
-	}
-
-	constraints := []Constraint{
-		mustConstraint(t, "LAI[0:1][0:4][0:4]"),
-		mustConstraint(t, "LAI[0:3][2:6][1:5]"),
-		mustConstraint(t, "LAI[2:3][0:9][0:9]"),
-		mustConstraint(t, "time[0:3]"),
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				c := constraints[(w+i)%len(constraints)]
-				if _, err := cache.Fetch("lai", c); err != nil {
-					t.Errorf("worker %d: Fetch: %v", w, err)
-					return
-				}
-				switch {
-				case i%7 == 0:
-					// Advance the clock past the window: entries expire.
-					atomic.AddInt64(&tick, int64(60*time.Millisecond))
-				case i%11 == 0:
-					cache.Invalidate()
-				}
-				cache.Stats()
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	st := cache.Stats()
-	if st.Misses == 0 {
-		t.Fatal("stress run recorded no fetches at all")
-	}
-	if st.Hits == 0 {
-		t.Error("identical concurrent requests within the window never hit")
-	}
 }
 
 func TestTileCacheConcurrency(t *testing.T) {

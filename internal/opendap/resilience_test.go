@@ -305,66 +305,6 @@ func TestDeadlineThenRetrySucceeds(t *testing.T) {
 	}
 }
 
-func TestStaleWhileError(t *testing.T) {
-	// Populate the cache, advance past the window, kill the upstream:
-	// the cached window is served flagged stale instead of failing.
-	script := faults.Seq() // healthy first …
-	c, _, closeFn := newFaultyClient(t, script)
-	defer closeFn()
-	c.MaxRetries = 0
-
-	now := time.Date(2019, 3, 26, 9, 0, 0, 0, time.UTC)
-	cache := NewWindowCache(c, 10*time.Minute)
-	cache.Now = func() time.Time { return now }
-	cache.StaleWhileError = true
-
-	first, err := cache.Fetch("lai", laiConstraint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IsStale(first) {
-		t.Fatal("live response must not be flagged stale")
-	}
-	// Fresh window hit: still live.
-	now = now.Add(5 * time.Minute)
-	hit, err := cache.Fetch("lai", laiConstraint)
-	if err != nil || IsStale(hit) {
-		t.Fatalf("window hit: stale=%v err=%v", IsStale(hit), err)
-	}
-	// Window expired AND the upstream goes down: served stale.
-	now = now.Add(20 * time.Minute)
-	c.HTTP = &http.Client{Transport: faults.NewRoundTripper(
-		faults.FailN(100, faults.Step{Kind: faults.ConnError}), nil)}
-	stale, err := cache.Fetch("lai", laiConstraint)
-	if err != nil {
-		t.Fatalf("stale-while-error must serve the cached window: %v", err)
-	}
-	if !IsStale(stale) {
-		t.Fatal("response served during outage must be flagged stale")
-	}
-	v, ok := stale.Var("LAI")
-	if !ok || len(v.Data) != 8 {
-		t.Fatalf("stale dataset = %+v", stale)
-	}
-	if st := cache.Stats(); st.Stale != 1 {
-		t.Errorf("stats = %+v, want Stale=1", st)
-	}
-	// The canonical cache entry was not polluted by the stale flag.
-	c.HTTP = &http.Client{Transport: faults.NewRoundTripper(faults.Seq(), nil)}
-	now = now.Add(20 * time.Minute)
-	fresh, err := cache.Fetch("lai", laiConstraint)
-	if err != nil || IsStale(fresh) {
-		t.Fatalf("recovered fetch: stale=%v err=%v", IsStale(fresh), err)
-	}
-	// An unknown key during an outage still fails: nothing to serve.
-	c.HTTP = &http.Client{Transport: faults.NewRoundTripper(
-		faults.FailN(100, faults.Step{Kind: faults.ConnError}), nil)}
-	other := Constraint{Var: "time"}
-	if _, err := cache.Fetch("lai", other); err == nil {
-		t.Fatal("uncached key must still error during an outage")
-	}
-}
-
 func TestFetchURLConstruction(t *testing.T) {
 	// The raw query must round-trip through the server's token stripping
 	// and unescaping for every combination of token and constraint.

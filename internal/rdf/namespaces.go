@@ -103,15 +103,6 @@ func (p *Prefixes) Expand(qname string) (string, error) {
 	return ns + local, nil
 }
 
-// MustExpand is Expand but panics on error; for static program text.
-func (p *Prefixes) MustExpand(qname string) string {
-	iri, err := p.Expand(qname)
-	if err != nil {
-		panic(err)
-	}
-	return iri
-}
-
 // Compact rewrites a full IRI as a prefixed name when a binding matches;
 // otherwise it returns the IRI in angle brackets.
 func (p *Prefixes) Compact(iri string) string {

@@ -6,8 +6,9 @@
 // The paper's on-the-fly workflow lives or dies by runtime behaviour —
 // cache-window hit rates, OPeNDAP link latency, the 1-2
 // orders-of-magnitude query-time gap of §5 — so every hot path of the
-// stack (opendap.Client, WindowCache, federation fan-outs, the compiled
-// SPARQL engine, the Strabon stores, endpoint.Handler) reports here.
+// stack (opendap.Client, the opendap virtual table, federation fan-outs,
+// the compiled SPARQL engine, the Strabon stores, endpoint.Handler)
+// reports here.
 //
 // Design rules:
 //
