@@ -68,6 +68,29 @@ func TestBulkSearch(t *testing.T) {
 	}
 }
 
+// A bulk-loaded tree of a few levels answers every window query exactly as
+// a linear scan over the same items does.
+func TestBulkMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var items []Item
+	for i := 0; i < 500; i++ {
+		x, y := rng.Float64()*1000, rng.Float64()*1000
+		w, h := rng.Float64()*10, rng.Float64()*10
+		items = append(items, Item{geom.Envelope{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}, i})
+	}
+	bulk := Bulk(items)
+	if bulk.Len() != 500 {
+		t.Fatalf("Len = %d, want 500", bulk.Len())
+	}
+	for q := 0; q < 50; q++ {
+		x, y := rng.Float64()*1000, rng.Float64()*1000
+		query := geom.Envelope{MinX: x, MinY: y, MaxX: x + 50, MaxY: y + 50}
+		if got, want := searchIDs(bulk, query), bruteForce(items, query); !slices.Equal(got, want) {
+			t.Fatalf("query %d: got %v want %v", q, got, want)
+		}
+	}
+}
+
 func TestSearchEarlyStop(t *testing.T) {
 	var items []Item
 	for i := 0; i < 50; i++ {
