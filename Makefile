@@ -50,7 +50,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDDS$$' -fuzztime=2s ./internal/opendap/
 	$(GO) test -run='^$$' -fuzz='^FuzzApplyConstraint$$' -fuzztime=2s ./internal/opendap/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=3s ./internal/sparql/
-	$(GO) test -run='^$$' -fuzz='^FuzzPlanKey$$' -fuzztime=3s ./internal/sparql/
 	$(GO) test -run='^$$' -fuzz='^FuzzResultsWriter$$' -fuzztime=3s ./internal/endpoint/
 	$(GO) test -run='^$$' -fuzz='^FuzzTermCompare$$' -fuzztime=3s ./internal/rdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzGraphOps$$' -fuzztime=3s ./internal/rdf/

@@ -76,7 +76,7 @@ echo "== golden spatial join against a warm geometry memo"
 # insert, so the spatial_arena_bytes gauge must come from SetMetrics.
 go test -count=2 -run TestGoldenSpatialJoin ./internal/e2e
 
-echo "== allocation ceilings (handle rows, join variants, results writer, id-space graph, view revalidation, geometry decoding, cluster wire, telemetry lookups)"
+echo "== allocation ceilings (handle rows, join variants, results writer, id-space graph, view revalidation, geometry decoding, cluster wire, telemetry lookups, result-cache hits)"
 # Engine_BGPJoinCompiled's bytes per evaluation may not regrow (rows are
 # 8-byte handles, not 56-byte terms), and served instrumented, budgeted,
 # with spatial detection off, from the memory-mode store or behind a
@@ -94,7 +94,9 @@ echo "== allocation ceilings (handle rows, join variants, results writer, id-spa
 # per-connection buffer and decodes once: an 8-triple routed read over
 # TCP costs <= 40 allocs and 8 KiB across both ends, and a frame header
 # declaring 64 MiB on a stream that then ends costs < 1 MiB. Looking up
-# an existing telemetry series allocates nothing.
+# an existing telemetry series allocates nothing, and neither does a
+# result-cache hit on a Listing-3-shaped query (<= 1 alloc, 64 B): the
+# key is the query text the parser kept.
 go test -count=1 -cpu 1,2,4 -run '^TestBGPJoinBytesCeiling$' ./internal/sparql
 go test -count=1 -run '^(TestSpatialJoinWarmAllocations|TestConstGeometryFilterAllocations)$' ./internal/sparql
 go test -count=1 -run '^TestPredicateAllocations$' ./internal/geom
@@ -103,6 +105,7 @@ go test -count=1 -run '^TestGraphAllocations$' ./internal/rdf
 go test -count=1 -run '^TestRevalidateAllocations$' ./internal/obda
 go test -count=1 -cpu 1,2,4 -run '^(TestRoutedReadAllocations|TestReadMessageHostileLength)$' ./internal/cluster
 go test -count=1 -run '^TestSeriesLookupAllocations$' ./internal/telemetry
+go test -count=1 -run '^TestLookupHitAllocations$' ./internal/rescache
 
 echo "== bench module (its own go.mod, outside ./...)"
 (cd bench && go vet . && go test .)

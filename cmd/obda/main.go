@@ -42,7 +42,7 @@ func (c *config) flags() *flag.FlagSet {
 	fs.StringVar(&c.query, "query", "", "GeoSPARQL query")
 	fs.StringVar(&c.Addr, "serve", "", "address to serve a SPARQL endpoint over the virtual graph on (e.g. :7861)")
 
-	fs.IntVar(&c.CacheEntries, "result-cache", 0, "plan-keyed result cache capacity in entries for -serve (0 disables); cache hits skip mapping execution entirely")
+	fs.IntVar(&c.CacheEntries, "result-cache", 0, "text-keyed result cache capacity in entries for -serve (0 disables); cache hits skip mapping execution entirely")
 	fs.DurationVar(&c.CacheTTL, "cache-ttl", 0, "result-cache entry lifetime; match the mapping's cache window (e.g. 10m for Listing 2) so upstream changes inside the window stay invisible for exactly as long as the window cache would hide them anyway")
 	fs.Int64Var(&c.CacheBytes, "cache-bytes", 0, "result-cache byte budget; entry cost is the encoded answer size (0 = entry-count bound only)")
 	fs.IntVar(&c.PromoteAfter, "promote-after", 0, "adaptive materialization: promote the virtual view into a local store after this many uses per opendap region (0 disables; requires -opendap)")

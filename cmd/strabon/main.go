@@ -77,7 +77,7 @@ func (c *config) flags() *flag.FlagSet {
 	fs.IntVar(&c.demoteAfter, "demote-after", 3, "consecutive failures before a federation member or cluster replica is demoted (-1 disables)")
 	fs.DurationVar(&c.retryDemoted, "retry-demoted", 30*time.Second, "how long a demoted member or replica sits out before being probed again")
 
-	fs.IntVar(&c.CacheEntries, "result-cache", 0, "plan-keyed result cache capacity in entries (0 disables); served responses carry X-Applab-Cache")
+	fs.IntVar(&c.CacheEntries, "result-cache", 0, "text-keyed result cache capacity in entries (0 disables); served responses carry X-Applab-Cache")
 	fs.DurationVar(&c.CacheTTL, "cache-ttl", 0, "result-cache entry lifetime (0 = epoch-validated only; set this when federating with remote endpoints, whose ingests are invisible to epoch validation)")
 	fs.Int64Var(&c.CacheBytes, "cache-bytes", 0, "result-cache byte budget; entry cost is the encoded answer size (0 = entry-count bound only)")
 

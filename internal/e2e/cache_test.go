@@ -2,7 +2,7 @@ package e2e
 
 // Result-cache golden suite: the three Figure-1 workflows (on-the-fly
 // OBDA, materialized Strabon, federated) each run a repeated workload
-// through the plan-keyed result cache with exact rescache_* counter
+// through the text-keyed result cache with exact rescache_* counter
 // deltas — one miss then N hits with zero upstream work at steady
 // state — plus the invalidation-after-ingest cycle (hit → ingest →
 // miss → hit). The federated stage proves the ROADMAP steady-state

@@ -351,7 +351,7 @@ func runChaos(t *testing.T, schedule []chaosStep) {
 	}
 }
 
-// cachedHandler serves src behind a plan-keyed result cache.
+// cachedHandler serves src behind a text-keyed result cache.
 func cachedHandler(src sparql.Source, reg *telemetry.Registry) http.Handler {
 	cache := rescache.New(256, 0)
 	cache.Metrics = reg

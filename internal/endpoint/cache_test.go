@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,11 +73,15 @@ ex:b ex:name "Beta" .
 		t.Fatalf("cached body differs from fresh body:\n%s\nvs\n%s", body2, body1)
 	}
 
-	// A semantically identical query with renamed variables also hits.
-	status, hdr, _ = get(t, srv.URL,
+	// The same query with renamed variables is another text: it misses
+	// and is answered under its own column name.
+	status, hdr, renamed := get(t, srv.URL,
 		`PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?y ex:name ?x }`)
-	if status != http.StatusOK || hdr.Get("X-Applab-Cache") != "hit" {
-		t.Fatalf("renamed query: status=%d cache=%q, want 200/hit", status, hdr.Get("X-Applab-Cache"))
+	if status != http.StatusOK || hdr.Get("X-Applab-Cache") != "miss" {
+		t.Fatalf("renamed query: status=%d cache=%q, want 200/miss", status, hdr.Get("X-Applab-Cache"))
+	}
+	if want := strings.ReplaceAll(body1, `"n"`, `"x"`); renamed != want {
+		t.Fatalf("renamed answer:\n%s\nwant\n%s", renamed, want)
 	}
 
 	st.Add(rdf.NewTriple(rdf.NewIRI("http://ex.org/c"),
@@ -93,17 +98,17 @@ ex:b ex:name "Beta" .
 		t.Fatalf("refreshed entry did not hit: cache=%q", hdr.Get("X-Applab-Cache"))
 	}
 
-	if hits := reg.Counter("rescache_hits_total").Value(); hits != 3 {
-		t.Errorf("rescache_hits_total = %d, want 3", hits)
+	if hits := reg.Counter("rescache_hits_total").Value(); hits != 2 {
+		t.Errorf("rescache_hits_total = %d, want 2", hits)
 	}
-	if misses := reg.Counter("rescache_misses_total").Value(); misses != 1 {
-		t.Errorf("rescache_misses_total = %d, want 1", misses)
+	if misses := reg.Counter("rescache_misses_total").Value(); misses != 2 {
+		t.Errorf("rescache_misses_total = %d, want 2", misses)
 	}
 	if stale := reg.Counter("rescache_stale_total").Value(); stale != 1 {
 		t.Errorf("rescache_stale_total = %d, want 1 (the invalidated entry)", stale)
 	}
-	if fills := reg.Counter("rescache_fills_total").Value(); fills != 2 {
-		t.Errorf("rescache_fills_total = %d, want 2", fills)
+	if fills := reg.Counter("rescache_fills_total").Value(); fills != 3 {
+		t.Errorf("rescache_fills_total = %d, want 3", fills)
 	}
 }
 

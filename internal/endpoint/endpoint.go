@@ -8,6 +8,7 @@ package endpoint
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -59,7 +60,7 @@ type Options struct {
 	// After is the budget-deadline clock hook (time.After when nil);
 	// tests drive it from a faults.Clock.
 	After func(time.Duration) <-chan time.Time
-	// Cache, when set, is the plan-keyed result cache consulted between
+	// Cache, when set, is the text-keyed result cache consulted between
 	// parse and eval. Responses carry X-Applab-Cache: hit|miss|stale;
 	// shed requests may be answered from an invalidated entry (stale)
 	// before falling back to the Degraded source.
@@ -85,6 +86,14 @@ type PartialEvaluator interface {
 // skip the refresh, which is what makes a hit completely free.
 type Refresher interface{ Invalidate() }
 
+// maxQueryBytes bounds a POSTed query body. It matches
+// http.DefaultMaxHeaderBytes, which already bounds a GET ?query=.
+const maxQueryBytes = 1 << 20
+
+// maxErrorBodyBytes bounds how much of a member's non-200 body an error
+// message quotes.
+const maxErrorBodyBytes = 512
+
 // NewHandlerOpts is NewHandler with overload protection: an admission
 // controller in front of evaluation, a per-query budget threaded into
 // sparql.EvalContext, structured JSON errors for shed/evicted/over-
@@ -92,7 +101,7 @@ type Refresher interface{ Invalidate() }
 // requests that would otherwise be shed.
 func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) http.Handler {
 	requests := reg.Counter("endpoint_requests_total")
-	errors := reg.Counter("endpoint_errors_total")
+	failed := reg.Counter("endpoint_errors_total")
 	degraded := reg.Counter("endpoint_degraded_total")
 	partialCount := reg.Counter("endpoint_partial_total")
 	stageSeconds := func(stage string) *telemetry.Histogram {
@@ -105,11 +114,23 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 		requests.Inc()
 		q := r.URL.Query().Get("query")
 		if q == "" && r.Method == http.MethodPost {
-			body, _ := io.ReadAll(r.Body)
+			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBytes))
+			if err != nil {
+				// A cut-off or oversized body is never evaluated: its
+				// prefix could be another valid query.
+				failed.Inc()
+				status := http.StatusBadRequest
+				var tooBig *http.MaxBytesError
+				if errors.As(err, &tooBig) {
+					status = http.StatusRequestEntityTooLarge
+				}
+				http.Error(w, "endpoint: reading query body: "+err.Error(), status)
+				return
+			}
 			q = string(body)
 		}
 		if q == "" {
-			errors.Inc()
+			failed.Inc()
 			http.Error(w, "endpoint: missing query parameter", http.StatusBadRequest)
 			return
 		}
@@ -138,7 +159,7 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 						return
 					}
 				}
-				errors.Inc()
+				failed.Inc()
 				writeOverload(w, aerr)
 				return
 			}
@@ -165,7 +186,7 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 		sp.End(now)
 		parseSec.ObserveDuration(sp.Duration())
 		if err != nil {
-			errors.Inc()
+			failed.Inc()
 			tr.End(reg, now)
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -209,7 +230,7 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 		sp.End(now)
 		evalSec.ObserveDuration(sp.Duration())
 		if err != nil {
-			errors.Inc()
+			failed.Inc()
 			tr.End(reg, now)
 			if be, ok := admission.AsBudgetError(err); ok {
 				writeBudgetError(w, be)
@@ -400,7 +421,7 @@ func (r *RemoteSource) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rd
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBodyBytes))
 		return nil, fmt.Errorf("endpoint: query %s: %s: %s", r.URL, resp.Status, body)
 	}
 	var doc struct {
@@ -445,7 +466,7 @@ func (r *RemoteSource) Probe() error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBodyBytes))
 		return fmt.Errorf("endpoint: probe %s: %s: %s", r.URL, resp.Status, body)
 	}
 	return nil

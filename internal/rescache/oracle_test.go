@@ -33,8 +33,8 @@ import (
 
 var oracleQueries = []string{
 	fmt.Sprintf(`SELECT ?s ?v WHERE { ?s <%slai> ?v }`, rdf.NSLAI),
-	// Renamed variables: same plan key as the query above, so hits
-	// exercise the column-remapping path.
+	// Renamed variables: another text than the query above, so it keeps
+	// an entry of its own and never borrows that query's answer.
 	fmt.Sprintf(`SELECT ?a ?b WHERE { ?a <%slai> ?b }`, rdf.NSLAI),
 	`SELECT ?s ?g WHERE { ?s geo:hasGeometry ?g }`,
 	fmt.Sprintf(`SELECT ?s WHERE { ?s <%s> <%sPark> }`, rdf.RDFType, rdf.NSOSM),

@@ -1,12 +1,18 @@
-// Package rescache is a query-result cache keyed by the canonicalized
-// compiled plan (internal/sparql PlanKey) combined with a source
-// fingerprint. Entries are validated against the source's data epoch —
-// a monotonic counter the source bumps on every mutation — so ingest
-// invalidates cached answers without any explicit hook call. Sources
-// that expose no epoch fall back to a TTL bound.
+// Package rescache is a query-result cache keyed by a source fingerprint
+// and the exact query text the parser read (sparql.Query.Text). Map
+// clients repeat byte-identical queries, so the text is identity enough;
+// two spellings of one query get two entries. Entries are validated
+// against the source's data epoch — a monotonic counter the source bumps
+// on every mutation — so ingest invalidates cached answers without any
+// explicit hook call. Sources that expose no epoch fall back to a TTL
+// bound.
 //
 // Correctness contract:
 //
+//   - A hit returns exactly what a fresh evaluation of the same text
+//     would return at that epoch: the same rows in the same order.
+//   - Queries built in code (empty Text) and sources without a
+//     Fingerprinter bypass the cache.
 //   - For an Epocher source the epoch is read BEFORE evaluation and
 //     stored with the entry. If a write lands mid-evaluation the stored
 //     epoch is already behind, so the entry can never validate — torn
@@ -90,9 +96,11 @@ func NextFingerprint(prefix string) string {
 	return prefix + "-" + strconv.FormatUint(instanceSeq.Add(1), 10)
 }
 
+// key identifies an entry: the source instance and the query text.
+type key struct{ fp, text string }
+
 type entry struct {
 	res      *sparql.Results
-	varMap   map[string]string // original var -> canonical slot, from fill-time query
 	epoch    uint64
 	hasEpoch bool
 	filledAt time.Time
@@ -104,8 +112,7 @@ type entry struct {
 // (from a Bypass) is a no-op.
 type Fill struct {
 	c     *Cache
-	key   string
-	vm    map[string]string
+	key   key
 	src   sparql.Source
 	epoch uint64 // pre-read epoch (ignored for EvalEpocher sources)
 	has   bool
@@ -126,7 +133,7 @@ type Cache struct {
 	Metrics *telemetry.Registry
 
 	mu       sync.Mutex
-	entries  map[string]*entry
+	entries  map[key]*entry
 	lru      *list.List // front = most recent; values are keys
 	maxBytes int64
 	bytes    int64
@@ -143,7 +150,7 @@ func New(capacity int, ttl time.Duration) *Cache {
 		capacity: capacity,
 		ttl:      ttl,
 		Now:      time.Now,
-		entries:  make(map[string]*entry),
+		entries:  make(map[key]*entry),
 		lru:      list.New(),
 	}
 }
@@ -197,7 +204,7 @@ func (c *Cache) evictLocked() {
 		if back == nil {
 			break
 		}
-		k := back.Value.(string)
+		k := back.Value.(key)
 		c.lru.Remove(back)
 		c.bytes -= c.entries[k].cost
 		delete(c.entries, k)
@@ -231,34 +238,32 @@ func EncodedSize(res *sparql.Results) int64 {
 	return n
 }
 
-// key derives the cache key for a query against a source, or "" when
-// the pair is not cacheable (no fingerprint — identity unknown).
-func (c *Cache) key(q *sparql.Query, src sparql.Source) (string, map[string]string) {
-	fp, ok := src.(Fingerprinter)
-	if !ok {
-		return "", nil
+// keyOf derives the cache key for a query against a source; ok is false
+// when the pair is not cacheable (no text, or no fingerprint — identity
+// unknown).
+func keyOf(q *sparql.Query, src sparql.Source) (k key, ok bool) {
+	fp, isFP := src.(Fingerprinter)
+	if !isFP || q.Text == "" {
+		return key{}, false
 	}
-	cp := q.PlanKey()
-	return fp.Fingerprint() + "\x00" + cp.Key, cp.VarMap
+	return key{fp: fp.Fingerprint(), text: q.Text}, true
 }
 
 // Lookup checks for a cached answer to q over src. On Hit the returned
-// results are ready to serve (column names remapped to q's variable
-// spelling). On Miss/Stale/Bypass the caller evaluates and, for
-// Miss/Stale, calls Fill.Store with the fresh result.
+// results are ready to serve. On Miss/Stale/Bypass the caller evaluates
+// and, for Miss/Stale, calls Fill.Store with the fresh result.
 func (c *Cache) Lookup(q *sparql.Query, src sparql.Source) (*sparql.Results, Fill, Status) {
 	if c == nil {
 		return nil, Fill{}, Bypass
 	}
-	key, vm := c.key(q, src)
-	if key == "" {
+	k, ok := keyOf(q, src)
+	if !ok {
 		c.noteBypass()
 		return nil, Fill{}, Bypass
 	}
 
-	fill := Fill{c: c, key: key, vm: vm, src: src}
-	if ee, ok := src.(EvalEpocher); ok {
-		_ = ee
+	fill := Fill{c: c, key: k, src: src}
+	if _, ok := src.(EvalEpocher); ok {
 		fill.eval = true
 	} else if ep, ok := src.(Epocher); ok {
 		fill.epoch = ep.DataEpoch()
@@ -266,31 +271,22 @@ func (c *Cache) Lookup(q *sparql.Query, src sparql.Source) (*sparql.Results, Fil
 	}
 
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	e, ok := c.entries[k]
 	if !ok {
 		c.mu.Unlock()
 		c.noteMiss()
 		return nil, fill, Miss
 	}
-	valid := c.validLocked(e, src)
-	if !valid {
+	if !c.validLocked(e, src) {
 		c.mu.Unlock()
 		c.noteStale()
 		return nil, fill, Stale
 	}
 	c.lru.MoveToFront(e.elem)
-	res, evm := e.res, e.varMap
+	res := e.res
 	c.mu.Unlock()
-
-	out := remap(res, evm, vm, q)
-	if out == nil {
-		// Slot structure mismatch should be impossible for equal keys;
-		// degrade to a miss rather than serve a wrong shape.
-		c.noteMiss()
-		return nil, fill, Miss
-	}
 	c.noteHit()
-	return out, fill, Hit
+	return res, fill, Hit
 }
 
 // LookupStale returns a cached entry even if its epoch is behind or its
@@ -300,25 +296,21 @@ func (c *Cache) LookupStale(q *sparql.Query, src sparql.Source) (*sparql.Results
 	if c == nil {
 		return nil, false
 	}
-	key, vm := c.key(q, src)
-	if key == "" {
+	k, ok := keyOf(q, src)
+	if !ok {
 		return nil, false
 	}
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	e, ok := c.entries[k]
 	if !ok {
 		c.mu.Unlock()
 		return nil, false
 	}
 	c.lru.MoveToFront(e.elem)
-	res, evm := e.res, e.varMap
+	res := e.res
 	c.mu.Unlock()
-	out := remap(res, evm, vm, q)
-	if out == nil {
-		return nil, false
-	}
 	c.noteStaleServed()
-	return out, true
+	return res, true
 }
 
 // validLocked reports whether e is still serveable as fresh.
@@ -347,7 +339,7 @@ func (f Fill) Store(res *sparql.Results) {
 	if f.c == nil || res == nil {
 		return
 	}
-	e := &entry{res: res, varMap: f.vm, epoch: f.epoch, hasEpoch: f.has, filledAt: f.c.Now(), cost: EncodedSize(res)}
+	e := &entry{res: res, epoch: f.epoch, hasEpoch: f.has, filledAt: f.c.Now(), cost: EncodedSize(res)}
 	if f.eval {
 		if ep, ok := f.src.(Epocher); ok {
 			e.epoch = ep.DataEpoch()
@@ -388,72 +380,10 @@ func (c *Cache) Purge() {
 		return
 	}
 	c.mu.Lock()
-	c.entries = make(map[string]*entry)
+	c.entries = make(map[key]*entry)
 	c.lru.Init()
 	c.bytes = 0
 	c.mu.Unlock()
 	c.setEntries(0)
 	c.setBytes(0)
-}
-
-// remap rebuilds a cached result under the variable spelling of the
-// querying (lookup-side) query. entryVM maps fill-time names to slots;
-// lookupVM maps lookup-time names to the same slots. Returns nil if the
-// slot sets don't line up (defensive; equal keys imply equal slots).
-func remap(res *sparql.Results, entryVM, lookupVM map[string]string, q *sparql.Query) *sparql.Results {
-	if res == nil {
-		return nil
-	}
-	// ASK / CONSTRUCT results carry no variable columns.
-	if res.Graph != nil || len(res.Vars) == 0 && len(res.Bindings) == 0 {
-		return res
-	}
-	// Fast path: identical spelling end to end → share the entry.
-	same := len(entryVM) == len(lookupVM)
-	if same {
-		for name, slot := range entryVM {
-			if lookupVM[name] != slot {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		return res
-	}
-	// slot -> lookup-side name
-	fromSlot := make(map[string]string, len(lookupVM))
-	for name, slot := range lookupVM {
-		fromSlot[slot] = name
-	}
-	trans := make(map[string]string, len(entryVM)) // entry name -> lookup name
-	for name, slot := range entryVM {
-		ln, ok := fromSlot[slot]
-		if !ok {
-			return nil
-		}
-		trans[name] = ln
-	}
-	out := &sparql.Results{Bool: res.Bool, Graph: res.Graph}
-	out.Vars = make([]string, len(res.Vars))
-	for i, v := range res.Vars {
-		ln, ok := trans[v]
-		if !ok {
-			return nil
-		}
-		out.Vars[i] = ln
-	}
-	out.Bindings = make([]sparql.Binding, len(res.Bindings))
-	for i, b := range res.Bindings {
-		nb := make(sparql.Binding, len(b))
-		for v, t := range b {
-			ln, ok := trans[v]
-			if !ok {
-				return nil
-			}
-			nb[ln] = t
-		}
-		out.Bindings[i] = nb
-	}
-	return out
 }

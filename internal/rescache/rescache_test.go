@@ -3,6 +3,7 @@ package rescache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -123,7 +124,19 @@ func TestCacheMissHitInvalidate(t *testing.T) {
 	}
 }
 
-func TestCacheRenamedQueryHits(t *testing.T) {
+// sameAnswer fails unless got and want carry the same columns and the
+// same rows in the same order.
+func sameAnswer(t *testing.T, got, want *sparql.Results) {
+	t.Helper()
+	if g, w := fmt.Sprintf("%v %v %+v", got.Bool, got.Vars, got.Bindings),
+		fmt.Sprintf("%v %v %+v", want.Bool, want.Vars, want.Bindings); g != w {
+		t.Fatalf("cached != fresh:\n  %s\n  %s", g, w)
+	}
+}
+
+// TestCacheRenamedQueryMisses: a respelling of a cached query is another
+// text, so it misses and is answered by its own evaluation.
+func TestCacheRenamedQueryMisses(t *testing.T) {
 	src := newMemSource()
 	src.Add(triple("http://ex/a", "http://ex/p", "1"))
 	c := New(16, 0)
@@ -131,25 +144,99 @@ func TestCacheRenamedQueryHits(t *testing.T) {
 	if _, st := evalThrough(t, c, src, qBase); st != Miss {
 		t.Fatalf("expected miss")
 	}
-	// Same shape, different variable names: must hit, with remapped columns.
-	q2 := parseQ(t, `SELECT ?subj ?val WHERE { ?subj <http://ex/p> ?val }`)
-	got, _, st := c.Lookup(q2, src)
-	if st != Hit {
-		t.Fatalf("renamed lookup: got %v, want Hit", st)
+	renamed := `SELECT ?subj ?val WHERE { ?subj <http://ex/p> ?val }`
+	got, st := evalThrough(t, c, src, renamed)
+	if st != Miss {
+		t.Fatalf("renamed lookup: got %v, want Miss", st)
 	}
-	if len(got.Vars) != 2 || got.Vars[0] != "subj" || got.Vars[1] != "val" {
-		t.Fatalf("columns not remapped: %v", got.Vars)
-	}
-	if got.Bindings[0]["subj"].Value != "http://ex/a" || got.Bindings[0]["val"].Value != "1" {
-		t.Fatalf("row not remapped: %+v", got.Bindings[0])
-	}
-	// Fresh eval must agree exactly.
-	want, err := q2.Eval(src)
+	want, err := parseQ(t, renamed).Eval(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprintf("%+v", want.Bindings) != fmt.Sprintf("%+v", got.Bindings) {
-		t.Fatalf("cached != fresh:\n  %+v\n  %+v", got.Bindings, want.Bindings)
+	sameAnswer(t, got, want)
+	if c.Len() != 2 {
+		t.Fatalf("two spellings share an entry: %d resident", c.Len())
+	}
+}
+
+// TestCachedAnswerIsFreshAnswer: two texts that differ only in pattern
+// order are different queries to a stats-less planner, which joins in
+// text order. With LIMIT 1 they pick different rows, and the cache must
+// serve each text its own answer, order-exactly.
+func TestCachedAnswerIsFreshAnswer(t *testing.T) {
+	src := newMemSource()
+	src.Add(rdf.Triple{S: rdf.NewIRI("http://ex/s1"), P: rdf.NewIRI("http://ex/p"), O: rdf.NewLiteral("1")})
+	src.Add(rdf.Triple{S: rdf.NewIRI("http://ex/s2"), P: rdf.NewIRI("http://ex/p"), O: rdf.NewLiteral("2")})
+	src.Add(rdf.Triple{S: rdf.NewIRI("http://ex/s2"), P: rdf.NewIRI("http://ex/q"), O: rdf.NewLiteral("3")})
+	src.Add(rdf.Triple{S: rdf.NewIRI("http://ex/s1"), P: rdf.NewIRI("http://ex/q"), O: rdf.NewLiteral("4")})
+	c := New(16, 0)
+
+	a := `SELECT ?s WHERE { ?s <http://ex/p> ?o . ?s <http://ex/q> ?v } LIMIT 1`
+	b := `SELECT ?s WHERE { ?s <http://ex/q> ?v . ?s <http://ex/p> ?o } LIMIT 1`
+	resA, st := evalThrough(t, c, src, a)
+	if st != Miss {
+		t.Fatalf("A: got %v, want Miss", st)
+	}
+	qb := parseQ(t, b)
+	if res, _, st := c.Lookup(qb, src); st != Miss {
+		t.Fatalf("B: got %v (%+v), want Miss", st, res)
+	}
+	got, _ := evalThrough(t, c, src, b)
+	cached, _, st := c.Lookup(qb, src)
+	if st != Hit || cached != got {
+		t.Fatalf("B after fill: got %v, want a Hit on the stored answer", st)
+	}
+	want, err := qb.Eval(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswer(t, cached, want)
+	if fmt.Sprint(resA.Bindings) == fmt.Sprint(want.Bindings) {
+		t.Fatalf("premise: A and B both answer %v", want.Bindings)
+	}
+}
+
+// constSource has a constant fingerprint and epoch: a hit on it costs
+// only the cache's own work.
+type constSource struct{ *memSource }
+
+func (constSource) Fingerprint() string { return "const" }
+func (constSource) DataEpoch() uint64   { return 1 }
+
+// TestLookupHitAllocations pins the cost of a hit on a Listing-3-shaped
+// query (four patterns and a WKT FILTER constant): the key is the text
+// the parser kept, so a hit builds nothing.
+func TestLookupHitAllocations(t *testing.T) {
+	src := constSource{newMemSource()}
+	c := New(16, 0)
+	q := parseQ(t, `PREFIX lai: <http://ex/lai#>
+SELECT DISTINCT ?s ?wkt ?lai WHERE {
+  ?s <http://www.w3.org/2006/time#hasTime> "2018-06-01T00:00:00Z"^^<http://www.w3.org/2001/XMLSchema#dateTime> .
+  ?s lai:lai ?lai .
+  ?s geo:hasGeometry ?g .
+  ?g geo:asWKT ?wkt .
+  FILTER(geof:sfWithin(?wkt, "POLYGON ((7.6 45.0, 7.7 45.0, 7.7 45.1, 7.6 45.1, 7.6 45.0))"^^geo:wktLiteral))
+}`)
+	_, fill, st := c.Lookup(q, src)
+	if st != Miss {
+		t.Fatalf("setup: got %v, want Miss", st)
+	}
+	fill.Store(&sparql.Results{Vars: []string{"s", "wkt", "lai"}})
+
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, _, st := c.Lookup(q, src); st != Hit {
+			t.Fatalf("lookup %d: got %v, want Hit", i, st)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("%d B, %.2f allocs per hit", bytes, allocs)
+	if allocs > 1 || bytes > 64 {
+		t.Fatalf("a hit costs %d B and %.2f allocs; ceiling is 64 B and 1 alloc", bytes, allocs)
 	}
 }
 
@@ -284,11 +371,9 @@ func TestCacheLookupStale(t *testing.T) {
 	if !ok || len(got.Bindings) != 1 {
 		t.Fatalf("stale serve failed: ok=%v", ok)
 	}
-	// Renamed query also stale-serves with remapping.
-	q2 := parseQ(t, `SELECT ?x ?y WHERE { ?x <http://ex/p> ?y }`)
-	got, ok = c.LookupStale(q2, src)
-	if !ok || got.Vars[0] != "x" {
-		t.Fatalf("stale remap failed: ok=%v vars=%v", ok, got.Vars)
+	// A renamed query is another text: no stale entry to serve.
+	if _, ok := c.LookupStale(parseQ(t, `SELECT ?x ?y WHERE { ?x <http://ex/p> ?y }`), src); ok {
+		t.Fatalf("stale serve crossed texts")
 	}
 	// Unknown query: no stale entry.
 	if _, ok := c.LookupStale(parseQ(t, `ASK { ?s <http://ex/p> ?o }`), src); ok {
@@ -328,6 +413,10 @@ func TestCacheBypassWithoutFingerprint(t *testing.T) {
 	}
 	if _, ok := c.LookupStale(parseQ(t, qBase), bare); ok {
 		t.Fatalf("stale lookup must bypass too")
+	}
+	// A query built in code has no text to key on.
+	if _, _, st := c.Lookup(&sparql.Query{Limit: -1}, newMemSource()); st != Bypass {
+		t.Fatalf("textless query must bypass")
 	}
 }
 

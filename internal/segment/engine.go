@@ -549,9 +549,9 @@ func (e *Engine) mergeRuns() ([]byte, error) {
 		u := used[h.run]
 		u[h.row.s], u[h.row.p], u[h.row.o] = true, true, true
 	}
-	terms, remap := mergeDicts(dicts, used)
+	terms, newID := mergeDicts(dicts, used)
 	for i := range rows {
-		r, ids := &rows[i], remap[from[i]]
+		r, ids := &rows[i], newID[from[i]]
 		r.s, r.p, r.o = ids[r.s], ids[r.p], ids[r.o]
 	}
 	return encodeRows(terms, rows), nil
@@ -561,7 +561,7 @@ func (e *Engine) mergeRuns() ([]byte, error) {
 // dictionaries into one, returning it with each dictionary's old-to-new
 // id table.
 func mergeDicts(dicts [][]rdf.Term, used [][]bool) ([]rdf.Term, [][]uint32) {
-	remap := make([][]uint32, len(dicts))
+	newID := make([][]uint32, len(dicts))
 	pos := make([]int, len(dicts))
 	skip := func(d int) {
 		for pos[d] < len(dicts[d]) && !used[d][pos[d]] {
@@ -569,7 +569,7 @@ func mergeDicts(dicts [][]rdf.Term, used [][]bool) ([]rdf.Term, [][]uint32) {
 		}
 	}
 	for d := range dicts {
-		remap[d] = make([]uint32, len(dicts[d]))
+		newID[d] = make([]uint32, len(dicts[d]))
 		skip(d)
 	}
 	var terms []rdf.Term
@@ -581,12 +581,12 @@ func mergeDicts(dicts [][]rdf.Term, used [][]bool) ([]rdf.Term, [][]uint32) {
 			}
 		}
 		if least < 0 {
-			return terms, remap
+			return terms, newID
 		}
 		t := dicts[least][pos[least]]
 		for d := range dicts {
 			if pos[d] < len(dicts[d]) && dicts[d][pos[d]].Equal(t) {
-				remap[d][pos[d]] = uint32(len(terms))
+				newID[d][pos[d]] = uint32(len(terms))
 				pos[d]++
 				skip(d)
 			}

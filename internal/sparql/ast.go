@@ -38,6 +38,9 @@ type Query struct {
 	Limit    int // -1 when absent
 	Offset   int
 	Prefixes *rdf.Prefixes
+	// Text is the source Parse read the query from; empty for queries
+	// built in code. The result cache keys on it.
+	Text string
 }
 
 // Projection is one SELECT item: a plain variable or an expression with an

@@ -21,6 +21,7 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
+	q.Text = src
 	return q, nil
 }
 
