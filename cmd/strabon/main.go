@@ -70,7 +70,7 @@ func (c *config) flags() *flag.FlagSet {
 	fs.StringVar(&c.federate, "federate", "", "comma-separated remote SPARQL endpoints to federate with")
 
 	fs.StringVar(&c.dataDir, "data-dir", "", "directory for the disk-backed segment store (empty = in-memory); boots from segment footers, no dataset replay")
-	fs.IntVar(&c.flushEvery, "flush-every", 0, "memtable triples per segment flush (0 = engine default, <0 disables auto-flush)")
+	fs.IntVar(&c.flushEvery, "flush-every", 0, "memtable triples plus tombstones per segment flush (0 = engine default, <0 disables auto-flush)")
 	fs.IntVar(&c.compactAt, "compact-at", 0, "segment count that triggers compaction (0 = engine default, <0 disables)")
 
 	fs.DurationVar(&c.memberTimeout, "member-timeout", 0, "per-member deadline for federated pattern fan-outs (0 waits forever)")

@@ -112,6 +112,15 @@ func appendTerm(b []byte, t rdf.Term) []byte {
 	return b
 }
 
+// termSize is len(appendTerm(nil, t)).
+func termSize(t rdf.Term) int {
+	n := 1 + 4 + len(t.Value)
+	if t.Kind == rdf.KindLiteral {
+		n += 4 + len(t.Datatype) + 4 + len(t.Lang)
+	}
+	return n
+}
+
 // term decodes a term, sharing the strings of like (the term at the
 // same position of the previous triple) wherever the bytes are equal.
 func (c *cursor) term(like *rdf.Term) (rdf.Term, error) {

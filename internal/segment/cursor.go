@@ -41,7 +41,8 @@ func validTimeOf(t *rdf.Triple) validTime {
 	return validTime{t.ValidFrom.UnixNano(), t.ValidTo.UnixNano(), rowHasVT}
 }
 
-// compare orders valid times the way rowLess orders them inside a run.
+// compare orders valid times the way compareRows orders a run's rows,
+// ignoring the tombstone bit.
 func (a validTime) compare(b validTime) int {
 	if c := cmp.Compare(a.vf, b.vf); c != 0 {
 		return c

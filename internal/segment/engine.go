@@ -36,8 +36,9 @@ import (
 
 // Options tune an engine opened with Open. The zero value is usable.
 type Options struct {
-	// FlushEvery is the memtable triple count that triggers a flush to
-	// a new run (default 8192; negative disables auto-flush).
+	// FlushEvery is the memtable size — live triples plus tombstones —
+	// that triggers a flush to a new run (default 8192; negative
+	// disables auto-flush).
 	FlushEvery int
 	// CompactAt is the run count that triggers compaction (default 4;
 	// negative disables).
@@ -136,6 +137,12 @@ type Stats struct {
 	WALReplayed     int
 	WALDiscarded    int64
 	ReadErrors      uint64
+	// FlushTime and CompactTime are the cumulative wall time spent
+	// writing runs under the write lock: encoding, writing, fsyncing
+	// and committing a flush (its compaction excluded), and likewise a
+	// compaction.
+	FlushTime   time.Duration
+	CompactTime time.Duration
 }
 
 // Engine is the storage engine. Safe for concurrent use: mutations and
@@ -386,7 +393,7 @@ func (e *Engine) apply(op byte, ts []rdf.Triple) (bool, error) {
 			changed = true
 		}
 	}
-	if e.dir != "" && e.opts.flushEvery() > 0 && e.mem.g.Len() >= e.opts.flushEvery() {
+	if e.dir != "" && e.opts.flushEvery() > 0 && e.mem.g.Len()+e.mem.tombstones() >= e.opts.flushEvery() {
 		if err := e.flushLocked(); err != nil {
 			return changed, err
 		}
@@ -409,7 +416,8 @@ func (e *Engine) flushLocked() error {
 	if e.mem.empty() {
 		return nil
 	}
-	// encodeRun sorts the rows, so the run's bytes do not depend on the
+	start := time.Now()
+	// encodeRun orders the rows, so the run's bytes do not depend on the
 	// order the memtable hands them over in.
 	img, err := encodeRun(e.mem.g.Triples(), e.mem.tombs.Triples())
 	if err != nil {
@@ -425,6 +433,7 @@ func (e *Engine) flushLocked() error {
 		return fmt.Errorf("segment: WAL reset after flush: %w", err)
 	}
 	e.stats.Flushes++
+	e.stats.FlushTime += time.Since(start)
 	if e.opts.CompactEvery == 0 && e.opts.compactAt() > 0 && len(e.segs) >= e.opts.compactAt() {
 		return e.compactLocked()
 	}
@@ -495,6 +504,7 @@ func (e *Engine) compactLocked() error {
 	if len(e.segs) < 2 {
 		return nil
 	}
+	start := time.Now()
 	img, err := e.mergeRuns()
 	if err != nil {
 		return err
@@ -516,6 +526,7 @@ func (e *Engine) compactLocked() error {
 		_ = os.Remove(s.path) // best-effort; orphans are collected on open
 	}
 	e.stats.Compactions++
+	e.stats.CompactTime += time.Since(start)
 	return nil
 }
 
@@ -572,7 +583,11 @@ func mergeDicts(dicts [][]rdf.Term, used [][]bool) ([]rdf.Term, [][]uint32) {
 		newID[d] = make([]uint32, len(dicts[d]))
 		skip(d)
 	}
-	var terms []rdf.Term
+	n := 0
+	for _, d := range dicts {
+		n += len(d)
+	}
+	terms := make([]rdf.Term, 0, n)
 	for {
 		least := -1
 		for d := range dicts {

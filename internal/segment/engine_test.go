@@ -243,6 +243,28 @@ func TestAutoFlushThreshold(t *testing.T) {
 	}
 }
 
+// TestTombstonesCountTowardFlush: a delete-heavy stream fills the
+// memtable with tombstones, and they count toward FlushEvery like live
+// triples — otherwise the tombstone graph and the WAL grow without bound
+// and a reopen replays all of it.
+func TestTombstonesCountTowardFlush(t *testing.T) {
+	dir := t.TempDir()
+	e := mustOpen(t, dir, Options{FlushEvery: 64, CompactAt: -1})
+	defer e.Close()
+	for i := 0; i < 704; i++ {
+		if _, err := e.Delete(tri("gone"+strconv.Itoa(i), "p", "o")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.Stats()
+	if st.Flushes != 11 || st.Segments != 11 {
+		t.Fatalf("704 deletes at FlushEvery 64: %d flushes, %d runs; want 11 of each", st.Flushes, st.Segments)
+	}
+	if st.Tombstones != 704 || st.WALBytes != int64(len(walMagic)) {
+		t.Fatalf("after the last flush: %d tombstones, %d WAL bytes; want 704 in runs and an empty WAL", st.Tombstones, st.WALBytes)
+	}
+}
+
 // TestNewestWins: a triple re-added after deletion, across runs, is
 // resolved newest-first.
 func TestNewestWins(t *testing.T) {
@@ -339,6 +361,9 @@ func TestStatsAndMetrics(t *testing.T) {
 	if st.WALRecords != 2 || st.WALFsyncs < 2 {
 		t.Fatalf("WAL counters off: %+v", st)
 	}
+	if st.FlushTime <= 0 || st.CompactTime != 0 {
+		t.Fatalf("write-stall timers off after one flush and no compaction: %+v", st)
+	}
 
 	reg := telemetry.NewRegistry()
 	RegisterMetrics(reg, e)
@@ -347,6 +372,7 @@ func TestStatsAndMetrics(t *testing.T) {
 		"segment_segments", "segment_bytes", "segment_memtable_triples",
 		"segment_wal_records_total", "segment_wal_fsyncs_total",
 		"segment_flushes_total", "segment_compactions_total",
+		"segment_flush_seconds_total", "segment_compaction_seconds_total",
 	} {
 		if _, ok := snap.Gauges[name]; !ok {
 			t.Errorf("metric %s not registered", name)

@@ -16,6 +16,8 @@ func RegisterMetrics(reg *telemetry.Registry, e *Engine) {
 	reg.GaugeFunc("segment_wal_bytes", func() float64 { return float64(e.Stats().WALBytes) })
 	reg.GaugeFunc("segment_flushes_total", func() float64 { return float64(e.Stats().Flushes) })
 	reg.GaugeFunc("segment_compactions_total", func() float64 { return float64(e.Stats().Compactions) })
+	reg.GaugeFunc("segment_flush_seconds_total", func() float64 { return e.Stats().FlushTime.Seconds() })
+	reg.GaugeFunc("segment_compaction_seconds_total", func() float64 { return e.Stats().CompactTime.Seconds() })
 	reg.GaugeFunc("segment_wal_records_total", func() float64 { return float64(e.Stats().WALRecords) })
 	reg.GaugeFunc("segment_wal_fsyncs_total", func() float64 { return float64(e.Stats().WALFsyncs) })
 	reg.GaugeFunc("segment_read_errors_total", func() float64 { return float64(e.Stats().ReadErrors) })

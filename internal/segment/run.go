@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"cmp"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -54,6 +55,18 @@ type row struct {
 	s, p, o uint32
 	vf, vt  int64
 	flags   uint8
+}
+
+// at returns the term id at position pos: 0 subject, 1 predicate, 2
+// object.
+func (r *row) at(pos int) uint32 {
+	switch pos {
+	case 0:
+		return r.s
+	case 1:
+		return r.p
+	}
+	return r.o
 }
 
 // idxEntry maps a term (at one position) to a contiguous range of the
@@ -115,35 +128,39 @@ func encodeRun(adds, tombs []rdf.Triple) ([]byte, error) {
 	if n > maxTriples {
 		return nil, fmt.Errorf("segment: run of %d rows exceeds the %d cap", n, maxTriples)
 	}
-	// Dictionary: every distinct term, sorted by key.
-	termSet := map[string]rdf.Term{}
+	// Dictionary: every distinct term, sorted by Term.Compare (Key()
+	// order), so a term's id is its rank.
+	id := make(map[rdf.Term]uint32, n)
+	var terms []rdf.Term
 	collect := func(ts []rdf.Triple) {
-		for _, t := range ts {
-			termSet[t.S.Key()] = t.S
-			termSet[t.P.Key()] = t.P
-			termSet[t.O.Key()] = t.O
+		for i := range ts {
+			for _, t := range [3]rdf.Term{ts[i].S, ts[i].P, ts[i].O} {
+				if _, ok := id[t]; !ok {
+					id[t] = 0
+					terms = append(terms, t)
+				}
+			}
 		}
 	}
 	collect(adds)
 	collect(tombs)
-	keys := make([]string, 0, len(termSet))
-	for k := range termSet {
-		keys = append(keys, k)
+	slices.SortFunc(terms, rdf.Term.Compare)
+	distinct := 0
+	for _, t := range terms {
+		// Spellings of one Key() (an IRI carrying a datatype, say) share
+		// one entry.
+		if distinct == 0 || terms[distinct-1].Compare(t) != 0 {
+			terms[distinct] = t
+			distinct++
+		}
+		id[t] = uint32(distinct - 1)
 	}
-	sort.Strings(keys)
-	id := make(map[string]uint32, len(keys))
-	for i, k := range keys {
-		id[k] = uint32(i)
-	}
+	terms = terms[:distinct]
 
-	terms := make([]rdf.Term, len(keys))
-	for i, k := range keys {
-		terms[i] = termSet[k]
-	}
 	rows := make([]row, 0, n)
 	addRows := func(ts []rdf.Triple, extra uint8) {
 		for _, t := range ts {
-			r := row{s: id[t.S.Key()], p: id[t.P.Key()], o: id[t.O.Key()], flags: extra}
+			r := row{s: id[t.S], p: id[t.P], o: id[t.O], flags: extra}
 			if t.HasValidTime() {
 				r.flags |= rowHasVT
 				r.vf = t.ValidFrom.UnixNano()
@@ -158,10 +175,44 @@ func encodeRun(adds, tombs []rdf.Triple) ([]byte, error) {
 }
 
 // encodeRows serializes dictionary-encoded rows (in any order) over a
-// strictly key-sorted dictionary into a complete run image. It sorts
-// rows in place.
+// strictly key-sorted dictionary into a complete run image. It reorders
+// rows in place into (S,P,O) order.
+//
+// Ids are dense ranks (0..len(terms)-1), so every order the run stores
+// comes from stable counting passes, not comparison sorts. Passes by o,
+// then p, then s put the rows in (S,P,O) order, leaving equal (s,p,o) —
+// almost always alone — in input order, and a last pass orders each such
+// run by valid time and flags. OSP is that order counted by o, so ties
+// keep (S,P) order; POS is OSP counted by p, so ties keep (O,S) order.
+// Each pass leaves its per-term buckets in count, which are exactly the
+// index section of the order it wrote.
 func encodeRows(terms []rdf.Term, rows []row) []byte {
-	sort.Slice(rows, func(i, j int) bool { return rowLess(rows[i], rows[j], bySPO) })
+	count := make([]uint32, len(terms)+1)
+	posPerm, ospPerm := make([]uint32, len(rows)), make([]uint32, len(rows))
+	// Compaction hands over rows the merge cursor already ordered, so
+	// they are checked before they are sorted.
+	if !slices.IsSortedFunc(rows, compareRows) {
+		countSort(posPerm, nil, rows, 2, count)
+		countSort(ospPerm, posPerm, rows, 1, count)
+		countSort(posPerm, ospPerm, rows, 0, count)
+		permute(rows, posPerm)
+		for i := 0; i < len(rows); {
+			j := i + 1
+			for j < len(rows) && rows[j].s == rows[i].s && rows[j].p == rows[i].p && rows[j].o == rows[i].o {
+				j++
+			}
+			if j-i > 1 {
+				slices.SortFunc(rows[i:j], compareRows)
+			}
+			i = j
+		}
+	}
+	countSort(posPerm, nil, rows, 0, count) // the identity: this counts the S index
+	sIdx := buckets(count)
+	countSort(ospPerm, nil, rows, 2, count)
+	oIdx := buckets(count)
+	countSort(posPerm, ospPerm, rows, 1, count)
+	pIdx := buckets(count)
 	nTombs := 0
 	for _, r := range rows {
 		if r.flags&rowTombstone != 0 {
@@ -169,127 +220,152 @@ func encodeRows(terms []rdf.Term, rows []row) []byte {
 		}
 	}
 
-	perm := func(less func(a, b row) bool) []uint32 {
-		p := make([]uint32, len(rows))
-		for i := range p {
-			p[i] = uint32(i)
-		}
-		sort.Slice(p, func(i, j int) bool { return less(rows[p[i]], rows[p[j]]) })
-		return p
-	}
-	posPerm := perm(func(a, b row) bool { return rowLess(a, b, byPOS) })
-	ospPerm := perm(func(a, b row) bool { return rowLess(a, b, byOSP) })
-
-	index := func(termAt func(row) uint32, order []uint32) []idxEntry {
-		var idx []idxEntry
-		for i := 0; i < len(order); {
-			t := termAt(rows[order[i]])
-			j := i
-			for j < len(order) && termAt(rows[order[j]]) == t {
-				j++
-			}
-			idx = append(idx, idxEntry{term: t, start: uint32(i), count: uint32(j - i)})
-			i = j
-		}
-		return idx
-	}
-	rowOrder := make([]uint32, len(rows))
-	for i := range rowOrder {
-		rowOrder[i] = uint32(i)
-	}
-	sIdx := index(func(r row) uint32 { return r.s }, rowOrder)
-	pIdx := index(func(r row) uint32 { return r.p }, posPerm)
-	oIdx := index(func(r row) uint32 { return r.o }, ospPerm)
-
-	// Serialize the sections.
-	dict := make([]byte, 0, 32*len(terms))
+	// Serialize the sections straight into an image of the exact size.
+	dictLen := 0
 	for _, t := range terms {
-		dict = appendTerm(dict, t)
+		dictLen += termSize(t)
 	}
-	rowsBuf := make([]byte, 0, rowSize*len(rows))
-	for _, r := range rows {
-		rowsBuf = appendU32(rowsBuf, r.s)
-		rowsBuf = appendU32(rowsBuf, r.p)
-		rowsBuf = appendU32(rowsBuf, r.o)
-		rowsBuf = appendI64(rowsBuf, r.vf)
-		rowsBuf = appendI64(rowsBuf, r.vt)
-		rowsBuf = append(rowsBuf, r.flags)
-	}
-	permBuf := func(p []uint32) []byte {
-		b := make([]byte, 0, 4*len(p))
-		for _, v := range p {
-			b = appendU32(b, v)
-		}
-		return b
-	}
-	posBuf, ospBuf := permBuf(posPerm), permBuf(ospPerm)
-	idxBuf := func(idx []idxEntry) []byte {
-		b := make([]byte, 0, idxEntrySize*len(idx))
-		for _, e := range idx {
-			b = appendU32(b, e.term)
-			b = appendU32(b, e.start)
-			b = appendU32(b, e.count)
-		}
-		return b
-	}
-	sBuf, pBuf, oBuf := idxBuf(sIdx), idxBuf(pIdx), idxBuf(oIdx)
-
-	img := make([]byte, 0, len(runMagic)+len(dict)+len(rowsBuf)+len(posBuf)+len(ospBuf)+len(sBuf)+len(pBuf)+len(oBuf)+footerSize)
+	img := make([]byte, 0, len(runMagic)+dictLen+(rowSize+8)*len(rows)+
+		idxEntrySize*(len(sIdx)+len(pIdx)+len(oIdx))+footerSize)
 	img = append(img, runMagic...)
+	sum := func(off uint64) uint32 { return crc32.ChecksumIEEE(img[off:]) }
 	foot := runFooter{nTerms: uint32(len(terms)), nRows: uint32(len(rows)), nTombs: uint32(nTombs),
 		nS: uint32(len(sIdx)), nP: uint32(len(pIdx)), nO: uint32(len(oIdx))}
-	foot.dictOff, foot.dictLen, foot.dictCRC = uint64(len(img)), uint64(len(dict)), crc32.ChecksumIEEE(dict)
-	img = append(img, dict...)
-	foot.rowsOff, foot.rowsCRC = uint64(len(img)), crc32.ChecksumIEEE(rowsBuf)
-	img = append(img, rowsBuf...)
-	foot.posOff, foot.posCRC = uint64(len(img)), crc32.ChecksumIEEE(posBuf)
-	img = append(img, posBuf...)
-	foot.ospOff, foot.ospCRC = uint64(len(img)), crc32.ChecksumIEEE(ospBuf)
-	img = append(img, ospBuf...)
-	foot.sOff, foot.sCRC = uint64(len(img)), crc32.ChecksumIEEE(sBuf)
-	img = append(img, sBuf...)
-	foot.pOff, foot.pCRC = uint64(len(img)), crc32.ChecksumIEEE(pBuf)
-	img = append(img, pBuf...)
-	foot.oOff, foot.oCRC = uint64(len(img)), crc32.ChecksumIEEE(oBuf)
-	img = append(img, oBuf...)
-	img = append(img, encodeFooter(foot)...)
-	return img
+	foot.dictOff = uint64(len(img))
+	for _, t := range terms {
+		img = appendTerm(img, t)
+	}
+	foot.dictLen, foot.dictCRC = uint64(len(img))-foot.dictOff, sum(foot.dictOff)
+	foot.rowsOff = uint64(len(img))
+	for _, r := range rows {
+		img = appendU32(img, r.s)
+		img = appendU32(img, r.p)
+		img = appendU32(img, r.o)
+		img = appendI64(img, r.vf)
+		img = appendI64(img, r.vt)
+		img = append(img, r.flags)
+	}
+	foot.rowsCRC = sum(foot.rowsOff)
+	foot.posOff = uint64(len(img))
+	img = appendPerm(img, posPerm)
+	foot.posCRC = sum(foot.posOff)
+	foot.ospOff = uint64(len(img))
+	img = appendPerm(img, ospPerm)
+	foot.ospCRC = sum(foot.ospOff)
+	foot.sOff = uint64(len(img))
+	img = appendIdx(img, sIdx)
+	foot.sCRC = sum(foot.sOff)
+	foot.pOff = uint64(len(img))
+	img = appendIdx(img, pIdx)
+	foot.pCRC = sum(foot.pOff)
+	foot.oOff = uint64(len(img))
+	img = appendIdx(img, oIdx)
+	foot.oCRC = sum(foot.oOff)
+	return append(img, encodeFooter(foot)...)
 }
 
-type rowOrderKind int
+func appendPerm(b []byte, perm []uint32) []byte {
+	for _, v := range perm {
+		b = appendU32(b, v)
+	}
+	return b
+}
 
-const (
-	bySPO rowOrderKind = iota
-	byPOS
-	byOSP
-)
+func appendIdx(b []byte, idx []idxEntry) []byte {
+	for _, e := range idx {
+		b = appendU32(b, e.term)
+		b = appendU32(b, e.start)
+		b = appendU32(b, e.count)
+	}
+	return b
+}
 
-// key returns the row's term ids in the significance order of ord.
-func (r *row) key(ord rowOrderKind) [3]uint32 {
-	switch ord {
-	case bySPO:
-		return [3]uint32{r.s, r.p, r.o}
-	case byPOS:
-		return [3]uint32{r.p, r.o, r.s}
-	default:
-		return [3]uint32{r.o, r.s, r.p}
+// countSort writes to dst the row ids of src — 0..len(rows)-1 when src
+// is nil — stably ordered by the term id at position pos (0 subject, 1
+// predicate, 2 object). count has one slot per term plus one; on return
+// count[t] is the end in dst of term t's bucket.
+func countSort(dst, src []uint32, rows []row, pos int, count []uint32) {
+	clear(count)
+	for i := range rows {
+		count[rows[i].at(pos)+1]++
+	}
+	for t := 1; t < len(count); t++ {
+		count[t] += count[t-1]
+	}
+	place := func(i uint32) {
+		t := rows[i].at(pos)
+		dst[count[t]] = i
+		count[t]++
+	}
+	if src == nil {
+		for i := range rows {
+			place(uint32(i))
+		}
+		return
+	}
+	for _, i := range src {
+		place(i)
 	}
 }
 
-func rowLess(a, b row, ord rowOrderKind) bool {
-	ka, kb := a.key(ord), b.key(ord)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return ka[i] < kb[i]
+// buckets returns the index section of the order the last countSort
+// wrote: one entry per term that occurs, with its range of the order.
+func buckets(count []uint32) []idxEntry {
+	n, start := 0, uint32(0)
+	for _, end := range count[:len(count)-1] {
+		if end > start {
+			n++
+		}
+		start = end
+	}
+	idx := make([]idxEntry, 0, n)
+	start = 0
+	for t, end := range count[:len(count)-1] {
+		if end > start {
+			idx = append(idx, idxEntry{term: uint32(t), start: start, count: end - start})
+		}
+		start = end
+	}
+	return idx
+}
+
+// permute reorders rows in place so that rows[j] is the old
+// rows[perm[j]], following each cycle of perm once. It consumes perm.
+func permute(rows []row, perm []uint32) {
+	for i := range perm {
+		if perm[i] == uint32(i) {
+			continue
+		}
+		held, j := rows[i], i
+		for {
+			k := int(perm[j])
+			perm[j] = uint32(j)
+			if k == i {
+				rows[j] = held
+				break
+			}
+			rows[j] = rows[k]
+			j = k
 		}
 	}
-	if a.vf != b.vf {
-		return a.vf < b.vf
+}
+
+// compareRows orders rows the way a run's row section does: by (s,p,o),
+// then valid time, then flags.
+func compareRows(a, b row) int {
+	switch {
+	case a.s != b.s:
+		return cmp.Compare(a.s, b.s)
+	case a.p != b.p:
+		return cmp.Compare(a.p, b.p)
+	case a.o != b.o:
+		return cmp.Compare(a.o, b.o)
+	case a.vf != b.vf:
+		return cmp.Compare(a.vf, b.vf)
+	case a.vt != b.vt:
+		return cmp.Compare(a.vt, b.vt)
 	}
-	if a.vt != b.vt {
-		return a.vt < b.vt
-	}
-	return a.flags < b.flags
+	return cmp.Compare(a.flags, b.flags)
 }
 
 func encodeFooter(f runFooter) []byte {
@@ -505,15 +581,16 @@ func (r *Run) ensureDict() ([]rdf.Term, error) {
 	}
 	terms := make([]rdf.Term, 0, hint)
 	c := cursor{data: buf}
+	var prev rdf.Term // neighbours in key order share datatypes and language tags
 	for i := uint32(0); i < r.foot.nTerms; i++ {
-		t, err := c.term(&rdf.Term{})
+		t, err := c.term(&prev)
 		if err != nil {
 			return nil, fmt.Errorf("segment: %s: dict term %d: %w", r.path, i, err)
 		}
 		if len(terms) > 0 && terms[len(terms)-1].Compare(t) >= 0 {
 			return nil, fmt.Errorf("segment: %s: dict not strictly sorted", r.path)
 		}
-		terms = append(terms, t)
+		terms, prev = append(terms, t), t
 	}
 	if c.remaining() != 0 {
 		return nil, fmt.Errorf("segment: %s: trailing dict bytes", r.path)
@@ -749,27 +826,28 @@ func (r *Run) scan(s, p, o rdf.Term) (sc runScan, err error) {
 		sc.hi = len(sc.rows)
 		return sc, nil
 	}
-	ord := [3]rowOrderKind{bySPO, byPOS, byOSP}[first]
-	if ord != bySPO {
-		if sc.perm, err = r.ensurePerm(ord == byOSP); err != nil {
+	// The order led by first (SPO, POS or OSP) is keyed by the positions
+	// first, first+1, first+2, modulo 3.
+	if first != 0 {
+		if sc.perm, err = r.ensurePerm(first == 2); err != nil {
 			return runScan{}, err
 		}
 	}
 	sc.lo = int(pat.bucket[first].start)
 	sc.hi = sc.lo + int(pat.bucket[first].count)
-	want := (&row{s: pat.ids[0], p: pat.ids[1], o: pat.ids[2]}).key(ord)
 	for level := 1; level < 3 && pat.bound[(first+level)%3]; level++ {
+		pos := (first + level) % 3
 		at := func(i int) uint32 {
 			if sc.perm != nil {
 				i = int(sc.perm[i])
 			}
-			return sc.rows[i].key(ord)[level]
+			return sc.rows[i].at(pos)
 		}
-		base, n := sc.lo, sc.hi-sc.lo
-		sc.lo = base + sort.Search(n, func(i int) bool { return at(base+i) >= want[level] })
-		sc.hi = base + sort.Search(n, func(i int) bool { return at(base+i) > want[level] })
+		base, n, want := sc.lo, sc.hi-sc.lo, pat.ids[pos]
+		sc.lo = base + sort.Search(n, func(i int) bool { return at(base+i) >= want })
+		sc.hi = base + sort.Search(n, func(i int) bool { return at(base+i) > want })
 	}
-	if ord == byPOS && !pat.bound[2] {
+	if first == 1 && !pat.bound[2] {
 		// A predicate bucket is in (O,S) order. Row ids are ranks in
 		// (S,P,O) order, so sorting the ids restores it.
 		sc.perm = append([]uint32(nil), sc.perm[sc.lo:sc.hi]...)
