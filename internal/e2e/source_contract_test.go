@@ -6,12 +6,15 @@ package e2e
 // own storage, or the same backing array twice, would have one query's
 // rows change under it when another caller — or the source itself —
 // touched the slice. This test scribbles over every slice every in-repo
-// source returns and checks that the next answer is unaffected.
+// source returns and checks that the next answer is unaffected. A
+// RefSource's refs point at terms the source owns, so for the disk store
+// it also holds refs across writes, a flush and a compaction.
 
 import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"applab/internal/cluster"
@@ -65,6 +68,14 @@ func TestSourcesHandOutCallerOwnedSlices(t *testing.T) {
 
 	store := strabon.New()
 	store.AddAll(data)
+	diskStore, err := strabon.Open(t.TempDir(), segment.Options{FlushEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer diskStore.Close()
+	for _, part := range [][]rdf.Triple{data[:8], data[8:16], data[16:]} {
+		diskStore.AddAll(part) // two runs and a memtable tail
+	}
 	naive := strabon.NewNaive()
 	naive.AddAll(data)
 
@@ -114,6 +125,7 @@ source		SELECT id, name FROM things
 		"segment.Engine (disk)": disk,
 		"segment.Engine (mem)":  mem,
 		"strabon.Store":         store,
+		"strabon.Store (disk)":  diskStore,
 		"strabon.NaiveStore":    naive,
 		"obda.VirtualGraph":     virtual,
 		"obda.AdaptiveGraph":    adaptive,
@@ -187,5 +199,88 @@ source		SELECT id, name FROM things
 				}
 			}
 		}
+		if rs, ok := src.(sparql.RefSource); ok {
+			for shape, pat := range patterns {
+				checkRefsCallerOwned(t, name+": MatchRefs("+shape+")", rs, pat)
+			}
+		}
+	}
+	checkRefsOutliveWrites(t, diskStore, data)
+}
+
+// checkRefsCallerOwned scribbles over a MatchRefs answer — the refs, or
+// the triples when the source answered with those — and checks that the
+// next answer reads the same terms.
+func checkRefsCallerOwned(t *testing.T, label string, rs sparql.RefSource, pat [3]rdf.Term) {
+	t.Helper()
+	first := rs.MatchRefs(pat[0], pat[1], pat[2])
+	if first.Len() == 0 {
+		t.Errorf("%s returned nothing; the fixture must exercise it", label)
+	}
+	want := readRefs(first)
+	scribble := rdf.NewLiteral("scribble")
+	refs := first.Refs[:cap(first.Refs)]
+	for i := range refs {
+		refs[i] = rdf.Ref{S: &scribble, P: &scribble, O: &scribble}
+	}
+	ts := first.Triples[:cap(first.Triples)]
+	for i := range ts {
+		ts[i] = rdf.NewTriple(scribble, scribble, scribble)
+	}
+	if got := readRefs(rs.MatchRefs(pat[0], pat[1], pat[2])); !slices.Equal(got, want) {
+		t.Errorf("%s: %v after the caller wrote to the first answer, was %v", label, got, want)
+	}
+}
+
+// readRefs copies the terms a scan's matches point at.
+func readRefs(m rdf.Matches) []rdf.Triple {
+	out := make([]rdf.Triple, m.Len())
+	for i := range out {
+		r := m.At(i)
+		out[i] = rdf.NewTriple(*r.S, *r.P, *r.O)
+	}
+	return out
+}
+
+// checkRefsOutliveWrites: refs a disk store handed out keep reading the
+// same terms while the store adds, deletes, flushes and compacts away
+// the runs they point into — a compaction closes run files, not the
+// dictionaries decoded from them.
+func checkRefsOutliveWrites(t *testing.T, st *strabon.Store, data []rdf.Triple) {
+	t.Helper()
+	if st.Engine().Segments() < 2 || st.Engine().Stats().MemtableTriples == 0 {
+		t.Fatalf("the disk store has %d runs and %d memtable triples; want two runs and a tail", st.Engine().Segments(), st.Engine().Stats().MemtableTriples)
+	}
+	held := st.MatchRefs(rdf.Term{}, rdf.Term{}, rdf.Term{})
+	if held.Refs == nil {
+		t.Fatal("a store with runs answered MatchRefs with triples, want refs")
+	}
+	want := readRefs(held)
+	if len(want) != len(data) {
+		t.Fatalf("%d matches, want %d", len(want), len(data))
+	}
+
+	rewritten := make([]rdf.Triple, len(data))
+	for i, tr := range data {
+		rewritten[i] = rdf.NewTriple(tr.S, tr.P, rdf.NewLiteral("rewritten"))
+	}
+	st.AddAll(rewritten)
+	for _, tr := range data {
+		st.Delete(tr)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Engine().Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Engine().Segments(); got != 1 {
+		t.Fatalf("%d runs after Compact, want 1", got)
+	}
+	if got := readRefs(held); !slices.Equal(got, want) {
+		t.Errorf("held refs read %v after the writes, read %v before", got, want)
+	}
+	if got := st.MatchRefs(rdf.Term{}, rdf.NewIRI(contractNS+"name"), rdf.Term{}).Len(); got != 10 {
+		t.Errorf("%d names after the rewrite, want 10", got)
 	}
 }

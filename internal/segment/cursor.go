@@ -54,7 +54,7 @@ func (a validTime) compare(b validTime) int {
 }
 
 // triple materializes the head.
-func (h *head) triple() rdf.Triple {
+func (h head) triple() rdf.Triple {
 	if h.mem != nil {
 		return *h.mem
 	}
@@ -65,6 +65,10 @@ func (h *head) triple() rdf.Triple {
 	}
 	return t
 }
+
+// ref hands out the head by reference: into a run's dictionary, which
+// is never mutated once loaded, or into the memtable's per-call copy.
+func (h head) ref() rdf.Ref { return rdf.Ref{S: h.s, P: h.p, O: h.o} }
 
 // source is one input of the merge: a runScan, or a slice of memtable
 // triples, all live or all tombstones, read in canonical order through

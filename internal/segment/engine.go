@@ -623,7 +623,7 @@ func (e *Engine) backgroundCompact() {
 			return
 		case <-after(e.opts.CompactEvery):
 			e.mu.Lock()
-			if !e.closed && len(e.segs) >= e.opts.compactAt() {
+			if !e.closed && e.opts.compactAt() > 0 && len(e.segs) >= e.opts.compactAt() {
 				if err := e.compactLocked(); err != nil {
 					e.noteReadErr(err)
 				}
@@ -699,22 +699,50 @@ func (e *Engine) Match(s, p, o rdf.Term) []rdf.Triple {
 	if len(e.segs) == 0 {
 		return e.mem.g.Match(s, p, o)
 	}
-	var m merge
-	e.open(&m, s, p, o, true, e.noteReadErr)
-	if m.upper == 0 {
-		return nil
-	}
-	out := make([]rdf.Triple, 0, m.upper)
-	for h := m.next(); h != nil; h = m.next() {
-		out = append(out, h.triple())
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	if m.early {
+	out, early := collect(e, s, p, o, head.triple)
+	if early {
 		hoistTimeless(out)
 	}
 	return out
+}
+
+// MatchRefs is Match by reference: with runs, each match is three
+// handles into the run dictionaries or the memtable's per-call copy, 24
+// bytes instead of a materialized triple; with none it is the memtable
+// graph's triple slice. The slice is the caller's, and the terms behind
+// it are never mutated and outlive flushes and compactions: a compaction
+// closes run files, not decoded dictionaries. Matches carry no valid
+// time, so matches differing only in it are value-identical and their
+// canonical order needs no hoistTimeless.
+func (e *Engine) MatchRefs(s, p, o rdf.Term) rdf.Matches {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if len(e.segs) == 0 {
+		return rdf.Matches{Triples: e.mem.g.Match(s, p, o)}
+	}
+	out, _ := collect(e, s, p, o, head.ref)
+	return rdf.Matches{Refs: out}
+}
+
+// collect drains the merged cursor over the pattern, converting every
+// live head with conv, and reports whether a triple valid from before
+// 1970 was among them (see hoistTimeless). It returns nil for no
+// matches. The caller holds the lock. conv takes the head by value: a
+// pointer into the merge would move it to the heap.
+func collect[T any](e *Engine, s, p, o rdf.Term, conv func(head) T) ([]T, bool) {
+	var m merge
+	e.open(&m, s, p, o, true, e.noteReadErr)
+	if m.upper == 0 {
+		return nil, false
+	}
+	out := make([]T, 0, m.upper)
+	for h := m.next(); h != nil; h = m.next() {
+		out = append(out, conv(*h))
+	}
+	if len(out) == 0 {
+		return nil, false
+	}
+	return out, m.early
 }
 
 // noteReadErr records the first segment read error seen by a query.

@@ -309,3 +309,35 @@ func TestBackgroundCompactionFakeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBackgroundCompactionHonorsNegativeCompactAt: a negative CompactAt
+// disables compaction in the background loop too, so a tick over three
+// runs leaves them alone.
+func TestBackgroundCompactionHonorsNegativeCompactAt(t *testing.T) {
+	clock := faults.NewClock(time.Unix(0, 0))
+	e := mustOpen(t, t.TempDir(), Options{
+		CompactAt:    -1,
+		CompactEvery: time.Minute,
+		After:        clock.After,
+	})
+	for _, sub := range []string{"first", "second", "third"} {
+		mustAdd(t, e, tri(sub, "run", "here"))
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	clock.AwaitTimers(1)
+	clock.Advance(time.Minute)
+	clock.AwaitTimers(2) // the tick's work is done
+
+	if got := e.Segments(); got != 3 {
+		t.Fatalf("segments = %d after tick, want 3", got)
+	}
+	if got := e.Stats().Compactions; got != 0 {
+		t.Fatalf("compactions = %d, want 0", got)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

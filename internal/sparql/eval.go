@@ -16,8 +16,25 @@ type Source interface {
 	// reuse, retain or mutate it (or hand the same backing array out
 	// twice), because the compiled engine points its solution rows
 	// straight at the slice's terms for as long as the query runs. The
-	// same holds for MatchErr, MatchContext and FragmentMatch.
+	// same holds for MatchErr, MatchContext and FragmentMatch. A
+	// RefSource's MatchRefs adds a second rule: the terms its refs point
+	// at are the source's, never mutated, and reachable for as long as
+	// any row holds them.
 	Match(s, p, o rdf.Term) []rdf.Triple
+}
+
+// RefSource is an optional extension of Source for backends that can
+// answer a scan by reference (the disk-backed strabon.Store): the
+// compiled engine reads every pattern scan through MatchRefs when no
+// exchange or context path claims it. The slice is the caller's as with
+// Match, and a second lifetime rule holds for the terms behind its
+// refs: they belong to the source, which never mutates them, and they
+// stay valid for as long as any row holds a handle to them — across the
+// source's own writes, flushes and compactions.
+type RefSource interface {
+	Source
+	// MatchRefs is Match by reference.
+	MatchRefs(s, p, o rdf.Term) rdf.Matches
 }
 
 // ErrorSource is an optional extension of Source for backends whose
@@ -109,6 +126,9 @@ func (q *Query) evalCtx(ctx context.Context, src Source, workers, threshold int)
 		if cs, ok := src.(ContextSource); ok {
 			ec.csrc = cs
 		}
+	}
+	if rs, ok := src.(RefSource); ok {
+		ec.rsrc = rs
 	}
 	if ex, ok := src.(ExchangeSource); ok {
 		ec.ex = ex

@@ -18,6 +18,20 @@ var (
 	RowsKey        = rowsKey
 )
 
+// The seed-equivalence queries and their comparison keys, for the same
+// oracle over a disk-backed store (disk_refs_test.go).
+var (
+	EquivQueries = equivQueries
+	LoopedGraph  = loopedGraph
+	ResultsKey   = resultsKey
+	OrderedKey   = orderedKey
+)
+
+// EvalWorkers is eval for external tests.
+func (q *Query) EvalWorkers(src Source, workers, threshold int) (*Results, error) {
+	return q.eval(src, workers, threshold)
+}
+
 // EvalOneWorker is EvalContext on a single worker, the way
 // BenchmarkEngine_BGPJoinCompiled evaluates.
 func (q *Query) EvalOneWorker(ctx context.Context, src Source) (*Results, error) {

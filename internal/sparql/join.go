@@ -66,28 +66,28 @@ func (c *compiler) newScanOp(tp TriplePattern) *scanOp {
 	return sc
 }
 
-// extend binds the pattern's variable positions to handles into a
-// matched triple — t must point into the Match slice, never at a loop
-// variable — copying the row (into the arena) on the first new binding.
-// Repeated variables and already-bound slots are checked for agreement.
-// Written straight-line so a no-new-binding extension is allocation free.
-func (sc *scanOp) extend(r row, t *rdf.Triple, ar *rowArena) (row, bool) {
+// extend binds the pattern's variable positions to a match's handles —
+// into the Match slice or the source's own terms, never a loop variable
+// — copying the row (into the arena) on the first new binding. Repeated
+// variables and already-bound slots are checked for agreement. Written
+// straight-line so a no-new-binding extension is allocation free.
+func (sc *scanOp) extend(r row, t rdf.Ref, ar *rowArena) (row, bool) {
 	nr := r
 	cloned := false
 	if sc.sSlot >= 0 {
 		if cur := nr[sc.sSlot]; cur != nil {
-			if !cur.Equal(t.S) {
+			if !cur.Equal(*t.S) {
 				return nil, false
 			}
 		} else {
 			nr = ar.clone(nr)
 			cloned = true
-			nr[sc.sSlot] = &t.S
+			nr[sc.sSlot] = t.S
 		}
 	}
 	if sc.pSlot >= 0 {
 		if cur := nr[sc.pSlot]; cur != nil {
-			if !cur.Equal(t.P) {
+			if !cur.Equal(*t.P) {
 				return nil, false
 			}
 		} else {
@@ -95,19 +95,19 @@ func (sc *scanOp) extend(r row, t *rdf.Triple, ar *rowArena) (row, bool) {
 				nr = ar.clone(nr)
 				cloned = true
 			}
-			nr[sc.pSlot] = &t.P
+			nr[sc.pSlot] = t.P
 		}
 	}
 	if sc.oSlot >= 0 {
 		if cur := nr[sc.oSlot]; cur != nil {
-			if !cur.Equal(t.O) {
+			if !cur.Equal(*t.O) {
 				return nil, false
 			}
 		} else {
 			if !cloned {
 				nr = ar.clone(nr)
 			}
-			nr[sc.oSlot] = &t.O
+			nr[sc.oSlot] = t.O
 		}
 	}
 	return nr, true
@@ -134,20 +134,20 @@ func (sc *scanOp) run(ec *execCtx, in []row) ([]row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(matches) == 0 {
+		if matches.Len() == 0 {
 			return nil, nil
 		}
 		return chunked(ec, in, func(rows []row) ([]row, error) {
 			// At least this many rows come out (barring a repeated
 			// variable inside the pattern): size for them up front.
-			out, ar := presized(max(len(rows), len(matches)), len(in[0]))
+			out, ar := presized(max(len(rows), matches.Len()), len(in[0]))
 			n := 0
 			for _, r := range rows {
-				if err := ec.tickN(&n, len(matches)); err != nil {
+				if err := ec.tickN(&n, matches.Len()); err != nil {
 					return nil, err
 				}
-				for i := range matches {
-					if nr, ok := sc.extend(r, &matches[i], &ar); ok {
+				for i := range matches.Len() {
+					if nr, ok := sc.extend(r, matches.At(i), &ar); ok {
 						out = append(out, nr)
 					}
 				}
@@ -178,11 +178,11 @@ func (sc *scanOp) run(ec *execCtx, in []row) ([]row, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := ec.tickN(&n, len(matches)); err != nil {
+			if err := ec.tickN(&n, matches.Len()); err != nil {
 				return nil, err
 			}
-			for i := range matches {
-				if nr, ok := sc.extend(r, &matches[i], &ar); ok {
+			for i := range matches.Len() {
+				if nr, ok := sc.extend(r, matches.At(i), &ar); ok {
 					out = append(out, nr)
 				}
 			}
@@ -202,23 +202,23 @@ func (sc *scanOp) hashJoin(ec *execCtx, in []row) ([]row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(build) == 0 {
+	if build.Len() == 0 {
 		return nil, nil
 	}
 	// first[b] heads bucket b's chain, next[i] continues it; filling from
 	// the back leaves every chain in ascending build order.
-	buckets := make(map[string]int32, len(build))
+	buckets := make(map[string]int32, build.Len())
 	var first []int32
-	next := make([]int32, len(build))
+	next := make([]int32, build.Len())
 	var kb []byte
 	n := 0
-	for i := len(build) - 1; i >= 0; i-- {
+	for i := build.Len() - 1; i >= 0; i-- {
 		if err := ec.tick(&n); err != nil {
 			return nil, err
 		}
 		kb = kb[:0]
 		for _, slot := range sc.keys {
-			kb = appendSolutionKey(kb, sc.tripleAt(&build[i], slot))
+			kb = appendSolutionKey(kb, sc.tripleAt(build.At(i), slot))
 		}
 		b, ok := buckets[string(kb)]
 		if !ok {
@@ -250,7 +250,7 @@ func (sc *scanOp) hashJoin(ec *execCtx, in []row) ([]row, error) {
 				if err := ec.tick(&n); err != nil {
 					return nil, err
 				}
-				if nr, ok := sc.extend(r, &build[i], &ar); ok {
+				if nr, ok := sc.extend(r, build.At(int(i)), &ar); ok {
 					out = append(out, nr)
 				}
 			}
@@ -259,16 +259,16 @@ func (sc *scanOp) hashJoin(ec *execCtx, in []row) ([]row, error) {
 	})
 }
 
-// tripleAt returns the triple's term at the first pattern position
+// tripleAt returns the match's term at the first pattern position
 // carrying the given slot.
-func (sc *scanOp) tripleAt(t *rdf.Triple, slot int) *rdf.Term {
+func (sc *scanOp) tripleAt(t rdf.Ref, slot int) *rdf.Term {
 	switch {
 	case sc.sSlot == slot:
-		return &t.S
+		return t.S
 	case sc.pSlot == slot:
-		return &t.P
+		return t.P
 	default:
-		return &t.O
+		return t.O
 	}
 }
 

@@ -53,6 +53,7 @@ type forcedEval struct {
 type execCtx struct {
 	src       Source
 	csrc      ContextSource  // non-nil only when limited and src supports it
+	rsrc      RefSource      // non-nil when src answers scans by reference
 	ex        ExchangeSource // non-nil for partitioned sources: routes scans through the exchange operator
 	ctx       context.Context
 	budget    *admission.Budget
@@ -125,28 +126,33 @@ func (ec *execCtx) checkpoint(rows int) error {
 }
 
 // match issues one pattern scan, through the context-aware path when
-// the source supports it. Only cancellation and budget violations abort
-// the query; ordinary upstream errors keep the seed Source semantics
-// (they read as empty results — federation partial answers and the
-// error-report machinery depend on that).
-func (ec *execCtx) match(s, p, o rdf.Term) ([]rdf.Triple, error) {
+// the source supports it, by reference when the source offers that.
+// Every scan strategy reads its matches through At. Only cancellation
+// and budget violations abort the query; ordinary upstream errors keep
+// the seed Source semantics (they read as empty results — federation
+// partial answers and the error-report machinery depend on that).
+func (ec *execCtx) match(s, p, o rdf.Term) (rdf.Matches, error) {
 	if ec.ex != nil {
-		return ec.exchangeMatch(s, p, o)
+		ts, err := ec.exchangeMatch(s, p, o)
+		return rdf.Matches{Triples: ts}, err
 	}
 	if ec.csrc != nil {
 		ts, err := ec.csrc.MatchContext(ec.ctx, s, p, o)
 		if err != nil {
 			if admission.Aborted(err) {
 				if berr := ec.budget.Err(); berr != nil {
-					return nil, berr
+					return rdf.Matches{}, berr
 				}
-				return nil, err
+				return rdf.Matches{}, err
 			}
-			return nil, nil
+			return rdf.Matches{}, nil
 		}
-		return ts, nil
+		return rdf.Matches{Triples: ts}, nil
 	}
-	return ec.src.Match(s, p, o), nil
+	if ec.rsrc != nil {
+		return ec.rsrc.MatchRefs(s, p, o), nil
+	}
+	return rdf.Matches{Triples: ec.src.Match(s, p, o)}, nil
 }
 
 // op is one step of a compiled query plan.

@@ -43,11 +43,13 @@ func (vt *varTable) size() int { return len(vt.names) }
 // row is one solution: a handle per slot, nil = unbound. A handle points
 // at the rdf.Term where the value already lives: a position of a triple
 // in a slice Source.Match returned (the caller owns that slice and the
-// source never touches it again — see Source), a VALUES constant of the
-// parsed query, or a rowArena term for values the engine computed. Rows
-// and the terms behind them are immutable once built, so rows share
-// handles freely across UNION/OPTIONAL fan-out and parallel chunks; a
-// Match slice lives as long as any row that points into it.
+// source never touches it again — see Source), a term a RefSource's ref
+// points at (the source's own, never mutated — see RefSource), a VALUES
+// constant of the parsed query, or a rowArena term for values the engine
+// computed. Rows and the terms behind them are immutable once built, so
+// rows share handles freely across UNION/OPTIONAL fan-out and parallel
+// chunks; a Match slice, or a source's term store, lives as long as any
+// row that points into it.
 type row []*rdf.Term
 
 // rowArena block-allocates result rows and computed terms so an operator

@@ -462,7 +462,7 @@ func (sj *spatialJoinOp) runStore(ec *execCtx, sp SpatialSource, in []row) ([]ro
 				if !hit {
 					continue
 				}
-				if nr, ok := sj.scan.extend(r, t, &ar); ok {
+				if nr, ok := sj.scan.extend(r, t.Ref(), &ar); ok {
 					out = append(out, nr)
 				}
 			}

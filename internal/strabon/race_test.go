@@ -6,12 +6,14 @@ package strabon
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"applab/internal/geom"
 	"applab/internal/rdf"
+	"applab/internal/segment"
 )
 
 func TestStoreConcurrentAddAndQuery(t *testing.T) {
@@ -62,5 +64,66 @@ func TestStoreConcurrentAddAndQuery(t *testing.T) {
 	}
 	if got := s.GeometryCount(); got != 61 { // 60 obs + 1 park
 		t.Errorf("GeometryCount = %d, want 61", got)
+	}
+}
+
+// TestQueriesRaceFlushAndCompaction: queries over a disk store hold
+// rows that point into run dictionaries while a writer flushes new runs
+// and compacts the old ones away. Every row must still read terms of
+// the shape that was written.
+func TestQueriesRaceFlushAndCompaction(t *testing.T) {
+	s, err := Open(t.TempDir(), segment.Options{FlushEvery: 48, CompactAt: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	val := rdf.NewIRI(rdf.NSLAI + "lai")
+	triple := func(i int) rdf.Triple {
+		return rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("%sobs%d", rdf.NSLAI, i)), val, rdf.NewLiteral(fmt.Sprintf("v%d", i)))
+	}
+	for i := 0; i < 100; i++ {
+		s.Add(triple(i))
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 100; i < 400; i++ {
+			s.Add(triple(i))
+			if i%3 == 0 {
+				s.Delete(triple(i - 90))
+			}
+			if i%50 == 0 {
+				if err := s.Engine().Compact(); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}()
+	const q = `SELECT ?s ?v WHERE { ?s <` + rdf.NSLAI + `lai> ?v . ?s <` + rdf.NSLAI + `lai> ?w }`
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				res, err := s.Query(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, b := range res.Bindings {
+					sub, v := b["s"].Value, b["v"].Value
+					if !strings.HasPrefix(sub, rdf.NSLAI+"obs") || !strings.HasPrefix(v, "v") || sub[len(rdf.NSLAI+"obs"):] != v[1:] {
+						t.Errorf("row binds ?s=%q ?v=%q, which no write produced", sub, v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s.Engine().Stats().Compactions == 0 {
+		t.Error("no compaction ran during the queries")
 	}
 }

@@ -240,6 +240,13 @@ func (s *Store) Match(sub, pred, obj rdf.Term) []rdf.Triple {
 	return s.eng.Match(sub, pred, obj)
 }
 
+// MatchRefs implements sparql.RefSource: a disk-backed store's scans
+// hand the engine handles into the run dictionaries instead of
+// materialized triples (segment.Engine.MatchRefs).
+func (s *Store) MatchRefs(sub, pred, obj rdf.Term) rdf.Matches {
+	return s.eng.MatchRefs(sub, pred, obj)
+}
+
 // Cardinality implements sparql.StatsSource: the memtable's
 // index-bucket estimate plus each run's per-term cardinality footer —
 // the compiled query engine reads segment statistics for free.
