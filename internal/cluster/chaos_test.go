@@ -38,7 +38,19 @@ type chaosRun struct {
 
 func chaosQueries() []string {
 	return []string{qFan, qJoin, qRouted(3), qRouted(11), qRouted(200),
-		`ASK { <` + testSubjectIRI(5) + `> <http://ex/p0> ?o }`}
+		`ASK { <` + testSubjectIRI(5) + `> <http://ex/p0> ?o }`,
+		// Bind joins, whose routed steps read each group once per step.
+		// The benchmark's shape: a fan-out, then two subject-bound steps.
+		qJoin3,
+		// An OPTIONAL binds ?s for five rows and leaves it unbound for the
+		// rest, so the last step mixes routed rows with fan-out rows.
+		`SELECT ?x ?s ?o WHERE { ?x <http://ex/p0> ?i OPTIONAL { ?s <http://ex/p0> ?i FILTER(?i < 5) } ?s <http://ex/p1> ?o }`,
+		// Every subject twice in one step.
+		`SELECT ?s ?p ?b WHERE { ?s ?p ?a . ?s <http://ex/p1> ?b }`,
+		// An object bound from the row: routed (third pattern) and fanned
+		// out (fourth).
+		`SELECT ?s ?l ?t WHERE { ?s <http://ex/p0> ?v . ?s <http://ex/p1> ?l . ?s <http://ex/p0> ?v . ?t <http://ex/p0> ?v }`,
+	}
 }
 
 // drive runs fn in a goroutine while stepping the fake clock until it

@@ -33,8 +33,9 @@ type Config struct {
 	Now   func() time.Time
 	After func(time.Duration) <-chan time.Time
 	// HedgeAfter fixes the hedge delay. When zero the delay is the
-	// hedgePercentile of the recent read-latency window, floored at
-	// hedgeMin (defaultHedge while the window is empty).
+	// hedgePercentile of the recent read-latency window, scaled to the
+	// read's pattern count and floored at hedgeMin (defaultHedge while
+	// the window is empty).
 	HedgeAfter time.Duration
 	// DemoteAfter / RetryCooldown tune the replica health tracker
 	// (scatter.Health; zero picks its defaults).
@@ -45,8 +46,10 @@ type Config struct {
 // Coordinator routes writes and BGP fragment reads across the replica
 // groups. It implements sparql.Source, sparql.ErrorSource (keeping the
 // evaluator's outer loop sequential — the parallelism lives in the
-// exchange fan-out) and sparql.ExchangeSource, so the compiled planner
-// pushes per-shard pattern scans through it.
+// exchange fan-out), sparql.ExchangeSource, so the compiled planner
+// pushes per-shard pattern scans through it, and
+// sparql.BatchExchangeSource, so a nested-loop join step reads each
+// replica group once for all the rows it routes there.
 //
 // Correctness invariant: a replica's answer is accepted only when its
 // replication position covers everything the coordinator has committed
@@ -76,8 +79,9 @@ type Coordinator struct {
 	lat  latWindow
 }
 
-// Adaptive hedging: the delay is the p95 of recent reads, never under
-// 1 ms, and defaultHedge before any latency samples exist.
+// Adaptive hedging: the delay is the p95 of recent reads, scaled to the
+// read's pattern count, never under 1 ms, and defaultHedge before any
+// latency samples exist.
 const (
 	hedgePercentile = 0.95
 	hedgeMin        = time.Millisecond
@@ -123,7 +127,7 @@ func (c *Coordinator) Shards() int { return len(c.groups) }
 // ShardOf reports the shard that owns a triple, by consistent-hashing
 // its subject key.
 func (c *Coordinator) ShardOf(t rdf.Triple) int {
-	return c.ring.Lookup(t.S.Key())
+	return c.ring.LookupTerm(t.S)
 }
 
 // LogSeq reports the committed log position of a shard.
@@ -229,39 +233,58 @@ func (c *Coordinator) writeShard(ctx context.Context, shard uint32, rec segment.
 
 // ---- read path ----
 
-// fragmentRead answers one pattern from one shard's replica group with
-// failover and hedging. ok=false means the whole group was unreadable
-// (every member down, stale, or refusing) — the partial-results case.
-// A non-nil error is always an admission abort (cancellation/budget)
-// and aborts the query.
-func (c *Coordinator) fragmentRead(ctx context.Context, shard uint32, s, p, o rdf.Term) (ts []rdf.Triple, ok bool, err error) {
-	ts, res, err := c.fan.Read(ctx, c.matchTarget(shard, s, p, o))
-	return ts, res.OK(), err
+// matchRead answers patterns from one shard's replica group, one answer
+// per pattern in pattern order, with failover and hedging. Every read
+// is a batch: a single pattern is a batch of one. An answer the node
+// cut short to fit its frame is completed by further reads of the
+// remaining patterns. ok=false means the group was unreadable (every
+// member down, stale, or refusing): that read is counted partial once
+// and the patterns it left unanswered read as empty. A non-nil error is
+// always an admission abort (cancellation/budget) and aborts the query.
+func (c *Coordinator) matchRead(ctx context.Context, shard uint32, pats []rdf.Pattern) (answers [][]rdf.Triple, ok bool, err error) {
+	for len(answers) < len(pats) {
+		rest := pats[len(answers):]
+		got, res, err := scatter.Read(ctx, &c.fan, c.matchLeg(shard, rest))
+		if err != nil {
+			return nil, false, err
+		}
+		if !res.OK() {
+			c.notePartial()
+			return append(answers, make([][]rdf.Triple, len(rest))...), false, nil
+		}
+		if answers == nil && len(got) == len(pats) {
+			return got, true, nil
+		}
+		answers = append(answers, got...)
+	}
+	return answers, true, nil
 }
 
-// matchTarget is one shard's read of a pattern: its replica group, each
-// answer accepted only when it covers everything committed to the shard
-// when the read began.
-func (c *Coordinator) matchTarget(shard uint32, s, p, o rdf.Term) scatter.Target {
+// matchLeg is one read of patterns from a shard: its replica group,
+// each answer accepted only when it covers everything committed to the
+// shard when the read began.
+func (c *Coordinator) matchLeg(shard uint32, pats []rdf.Pattern) scatter.Leg[[][]rdf.Triple] {
 	want := c.logs[shard].last()
-	return scatter.Target{
+	return scatter.Leg[[][]rdf.Triple]{
 		Replicas: c.groups[shard],
-		Call: func(ctx context.Context, node string) ([]rdf.Triple, error) {
-			msg, err := c.tr.Call(ctx, node, Message{Type: MsgMatchReq, Shard: shard, S: s, P: p, O: o})
-			return acceptRead(msg, err, want)
+		Size:     len(pats),
+		Call: func(ctx context.Context, node string) ([][]rdf.Triple, error) {
+			msg, err := c.tr.Call(ctx, node, Message{Type: MsgMatchReq, Shard: shard, Patterns: pats})
+			return acceptRead(msg, err, want, len(pats))
 		},
 	}
 }
 
-// errStaleRead rejects a replica answer that is not a match answer or
-// lags the shard's committed log position.
+// errStaleRead rejects a replica answer that is not a match answer,
+// lags the shard's committed log position, or does not answer between
+// one and all of the patterns asked.
 var errStaleRead = errors.New("cluster: replica answer stale or malformed")
 
 // acceptRead validates one replica's match answer against the
-// committed log position and decodes its triples. An answer framed as
-// one record (every answer under the record cap) comes back as the
-// slice its payload decoded into.
-func acceptRead(msg Message, err error, want uint64) ([]rdf.Triple, error) {
+// committed log position and the patterns asked, and decodes one
+// triple slice per answered pattern. A pattern's records come back as
+// the slice its payload decoded into.
+func acceptRead(msg Message, err error, want uint64, asked int) ([][]rdf.Triple, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -272,22 +295,28 @@ func acceptRead(msg Message, err error, want uint64) ([]rdf.Triple, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(recs) == 1 {
-		return recs[0].Triples, nil
+	if len(recs) == 0 || len(recs) > asked {
+		return nil, errStaleRead
 	}
-	var triples []rdf.Triple
-	for _, rec := range recs {
-		triples = append(triples, rec.Triples...)
+	answers := make([][]rdf.Triple, len(recs))
+	for i, rec := range recs {
+		if rec.Delete {
+			return nil, errStaleRead
+		}
+		answers[i] = rec.Triples
 	}
-	return triples, nil
+	return answers, nil
 }
 
-// hedgeDelay resolves the current hedge delay.
-func (c *Coordinator) hedgeDelay() time.Duration {
+// hedgeDelay resolves the hedge delay of a read of n patterns: fixed
+// by Config.HedgeAfter, otherwise hedgePercentile of the recent reads
+// with each smaller read's latency scaled up to n patterns (see
+// latWindow.percentile), floored at hedgeMin.
+func (c *Coordinator) hedgeDelay(n int) time.Duration {
 	if c.hedgeAfter > 0 {
 		return c.hedgeAfter
 	}
-	if d := c.lat.percentile(hedgePercentile); d > 0 {
+	if d := c.lat.percentile(hedgePercentile, n); d > 0 {
 		return max(d, hedgeMin)
 	}
 	return defaultHedge
@@ -304,21 +333,28 @@ func (c *Coordinator) Route(s, p, o rdf.Term) (int, bool) {
 	if s.IsZero() {
 		return 0, false
 	}
-	return c.ring.Lookup(s.Key()), true
+	return c.ring.LookupTerm(s), true
 }
 
-// FragmentMatch implements sparql.ExchangeSource. An unreadable group
-// degrades to an empty contribution (counted as partial, and marked on
-// the context's scatter.Tally; EvalPartialContext reads the mark).
+// FragmentMatch implements sparql.ExchangeSource: a batch of one. An
+// unreadable group degrades to an empty contribution (counted as
+// partial, and marked on the context's scatter.Tally;
+// EvalPartialContext reads the mark).
 func (c *Coordinator) FragmentMatch(ctx context.Context, frag int, s, p, o rdf.Term) ([]rdf.Triple, error) {
-	ts, ok, err := c.fragmentRead(ctx, uint32(frag), s, p, o)
+	answers, _, err := c.matchRead(ctx, uint32(frag), []rdf.Pattern{{S: s, P: p, O: o}})
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		c.notePartial()
-	}
-	return ts, nil
+	return answers[0], nil
+}
+
+// FragmentMatchBatch implements sparql.BatchExchangeSource: one read
+// of the fragment's replica group carrying every pattern (more only
+// when the answer outgrows a frame). An unreadable group degrades like
+// FragmentMatch, counted once per read.
+func (c *Coordinator) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Triple, error) {
+	answers, _, err := c.matchRead(ctx, uint32(frag), pats)
+	return answers, err
 }
 
 // Match implements sparql.Source for direct (non-exchange) callers: a
@@ -334,17 +370,31 @@ func (c *Coordinator) Match(s, p, o rdf.Term) []rdf.Triple {
 // group, not their sum.
 func (c *Coordinator) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
 	ctx := context.Background()
+	pats := []rdf.Pattern{{S: s, P: p, O: o}}
 	if frag, routed := c.Route(s, p, o); routed {
-		ts, ok, err := c.fragmentRead(ctx, uint32(frag), s, p, o)
-		if err == nil && !ok {
-			c.notePartial()
+		answers, ok, err := c.matchRead(ctx, uint32(frag), pats)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			err = fmt.Errorf("cluster: replica group %d unreadable", frag)
 		}
-		return ts, err
+		return answers[0], err
 	}
 	targets := make([]scatter.Target, len(c.groups))
 	for frag := range targets {
-		targets[frag] = c.matchTarget(uint32(frag), s, p, o)
+		leg := c.matchLeg(uint32(frag), pats)
+		targets[frag] = scatter.Target{
+			Replicas: leg.Replicas,
+			Size:     leg.Size,
+			Call: func(ctx context.Context, node string) ([]rdf.Triple, error) {
+				answers, err := leg.Call(ctx, node)
+				if err != nil {
+					return nil, err
+				}
+				return answers[0], nil
+			},
+		}
 	}
 	out, results, err := c.fan.Gather(ctx, targets, 0)
 	if err != nil {
@@ -455,18 +505,24 @@ func (c *Coordinator) snapshotInto(ctx context.Context, shard uint32, laggard st
 
 // ---- helpers ----
 
-// latWindow is a fixed-size ring of recent read latencies the
-// percentile hedge delay derives from.
+// latWindow is a fixed-size ring of recent read latencies, each with
+// the pattern count of its read, that the percentile hedge delay
+// derives from.
 type latWindow struct {
 	mu  sync.Mutex
-	buf [128]time.Duration
+	buf [128]latSample
 	n   int
 	idx int
 }
 
-func (w *latWindow) add(d time.Duration) {
+type latSample struct {
+	d        time.Duration
+	patterns int
+}
+
+func (w *latWindow) add(d time.Duration, patterns int) {
 	w.mu.Lock()
-	w.buf[w.idx] = d
+	w.buf[w.idx] = latSample{d, max(patterns, 1)}
 	w.idx = (w.idx + 1) % len(w.buf)
 	if w.n < len(w.buf) {
 		w.n++
@@ -474,17 +530,29 @@ func (w *latWindow) add(d time.Duration) {
 	w.mu.Unlock()
 }
 
-func (w *latWindow) percentile(p float64) time.Duration {
-	// Every fragment read asks: copy the window to the stack under the
-	// lock and sort it there.
+// percentile is the p-th percentile of the window as a read of n
+// patterns would see it: a sample from a read of k < n patterns counts
+// as its latency times n/k, a sample from a read at least as large as
+// is. A batch is thus never held to the latency of single-pattern
+// reads, and a read of one pattern sees the raw window.
+func (w *latWindow) percentile(p float64, n int) time.Duration {
+	// Every read asks: copy the window to the stack under the lock and
+	// scale and sort it there.
 	w.mu.Lock()
-	n := w.n
+	k := w.n
 	buf := w.buf
 	w.mu.Unlock()
-	if n == 0 {
+	if k == 0 {
 		return 0
 	}
-	samples := buf[:n]
+	var scaled [len(buf)]time.Duration
+	for i, s := range buf[:k] {
+		scaled[i] = s.d
+		if s.patterns < n {
+			scaled[i] = s.d * time.Duration(n) / time.Duration(s.patterns)
+		}
+	}
+	samples := scaled[:k]
 	slices.Sort(samples)
-	return samples[min(int(float64(n)*p), n-1)]
+	return samples[min(int(float64(k)*p), k-1)]
 }

@@ -13,6 +13,7 @@ import (
 	"applab/internal/admission"
 	"applab/internal/faults"
 	"applab/internal/rdf"
+	"applab/internal/scatter"
 	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/telemetry"
@@ -81,6 +82,10 @@ func clusterTriples(n, base int) []rdf.Triple {
 
 const qFan = `SELECT ?s ?o WHERE { ?s <http://ex/p0> ?o }`
 const qJoin = `SELECT ?s ?a ?b WHERE { ?s <http://ex/p0> ?a . ?s <http://ex/p1> ?b }`
+
+// qJoin3 is the benchmark's cluster join: a fan-out, then two
+// subject-bound nested-loop steps.
+const qJoin3 = `SELECT ?s ?n ?a WHERE { ?s <http://ex/p0> ?x . ?s <http://ex/p1> ?n . ?s <http://ex/p0> ?a }`
 
 func qRouted(i int) string {
 	return fmt.Sprintf(`SELECT ?p ?o WHERE { <%s> ?p ?o }`, testSubjectIRI(i))
@@ -349,7 +354,11 @@ func TestClusterHedgedRead(t *testing.T) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		ts, ok, err := tc.c.fragmentRead(ctx, 1, rdf.Term{}, rdf.NewIRI("http://ex/p0"), rdf.Term{})
+		answers, ok, err := tc.c.matchRead(ctx, 1, []rdf.Pattern{{P: rdf.NewIRI("http://ex/p0")}})
+		var ts []rdf.Triple
+		if err == nil {
+			ts = answers[0]
+		}
 		done <- res{ts, ok, err}
 	}()
 	// Two timers register: n2's injected latency and the hedge delay.
@@ -379,6 +388,140 @@ func TestClusterHedgedRead(t *testing.T) {
 	tc.clk.Advance(50 * time.Millisecond)
 }
 
+// TestClusterHedgeScalesWithBatch pins the adaptive hedge rule on the
+// fake clock: a read of n patterns judges each sample of a smaller read
+// as its latency times n over that read's pattern count. With the
+// window full of 2 ms single-pattern reads, a 10-pattern batch waits
+// 20 ms before it hedges, so group 1's leader answering it after 15 ms
+// fires no hedge, while a single-pattern read that slow is hedged at
+// 2 ms and the backup wins.
+func TestClusterHedgeScalesWithBatch(t *testing.T) {
+	tc := newTestCluster(t, func(c *Config) { c.HedgeAfter = 0 })
+	ctx := context.Background()
+	if _, err := tc.c.AddAll(ctx, clusterTriples(30, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 128; i++ {
+		tc.c.lat.add(2*time.Millisecond, 1)
+	}
+	if d1, d10 := tc.c.hedgeDelay(1), tc.c.hedgeDelay(10); d1 != 2*time.Millisecond || d10 != 20*time.Millisecond {
+		t.Fatalf("hedge delay %v for one pattern, %v for ten; want 2ms and 20ms", d1, d10)
+	}
+	batch := make([]rdf.Pattern, 10)
+	for i := range batch {
+		batch[i] = rdf.Pattern{P: rdf.NewIRI("http://ex/p0"), O: rdf.NewInteger(int64(i))}
+	}
+	tc.net.SetSlow("n2", 15*time.Millisecond)
+	read := func(pats []rdf.Pattern, step time.Duration) (hedges, wins int64) {
+		t.Helper()
+		before, timers := tc.reg.Snapshot(), tc.clk.Timers()
+		done := make(chan bool, 1)
+		go func() {
+			_, ok, err := tc.c.matchRead(ctx, 1, pats)
+			done <- ok && err == nil
+		}()
+		// n2's latency and the hedge delay.
+		tc.clk.AwaitTimers(timers + 2)
+		tc.clk.Advance(step)
+		if !<-done {
+			t.Fatal("read failed")
+		}
+		after := tc.reg.Snapshot()
+		return after.Counters["cluster_hedges_total"] - before.Counters["cluster_hedges_total"],
+			after.Counters["cluster_hedge_wins_total"] - before.Counters["cluster_hedge_wins_total"]
+	}
+	if hedges, _ := read(batch, 15*time.Millisecond); hedges != 0 {
+		t.Fatalf("a 10-pattern read answered in 15ms fired %d hedges, want 0", hedges)
+	}
+	if hedges, wins := read(batch[:1], 2*time.Millisecond); hedges != 1 || wins != 1 {
+		t.Fatalf("a 1-pattern read silent for 2ms: %d hedges, %d wins; want 1 and 1", hedges, wins)
+	}
+	tc.clk.Advance(time.Hour) // drain the abandoned slow reply
+}
+
+// TestBindJoinReadsPerStep: the benchmark's three-pattern join over
+// three groups costs one fan-out of three reads, then at most one read
+// per group for each of its two subject-bound steps, counted by
+// cluster_rpcs_total{type="match"} — not one read per row.
+func TestBindJoinReadsPerStep(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	oracle := strabon.New()
+	applied, err := tc.c.AddAll(context.Background(), clusterTriples(60, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle.AddAll(applied)
+	const series = `cluster_rpcs_total{type="match"}`
+	before := tc.reg.Snapshot()
+	mustMatchOracle(t, tc, oracle, qJoin3, "bind join")
+	after := tc.reg.Snapshot()
+	groups := int64(tc.c.Shards())
+	if reads := after.Counters[series] - before.Counters[series]; reads > groups+2*groups {
+		t.Fatalf("60-row join cost %d match reads, want <= %d (a fan-out, then one read per group per step)", reads, 3*groups)
+	}
+	h := after.Histograms["cluster_read_patterns"]
+	if sum := h.Sum - before.Histograms["cluster_read_patterns"].Sum; sum != 3+2*60 {
+		t.Fatalf("cluster_read_patterns sums to %v, want %d (3 fan-out patterns, 60 per step)", sum, 3+2*60)
+	}
+}
+
+// TestBatchAnswerSplitAcrossFrames: a batch whose answer outgrows the
+// frame cap is completed by further reads, over TCP and over the
+// in-memory fabric alike: the answers are the same, complete, and
+// never partial.
+func TestBatchAnswerSplitAcrossFrames(t *testing.T) {
+	// One subject's two triples encode to well under 256 bytes: a 256-
+	// byte cap fits a few patterns per frame. The cap is set before the
+	// nodes start and restored after they stop.
+	old := matchAnswerCap
+	matchAnswerCap = 256
+	t.Cleanup(func() { matchAnswerCap = old })
+	tr := NewTCPTransport()
+	defer tr.Close()
+	a := serveNodes(t, 2)
+	tcp, err := NewCoordinator(Config{Groups: [][]string{{a[0], a[1]}}, Transport: tr, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := newTestCluster(t, func(c *Config) { c.Groups = [][]string{{"n1", "n2"}} })
+	oracle := strabon.New()
+	ts := clusterTriples(40, 0)
+	oracle.AddAll(ts)
+	pats := make([]rdf.Pattern, 0, 40)
+	for i := 0; i < 40; i++ {
+		pats = append(pats, rdf.Pattern{S: rdf.NewIRI(testSubjectIRI(i))})
+	}
+	for name, c := range map[string]*Coordinator{"tcp": tcp, "mem": mem.c} {
+		if applied, err := c.AddAll(context.Background(), ts); err != nil || len(applied) != len(ts) {
+			t.Fatalf("%s: load: %d of %d applied: %v", name, len(applied), len(ts), err)
+		}
+		before := c.Metrics.Snapshot()
+		ctx, tally := scatter.WithTally(context.Background())
+		answers, err := c.FragmentMatchBatch(ctx, 0, pats)
+		if err != nil || tally.Partial {
+			t.Fatalf("%s: split batch: partial=%v err=%v", name, tally.Partial, err)
+		}
+		reads := c.Metrics.Snapshot().Counters[`cluster_rpcs_total{type="match"}`] - before.Counters[`cluster_rpcs_total{type="match"}`]
+		if reads < 4 {
+			t.Fatalf("%s: 40 patterns over a %d-byte cap took %d reads, want several", name, matchAnswerCap, reads)
+		}
+		if len(answers) != len(pats) {
+			t.Fatalf("%s: %d answers for %d patterns", name, len(answers), len(pats))
+		}
+		for i, p := range pats {
+			want := oracle.Match(p.S, p.P, p.O)
+			if len(answers[i]) != len(want) || len(want) != 2 {
+				t.Fatalf("%s: pattern %d: %d triples, want %d", name, i, len(answers[i]), len(want))
+			}
+			for _, tr := range answers[i] {
+				if tr.S != p.S {
+					t.Fatalf("%s: pattern %d answered with %v", name, i, tr)
+				}
+			}
+		}
+	}
+}
+
 // TestClusterHedgeSkipsBenched: a benched member is failover-only. With
 // group 1's leader slow and its other member demoted, no hedge timer is
 // armed at all, the fabric parks on the leader's latency alone, and the
@@ -399,7 +542,7 @@ func TestClusterHedgeSkipsBenched(t *testing.T) {
 	}
 	done := make(chan bool, 1)
 	go func() {
-		_, ok, _ := tc.c.fragmentRead(ctx, 1, rdf.Term{}, rdf.NewIRI("http://ex/p0"), rdf.Term{})
+		_, ok, _ := tc.c.matchRead(ctx, 1, []rdf.Pattern{{P: rdf.NewIRI("http://ex/p0")}})
 		done <- ok
 	}()
 	tc.clk.AwaitTimers(timersBefore + 1)

@@ -17,20 +17,26 @@ func (c *Coordinator) noteReplicaError(node string) {
 	c.Metrics.Counter("cluster_replica_errors_total", "node", node).Inc()
 }
 
-// observe turns a replica read's events into the cluster_* series: RPCs,
-// hedges fired at a backup replica after the primary stayed silent past
-// the hedge delay, hedged backups that answered first, replica errors
-// and demotions. Answered latencies, on the coordinator's clock so
-// fake-clock tests see exact values, also feed the adaptive hedge delay.
+// readPatternBuckets lays out cluster_read_patterns (patterns per
+// replica read).
+var readPatternBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}
+
+// observe turns a replica read's events into the cluster_* series: RPCs
+// and the patterns each carried, hedges fired at a backup replica after
+// the primary stayed silent past the hedge delay, hedged backups that
+// answered first, replica errors and demotions. Answered latencies, on
+// the coordinator's clock so fake-clock tests see exact values, also
+// feed the adaptive hedge delay.
 func (c *Coordinator) observe(ev scatter.Event) {
 	switch ev.Kind {
 	case scatter.Asked:
 		c.noteRPC("match")
+		c.Metrics.Histogram("cluster_read_patterns", readPatternBuckets).Observe(float64(ev.Size))
 	case scatter.Hedged:
 		c.Metrics.Counter("cluster_hedges_total").Inc()
 	case scatter.Answered:
 		c.Metrics.Histogram("cluster_read_seconds", nil).ObserveDuration(ev.Latency)
-		c.lat.add(ev.Latency)
+		c.lat.add(ev.Latency, ev.Size)
 		if ev.Hedge {
 			c.Metrics.Counter("cluster_hedge_wins_total").Inc()
 		}
@@ -42,8 +48,9 @@ func (c *Coordinator) observe(ev scatter.Event) {
 	}
 }
 
-// notePartial counts a fragment read degraded to empty because its
-// whole replica group was unreadable.
+// notePartial counts a group read degraded to empty because its whole
+// replica group was unreadable: once per read, however many patterns
+// it carried.
 func (c *Coordinator) notePartial() {
 	c.Metrics.Counter("cluster_partial_total").Inc()
 }

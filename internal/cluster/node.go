@@ -98,15 +98,38 @@ func (n *Node) handle(req Message, scratch []byte) Message {
 	}
 }
 
+// matchAnswerCap bounds the records of one match answer: what a frame
+// body holds besides the answer's sequence and length. It is a variable
+// only so tests can force split answers without 64 MiB of triples.
+var matchAnswerCap = maxWireBody - 12
+
+// handleMatch answers a pattern list with one record per pattern. The
+// patterns are matched under one lock, so the sequence stamp is exact
+// for every record, and encoded after it. When the next pattern's
+// record would push the answer past matchAnswerCap, the answer stops
+// before it and the coordinator asks again for the rest; the first
+// pattern is always answered, so every request makes progress.
 func (n *Node) handleMatch(req Message, scratch []byte) Message {
+	var small [8][]rdf.Triple
+	answers := small[:0]
 	sh := n.shard(req.Shard)
 	sh.mu.Lock()
-	ts := sh.store.Match(req.S, req.P, req.O)
+	for _, p := range req.Patterns {
+		answers = append(answers, sh.store.Match(p.S, p.P, p.O))
+	}
 	seq := sh.lastSeq
 	sh.mu.Unlock()
-	img, err := segment.AppendLogRecord(scratch, segment.LogRecord{Triples: ts})
-	if err != nil {
-		return errMsg("cluster: encoding match result: %v", err)
+	img := scratch
+	for i, ts := range answers {
+		mark := len(img)
+		var err error
+		if img, err = segment.AppendLogRecord(img, segment.LogRecord{Triples: ts}); err != nil {
+			return errMsg("cluster: encoding match result: %v", err)
+		}
+		if i > 0 && len(img)-len(scratch) > matchAnswerCap {
+			img = img[:mark]
+			break
+		}
 	}
 	return Message{Type: MsgMatchResp, Seq: seq, Records: img}
 }

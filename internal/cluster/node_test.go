@@ -65,7 +65,7 @@ func TestNodeApplyOrdering(t *testing.T) {
 	if resp = n.Handle(Message{Type: MsgApplyReq, Shard: 0, Seq: 1, Records: img1}); !resp.OK || resp.Seq != 2 {
 		t.Fatalf("idempotent apply: %+v", resp)
 	}
-	match := n.Handle(Message{Type: MsgMatchReq, Shard: 0})
+	match := n.Handle(Message{Type: MsgMatchReq, Shard: 0, Patterns: []rdf.Pattern{{}}})
 	if match.Type != MsgMatchResp || match.Seq != 2 {
 		t.Fatalf("match: %+v", match)
 	}

@@ -1,8 +1,9 @@
 package cluster
 
 import (
-	"hash/fnv"
 	"sort"
+
+	"applab/internal/rdf"
 )
 
 // ringVnodes is how many virtual points each replica group projects
@@ -66,9 +67,35 @@ func (r *Ring) Groups() int { return r.groups }
 
 // Lookup maps a subject key to its owning replica group.
 func (r *Ring) Lookup(subjectKey string) int {
-	h := fnv.New64a()
-	h.Write([]byte(subjectKey))
-	v := h.Sum64()
+	return r.owner(fnv1a(subjectKey))
+}
+
+// LookupTerm is Lookup(s.Key()) without building the key: the key's
+// bytes are appended to a stack buffer and hashed in place, so routing
+// a row allocates nothing.
+func (r *Ring) LookupTerm(s rdf.Term) int {
+	var buf [128]byte
+	return r.owner(fnv1a(s.AppendKey(buf[:0])))
+}
+
+// FNV-1a, 64-bit: the placement hash. Changing it moves every subject.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnv1a[K string | []byte](key K) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// owner is the group of the first ring point at or after hash v,
+// wrapping past the last.
+func (r *Ring) owner(v uint64) int {
 	pts := r.points
 	i := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= v })
 	if i == len(pts) {

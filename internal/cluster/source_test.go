@@ -88,37 +88,37 @@ func TestNewCoordinatorValidation(t *testing.T) {
 func TestHedgeDelayFromLatencyWindow(t *testing.T) {
 	tc := newTestCluster(t, func(cfg *Config) { cfg.HedgeAfter = 0 })
 	// Empty window: the fixed default.
-	if d := tc.c.hedgeDelay(); d != defaultHedge {
+	if d := tc.c.hedgeDelay(1); d != defaultHedge {
 		t.Fatalf("empty-window hedge delay = %v", d)
 	}
 	// A loaded window: the p95, floored at hedgeMin.
 	for i := 0; i < 100; i++ {
-		tc.c.lat.add(time.Duration(i+1) * time.Millisecond)
+		tc.c.lat.add(time.Duration(i+1)*time.Millisecond, 1)
 	}
-	d := tc.c.hedgeDelay()
+	d := tc.c.hedgeDelay(1)
 	if d < 90*time.Millisecond || d > 100*time.Millisecond {
 		t.Fatalf("p95 hedge delay = %v", d)
 	}
 	// Tiny latencies hit the floor.
 	tc2 := newTestCluster(t, func(cfg *Config) { cfg.HedgeAfter = 0 })
 	for i := 0; i < 100; i++ {
-		tc2.c.lat.add(time.Microsecond)
+		tc2.c.lat.add(time.Microsecond, 1)
 	}
-	if d := tc2.c.hedgeDelay(); d != hedgeMin {
+	if d := tc2.c.hedgeDelay(1); d != hedgeMin {
 		t.Fatalf("floored hedge delay = %v", d)
 	}
 }
 
 func TestLatWindowWraps(t *testing.T) {
 	var w latWindow
-	if w.percentile(0.95) != 0 {
+	if w.percentile(0.95, 1) != 0 {
 		t.Fatal("empty window percentile should be 0")
 	}
 	for i := 0; i < 500; i++ {
-		w.add(time.Duration(i) * time.Millisecond)
+		w.add(time.Duration(i)*time.Millisecond, 1)
 	}
 	// Only the last 128 samples (372..499ms) remain.
-	if p := w.percentile(0.0); p < 372*time.Millisecond {
+	if p := w.percentile(0.0, 1); p < 372*time.Millisecond {
 		t.Fatalf("window kept stale sample: %v", p)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"applab/internal/rdf"
 )
 
 // Transport delivers one request to a node and returns its response.
@@ -18,6 +20,10 @@ type Transport interface {
 // buffer grown past it (a snapshot, a large fan-out answer) is dropped
 // after the call rather than pinned for the connection's lifetime.
 const maxConnBuf = 1 << 20
+
+// maxConnPatterns caps the pattern list a node connection keeps for
+// the next match request, like maxConnBuf caps its byte buffers.
+const maxConnPatterns = 4096
 
 // reuse empties b for the next call, or drops it once it has grown past
 // maxConnBuf.
@@ -46,7 +52,7 @@ func (c *tcpConn) roundTrip(req Message) (Message, error) {
 		return Message{}, err
 	}
 	var resp Message
-	resp, c.buf, err = readMessage(c.Conn, c.buf)
+	resp, c.buf, err = readMessage(c.Conn, c.buf, nil)
 	return resp, err
 }
 
@@ -196,11 +202,13 @@ func (s *NodeServer) serveConn(c net.Conn) {
 		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
-	// Three buffers live as long as the connection: the request frame,
-	// the records of a match answer, and the response frame.
+	// Four buffers live as long as the connection: the request frame, a
+	// match request's patterns, the records of a match answer, and the
+	// response frame.
 	var in, records, out []byte
+	var pats []rdf.Pattern
 	for {
-		req, buf, err := readMessage(c, in)
+		req, buf, err := readMessage(c, in, pats)
 		if err != nil {
 			return
 		}
@@ -215,6 +223,9 @@ func (s *NodeServer) serveConn(c net.Conn) {
 		in, out = reuse(buf), reuse(frame)
 		if resp.Type == MsgMatchResp {
 			records = reuse(resp.Records)
+		}
+		if cap(req.Patterns) > cap(pats) && cap(req.Patterns) <= maxConnPatterns {
+			pats = req.Patterns
 		}
 	}
 }

@@ -6,20 +6,24 @@
 // hedging slow replicas and degrading to partial answers when a whole
 // replica group is down.
 //
-// The wire protocol is deliberately tiny: one frame shape, a dozen
+// The wire protocol is deliberately tiny: one frame shape, fifteen
 // message types, and triple batches carried as the segment engine's
 // AWAL1 record framing (segment.AppendLogRecord) so that snapshot
 // transfer, log-tail catch-up and disk recovery all share one fuzzed
-// codec.
+// codec. A match request carries a list of patterns for one shard and
+// its answer one AWAL1 record per pattern, in request order: a join
+// step reads each replica group once, however many rows it routes
+// there.
 //
 // Each RPC is encoded once and decoded once. Frames are appended in
 // place into buffers each TCP connection keeps for its lifetime (a node
 // also encodes a match answer's records straight into a per-connection
 // scratch buffer); a buffer grown past maxConnBuf is dropped after the
 // call, so one snapshot does not pin its size. Decoding copies out
-// everything it returns, so a reused buffer never aliases a message,
-// and a match answer's triples come back as the one slice its record
-// payload decoded into.
+// everything it returns, so a reused buffer never aliases a message
+// (a node decodes a match request's patterns into a slice its
+// connection reuses), and each pattern's triples come back as the one
+// slice its record payload decoded into.
 package cluster
 
 import (
@@ -34,7 +38,8 @@ import (
 
 // wireVersion is the protocol version stamped on every frame. A node
 // refuses frames from a different version rather than guessing.
-const wireVersion = 1
+// Version 2 made a match request a pattern list.
+const wireVersion = 2
 
 // maxWireBody caps a frame body, mirroring the WAL record cap so a
 // snapshot record that fits on disk fits on the wire.
@@ -89,10 +94,15 @@ type Message struct {
 	Card int64
 	// OK reports ApplyResp acceptance.
 	OK bool
-	// S, P, O are the MatchReq/CardReq pattern; zero terms are wildcards.
+	// S, P, O are the CardReq pattern; zero terms are wildcards.
 	S, P, O rdf.Term
+	// Patterns are the MatchReq patterns, all read from Shard.
+	Patterns []rdf.Pattern
 	// Records holds AWAL1-framed triple batches
-	// (segment.AppendLogRecord / DecodeLogRecords).
+	// (segment.AppendLogRecord / DecodeLogRecords). A MatchResp holds one
+	// record per answered pattern, in request order; a node stops short
+	// of the full list when the next answer would overflow the frame,
+	// and the coordinator asks again for the rest.
 	Records []byte
 	// Msg is the MsgErr error text.
 	Msg string
@@ -196,6 +206,32 @@ func (c *wireCursor) term() rdf.Term {
 	return t
 }
 
+// minPatternLen is the smallest encoded pattern: three absent terms.
+const minPatternLen = 3
+
+// patterns reads a counted pattern list into into's storage when it is
+// large enough. The count is checked against the bytes left before the
+// list is allocated, so a hostile count costs nothing.
+func (c *wireCursor) patterns(into []rdf.Pattern) []rdf.Pattern {
+	n := c.u32()
+	if c.err != nil || n == 0 {
+		return nil
+	}
+	if uint64(n) > uint64(len(c.data)-c.pos)/minPatternLen {
+		c.fail()
+		return nil
+	}
+	ps := into[:0]
+	if cap(ps) < int(n) {
+		ps = make([]rdf.Pattern, n)
+	}
+	ps = ps[:n]
+	for i := range ps {
+		ps[i] = rdf.Pattern{S: c.term(), P: c.term(), O: c.term()}
+	}
+	return ps
+}
+
 func appendU32(b []byte, v uint32) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
@@ -245,7 +281,15 @@ func appendMessage(dst []byte, m Message) ([]byte, error) {
 	dst = appendU32(dst, 0) // body CRC, patched below
 	body := len(dst)
 	switch m.Type {
-	case MsgMatchReq, MsgCardReq:
+	case MsgMatchReq:
+		dst = appendU32(dst, m.Shard)
+		dst = appendU32(dst, uint32(len(m.Patterns)))
+		for _, p := range m.Patterns {
+			dst = appendTerm(dst, p.S)
+			dst = appendTerm(dst, p.P)
+			dst = appendTerm(dst, p.O)
+		}
+	case MsgCardReq:
 		dst = appendU32(dst, m.Shard)
 		dst = appendTerm(dst, m.S)
 		dst = appendTerm(dst, m.P)
@@ -294,6 +338,13 @@ func appendMessage(dst []byte, m Message) ([]byte, error) {
 // are all errors — and every allocation is bounded by bytes actually
 // present, so it is safe on hostile input (see FuzzWireDecode).
 func DecodeMessage(data []byte) (Message, int, error) {
+	return decodeMessage(data, nil)
+}
+
+// decodeMessage is DecodeMessage with a match request's patterns
+// decoded into pats's storage when it is large enough: the message
+// then aliases pats.
+func decodeMessage(data []byte, pats []rdf.Pattern) (Message, int, error) {
 	if len(data) < wireHeaderLen {
 		return Message{}, 0, errWireShort
 	}
@@ -320,7 +371,10 @@ func DecodeMessage(data []byte) (Message, int, error) {
 	m := Message{Type: typ}
 	c := wireCursor{data: body}
 	switch typ {
-	case MsgMatchReq, MsgCardReq:
+	case MsgMatchReq:
+		m.Shard = c.u32()
+		m.Patterns = c.patterns(pats)
+	case MsgCardReq:
 		m.Shard = c.u32()
 		m.S = c.term()
 		m.P = c.term()
@@ -364,7 +418,7 @@ func DecodeMessage(data []byte) (Message, int, error) {
 
 // ReadMessage reads exactly one frame from a stream.
 func ReadMessage(r io.Reader) (Message, error) {
-	m, _, err := readMessage(r, nil)
+	m, _, err := readMessage(r, nil, nil)
 	return m, err
 }
 
@@ -377,8 +431,9 @@ const readChunk = 64 << 10
 // read. The body is read in chunks that at most double what has
 // arrived, so a header declaring a huge body on a stream that then ends
 // costs a bounded allocation, not the declared size. The message never
-// aliases buf: DecodeMessage copies what it returns.
-func readMessage(r io.Reader, buf []byte) (Message, []byte, error) {
+// aliases buf: DecodeMessage copies what it returns. A match request's
+// patterns are decoded into pats's storage when it is large enough.
+func readMessage(r io.Reader, buf []byte, pats []rdf.Pattern) (Message, []byte, error) {
 	buf = append(buf[:0], make([]byte, wireHeaderLen)...)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return Message{}, buf, err
@@ -402,7 +457,7 @@ func readMessage(r io.Reader, buf []byte) (Message, []byte, error) {
 			return Message{}, buf, err
 		}
 	}
-	m, _, err := DecodeMessage(buf)
+	m, _, err := decodeMessage(buf, pats)
 	return m, buf, err
 }
 

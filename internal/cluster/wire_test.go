@@ -22,7 +22,10 @@ func wireMessages(t testing.TB) []Message {
 		t.Fatalf("encode record: %v", err)
 	}
 	return []Message{
-		{Type: MsgMatchReq, Shard: 3, S: rdf.NewIRI("http://ex/s"), P: rdf.Term{}, O: rdf.NewLangLiteral("hi", "en")},
+		{Type: MsgMatchReq, Shard: 3, Patterns: []rdf.Pattern{
+			{S: rdf.NewIRI("http://ex/s"), O: rdf.NewLangLiteral("hi", "en")},
+			{P: rdf.NewIRI("http://ex/p"), O: rdf.NewTypedLiteral("7", rdf.XSDInteger)},
+		}},
 		{Type: MsgMatchResp, Seq: 42, Records: img},
 		{Type: MsgCardReq, Shard: 0, S: rdf.Term{}, P: rdf.NewIRI("http://ex/p"), O: rdf.Term{}},
 		{Type: MsgCardResp, Seq: 7, Card: -1},
@@ -116,7 +119,15 @@ func TestWireDecodeStrict(t *testing.T) {
 func referenceEncodeMessage(m Message) []byte {
 	var body []byte
 	switch m.Type {
-	case MsgMatchReq, MsgCardReq:
+	case MsgMatchReq:
+		body = appendU32(body, m.Shard)
+		body = appendU32(body, uint32(len(m.Patterns)))
+		for _, p := range m.Patterns {
+			body = appendTerm(body, p.S)
+			body = appendTerm(body, p.P)
+			body = appendTerm(body, p.O)
+		}
+	case MsgCardReq:
 		body = appendU32(body, m.Shard)
 		body = appendTerm(body, m.S)
 		body = appendTerm(body, m.P)
@@ -147,7 +158,7 @@ func referenceEncodeMessage(m Message) []byte {
 	case MsgErr:
 		body = appendStr(body, m.Msg)
 	}
-	out := []byte{1, byte(m.Type)}
+	out := []byte{2, byte(m.Type)}
 	out = appendU32(out, uint32(len(body)))
 	out = appendU32(out, crc32.ChecksumIEEE(body))
 	return append(out, body...)
@@ -155,9 +166,10 @@ func referenceEncodeMessage(m Message) []byte {
 
 // TestWireFramesUnchanged: encoding in place into a reused buffer — and
 // after bytes a buffer already holds — writes exactly the frames the
-// copying encoder wrote, under wire version 1.
+// copying encoder writes, under wire version 2 (a match request carries
+// a pattern list).
 func TestWireFramesUnchanged(t *testing.T) {
-	if wireVersion != 1 {
+	if wireVersion != 2 {
 		t.Fatalf("wire version %d: frames changed", wireVersion)
 	}
 	buf := bytes.Repeat([]byte{0xa5}, 512) // stale bytes from an earlier call
@@ -207,6 +219,30 @@ func TestReadMessageHostileLength(t *testing.T) {
 	}
 }
 
+// hostilePatternCount is a checksummed match request whose pattern
+// count claims four billion patterns over six bytes of patterns.
+func hostilePatternCount() []byte {
+	body := appendU32(appendU32(nil, 1), 0xffffffff)
+	body = append(body, 0, 0, 0, 0, 0, 0)
+	frame := appendU32([]byte{wireVersion, byte(MsgMatchReq)}, uint32(len(body)))
+	frame = appendU32(frame, crc32.ChecksumIEEE(body))
+	return append(frame, body...)
+}
+
+// TestWirePatternCountBounded: a pattern count larger than the bytes
+// present is a truncation error, refused before the list is allocated.
+func TestWirePatternCountBounded(t *testing.T) {
+	frame := hostilePatternCount()
+	var err error
+	allocs := testing.AllocsPerRun(10, func() { _, _, err = DecodeMessage(frame) })
+	if !errors.Is(err, errWireShort) {
+		t.Fatalf("decode of a hostile pattern count: %v, want %v", err, errWireShort)
+	}
+	if allocs > 0 {
+		t.Fatalf("decode of a hostile pattern count allocated %.0f times", allocs)
+	}
+}
+
 func TestWireBodyCap(t *testing.T) {
 	m := Message{Type: MsgMatchResp, Records: make([]byte, maxWireBody)}
 	if _, err := EncodeMessage(m); err == nil {
@@ -220,7 +256,10 @@ func TestWireBodyCap(t *testing.T) {
 // an identical frame (the codec is canonical).
 func FuzzWireDecode(f *testing.F) {
 	seedMsgs := []Message{
-		{Type: MsgMatchReq, Shard: 1, S: rdf.NewIRI("http://ex/s")},
+		{Type: MsgMatchReq, Shard: 1, Patterns: []rdf.Pattern{{S: rdf.NewIRI("http://ex/s")}}},
+		{Type: MsgMatchReq, Shard: 2, Patterns: []rdf.Pattern{{}, {P: rdf.NewIRI("http://ex/p")}, {S: rdf.NewBlank("b"), O: rdf.NewLangLiteral("x", "en")}}},
+		{Type: MsgMatchReq, Shard: 0},
+		{Type: MsgCardReq, Shard: 1, P: rdf.NewIRI("http://ex/p")},
 		{Type: MsgApplyResp, Seq: 5, OK: true},
 		{Type: MsgSeqResp, Seq: 1},
 		{Type: MsgErr, Msg: "x"},
@@ -237,6 +276,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{wireVersion, byte(MsgMatchResp), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Add([]byte{wireVersion, byte(MsgErr), 4, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{wireVersion, byte(MsgApplyReq)})
+	f.Add(hostilePatternCount())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := DecodeMessage(data)
 		if err != nil {

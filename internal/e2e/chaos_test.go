@@ -85,6 +85,10 @@ func chaosQueries(round int) []string {
 		`SELECT ?s ?n WHERE { ?s <` + contractNS + `name> ?n FILTER(?n != ` + nonce + `) }`,
 		`SELECT ?s ?n WHERE { ?s a <` + contractNS + `Thing> ; <` + contractNS + `name> ?n FILTER(?n != ` + nonce + `) }`,
 		`SELECT ?p ?o WHERE { <` + contractNS + `s3> ?p ?o FILTER(?o != ` + nonce + `) }`,
+		// A bind join of three patterns: a fan-out, then two
+		// subject-bound steps, each of which the cluster reads as one
+		// batch per replica group.
+		`SELECT ?s ?n ?t WHERE { ?s a <` + contractNS + `Thing> . ?s <` + contractNS + `name> ?n . ?s a ?t FILTER(?n != ` + nonce + `) }`,
 	}
 }
 

@@ -173,6 +173,17 @@ source		SELECT id, name FROM things
 				}
 			}
 		}
+		if bx, ok := src.(sparql.BatchExchangeSource); ok {
+			for frag := 0; frag < bx.Fragments(); frag++ {
+				calls[fmt.Sprintf("FragmentMatchBatch(%d)", frag)] = func(s, p, o rdf.Term) []rdf.Triple {
+					answers, err := bx.FragmentMatchBatch(context.Background(), frag, []rdf.Pattern{{S: s, P: p, O: o}, {S: s, P: p, O: o}})
+					if err != nil {
+						t.Fatalf("%s: FragmentMatchBatch: %v", name, err)
+					}
+					return answers[1]
+				}
+			}
+		}
 		for call, match := range calls {
 			for shape, pat := range patterns {
 				first := match(pat[0], pat[1], pat[2])

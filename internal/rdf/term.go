@@ -325,6 +325,11 @@ type Triple struct {
 	ValidTo   time.Time
 }
 
+// Pattern is a triple pattern: zero terms are wildcards.
+type Pattern struct {
+	S, P, O Term
+}
+
 // NewTriple returns a triple without valid time.
 func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 

@@ -17,8 +17,8 @@ import (
 	"applab/internal/rdf"
 )
 
-// Target is one leg of a fan-out.
-type Target struct {
+// Leg is one leg of a fan-out whose replicas each answer with an A.
+type Leg[A any] struct {
 	// Name labels the target's Result.
 	Name string
 	// Replicas are the names that can each answer for the whole target,
@@ -26,16 +26,25 @@ type Target struct {
 	// never asked. Only the first 64 are tracked for the deadline's
 	// failure records.
 	Replicas []string
+	// Size is how many items one call asks for (the cluster's patterns
+	// per read); zero counts as one. It reaches Fanout.HedgeAfter and
+	// the Asked and Answered events, so a large request is not judged
+	// by the latency of small ones.
+	Size int
 	// Call asks one replica. A non-nil error is a bad answer: the read
 	// records it and fails over to the next replica.
-	Call func(ctx context.Context, replica string) ([]rdf.Triple, error)
+	Call func(ctx context.Context, replica string) (A, error)
 }
+
+// Target is a leg answered with triples, the kind Gather merges.
+type Target = Leg[[]rdf.Triple]
 
 // Result is one target's outcome in a fan-out.
 type Result struct {
 	// Member is the target's Name.
 	Member string
-	// Triples is how many triples the accepted answer held.
+	// Triples is how many triples the accepted answer held (a Target's
+	// answer; zero for other answer types).
 	Triples int
 	// Err is the last bad answer, when no replica answered well.
 	Err error
@@ -74,6 +83,8 @@ type Event struct {
 	Latency time.Duration
 	// Hedge marks an Answered replica that a hedge asked.
 	Hedge bool
+	// Size is the leg's Size (Asked, Answered), at least one.
+	Size int
 	// Demoted marks a Failed outcome that newly demoted the replica.
 	Demoted bool
 }
@@ -86,10 +97,10 @@ type Fanout struct {
 	// Now and After are the clock hooks (time.Now/time.After when nil).
 	Now   func() time.Time
 	After func(time.Duration) <-chan time.Time
-	// HedgeAfter, when set, returns how long a read waits for its
-	// answer before it also asks the next eligible replica; nil never
-	// hedges.
-	HedgeAfter func() time.Duration
+	// HedgeAfter, when set, returns how long a read of a leg of the
+	// given Size (at least one) waits for its answer before it also asks
+	// the next eligible replica; nil never hedges.
+	HedgeAfter func(size int) time.Duration
 	// Observe, when set, sees every Event, on the goroutine collecting
 	// the read, before the read returns.
 	Observe func(Event)
@@ -118,10 +129,10 @@ func (f *Fanout) observe(ev Event) {
 // Read asks t's replicas for one answer, collecting on the calling
 // goroutine. A non-nil error is always an abort (cancellation or a
 // budget violation); otherwise the Result says whether t answered.
-func (f *Fanout) Read(ctx context.Context, t Target) ([]rdf.Triple, Result, error) {
-	ts, res, abort := f.read(ctx, t, nil)
+func Read[A any](ctx context.Context, f *Fanout, t Leg[A]) (A, Result, error) {
+	a, res, abort := read(ctx, f, t, nil)
 	count(ctx, []Result{res})
-	return ts, res, abort
+	return a, res, abort
 }
 
 // Gather reads every target in parallel and merges the answers of those
@@ -144,7 +155,7 @@ func (f *Fanout) Gather(ctx context.Context, targets []Target, timeout time.Dura
 			continue
 		}
 		go func() {
-			ts, res, abort := f.read(ctx, t, stop)
+			ts, res, abort := read(ctx, f, t, stop)
 			legs <- leg{i, ts, res, abort}
 		}()
 	}
@@ -183,11 +194,13 @@ func (f *Fanout) Gather(ctx context.Context, targets []Target, timeout time.Dura
 	return Merge(answers), results, abort
 }
 
-// read is Read, also giving up when stop closes: replicas still silent
-// then are recorded as failures unless the context says the query was
-// aborted.
-func (f *Fanout) read(ctx context.Context, t Target, stop <-chan struct{}) ([]rdf.Triple, Result, error) {
+// read is Read, also giving up when stop closes: replicas still
+// silent then are recorded as failures unless the context says the
+// query was aborted.
+func read[A any](ctx context.Context, f *Fanout, t Leg[A], stop <-chan struct{}) (A, Result, error) {
+	var none A
 	res := Result{Member: t.Name}
+	size := max(t.Size, 1)
 	began := f.now()
 	// Eligible replicas first, in the given order, benched ones behind
 	// them; the given list is used as is while nothing is benched.
@@ -210,7 +223,7 @@ func (f *Fanout) read(ctx context.Context, t Target, stop <-chan struct{}) ([]rd
 
 	type reply struct {
 		i     int // index into ordered
-		ts    []rdf.Triple
+		a     A
 		err   error
 		hedge bool
 		start time.Time
@@ -226,11 +239,11 @@ func (f *Fanout) read(ctx context.Context, t Target, stop <-chan struct{}) ([]rd
 		next++
 		inflight++
 		silent |= 1 << i
-		f.observe(Event{Kind: Asked, Replica: replica})
+		f.observe(Event{Kind: Asked, Replica: replica, Size: size})
 		start := f.now()
 		go func() {
-			ts, err := call(ctx, replica)
-			replies <- reply{i: i, ts: ts, err: err, hedge: hedge, start: start}
+			a, err := call(ctx, replica)
+			replies <- reply{i: i, a: a, err: err, hedge: hedge, start: start}
 		}()
 		return nil
 	}
@@ -252,9 +265,12 @@ func (f *Fanout) read(ctx context.Context, t Target, stop <-chan struct{}) ([]rd
 			return false
 		}
 		f.Health.Record(ev.Replica, true, now)
-		ev.Kind, ev.Hedge = Answered, r.hedge
+		ev.Kind, ev.Hedge, ev.Size = Answered, r.hedge, size
 		f.observe(ev)
-		res.Err, res.Triples = nil, len(r.ts)
+		res.Err = nil
+		if ts, ok := any(r.a).([]rdf.Triple); ok {
+			res.Triples = len(ts)
+		}
 		return true
 	}
 
@@ -263,14 +279,14 @@ func (f *Fanout) read(ctx context.Context, t Target, stop <-chan struct{}) ([]rd
 	abort := issue(false)
 	var hedge <-chan time.Time
 	if abort == nil && f.HedgeAfter != nil && next < eligible {
-		hedge = f.after(f.HedgeAfter())
+		hedge = f.after(f.HedgeAfter(size))
 	}
 loop:
 	for inflight > 0 {
 		select {
 		case r := <-replies:
 			if take(r) {
-				return r.ts, res, nil
+				return r.a, res, nil
 			}
 			// Failover: escalate to the next replica immediately.
 			if next < len(ordered) {
@@ -282,7 +298,7 @@ loop:
 				f.observe(Event{Kind: Hedged})
 				abort = issue(true)
 				if next < eligible {
-					hedge = f.after(f.HedgeAfter())
+					hedge = f.after(f.HedgeAfter(size))
 				}
 			}
 		case <-ctx.Done():
@@ -295,14 +311,14 @@ loop:
 		abort = admission.Check(ctx)
 	}
 	if inflight == 0 && abort == nil {
-		return nil, res, nil // every replica answered badly
+		return none, res, nil // every replica answered badly
 	}
 	// Given up: anything already delivered still counts.
 	for inflight > 0 {
 		select {
 		case r := <-replies:
 			if take(r) {
-				return r.ts, res, nil
+				return r.a, res, nil
 			}
 			continue
 		default:
@@ -318,7 +334,7 @@ loop:
 			}
 		}
 	}
-	return nil, res, abort
+	return none, res, abort
 }
 
 // Merge is the fan-out's merge rule: the answers concatenated, sorted

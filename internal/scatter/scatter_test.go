@@ -116,7 +116,7 @@ func TestReadEligibleFirstThenFailover(t *testing.T) {
 	clk := faults.NewClock(epoch)
 	f := scatter.Fanout{Health: h, Now: clk.Now, Observe: ev.observe}
 
-	ts, res, err := f.Read(context.Background(), scatter.Target{Name: "t", Replicas: []string{"a", "b", "c"}, Call: r.call})
+	ts, res, err := scatter.Read(context.Background(), &f, scatter.Target{Name: "t", Replicas: []string{"a", "b", "c"}, Call: r.call})
 	if err != nil || !res.OK() || len(ts) != 1 || res.Triples != 1 || res.Member != "t" {
 		t.Fatalf("read = %v, %+v, %v", ts, res, err)
 	}
@@ -140,7 +140,7 @@ func TestReadBenchedIsFailoverOnly(t *testing.T) {
 	r.answers["a"] = []rdf.Triple{triple("x")}
 	f := scatter.Fanout{Health: h, Now: faults.NewClock(epoch).Now}
 
-	_, res, err := f.Read(context.Background(), scatter.Target{Replicas: []string{"a", "b"}, Call: r.call})
+	_, res, err := scatter.Read(context.Background(), &f, scatter.Target{Replicas: []string{"a", "b"}, Call: r.call})
 	if err != nil || !res.OK() {
 		t.Fatalf("read = %+v, %v", res, err)
 	}
@@ -159,7 +159,7 @@ func TestReadEveryReplicaBad(t *testing.T) {
 	r.errs["b"] = last
 	f := scatter.Fanout{Health: scatter.NewHealth(0, 0)}
 
-	ts, res, err := f.Read(context.Background(), scatter.Target{Replicas: []string{"a", "b"}, Call: r.call})
+	ts, res, err := scatter.Read(context.Background(), &f, scatter.Target{Replicas: []string{"a", "b"}, Call: r.call})
 	if err != nil || res.OK() || res.TimedOut || ts != nil {
 		t.Fatalf("read = %v, %+v, %v", ts, res, err)
 	}
@@ -177,7 +177,7 @@ func TestReadHedgesToEligible(t *testing.T) {
 	ev := newEvents()
 	f := scatter.Fanout{
 		Health: scatter.NewHealth(0, 0), Now: clk.Now, After: clk.After,
-		HedgeAfter: func() time.Duration { return 10 * time.Millisecond },
+		HedgeAfter: func(int) time.Duration { return 10 * time.Millisecond },
 		Observe:    ev.observe,
 	}
 	type out struct {
@@ -186,7 +186,7 @@ func TestReadHedgesToEligible(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		_, res, err := f.Read(context.Background(), scatter.Target{Replicas: []string{"a", "b"}, Call: r.call})
+		_, res, err := scatter.Read(context.Background(), &f, scatter.Target{Replicas: []string{"a", "b"}, Call: r.call})
 		done <- out{res, err}
 	}()
 	clk.AwaitTimers(1)
@@ -218,11 +218,11 @@ func TestReadNeverHedgesToBenched(t *testing.T) {
 	clk := faults.NewClock(epoch)
 	f := scatter.Fanout{
 		Health: h, Now: clk.Now, After: clk.After,
-		HedgeAfter: func() time.Duration { return 10 * time.Millisecond },
+		HedgeAfter: func(int) time.Duration { return 10 * time.Millisecond },
 	}
 	done := make(chan scatter.Result, 1)
 	go func() {
-		_, res, _ := f.Read(context.Background(), scatter.Target{Replicas: []string{"a", "b"}, Call: r.call})
+		_, res, _ := scatter.Read(context.Background(), &f, scatter.Target{Replicas: []string{"a", "b"}, Call: r.call})
 		done <- res
 	}()
 	<-r.entered
@@ -241,7 +241,7 @@ func TestReadBudgetAbort(t *testing.T) {
 	f := scatter.Fanout{Health: scatter.NewHealth(0, 0)}
 	ctx := admission.WithBudget(context.Background(), admission.NewBudget(admission.Limits{MaxFanout: 1}, nil))
 
-	_, res, err := f.Read(ctx, scatter.Target{Replicas: []string{"a", "b"}, Call: r.call})
+	_, res, err := scatter.Read(ctx, &f, scatter.Target{Replicas: []string{"a", "b"}, Call: r.call})
 	if be, ok := admission.AsBudgetError(err); !ok || be.Kind != admission.KindFanout {
 		t.Fatalf("failover past the budget = %v, want the fan-out budget error", err)
 	}
@@ -249,7 +249,7 @@ func TestReadBudgetAbort(t *testing.T) {
 		t.Fatalf("result %+v, asked %v", res, r.order())
 	}
 	// A spent budget asks nobody.
-	_, _, err = f.Read(ctx, scatter.Target{Replicas: []string{"b"}, Call: r.call})
+	_, _, err = scatter.Read(ctx, &f, scatter.Target{Replicas: []string{"b"}, Call: r.call})
 	if !admission.Aborted(err) || len(r.order()) != 1 {
 		t.Fatalf("second read = %v, asked %v", err, r.order())
 	}
@@ -264,7 +264,7 @@ func TestReadCancelledCountsAgainstNobody(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := f.Read(ctx, scatter.Target{Replicas: []string{"a"}, Call: r.call})
+		_, _, err := scatter.Read(ctx, &f, scatter.Target{Replicas: []string{"a"}, Call: r.call})
 		done <- err
 	}()
 	<-r.entered
@@ -457,7 +457,7 @@ func TestTallyAddsUpEveryFanout(t *testing.T) {
 	if !slices.Equal(r.order(), []string{"x", "y"}) && !slices.Equal(r.order(), []string{"y", "x"}) {
 		t.Fatalf("asked %v: a target without replicas must not be asked", r.order())
 	}
-	if _, _, err := f.Read(ctx, scatter.Target{Replicas: []string{"x"}, Call: r.call}); err != nil {
+	if _, _, err := scatter.Read(ctx, &f, scatter.Target{Replicas: []string{"x"}, Call: r.call}); err != nil {
 		t.Fatal(err)
 	}
 	if tally.Fanouts != 2 || !tally.Partial {

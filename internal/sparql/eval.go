@@ -16,10 +16,10 @@ type Source interface {
 	// reuse, retain or mutate it (or hand the same backing array out
 	// twice), because the compiled engine points its solution rows
 	// straight at the slice's terms for as long as the query runs. The
-	// same holds for MatchErr, MatchContext and FragmentMatch. A
-	// RefSource's MatchRefs adds a second rule: the terms its refs point
-	// at are the source's, never mutated, and reachable for as long as
-	// any row holds them.
+	// same holds for MatchErr, MatchContext, FragmentMatch and each
+	// answer of FragmentMatchBatch. A RefSource's MatchRefs adds a
+	// second rule: the terms its refs point at are the source's, never
+	// mutated, and reachable for as long as any row holds them.
 	Match(s, p, o rdf.Term) []rdf.Triple
 }
 
@@ -132,6 +132,9 @@ func (q *Query) evalCtx(ctx context.Context, src Source, workers, threshold int)
 	}
 	if ex, ok := src.(ExchangeSource); ok {
 		ec.ex = ex
+	}
+	if bx, ok := src.(BatchExchangeSource); ok {
+		ec.bx = bx
 	}
 	prog := compileQuery(q, src)
 	rows, err := runOps(ec, prog.ops, []row{make(row, prog.vt.size())})

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"context"
+	"sync"
 
 	"applab/internal/admission"
 	"applab/internal/rdf"
@@ -32,16 +33,130 @@ type ExchangeSource interface {
 	FragmentMatch(ctx context.Context, frag int, s, p, o rdf.Term) ([]rdf.Triple, error)
 }
 
+// BatchExchangeSource is implemented by partitioned sources that can
+// answer many patterns of one fragment in one read — the cluster
+// coordinator sends the replica group one request. A nested-loop join
+// step over such a source resolves every row's pattern first, reads
+// each fragment's routed patterns as one batch, the fragments in
+// parallel, and extends each row from its own pattern's answer; rows
+// whose pattern has no route fan out one by one as before. Errors
+// follow FragmentMatch.
+type BatchExchangeSource interface {
+	ExchangeSource
+	// FragmentMatchBatch answers every pattern from one fragment, one
+	// answer per pattern, in pattern order.
+	FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Triple, error)
+}
+
 // exchangeMatch is the exchange operator's scan: the pattern-level
 // fan-out/merge every scan strategy (cross, hash, nested_loop) drives
 // its probes through when the source is partitioned.
 func (ec *execCtx) exchangeMatch(s, p, o rdf.Term) ([]rdf.Triple, error) {
-	ex := ec.ex
-	if frag, ok := ex.Route(s, p, o); ok {
+	if frag, ok := ec.ex.Route(s, p, o); ok {
 		noteExchange("routed")
-		ts, err := ex.FragmentMatch(ec.ctx, frag, s, p, o)
+		ts, err := ec.ex.FragmentMatch(ec.ctx, frag, s, p, o)
 		return ts, ec.exchangeErr(err)
 	}
+	return ec.exchangeFanout(s, p, o)
+}
+
+// exchangeRows is the exchange operator's scan for a nested-loop join
+// step over a BatchExchangeSource: the answer to the pattern each row
+// resolves to, in row order. Rows without a route fan out one by one;
+// the routed patterns are laid out grouped by fragment, and each
+// fragment gets one batch, the fragments read in parallel. Scans are
+// counted per row, as exchangeMatch counts them.
+func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Triple, error) {
+	answers := make([][]rdf.Triple, len(rows))
+	frags := make([]int, len(rows))           // the row's fragment, -1 when it fanned out
+	start := make([]int, ec.ex.Fragments()+1) // fragment f's patterns are pats[start[f]:start[f+1]]
+	routed := 0
+	for i, r := range rows {
+		// Poll without charging: the join step charges these rows as it
+		// extends them.
+		if err := ec.checkpoint(0); err != nil {
+			return nil, err
+		}
+		s := resolve(sc.sSlot, sc.s, r)
+		p := resolve(sc.pSlot, sc.p, r)
+		o := resolve(sc.oSlot, sc.o, r)
+		frag, ok := ec.ex.Route(s, p, o)
+		if !ok {
+			frags[i] = -1
+			ts, err := ec.exchangeFanout(s, p, o)
+			if err != nil {
+				return nil, err
+			}
+			answers[i] = ts
+			continue
+		}
+		noteExchange("routed")
+		frags[i] = frag
+		start[frag+1]++
+		routed++
+	}
+	if routed == 0 {
+		return answers, nil
+	}
+	busy := 0 // fragments with patterns
+	for f := 1; f < len(start); f++ {
+		if start[f] > 0 {
+			busy++
+		}
+		start[f] += start[f-1]
+	}
+	pats := make([]rdf.Pattern, routed)
+	owner := make([]int, routed) // pats[j] is rows[owner[j]]'s pattern
+	next := append([]int(nil), start[:len(start)-1]...)
+	for i, f := range frags {
+		if f < 0 {
+			continue
+		}
+		r := rows[i]
+		j := next[f]
+		next[f]++
+		pats[j] = rdf.Pattern{S: resolve(sc.sSlot, sc.s, r), P: resolve(sc.pSlot, sc.p, r), O: resolve(sc.oSlot, sc.o, r)}
+		owner[j] = i
+	}
+	errs := make([]error, len(start)-1)
+	read := func(f int) {
+		lo, hi := start[f], start[f+1]
+		got, err := ec.bx.FragmentMatchBatch(ec.ctx, f, pats[lo:hi])
+		if err != nil {
+			errs[f] = err
+			return
+		}
+		for j := range min(len(got), hi-lo) {
+			answers[owner[lo+j]] = got[j]
+		}
+	}
+	var wg sync.WaitGroup
+	for f := range errs {
+		switch {
+		case start[f] == start[f+1]:
+		case busy == 1:
+			read(f)
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				read(f)
+			}()
+		}
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err := ec.exchangeErr(err); err != nil {
+			return nil, err
+		}
+	}
+	return answers, nil
+}
+
+// exchangeFanout reads an unrouted pattern from every fragment in
+// parallel and merges the partial streams.
+func (ec *execCtx) exchangeFanout(s, p, o rdf.Term) ([]rdf.Triple, error) {
+	ex := ec.ex
 	n := ex.Fragments()
 	noteExchange("fanout")
 	if n <= 1 {

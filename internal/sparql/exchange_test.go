@@ -1,0 +1,172 @@
+package sparql
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"sync/atomic"
+	"testing"
+
+	"applab/internal/rdf"
+)
+
+// fragmented is an in-process partitioned source: triples placed on
+// fragments by a hash of their subject, like the cluster's placement.
+type fragmented struct {
+	frags       []*rdf.Graph
+	reads       atomic.Int64 // FragmentMatch calls
+	batches     atomic.Int64 // FragmentMatchBatch calls
+	batchedPats atomic.Int64
+}
+
+func newFragmented(n int, ts []rdf.Triple) *fragmented {
+	f := &fragmented{frags: make([]*rdf.Graph, n)}
+	for i := range f.frags {
+		f.frags[i] = rdf.NewGraph()
+	}
+	for _, t := range ts {
+		frag, _ := f.Route(t.S, t.P, t.O)
+		f.frags[frag].Add(t)
+	}
+	return f
+}
+
+func (f *fragmented) Match(s, p, o rdf.Term) []rdf.Triple {
+	var all []rdf.Triple
+	for _, g := range f.frags {
+		all = append(all, g.Match(s, p, o)...)
+	}
+	return all
+}
+
+func (f *fragmented) Fragments() int { return len(f.frags) }
+
+func (f *fragmented) Route(s, p, o rdf.Term) (int, bool) {
+	if s.IsZero() {
+		return 0, false
+	}
+	h := fnv.New32a()
+	h.Write([]byte(s.Key()))
+	return int(h.Sum32() % uint32(len(f.frags))), true
+}
+
+func (f *fragmented) FragmentMatch(ctx context.Context, frag int, s, p, o rdf.Term) ([]rdf.Triple, error) {
+	f.reads.Add(1)
+	return f.frags[frag].Match(s, p, o), nil
+}
+
+// batching adds the batch capability, failing fragment fail (if >= 0)
+// with err.
+type batching struct {
+	*fragmented
+	fail int
+	err  error
+}
+
+func (b *batching) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Triple, error) {
+	b.batches.Add(1)
+	b.batchedPats.Add(int64(len(pats)))
+	if frag == b.fail {
+		return nil, b.err
+	}
+	out := make([][]rdf.Triple, len(pats))
+	for i, p := range pats {
+		out[i] = b.frags[frag].Match(p.S, p.P, p.O)
+	}
+	return out, nil
+}
+
+func exchangeTriples() []rdf.Triple {
+	var ts []rdf.Triple
+	for i := 0; i < 60; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("http://ex.org/s%d", i))
+		ts = append(ts,
+			rdf.NewTriple(s, rdf.NewIRI("http://ex.org/kind"), rdf.NewLiteral(fmt.Sprintf("k%d", i%4))),
+			rdf.NewTriple(s, rdf.NewIRI("http://ex.org/n"), rdf.NewInteger(int64(i))),
+			rdf.NewTriple(s, rdf.NewIRI("http://ex.org/next"), rdf.NewIRI(fmt.Sprintf("http://ex.org/s%d", (i+1)%60))))
+	}
+	return ts
+}
+
+var exchangeQueries = []string{
+	// A fan-out, then two subject-bound steps.
+	`SELECT ?s ?n ?t WHERE { ?s <http://ex.org/kind> "k1" . ?s <http://ex.org/n> ?n . ?s <http://ex.org/next> ?t }`,
+	// A step whose subject comes from an object, and one whose object
+	// is bound from the row.
+	`SELECT ?s ?t ?m WHERE { ?s <http://ex.org/next> ?t . ?t <http://ex.org/n> ?m . ?s <http://ex.org/next> ?t }`,
+	// Routed and fan-out rows in one step.
+	`SELECT ?x ?s ?k WHERE { ?x <http://ex.org/n> ?i OPTIONAL { ?s <http://ex.org/n> ?i FILTER(?i < 3) } ?s <http://ex.org/kind> ?k } ORDER BY ?x ?s`,
+	// Every subject twice in one step.
+	`SELECT ?s ?p ?k WHERE { ?s ?p ?o . ?s <http://ex.org/kind> ?k FILTER(?o != "k0") }`,
+}
+
+// TestBatchedExchangeMatchesPerRow: a nested-loop step over a batching
+// partitioned source answers row for row and in the same order as the
+// per-row exchange (whose rows equal the unpartitioned graph's), on one
+// worker and on four, and every routed per-row read becomes one
+// batched pattern.
+func TestBatchedExchangeMatchesPerRow(t *testing.T) {
+	ts := exchangeTriples()
+	g := rdf.NewGraph()
+	g.AddAll(ts)
+	for _, q := range exchangeQueries {
+		parsed, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := parsed.eval(g, 1, parallelThreshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			perRow := newFragmented(3, ts)
+			rows, err := parsed.eval(perRow, workers, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resultsKey(rows) != resultsKey(want) {
+				t.Fatalf("%d workers, per-row exchange diverged from the graph on %s", workers, q)
+			}
+			batched := &batching{fragmented: newFragmented(3, ts), fail: -1}
+			got, err := parsed.eval(batched, workers, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if orderedKey(got) != orderedKey(rows) {
+				t.Fatalf("%d workers, batched exchange diverged from per-row on %s", workers, q)
+			}
+			if batched.batches.Load() == 0 {
+				t.Fatalf("%d workers: no batch read on %s", workers, q)
+			}
+			if routed := perRow.reads.Load() - batched.reads.Load(); routed != batched.batchedPats.Load() {
+				t.Fatalf("%d workers: %d routed per-row reads, but %d patterns batched", workers, routed, batched.batchedPats.Load())
+			}
+		}
+	}
+}
+
+// TestBatchedExchangeErrors: a fragment's failed batch reads as empty
+// answers for its rows, unless it is an abort, which ends the query.
+func TestBatchedExchangeErrors(t *testing.T) {
+	ts := exchangeTriples()
+	q, err := Parse(exchangeQueries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := q.eval(&batching{fragmented: newFragmented(3, ts), fail: -1}, 1, parallelThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded, err := q.eval(&batching{fragmented: newFragmented(3, ts), fail: 1, err: errors.New("group down")}, 1, parallelThreshold)
+	if err != nil {
+		t.Fatalf("a failed batch aborted the query: %v", err)
+	}
+	if n := len(degraded.Bindings); n == 0 || n >= len(full.Bindings) {
+		t.Fatalf("one failed fragment left %d of %d rows", n, len(full.Bindings))
+	}
+	_, err = q.eval(&batching{fragmented: newFragmented(3, ts), fail: 1, err: context.Canceled}, 1, parallelThreshold)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("an aborted batch: %v, want context.Canceled", err)
+	}
+}

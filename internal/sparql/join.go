@@ -11,6 +11,8 @@ import (
 //
 //   - indexed nested loop (the seed strategy): one Match call per row
 //     with the row's bindings substituted into the pattern. Default.
+//     Over a BatchExchangeSource the step's routed calls travel as one
+//     read per fragment (exchangeRows).
 //   - cross-join materialization: when no pattern position can be bound
 //     by incoming rows, every per-row Match would be the same call;
 //     issue it once and extend each row from the shared result.
@@ -164,19 +166,33 @@ func (sc *scanOp) run(ec *execCtx, in []row) ([]row, error) {
 	}
 	noteJoinStrategy("nested_loop")
 	return chunked(ec, in, func(rows []row) ([]row, error) {
+		// Over a batching partitioned source the chunk's scans are read
+		// up front, one read per fragment.
+		var batched [][]rdf.Triple
+		if ec.bx != nil {
+			var err error
+			if batched, err = ec.exchangeRows(sc, rows); err != nil {
+				return nil, err
+			}
+		}
 		// A join that keeps its rows emits about one per input row.
 		out, ar := presized(len(rows), len(in[0]))
 		n := 0
-		for _, r := range rows {
+		for i, r := range rows {
 			if err := ec.tick(&n); err != nil {
 				return nil, err
 			}
-			s := resolve(sc.sSlot, sc.s, r)
-			p := resolve(sc.pSlot, sc.p, r)
-			o := resolve(sc.oSlot, sc.o, r)
-			matches, err := ec.match(s, p, o)
-			if err != nil {
-				return nil, err
+			var matches rdf.Matches
+			if batched != nil {
+				matches = rdf.Matches{Triples: batched[i]}
+			} else {
+				s := resolve(sc.sSlot, sc.s, r)
+				p := resolve(sc.pSlot, sc.p, r)
+				o := resolve(sc.oSlot, sc.o, r)
+				var err error
+				if matches, err = ec.match(s, p, o); err != nil {
+					return nil, err
+				}
 			}
 			if err := ec.tickN(&n, matches.Len()); err != nil {
 				return nil, err

@@ -52,9 +52,10 @@ type forcedEval struct {
 // execCtx carries the per-evaluation runtime state.
 type execCtx struct {
 	src       Source
-	csrc      ContextSource  // non-nil only when limited and src supports it
-	rsrc      RefSource      // non-nil when src answers scans by reference
-	ex        ExchangeSource // non-nil for partitioned sources: routes scans through the exchange operator
+	csrc      ContextSource       // non-nil only when limited and src supports it
+	rsrc      RefSource           // non-nil when src answers scans by reference
+	ex        ExchangeSource      // non-nil for partitioned sources: routes scans through the exchange operator
+	bx        BatchExchangeSource // non-nil when ex batches a nested-loop step's routed scans
 	ctx       context.Context
 	budget    *admission.Budget
 	limited   bool // ctx can be cancelled or a budget is attached
