@@ -24,6 +24,7 @@ import (
 	"applab/internal/netcdf"
 	"applab/internal/opendap"
 	"applab/internal/rdf"
+	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/workload"
 )
@@ -86,29 +87,39 @@ func BenchmarkE1_OnTheFlyWarm(b *testing.B) {
 	}
 }
 
-// ---- E2: Geographica suite on both systems ----
+// ---- E2: Geographica suite on both columns ----
 
 func BenchmarkE2(b *testing.B) {
 	w := geographica.NewWorkload(80, 17)
-	st, err := geographica.NewStrabonSystem(w)
+	st, err := geographica.LoadStore(w)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ob, err := geographica.NewOBDASystem(w)
+	defer st.Close()
+	vg, err := geographica.NewView(w)
 	if err != nil {
 		b.Fatal(err)
 	}
-	systems := []geographica.System{st, ob}
 	for _, q := range geographica.Suite() {
-		for _, sys := range systems {
-			b.Run(q.ID+"/"+sys.Name(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := q.Run(sys); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+		parsed, err := sparql.Parse(q.SPARQL)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(q.ID+"/strabon", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := parsed.Eval(st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(q.ID+"/ontop-spatial", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				vg.Invalidate()
+				if _, err := parsed.Eval(vg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -185,7 +196,7 @@ func BenchmarkE4_GeoTriples(b *testing.B) {
 	}
 }
 
-// ---- E5: indexed vs naive spatio-temporal queries ----
+// ---- E5: one spatio-temporal query, with and without a spatial index ----
 
 func e5Data(n int) []rdf.Triple {
 	var out []rdf.Triple
@@ -206,29 +217,40 @@ func e5Data(n int) []rdf.Triple {
 	return out
 }
 
-func BenchmarkE5_NaiveScan(b *testing.B) {
-	nv := strabon.NewNaive()
-	nv.AddAll(e5Data(2000))
-	env := geom.Envelope{MinX: 2, MinY: 2, MaxX: 6, MaxY: 6}
-	from := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
-	to := time.Date(2018, 9, 1, 0, 0, 0, 0, time.UTC)
+// e5Query selects the observations of a time range inside a window.
+const e5Query = `SELECT ?o ?t WHERE {
+  ?o time:hasTime ?t .
+  ?o geo:hasGeometry ?g .
+  ?g geo:asWKT ?w .
+  FILTER(?t >= "2018-03-01T00:00:00Z"^^xsd:dateTime && ?t <= "2018-09-01T00:00:00Z"^^xsd:dateTime)
+  FILTER(geof:sfIntersects(?w, "POLYGON ((2 2, 6 2, 6 6, 2 6, 2 2))"^^geo:wktLiteral))
+}`
+
+func benchE5(b *testing.B, src sparql.Source) {
+	q, err := sparql.Parse(e5Query)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nv.ObservationsDuring(env, from, to)
+		if _, err := q.Eval(src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkE5_StrabonIndexed(b *testing.B) {
+func BenchmarkE5_Graph(b *testing.B) {
+	g := rdf.NewGraph()
+	g.AddAll(e5Data(2000))
+	benchE5(b, g)
+}
+
+func BenchmarkE5_Strabon(b *testing.B) {
 	st := strabon.New()
+	defer st.Close()
 	st.AddAll(e5Data(2000))
 	st.Freeze()
-	env := geom.Envelope{MinX: 2, MinY: 2, MaxX: 6, MaxY: 6}
-	from := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
-	to := time.Date(2018, 9, 1, 0, 0, 0, 0, time.UTC)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.ObservationsDuring(env, from, to)
-	}
+	benchE5(b, st)
 }
 
 // ---- E6: viewport caches ----

@@ -59,6 +59,14 @@ fi
 echo "== go test"
 go test ./...
 
+echo "== experiment cross-checks (applab-bench -quick -exp all)"
+# Every E-series harness checks that its columns return identical
+# answers (E2 and E5 compare the bindings of one SPARQL text over two
+# sources) and exits non-zero on a mismatch.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/applab-bench -quick -exp all -out "$tmp/paris.svg" > /dev/null
+
 echo "== golden result cache under real parallelism"
 # The endpoint closes the encode stage (span, histogram, trace) before
 # the first body byte is written, so a client-side Snapshot() sees exact

@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"applab/internal/core"
@@ -19,6 +20,7 @@ import (
 	"applab/internal/opendap"
 	"applab/internal/rdf"
 	"applab/internal/sextant"
+	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/workload"
 )
@@ -42,20 +44,41 @@ func median(repeats int, fn func() error) (time.Duration, error) {
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// approxEqual compares with a relative tolerance of 1e-6.
-func approxEqual(a, b float64) bool {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
+// evalMedian runs eval `repeats` times and returns the median time and
+// the last answer.
+func evalMedian(repeats int, eval func() (*sparql.Results, error)) (time.Duration, *sparql.Results, error) {
+	var res *sparql.Results
+	d, err := median(repeats, func() (err error) {
+		res, err = eval()
+		return err
+	})
+	return d, res, err
+}
+
+// rowsKey renders an answer order-independently, so two columns can be
+// checked for identical bindings.
+func rowsKey(res *sparql.Results) string {
+	rows := make([]string, len(res.Bindings))
+	for i, b := range res.Bindings {
+		var sb strings.Builder
+		for _, v := range res.Vars {
+			fmt.Fprintf(&sb, "%s=%s ", v, b[v])
+		}
+		rows[i] = sb.String()
 	}
-	scale := 1.0
-	if a > scale {
-		scale = a
+	sort.Strings(rows)
+	return strings.Join(rows, "\n")
+}
+
+// answer is what a table prints for a result: the value of a one-cell
+// literal answer (a COUNT or SUM), else the row count.
+func answer(res *sparql.Results) string {
+	if len(res.Bindings) == 1 && len(res.Vars) == 1 {
+		if t := res.Bindings[0][res.Vars[0]]; t.IsLiteral() {
+			return t.Value
+		}
 	}
-	if -a > scale {
-		scale = -a
-	}
-	return diff <= 1e-6*scale
+	return fmt.Sprintf("%d rows", len(res.Bindings))
 }
 
 // ---- E1: materialized vs on-the-fly ----
@@ -147,46 +170,45 @@ func runE1(cfg scales) error {
 
 func runE2(cfg scales) error {
 	w := geographica.NewWorkload(cfg.e2Scale, 17)
-	st, err := geographica.NewStrabonSystem(w)
+	st, err := geographica.LoadStore(w)
 	if err != nil {
 		return err
 	}
-	ob, err := geographica.NewOBDASystem(w)
+	defer st.Close()
+	vg, err := geographica.NewView(w)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("workload: %d features per dataset (osm/clc/ua/gadm)\n", cfg.e2Scale)
-	fmt.Printf("%-26s %14s %16s %9s %8s\n", "query", "strabon (ms)", "ontop-sp. (ms)", "speedup", "result")
+	fmt.Printf("workload: %d features per dataset (osm/clc/ua/gadm); one SPARQL text per query on both columns\n", cfg.e2Scale)
+	fmt.Printf("%-26s %14s %16s %9s %20s\n", "query", "strabon (ms)", "ontop-sp. (ms)", "speedup", "result")
 	obWins := 0
 	queries := geographica.Suite()
 	for _, q := range queries {
-		var resSt, resOb float64
-		tSt, err := median(cfg.repeats, func() error {
-			v, err := q.Run(st)
-			resSt = v
-			return err
-		})
+		parsed, err := sparql.Parse(q.SPARQL)
+		if err != nil {
+			return fmt.Errorf("%s: %v", q.ID, err)
+		}
+		tSt, resSt, err := evalMedian(cfg.repeats, func() (*sparql.Results, error) { return parsed.Eval(st) })
 		if err != nil {
 			return fmt.Errorf("%s on strabon: %v", q.ID, err)
 		}
-		tOb, err := median(cfg.repeats, func() error {
-			v, err := q.Run(ob)
-			resOb = v
-			return err
+		// The view revalidates before each evaluation, as its Query does
+		// for a client.
+		tOb, resOb, err := evalMedian(cfg.repeats, func() (*sparql.Results, error) {
+			vg.Invalidate()
+			return parsed.Eval(vg)
 		})
 		if err != nil {
 			return fmt.Errorf("%s on obda: %v", q.ID, err)
 		}
-		// Aggregate results may differ in the last float digits because
-		// the RDF path round-trips geometries through WKT text.
-		if q.Kind != "nearest" && !approxEqual(resSt, resOb) {
-			return fmt.Errorf("%s: result mismatch strabon=%v obda=%v", q.ID, resSt, resOb)
+		if rowsKey(resSt) != rowsKey(resOb) {
+			return fmt.Errorf("%s: bindings differ: strabon %s, obda %s", q.ID, answer(resSt), answer(resOb))
 		}
 		if tOb < tSt {
 			obWins++
 		}
-		fmt.Printf("%-26s %14.2f %16.2f %8.1fx %8g\n", q.ID, ms(tSt), ms(tOb),
-			float64(tSt)/float64(tOb), resOb)
+		fmt.Printf("%-26s %14.2f %16.2f %8.1fx %20s\n", q.ID, ms(tSt), ms(tOb),
+			float64(tSt)/float64(tOb), answer(resOb))
 	}
 	fmt.Printf("Ontop-spatial faster on %d/%d queries (paper: 'faster than Strabon on most queries')\n",
 		obWins, len(queries))
@@ -313,12 +335,26 @@ func syntheticTable(rows int) *geotriples.Table {
 	return tbl
 }
 
-// ---- E5: Strabon vs naive store ----
+// ---- E5: Strabon vs a store without a spatial index ----
+
+// e5Query selects the observations of a time range inside a window.
+const e5Query = `SELECT ?o ?t WHERE {
+  ?o time:hasTime ?t .
+  ?o geo:hasGeometry ?g .
+  ?g geo:asWKT ?w .
+  FILTER(?t >= "2018-03-01T00:00:00Z"^^xsd:dateTime && ?t <= "2018-09-01T00:00:00Z"^^xsd:dateTime)
+  FILTER(geof:sfIntersects(?w, "POLYGON ((2 2, 6 2, 6 6, 2 6, 2 2))"^^geo:wktLiteral))
+}`
 
 func runE5(cfg scales) error {
-	fmt.Printf("%-10s %16s %15s %9s\n", "obs", "naive scan (ms)", "strabon (ms)", "speedup")
+	q, err := sparql.Parse(e5Query)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("one spatio-temporal SPARQL query (time range + geof:sfIntersects with a constant window)\n")
+	fmt.Printf("%-10s %16s %15s %9s %8s\n", "obs", "rdf.Graph (ms)", "strabon (ms)", "speedup", "rows")
 	for _, n := range cfg.e5Obs {
-		if err := runE5Scale(cfg, n); err != nil {
+		if err := runE5Scale(cfg, q, n); err != nil {
 			return err
 		}
 	}
@@ -326,7 +362,7 @@ func runE5(cfg scales) error {
 	return nil
 }
 
-func runE5Scale(cfg scales, n int) error {
+func runE5Scale(cfg scales, q *sparql.Query, n int) error {
 	triples := observationTriples(n)
 	st := strabon.New()
 	defer st.Close()
@@ -334,33 +370,23 @@ func runE5Scale(cfg scales, n int) error {
 	if err := st.Freeze(); err != nil {
 		return err
 	}
-	nv := strabon.NewNaive()
-	nv.AddAll(triples)
+	g := rdf.NewGraph()
+	g.AddAll(triples)
 
-	env := geom.Envelope{MinX: 2, MinY: 2, MaxX: 6, MaxY: 6}
-	from := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
-	to := time.Date(2018, 9, 1, 0, 0, 0, 0, time.UTC)
-
-	var nNaive, nStrabon int
-	tNaive, err := median(cfg.repeats, func() error {
-		nNaive = len(nv.ObservationsDuring(env, from, to))
-		return nil
-	})
+	tG, resG, err := evalMedian(cfg.repeats, func() (*sparql.Results, error) { return q.Eval(g) })
 	if err != nil {
 		return err
 	}
-	tStrabon, err := median(cfg.repeats, func() error {
-		nStrabon = len(st.ObservationsDuring(env, from, to))
-		return nil
-	})
+	tSt, resSt, err := evalMedian(cfg.repeats, func() (*sparql.Results, error) { return q.Eval(st) })
 	if err != nil {
 		return err
 	}
-	if nNaive != nStrabon {
-		return fmt.Errorf("result mismatch at n=%d: naive=%d strabon=%d", n, nNaive, nStrabon)
+	if rowsKey(resG) != rowsKey(resSt) {
+		return fmt.Errorf("bindings differ at n=%d: rdf.Graph %d rows, strabon %d rows",
+			n, len(resG.Bindings), len(resSt.Bindings))
 	}
-	fmt.Printf("%-10d %16.2f %15.2f %8.0fx\n", n, ms(tNaive), ms(tStrabon),
-		float64(tNaive)/float64(tStrabon))
+	fmt.Printf("%-10d %16.2f %15.2f %8.1fx %8d\n", n, ms(tG), ms(tSt),
+		float64(tG)/float64(tSt), len(resSt.Bindings))
 	return nil
 }
 

@@ -36,10 +36,10 @@ func main() {
 	cfg := scaleConfig(*quick)
 	experiments := []experiment{
 		{"e1", "materialized vs on-the-fly query execution (§5: 'two orders of magnitude')", func() error { return runE1(cfg) }},
-		{"e2", "Geographica micro suite: Ontop-spatial vs Strabon (§5, [4])", func() error { return runE2(cfg) }},
+		{"e2", "Geographica micro suite: Ontop-spatial view vs Strabon store, same SPARQL (§5, [4])", func() error { return runE2(cfg) }},
 		{"e3", "OPeNDAP adapter cache window w (Listing 2)", func() error { return runE3(cfg) }},
 		{"e4", "GeoTriples sequential vs parallel mapping processor ([22])", func() error { return runE4(cfg) }},
-		{"e5", "Strabon indexed spatio-temporal queries vs naive scan ([6,15])", func() error { return runE5(cfg) }},
+		{"e5", "one spatio-temporal SPARQL query: Strabon store vs rdf.Graph without a spatial index ([6,15])", func() error { return runE5(cfg) }},
 		{"e6", "index-aligned tile cache vs exact-request cache (mobile viewport, §5)", func() error { return runE6(cfg) }},
 		{"e7", "interlinking: cell-index blocking + multi-core vs naive ([25])", func() error { return runE7(cfg) }},
 		{"f1", "Figure 1: both workflows wired end-to-end", runF1},

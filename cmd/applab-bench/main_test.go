@@ -8,26 +8,6 @@ import (
 	"applab/internal/obda"
 )
 
-func TestApproxEqual(t *testing.T) {
-	cases := []struct {
-		a, b float64
-		want bool
-	}{
-		{1, 1, true},
-		{0, 0, true},
-		{1, 1 + 1e-9, true},
-		{1, 1.1, false},
-		{1e6, 1e6 + 0.1, true},
-		{-5, -5, true},
-		{1, -1, false},
-	}
-	for _, c := range cases {
-		if got := approxEqual(c.a, c.b); got != c.want {
-			t.Errorf("approxEqual(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestScaleConfig(t *testing.T) {
 	quick := scaleConfig(true)
 	full := scaleConfig(false)

@@ -85,6 +85,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer st.Close()
-	fmt.Printf("materialized snapshot: %d triples, %d observations\n",
-		st.Len(), st.ObservationCount())
+	res, err = st.Query(`SELECT (COUNT(*) AS ?n) WHERE { ?o a lai:Observation }`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	nObs, _ := res.Bindings[0]["n"].Int()
+	fmt.Printf("materialized snapshot: %d triples, %d observations\n", st.Len(), nObs)
 }

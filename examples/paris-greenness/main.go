@@ -41,8 +41,13 @@ func main() {
 	if err := stack.LoadLAI(lai, "LAI"); err != nil {
 		log.Fatal(err)
 	}
+	res, err := stack.Query(`SELECT (COUNT(*) AS ?n) WHERE { ?o a lai:Observation }`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	nObs, _ := res.Bindings[0]["n"].Int()
 	fmt.Printf("store: %d triples, %d geometries, %d LAI observations\n",
-		stack.Store.Len(), stack.Store.GeometryCount(), stack.Store.ObservationCount())
+		stack.Store.Len(), stack.Store.GeometryCount(), nObs)
 
 	// 3. Interlink: discover geo:sfIntersects links between everything
 	// with a geometry (parks overlapping land-cover patches etc.).
@@ -55,7 +60,7 @@ func main() {
 	fmt.Printf("interlinking: %d geo:sfIntersects links added\n", n)
 
 	// 4. The paper's Listing 1: LAI values over the Bois de Boulogne.
-	res, err := stack.Query(core.Listing1Query)
+	res, err = stack.Query(core.Listing1Query)
 	if err != nil {
 		log.Fatal(err)
 	}

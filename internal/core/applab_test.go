@@ -206,7 +206,11 @@ func TestFigure1Architecture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ObservationCount() == 0 {
+	res, err := st.Query(`SELECT (COUNT(*) AS ?n) WHERE { ?o a lai:Observation }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := res.Bindings[0]["n"].Int(); n == 0 {
 		t.Error("materialized store has no observations")
 	}
 

@@ -76,8 +76,6 @@ func TestSourcesHandOutCallerOwnedSlices(t *testing.T) {
 	for _, part := range [][]rdf.Triple{data[:8], data[8:16], data[16:]} {
 		diskStore.AddAll(part) // two runs and a memtable tail
 	}
-	naive := strabon.NewNaive()
-	naive.AddAll(data)
 
 	db := madis.NewDB()
 	table := &madis.Table{Name: "things", Cols: []string{"id", "name"}}
@@ -126,7 +124,6 @@ source		SELECT id, name FROM things
 		"segment.Engine (mem)":  mem,
 		"strabon.Store":         store,
 		"strabon.Store (disk)":  diskStore,
-		"strabon.NaiveStore":    naive,
 		"obda.VirtualGraph":     virtual,
 		"obda.AdaptiveGraph":    adaptive,
 		"endpoint.RemoteSource": remote,

@@ -1,12 +1,10 @@
 // Package rtree provides an R-tree spatial index over geometry envelopes.
 // Trees are bulk loaded (sort-tile-recursive packing) and answer
-// envelope-intersection and nearest-neighbour queries. The Strabon
-// store, the evaluator's spatial join and the Geographica systems build
-// on it.
+// envelope-intersection queries. The Strabon store and the evaluator's
+// spatial join build on it.
 package rtree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -135,51 +133,3 @@ func searchNode(n *node, q geom.Envelope, fn func(Item) bool) bool {
 	}
 	return true
 }
-
-// Nearest returns up to k items closest (by envelope distance) to p,
-// nearest first.
-func (t *Tree) Nearest(p geom.Point, k int) []Item {
-	if t.size == 0 || k <= 0 {
-		return nil
-	}
-	pq := &nnQueue{}
-	heap.Init(pq)
-	heap.Push(pq, nnEntry{dist: envDist(t.root.env, p), node: t.root})
-	var out []Item
-	for pq.Len() > 0 && len(out) < k {
-		e := heap.Pop(pq).(nnEntry)
-		switch {
-		case e.node != nil && e.node.leaf:
-			for _, it := range e.node.items {
-				heap.Push(pq, nnEntry{dist: envDist(it.Env, p), item: &it})
-			}
-		case e.node != nil:
-			for _, c := range e.node.children {
-				heap.Push(pq, nnEntry{dist: envDist(c.env, p), node: c})
-			}
-		default:
-			out = append(out, *e.item)
-		}
-	}
-	return out
-}
-
-func envDist(e geom.Envelope, p geom.Point) float64 {
-	dx := math.Max(0, math.Max(e.MinX-p.X, p.X-e.MaxX))
-	dy := math.Max(0, math.Max(e.MinY-p.Y, p.Y-e.MaxY))
-	return math.Hypot(dx, dy)
-}
-
-type nnEntry struct {
-	dist float64
-	node *node
-	item *Item
-}
-
-type nnQueue []nnEntry
-
-func (q nnQueue) Len() int           { return len(q) }
-func (q nnQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q nnQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x any)        { *q = append(*q, x.(nnEntry)) }
-func (q *nnQueue) Pop() any          { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -42,9 +41,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if got := searchIDs(tr, geom.Envelope{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}); len(got) != 0 {
 		t.Fatalf("empty tree returned %v", got)
-	}
-	if got := tr.Nearest(geom.Point{}, 3); got != nil {
-		t.Fatalf("empty tree Nearest = %v", got)
 	}
 }
 
@@ -106,27 +102,6 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	var items []Item
-	for i := 0; i < 10; i++ {
-		items = append(items, Item{ptEnv(float64(i*10), 0), i})
-	}
-	tr := Bulk(items)
-	got := tr.Nearest(geom.Point{X: 34, Y: 0}, 3)
-	ids := make([]int, len(got))
-	for i, it := range got {
-		ids[i] = it.Data.(int)
-	}
-	// nearest to x=34 are 30 (d=4), 40 (d=6), 20 (d=14)
-	if want := []int{3, 4, 2}; !slices.Equal(ids, want) {
-		t.Fatalf("Nearest order = %v, want %v", ids, want)
-	}
-	// k larger than size
-	if all := tr.Nearest(geom.Point{}, 100); len(all) != 10 {
-		t.Fatalf("Nearest k>size returned %d", len(all))
-	}
-}
-
 // Property: tree search is exactly brute force for random rectangles,
 // over trees of one to several levels.
 func TestSearchEquivalenceProperty(t *testing.T) {
@@ -144,36 +119,6 @@ func TestSearchEquivalenceProperty(t *testing.T) {
 		q.MaxX = q.MinX + rng.Float64()*30
 		q.MaxY = q.MinY + rng.Float64()*30
 		return tr.Len() == n && slices.Equal(searchIDs(tr, q), bruteForce(items, q))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Nearest(k=1) agrees with brute-force minimum distance.
-func TestNearestProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var pts []geom.Point
-		var items []Item
-		for i := 0; i < 100; i++ {
-			p := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-			pts = append(pts, p)
-			items = append(items, Item{ptEnv(p.X, p.Y), i})
-		}
-		q := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-		got := Bulk(items).Nearest(q, 1)
-		if len(got) != 1 {
-			return false
-		}
-		gotP := pts[got[0].Data.(int)]
-		gotD := math.Hypot(gotP.X-q.X, gotP.Y-q.Y)
-		for _, p := range pts {
-			if math.Hypot(p.X-q.X, p.Y-q.Y) < gotD-1e-9 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -248,9 +248,9 @@ func TestRunGeometryErrors(t *testing.T) {
 	}
 }
 
-// TestEngineDiskTermSets: Subjects / Objects / FirstObject / Len /
-// MemGraph / Dir on a disk engine whose data sits in runs, checked
-// against the in-memory graph over the same triples.
+// TestEngineDiskTermSets: Len / MemGraph / Dir / Triples on a disk
+// engine whose data sits in runs, checked against the in-memory
+// graph over the same triples.
 func TestEngineDiskTermSets(t *testing.T) {
 	ts := append(diverseTriples(), nTriples(9)...)
 	g := rdf.NewGraph()
@@ -277,28 +277,6 @@ func TestEngineDiskTermSets(t *testing.T) {
 	}
 	if got, want := e.Len(), g.Len(); got != want {
 		t.Fatalf("Len = %d, want %d", got, want)
-	}
-
-	p, o := rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/o")
-	if got, want := e.Subjects(p, o), g.Subjects(p, o); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Subjects(p,o) = %v, want %v", got, want)
-	}
-	s := rdf.NewIRI("http://ex/s")
-	if got, want := e.Objects(s, p), g.Objects(s, p); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Objects(s,p) = %v, want %v", got, want)
-	}
-	fo, ok := e.FirstObject(s, p)
-	if !ok {
-		t.Fatal("FirstObject found nothing")
-	}
-	// Disk order is canonical; the first object is the smallest key
-	// among the graph's objects for (s, p).
-	objs := g.Objects(s, p)
-	if len(objs) == 0 || !fo.Equal(objs[0]) {
-		t.Fatalf("FirstObject = %v, want %v", fo, objs[0])
-	}
-	if _, ok := e.FirstObject(rdf.NewIRI("http://ex/absent"), p); ok {
-		t.Fatal("FirstObject invented a triple")
 	}
 	if got, want := canonicalSet(e.Triples()), canonicalSet(g.Triples()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Triples: %d vs %d", len(got), len(want))

@@ -83,20 +83,6 @@ func checkAgainstReference(t *testing.T, e *Engine, u universe, r *rand.Rand, st
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: Match(%v %v %v):\n got %v\nwant %v", step, s, p, o, got, want)
 		}
-		if got, want := e.Subjects(p, o), referenceTerms(matchReference(e, rdf.Term{}, p, o), func(t rdf.Triple) rdf.Term { return t.S }); !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: Subjects(%v %v):\n got %v\nwant %v", step, p, o, got, want)
-		}
-		sp := matchReference(e, s, p, rdf.Term{})
-		if got, want := e.Objects(s, p), referenceTerms(sp, func(t rdf.Triple) rdf.Term { return t.O }); !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: Objects(%v %v):\n got %v\nwant %v", step, s, p, got, want)
-		}
-		if e.Segments() == 0 {
-			continue // rdf.Graph.FirstObject is not the first of rdf.Graph.Match
-		}
-		first, ok := e.FirstObject(s, p)
-		if ok != (len(sp) > 0) || (ok && !first.Equal(sp[0].O)) {
-			t.Fatalf("step %d: FirstObject(%v %v) = %v %v, reference has %d matches", step, s, p, first, ok, len(sp))
-		}
 	}
 	if got, want := e.Len(), len(matchReference(e, rdf.Term{}, rdf.Term{}, rdf.Term{})); got != want {
 		t.Fatalf("step %d: Len = %d, reference %d", step, got, want)

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -798,65 +797,6 @@ func (e *Engine) Len() int {
 // canonical order once runs exist).
 func (e *Engine) Triples() []rdf.Triple {
 	return e.Match(rdf.Term{}, rdf.Term{}, rdf.Term{})
-}
-
-// Subjects returns the distinct subjects of triples matching (p, o),
-// sorted by term key — rdf.Graph's contract.
-func (e *Engine) Subjects(p, o rdf.Term) []rdf.Term {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if len(e.segs) == 0 {
-		return e.mem.g.Subjects(p, o)
-	}
-	var m merge
-	e.open(&m, rdf.Term{}, p, o, true, e.noteReadErr)
-	// Canonical order is subject-major: equal subjects are adjacent.
-	out := []rdf.Term{}
-	for h := m.next(); h != nil; h = m.next() {
-		if len(out) == 0 || !out[len(out)-1].Equal(*h.s) {
-			out = append(out, *h.s)
-		}
-	}
-	return out
-}
-
-// Objects returns the distinct objects of triples matching (s, p),
-// sorted by term key.
-func (e *Engine) Objects(s, p rdf.Term) []rdf.Term {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if len(e.segs) == 0 {
-		return e.mem.g.Objects(s, p)
-	}
-	var m merge
-	e.open(&m, s, p, rdf.Term{}, true, e.noteReadErr)
-	out := []rdf.Term{}
-	for h := m.next(); h != nil; h = m.next() {
-		out = append(out, *h.o)
-	}
-	// With s and p both bound the cursor already yields objects in
-	// order; otherwise they are ordered within each (s, p) only.
-	if s.IsZero() || p.IsZero() {
-		slices.SortFunc(out, rdf.Term.Compare)
-	}
-	return slices.CompactFunc(out, rdf.Term.Equal)
-}
-
-// FirstObject returns the object of the first matching (s, p) triple
-// (memtable insertion order, else canonical order — deterministic
-// either way).
-func (e *Engine) FirstObject(s, p rdf.Term) (rdf.Term, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if len(e.segs) == 0 {
-		return e.mem.g.FirstObject(s, p)
-	}
-	var m merge
-	e.open(&m, s, p, rdf.Term{}, true, e.noteReadErr)
-	if h := m.next(); h != nil {
-		return *h.o, true
-	}
-	return rdf.Term{}, false
 }
 
 // MemGraph exposes the memtable graph. For a memory-only engine this

@@ -118,25 +118,6 @@ func matchReference(e *Engine, s, p, o rdf.Term) []rdf.Triple {
 	return out
 }
 
-// referenceTerms is rdf.Graph's distinct-and-sort over a key map, which
-// Subjects and Objects used over Match's answer.
-func referenceTerms(ts []rdf.Triple, pick func(rdf.Triple) rdf.Term) []rdf.Term {
-	set := map[string]rdf.Term{}
-	for _, t := range ts {
-		set[pick(t).Key()] = pick(t)
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]rdf.Term, len(keys))
-	for i, k := range keys {
-		out[i] = set[k]
-	}
-	return out
-}
-
 // match streams one run's rows matching the pattern, tombstones
 // included, through the cursor's own selection (Run.scan).
 func (r *Run) match(s, p, o rdf.Term, fn func(t rdf.Triple, tombstone bool)) error {

@@ -58,11 +58,10 @@ func oracleQueries() []string {
 }
 
 func TestSpatialJoinOracle(t *testing.T) {
-	sys, err := geographica.NewStrabonSystem(geographica.NewWorkload(40, 7))
+	mem, err := geographica.LoadStore(geographica.NewWorkload(40, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := sys.Store()
 	defer mem.Close()
 
 	// The same triples in a segment-backed store, flushed, closed, and
@@ -127,11 +126,10 @@ func TestSpatialJoinOracle(t *testing.T) {
 // path (off) and on the planner-selected spatial join (auto); which
 // strategies run and that they agree is TestSpatialJoinOracle's job.
 func BenchmarkSpatialJoin(b *testing.B) {
-	sys, err := geographica.NewStrabonSystem(geographica.NewWorkload(200, 11))
+	st, err := geographica.LoadStore(geographica.NewWorkload(200, 11))
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := sys.Store()
 	defer st.Close()
 	var queries []*sparql.Query
 	for _, qs := range oracleQueries() {

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"applab/internal/geom"
 	"applab/internal/rdf"
@@ -22,8 +21,8 @@ import (
 // flush threshold so data is spread across segments, WAL, and
 // memtable) must answer every query byte-identically to the seed
 // in-memory store. Match results are compared canonically sorted;
-// SPARQL results via the serialized binding rows; the spatial and
-// temporal index methods directly.
+// SPARQL results via the serialized binding rows; the spatial index's
+// candidates canonically sorted too.
 
 // canonicalTriples renders a triple set order-independently.
 func canonicalTriples(ts []rdf.Triple) []string {
@@ -99,50 +98,51 @@ func assertStoresAgree(t *testing.T, mem, disk *Store, label string) {
 		t.Fatalf("%s: Len: memory %d, disk %d", label, mem.Len(), disk.Len())
 	}
 
-	// A GeoSPARQL query through the full engine (planner reads the
-	// disk store's segment statistics; answers must not change).
-	q := `PREFIX geo: <http://www.opengis.net/ont/geosparql#>
+	// GeoSPARQL queries through the full engine (planner reads the disk
+	// store's segment statistics; answers must not change): a spatial
+	// selection, and the same window over a time range.
+	for _, q := range []string{`PREFIX geo: <http://www.opengis.net/ont/geosparql#>
 PREFIX geof: <http://www.opengis.net/def/function/geosparql/>
 SELECT ?f ?wkt WHERE {
   ?f geo:hasGeometry ?g .
   ?g geo:asWKT ?wkt .
   FILTER (geof:sfIntersects(?wkt, "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))"^^geo:wktLiteral))
-}`
-	rm, err := mem.Query(q)
-	if err != nil {
-		t.Fatalf("%s: memory query: %v", label, err)
-	}
-	rd, err := disk.Query(q)
-	if err != nil {
-		t.Fatalf("%s: disk query: %v", label, err)
-	}
-	am := canonicalBindings(t, rm.Bindings, rm.Vars)
-	ad := canonicalBindings(t, rd.Bindings, rd.Vars)
-	if len(am) != len(ad) {
-		t.Fatalf("%s: query rows: memory %d, disk %d", label, len(am), len(ad))
-	}
-	for i := range am {
-		if am[i] != ad[i] {
-			t.Fatalf("%s: query row %d differs:\n  mem:  %s\n  disk: %s", label, i, am[i], ad[i])
+}`, `SELECT ?o ?t ?wkt WHERE {
+  ?o time:hasTime ?t .
+  ?o geo:hasGeometry ?g .
+  ?g geo:asWKT ?wkt .
+  FILTER (?t >= "2018-03-01T00:00:00Z"^^xsd:dateTime && ?t <= "2018-08-01T00:00:00Z"^^xsd:dateTime)
+  FILTER (geof:sfIntersects(?wkt, "POLYGON ((-0.5 -0.5, 5.5 -0.5, 5.5 5.5, -0.5 5.5, -0.5 -0.5))"^^geo:wktLiteral))
+}`} {
+		rm, err := mem.Query(q)
+		if err != nil {
+			t.Fatalf("%s: memory query: %v", label, err)
+		}
+		rd, err := disk.Query(q)
+		if err != nil {
+			t.Fatalf("%s: disk query: %v", label, err)
+		}
+		am := canonicalBindings(t, rm.Bindings, rm.Vars)
+		ad := canonicalBindings(t, rd.Bindings, rd.Vars)
+		if len(am) == 0 || len(am) != len(ad) {
+			t.Fatalf("%s: query rows: memory %d, disk %d", label, len(am), len(ad))
+		}
+		for i := range am {
+			if am[i] != ad[i] {
+				t.Fatalf("%s: query row %d differs:\n  mem:  %s\n  disk: %s", label, i, am[i], ad[i])
+			}
 		}
 	}
 
-	// Spatial and spatio-temporal index methods.
-	win := geom.NewRect(-0.5, -0.5, 5.5, 5.5)
-	fm, fd := mem.FeaturesIntersecting(win), disk.FeaturesIntersecting(win)
-	if len(fm) != len(fd) {
-		t.Fatalf("%s: FeaturesIntersecting: memory %d, disk %d", label, len(fm), len(fd))
+	// The spatial index the spatial join probes.
+	win := geom.Envelope{MinX: -0.5, MinY: -0.5, MaxX: 5.5, MaxY: 5.5}
+	cm, _ := mem.SpatialCandidates(win)
+	cd, _ := disk.SpatialCandidates(win)
+	if len(cm) == 0 {
+		t.Fatalf("%s: no spatial candidates", label)
 	}
-	for i := range fm {
-		if !fm[i].Equal(fd[i]) {
-			t.Fatalf("%s: feature %d differs: %v vs %v", label, i, fm[i], fd[i])
-		}
-	}
-	from := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
-	to := from.AddDate(1, 0, 0)
-	om, od := mem.ObservationsDuring(geom.Envelope{}, from, to), disk.ObservationsDuring(geom.Envelope{}, from, to)
-	if len(om) != len(od) {
-		t.Fatalf("%s: ObservationsDuring: memory %d, disk %d", label, len(om), len(od))
+	if a, b := canonicalTriples(cm), canonicalTriples(cd); strings.Join(a, "\n") != strings.Join(b, "\n") {
+		t.Fatalf("%s: SpatialCandidates: memory %d, disk %d", label, len(a), len(b))
 	}
 }
 

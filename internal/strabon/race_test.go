@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"applab/internal/geom"
 	"applab/internal/rdf"
@@ -20,9 +19,14 @@ func TestStoreConcurrentAddAndQuery(t *testing.T) {
 	s := New()
 	s.AddAll(buildParkData(t, 60))
 
-	from := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
-	to := from.Add(365 * 24 * time.Hour)
-	window := geom.NewRect(-0.5, -0.5, 5.5, 5.5)
+	window := geom.Envelope{MinX: -0.5, MinY: -0.5, MaxX: 5.5, MaxY: 5.5}
+	// The bare ?og geo:asWKT ?owkt build side probes SpatialCandidates.
+	const join = `SELECT ?og WHERE {
+  ?park a osm:Park ; geo:hasGeometry ?pg .
+  ?pg geo:asWKT ?pwkt .
+  ?og geo:asWKT ?owkt .
+  FILTER(geof:sfIntersects(?pwkt, ?owkt))
+}`
 
 	var wg sync.WaitGroup
 	// Writers keep dirtying the store so readers race the index rebuild.
@@ -42,14 +46,15 @@ func TestStoreConcurrentAddAndQuery(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				switch (r + i) % 5 {
+				switch (r + i) % 4 {
 				case 0:
-					s.FeaturesIntersecting(window)
+					s.SpatialCandidates(window)
 				case 1:
-					s.ObservationsDuring(geom.EmptyEnvelope(), from, to)
+					if _, err := s.Query(join); err != nil {
+						t.Error(err)
+						return
+					}
 				case 2:
-					s.NearestGeometries(geom.Point{X: 1, Y: 1}, 3)
-				case 3:
 					s.GeometryCount()
 				default:
 					s.Match(rdf.Term{}, rdf.NewIRI(rdf.NSGeo+"asWKT"), rdf.Term{})

@@ -1,15 +1,12 @@
 // Package strabon implements the spatiotemporal RDF store of the App Lab
 // stack, modeled on Strabon [Kyzirakos et al., ISWC 2012; Bereta et al.,
-// ESWC 2013]: a triple store with
-//
-//   - hash indexes on S/P/O (via rdf.Graph),
-//   - an R-tree over every geo:wktLiteral reachable through geo:asWKT,
-//   - a valid-time interval index over triples carrying valid time and over
-//     time:hasTime observation timestamps.
+// ESWC 2013]: a triple store over internal/segment (an in-memory
+// memtable, or a WAL and sorted runs on disk) with an R-tree over every
+// geo:wktLiteral reachable through geo:asWKT.
 //
 // It implements sparql.Source, so the full query engine (including the
-// geof:* functions) runs on top of it, and exposes direct spatial and
-// spatio-temporal query APIs that the Geographica-style benchmarks use.
+// geof:* functions) runs on top of it, and sparql.SpatialSource, through
+// which the spatial join probes the R-tree.
 package strabon
 
 import (
@@ -18,10 +15,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"applab/internal/geom"
 	"applab/internal/geom/rtree"
@@ -32,34 +27,13 @@ import (
 	"applab/internal/sparql"
 )
 
-// GeometryEntry is one spatially indexed geometry.
-type GeometryEntry struct {
-	// Node is the geometry node (the subject of geo:asWKT).
-	Node rdf.Term
-	// WKT is the geometry literal.
-	WKT rdf.Term
-	// Geom is the parsed geometry.
-	Geom geom.Geometry
-	// Features are the subjects linked to Node via geo:hasGeometry.
-	Features []rdf.Term
-}
-
-// Observation is a spatio-temporally indexed entity: a subject carrying a
-// geometry and a time:hasTime instant (the LAI observations of the paper's
-// case study have exactly this shape).
-type Observation struct {
-	Subject rdf.Term
-	Geom    geom.Geometry
-	Time    time.Time
-}
-
 // Store is the spatiotemporal RDF store. Build it with New, fill it with
 // Add/AddAll/Load, then Freeze (or just query: freezing is automatic and
 // incremental indexing is handled lazily).
 //
 // A Store is safe for concurrent use: writes and index rebuilds take the
 // write lock, queries share the read lock. A query racing a write may
-// observe the indexes from just before the write — consistent, possibly
+// observe the index from just before the write — consistent, possibly
 // one batch stale — which is the semantics the concurrent endpoint
 // (internal/endpoint over one store) needs.
 type Store struct {
@@ -73,11 +47,10 @@ type Store struct {
 	// indexErr records the first geometry error of the last index build;
 	// queries proceed over the parseable subset (see IndexErr).
 	indexErr error
-	spatial  *rtree.Tree
-	geoms    map[string]*GeometryEntry // geometry-node key -> entry
-	obs      []Observation             // sorted by Time
-	// validTime holds triples with attached valid-time, sorted by ValidFrom.
-	validTime []rdf.Triple
+	// spatial indexes the geo:asWKT triples by envelope; geometries
+	// counts their distinct subjects.
+	spatial    *rtree.Tree
+	geometries int
 
 	// epoch counts mutations that changed data; fingerprint identifies
 	// this store instance (see DataEpoch / Fingerprint).
@@ -259,11 +232,11 @@ func (s *Store) Query(q string) (*sparql.Results, error) {
 	return sparql.Eval(s, q)
 }
 
-// Freeze (re)builds the spatial and temporal indexes. It is called
-// automatically by the index-backed query methods when the store changed.
-// The returned error is the first geometry that failed to parse (the
-// indexes are still built over the parseable subset); it stays available
-// via IndexErr.
+// Freeze (re)builds the spatial index. It is called automatically by
+// SpatialCandidates and GeometryCount when the store changed. The
+// returned error is the first geometry that failed to parse (the index is
+// still built over the parseable subset); it stays available via
+// IndexErr.
 func (s *Store) Freeze() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -279,7 +252,7 @@ func (s *Store) IndexErr() error {
 	return s.indexErr
 }
 
-// ensureFrozen rebuilds the indexes if the store changed since the last
+// ensureFrozen rebuilds the index if the store changed since the last
 // build. Index errors are recorded in s.indexErr rather than returned:
 // the read-only query methods proceed over the parseable subset.
 func (s *Store) ensureFrozen() {
@@ -294,18 +267,16 @@ func (s *Store) ensureFrozen() {
 	s.mu.Unlock()
 }
 
-// freezeLocked rebuilds the indexes when dirty; the caller holds the
-// write lock.
+// freezeLocked rebuilds the spatial index when dirty; the caller holds
+// the write lock.
 func (s *Store) freezeLocked() {
 	if !s.dirty {
 		return
 	}
-	s.geoms = map[string]*GeometryEntry{}
 	var items []rtree.Item
-	asWKT := rdf.NewIRI(geosparql.AsWKT)
-	hasGeom := rdf.NewIRI(geosparql.HasGeometry)
+	nodes := map[rdf.Term]struct{}{}
 	var firstErr error
-	for _, t := range s.eng.Match(rdf.Term{}, asWKT, rdf.Term{}) {
+	for _, t := range s.eng.Match(rdf.Term{}, rdf.NewIRI(geosparql.AsWKT), rdf.Term{}) {
 		g, err := geosparql.ParseGeometryTerm(t.O)
 		if err != nil {
 			if firstErr == nil {
@@ -313,60 +284,13 @@ func (s *Store) freezeLocked() {
 			}
 			continue
 		}
-		e := &GeometryEntry{Node: t.S, WKT: t.O, Geom: g}
-		for _, f := range s.eng.Subjects(hasGeom, t.S) {
-			e.Features = append(e.Features, f)
-		}
-		s.geoms[t.S.Key()] = e
-		items = append(items, rtree.Item{Env: g.Envelope(), Data: e})
+		nodes[t.S] = struct{}{}
+		items = append(items, rtree.Item{Env: g.Envelope(), Data: rdf.NewTriple(t.S, t.P, t.O)})
 	}
 	s.spatial = rtree.Bulk(items)
-
-	// Observations: subjects with both a geometry and a time:hasTime.
-	hasTime := rdf.NewIRI(rdf.NSTime + "hasTime")
-	s.obs = nil
-	for _, t := range s.eng.Match(rdf.Term{}, hasTime, rdf.Term{}) {
-		tm, ok := t.O.Time()
-		if !ok {
-			continue
-		}
-		if gn, ok := s.eng.FirstObject(t.S, hasGeom); ok {
-			if e, ok := s.geoms[gn.Key()]; ok {
-				s.obs = append(s.obs, Observation{Subject: t.S, Geom: e.Geom, Time: tm})
-			}
-		}
-	}
-	sort.Slice(s.obs, func(i, j int) bool { return s.obs[i].Time.Before(s.obs[j].Time) })
-
-	// Valid-time triple index.
-	s.validTime = nil
-	for _, t := range s.eng.Triples() {
-		if t.HasValidTime() {
-			s.validTime = append(s.validTime, t)
-		}
-	}
-	sort.Slice(s.validTime, func(i, j int) bool {
-		return s.validTime[i].ValidFrom.Before(s.validTime[j].ValidFrom)
-	})
+	s.geometries = len(nodes)
 	s.dirty = false
 	s.indexErr = firstErr
-}
-
-// GeometriesIntersecting returns the geometry entries whose geometry
-// intersects q, using the R-tree for candidate pruning.
-func (s *Store) GeometriesIntersecting(q geom.Geometry) []*GeometryEntry {
-	s.ensureFrozen()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []*GeometryEntry
-	s.spatial.Search(q.Envelope(), func(it rtree.Item) bool {
-		e := it.Data.(*GeometryEntry)
-		if geom.Intersects(e.Geom, q) {
-			out = append(out, e)
-		}
-		return true
-	})
-	return out
 }
 
 var _ sparql.SpatialSource = (*Store)(nil)
@@ -381,86 +305,12 @@ func (s *Store) SpatialCandidates(env geom.Envelope) ([]rdf.Triple, bool) {
 	s.ensureFrozen()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	asWKT := rdf.NewIRI(geosparql.AsWKT)
 	var out []rdf.Triple
 	s.spatial.Search(env, func(it rtree.Item) bool {
-		e := it.Data.(*GeometryEntry)
-		out = append(out, rdf.NewTriple(e.Node, asWKT, e.WKT))
+		out = append(out, it.Data.(rdf.Triple))
 		return true
 	})
 	return out, true
-}
-
-// FeaturesIntersecting returns the features (via geo:hasGeometry) whose
-// geometry intersects q, sorted by term key.
-func (s *Store) FeaturesIntersecting(q geom.Geometry) []rdf.Term {
-	set := map[string]rdf.Term{}
-	for _, e := range s.GeometriesIntersecting(q) {
-		for _, f := range e.Features {
-			set[f.Key()] = f
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]rdf.Term, len(keys))
-	for i, k := range keys {
-		out[i] = set[k]
-	}
-	return out
-}
-
-// NearestGeometries returns up to k geometry entries nearest to p.
-func (s *Store) NearestGeometries(p geom.Point, k int) []*GeometryEntry {
-	s.ensureFrozen()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	items := s.spatial.Nearest(p, k)
-	out := make([]*GeometryEntry, len(items))
-	for i, it := range items {
-		out[i] = it.Data.(*GeometryEntry)
-	}
-	return out
-}
-
-// ObservationsDuring returns the observations with time in [from, to] whose
-// geometry intersects env (zero envelope = no spatial constraint). The
-// temporal index narrows by binary search; the spatial test uses parsed
-// geometries.
-func (s *Store) ObservationsDuring(env geom.Envelope, from, to time.Time) []Observation {
-	s.ensureFrozen()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	lo := sort.Search(len(s.obs), func(i int) bool { return !s.obs[i].Time.Before(from) })
-	var out []Observation
-	checkSpace := !env.IsEmpty()
-	for i := lo; i < len(s.obs) && !s.obs[i].Time.After(to); i++ {
-		o := s.obs[i]
-		if checkSpace && !env.Intersects(o.Geom.Envelope()) {
-			continue
-		}
-		out = append(out, o)
-	}
-	return out
-}
-
-// TriplesValidDuring returns triples whose valid time intersects [from, to].
-func (s *Store) TriplesValidDuring(from, to time.Time) []rdf.Triple {
-	s.ensureFrozen()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []rdf.Triple
-	for _, t := range s.validTime {
-		if t.ValidFrom.After(to) {
-			break
-		}
-		if !t.ValidTo.Before(from) {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // GeometryCount returns the number of spatially indexed geometries.
@@ -468,13 +318,5 @@ func (s *Store) GeometryCount() int {
 	s.ensureFrozen()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.geoms)
-}
-
-// ObservationCount returns the number of spatio-temporal observations.
-func (s *Store) ObservationCount() int {
-	s.ensureFrozen()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.obs)
+	return s.geometries
 }

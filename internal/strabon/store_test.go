@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"applab/internal/geom"
 	"applab/internal/rdf"
 )
 
@@ -51,128 +50,6 @@ func TestStoreBasics(t *testing.T) {
 	}
 	if s.GeometryCount() != 101 { // 100 obs + 1 park
 		t.Errorf("GeometryCount = %d", s.GeometryCount())
-	}
-	if s.ObservationCount() != 100 {
-		t.Errorf("ObservationCount = %d", s.ObservationCount())
-	}
-}
-
-func TestFeaturesIntersecting(t *testing.T) {
-	s := New()
-	s.AddAll(buildParkData(t, 100))
-	// Query window covering x,y in [0,3]: 4x4 grid points inside it per row
-	// pattern; count via brute force on the generator.
-	q := geom.NewRect(-0.5, -0.5, 3.5, 3.5)
-	feats := s.FeaturesIntersecting(q)
-	want := 0
-	for i := 0; i < 100; i++ {
-		x, y := float64(i%20), float64((i/20)%20)
-		if x <= 3.5 && y <= 3.5 {
-			want++
-		}
-	}
-	want++ // the park polygon also intersects
-	if len(feats) != want {
-		t.Errorf("FeaturesIntersecting = %d, want %d", len(feats), want)
-	}
-}
-
-func TestStoreMatchesNaive(t *testing.T) {
-	data := buildParkData(t, 200)
-	s := New()
-	s.AddAll(data)
-	n := NewNaive()
-	n.AddAll(data)
-
-	queries := []geom.Envelope{
-		{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5},
-		{MinX: 7, MinY: 2, MaxX: 12, MaxY: 9},
-		{MinX: 100, MinY: 100, MaxX: 110, MaxY: 110},
-	}
-	for _, env := range queries {
-		qg := env.ToPolygon()
-		a := s.FeaturesIntersecting(qg)
-		b := n.FeaturesIntersecting(qg)
-		if len(a) != len(b) {
-			t.Fatalf("env %+v: store=%d naive=%d", env, len(a), len(b))
-		}
-		for i := range a {
-			if !a[i].Equal(b[i]) {
-				t.Fatalf("env %+v: mismatch at %d: %v vs %v", env, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestObservationsDuring(t *testing.T) {
-	data := buildParkData(t, 240)
-	s := New()
-	s.AddAll(data)
-	n := NewNaive()
-	n.AddAll(data)
-
-	from := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
-	to := time.Date(2018, 8, 1, 0, 0, 0, 0, time.UTC)
-	env := geom.Envelope{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
-
-	a := s.ObservationsDuring(env, from, to)
-	b := n.ObservationsDuring(env, from, to)
-	if len(a) == 0 {
-		t.Fatal("no observations found")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("store=%d naive=%d", len(a), len(b))
-	}
-	for _, o := range a {
-		if o.Time.Before(from) || o.Time.After(to) {
-			t.Errorf("observation outside interval: %v", o.Time)
-		}
-		if !env.Intersects(o.Geom.Envelope()) {
-			t.Errorf("observation outside window: %v", o.Geom.WKT())
-		}
-	}
-	// No spatial constraint.
-	all := s.ObservationsDuring(geom.EmptyEnvelope(), from, to)
-	if len(all) < len(a) {
-		t.Error("unconstrained query returned fewer results")
-	}
-}
-
-func TestTriplesValidDuring(t *testing.T) {
-	s := New()
-	mk := func(id string, from, to time.Time) rdf.Triple {
-		tr := rdf.NewTriple(rdf.NewIRI("s"+id), rdf.NewIRI("p"), rdf.NewLiteral(id))
-		tr.ValidFrom, tr.ValidTo = from, to
-		return tr
-	}
-	d := func(m time.Month) time.Time { return time.Date(2018, m, 1, 0, 0, 0, 0, time.UTC) }
-	s.Add(mk("a", d(1), d(3)))
-	s.Add(mk("b", d(2), d(6)))
-	s.Add(mk("c", d(7), d(9)))
-	s.Add(rdf.NewTriple(rdf.NewIRI("sx"), rdf.NewIRI("p"), rdf.NewLiteral("no-time")))
-
-	got := s.TriplesValidDuring(d(2), d(4))
-	if len(got) != 2 {
-		t.Fatalf("valid during = %d, want 2", len(got))
-	}
-	got = s.TriplesValidDuring(d(10), d(12))
-	if len(got) != 0 {
-		t.Fatalf("valid during empty window = %d", len(got))
-	}
-}
-
-func TestNearestGeometries(t *testing.T) {
-	s := New()
-	s.AddAll(buildParkData(t, 100))
-	got := s.NearestGeometries(geom.Point{X: 0.1, Y: 0.1}, 1)
-	if len(got) != 1 {
-		t.Fatalf("nearest = %v", got)
-	}
-	// nearest geometry to (0.1,0.1) is the point (0,0) or the park polygon
-	// (whose envelope contains the query point -> distance 0).
-	e := got[0].Geom.Envelope()
-	if !e.ContainsPoint(geom.Point{X: 0.1, Y: 0.1}) && (e.MinX != 0 || e.MinY != 0) {
-		t.Errorf("nearest = %v", got[0].Geom.WKT())
 	}
 }
 
