@@ -100,9 +100,10 @@ func chaosQueries(round int) []string {
 // in. This is MemNetwork.Parked for the federation's members.
 type memberLoad struct {
 	mu      sync.Mutex
+	now     func() time.Time
 	working int
 	hung    int
-	timers  map[<-chan time.Time]bool
+	timers  map[<-chan time.Time]time.Time // a waiting timer and when it fires
 }
 
 func (l *memberLoad) parked() bool {
@@ -111,8 +112,13 @@ func (l *memberLoad) parked() bool {
 	if l.working > 0 || l.hung+len(l.timers) == 0 {
 		return false
 	}
-	for timer := range l.timers {
-		if len(timer) > 0 {
+	now := l.now()
+	for timer, due := range l.timers {
+		// A timer that has fired holds the clock until its call marks
+		// itself working, also after the call took the fire off the
+		// channel: a woken goroutine may not run for many driver steps,
+		// and the member's deadline must not run out meanwhile.
+		if len(timer) > 0 || !now.Before(due) {
 			return false
 		}
 	}
@@ -120,15 +126,16 @@ func (l *memberLoad) parked() bool {
 }
 
 // add moves counters under the lock: working and hung by a delta, and a
-// timer into or out of the waiting set.
-func (l *memberLoad) add(working, hung int, timer <-chan time.Time, waiting bool) {
+// timer into the waiting set (due is when it fires) or, with a zero due,
+// out of it.
+func (l *memberLoad) add(working, hung int, timer <-chan time.Time, due time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.working += working
 	l.hung += hung
 	if timer != nil {
-		if waiting {
-			l.timers[timer] = true
+		if !due.IsZero() {
+			l.timers[timer] = due
 		} else {
 			delete(l.timers, timer)
 		}
@@ -183,12 +190,12 @@ func (m *chaosMember) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
 	m.mu.Unlock()
 	switch mode {
 	case "hang":
-		m.load.add(0, 1, nil, false)
-		defer m.load.add(0, -1, nil, false)
+		m.load.add(0, 1, nil, time.Time{})
+		defer m.load.add(0, -1, nil, time.Time{})
 	case "slow": // slowSource accounts for itself
 	default:
-		m.load.add(1, 0, nil, false)
-		defer m.load.add(-1, 0, nil, false)
+		m.load.add(1, 0, nil, time.Time{})
+		defer m.load.add(-1, 0, nil, time.Time{})
 	}
 	return src.MatchErr(s, p, o)
 }
@@ -208,10 +215,11 @@ type slowSource struct{ m *chaosMember }
 func (s slowSource) Match(a, p, o rdf.Term) []rdf.Triple {
 	load := s.m.load
 	timer := s.m.clk.After(chaosSlow)
-	load.add(0, 0, timer, true)
+	// Read after After, so due is never before the fire.
+	load.add(0, 0, timer, s.m.clk.Now().Add(chaosSlow))
 	<-timer
-	load.add(1, 0, timer, false)
-	defer load.add(-1, 0, nil, false)
+	load.add(1, 0, timer, time.Time{})
+	defer load.add(-1, 0, nil, time.Time{})
 	return s.m.store.Match(a, p, o)
 }
 
@@ -273,7 +281,7 @@ func runChaos(t *testing.T, schedule []chaosStep) {
 
 	// The federation: three members over overlapping subject ranges, so
 	// the union needs every member and deduplicates subjects 3-4 and 5-7.
-	load := memberLoad{timers: map[<-chan time.Time]bool{}}
+	load := memberLoad{now: clk.Now, timers: map[<-chan time.Time]time.Time{}}
 	members := make([]*chaosMember, 3)
 	fed := federation.New()
 	for i, r := range [][2]int{{0, 5}, {5, 10}, {3, 8}} {

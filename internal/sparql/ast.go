@@ -37,7 +37,6 @@ type Query struct {
 	OrderBy  []OrderKey
 	Limit    int // -1 when absent
 	Offset   int
-	Prefixes *rdf.Prefixes
 	// Text is the source Parse read the query from; empty for queries
 	// built in code. The result cache keys on it.
 	Text string

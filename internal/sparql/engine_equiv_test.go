@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"applab/internal/rdf"
@@ -253,11 +254,11 @@ func TestParallelEvalRace(t *testing.T) {
 // strategy must collapse per-row probes into a single build-side Match.
 type countingSource struct {
 	g     *rdf.Graph
-	calls int
+	calls atomic.Int64
 }
 
 func (c *countingSource) Match(s, p, o rdf.Term) []rdf.Triple {
-	c.calls++
+	c.calls.Add(1)
 	return c.g.Match(s, p, o)
 }
 
@@ -283,8 +284,8 @@ SELECT ?s ?c WHERE { ?s a ex:Person . ?s ex:city ?c }`
 	}
 	// Seed strategy: 1 call for the first pattern + 200 per-row calls.
 	// Compiled: one Match per pattern (cross-join build + hash build).
-	if cs.calls > 4 {
-		t.Errorf("compiled engine made %d Match calls, want <= 4", cs.calls)
+	if calls := cs.calls.Load(); calls > 4 {
+		t.Errorf("compiled engine made %d Match calls, want <= 4", calls)
 	}
 	ref, err := parsed.EvalSeed(g)
 	if err != nil {

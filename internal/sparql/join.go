@@ -2,12 +2,14 @@ package sparql
 
 import (
 	"encoding/binary"
+	"sync"
+	"sync/atomic"
 
 	"applab/internal/rdf"
 )
 
-// scanOp joins the solution set with one triple pattern. Three
-// strategies, chosen per pattern at compile/run time:
+// scanOp is a pipeline step that joins each row with one triple
+// pattern. Three strategies, chosen once per pipeline run (strategy):
 //
 //   - indexed nested loop (the seed strategy): one Match call per row
 //     with the row's bindings substituted into the pattern. Default.
@@ -70,10 +72,11 @@ func (c *compiler) newScanOp(tp TriplePattern) *scanOp {
 
 // extend binds the pattern's variable positions to a match's handles —
 // into the Match slice or the source's own terms, never a loop variable
-// — copying the row (into the arena) on the first new binding. Repeated
-// variables and already-bound slots are checked for agreement. Written
-// straight-line so a no-new-binding extension is allocation free.
-func (sc *scanOp) extend(r row, t rdf.Ref, ar *rowArena) (row, bool) {
+// — copying the row into dst on the first new binding, so the result is
+// r itself or dst. Repeated variables and already-bound slots are
+// checked for agreement. Written straight-line so an extension
+// allocates nothing.
+func (sc *scanOp) extend(r row, t rdf.Ref, dst row) (row, bool) {
 	nr := r
 	cloned := false
 	if sc.sSlot >= 0 {
@@ -82,7 +85,7 @@ func (sc *scanOp) extend(r row, t rdf.Ref, ar *rowArena) (row, bool) {
 				return nil, false
 			}
 		} else {
-			nr = ar.clone(nr)
+			nr = copyRow(dst, nr)
 			cloned = true
 			nr[sc.sSlot] = t.S
 		}
@@ -94,7 +97,7 @@ func (sc *scanOp) extend(r row, t rdf.Ref, ar *rowArena) (row, bool) {
 			}
 		} else {
 			if !cloned {
-				nr = ar.clone(nr)
+				nr = copyRow(dst, nr)
 				cloned = true
 			}
 			nr[sc.pSlot] = t.P
@@ -107,12 +110,17 @@ func (sc *scanOp) extend(r row, t rdf.Ref, ar *rowArena) (row, bool) {
 			}
 		} else {
 			if !cloned {
-				nr = ar.clone(nr)
+				nr = copyRow(dst, nr)
 			}
 			nr[sc.oSlot] = t.O
 		}
 	}
 	return nr, true
+}
+
+func copyRow(dst, src row) row {
+	copy(dst, src)
+	return dst
 }
 
 // resolve substitutes a row's binding into a pattern position (zero =
@@ -127,152 +135,193 @@ func resolve(slot int, constant rdf.Term, r row) rdf.Term {
 	return rdf.Term{}
 }
 
-func (sc *scanOp) run(ec *execCtx, in []row) ([]row, error) {
-	if sc.canHash && len(sc.keys) == 0 {
+// joinStrategy is the strategy a scan step runs with for one pipeline
+// run.
+type joinStrategy uint8
+
+const (
+	joinNested joinStrategy = iota
+	joinCross
+	joinHash
+)
+
+var joinStrategyNames = [...]string{joinNested: "nested_loop", joinCross: "cross", joinHash: "hash"}
+
+// strategy picks the step's join strategy for probes probe rows.
+func (sc *scanOp) strategy(probes int) joinStrategy {
+	switch {
+	case sc.canHash && len(sc.keys) == 0:
 		// No position can be bound by incoming rows: one Match serves
 		// every row (cross-join materialization).
-		noteJoinStrategy("cross")
-		matches, err := ec.match(sc.s, sc.p, sc.o)
-		if err != nil {
-			return nil, err
-		}
-		if matches.Len() == 0 {
-			return nil, nil
-		}
-		return chunked(ec, in, func(rows []row) ([]row, error) {
-			// At least this many rows come out (barring a repeated
-			// variable inside the pattern): size for them up front.
-			out, ar := presized(max(len(rows), matches.Len()), len(in[0]))
-			n := 0
-			for _, r := range rows {
-				if err := ec.tickN(&n, matches.Len()); err != nil {
-					return nil, err
-				}
-				for i := range matches.Len() {
-					if nr, ok := sc.extend(r, matches.At(i), &ar); ok {
-						out = append(out, nr)
-					}
-				}
-			}
-			return out, nil
-		})
+		return joinCross
+	case sc.canHash && probes >= hashJoinMinRows && sc.est >= 0 && sc.est <= probes:
+		// Hash join only pays when the build side (constants-only
+		// match) is no larger than the probe side: per-row index probes
+		// are cheap, so materializing and keying a big build set loses
+		// outright.
+		return joinHash
 	}
-	// Hash join only pays when the build side (constants-only match) is
-	// no larger than the probe side: per-row index probes are cheap, so
-	// materializing and keying a big build set loses outright.
-	if sc.canHash && len(in) >= hashJoinMinRows && sc.est >= 0 && sc.est <= len(in) {
-		noteJoinStrategy("hash")
-		return sc.hashJoin(ec, in)
-	}
-	noteJoinStrategy("nested_loop")
-	return chunked(ec, in, func(rows []row) ([]row, error) {
-		// Over a batching partitioned source the chunk's scans are read
-		// up front, one read per fragment.
-		var batched [][]rdf.Triple
-		if ec.bx != nil {
-			var err error
-			if batched, err = ec.exchangeRows(sc, rows); err != nil {
-				return nil, err
-			}
-		}
-		// A join that keeps its rows emits about one per input row.
-		out, ar := presized(len(rows), len(in[0]))
-		n := 0
-		for i, r := range rows {
-			if err := ec.tick(&n); err != nil {
-				return nil, err
-			}
-			var matches rdf.Matches
-			if batched != nil {
-				matches = rdf.Matches{Triples: batched[i]}
-			} else {
-				s := resolve(sc.sSlot, sc.s, r)
-				p := resolve(sc.pSlot, sc.p, r)
-				o := resolve(sc.oSlot, sc.o, r)
-				var err error
-				if matches, err = ec.match(s, p, o); err != nil {
-					return nil, err
-				}
-			}
-			if err := ec.tickN(&n, matches.Len()); err != nil {
-				return nil, err
-			}
-			for i := range matches.Len() {
-				if nr, ok := sc.extend(r, matches.At(i), &ar); ok {
-					out = append(out, nr)
-				}
-			}
-		}
-		return out, nil
-	})
+	return joinNested
 }
 
-// hashJoin matches the pattern once with constants only, hashes the
-// result on the shared (definitely-bound) slots, and probes per row.
-// Buckets are int32 chains through the build slice in Match order, so
-// each row's extensions come out in the same order the nested-loop
-// strategy would produce them and no triple is copied; extend re-checks
-// every bound position, so the key only has to be sound, not exact.
-func (sc *scanOp) hashJoin(ec *execCtx, in []row) ([]row, error) {
+// scanRun is a scan step's state for one pipeline run, shared by the
+// run's chunks. The first row to reach the step prepares it: that picks
+// and counts the strategy and, for cross and hash, issues the one Match
+// (and builds the hash index), so a step no row reaches costs nothing.
+type scanRun struct {
+	ready    atomic.Bool
+	mu       sync.Mutex
+	strategy joinStrategy
+	err      error
+	build    rdf.Matches // cross: the shared match; hash: the build side
+	// Hash buckets are int32 chains through the build side in Match
+	// order: buckets maps a key to its bucket b, first[b] heads b's
+	// chain and next[i] continues it.
+	buckets     map[string]int32
+	first, next []int32
+}
+
+// prepare readies step k for the run, once, on the first row that
+// reaches it (the row path tests ready before it locks); st.err is then
+// the preparation's error for every later row, in any chunk.
+func (pc *pipeChunk) prepare(k int, sc *scanOp) *scanRun {
+	st := &pc.scans[k]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.ready.Load() {
+		st.strategy = sc.strategy(pc.probes(k))
+		noteJoinStrategy(joinStrategyNames[st.strategy])
+		switch st.strategy {
+		case joinCross:
+			st.build, st.err = pc.ec.match(sc.s, sc.p, sc.o)
+		case joinHash:
+			st.err = st.index(pc.ec, sc)
+		}
+		st.ready.Store(true)
+	}
+	return st
+}
+
+// probes is the row count step k picks its strategy for: the rows
+// entering the pipeline, times the match count of each cross step before
+// k (a cross step passes on that many rows per row, bar repeated
+// variables). For the step right after a join unit's head that is
+// exactly the row count it joins against; a later step behind 1:1 joins
+// sees about the count that reaches it; behind FILTERs and fan-out
+// joins the estimate is off by their selectivity or fan-out.
+func (pc *pipeChunk) probes(k int) int {
+	n := pc.in
+	for j := range k {
+		if st := &pc.scans[j]; st.ready.Load() && st.strategy == joinCross {
+			if m := st.build.Len(); m > 1 {
+				n = min(n, unknownCardinality/m) * m
+			}
+		}
+	}
+	return n
+}
+
+// index matches the pattern once with constants only and hashes the
+// result on the shared (definitely-bound) slots. Filling the chains from
+// the back leaves every chain in ascending build order, so each row's
+// extensions come out in the order the nested loop would produce them,
+// and no triple is copied; extend re-checks every bound position, so
+// the key only has to be sound, not exact.
+func (st *scanRun) index(ec *execCtx, sc *scanOp) error {
 	build, err := ec.match(sc.s, sc.p, sc.o)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if build.Len() == 0 {
-		return nil, nil
-	}
-	// first[b] heads bucket b's chain, next[i] continues it; filling from
-	// the back leaves every chain in ascending build order.
-	buckets := make(map[string]int32, build.Len())
-	var first []int32
-	next := make([]int32, build.Len())
+	st.build = build
+	st.buckets = make(map[string]int32, build.Len())
+	st.next = make([]int32, build.Len())
 	var kb []byte
 	n := 0
 	for i := build.Len() - 1; i >= 0; i-- {
 		if err := ec.tick(&n); err != nil {
-			return nil, err
+			return err
 		}
 		kb = kb[:0]
 		for _, slot := range sc.keys {
 			kb = appendSolutionKey(kb, sc.tripleAt(build.At(i), slot))
 		}
-		b, ok := buckets[string(kb)]
+		b, ok := st.buckets[string(kb)]
 		if !ok {
-			b = int32(len(first))
-			buckets[string(kb)] = b
-			first = append(first, -1)
+			b = int32(len(st.first))
+			st.buckets[string(kb)] = b
+			st.first = append(st.first, -1)
 		}
-		next[i], first[b] = first[b], int32(i)
+		st.next[i], st.first[b] = st.first[b], int32(i)
 	}
-	return chunked(ec, in, func(rows []row) ([]row, error) {
-		var out []row
-		var ar rowArena
-		var kb []byte
-		n := 0
-		for _, r := range rows {
-			if err := ec.tick(&n); err != nil {
-				return nil, err
+	return nil
+}
+
+// push joins one row with the pattern and pushes every extension on.
+// A match bucket is charged in one tickN, a hash chain per element.
+func (sc *scanOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
+	ec := pc.ec
+	st := &pc.scans[k]
+	if !st.ready.Load() {
+		pc.prepare(k, sc)
+	}
+	if st.err != nil {
+		return st.err
+	}
+	var matches rdf.Matches
+	switch st.strategy {
+	case joinCross:
+		matches = st.build
+	case joinHash:
+		kb := pc.kb[:0]
+		for _, slot := range sc.keys {
+			kb = appendSolutionKey(kb, r[slot])
+		}
+		pc.kb = kb
+		// map lookup on string(kb) does not allocate.
+		b, ok := st.buckets[string(kb)]
+		if !ok {
+			return nil
+		}
+		dst := pc.scratch(k)
+		for i := st.first[b]; i >= 0; i = st.next[i] {
+			if err := ec.tick(&pc.n); err != nil {
+				return err
 			}
-			kb = kb[:0]
-			for _, slot := range sc.keys {
-				kb = appendSolutionKey(kb, r[slot])
-			}
-			// map lookup on string(kb) does not allocate.
-			b, ok := buckets[string(kb)]
-			if !ok {
-				continue
-			}
-			for i := first[b]; i >= 0; i = next[i] {
-				if err := ec.tick(&n); err != nil {
-					return nil, err
-				}
-				if nr, ok := sc.extend(r, build.At(int(i)), &ar); ok {
-					out = append(out, nr)
+			if nr, ok := sc.extend(r, st.build.At(int(i)), dst); ok {
+				if err := pc.next(k, nr, scratch || sameRow(nr, dst)); err != nil {
+					return err
 				}
 			}
 		}
-		return out, nil
-	})
+		return nil
+	default:
+		if pc.batched != nil && k == 0 {
+			matches = rdf.Matches{Triples: pc.batched[pc.at]}
+		} else {
+			s := resolve(sc.sSlot, sc.s, r)
+			p := resolve(sc.pSlot, sc.p, r)
+			o := resolve(sc.oSlot, sc.o, r)
+			var err error
+			if matches, err = ec.match(s, p, o); err != nil {
+				return err
+			}
+		}
+	}
+	if matches.Len() == 0 {
+		return nil
+	}
+	if err := ec.tickN(&pc.n, matches.Len()); err != nil {
+		return err
+	}
+	dst := pc.scratch(k)
+	for i := range matches.Len() {
+		if nr, ok := sc.extend(r, matches.At(i), dst); ok {
+			if err := pc.next(k, nr, scratch || sameRow(nr, dst)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // tripleAt returns the match's term at the first pattern position

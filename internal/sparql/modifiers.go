@@ -294,23 +294,37 @@ func foldAggregate(agg *Aggregate, vals []rdf.Term, n int) (rdf.Term, error) {
 
 // sort orders rows by the ORDER BY keys, stably; a key that errors
 // (unbound) sorts first ascending, and terms compareTerms cannot order
-// fall back to term-key order.
+// fall back to term-key order. Each key is evaluated once per row, up
+// front, and the rows are sorted through a permutation so the
+// comparator only reads the evaluated keys.
 func (t *tail) sort(rows []row) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range t.order {
-			vi, ei := k.expr(rows[i])
-			vj, ej := k.expr(rows[j])
+	nk := len(t.order)
+	keys := make([]rdf.Term, len(rows)*nk) // row i's keys are keys[i*nk:(i+1)*nk]
+	failed := make([]bool, len(keys))      // the key's evaluation errored
+	for i, r := range rows {
+		for j, k := range t.order {
+			v, err := k.expr(r)
+			keys[i*nk+j], failed[i*nk+j] = v, err != nil
+		}
+	}
+	perm := make([]int, len(rows))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(a, b int) bool {
+		ka, kb := perm[a]*nk, perm[b]*nk
+		for j, k := range t.order {
 			var c int
-			switch {
-			case ei != nil && ej != nil:
-			case ei != nil:
+			switch ea, eb := failed[ka+j], failed[kb+j]; {
+			case ea && eb:
+			case ea:
 				c = -1
-			case ej != nil:
+			case eb:
 				c = 1
 			default:
 				var err error
-				if c, err = compareTerms(vi, vj); err != nil {
-					c = vi.Compare(vj)
+				if c, err = compareTerms(keys[ka+j], keys[kb+j]); err != nil {
+					c = keys[ka+j].Compare(keys[kb+j])
 				}
 			}
 			if c != 0 {
@@ -319,6 +333,11 @@ func (t *tail) sort(rows []row) {
 		}
 		return false
 	})
+	sorted := make([]row, len(rows))
+	for i, p := range perm {
+		sorted[i] = rows[p]
+	}
+	copy(rows, sorted)
 }
 
 // distinct keeps the first row of each distinct projection, in place.

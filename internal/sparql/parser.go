@@ -16,7 +16,7 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, prefixes: rdf.DefaultPrefixes()}
+	p := &parser{toks: toks}
 	q, err := p.parseQuery()
 	if err != nil {
 		return nil, err
@@ -37,7 +37,22 @@ func MustParse(src string) *Query {
 type parser struct {
 	toks     []token
 	pos      int
-	prefixes *rdf.Prefixes
+	prefixes map[string]string // the query's PREFIX declarations; nil when it has none
+}
+
+// defaultPrefixes is the table every query's prefixed names fall back
+// to. It is only ever read.
+var defaultPrefixes = rdf.DefaultPrefixes()
+
+// expand resolves a prefixed name (or unwraps an <IRI>) against the
+// query's own PREFIX declarations first, then the default table.
+func (p *parser) expand(qname string) (string, error) {
+	if i := strings.IndexByte(qname, ':'); i >= 0 {
+		if ns, ok := p.prefixes[qname[:i]]; ok {
+			return ns + qname[i+1:], nil
+		}
+	}
+	return defaultPrefixes.Expand(qname)
 }
 
 // cur and next clamp at the trailing EOF token: error paths may consume
@@ -86,7 +101,7 @@ func (p *parser) accept(kind tokKind) bool {
 }
 
 func (p *parser) parseQuery() (*Query, error) {
-	q := &Query{Limit: -1, Prefixes: p.prefixes}
+	q := &Query{Limit: -1}
 	// Prologue
 	for p.cur().kind == tKeyword && (p.cur().text == "PREFIX" || p.cur().text == "BASE") {
 		kw := p.next().text
@@ -104,7 +119,10 @@ func (p *parser) parseQuery() (*Query, error) {
 		if iri.kind != tIRI {
 			return nil, p.errf("expected IRI after PREFIX %s", name.text)
 		}
-		p.prefixes.Bind(strings.TrimSuffix(name.text, ":"), iri.text)
+		if p.prefixes == nil {
+			p.prefixes = map[string]string{}
+		}
+		p.prefixes[strings.TrimSuffix(name.text, ":")] = iri.text
 	}
 	switch {
 	case p.acceptKeyword("SELECT"):
@@ -458,7 +476,7 @@ func (p *parser) parsePatternTerm(asSubject bool) (PatternTerm, error) {
 		if t.text == "a" && !asSubject {
 			return Const(rdf.NewIRI(rdf.RDFType)), nil
 		}
-		iri, err := p.prefixes.Expand(t.text)
+		iri, err := p.expand(t.text)
 		if err != nil {
 			return PatternTerm{}, p.errf("%v", err)
 		}
@@ -494,7 +512,7 @@ func (p *parser) finishLiteral(lex string) (rdf.Term, error) {
 		case tIRI:
 			return rdf.NewTypedLiteral(lex, dt.text), nil
 		case tPName:
-			iri, err := p.prefixes.Expand(dt.text)
+			iri, err := p.expand(dt.text)
 			if err != nil {
 				return rdf.Term{}, p.errf("%v", err)
 			}
@@ -728,13 +746,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if !strings.Contains(t.text, ":") {
 				return p.parseCall(strings.ToUpper(t.text))
 			}
-			iri, err := p.prefixes.Expand(t.text)
+			iri, err := p.expand(t.text)
 			if err != nil {
 				return nil, p.errf("%v", err)
 			}
 			return p.parseCall(iri)
 		}
-		iri, err := p.prefixes.Expand(t.text)
+		iri, err := p.expand(t.text)
 		if err != nil {
 			return nil, p.errf("%v", err)
 		}

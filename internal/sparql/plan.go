@@ -178,6 +178,11 @@ func runOps(ec *execCtx, ops []op, in []row) ([]row, error) {
 	return cur, nil
 }
 
+// serial reports whether a stage over n rows runs as one chunk.
+func (ec *execCtx) serial(n int) bool {
+	return ec.workers <= 1 || n < ec.threshold
+}
+
 // chunked applies fn to in, fanning out to the worker pool when the
 // solution set is large enough. Chunk outputs are concatenated in
 // partition order: the result is identical to fn(in) row-for-row.
@@ -192,7 +197,7 @@ func chunked(ec *execCtx, in []row, fn func([]row) ([]row, error)) ([]row, error
 // and budgets record only their first violation, so an aborted stage
 // reports the same error for any worker count.
 func chunkedRange(ec *execCtx, n int, fn func(lo, hi int) ([]row, error)) ([]row, error) {
-	if ec.workers <= 1 || n < ec.threshold {
+	if ec.serial(n) {
 		return fn(0, n)
 	}
 	w := min(ec.workers, n)
@@ -235,63 +240,6 @@ func chunkedRange(ec *execCtx, n int, fn func(lo, hi int) ([]row, error)) ([]row
 		out = append(out, o...)
 	}
 	return out, nil
-}
-
-// filterOp drops rows whose condition is false or errors.
-type filterOp struct {
-	cond compiledExpr
-}
-
-func (f *filterOp) run(ec *execCtx, in []row) ([]row, error) {
-	return chunked(ec, in, func(rows []row) ([]row, error) {
-		var out []row
-		n := 0
-		for _, r := range rows {
-			if err := ec.tick(&n); err != nil {
-				return nil, err
-			}
-			if v, err := compiledEBV(f.cond, r); err == nil && v {
-				out = append(out, r)
-			}
-		}
-		return out, nil
-	})
-}
-
-// bindOp implements BIND(expr AS ?var): a fresh binding on success,
-// join-style agreement when the variable is already bound, and the row
-// kept unchanged (variable unbound) on expression error.
-type bindOp struct {
-	slot int
-	expr compiledExpr
-}
-
-func (b *bindOp) run(ec *execCtx, in []row) ([]row, error) {
-	return chunked(ec, in, func(rows []row) ([]row, error) {
-		var out []row
-		var ar rowArena
-		n := 0
-		for _, r := range rows {
-			if err := ec.tick(&n); err != nil {
-				return nil, err
-			}
-			v, err := b.expr(r)
-			if err != nil {
-				out = append(out, r)
-				continue
-			}
-			if old := r[b.slot]; old != nil {
-				if old.Equal(v) {
-					out = append(out, r)
-				}
-				continue
-			}
-			nr := ar.clone(r)
-			nr[b.slot] = ar.term(v)
-			out = append(out, nr)
-		}
-		return out, nil
-	})
 }
 
 // valuesOp joins the solution set with an inline VALUES table.
@@ -432,9 +380,10 @@ type program struct {
 }
 
 type compiler struct {
-	vt     *varTable
-	stats  StatsSource
-	states map[string]varState
+	vt       *varTable
+	stats    StatsSource
+	states   map[string]varState
+	exchange bool // the source is partitioned: every scan starts a pipeline
 }
 
 // compileQuery lowers the WHERE clause onto a slot table and a plan.
@@ -445,6 +394,7 @@ func compileQuery(q *Query, src Source) *program {
 	if st, ok := src.(StatsSource); ok {
 		c.stats = st
 	}
+	_, c.exchange = src.(ExchangeSource)
 	ops := c.compileGroup(q.Where)
 	return &program{ops: ops, vt: c.vt, tail: c.compileTail(q)}
 }
@@ -469,7 +419,7 @@ func (c *compiler) weaken(base map[string]varState) {
 }
 
 func (c *compiler) compileGroup(g *Group) []op {
-	var ops []op
+	var b planBuilder
 	els := g.Elements
 	for i := 0; i < len(els); i++ {
 		switch e := els[i].(type) {
@@ -495,19 +445,18 @@ func (c *compiler) compileGroup(g *Group) []op {
 				}
 				filters = append(filters, els[j])
 			}
-			if sops, ok := c.compileSpatialUnit(pats, filters); ok {
-				ops = append(ops, sops...)
+			if c.compileSpatialUnit(&b, pats, filters) {
 				i += len(filters)
 				continue
 			}
-			ops = append(ops, c.compileBGP(pats)...)
+			c.compileBGP(&b, pats)
 		case Filter:
-			ops = append(ops, &filterOp{cond: compileExpr(e.Expr, c.vt)})
+			b.step(&filterOp{cond: compileExpr(e.Expr, c.vt)})
 		case Optional:
 			base := c.cloneStates()
 			body := c.compileGroup(e.Group)
 			c.weaken(base)
-			ops = append(ops, &optionalOp{body: body})
+			b.add(&optionalOp{body: body})
 		case Union:
 			base := c.cloneStates()
 			u := &unionOp{}
@@ -518,20 +467,20 @@ func (c *compiler) compileGroup(g *Group) []op {
 				branchStates = append(branchStates, c.states)
 			}
 			c.states = mergeUnionStates(base, branchStates)
-			ops = append(ops, u)
+			b.add(u)
 		case SubGroup:
 			// A nested group extends the same solution set in place;
 			// inlining its plan is equivalent to the seed recursion.
-			ops = append(ops, c.compileGroup(e.Group)...)
+			b.add(c.compileGroup(e.Group)...)
 		case Exists:
 			base := c.cloneStates()
 			body := c.compileGroup(e.Group)
 			c.states = base // EXISTS binds nothing
-			ops = append(ops, &existsOp{body: body, negated: e.Negated})
+			b.add(&existsOp{body: body, negated: e.Negated})
 		case Bind:
 			ce := compileExpr(e.Expr, c.vt)
 			slot := c.vt.slot(e.Var)
-			ops = append(ops, &bindOp{slot: slot, expr: ce})
+			b.step(&bindOp{slot: slot, expr: ce})
 			// Errors leave the variable unbound, so it is only maybe-bound.
 			if c.states[e.Var] == varUnseen {
 				c.states[e.Var] = varMaybe
@@ -541,7 +490,7 @@ func (c *compiler) compileGroup(g *Group) []op {
 			for _, vn := range e.Vars {
 				vo.slots = append(vo.slots, c.vt.slot(vn))
 			}
-			ops = append(ops, vo)
+			b.add(vo)
 			for col, vn := range e.Vars {
 				allBound := true
 				for _, vr := range e.Rows {
@@ -559,7 +508,7 @@ func (c *compiler) compileGroup(g *Group) []op {
 			}
 		}
 	}
-	return ops
+	return b.ops
 }
 
 func cloneStateMap(m map[string]varState) map[string]varState {
@@ -602,20 +551,26 @@ func mergeUnionStates(base map[string]varState, branches []map[string]varState) 
 }
 
 // compileBGP plans a join unit (selectivity order) and lowers each
-// pattern to a scan operator.
-func (c *compiler) compileBGP(pats []TriplePattern) []op {
+// pattern to a scan step: the first scan as a pipeline of its own, the
+// rest as the pipeline that trailing FILTERs and BINDs join — over a
+// partitioned source, one pipeline per scan.
+func (c *compiler) compileBGP(b *planBuilder, pats []TriplePattern) {
 	ordered := c.plan(pats)
 	notePatternsPlanned(len(ordered))
-	ops := make([]op, 0, len(ordered))
-	for _, tp := range ordered {
-		ops = append(ops, c.newScanOp(tp))
+	for i, tp := range ordered {
+		if i <= 1 || c.exchange {
+			b.open = nil
+		}
+		b.step(c.newScanOp(tp))
 		for _, v := range []string{tp.S.Var, tp.P.Var, tp.O.Var} {
 			if v != "" {
 				c.states[v] = varDef
 			}
 		}
 	}
-	return ops
+	if len(ordered) == 1 {
+		b.open = nil
+	}
 }
 
 // plan orders a BGP's patterns by estimated selectivity, preferring

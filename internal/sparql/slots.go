@@ -67,17 +67,6 @@ type rowArena struct {
 // result sets never pay for large blocks.
 const arenaMaxBlock = 512
 
-// presized returns an output slice and an arena with room for n rows of
-// the given width, for operators that know roughly how many rows they
-// emit; past n both grow as usual. A single row gets nothing up front, so
-// an OPTIONAL/EXISTS body run per row allocates only if it matches.
-func presized(n, width int) ([]row, rowArena) {
-	if n < 2 {
-		return nil, rowArena{}
-	}
-	return make([]row, 0, n), rowArena{buf: make([]*rdf.Term, n*width)}
-}
-
 // clone copies src into arena-backed storage.
 func (a *rowArena) clone(src row) row {
 	n := len(src)

@@ -97,9 +97,9 @@ func patternVars(tp TriplePattern) []string {
 }
 
 // compileSpatialUnit tries to lower a BGP join unit plus its trailing
-// FILTER run as a spatial join. It returns the unit's ops and true on
-// success (the caller then skips the filter elements); nil, false keeps
-// the ordinary compilation.
+// FILTER run as a spatial join. On success it appends the unit's ops to
+// b and returns true (the caller then skips the filter elements); false
+// keeps the ordinary compilation.
 //
 // The unit splits when one of the filters is a geosparql spatial
 // relation over two variables bound by pattern components that share no
@@ -110,9 +110,9 @@ func patternVars(tp TriplePattern) []string {
 // picked from StatsSource cardinalities (smaller estimated side
 // builds); a component reachable from outer bindings must stay on the
 // probe side, where the incoming rows are.
-func (c *compiler) compileSpatialUnit(pats []TriplePattern, filters []Element) ([]op, bool) {
+func (c *compiler) compileSpatialUnit(b *planBuilder, pats []TriplePattern, filters []Element) bool {
 	if spatialMode() == spatialOff || len(pats) < 2 || len(filters) == 0 {
-		return nil, false
+		return false
 	}
 
 	// Union-find over patterns; index len(pats) is the virtual "outer"
@@ -154,7 +154,7 @@ func (c *compiler) compileSpatialUnit(pats []TriplePattern, filters []Element) (
 	for fi, el := range filters {
 		f, isFilter := el.(Filter)
 		if !isFilter {
-			return nil, false
+			return false
 		}
 		iri, a, b, ok := spatialFilterArgs(f.Expr)
 		if !ok {
@@ -180,7 +180,7 @@ func (c *compiler) compileSpatialUnit(pats []TriplePattern, filters []Element) (
 		break
 	}
 	if pick < 0 {
-		return nil, false
+		return false
 	}
 
 	// Choose the build side: never the outer-connected component (it
@@ -209,39 +209,42 @@ func (c *compiler) compileSpatialUnit(pats []TriplePattern, filters []Element) (
 		}
 	}
 	if len(buildPats) == 0 || len(probePats) == 0 {
-		return nil, false
+		return false
 	}
 
-	ops := c.compileBGP(probePats)
-	body := c.compileBGP(buildPats)
+	c.compileBGP(b, probePats)
+	var body planBuilder
+	c.compileBGP(&body, buildPats)
 	probeVar, buildVar := va, vb
 	if swapped {
 		probeVar, buildVar = vb, va
 	}
 	sj := &spatialJoinOp{
 		rel:       rel,
-		body:      body,
+		body:      body.ops,
 		probeSlot: c.vt.slot(probeVar),
 		buildSlot: c.vt.slot(buildVar),
 		swapped:   swapped,
 	}
 	// Store-pushdown shape: the build side is exactly the bare
 	// `?g geo:asWKT ?w` scan binding the filter's geometry variable.
-	if len(body) == 1 {
-		if sc, ok := body[0].(*scanOp); ok &&
-			sc.pSlot < 0 && sc.p.Equal(asWKTTerm) &&
-			sc.sSlot >= 0 && sc.oSlot == sj.buildSlot && sc.sSlot != sc.oSlot {
-			sj.scan = sc
+	if len(body.ops) == 1 {
+		if p, ok := body.ops[0].(*pipeOp); ok && len(p.steps) == 1 {
+			if sc, ok := p.steps[0].(*scanOp); ok &&
+				sc.pSlot < 0 && sc.p.Equal(asWKTTerm) &&
+				sc.sSlot >= 0 && sc.oSlot == sj.buildSlot && sc.sSlot != sc.oSlot {
+				sj.scan = sc
+			}
 		}
 	}
-	ops = append(ops, sj)
+	b.add(sj)
 	for fi, el := range filters {
 		if fi == pick {
 			continue
 		}
-		ops = append(ops, &filterOp{cond: compileExpr(el.(Filter).Expr, c.vt)})
+		b.step(&filterOp{cond: compileExpr(el.(Filter).Expr, c.vt)})
 	}
-	return ops, true
+	return true
 }
 
 var asWKTTerm = rdf.NewIRI(rdf.NSGeo + "asWKT")
@@ -423,6 +426,7 @@ func (sj *spatialJoinOp) runStore(ec *execCtx, sp SpatialSource, in []row) ([]ro
 	return chunkedRange(ec, len(in), func(lo, hi int) ([]row, error) {
 		var ar rowArena
 		var out []row
+		scratch := make(row, len(in[0]))
 		probes := 0
 		n := 0
 		for i := lo; i < hi; i++ {
@@ -462,8 +466,8 @@ func (sj *spatialJoinOp) runStore(ec *execCtx, sp SpatialSource, in []row) ([]ro
 				if !hit {
 					continue
 				}
-				if nr, ok := sj.scan.extend(r, t.Ref(), &ar); ok {
-					out = append(out, nr)
+				if nr, ok := sj.scan.extend(r, t.Ref(), scratch); ok {
+					out = append(out, ar.clone(nr))
 				}
 			}
 		}

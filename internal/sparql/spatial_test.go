@@ -109,8 +109,14 @@ SELECT ?a ?b WHERE {
 	}
 	hasFilter := false
 	for _, o := range ops {
-		if _, ok := o.(*filterOp); ok {
-			hasFilter = true
+		p, ok := o.(*pipeOp)
+		if !ok {
+			continue
+		}
+		for _, s := range p.steps {
+			if _, ok := s.(*filterOp); ok {
+				hasFilter = true
+			}
 		}
 	}
 	if !hasFilter {
