@@ -432,4 +432,5 @@ func TestGoldenResultCache(t *testing.T) {
 	if got := s14.Gauges["promotion_promoted_regions"]; got != 0 {
 		t.Errorf("promotion_promoted_regions = %g, want 0", got)
 	}
+	wantNoScanErrors(t, s14)
 }

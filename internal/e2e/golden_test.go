@@ -69,6 +69,18 @@ func wantCounters(t *testing.T, stage string, before, after telemetry.Snapshot, 
 	}
 }
 
+// wantNoScanErrors asserts that no scan in the registry's lifetime read
+// an error as an empty answer (sparql_scan_errors_total, any path): a
+// healthy workflow drops none.
+func wantNoScanErrors(t *testing.T, snap telemetry.Snapshot) {
+	t.Helper()
+	for series, n := range snap.Counters {
+		if strings.HasPrefix(series, "sparql_scan_errors_total") && n != 0 {
+			t.Errorf("%s = %d, want 0", series, n)
+		}
+	}
+}
+
 // wantHistogram asserts a histogram's exact observation-count delta and
 // that its sum never moved — the fake clock proof.
 func wantHistogram(t *testing.T, stage string, before, after telemetry.Snapshot, series string, wantCount int64) {
@@ -301,6 +313,7 @@ func TestGoldenWorkflows(t *testing.T) {
 			t.Errorf("rendered metrics missing %q", series)
 		}
 	}
+	wantNoScanErrors(t, s4)
 	t.Logf("final snapshot counters: %v", s4.Counters)
 }
 
@@ -431,4 +444,5 @@ func TestGoldenSpatialJoin(t *testing.T) {
 	if !equalRows(pairs(t, baseStore, "a", "gb"), pairs(t, storeRes, "a", "gb")) {
 		t.Error("store pushdown diverged from the seed evaluator")
 	}
+	wantNoScanErrors(t, reg.Snapshot())
 }

@@ -7,8 +7,12 @@ package e2e
 // rows change under it when another caller — or the source itself —
 // touched the slice. This test scribbles over every slice every in-repo
 // source returns and checks that the next answer is unaffected. A
-// RefSource's refs point at terms the source owns, so for the disk store
-// it also holds refs across writes, a flush and a compaction.
+// RefSource appends refs to a buffer the engine reuses, and the refs
+// point at terms the source owns: every RefSource must append after a
+// prefix it leaves alone, answer Match's terms in Match's order, keep
+// nothing of the buffer, and keep held refs reading the same terms
+// across its own writes (a compacting memtable graph, a rebuilt view, a
+// flush and a compaction of runs).
 
 import (
 	"context"
@@ -45,6 +49,37 @@ func contractTriples() []rdf.Triple {
 	return ts
 }
 
+// thingsDB is the contract data as a MadIS table, with the mapping that
+// turns it into contractTriples.
+func thingsDB(t *testing.T) (*madis.DB, *madis.Table, []obda.Mapping) {
+	t.Helper()
+	db := madis.NewDB()
+	table := &madis.Table{Name: "things", Cols: []string{"id", "name"}}
+	for i := 0; i < 10; i++ {
+		table.Rows = append(table.Rows, madis.Row{fmt.Sprint(i), fmt.Sprintf("n%d", i)})
+	}
+	db.CreateTable(table)
+	mappings, err := obda.ParseMappings(`
+mappingId	things
+target		<` + contractNS + `s{id}> a <` + contractNS + `Thing> ; <` + contractNS + `name> "{name}" .
+source		SELECT id, name FROM things
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, table, mappings
+}
+
+// bumpThings replaces the things table with renamed content, the way an
+// upstream change reaches a view: the next revalidation rebuilds it.
+func bumpThings(db *madis.DB, table *madis.Table) {
+	bumped := &madis.Table{Name: table.Name, Cols: table.Cols}
+	for _, row := range table.Rows {
+		bumped.Rows = append(bumped.Rows, madis.Row{row[0], "renamed-" + row[1].(string)})
+	}
+	db.CreateTable(bumped)
+}
+
 func TestSourcesHandOutCallerOwnedSlices(t *testing.T) {
 	data := contractTriples()
 	graph := func() *rdf.Graph {
@@ -77,20 +112,7 @@ func TestSourcesHandOutCallerOwnedSlices(t *testing.T) {
 		diskStore.AddAll(part) // two runs and a memtable tail
 	}
 
-	db := madis.NewDB()
-	table := &madis.Table{Name: "things", Cols: []string{"id", "name"}}
-	for i := 0; i < 10; i++ {
-		table.Rows = append(table.Rows, madis.Row{fmt.Sprint(i), fmt.Sprintf("n%d", i)})
-	}
-	db.CreateTable(table)
-	mappings, err := obda.ParseMappings(`
-mappingId	things
-target		<` + contractNS + `s{id}> a <` + contractNS + `Thing> ; <` + contractNS + `name> "{name}" .
-source		SELECT id, name FROM things
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, table, mappings := thingsDB(t)
 	virtual := obda.NewVirtualGraph(db, mappings)
 	adaptive := obda.NewAdaptiveGraph(obda.NewVirtualGraph(db, mappings),
 		obda.NewOpendapAdapter(opendap.NewClient("http://unused.invalid")), 1000, 0)
@@ -209,43 +231,79 @@ source		SELECT id, name FROM things
 		}
 		if rs, ok := src.(sparql.RefSource); ok {
 			for shape, pat := range patterns {
-				checkRefsCallerOwned(t, name+": MatchRefs("+shape+")", rs, pat)
+				checkAppendRefs(t, name+": AppendRefs("+shape+")", rs, pat)
 			}
 		}
 	}
+	for _, name := range []string{"rdf.Graph", "segment.Engine (disk)", "segment.Engine (mem)", "strabon.Store", "strabon.Store (disk)", "obda.VirtualGraph"} {
+		if _, ok := sources[name].(sparql.RefSource); !ok {
+			t.Errorf("%s is not a sparql.RefSource", name)
+		}
+	}
 	checkRefsOutliveWrites(t, diskStore, data)
+	checkRefsOutliveCompaction(t, store, data)
+	checkRefsOutliveRebuild(t, db, virtual, table)
 }
 
-// checkRefsCallerOwned scribbles over a MatchRefs answer — the refs, or
-// the triples when the source answered with those — and checks that the
-// next answer reads the same terms.
-func checkRefsCallerOwned(t *testing.T, label string, rs sparql.RefSource, pat [3]rdf.Term) {
+// checkAppendRefs appends a scan's refs after a prefix, checks the
+// prefix and the terms against Match, then scribbles over the whole
+// returned array and checks that the next answer reads the same terms.
+func checkAppendRefs(t *testing.T, label string, rs sparql.RefSource, pat [3]rdf.Term) {
 	t.Helper()
-	first := rs.MatchRefs(pat[0], pat[1], pat[2])
-	if first.Len() == 0 {
-		t.Errorf("%s returned nothing; the fixture must exercise it", label)
+	want := termsOf(rs.Match(pat[0], pat[1], pat[2]))
+	if len(want) == 0 {
+		t.Errorf("%s: Match returned nothing; the fixture must exercise it", label)
 	}
-	want := readRefs(first)
+	mark := rdf.NewLiteral("prefix")
+	prefix := rdf.Ref{S: &mark, P: &mark, O: &mark}
+	first, err := rs.AppendRefs(context.Background(), []rdf.Ref{prefix, prefix}, pat[0], pat[1], pat[2])
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if len(first) < 2 || first[0] != prefix || first[1] != prefix {
+		t.Fatalf("%s: the prefix of dst did not survive the append", label)
+	}
+	if got := readRefs(first[2:]); !slices.Equal(got, want) {
+		t.Errorf("%s: %v, Match answers %v", label, got, want)
+	}
 	scribble := rdf.NewLiteral("scribble")
-	refs := first.Refs[:cap(first.Refs)]
-	for i := range refs {
-		refs[i] = rdf.Ref{S: &scribble, P: &scribble, O: &scribble}
+	all := first[:cap(first)]
+	for i := range all {
+		all[i] = rdf.Ref{S: &scribble, P: &scribble, O: &scribble}
 	}
-	ts := first.Triples[:cap(first.Triples)]
-	for i := range ts {
-		ts[i] = rdf.NewTriple(scribble, scribble, scribble)
+	again, err := rs.AppendRefs(context.Background(), nil, pat[0], pat[1], pat[2])
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	if got := readRefs(rs.MatchRefs(pat[0], pat[1], pat[2])); !slices.Equal(got, want) {
+	if got := readRefs(again); !slices.Equal(got, want) {
 		t.Errorf("%s: %v after the caller wrote to the first answer, was %v", label, got, want)
 	}
 }
 
-// readRefs copies the terms a scan's matches point at.
-func readRefs(m rdf.Matches) []rdf.Triple {
-	out := make([]rdf.Triple, m.Len())
-	for i := range out {
-		r := m.At(i)
+// allRefs is every match of rs by reference.
+func allRefs(t *testing.T, rs sparql.RefSource) []rdf.Ref {
+	t.Helper()
+	refs, err := rs.AppendRefs(context.Background(), nil, rdf.Term{}, rdf.Term{}, rdf.Term{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refs
+}
+
+// readRefs copies the terms refs point at.
+func readRefs(refs []rdf.Ref) []rdf.Triple {
+	out := make([]rdf.Triple, len(refs))
+	for i, r := range refs {
 		out[i] = rdf.NewTriple(*r.S, *r.P, *r.O)
+	}
+	return out
+}
+
+// termsOf drops the valid time refs do not carry.
+func termsOf(ts []rdf.Triple) []rdf.Triple {
+	out := make([]rdf.Triple, len(ts))
+	for i, tr := range ts {
+		out[i] = rdf.NewTriple(tr.S, tr.P, tr.O)
 	}
 	return out
 }
@@ -259,10 +317,7 @@ func checkRefsOutliveWrites(t *testing.T, st *strabon.Store, data []rdf.Triple) 
 	if st.Engine().Segments() < 2 || st.Engine().Stats().MemtableTriples == 0 {
 		t.Fatalf("the disk store has %d runs and %d memtable triples; want two runs and a tail", st.Engine().Segments(), st.Engine().Stats().MemtableTriples)
 	}
-	held := st.MatchRefs(rdf.Term{}, rdf.Term{}, rdf.Term{})
-	if held.Refs == nil {
-		t.Fatal("a store with runs answered MatchRefs with triples, want refs")
-	}
+	held := allRefs(t, st)
 	want := readRefs(held)
 	if len(want) != len(data) {
 		t.Fatalf("%d matches, want %d", len(want), len(data))
@@ -288,7 +343,68 @@ func checkRefsOutliveWrites(t *testing.T, st *strabon.Store, data []rdf.Triple) 
 	if got := readRefs(held); !slices.Equal(got, want) {
 		t.Errorf("held refs read %v after the writes, read %v before", got, want)
 	}
-	if got := st.MatchRefs(rdf.Term{}, rdf.NewIRI(contractNS+"name"), rdf.Term{}).Len(); got != 10 {
-		t.Errorf("%d names after the rewrite, want 10", got)
+	names, err := st.AppendRefs(context.Background(), nil, rdf.Term{}, rdf.NewIRI(contractNS+"name"), rdf.Term{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 10 {
+		t.Errorf("%d names after the rewrite, want 10", len(names))
+	}
+}
+
+// checkRefsOutliveCompaction: refs into a memory store's memtable graph
+// keep reading the same terms after Adds and Deletes that leave more
+// dead slots than live ones, which makes the graph compact into a new
+// term table.
+func checkRefsOutliveCompaction(t *testing.T, st *strabon.Store, data []rdf.Triple) {
+	t.Helper()
+	held := allRefs(t, st)
+	want := readRefs(held)
+	for _, tr := range data {
+		st.Add(rdf.NewTriple(tr.S, tr.P, rdf.NewLiteral("rewritten")))
+	}
+	// 2n slots: deleting the n originals and one more leaves n+1 dead.
+	for _, tr := range data {
+		st.Delete(tr)
+	}
+	st.Delete(rdf.NewTriple(data[0].S, data[0].P, rdf.NewLiteral("rewritten")))
+	after := allRefs(t, st)
+	if len(after) != len(data)-1 {
+		t.Fatalf("%d triples after the writes, want %d", len(after), len(data)-1)
+	}
+	// Compaction re-interns every term: the subject of a surviving
+	// triple now lives in the new table.
+	same := false
+	for _, r := range held {
+		if r.S == after[0].S {
+			same = true
+		}
+	}
+	if same {
+		t.Fatal("the memtable graph did not compact; the fixture must force it")
+	}
+	if got := readRefs(held); !slices.Equal(got, want) {
+		t.Errorf("held refs read %v after the compaction, read %v before", got, want)
+	}
+}
+
+// checkRefsOutliveRebuild: refs into a virtual graph's view keep
+// reading the same terms after an upstream change rebuilt the view.
+func checkRefsOutliveRebuild(t *testing.T, db *madis.DB, vg *obda.VirtualGraph, table *madis.Table) {
+	t.Helper()
+	held := allRefs(t, vg)
+	want := readRefs(held)
+	epoch := vg.DataEpoch()
+	bumpThings(db, table)
+	vg.Invalidate()
+	after := readRefs(allRefs(t, vg))
+	if vg.DataEpoch() != epoch+1 {
+		t.Fatalf("data epoch %d after the upstream change, want %d: the view was not rebuilt", vg.DataEpoch(), epoch+1)
+	}
+	if slices.Equal(after, want) {
+		t.Fatal("the rebuilt view answers as the old one did")
+	}
+	if got := readRefs(held); !slices.Equal(got, want) {
+		t.Errorf("held refs read %v after the rebuild, read %v before", got, want)
 	}
 }

@@ -173,6 +173,22 @@ func (vg *VirtualGraph) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]r
 	return g.Match(s, p, o), nil
 }
 
+// AppendRefs implements sparql.RefSource: MatchContext by reference,
+// appended to dst. The refs point into the snapshot's term table
+// (rdf.Graph.AppendRefs). A published view is never written again, and
+// a rebuild builds a new graph, so held refs read the same terms after
+// any later revalidation. On error dst is returned as it was.
+func (vg *VirtualGraph) AppendRefs(ctx context.Context, dst []rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error) {
+	if err := admission.Check(ctx); err != nil {
+		return dst, err
+	}
+	g, err := vg.SnapshotContext(ctx)
+	if err != nil {
+		return dst, err
+	}
+	return g.AppendRefs(ctx, dst, s, p, o)
+}
+
 // Cardinality implements sparql.StatsSource over the current snapshot.
 // It never triggers mapping execution: with no snapshot materialized it
 // reports unknown (-1) and the planner keeps textual pattern order, so

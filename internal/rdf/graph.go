@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"context"
 	"slices"
 	"time"
 )
@@ -12,10 +13,11 @@ import (
 // wraps a Graph-compatible model with spatial and temporal indexes.
 //
 // Terms become rdf.Triple values again only in the slices Match and
-// Triples hand out. Only Add interns: every reader resolves its bound
-// terms with a plain dictionary lookup and answers empty on a miss, so
-// Graph is not safe for concurrent mutation but concurrent readers are
-// fine once loading is complete.
+// Triples hand out; AppendRefs hands out handles into the term table.
+// Only Add interns: every reader resolves its bound terms with a plain
+// dictionary lookup and answers empty on a miss, so Graph is not safe
+// for concurrent mutation but concurrent readers are fine once loading
+// is complete.
 //
 // Valid time is kept the way every persisted form keeps it (segment
 // runs, the WAL): nanoseconds since 1970 plus a has-valid-time bit,
@@ -295,6 +297,41 @@ func (g *Graph) Match(s, p, o Term) []Triple {
 		}
 	}
 	return out
+}
+
+// AppendRefs appends the pattern's matches to dst by reference, in
+// Match's order, and returns the extended slice; the error is always
+// nil. It implements sparql.RefSource: each ref is three handles into
+// the term table, whose entries are never written again once interned
+// (growth copies the table, and compaction builds a new one), so a
+// held ref reads the same terms across later Adds and Removes.
+func (g *Graph) AppendRefs(_ context.Context, dst []Ref, s, p, o Term) ([]Ref, error) {
+	pt := g.pattern(s, p, o)
+	if !pt.known {
+		return dst, nil
+	}
+	list, nbound := g.candidates(&pt)
+	if nbound == 0 {
+		dst = slices.Grow(dst, g.Len())
+		for i, row := range g.rows {
+			if !g.dead[i] {
+				dst = append(dst, g.ref(row))
+			}
+		}
+		return dst, nil
+	}
+	dst = slices.Grow(dst, len(list))
+	for _, i := range list {
+		if nbound == 1 || pt.matches(g.rows[i]) {
+			dst = append(dst, g.ref(g.rows[i]))
+		}
+	}
+	return dst, nil
+}
+
+// ref hands out an id row by reference into the term table.
+func (g *Graph) ref(row [3]uint32) Ref {
+	return Ref{S: &g.terms[row[0]], P: &g.terms[row[1]], O: &g.terms[row[2]]}
 }
 
 // Cardinality estimates how many triples match the pattern without

@@ -21,6 +21,7 @@
 package segment
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -698,50 +699,56 @@ func (e *Engine) Match(s, p, o rdf.Term) []rdf.Triple {
 	if len(e.segs) == 0 {
 		return e.mem.g.Match(s, p, o)
 	}
-	out, early := collect(e, s, p, o, head.triple)
+	out, early := collect(e, nil, s, p, o, head.triple)
+	if len(out) == 0 {
+		return nil
+	}
 	if early {
 		hoistTimeless(out)
 	}
 	return out
 }
 
-// MatchRefs is Match by reference: with runs, each match is three
-// handles into the run dictionaries or the memtable's per-call copy, 24
-// bytes instead of a materialized triple; with none it is the memtable
-// graph's triple slice. The slice is the caller's, and the terms behind
-// it are never mutated and outlive flushes and compactions: a compaction
-// closes run files, not decoded dictionaries. Matches carry no valid
-// time, so matches differing only in it are value-identical and their
-// canonical order needs no hoistTimeless.
-func (e *Engine) MatchRefs(s, p, o rdf.Term) rdf.Matches {
+// AppendRefs is Match by reference, appended to dst in Match's order:
+// with no runs, handles into the memtable graph's term table (see
+// rdf.Graph.AppendRefs); with runs, handles into the run dictionaries
+// or the memtable's per-call copy. The terms behind them are never
+// mutated and outlive writes, flushes and compactions: a flush starts a
+// new memtable graph, and a compaction closes run files, not decoded
+// dictionaries. Matches carry no valid time, so matches differing only
+// in it are value-identical and their canonical order needs no
+// hoistTimeless. A run that cannot be read is left out, as in Match;
+// the error is always nil.
+func (e *Engine) AppendRefs(ctx context.Context, dst []rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if len(e.segs) == 0 {
-		return rdf.Matches{Triples: e.mem.g.Match(s, p, o)}
+		return e.mem.g.AppendRefs(ctx, dst, s, p, o)
 	}
-	out, _ := collect(e, s, p, o, head.ref)
-	return rdf.Matches{Refs: out}
+	dst, _ = collect(e, dst, s, p, o, head.ref)
+	return dst, nil
 }
 
-// collect drains the merged cursor over the pattern, converting every
-// live head with conv, and reports whether a triple valid from before
-// 1970 was among them (see hoistTimeless). It returns nil for no
-// matches. The caller holds the lock. conv takes the head by value: a
-// pointer into the merge would move it to the heap.
-func collect[T any](e *Engine, s, p, o rdf.Term, conv func(head) T) ([]T, bool) {
+// collect drains the merged cursor over the pattern onto dst,
+// converting every live head with conv, and reports whether a triple
+// valid from before 1970 was among them (see hoistTimeless). The caller
+// holds the lock. conv takes the head by value: a pointer into the
+// merge would move it to the heap. dst grows in one allocation
+// (slices.Grow makes a second, temporary one under -race, which
+// TestMatchAllocations counts).
+func collect[T any](e *Engine, dst []T, s, p, o rdf.Term, conv func(head) T) ([]T, bool) {
 	var m merge
 	e.open(&m, s, p, o, true, e.noteReadErr)
 	if m.upper == 0 {
-		return nil, false
+		return dst, false
 	}
-	out := make([]T, 0, m.upper)
+	if cap(dst)-len(dst) < m.upper {
+		dst = append(make([]T, 0, len(dst)+m.upper), dst...)
+	}
 	for h := m.next(); h != nil; h = m.next() {
-		out = append(out, conv(*h))
+		dst = append(dst, conv(*h))
 	}
-	if len(out) == 0 {
-		return nil, false
-	}
-	return out, m.early
+	return dst, m.early
 }
 
 // noteReadErr records the first segment read error seen by a query.

@@ -1,6 +1,8 @@
 package sparql_test
 
 import (
+	"context"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"applab/internal/segment"
 	"applab/internal/sparql"
 	"applab/internal/strabon"
+	"applab/internal/telemetry"
 )
 
 // A disk-backed strabon.Store is a RefSource: the compiled engine reads
@@ -135,11 +138,17 @@ func TestCompiledEngineMatchesSeedOverDiskStore(t *testing.T) {
 // TestDiskScanAllocations is the allocation guard ci.sh names for scans
 // over runs: Engine_BGPJoin's query over a disk store with two runs and
 // a memtable tail. Its scans hand the engine 24-byte refs into the run
-// dictionaries (1.6 MB per evaluation, most of it the memtable's own
+// dictionaries (1.4 MB per evaluation, most of it the memtable's own
 // copies and the result's Binding maps); materializing a 216-byte triple
-// per match instead costs 2.6 MB and trips the ceiling.
+// per match instead costs 2.6 MB and trips the byte ceiling. Each
+// nested-loop step appends its refs to one buffer it reuses for every
+// row (3,800 allocations per evaluation, the ceiling 9 % above); a
+// fresh ref slice per scan costs 7,550 and trips the allocation ceiling.
 func TestDiskScanAllocations(t *testing.T) {
-	const ceiling = 2_000_000
+	const (
+		ceiling      = 2_000_000
+		allocCeiling = 4_150
+	)
 	data := sparql.EquivGraph(sparql.BenchSubjects).Triples()
 	st, err := strabon.Open(t.TempDir(), segment.Options{FlushEvery: -1, CompactAt: -1})
 	if err != nil {
@@ -161,5 +170,64 @@ func TestDiskScanAllocations(t *testing.T) {
 	t.Logf("%d B, %d allocs per evaluation", bytes, allocs)
 	if bytes > ceiling {
 		t.Fatalf("allocates %d B per evaluation, ceiling is %d", bytes, ceiling)
+	}
+	if allocs > allocCeiling {
+		t.Fatalf("makes %d allocations per evaluation, ceiling is %d", allocs, allocCeiling)
+	}
+}
+
+// scanGraph holds n probe subjects with an ex:kind, and 2n subjects with
+// an ex:val each, so that a join of the two runs as a nested loop: the
+// constants-only estimate of the val pattern (2n) exceeds the n rows
+// that probe it, which rules out a hash join.
+func scanGraph(n int) *rdf.Graph {
+	g := rdf.NewGraph()
+	kind, val := rdf.NewIRI("http://ex.org/kind"), rdf.NewIRI("http://ex.org/val")
+	for i := 0; i < 2*n; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("http://ex.org/s%d", i))
+		if i < n {
+			g.Add(rdf.NewTriple(s, kind, rdf.NewLiteral("k")))
+		}
+		g.Add(rdf.NewTriple(s, val, rdf.NewInteger(int64(i))))
+	}
+	return g
+}
+
+// TestGraphScanAllocations is the allocation guard ci.sh names for scans
+// of an rdf.Graph: a bound-subject nested-loop join at 1k and at 4k
+// probe rows. The graph answers each row's scan by reference into the
+// step's reused buffer, so an evaluation allocates the same handful of
+// times at either size (the COUNT keeps the result one row). A slice
+// per row — what Graph.Match hands out — adds 3,000 allocations at 4k.
+func TestGraphScanAllocations(t *testing.T) {
+	const slack = 16
+	q, err := sparql.Parse(`SELECT (COUNT(*) AS ?c) WHERE { ?s <http://ex.org/kind> "k" . ?s <http://ex.org/val> ?v }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	sparql.SetMetrics(reg)
+	t.Cleanup(func() { sparql.SetMetrics(nil) })
+	nested := `sparql_join_strategy_total{strategy="nested_loop"}`
+	var allocs [2]uint64
+	for i, n := range []int{1000, 4000} {
+		g := scanGraph(n)
+		before := reg.Snapshot().Counters[nested]
+		res, err := q.EvalOneWorker(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Bindings[0]["c"].Value; got != fmt.Sprint(n) {
+			t.Fatalf("COUNT = %s at %d subjects, want %d", got, n, n)
+		}
+		if reg.Snapshot().Counters[nested] == before {
+			t.Fatalf("no nested-loop step at %d subjects; the fixture must exercise one", n)
+		}
+		var bytes uint64
+		bytes, allocs[i] = perEval(t, plainEval(q, g))
+		t.Logf("%d subjects: %d B, %d allocs per evaluation", n, bytes, allocs[i])
+	}
+	if allocs[1] > allocs[0]+slack {
+		t.Fatalf("%d allocs per evaluation at 4k subjects, %d at 1k: scans allocate per row", allocs[1], allocs[0])
 	}
 }

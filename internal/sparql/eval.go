@@ -17,24 +17,32 @@ type Source interface {
 	// twice), because the compiled engine points its solution rows
 	// straight at the slice's terms for as long as the query runs. The
 	// same holds for MatchErr, MatchContext, FragmentMatch and each
-	// answer of FragmentMatchBatch. A RefSource's MatchRefs adds a
-	// second rule: the terms its refs point at are the source's, never
-	// mutated, and reachable for as long as any row holds them.
+	// answer of FragmentMatchBatch. A RefSource's refs live by a rule of
+	// their own (see RefSource).
 	Match(s, p, o rdf.Term) []rdf.Triple
 }
 
-// RefSource is an optional extension of Source for backends that can
-// answer a scan by reference (the disk-backed strabon.Store): the
-// compiled engine reads every pattern scan through MatchRefs when no
-// exchange or context path claims it. The slice is the caller's as with
-// Match, and a second lifetime rule holds for the terms behind its
-// refs: they belong to the source, which never mutates them, and they
-// stay valid for as long as any row holds a handle to them — across the
-// source's own writes, flushes and compactions.
+// RefSource is an optional extension of Source for backends that answer
+// a scan by reference: rdf.Graph, segment.Engine, strabon.Store and
+// obda.VirtualGraph hand out handles into their own term tables instead
+// of materialized triples. The compiled engine reads a pattern scan
+// through AppendRefs whenever no exchange path claims it, ahead of
+// MatchContext and Match.
+//
+// Two rules make the engine's buffer reuse safe. The slice is the
+// caller's: the source appends to dst and keeps nothing of it, so the
+// engine refills one buffer per pipeline step. The terms behind the
+// refs belong to the source, which never mutates them, and they stay
+// valid for as long as any row holds a handle to them — across the
+// source's own writes, flushes, compactions and view rebuilds. Rows
+// point at those terms, never into the ref array.
 type RefSource interface {
 	Source
-	// MatchRefs is Match by reference.
-	MatchRefs(s, p, o rdf.Term) rdf.Matches
+	// AppendRefs appends the pattern's matches to dst by reference, in
+	// Match's order, and returns the extended slice (dst as it was on
+	// error). Errors follow ContextSource: only admission.Aborted ones
+	// abort the query; any other reads as an empty answer.
+	AppendRefs(ctx context.Context, dst []rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error)
 }
 
 // ErrorSource is an optional extension of Source for backends whose
@@ -52,10 +60,10 @@ type ErrorSource interface {
 // ContextSource is an optional extension of Source for backends that
 // honor cancellation and query budgets mid-scan (remote endpoints,
 // federations, OBDA virtual graphs). EvalContext routes pattern scans
-// through MatchContext when the evaluation carries a deadline or
-// budget. The engine aborts the query only on cancellation/budget
-// errors (admission.Aborted); other upstream failures keep the plain
-// Source semantics and read as empty results.
+// through MatchContext when the evaluation carries a deadline or budget
+// and src is not a RefSource. The engine aborts the query only on
+// cancellation/budget errors (admission.Aborted); other upstream
+// failures keep the plain Source semantics and read as empty results.
 type ContextSource interface {
 	Source
 	// MatchContext is Match under a context.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"applab/internal/admission"
 	"applab/internal/rdf"
 	"applab/internal/scatter"
 )
@@ -55,7 +54,7 @@ func (ec *execCtx) exchangeMatch(s, p, o rdf.Term) ([]rdf.Triple, error) {
 	if frag, ok := ec.ex.Route(s, p, o); ok {
 		noteExchange("routed")
 		ts, err := ec.ex.FragmentMatch(ec.ctx, frag, s, p, o)
-		return ts, ec.exchangeErr(err)
+		return ts, ec.scanErr("exchange", err)
 	}
 	return ec.exchangeFanout(s, p, o)
 }
@@ -146,7 +145,7 @@ func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Triple, error) 
 	}
 	wg.Wait()
 	for _, err := range errs {
-		if err := ec.exchangeErr(err); err != nil {
+		if err := ec.scanErr("exchange", err); err != nil {
 			return nil, err
 		}
 	}
@@ -162,7 +161,7 @@ func (ec *execCtx) exchangeFanout(s, p, o rdf.Term) ([]rdf.Triple, error) {
 	if n <= 1 {
 		ts, err := ex.FragmentMatch(ec.ctx, 0, s, p, o)
 		if err != nil {
-			return nil, ec.exchangeErr(err)
+			return nil, ec.scanErr("exchange", err)
 		}
 		return scatter.Merge([][]rdf.Triple{ts}), nil
 	}
@@ -179,26 +178,9 @@ func (ec *execCtx) exchangeFanout(s, p, o rdf.Term) ([]rdf.Triple, error) {
 		<-done
 	}
 	for _, err := range errs {
-		if err != nil {
-			if aerr := ec.exchangeErr(err); aerr != nil {
-				return nil, aerr
-			}
+		if err := ec.scanErr("exchange", err); err != nil {
+			return nil, err
 		}
 	}
 	return scatter.Merge(parts), nil
-}
-
-// exchangeErr maps a fragment error onto the engine's abort rule: only
-// cancellation and budget violations abort (with the structured budget
-// error preferred); anything else degrades to an empty contribution.
-func (ec *execCtx) exchangeErr(err error) error {
-	if err == nil || !admission.Aborted(err) {
-		return nil
-	}
-	if ec.budget != nil {
-		if berr := ec.budget.Err(); berr != nil {
-			return berr
-		}
-	}
-	return err
 }

@@ -174,6 +174,7 @@ type scanRun struct {
 	strategy joinStrategy
 	err      error
 	build    rdf.Matches // cross: the shared match; hash: the build side
+	refs     []rdf.Ref   // backs build when the source answers by reference
 	// Hash buckets are int32 chains through the build side in Match
 	// order: buckets maps a key to its bucket b, first[b] heads b's
 	// chain and next[i] continues it.
@@ -193,7 +194,7 @@ func (pc *pipeChunk) prepare(k int, sc *scanOp) *scanRun {
 		noteJoinStrategy(joinStrategyNames[st.strategy])
 		switch st.strategy {
 		case joinCross:
-			st.build, st.err = pc.ec.match(sc.s, sc.p, sc.o)
+			st.build, st.err = pc.ec.match(&st.refs, sc.s, sc.p, sc.o)
 		case joinHash:
 			st.err = st.index(pc.ec, sc)
 		}
@@ -228,7 +229,7 @@ func (pc *pipeChunk) probes(k int) int {
 // and no triple is copied; extend re-checks every bound position, so
 // the key only has to be sound, not exact.
 func (st *scanRun) index(ec *execCtx, sc *scanOp) error {
-	build, err := ec.match(sc.s, sc.p, sc.o)
+	build, err := ec.match(&st.refs, sc.s, sc.p, sc.o)
 	if err != nil {
 		return err
 	}
@@ -302,7 +303,7 @@ func (sc *scanOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
 			p := resolve(sc.pSlot, sc.p, r)
 			o := resolve(sc.oSlot, sc.o, r)
 			var err error
-			if matches, err = ec.match(s, p, o); err != nil {
+			if matches, err = ec.match(&pc.refs[k], s, p, o); err != nil {
 				return err
 			}
 		}

@@ -67,6 +67,13 @@ func noteExchange(mode string) {
 	metricsReg().Counter("sparql_exchange_scans_total", "mode", mode).Inc()
 }
 
+// noteScanError counts one pattern scan whose error the engine turned
+// into an empty answer, by the path that read it: "ref" (RefSource),
+// "context" (ContextSource) or "exchange" (a fragment read).
+func noteScanError(path string) {
+	metricsReg().Counter("sparql_scan_errors_total", "path", path).Inc()
+}
+
 // noteParallelStage tracks worker-pool occupancy around one parallel
 // stage: the chunk counter records fan-out volume, the busy gauge holds
 // the number of in-flight chunk goroutines.

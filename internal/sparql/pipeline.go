@@ -65,7 +65,8 @@ func (p *pipeOp) run(ec *execCtx, in []row) ([]row, error) {
 }
 
 // pipeChunk is one chunk's execution state: the run's scan state, the
-// per-step scratch rows and BIND values, and the chunk's output.
+// per-step scratch rows, BIND values and scan buffers, and the chunk's
+// output.
 type pipeChunk struct {
 	ec      *execCtx
 	p       *pipeOp
@@ -73,10 +74,11 @@ type pipeChunk struct {
 	scans   []scanRun   // step k's scan state is scans[k]
 	rows    []*rdf.Term // step k's scratch row is rows[k*width:(k+1)*width]
 	width   int
-	terms   []rdf.Term // step k's BIND value is terms[k]
-	kb      []byte     // hash-probe key buffer
-	n       int        // rows since the last checkpoint
-	at      int        // index of the input row being pushed
+	terms   []rdf.Term  // step k's BIND value is terms[k]
+	refs    [][]rdf.Ref // step k's nested-loop scan buffer is refs[k]
+	kb      []byte      // hash-probe key buffer
+	n       int         // rows since the last checkpoint
+	at      int         // index of the input row being pushed
 	batched [][]rdf.Triple
 	out     []row
 	ar      rowArena
@@ -101,6 +103,7 @@ func (p *pipeOp) chunk(ec *execCtx, in []row, scans []scanRun) *pipeChunk {
 	if len(p.binds) > 0 {
 		pc.terms = sized(pc.terms, len(p.steps))
 	}
+	pc.refs = sized(pc.refs, len(p.steps))
 	return pc
 }
 
@@ -115,13 +118,40 @@ func sized[T any](s []T, n int) []T {
 
 // release returns the chunk to the pool. The rows it produced are the
 // caller's, arena included; the pool keeps only buffers that no row
-// points into, cleared of what they referenced.
+// points into, cleared of what they referenced. Ref buffers qualify —
+// rows point at the terms behind refs, not into the buffer — so each
+// step's scan buffer and each scan state's build buffer is kept,
+// emptied, for the next run; a triple answer (rdf.Matches.Triples) is
+// pointed into by rows and is never kept.
 func (pc *pipeChunk) release() {
-	clear(pc.scanBuf)
+	for i := range pc.scanBuf {
+		pc.scanBuf[i] = scanRun{refs: pooledRefs(pc.scanBuf[i].refs)}
+	}
+	for i := range pc.refs {
+		pc.refs[i] = pooledRefs(pc.refs[i])
+	}
 	clear(pc.rows)
 	clear(pc.terms)
-	*pc = pipeChunk{scanBuf: pc.scanBuf, rows: pc.rows[:0], terms: pc.terms[:0], kb: pc.kb[:0]}
+	*pc = pipeChunk{scanBuf: pc.scanBuf, rows: pc.rows[:0], terms: pc.terms[:0], kb: pc.kb[:0], refs: pc.refs[:0]}
 	chunkPool.Put(pc)
+}
+
+// maxPooledRefs is the largest ref buffer the pool keeps (24 KiB).
+// sync.Pool empties at a GC, and the next evaluation regrows the
+// buffers it held: the cap keeps that regrowth, and so how much an
+// evaluation allocates, small whenever the GC happens to run
+// (TestBGPJoinBytesCeiling allows +8 KiB between two evaluations).
+const maxPooledRefs = 1 << 10
+
+// pooledRefs readies a ref buffer for the pool: cleared over its whole
+// capacity, so a pooled chunk pins no source's terms (an old view, a
+// closed run's dictionary), or dropped when it is too large to keep.
+func pooledRefs(b []rdf.Ref) []rdf.Ref {
+	if cap(b) > maxPooledRefs {
+		return nil
+	}
+	clear(b[:cap(b)])
+	return b[:0]
 }
 
 func (pc *pipeChunk) run(rows []row) ([]row, error) {

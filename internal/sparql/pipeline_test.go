@@ -240,6 +240,58 @@ func TestPipelineMatchesSeed(t *testing.T) {
 	}
 }
 
+// fanoutGraph gives each of n people three friends and three likes, so
+// every step of a knows/likes chain fans out to three rows per row.
+func fanoutGraph(n int) *rdf.Graph {
+	g := rdf.NewGraph()
+	person := rdf.NewIRI("http://ex.org/Person")
+	knows, likes := rdf.NewIRI("http://ex.org/knows"), rdf.NewIRI("http://ex.org/likes")
+	for i := 0; i < n; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("http://ex.org/p%d", i))
+		g.Add(rdf.NewTriple(s, rdf.NewIRI(rdf.RDFType), person))
+		for j := 1; j <= 3; j++ {
+			g.Add(rdf.NewTriple(s, knows, rdf.NewIRI(fmt.Sprintf("http://ex.org/p%d", (i+j)%n))))
+			g.Add(rdf.NewTriple(s, likes, rdf.NewLiteral(fmt.Sprintf("thing%d", (i+j)%17))))
+		}
+	}
+	return g
+}
+
+// TestPipelineStepsKeepOwnScanBuffers: a nested-loop step is still
+// reading its ref buffer while the steps after it refill theirs for
+// each of its matches, so every step needs a buffer of its own. Over a
+// chain of two nested loops that both fan out, a buffer shared between
+// the steps overwrites the first step's unread matches with the second
+// step's, and the answer departs from the seed evaluator's.
+func TestPipelineStepsKeepOwnScanBuffers(t *testing.T) {
+	g := fanoutGraph(50)
+	q := `PREFIX ex: <http://ex.org/>
+SELECT ?a ?b ?c WHERE { ?a a ex:Person . ?a ex:knows ?b . ?b ex:likes ?c }`
+	if got := countPlan(t, g, q, 1, parallelThreshold); got.nested != 2 {
+		t.Fatalf("plan %+v: the fixture must run both later scans as nested loops", got)
+	}
+	parsed, err := Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := parsed.EvalSeed(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seed.Bindings) != 50*3*3 {
+		t.Fatalf("seed answers %d rows, want %d", len(seed.Bindings), 50*3*3)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		comp, err := parsed.eval(g, workers, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resultsKey(comp) != resultsKey(seed) {
+			t.Fatalf("%d workers: the compiled answer (%d rows) differs from the seed's", workers, len(comp.Bindings))
+		}
+	}
+}
+
 // plainCounter counts Match calls on a source without statistics, so
 // patterns run in textual order.
 type plainCounter struct {

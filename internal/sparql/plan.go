@@ -126,34 +126,56 @@ func (ec *execCtx) checkpoint(rows int) error {
 	return nil
 }
 
-// match issues one pattern scan, through the context-aware path when
-// the source supports it, by reference when the source offers that.
-// Every scan strategy reads its matches through At. Only cancellation
-// and budget violations abort the query; ordinary upstream errors keep
-// the seed Source semantics (they read as empty results — federation
-// partial answers and the error-report machinery depend on that).
-func (ec *execCtx) match(s, p, o rdf.Term) (rdf.Matches, error) {
+// match issues one pattern scan. Precedence: the exchange operator for
+// a partitioned source, then the source's refs appended to *buf, then
+// the context-aware path when the evaluation is limited, then plain
+// Match. Every scan strategy reads its matches through At. Only the ref
+// answer lives in *buf, a buffer the caller reuses for its next scan:
+// rows point at the terms behind refs, never into the ref array. A
+// triple answer is pointed into by rows and is never reused. Only
+// cancellation and budget violations abort the query; ordinary upstream
+// errors keep the seed Source semantics (they read as empty results —
+// federation partial answers and the error-report machinery depend on
+// that) and are counted (scanErr).
+func (ec *execCtx) match(buf *[]rdf.Ref, s, p, o rdf.Term) (rdf.Matches, error) {
 	if ec.ex != nil {
 		ts, err := ec.exchangeMatch(s, p, o)
 		return rdf.Matches{Triples: ts}, err
 	}
+	if ec.rsrc != nil {
+		refs, err := ec.rsrc.AppendRefs(ec.ctx, (*buf)[:0], s, p, o)
+		*buf = refs
+		if err != nil {
+			return rdf.Matches{}, ec.scanErr("ref", err)
+		}
+		return rdf.Matches{Refs: refs}, nil
+	}
 	if ec.csrc != nil {
 		ts, err := ec.csrc.MatchContext(ec.ctx, s, p, o)
 		if err != nil {
-			if admission.Aborted(err) {
-				if berr := ec.budget.Err(); berr != nil {
-					return rdf.Matches{}, berr
-				}
-				return rdf.Matches{}, err
-			}
-			return rdf.Matches{}, nil
+			return rdf.Matches{}, ec.scanErr("context", err)
 		}
 		return rdf.Matches{Triples: ts}, nil
 	}
-	if ec.rsrc != nil {
-		return ec.rsrc.MatchRefs(s, p, o), nil
-	}
 	return rdf.Matches{Triples: ec.src.Match(s, p, o)}, nil
+}
+
+// scanErr applies the engine's error rule to a failed scan: only
+// cancellation and budget violations (admission.Aborted) abort, with
+// the structured budget error preferred; anything else degrades to an
+// empty answer and is counted in sparql_scan_errors_total{path}.
+func (ec *execCtx) scanErr(path string, err error) error {
+	if err == nil {
+		return nil
+	}
+	if !admission.Aborted(err) {
+		noteScanError(path)
+		return nil
+	}
+	if berr := ec.budget.Err(); berr != nil {
+		return berr
+	}
+	return err
 }
 
 // op is one step of a compiled query plan.

@@ -5,7 +5,9 @@ package strabon
 // index rebuild under `go test -race`.
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -28,16 +30,27 @@ func TestStoreConcurrentAddAndQuery(t *testing.T) {
   FILTER(geof:sfIntersects(?pwkt, ?owkt))
 }`
 
+	lai := rdf.NewIRI(rdf.NSLAI + "lai")
 	var wg sync.WaitGroup
-	// Writers keep dirtying the store so readers race the index rebuild.
+	// Writers keep dirtying the store so readers race the index rebuild,
+	// and delete what they added: the dead slots pile up until the
+	// memtable graph compacts into a new term table while readers hold
+	// refs into the old one.
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 40; i++ {
+			extra := func(i int) rdf.Triple {
 				sub := rdf.NewIRI(fmt.Sprintf("%sextra-%d-%d", rdf.NSLAI, w, i))
-				s.Add(rdf.NewTriple(sub, rdf.NewIRI(rdf.NSLAI+"lai"),
-					rdf.NewDouble(float64(i))))
+				return rdf.NewTriple(sub, lai, rdf.NewDouble(float64(i)))
+			}
+			for round := 0; round < 4; round++ {
+				for i := 0; i < 40; i++ {
+					s.Add(extra(i))
+				}
+				for i := 0; i < 40; i++ {
+					s.Delete(extra(i))
+				}
 			}
 		}(w)
 	}
@@ -58,6 +71,18 @@ func TestStoreConcurrentAddAndQuery(t *testing.T) {
 					s.GeometryCount()
 				default:
 					s.Match(rdf.Term{}, rdf.NewIRI(rdf.NSGeo+"asWKT"), rdf.Term{})
+					held, err := s.AppendRefs(context.Background(), nil, rdf.Term{}, lai, rdf.Term{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					runtime.Gosched()
+					for _, ref := range held {
+						if !ref.P.Equal(lai) || ref.O.Datatype != rdf.XSDDouble {
+							t.Errorf("a held ref reads %s %s %s", *ref.S, *ref.P, *ref.O)
+							return
+						}
+					}
 				}
 			}
 		}(r)

@@ -10,6 +10,7 @@
 package strabon
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -213,11 +214,11 @@ func (s *Store) Match(sub, pred, obj rdf.Term) []rdf.Triple {
 	return s.eng.Match(sub, pred, obj)
 }
 
-// MatchRefs implements sparql.RefSource: a disk-backed store's scans
-// hand the engine handles into the run dictionaries instead of
-// materialized triples (segment.Engine.MatchRefs).
-func (s *Store) MatchRefs(sub, pred, obj rdf.Term) rdf.Matches {
-	return s.eng.MatchRefs(sub, pred, obj)
+// AppendRefs implements sparql.RefSource: scans hand the engine
+// handles into the memtable graph's term table or the run dictionaries
+// instead of materialized triples (segment.Engine.AppendRefs).
+func (s *Store) AppendRefs(ctx context.Context, dst []rdf.Ref, sub, pred, obj rdf.Term) ([]rdf.Ref, error) {
+	return s.eng.AppendRefs(ctx, dst, sub, pred, obj)
 }
 
 // Cardinality implements sparql.StatsSource: the memtable's
