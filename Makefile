@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzGraphOps$$' -fuzztime=3s ./internal/rdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentOpen$$' -fuzztime=3s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=3s ./internal/segment/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLogRefs$$' -fuzztime=3s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='^FuzzWireDecode$$' -fuzztime=3s ./internal/cluster/
 
 # Engine benchmarks, measured and not gated: the BenchmarkEngine_*

@@ -84,7 +84,7 @@ echo "== golden spatial join against a warm geometry memo"
 # insert, so the spatial_arena_bytes gauge must come from SetMetrics.
 go test -count=2 -run TestGoldenSpatialJoin ./internal/e2e
 
-echo "== allocation ceilings (handle rows, join variants, disk scans by reference, graph scans into reused buffers, pipelined joins, results writer, id-space graph, view revalidation, geometry decoding, cluster wire, batched cluster reads, telemetry lookups, result-cache hits, run encoding)"
+echo "== allocation ceilings (handle rows, join variants, disk scans by reference, graph scans into reused buffers, pipelined joins, results writer, id-space graph, view revalidation, geometry decoding, node answers, cluster wire, batched cluster reads, telemetry lookups, result-cache hits, run encoding)"
 # Engine_BGPJoinCompiled's bytes per evaluation may not regrow (rows are
 # 8-byte handles, not 56-byte terms), and served instrumented, budgeted,
 # with spatial detection off, from the memory-mode store or behind a
@@ -111,14 +111,17 @@ echo "== allocation ceilings (handle rows, join variants, disk scans by referenc
 # polygons decodes none of them, FILTER(geof:sfWithin(?w, CONST)) over
 # 1,000 rows allocates for rows only, and the OGC predicates on two
 # polygons allocate nothing. A cluster RPC encodes once into a
-# per-connection buffer and decodes once: an 8-triple routed read over
-# TCP costs <= 40 allocs and 8 KiB across both ends, and a frame header
-# declaring 64 MiB on a stream that then ends costs < 1 MiB. A
-# nested-loop join step reads each replica group once, not once per
-# row: a 64-pattern routed batch over TCP costs <= 512 allocs and 64 KiB
-# (64 single reads cost ~1,150 and ~90 KiB), and the benchmark's
-# three-pattern join over 3 groups costs at most 3 fan-out reads plus 3
-# routed reads per step in cluster_rpcs_total{type="match"}. Looking up
+# per-connection buffer and decodes once, and a node matches into its
+# connection's triple buffer: an answer of 1k matches allocates as often
+# and as much as one of 10, an 8-triple routed read over TCP costs <= 26
+# allocs and 4,250 B across both ends, and a frame header declaring
+# 64 MiB on a stream that then ends costs < 1 MiB. A nested-loop join
+# step reads each replica group once, not once per row, and decodes the
+# answer straight into refs: a 64-pattern routed batch over TCP costs
+# <= 288 allocs and 31,500 B (64 single reads cost ~1,080 and ~79 KB),
+# and the benchmark's three-pattern join over 3 groups costs at most 3
+# fan-out reads plus 3 routed reads per step in
+# cluster_rpcs_total{type="match"}. Looking up
 # an existing telemetry series allocates nothing, and neither does a
 # result-cache hit on a Listing-3-shaped query (<= 1 alloc, 64 B): the
 # key is the query text the parser kept. Encoding a segment run of 1k
@@ -131,7 +134,7 @@ go test -count=1 -run '^TestPredicateAllocations$' ./internal/geom
 go test -count=1 -run '^TestResultsWriterAllocations$' ./internal/endpoint
 go test -count=1 -run '^TestGraphAllocations$' ./internal/rdf
 go test -count=1 -run '^TestRevalidateAllocations$' ./internal/obda
-go test -count=1 -cpu 1,2,4 -run '^(TestRoutedReadAllocations|TestBatchedReadAllocations|TestBindJoinReadsPerStep|TestReadMessageHostileLength)$' ./internal/cluster
+go test -count=1 -cpu 1,2,4 -run '^(TestNodeMatchAllocations|TestRoutedReadAllocations|TestBatchedReadAllocations|TestBindJoinReadsPerStep|TestReadMessageHostileLength)$' ./internal/cluster
 go test -count=1 -run '^TestSeriesLookupAllocations$' ./internal/telemetry
 go test -count=1 -run '^TestLookupHitAllocations$' ./internal/rescache
 go test -count=1 -run '^TestEncodeRowsAllocations$' ./internal/segment

@@ -48,14 +48,15 @@ type Config struct {
 // evaluator's outer loop sequential — the parallelism lives in the
 // exchange fan-out), sparql.ExchangeSource, so the compiled planner
 // pushes per-shard pattern scans through it, and
-// sparql.BatchExchangeSource, so a nested-loop join step reads each
-// replica group once for all the rows it routes there.
+// sparql.BatchExchangeSource, so every engine scan reads by reference
+// and a nested-loop join step reads each replica group once for all the
+// rows it routes there.
 //
 // Correctness invariant: a replica's answer is accepted only when its
 // replication position covers everything the coordinator has committed
-// for that shard, so reads are read-your-writes and — with dedup and
-// canonical merge in the exchange operator — byte-identical to a
-// single store holding the same acknowledged writes. Replicas that
+// for that shard, so reads are read-your-writes and — shards being
+// disjoint, and with the exchange operator's canonical merge — identical
+// to a single store holding the same acknowledged writes. Replicas that
 // cannot prove that are treated as failures, which is what drives
 // hedging, failover, demotion and, when a whole group is unreadable,
 // partial results.
@@ -233,24 +234,25 @@ func (c *Coordinator) writeShard(ctx context.Context, shard uint32, rec segment.
 
 // ---- read path ----
 
-// matchRead answers patterns from one shard's replica group, one answer
-// per pattern in pattern order, with failover and hedging. Every read
+// readGroup answers patterns from one shard's replica group, one answer
+// per pattern in pattern order, with failover and hedging; decode turns
+// an accepted answer's records into one answer per record. Every read
 // is a batch: a single pattern is a batch of one. An answer the node
 // cut short to fit its frame is completed by further reads of the
 // remaining patterns. ok=false means the group was unreadable (every
 // member down, stale, or refusing): that read is counted partial once
 // and the patterns it left unanswered read as empty. A non-nil error is
 // always an admission abort (cancellation/budget) and aborts the query.
-func (c *Coordinator) matchRead(ctx context.Context, shard uint32, pats []rdf.Pattern) (answers [][]rdf.Triple, ok bool, err error) {
+func readGroup[A any](ctx context.Context, c *Coordinator, shard uint32, pats []rdf.Pattern, decode func([]byte) ([]A, error)) (answers []A, ok bool, err error) {
 	for len(answers) < len(pats) {
 		rest := pats[len(answers):]
-		got, res, err := scatter.Read(ctx, &c.fan, c.matchLeg(shard, rest))
+		got, res, err := scatter.Read(ctx, &c.fan, matchLeg(c, shard, rest, decode))
 		if err != nil {
 			return nil, false, err
 		}
 		if !res.OK() {
 			c.notePartial()
-			return append(answers, make([][]rdf.Triple, len(rest))...), false, nil
+			return append(answers, make([]A, len(rest))...), false, nil
 		}
 		if answers == nil && len(got) == len(pats) {
 			return got, true, nil
@@ -262,42 +264,39 @@ func (c *Coordinator) matchRead(ctx context.Context, shard uint32, pats []rdf.Pa
 
 // matchLeg is one read of patterns from a shard: its replica group,
 // each answer accepted only when it covers everything committed to the
-// shard when the read began.
-func (c *Coordinator) matchLeg(shard uint32, pats []rdf.Pattern) scatter.Leg[[][]rdf.Triple] {
+// shard when the read began, and decoded by its own call into memory
+// only that call holds: a hedged read's loser never touches the winner's.
+func matchLeg[A any](c *Coordinator, shard uint32, pats []rdf.Pattern, decode func([]byte) ([]A, error)) scatter.Leg[[]A] {
 	want := c.logs[shard].last()
-	return scatter.Leg[[][]rdf.Triple]{
+	return scatter.Leg[[]A]{
 		Replicas: c.groups[shard],
 		Size:     len(pats),
-		Call: func(ctx context.Context, node string) ([][]rdf.Triple, error) {
+		Call: func(ctx context.Context, node string) ([]A, error) {
 			msg, err := c.tr.Call(ctx, node, Message{Type: MsgMatchReq, Shard: shard, Patterns: pats})
-			return acceptRead(msg, err, want, len(pats))
+			if err == nil && (msg.Type != MsgMatchResp || msg.Seq < want) {
+				err = errStaleRead
+			}
+			if err != nil {
+				return nil, err
+			}
+			answers, err := decode(msg.Records)
+			if err == nil && (len(answers) == 0 || len(answers) > len(pats)) {
+				err = errStaleRead
+			}
+			return answers, err
 		},
 	}
 }
 
 // errStaleRead rejects a replica answer that is not a match answer,
-// lags the shard's committed log position, or does not answer between
-// one and all of the patterns asked.
+// lags the shard's committed log position, holds a delete record, or
+// does not answer between one and all of the patterns asked.
 var errStaleRead = errors.New("cluster: replica answer stale or malformed")
 
-// acceptRead validates one replica's match answer against the
-// committed log position and the patterns asked, and decodes one
-// triple slice per answered pattern. A pattern's records come back as
-// the slice its payload decoded into.
-func acceptRead(msg Message, err error, want uint64, asked int) ([][]rdf.Triple, error) {
-	if err != nil {
-		return nil, err
-	}
-	if msg.Type != MsgMatchResp || msg.Seq < want {
-		return nil, errStaleRead
-	}
-	recs, err := segment.DecodeLogRecords(msg.Records)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 || len(recs) > asked {
-		return nil, errStaleRead
-	}
+// decodeTriples decodes a match answer's records into one triple slice
+// per record, each the slice its payload decoded into.
+func decodeTriples(records []byte) ([][]rdf.Triple, error) {
+	recs, err := segment.DecodeLogRecords(records)
 	answers := make([][]rdf.Triple, len(recs))
 	for i, rec := range recs {
 		if rec.Delete {
@@ -305,7 +304,7 @@ func acceptRead(msg Message, err error, want uint64, asked int) ([][]rdf.Triple,
 		}
 		answers[i] = rec.Triples
 	}
-	return answers, nil
+	return answers, err
 }
 
 // hedgeDelay resolves the hedge delay of a read of n patterns: fixed
@@ -336,12 +335,14 @@ func (c *Coordinator) Route(s, p, o rdf.Term) (int, bool) {
 	return c.ring.LookupTerm(s), true
 }
 
-// FragmentMatch implements sparql.ExchangeSource: a batch of one. An
-// unreadable group degrades to an empty contribution (counted as
+// FragmentMatch implements sparql.ExchangeSource: a batch of one,
+// answered as triples with their valid time, for callers that need it
+// (the engine scans through FragmentMatchBatch). An unreadable group
+// degrades to an empty contribution (counted as
 // partial, and marked on the context's scatter.Tally;
 // EvalPartialContext reads the mark).
 func (c *Coordinator) FragmentMatch(ctx context.Context, frag int, s, p, o rdf.Term) ([]rdf.Triple, error) {
-	answers, _, err := c.matchRead(ctx, uint32(frag), []rdf.Pattern{{S: s, P: p, O: o}})
+	answers, _, err := readGroup(ctx, c, uint32(frag), []rdf.Pattern{{S: s, P: p, O: o}}, decodeTriples)
 	if err != nil {
 		return nil, err
 	}
@@ -350,10 +351,11 @@ func (c *Coordinator) FragmentMatch(ctx context.Context, frag int, s, p, o rdf.T
 
 // FragmentMatchBatch implements sparql.BatchExchangeSource: one read
 // of the fragment's replica group carrying every pattern (more only
-// when the answer outgrows a frame). An unreadable group degrades like
-// FragmentMatch, counted once per read.
-func (c *Coordinator) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Triple, error) {
-	answers, _, err := c.matchRead(ctx, uint32(frag), pats)
+// when the answer outgrows a frame), its records decoded straight into
+// refs (segment.DecodeLogRefs) over terms the answer owns. An
+// unreadable group degrades like FragmentMatch, counted once per read.
+func (c *Coordinator) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Ref, error) {
+	answers, _, err := readGroup(ctx, c, uint32(frag), pats, segment.DecodeLogRefs)
 	return answers, err
 }
 
@@ -372,7 +374,7 @@ func (c *Coordinator) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
 	ctx := context.Background()
 	pats := []rdf.Pattern{{S: s, P: p, O: o}}
 	if frag, routed := c.Route(s, p, o); routed {
-		answers, ok, err := c.matchRead(ctx, uint32(frag), pats)
+		answers, ok, err := readGroup(ctx, c, uint32(frag), pats, decodeTriples)
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +385,7 @@ func (c *Coordinator) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
 	}
 	targets := make([]scatter.Target, len(c.groups))
 	for frag := range targets {
-		leg := c.matchLeg(uint32(frag), pats)
+		leg := matchLeg(c, uint32(frag), pats, decodeTriples)
 		targets[frag] = scatter.Target{
 			Replicas: leg.Replicas,
 			Size:     leg.Size,

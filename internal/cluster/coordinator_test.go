@@ -354,7 +354,7 @@ func TestClusterHedgedRead(t *testing.T) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		answers, ok, err := tc.c.matchRead(ctx, 1, []rdf.Pattern{{P: rdf.NewIRI("http://ex/p0")}})
+		answers, ok, err := readGroup(ctx, tc.c, 1, []rdf.Pattern{{P: rdf.NewIRI("http://ex/p0")}}, decodeTriples)
 		var ts []rdf.Triple
 		if err == nil {
 			ts = answers[0]
@@ -388,6 +388,104 @@ func TestClusterHedgedRead(t *testing.T) {
 	tc.clk.Advance(50 * time.Millisecond)
 }
 
+// TestHedgedBatchLoserDecodesAlone: a hedged batch read returns the
+// winner's refs while the loser has yet to answer; the loser then
+// decodes its own answer while the caller reads the winner's terms.
+// Each leg decodes into memory only it owns, so the winner's answer
+// reads the same terms throughout, and under -race a decode into shared
+// memory would be reported.
+func TestHedgedBatchLoserDecodesAlone(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	ctx := context.Background()
+	if _, err := tc.c.AddAll(ctx, clusterTriples(60, 0)); err != nil {
+		t.Fatal(err)
+	}
+	// n2 leads group 1 and is slow: the hedge to n3 wins.
+	tc.net.SetSlow("n2", 50*time.Millisecond)
+	pats := []rdf.Pattern{{P: rdf.NewIRI("http://ex/p0")}, {P: rdf.NewIRI("http://ex/p1")}}
+	idle := runtime.NumGoroutine()
+	timers := tc.clk.Timers()
+	done := make(chan [][]rdf.Ref, 1)
+	go func() {
+		answers, err := tc.c.FragmentMatchBatch(ctx, 1, pats)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- answers
+	}()
+	tc.clk.AwaitTimers(timers + 2)
+	tc.clk.Advance(10 * time.Millisecond)
+	answers := <-done
+	snapshot := func() string {
+		var sb strings.Builder
+		for _, a := range answers {
+			for _, r := range a {
+				sb.WriteString(r.S.Key() + r.P.Key() + r.O.Key() + "\n")
+			}
+		}
+		return sb.String()
+	}
+	want := snapshot()
+	if len(answers) != 2 || len(answers[0]) == 0 || len(answers[1]) == 0 {
+		t.Fatalf("hedged batch: %d answers", len(answers))
+	}
+	// Release the loser and read the winner's terms until its leg has
+	// decoded and gone.
+	tc.clk.Advance(50 * time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > idle && time.Now().Before(deadline); {
+		if got := snapshot(); got != want {
+			t.Fatal("the winner's answer changed while the loser decoded")
+		}
+		runtime.Gosched()
+	}
+	if got := snapshot(); got != want {
+		t.Fatal("the winner's answer changed after the loser decoded")
+	}
+}
+
+// TestTimedVariantsThroughCluster: one shard holds two triples that
+// differ only in valid time. A routed scan, a fan-out and a bind-join
+// batch answer what EvalSeed answers over one store holding the same
+// triples, both variants included: fragments are disjoint, so the ref
+// merge drops nothing. Coordinator.Match still returns both triples,
+// with their valid time.
+func TestTimedVariantsThroughCluster(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	ctx := context.Background()
+	ts := clusterTriples(20, 0)
+	timed := ts[0]
+	timed.ValidFrom = time.Date(2019, 3, 26, 0, 0, 0, 0, time.UTC)
+	timed.ValidTo = timed.ValidFrom.Add(72 * time.Hour)
+	ts = append(ts, timed)
+	if applied, err := tc.c.AddAll(ctx, ts); err != nil || len(applied) != len(ts) {
+		t.Fatalf("load: %d of %d applied: %v", len(applied), len(ts), err)
+	}
+	oracle := strabon.New()
+	oracle.AddAll(ts)
+	for name, q := range map[string]string{"routed": qRouted(0), "fan-out": qFan, "bind join": qJoin3} {
+		got, partial, err := tc.c.EvalPartialContext(ctx, q)
+		if err != nil || partial {
+			t.Fatalf("%s: partial=%v err=%v", name, partial, err)
+		}
+		want, err := sparql.EvalSeed(oracle, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := canonResults(got), canonResults(want); g != w {
+			t.Fatalf("%s: %d rows, EvalSeed %d:\n%s\nwant\n%s", name, len(got.Bindings), len(want.Bindings), g, w)
+		}
+	}
+	got := tc.c.Match(timed.S, timed.P, rdf.Term{})
+	if len(got) != 2 || got[0].HasValidTime() == got[1].HasValidTime() {
+		t.Fatalf("Match answered %v, want the triple with and without valid time", got)
+	}
+	for _, tr := range got {
+		if tr.HasValidTime() && (!tr.ValidFrom.Equal(timed.ValidFrom) || !tr.ValidTo.Equal(timed.ValidTo)) {
+			t.Fatalf("valid time came back as %v", tr)
+		}
+	}
+}
+
 // TestClusterHedgeScalesWithBatch pins the adaptive hedge rule on the
 // fake clock: a read of n patterns judges each sample of a smaller read
 // as its latency times n over that read's pattern count. With the
@@ -417,7 +515,7 @@ func TestClusterHedgeScalesWithBatch(t *testing.T) {
 		before, timers := tc.reg.Snapshot(), tc.clk.Timers()
 		done := make(chan bool, 1)
 		go func() {
-			_, ok, err := tc.c.matchRead(ctx, 1, pats)
+			_, ok, err := readGroup(ctx, tc.c, 1, pats, decodeTriples)
 			done <- ok && err == nil
 		}()
 		// n2's latency and the hedge delay.
@@ -513,9 +611,9 @@ func TestBatchAnswerSplitAcrossFrames(t *testing.T) {
 			if len(answers[i]) != len(want) || len(want) != 2 {
 				t.Fatalf("%s: pattern %d: %d triples, want %d", name, i, len(answers[i]), len(want))
 			}
-			for _, tr := range answers[i] {
-				if tr.S != p.S {
-					t.Fatalf("%s: pattern %d answered with %v", name, i, tr)
+			for _, r := range answers[i] {
+				if *r.S != p.S {
+					t.Fatalf("%s: pattern %d answered with %v %v %v", name, i, *r.S, *r.P, *r.O)
 				}
 			}
 		}
@@ -542,7 +640,7 @@ func TestClusterHedgeSkipsBenched(t *testing.T) {
 	}
 	done := make(chan bool, 1)
 	go func() {
-		_, ok, _ := tc.c.matchRead(ctx, 1, []rdf.Pattern{{P: rdf.NewIRI("http://ex/p0")}})
+		_, ok, _ := readGroup(ctx, tc.c, 1, []rdf.Pattern{{P: rdf.NewIRI("http://ex/p0")}}, decodeTriples)
 		done <- ok
 	}()
 	tc.clk.AwaitTimers(timersBefore + 1)

@@ -64,16 +64,32 @@ func errMsg(format string, args ...any) Message {
 // Handle serves one request message. It never panics on hostile input:
 // malformed record payloads come back as MsgErr. The answer owns its
 // bytes.
-func (n *Node) Handle(req Message) Message { return n.handle(req, nil) }
+func (n *Node) Handle(req Message) Message { return n.handle(req, &answerBufs{}) }
 
-// handle is Handle with a match answer's records appended to scratch:
-// the answer aliases scratch until the caller reuses it.
-func (n *Node) handle(req Message, scratch []byte) Message {
+// answerBufs hold a node connection's match answer: the triples matched,
+// where each pattern's end, and the records encoded from them.
+type answerBufs struct {
+	triples []rdf.Triple
+	ends    []int
+	records []byte
+}
+
+// reset readies the buffers for the next answer: the triples cleared,
+// pinning no store terms, and a buffer grown past its cap dropped.
+func (b *answerBufs) reset() {
+	clear(b.triples)
+	b.triples, b.ends = reuse(b.triples, maxConnPatterns), reuse(b.ends, maxConnPatterns)
+	b.records = reuse(b.records, maxConnBuf)
+}
+
+// handle is Handle with a match answer built in bufs: the answer
+// aliases bufs.records until the caller resets bufs.
+func (n *Node) handle(req Message, bufs *answerBufs) Message {
 	switch req.Type {
 	case MsgPingReq:
 		return Message{Type: MsgPingResp}
 	case MsgMatchReq:
-		return n.handleMatch(req, scratch)
+		return n.handleMatch(req, bufs)
 	case MsgCardReq:
 		sh := n.shard(req.Shard)
 		sh.mu.Lock()
@@ -104,33 +120,37 @@ func (n *Node) handle(req Message, scratch []byte) Message {
 var matchAnswerCap = maxWireBody - 12
 
 // handleMatch answers a pattern list with one record per pattern. The
-// patterns are matched under one lock, so the sequence stamp is exact
-// for every record, and encoded after it. When the next pattern's
+// patterns are matched into b under one lock, so the sequence stamp is
+// exact for every record, and encoded after it. When the next pattern's
 // record would push the answer past matchAnswerCap, the answer stops
 // before it and the coordinator asks again for the rest; the first
 // pattern is always answered, so every request makes progress.
-func (n *Node) handleMatch(req Message, scratch []byte) Message {
-	var small [8][]rdf.Triple
-	answers := small[:0]
+func (n *Node) handleMatch(req Message, b *answerBufs) Message {
+	ts, ends := b.triples[:0], b.ends[:0]
 	sh := n.shard(req.Shard)
 	sh.mu.Lock()
 	for _, p := range req.Patterns {
-		answers = append(answers, sh.store.Match(p.S, p.P, p.O))
+		ts = sh.store.AppendMatch(ts, p.S, p.P, p.O)
+		ends = append(ends, len(ts))
 	}
 	seq := sh.lastSeq
 	sh.mu.Unlock()
-	img := scratch
-	for i, ts := range answers {
+	b.triples, b.ends = ts, ends
+	img := b.records[:0]
+	lo := 0
+	for i, hi := range ends {
 		mark := len(img)
 		var err error
-		if img, err = segment.AppendLogRecord(img, segment.LogRecord{Triples: ts}); err != nil {
+		if img, err = segment.AppendLogRecord(img, segment.LogRecord{Triples: ts[lo:hi]}); err != nil {
 			return errMsg("cluster: encoding match result: %v", err)
 		}
-		if i > 0 && len(img)-len(scratch) > matchAnswerCap {
+		if i > 0 && len(img) > matchAnswerCap {
 			img = img[:mark]
 			break
 		}
+		lo = hi
 	}
+	b.records = img
 	return Message{Type: MsgMatchResp, Seq: seq, Records: img}
 }
 

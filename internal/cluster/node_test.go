@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"applab/internal/rdf"
@@ -140,5 +141,44 @@ func TestNodeResetAndErrors(t *testing.T) {
 	}
 	if resp := n.Handle(Message{Type: MsgPingReq}); resp.Type != MsgPingResp {
 		t.Fatalf("ping: %+v", resp)
+	}
+}
+
+// TestNodeMatchAllocations: a node matches a request's patterns into its
+// connection's triple buffer and encodes the records into its record
+// buffer, so an answer of 1,000 matches allocates as often, and as many
+// bytes, as an answer of 10: nothing per matched triple.
+func TestNodeMatchAllocations(t *testing.T) {
+	n := NewNode("n1")
+	ts := testTriples(1000, 0)
+	for i := range 10 {
+		ts = append(ts, rdf.NewTriple(ts[i].S, rdf.NewIRI("http://ex/p1"), ts[i].O))
+	}
+	n.Handle(Message{Type: MsgApplyReq, Shard: 0, Seq: 1, Records: mustRecord(t, segment.LogRecord{Triples: ts})})
+	var bufs answerBufs
+	cost := func(p string, want int) (allocs, bytes uint64) {
+		req := Message{Type: MsgMatchReq, Shard: 0, Patterns: []rdf.Pattern{{P: rdf.NewIRI(p)}}}
+		recs, err := segment.DecodeLogRecords(n.handle(req, &bufs).Records)
+		if err != nil || len(recs) != 1 || len(recs[0].Triples) != want {
+			t.Fatalf("%s: %d records, err %v; want %d matches", p, len(recs), err, want)
+		}
+		bufs.reset()
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			n.handle(req, &bufs)
+			bufs.reset()
+		}
+		runtime.ReadMemStats(&after)
+		// Whole allocations per answer, as testing.AllocsPerRun counts
+		// them: the runtime's own stray allocations round away.
+		return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	sa, sb := cost("http://ex/p1", 10)
+	la, lb := cost("http://ex/p0", 1000)
+	t.Logf("node answer: %d allocs and %d bytes for 10 matches, %d and %d for 1,000", sa, sb, la, lb)
+	if la != sa || lb > sb+64 {
+		t.Fatalf("a 1,000-match answer costs %d allocs and %d bytes, a 10-match one %d and %d", la, lb, sa, sb)
 	}
 }

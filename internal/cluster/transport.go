@@ -21,14 +21,15 @@ type Transport interface {
 // after the call rather than pinned for the connection's lifetime.
 const maxConnBuf = 1 << 20
 
-// maxConnPatterns caps the pattern list a node connection keeps for
-// the next match request, like maxConnBuf caps its byte buffers.
+// maxConnPatterns caps the pattern list and the match-answer triples a
+// node connection keeps for the next request, like maxConnBuf caps its
+// byte buffers.
 const maxConnPatterns = 4096
 
-// reuse empties b for the next call, or drops it once it has grown past
-// maxConnBuf.
-func reuse(b []byte) []byte {
-	if cap(b) > maxConnBuf {
+// reuse empties b for the next call, or drops it once its capacity has
+// grown past limit.
+func reuse[T any](b []T, limit int) []T {
+	if cap(b) > limit {
 		return nil
 	}
 	return b[:0]
@@ -129,7 +130,7 @@ func (t *TCPTransport) Call(ctx context.Context, addr string, req Message) (Mess
 		_ = c.Close()
 		return Message{}, err
 	}
-	c.buf = reuse(c.buf)
+	c.buf = reuse(c.buf, maxConnBuf)
 	t.put(addr, c)
 	return resp, nil
 }
@@ -202,17 +203,18 @@ func (s *NodeServer) serveConn(c net.Conn) {
 		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
-	// Four buffers live as long as the connection: the request frame, a
-	// match request's patterns, the records of a match answer, and the
-	// response frame.
-	var in, records, out []byte
+	// These buffers live as long as the connection: the request frame, a
+	// match request's patterns, a match answer's triples and records
+	// (answerBufs), and the response frame.
+	var in, out []byte
 	var pats []rdf.Pattern
+	var answer answerBufs
 	for {
 		req, buf, err := readMessage(c, in, pats)
 		if err != nil {
 			return
 		}
-		resp := s.node.handle(req, records)
+		resp := s.node.handle(req, &answer)
 		frame, err := appendMessage(out, resp)
 		if err != nil {
 			return
@@ -220,10 +222,8 @@ func (s *NodeServer) serveConn(c net.Conn) {
 		if _, err := c.Write(frame); err != nil {
 			return
 		}
-		in, out = reuse(buf), reuse(frame)
-		if resp.Type == MsgMatchResp {
-			records = reuse(resp.Records)
-		}
+		in, out = reuse(buf, maxConnBuf), reuse(frame, maxConnBuf)
+		answer.reset()
 		if cap(req.Patterns) > cap(pats) && cap(req.Patterns) <= maxConnPatterns {
 			pats = req.Patterns
 		}

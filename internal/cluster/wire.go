@@ -17,13 +17,14 @@
 //
 // Each RPC is encoded once and decoded once. Frames are appended in
 // place into buffers each TCP connection keeps for its lifetime (a node
-// also encodes a match answer's records straight into a per-connection
-// scratch buffer); a buffer grown past maxConnBuf is dropped after the
-// call, so one snapshot does not pin its size. Decoding copies out
-// everything it returns, so a reused buffer never aliases a message
-// (a node decodes a match request's patterns into a slice its
-// connection reuses), and each pattern's triples come back as the one
-// slice its record payload decoded into.
+// also matches a request into a per-connection triple buffer and
+// encodes the answer's records from it); a buffer grown past its cap is
+// dropped after the call, so one snapshot does not pin its size.
+// Decoding copies out everything it returns, so a reused buffer never
+// aliases a message (a node decodes a match request's patterns into a
+// slice its connection reuses), and the goroutine that asked decodes a
+// match answer into memory it alone owns: refs for the engine
+// (segment.DecodeLogRefs), triples with valid time for other callers.
 package cluster
 
 import (

@@ -89,6 +89,12 @@ func chaosQueries(round int) []string {
 		// subject-bound steps, each of which the cluster reads as one
 		// batch per replica group.
 		`SELECT ?s ?n ?t WHERE { ?s a <` + contractNS + `Thing> . ?s <` + contractNS + `name> ?n . ?s a ?t FILTER(?n != ` + nonce + `) }`,
+		// An OPTIONAL that leaves one row's subject unbound: the next
+		// step routes the other rows and fans that one out.
+		`SELECT ?x ?s ?t WHERE { ?x <` + contractNS + `name> ?n OPTIONAL { ?s <` + contractNS + `name> ?n FILTER(?n != "n3") } ?s a ?t FILTER(?n != ` + nonce + `) }`,
+		// A step that sees every subject twice, once per triple the
+		// first pattern matched: one batch repeats each pattern.
+		`SELECT ?s ?p ?n WHERE { ?s ?p ?o . ?s <` + contractNS + `name> ?n FILTER(?n != ` + nonce + `) }`,
 	}
 }
 

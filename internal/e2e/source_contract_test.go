@@ -194,12 +194,8 @@ func TestSourcesHandOutCallerOwnedSlices(t *testing.T) {
 		}
 		if bx, ok := src.(sparql.BatchExchangeSource); ok {
 			for frag := 0; frag < bx.Fragments(); frag++ {
-				calls[fmt.Sprintf("FragmentMatchBatch(%d)", frag)] = func(s, p, o rdf.Term) []rdf.Triple {
-					answers, err := bx.FragmentMatchBatch(context.Background(), frag, []rdf.Pattern{{S: s, P: p, O: o}, {S: s, P: p, O: o}})
-					if err != nil {
-						t.Fatalf("%s: FragmentMatchBatch: %v", name, err)
-					}
-					return answers[1]
+				for shape, pat := range patterns {
+					checkBatchRefs(t, fmt.Sprintf("%s: FragmentMatchBatch(%d, %s)", name, frag, shape), bx, frag, pat)
 				}
 			}
 		}
@@ -278,6 +274,40 @@ func checkAppendRefs(t *testing.T, label string, rs sparql.RefSource, pat [3]rdf
 	if got := readRefs(again); !slices.Equal(got, want) {
 		t.Errorf("%s: %v after the caller wrote to the first answer, was %v", label, got, want)
 	}
+}
+
+// checkBatchRefs reads a pattern twice in one batch, checks both
+// answers against FragmentMatch's terms, then scribbles over every
+// returned array, spare capacity included, and checks that the next
+// batch reads the same terms.
+func checkBatchRefs(t *testing.T, label string, bx sparql.BatchExchangeSource, frag int, pat [3]rdf.Term) {
+	t.Helper()
+	ts, err := bx.FragmentMatch(context.Background(), frag, pat[0], pat[1], pat[2])
+	if err != nil {
+		t.Fatalf("%s: FragmentMatch: %v", label, err)
+	}
+	want := termsOf(ts)
+	p := rdf.Pattern{S: pat[0], P: pat[1], O: pat[2]}
+	read := func() [][]rdf.Ref {
+		answers, err := bx.FragmentMatchBatch(context.Background(), frag, []rdf.Pattern{p, p})
+		if err != nil || len(answers) != 2 {
+			t.Fatalf("%s: %d answers, err %v", label, len(answers), err)
+		}
+		for i, a := range answers {
+			if got := readRefs(a); !slices.Equal(got, want) {
+				t.Fatalf("%s: answer %d reads %v, FragmentMatch answers %v", label, i, got, want)
+			}
+		}
+		return answers
+	}
+	scribble := rdf.NewLiteral("scribble")
+	for _, a := range read() {
+		all := a[:cap(a)]
+		for i := range all {
+			all[i] = rdf.Ref{S: &scribble, P: &scribble, O: &scribble}
+		}
+	}
+	read()
 }
 
 // allRefs is every match of rs by reference.

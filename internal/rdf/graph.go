@@ -203,15 +203,7 @@ func (g *Graph) AddAll(ts []Triple) int {
 func (g *Graph) Len() int { return len(g.rows) - g.ndead }
 
 // Triples returns a copy of all live triples in insertion order.
-func (g *Graph) Triples() []Triple {
-	out := make([]Triple, 0, g.Len())
-	for i := range g.rows {
-		if !g.dead[i] {
-			out = append(out, g.triple(int32(i)))
-		}
-	}
-	return out
-}
+func (g *Graph) Triples() []Triple { return g.Match(Term{}, Term{}, Term{}) }
 
 // Contains reports whether the graph holds the exact triple.
 func (g *Graph) Contains(t Triple) bool {
@@ -267,16 +259,28 @@ func (pt *pattern) matches(row [3]uint32) bool {
 }
 
 // Match returns all triples matching the pattern, in insertion order, in
-// a slice of exactly that size which is the caller's. Zero-valued terms
-// (Term{}) act as wildcards. The shortest posting list drives the scan.
-func (g *Graph) Match(s, p, o Term) []Triple {
+// a slice of exactly that size which is the caller's: AppendMatch onto
+// nil. Zero-valued terms (Term{}) act as wildcards.
+func (g *Graph) Match(s, p, o Term) []Triple { return g.AppendMatch(nil, s, p, o) }
+
+// AppendMatch appends the pattern's matches to dst, in insertion order,
+// and returns the extended slice. The shortest posting list drives the
+// scan, and matches are counted first, so dst grows at most once, to
+// exactly the room they need.
+func (g *Graph) AppendMatch(dst []Triple, s, p, o Term) []Triple {
 	pt := g.pattern(s, p, o)
 	if !pt.known {
-		return nil
+		return dst
 	}
 	list, nbound := g.candidates(&pt)
 	if nbound == 0 {
-		return g.Triples()
+		dst = growExact(dst, g.Len())
+		for i := range g.rows {
+			if !g.dead[i] {
+				dst = append(dst, g.triple(int32(i)))
+			}
+		}
+		return dst
 	}
 	n := len(list)
 	if nbound > 1 {
@@ -288,15 +292,24 @@ func (g *Graph) Match(s, p, o Term) []Triple {
 		}
 	}
 	if n == 0 {
-		return nil
+		return dst
 	}
-	out := make([]Triple, 0, n)
+	dst = growExact(dst, n)
 	for _, i := range list {
 		if nbound == 1 || pt.matches(g.rows[i]) {
-			out = append(out, g.triple(i))
+			dst = append(dst, g.triple(i))
 		}
 	}
-	return out
+	return dst
+}
+
+// growExact returns dst with room for n more elements, reallocated to
+// exactly that capacity when it has less (or is nil).
+func growExact[T any](dst []T, n int) []T {
+	if dst != nil && cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]T, 0, len(dst)+n), dst...)
 }
 
 // AppendRefs appends the pattern's matches to dst by reference, in

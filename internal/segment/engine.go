@@ -693,18 +693,22 @@ func (e *Engine) open(m *merge, s, p, o rdf.Term, withMem bool, fail func(error)
 // Match returns all triples matching the pattern. With no runs it is
 // exactly the memtable graph's answer (insertion order); with runs the
 // merged answer is returned in canonical (term-key) order.
-func (e *Engine) Match(s, p, o rdf.Term) []rdf.Triple {
+func (e *Engine) Match(s, p, o rdf.Term) []rdf.Triple { return e.AppendMatch(nil, s, p, o) }
+
+// AppendMatch appends Match's answer to dst and returns the extended
+// slice; onto a nil dst, no match answers nil.
+func (e *Engine) AppendMatch(dst []rdf.Triple, s, p, o rdf.Term) []rdf.Triple {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if len(e.segs) == 0 {
-		return e.mem.g.Match(s, p, o)
+		return e.mem.g.AppendMatch(dst, s, p, o)
 	}
-	out, early := collect(e, nil, s, p, o, head.triple)
-	if len(out) == 0 {
+	out, early := collect(e, dst, s, p, o, head.triple)
+	if dst == nil && len(out) == 0 {
 		return nil
 	}
 	if early {
-		hoistTimeless(out)
+		hoistTimeless(out[len(dst):])
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package segment
 import (
 	"encoding/binary"
 	"testing"
+	"time"
 
 	"applab/internal/rdf"
 )
@@ -98,5 +99,45 @@ func TestLogRecordChunkGroups(t *testing.T) {
 	}
 	if _, err := DecodeLogRecords(img[:firstFrameLen]); err == nil {
 		t.Fatal("unfinished chunk group accepted")
+	}
+}
+
+// TestDecodeLogRefs: refs read the terms of the triples they were
+// encoded from, valid time dropped, record by record; a term repeated
+// from the previous triple in the same position is one term, across
+// records too; an empty record is nil, no record's slice reaches into
+// the next one's, and a delete record is refused.
+func TestDecodeLogRefs(t *testing.T) {
+	from := time.Date(2019, 3, 26, 0, 0, 0, 0, time.UTC)
+	head := []rdf.Triple{vtTri("s", "p", "o", from, from.Add(time.Hour)), tri("s", "p", "o"), tri("s", "q", "o")}
+	img, err := AppendLogRecords(nil, []LogRecord{{Triples: head}, {}, {Triples: []rdf.Triple{tri("t", "q", "o")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, err := DecodeLogRefs(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refs) != 3 || len(refs[0]) != 3 || refs[1] != nil || len(refs[2]) != 1 {
+		t.Fatalf("decoded %d records: %v", len(refs), refs)
+	}
+	for i, tr := range head {
+		if r := refs[0][i]; *r.S != tr.S || *r.P != tr.P || *r.O != tr.O {
+			t.Fatalf("ref %d reads %v %v %v, want %v", i, *r.S, *r.P, *r.O, tr)
+		}
+	}
+	a, b, c, d := refs[0][0], refs[0][1], refs[0][2], refs[2][0]
+	if a.S != b.S || b.S != c.S || a.P != b.P || a.O != c.O || c.P == b.P || d.P != c.P || d.O != c.O || d.S == c.S {
+		t.Fatal("repeated terms were not shared, or distinct ones were")
+	}
+	if cap(refs[0]) != 3 {
+		t.Fatalf("a record's refs have capacity %d for 3 refs", cap(refs[0]))
+	}
+	del, err := EncodeLogRecord(LogRecord{Delete: true, Triples: head})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeLogRefs(append(img, del...)); err == nil {
+		t.Fatal("a delete record decoded to refs")
 	}
 }

@@ -3,7 +3,10 @@ package segment
 import (
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"applab/internal/faults"
 	"applab/internal/rdf"
@@ -108,18 +111,21 @@ func FuzzSegmentOpen(f *testing.F) {
 	})
 }
 
-func FuzzWALReplay(f *testing.F) {
-	img := seedWALImage(f)
-	f.Add(img)
-	for _, v := range faults.Truncations(img, 11, 32) {
-		f.Add(v)
-	}
+// walSeeds is FuzzWALReplay's seed corpus: a real WAL image, its
+// truncations and bit-flips, and hostile headers.
+func walSeeds(tb testing.TB) [][]byte {
+	img := seedWALImage(tb)
+	seeds := append([][]byte{img}, faults.Truncations(img, 11, 32)...)
 	// Hostile: a frame declaring a huge payload on a short file must
 	// not allocate gigabytes.
 	huge := append([]byte(walMagic), 0x3f, 0xff, 0xff, 0xff, 0, 0, 0, 0)
-	f.Add(huge)
-	f.Add([]byte(walMagic))
-	f.Add([]byte{})
+	return append(seeds, huge, []byte(walMagic), []byte{})
+}
+
+func FuzzWALReplay(f *testing.F) {
+	for _, seed := range walSeeds(f) {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, good, err := replayWAL(data)
@@ -163,6 +169,78 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if err := w.append(opAdd, []rdf.Triple{tri("post", "fuzz", "append")}); err != nil {
 			t.Fatalf("append after repair failed: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeLogRefs holds the ref decoder to DecodeLogRecords, the
+// decoder it shares its frame loop with: on any input DecodeLogRefs
+// accepts exactly when DecodeLogRecords decodes the input into add
+// records only, and then yields the same S/P/O terms in the same
+// order, record by record.
+func FuzzDecodeLogRefs(f *testing.F) {
+	// FuzzWALReplay's corpus, its checked-in entries included, and the
+	// same images as bare frames (the wire carries no magic).
+	for _, seed := range walSeeds(f) {
+		f.Add(seed)
+		if len(seed) > len(walMagic) {
+			f.Add(seed[len(walMagic):])
+		}
+	}
+	entries, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzWALReplay", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range entries {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		_, arg, _ := strings.Cut(string(data), "[]byte(")
+		if seed, err := strconv.Unquote(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(arg), ")"))); err == nil {
+			f.Add([]byte(seed))
+		}
+	}
+	encode := func(rec LogRecord) []byte {
+		img, err := EncodeLogRecord(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return img
+	}
+	from := time.Date(2019, 3, 26, 0, 0, 0, 0, time.UTC)
+	f.Add(encode(LogRecord{Triples: []rdf.Triple{vtTri("s", "p", "o", from, from.Add(time.Hour)), tri("s", "p", "o")}}))
+	f.Add(encode(LogRecord{Delete: true, Triples: nTriples(3)}))
+	old := walChunkPayload
+	walChunkPayload = 128
+	f.Add(encode(LogRecord{Triples: nTriples(12)}))
+	walChunkPayload = old
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, recErr := DecodeLogRecords(data)
+		adds := recErr == nil
+		for _, rec := range recs {
+			adds = adds && !rec.Delete
+		}
+		refs, err := DecodeLogRefs(data)
+		if (err == nil) != adds {
+			t.Fatalf("DecodeLogRefs error %v, but DecodeLogRecords error %v over %d records", err, recErr, len(recs))
+		}
+		if err != nil {
+			return
+		}
+		if len(refs) != len(recs) {
+			t.Fatalf("%d ref records, %d triple records", len(refs), len(recs))
+		}
+		for i, rec := range recs {
+			if len(refs[i]) != len(rec.Triples) {
+				t.Fatalf("record %d: %d refs, %d triples", i, len(refs[i]), len(rec.Triples))
+			}
+			for j, tr := range rec.Triples {
+				if r := refs[i][j]; *r.S != tr.S || *r.P != tr.P || *r.O != tr.O {
+					t.Fatalf("record %d, triple %d: ref reads %v %v %v, triple is %v", i, j, *r.S, *r.P, *r.O, tr)
+				}
+			}
 		}
 	})
 }

@@ -207,46 +207,46 @@ func replayWAL(data []byte) ([]walOp, int64, error) {
 	}
 }
 
-// decodeWALPayload decodes one record payload. The walMore flag is
-// stripped off the op byte into walOp.more.
+// decodeWALPayload decodes one record payload into triples. The walMore
+// flag is stripped off the op byte into walOp.more.
 func decodeWALPayload(payload []byte) (walOp, error) {
-	c := cursor{data: payload}
-	op, err := c.u8()
+	var s sink
+	op, more, err := decodePayload(payload, &s)
 	if err != nil {
 		return walOp{}, err
 	}
-	more := op&walMore != 0
+	return walOp{op: op, more: more, triples: s.cur}, nil
+}
+
+// maxCountHint caps how far a payload's declared triple count sizes
+// what a sink preallocates: real decodes grow past it.
+const maxCountHint = 1 << 14
+
+// decodePayload decodes one record payload into s: the op byte
+// (walMore stripped off into more), the count, and that many triples,
+// which must use up the payload.
+func decodePayload(payload []byte, s *sink) (op byte, more bool, err error) {
+	c := cursor{data: payload}
+	if op, err = c.u8(); err != nil {
+		return 0, false, err
+	}
+	more = op&walMore != 0
 	op &^= walMore
 	if op != opAdd && op != opDelete {
-		return walOp{}, fmt.Errorf("segment: WAL op %d invalid", op)
+		return 0, false, fmt.Errorf("segment: WAL op %d invalid", op)
 	}
 	count, err := c.u32()
 	if err != nil {
-		return walOp{}, err
+		return 0, false, err
 	}
 	if count > maxTriples {
-		return walOp{}, errCorrupt
+		return 0, false, errCorrupt
 	}
-	// Preallocation capped: the declared count only sizes the slice up
-	// to a bound, real decodes grow it.
-	hint := count
-	if hint > 1<<14 {
-		hint = 1 << 14
+	end, err := s.payload(op, count, c)
+	if err == nil && end != len(payload) {
+		err = errCorrupt
 	}
-	triples := make([]rdf.Triple, 0, hint)
-	var prev rdf.Triple
-	for i := uint32(0); i < count; i++ {
-		t, err := c.triple(&prev)
-		if err != nil {
-			return walOp{}, err
-		}
-		triples = append(triples, t)
-		prev = t
-	}
-	if c.remaining() != 0 {
-		return walOp{}, errCorrupt
-	}
-	return walOp{op: op, more: more, triples: triples}, nil
+	return op, more, err
 }
 
 // appendFrames appends a batch's frame sequence to dst and reports how

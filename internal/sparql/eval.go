@@ -16,9 +16,8 @@ type Source interface {
 	// reuse, retain or mutate it (or hand the same backing array out
 	// twice), because the compiled engine points its solution rows
 	// straight at the slice's terms for as long as the query runs. The
-	// same holds for MatchErr, MatchContext, FragmentMatch and each
-	// answer of FragmentMatchBatch. A RefSource's refs live by a rule of
-	// their own (see RefSource).
+	// same holds for MatchErr, MatchContext and FragmentMatch. Refs live
+	// by rules of their own (see RefSource and BatchExchangeSource).
 	Match(s, p, o rdf.Term) []rdf.Triple
 }
 

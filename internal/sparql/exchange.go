@@ -1,11 +1,12 @@
 package sparql
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 
 	"applab/internal/rdf"
-	"applab/internal/scatter"
 )
 
 // ExchangeSource is implemented by partitioned sources — the cluster
@@ -15,7 +16,8 @@ import (
 // placement is provable (bound subject under subject-hash placement)
 // goes to its single owning fragment, anything else fans out to every
 // fragment in parallel and the partial streams are merged back into
-// canonical (term-key) order with duplicates suppressed.
+// canonical (term-key) order. Fragments are disjoint (placement puts
+// each triple in exactly one), so the merge drops nothing.
 //
 // Error semantics follow Source/ErrorSource: a fragment failure reads
 // as an empty contribution (the source itself tracks partiality — see
@@ -28,35 +30,54 @@ type ExchangeSource interface {
 	// Route returns the single fragment that holds every possible match
 	// of the pattern, when placement can prove one.
 	Route(s, p, o rdf.Term) (frag int, ok bool)
-	// FragmentMatch answers the pattern from one fragment.
+	// FragmentMatch answers the pattern from one fragment, valid time
+	// included; the engine scans through it unless the source batches.
 	FragmentMatch(ctx context.Context, frag int, s, p, o rdf.Term) ([]rdf.Triple, error)
 }
 
 // BatchExchangeSource is implemented by partitioned sources that can
-// answer many patterns of one fragment in one read — the cluster
-// coordinator sends the replica group one request. A nested-loop join
-// step over such a source resolves every row's pattern first, reads
+// answer many patterns of one fragment in one read, by reference — the
+// cluster coordinator sends the replica group one request. Every
+// exchange scan goes through it: a routed scan is a batch of one, a
+// fan-out one batch per fragment, and a nested-loop join step reads
 // each fragment's routed patterns as one batch, the fragments in
-// parallel, and extends each row from its own pattern's answer; rows
-// whose pattern has no route fan out one by one as before. Errors
-// follow FragmentMatch.
+// parallel. Errors follow FragmentMatch. Answers follow RefSource's
+// rules, except that the terms may be the answer's own: the slices are
+// the caller's, and the terms are never mutated.
 type BatchExchangeSource interface {
 	ExchangeSource
 	// FragmentMatchBatch answers every pattern from one fragment, one
 	// answer per pattern, in pattern order.
-	FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Triple, error)
+	FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Ref, error)
 }
 
 // exchangeMatch is the exchange operator's scan: the pattern-level
 // fan-out/merge every scan strategy (cross, hash, nested_loop) drives
-// its probes through when the source is partitioned.
-func (ec *execCtx) exchangeMatch(s, p, o rdf.Term) ([]rdf.Triple, error) {
+// its probes through when the source is partitioned. A fan-out merges
+// into *buf (see execCtx.match).
+func (ec *execCtx) exchangeMatch(buf *[]rdf.Ref, s, p, o rdf.Term) (rdf.Matches, error) {
 	if frag, ok := ec.ex.Route(s, p, o); ok {
 		noteExchange("routed")
-		ts, err := ec.ex.FragmentMatch(ec.ctx, frag, s, p, o)
-		return ts, ec.scanErr("exchange", err)
+		m, err := ec.fragmentMatch(frag, s, p, o)
+		return m, ec.scanErr("exchange", err)
 	}
-	return ec.exchangeFanout(s, p, o)
+	refs, err := ec.exchangeFanout((*buf)[:0], s, p, o)
+	*buf = refs
+	return rdf.Matches{Refs: refs}, err
+}
+
+// fragmentMatch answers a pattern from one fragment: a batch of one over
+// a BatchExchangeSource, FragmentMatch's triples otherwise.
+func (ec *execCtx) fragmentMatch(frag int, s, p, o rdf.Term) (rdf.Matches, error) {
+	if ec.bx == nil {
+		ts, err := ec.ex.FragmentMatch(ec.ctx, frag, s, p, o)
+		return rdf.Matches{Triples: ts}, err
+	}
+	answers, err := ec.bx.FragmentMatchBatch(ec.ctx, frag, []rdf.Pattern{{S: s, P: p, O: o}})
+	if err != nil || len(answers) == 0 {
+		return rdf.Matches{}, err
+	}
+	return rdf.Matches{Refs: answers[0]}, nil
 }
 
 // exchangeRows is the exchange operator's scan for a nested-loop join
@@ -64,9 +85,10 @@ func (ec *execCtx) exchangeMatch(s, p, o rdf.Term) ([]rdf.Triple, error) {
 // resolves to, in row order. Rows without a route fan out one by one;
 // the routed patterns are laid out grouped by fragment, and each
 // fragment gets one batch, the fragments read in parallel. Scans are
-// counted per row, as exchangeMatch counts them.
-func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Triple, error) {
-	answers := make([][]rdf.Triple, len(rows))
+// counted per row, as exchangeMatch counts them. The pattern list is
+// the call's own: a hedged read's losers may still be encoding it.
+func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Ref, error) {
+	answers := make([][]rdf.Ref, len(rows))
 	frags := make([]int, len(rows))           // the row's fragment, -1 when it fanned out
 	start := make([]int, ec.ex.Fragments()+1) // fragment f's patterns are pats[start[f]:start[f+1]]
 	routed := 0
@@ -82,11 +104,11 @@ func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Triple, error) 
 		frag, ok := ec.ex.Route(s, p, o)
 		if !ok {
 			frags[i] = -1
-			ts, err := ec.exchangeFanout(s, p, o)
+			refs, err := ec.exchangeFanout(nil, s, p, o)
 			if err != nil {
 				return nil, err
 			}
-			answers[i] = ts
+			answers[i] = refs
 			continue
 		}
 		noteExchange("routed")
@@ -153,34 +175,39 @@ func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Triple, error) 
 }
 
 // exchangeFanout reads an unrouted pattern from every fragment in
-// parallel and merges the partial streams.
-func (ec *execCtx) exchangeFanout(s, p, o rdf.Term) ([]rdf.Triple, error) {
-	ex := ec.ex
-	n := ex.Fragments()
+// parallel and appends the answers to dst in canonical (term-key) order.
+func (ec *execCtx) exchangeFanout(dst []rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error) {
+	n := max(ec.ex.Fragments(), 1)
 	noteExchange("fanout")
-	if n <= 1 {
-		ts, err := ex.FragmentMatch(ec.ctx, 0, s, p, o)
-		if err != nil {
-			return nil, ec.scanErr("exchange", err)
-		}
-		return scatter.Merge([][]rdf.Triple{ts}), nil
-	}
-	parts := make([][]rdf.Triple, n)
+	parts := make([]rdf.Matches, n)
 	errs := make([]error, n)
-	done := make(chan int, n)
-	for i := 0; i < n; i++ {
-		go func(frag int) {
-			parts[frag], errs[frag] = ex.FragmentMatch(ec.ctx, frag, s, p, o)
-			done <- frag
-		}(i)
+	var wg sync.WaitGroup
+	for frag := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[frag], errs[frag] = ec.fragmentMatch(frag, s, p, o)
+		}()
 	}
-	for i := 0; i < n; i++ {
-		<-done
+	wg.Wait()
+	total, start := 0, len(dst)
+	for _, m := range parts {
+		total += m.Len()
 	}
-	for _, err := range errs {
-		if err := ec.scanErr("exchange", err); err != nil {
-			return nil, err
+	dst = slices.Grow(dst, total)
+	for i, m := range parts {
+		if err := ec.scanErr("exchange", errs[i]); err != nil {
+			return dst, err
+		}
+		for j := range m.Len() {
+			dst = append(dst, m.At(j))
 		}
 	}
-	return scatter.Merge(parts), nil
+	slices.SortFunc(dst[start:], compareRefs)
+	return dst, nil
+}
+
+// compareRefs orders refs by their terms' keys, subject first.
+func compareRefs(a, b rdf.Ref) int {
+	return cmp.Or(a.S.Compare(*b.S), a.P.Compare(*b.P), a.O.Compare(*b.O))
 }

@@ -64,15 +64,15 @@ type batching struct {
 	err  error
 }
 
-func (b *batching) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Triple, error) {
+func (b *batching) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Ref, error) {
 	b.batches.Add(1)
 	b.batchedPats.Add(int64(len(pats)))
 	if frag == b.fail {
 		return nil, b.err
 	}
-	out := make([][]rdf.Triple, len(pats))
+	out := make([][]rdf.Ref, len(pats))
 	for i, p := range pats {
-		out[i] = b.frags[frag].Match(p.S, p.P, p.O)
+		out[i], _ = b.frags[frag].AppendRefs(ctx, nil, p.S, p.P, p.O)
 	}
 	return out, nil
 }
@@ -104,8 +104,9 @@ var exchangeQueries = []string{
 // TestBatchedExchangeMatchesPerRow: a nested-loop step over a batching
 // partitioned source answers row for row and in the same order as the
 // per-row exchange (whose rows equal the unpartitioned graph's), on one
-// worker and on four, and every routed per-row read becomes one
-// batched pattern.
+// worker and on four. Every exchange scan of a batching source is a
+// batch: each per-row fragment read becomes one batched pattern, and
+// FragmentMatch is never called.
 func TestBatchedExchangeMatchesPerRow(t *testing.T) {
 	ts := exchangeTriples()
 	g := rdf.NewGraph()
@@ -139,8 +140,8 @@ func TestBatchedExchangeMatchesPerRow(t *testing.T) {
 			if batched.batches.Load() == 0 {
 				t.Fatalf("%d workers: no batch read on %s", workers, q)
 			}
-			if routed := perRow.reads.Load() - batched.reads.Load(); routed != batched.batchedPats.Load() {
-				t.Fatalf("%d workers: %d routed per-row reads, but %d patterns batched", workers, routed, batched.batchedPats.Load())
+			if reads, pats := perRow.reads.Load(), batched.batchedPats.Load(); reads != pats || batched.reads.Load() != 0 {
+				t.Fatalf("%d workers: %d per-row reads, but %d patterns in %d batches and %d FragmentMatch calls", workers, reads, pats, batched.batches.Load(), batched.reads.Load())
 			}
 		}
 	}

@@ -297,7 +297,7 @@ func (sc *scanOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
 		return nil
 	default:
 		if pc.batched != nil && k == 0 {
-			matches = rdf.Matches{Triples: pc.batched[pc.at]}
+			matches = rdf.Matches{Refs: pc.batched[pc.at]}
 		} else {
 			s := resolve(sc.sSlot, sc.s, r)
 			p := resolve(sc.pSlot, sc.p, r)

@@ -79,7 +79,7 @@ type pipeChunk struct {
 	kb      []byte      // hash-probe key buffer
 	n       int         // rows since the last checkpoint
 	at      int         // index of the input row being pushed
-	batched [][]rdf.Triple
+	batched [][]rdf.Ref
 	out     []row
 	ar      rowArena
 

@@ -129,18 +129,18 @@ func (ec *execCtx) checkpoint(rows int) error {
 // match issues one pattern scan. Precedence: the exchange operator for
 // a partitioned source, then the source's refs appended to *buf, then
 // the context-aware path when the evaluation is limited, then plain
-// Match. Every scan strategy reads its matches through At. Only the ref
-// answer lives in *buf, a buffer the caller reuses for its next scan:
-// rows point at the terms behind refs, never into the ref array. A
-// triple answer is pointed into by rows and is never reused. Only
+// Match. Every scan strategy reads its matches through At. Only refs
+// appended here (a RefSource's, an exchange fan-out's merge) live in
+// *buf, a buffer the caller reuses for its next scan: rows point at the
+// terms behind refs, never into the ref array. A triple answer is
+// pointed into by rows and is never reused. Only
 // cancellation and budget violations abort the query; ordinary upstream
 // errors keep the seed Source semantics (they read as empty results —
 // federation partial answers and the error-report machinery depend on
 // that) and are counted (scanErr).
 func (ec *execCtx) match(buf *[]rdf.Ref, s, p, o rdf.Term) (rdf.Matches, error) {
 	if ec.ex != nil {
-		ts, err := ec.exchangeMatch(s, p, o)
-		return rdf.Matches{Triples: ts}, err
+		return ec.exchangeMatch(buf, s, p, o)
 	}
 	if ec.rsrc != nil {
 		refs, err := ec.rsrc.AppendRefs(ec.ctx, (*buf)[:0], s, p, o)

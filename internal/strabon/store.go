@@ -214,6 +214,11 @@ func (s *Store) Match(sub, pred, obj rdf.Term) []rdf.Triple {
 	return s.eng.Match(sub, pred, obj)
 }
 
+// AppendMatch appends Match's answer to dst (segment.Engine.AppendMatch).
+func (s *Store) AppendMatch(dst []rdf.Triple, sub, pred, obj rdf.Term) []rdf.Triple {
+	return s.eng.AppendMatch(dst, sub, pred, obj)
+}
+
 // AppendRefs implements sparql.RefSource: scans hand the engine
 // handles into the memtable graph's term table or the run dictionaries
 // instead of materialized triples (segment.Engine.AppendRefs).
