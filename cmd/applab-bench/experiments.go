@@ -59,7 +59,8 @@ func evalMedian(repeats int, eval func() (*sparql.Results, error)) (time.Duratio
 // checked for identical bindings.
 func rowsKey(res *sparql.Results) string {
 	rows := make([]string, len(res.Bindings))
-	for i, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		var sb strings.Builder
 		for _, v := range res.Vars {
 			fmt.Fprintf(&sb, "%s=%s ", v, b[v])
@@ -74,7 +75,7 @@ func rowsKey(res *sparql.Results) string {
 // literal answer (a COUNT or SUM), else the row count.
 func answer(res *sparql.Results) string {
 	if len(res.Bindings) == 1 && len(res.Vars) == 1 {
-		if t := res.Bindings[0][res.Vars[0]]; t.IsLiteral() {
+		if t := res.Binding(0)[res.Vars[0]]; t.IsLiteral() {
 			return t.Value
 		}
 	}

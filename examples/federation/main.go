@@ -77,7 +77,8 @@ SELECT ?parkName ?areaName WHERE {
 	}
 	fmt.Printf("\ncross-endpoint spatial join: %d (park, area) pairs\n", len(res.Bindings))
 	shown := 0
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if shown >= 6 {
 			fmt.Printf("  ... and %d more\n", len(res.Bindings)-shown)
 			break

@@ -74,8 +74,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, _ := res.Bindings[0]["n"].Int()
-	avg, _ := res.Bindings[0]["avg"].Float()
+	n, _ := res.Binding(0)["n"].Int()
+	avg, _ := res.Binding(0)["avg"].Float()
 	fmt.Printf("\ncity-center greenness: %d observations, mean LAI %.2f\n", n, avg)
 
 	// 5. For costly repeated analysis, materialize (the paper's §5
@@ -89,6 +89,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nObs, _ := res.Bindings[0]["n"].Int()
+	nObs, _ := res.Binding(0)["n"].Int()
 	fmt.Printf("materialized snapshot: %d triples, %d observations\n", st.Len(), nObs)
 }

@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nObs, _ := res.Bindings[0]["n"].Int()
+	nObs, _ := res.Binding(0)["n"].Int()
 	fmt.Printf("store: %d triples, %d geometries, %d LAI observations\n",
 		stack.Store.Len(), stack.Store.GeometryCount(), nObs)
 
@@ -65,7 +65,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("Listing 1: %d LAI observations intersect the Bois de Boulogne\n", len(res.Bindings))
-	for i, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if i >= 3 {
 			fmt.Printf("  ... and %d more\n", len(res.Bindings)-3)
 			break

@@ -58,7 +58,8 @@ ORDER BY ?d`)
 		log.Fatal(err)
 	}
 	fmt.Println("\nparks within 0.05 degrees of the Eiffel tower:")
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		d, _ := b["d"].Float()
 		fmt.Printf("  %-20s distance %.4f\n", b["name"].Value, d)
 	}

@@ -150,10 +150,12 @@ func (r *chaosRun) checkQuery(ctx context.Context, q string) {
 		return
 	}
 	wantRows := map[string]bool{}
-	for _, b := range want.Bindings {
+	for i := range want.Bindings {
+		b := want.Binding(i)
 		wantRows[bindingKey(b, want.Vars)] = true
 	}
-	for _, b := range got.Bindings {
+	for i := range got.Bindings {
+		b := got.Binding(i)
 		if !wantRows[bindingKey(b, want.Vars)] {
 			r.t.Fatalf("partial answer to %q invented row %v", q, b)
 		}

@@ -96,7 +96,8 @@ func qRouted(i int) string {
 // are identical.
 func canonResults(res *sparql.Results) string {
 	rows := make([]string, 0, len(res.Bindings))
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		vars := make([]string, 0, len(b))
 		for v := range b {
 			vars = append(vars, v)
@@ -321,13 +322,15 @@ func TestClusterWholeGroupLossIsPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRows := map[string]bool{}
-	for _, b := range want.Bindings {
+	for i := range want.Bindings {
+		b := want.Binding(i)
 		wantRows[b["s"].Key()+"|"+b["o"].Key()] = true
 	}
 	if len(got.Bindings) == 0 || len(got.Bindings) >= len(want.Bindings) {
 		t.Fatalf("partial answer has %d rows, oracle %d", len(got.Bindings), len(want.Bindings))
 	}
-	for _, b := range got.Bindings {
+	for i := range got.Bindings {
+		b := got.Binding(i)
 		if !wantRows[b["s"].Key()+"|"+b["o"].Key()] {
 			t.Fatalf("partial answer invented row %v", b)
 		}

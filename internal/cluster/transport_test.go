@@ -272,7 +272,8 @@ func TestClusterTCPMatchesMem(t *testing.T) {
 func orderedResults(res *sparql.Results) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "bool=%v vars=%v\n", res.Bool, res.Vars)
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		for _, v := range res.Vars {
 			sb.WriteString(b[v].Key())
 			sb.WriteByte('\x1f')

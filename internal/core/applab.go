@@ -397,8 +397,8 @@ func printResults(res *sparql.Results) error {
 		return nil
 	}
 	fmt.Println(strings.Join(res.Vars, "\t"))
-	for _, b := range res.Bindings {
-		row := make([]string, len(res.Vars))
+	for r := range res.Bindings {
+		b, row := res.Binding(r), make([]string, len(res.Vars))
 		for i, v := range res.Vars {
 			if t, ok := b[v]; ok {
 				row[i] = t.String()

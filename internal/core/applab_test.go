@@ -96,7 +96,8 @@ func TestListing1(t *testing.T) {
 	if len(res.Bindings) == 0 {
 		t.Fatal("Listing 1 returned no LAI observations over Bois de Boulogne")
 	}
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if b["geoA"].Datatype != rdf.WKTLiteral || b["geoB"].Datatype != rdf.WKTLiteral {
 			t.Errorf("non-WKT binding: %v", b)
 		}
@@ -210,7 +211,7 @@ func TestFigure1Architecture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := res.Bindings[0]["n"].Int(); n == 0 {
+	if n, _ := res.Binding(0)["n"].Int(); n == 0 {
 		t.Error("materialized store has no observations")
 	}
 

@@ -238,7 +238,8 @@ func TestClusterGoldenWorkflows(t *testing.T) {
 // canonPO canonicalizes ?p/?o rows of the routed subject lookup.
 func canonPO(res *sparql.Results) []string {
 	rows := make([]string, 0, len(res.Bindings))
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		rows = append(rows, b["p"].Key()+"|"+b["o"].Key())
 	}
 	sort.Strings(rows)

@@ -31,7 +31,8 @@ import (
 func canonical(t *testing.T, res *sparql.Results) []string {
 	t.Helper()
 	rows := make([]string, 0, len(res.Bindings))
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		lai, ok := b["lai"].Float()
 		if !ok {
 			t.Fatalf("non-numeric lai binding: %v", b["lai"])
@@ -382,7 +383,8 @@ func TestGoldenSpatialJoin(t *testing.T) {
 	pairs := func(t *testing.T, res *sparql.Results, va, vb string) []string {
 		t.Helper()
 		rows := make([]string, 0, len(res.Bindings))
-		for _, b := range res.Bindings {
+		for i := range res.Bindings {
+			b := res.Binding(i)
 			rows = append(rows, b[va].Value+"|"+b[vb].Value)
 		}
 		sort.Strings(rows)

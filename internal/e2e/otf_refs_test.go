@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 	"weak"
 
@@ -20,7 +21,10 @@ import (
 	"applab/internal/obda"
 	"applab/internal/opendap"
 	"applab/internal/rdf"
+	"applab/internal/rescache"
+	"applab/internal/segment"
 	"applab/internal/sparql"
+	"applab/internal/strabon"
 	"applab/internal/telemetry"
 )
 
@@ -37,13 +41,16 @@ func viewTermHandle(t *testing.T, vg *obda.VirtualGraph) weak.Pointer[rdf.Term] 
 	return weak.Make(refs[0].S)
 }
 
+// thingsQuery joins the contract data's two patterns.
+const thingsQuery = `SELECT ?s ?n WHERE { ?s a <` + contractNS + `Thing> . ?s <` + contractNS + `name> ?n }`
+
 // evalThings runs a two-pattern join over the view, whose steps fill
 // their ref buffers from it, and drops the answer.
 //
 //go:noinline
 func evalThings(t *testing.T, vg *obda.VirtualGraph) {
 	t.Helper()
-	res, err := sparql.Eval(vg, `SELECT ?s ?n WHERE { ?s a <`+contractNS+`Thing> . ?s <`+contractNS+`name> ?n }`)
+	res, err := sparql.Eval(vg, thingsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,4 +123,107 @@ func TestOnTheFlyOutageCountsScanError(t *testing.T) {
 		`sparql_scan_errors_total{path="context"}`:  0,
 		`sparql_scan_errors_total{path="exchange"}`: 0,
 	})
+}
+
+// firstTermHandle is a weak handle on the term a scan of rs meets
+// first, made where no strong reference outlives the call.
+//
+//go:noinline
+func firstTermHandle(t *testing.T, rs sparql.RefSource) weak.Pointer[rdf.Term] {
+	t.Helper()
+	return weak.Make(allRefs(t, rs)[0].S)
+}
+
+// cacheThings answers thingsQuery over src on a miss and fills the
+// cache with it, as the endpoint does.
+//
+//go:noinline
+func cacheThings(t *testing.T, c *rescache.Cache, src sparql.Source) {
+	t.Helper()
+	q, err := sparql.Parse(thingsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fill, st := c.Lookup(q, src)
+	if st != rescache.Miss {
+		t.Fatalf("first lookup: %v, want miss", st)
+	}
+	res, err := q.Eval(src)
+	if err != nil || len(res.Bindings) != 10 {
+		t.Fatalf("%d rows, %v; want 10", len(res.Bindings), err)
+	}
+	fill.Store(res)
+}
+
+// TestCachedAnswerPinsNoSource: the rows the engine returns point at
+// the terms where it found them, and the result cache detaches an
+// answer before keeping it. So while the entry stays resident, one GC
+// frees a view its source replaced and the run dictionaries a
+// compaction retired, and the entry still reads the answer it stored.
+func TestCachedAnswerPinsNoSource(t *testing.T) {
+	t.Run("replaced view", func(t *testing.T) {
+		db, table, mappings := thingsDB(t)
+		vg := obda.NewVirtualGraph(db, mappings)
+		old := firstTermHandle(t, vg)
+		c := rescache.New(8, 0)
+		cacheThings(t, c, vg)
+		bumpThings(db, table)
+		vg.Invalidate()
+		if _, err := vg.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		checkCachedThings(t, c, vg, old)
+	})
+	t.Run("compacted runs", func(t *testing.T) {
+		st, err := strabon.Open(t.TempDir(), segment.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		data := contractTriples()
+		st.AddAll(data)
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		old := firstTermHandle(t, st)
+		c := rescache.New(8, 0)
+		cacheThings(t, c, st)
+		for i := range data {
+			data[i].O = rdf.NewLiteral("rewritten")
+		}
+		st.AddAll(data)
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Engine().Compact(); err != nil {
+			t.Fatal(err)
+		}
+		checkCachedThings(t, c, st, old)
+	})
+}
+
+// checkCachedThings collects garbage once and checks that old is gone
+// while c still serves thingsQuery's first answer.
+func checkCachedThings(t *testing.T, c *rescache.Cache, src sparql.Source, old weak.Pointer[rdf.Term]) {
+	t.Helper()
+	runtime.GC()
+	if old.Value() != nil {
+		t.Fatal("a replaced term table survived a GC: the cached answer still points into it")
+	}
+	q, err := sparql.Parse(thingsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := c.LookupStale(q, src)
+	if !ok || len(res.Bindings) != 10 {
+		t.Fatalf("the cache lost the entry (%v)", ok)
+	}
+	var names []string
+	for i := range res.Bindings {
+		names = append(names, res.Binding(i)["n"].Value)
+	}
+	slices.Sort(names)
+	if want := []string{"n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8", "n9"}; !slices.Equal(names, want) {
+		t.Fatalf("the cached answer reads %v, stored %v", names, want)
+	}
 }

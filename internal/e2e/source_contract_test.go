@@ -231,7 +231,7 @@ func TestSourcesHandOutCallerOwnedSlices(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"rdf.Graph", "segment.Engine (disk)", "segment.Engine (mem)", "strabon.Store", "strabon.Store (disk)", "obda.VirtualGraph"} {
+	for _, name := range []string{"rdf.Graph", "segment.Engine (disk)", "segment.Engine (mem)", "strabon.Store", "strabon.Store (disk)", "obda.VirtualGraph", "obda.AdaptiveGraph"} {
 		if _, ok := sources[name].(sparql.RefSource); !ok {
 			t.Errorf("%s is not a sparql.RefSource", name)
 		}

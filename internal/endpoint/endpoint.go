@@ -296,9 +296,12 @@ func writeBudgetError(w http.ResponseWriter, be *admission.BudgetError) {
 // a value.
 func ResultsJSON(res *sparql.Results) map[string]any {
 	bindings := make([]map[string]any, len(res.Bindings))
-	for i, b := range res.Bindings {
+	for i, r := range res.Bindings {
 		row := map[string]any{}
-		for v, t := range b {
+		for j, t := range r {
+			if t == nil {
+				continue
+			}
 			cell := map[string]any{"value": t.Value}
 			switch {
 			case t.IsIRI():
@@ -314,7 +317,7 @@ func ResultsJSON(res *sparql.Results) map[string]any {
 					cell["xml:lang"] = t.Lang
 				}
 			}
-			row[v] = cell
+			row[res.Cols[j]] = cell
 		}
 		bindings[i] = row
 	}

@@ -146,7 +146,7 @@ SELECT ?n WHERE { ?s a ex:Thing ; ex:name ?n } ORDER BY ?n`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) != 2 || res.Bindings[0]["n"].Value != "Alpha" {
+	if len(res.Bindings) != 2 || res.Binding(0)["n"].Value != "Alpha" {
 		t.Fatalf("rows = %v", res.Bindings)
 	}
 }

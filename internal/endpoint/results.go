@@ -20,12 +20,7 @@ import (
 // differential and the fuzz target that pin the equivalence.
 type resultsEncoder struct {
 	buf   []byte
-	cells []cell // one row's bindings, sorted by variable name
-}
-
-type cell struct {
-	name string
-	term rdf.Term
+	order []int // the answer's column indexes, sorted by column name
 }
 
 var encoderPool = sync.Pool{New: func() any { return new(resultsEncoder) }}
@@ -72,22 +67,27 @@ func (e *resultsEncoder) encode(res *sparql.Results) {
 		b = append(b, ']')
 	}
 	b = append(b, `},"results":{"bindings":[`...)
+	e.order = e.order[:0]
+	for j := range res.Cols {
+		e.order = append(e.order, j)
+	}
+	slices.SortFunc(e.order, func(x, y int) int { return strings.Compare(res.Cols[x], res.Cols[y]) })
 	for i, row := range res.Bindings {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		e.cells = e.cells[:0]
-		for v, t := range row {
-			e.cells = append(e.cells, cell{v, t})
-		}
-		slices.SortFunc(e.cells, func(x, y cell) int { return strings.Compare(x.name, y.name) })
 		b = append(b, '{')
-		for j, c := range e.cells {
-			if j > 0 {
+		first := true
+		for _, j := range e.order {
+			if row[j] == nil {
+				continue
+			}
+			if !first {
 				b = append(b, ',')
 			}
-			b = appendJSONString(b, c.name)
-			b = appendCell(append(b, ':'), c.term)
+			first = false
+			b = appendJSONString(b, res.Cols[j])
+			b = appendCell(append(b, ':'), *row[j])
 		}
 		b = append(b, '}')
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"testing"
 
 	"applab/internal/rdf"
@@ -38,41 +39,49 @@ func TestResultsWriterMatchesEncodingJSON(t *testing.T) {
 		"ask true":  {Bool: true},
 		"ask false": {},
 		"empty select": {
-			Vars: []string{"s", "o"}, Bindings: []sparql.Binding{},
+			Vars: []string{"s", "o"}, Cols: []string{"s", "o"}, Bindings: []sparql.Row{},
 		},
 		"empty vars, nil bindings": {Vars: []string{}},
 		"every term kind": {
-			Vars: []string{"z", "a", "m"},
-			Bindings: []sparql.Binding{
+			Vars: []string{"z", "a", "m"}, Cols: []string{"z", "a", "m"},
+			Bindings: sparql.Table([]string{"z", "a", "m"}, []sparql.Binding{
 				{"z": rdf.NewIRI("http://ex.org/<x>&y"), "a": rdf.NewBlank("b0"), "m": rdf.NewLiteral("plain")},
 				{"a": rdf.NewLangLiteral("bonjour", "fr"), "m": rdf.NewTypedLiteral("4", rdf.XSDInteger)},
 				{"z": rdf.NewTypedLiteral("s", rdf.XSDString), "m": rdf.NewTypedLiteral("no datatype", "")},
 				{}, // every cell unbound
 				{"a": rdf.NewWKT("POLYGON ((0 0, 1 0, 1 1, 0 0))")},
-			},
+			}),
 		},
 		"escaping everywhere": {
-			Vars: []string{nasty, "v"},
-			Bindings: []sparql.Binding{{
+			Vars: []string{nasty, "v"}, Cols: []string{nasty, "v"},
+			Bindings: sparql.Table([]string{nasty, "v"}, []sparql.Binding{{
 				nasty: rdf.NewIRI(nasty),
 				"v":   {Kind: rdf.KindLiteral, Value: nasty, Datatype: nasty, Lang: nasty},
 			}, {
 				"v": rdf.NewBlank(nasty),
-			}},
+			}}),
 		},
 		"select * carries non-projected vars": {
-			Vars: []string{"s"},
-			Bindings: []sparql.Binding{
+			Vars: []string{"s"}, Cols: []string{"s", "bound_by_bind", "S"},
+			Bindings: sparql.Table([]string{"s", "bound_by_bind", "S"}, []sparql.Binding{
 				{"s": rdf.NewIRI("http://ex.org/s"), "bound_by_bind": rdf.NewInteger(7), "S": rdf.NewLiteral("upper sorts first")},
-			},
+				{"S": rdf.NewLiteral("s unbound")},
+			}),
+		},
+		"duplicated projection": {
+			Vars: []string{"s", "s", "o"}, Cols: []string{"s", "o"},
+			Bindings: sparql.Table([]string{"s", "o"}, []sparql.Binding{
+				{"s": rdf.NewIRI("http://ex.org/s"), "o": rdf.NewInteger(1)},
+				{"o": rdf.NewInteger(2)},
+			}),
 		},
 		"lang and datatype on non-literals are not rendered": {
-			Vars: []string{"x"},
-			Bindings: []sparql.Binding{
+			Vars: []string{"x"}, Cols: []string{"x"},
+			Bindings: sparql.Table([]string{"x"}, []sparql.Binding{
 				{"x": {Kind: rdf.KindIRI, Value: "v", Datatype: "d", Lang: "l"}},
 				{"x": {Kind: rdf.KindBlank, Value: "v", Datatype: "d", Lang: "l"}},
 				{"x": {Kind: 7, Value: "unknown kinds render as literals", Datatype: "d", Lang: "l"}},
-			},
+			}),
 		},
 		"construct": {Graph: []rdf.Triple{rdf.NewTriple(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewIRI("o"))}},
 	}
@@ -99,6 +108,8 @@ func TestHandlerBodyIsReferenceEncoding(t *testing.T) {
 	for _, q := range []string{
 		`SELECT ?s ?l WHERE { ?s <http://ex.org/label> ?l } ORDER BY ?s`,
 		`SELECT * WHERE { ?s <http://ex.org/n> ?n . BIND(?n + 1 AS ?m) } ORDER BY ?n`,
+		`SELECT * WHERE { ?s <http://ex.org/n> ?n . VALUES ?k { 1 2 } OPTIONAL { ?s <http://ex.org/label> ?l FILTER(?n < 2) } }`,
+		`SELECT ?s ?s ?n WHERE { ?s <http://ex.org/n> ?n } ORDER BY ?n`,
 		`SELECT (COUNT(*) AS ?c) WHERE { ?s ?p ?o }`,
 		`ASK { ?s <http://ex.org/n> 3 }`,
 		`SELECT ?s WHERE { ?s <http://ex.org/none> ?o }`,
@@ -154,16 +165,29 @@ func TestEncodeStageClosedBeforeFirstByte(t *testing.T) {
 	}
 }
 
+// FuzzResultsWriter encodes tables shaped like the engine's: a
+// projection that repeats v1 (one column), a SELECT * column the head
+// does not list, and unbound cells.
 func FuzzResultsWriter(f *testing.F) {
 	f.Add("s", "http://ex.org/<&>", uint8(0), "", "", "o", "caf\xc3\xa9 \u2028 \xff", uint8(1), rdf.XSDString, "en", true)
 	f.Add("", "", uint8(2), "d", "l", "", "\x00\"\\", uint8(9), "", "", false)
+	f.Add("bound_by_bind", "x", uint8(1), "", "", "bound_by_bind", "y", uint8(2), "", "", false)
 	f.Fuzz(func(t *testing.T, v1, val1 string, k1 uint8, dt1, l1, v2, val2 string, k2 uint8, dt2, l2 string, ask bool) {
 		t1 := rdf.Term{Kind: rdf.TermKind(k1), Value: val1, Datatype: dt1, Lang: l1}
 		t2 := rdf.Term{Kind: rdf.TermKind(k2), Value: val2, Datatype: dt2, Lang: l2}
+		var cols []string
+		for _, v := range []string{v1, v2, "bound_by_bind"} {
+			if !slices.Contains(cols, v) {
+				cols = append(cols, v)
+			}
+		}
 		res := &sparql.Results{
-			Bool:     ask,
-			Vars:     []string{v1, v2},
-			Bindings: []sparql.Binding{{v1: t1, v2: t2}, {v2: t1}, {}},
+			Bool: ask,
+			Vars: []string{v1, v2, v1},
+			Cols: cols,
+			Bindings: sparql.Table(cols, []sparql.Binding{
+				{v1: t1, v2: t2, "bound_by_bind": t1}, {v2: t1}, {"bound_by_bind": t2}, {},
+			}),
 		}
 		if got, want := encoded(res), reference(t, res); !bytes.Equal(got, want) {
 			t.Fatalf("got %q\nwant %q", got, want)
@@ -172,15 +196,16 @@ func FuzzResultsWriter(f *testing.F) {
 }
 
 func thousandRows() *sparql.Results {
-	res := &sparql.Results{Vars: []string{"s", "wkt", "lai"}}
-	for i := 0; i < 1000; i++ {
-		res.Bindings = append(res.Bindings, sparql.Binding{
+	cols := []string{"s", "wkt", "lai"}
+	rows := make([]sparql.Binding, 1000)
+	for i := range rows {
+		rows[i] = sparql.Binding{
 			"s":   rdf.NewIRI(fmt.Sprintf("http://ex.org/obs/%d", i)),
 			"wkt": rdf.NewWKT(fmt.Sprintf("POINT (2.%d 48.%d)", i, i)),
 			"lai": rdf.NewTypedLiteral("3.25", rdf.XSDDouble),
-		})
+		}
 	}
-	return res
+	return &sparql.Results{Vars: cols, Cols: cols, Bindings: sparql.Table(cols, rows)}
 }
 
 // TestResultsWriterAllocations is the allocation ceiling ci.sh names:

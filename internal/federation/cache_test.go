@@ -30,7 +30,7 @@ func TestFederatedQueryCacheCollapse(t *testing.T) {
 		if qr.Cached != wantCached {
 			t.Fatalf("%s: Cached = %v, want %v", label, qr.Cached, wantCached)
 		}
-		n, _ := res.Bindings[0]["n"].Int()
+		n, _ := res.Binding(0)["n"].Int()
 		if n != want {
 			t.Fatalf("%s: count = %d, want %d", label, n, want)
 		}
@@ -85,7 +85,7 @@ func TestFederatedPartialNeverCached(t *testing.T) {
 		if qr.Cached {
 			t.Fatalf("run %d: partial answer served from cache", i)
 		}
-		if n, _ := res.Bindings[0]["n"].Int(); n != 12 {
+		if n, _ := res.Binding(0)["n"].Int(); n != 12 {
 			t.Fatalf("run %d: partial count = %d, want 12 (gadm only)", i, n)
 		}
 	}

@@ -30,7 +30,7 @@ func TestFederatedUnionQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := res.Bindings[0]["n"].Int()
+	n, _ := res.Binding(0)["n"].Int()
 	if int(n) != 12+20 {
 		t.Fatalf("federated count = %d, want 32", n)
 	}
@@ -56,7 +56,8 @@ SELECT ?park ?area WHERE {
 		t.Fatal("cross-endpoint spatial join found nothing")
 	}
 	// Sanity: every binding pairs an OSM IRI with a GADM IRI.
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if b["park"].Value[:len(rdf.NSOSM)] != rdf.NSOSM {
 			t.Errorf("park from wrong endpoint: %v", b["park"])
 		}
@@ -161,7 +162,8 @@ SELECT ?name WHERE {
 	if len(res.Bindings) == 0 {
 		t.Fatal("HTTP federation found no Bois de Boulogne intersections")
 	}
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if b["name"].Value != "Bois de Boulogne" {
 			t.Errorf("unexpected name %v", b["name"])
 		}
@@ -179,7 +181,7 @@ func TestAddMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := res.Bindings[0]["n"].Int(); n != 20 {
+	if n, _ := res.Binding(0)["n"].Int(); n != 20 {
 		t.Fatalf("count after AddMember = %d", n)
 	}
 }

@@ -74,7 +74,7 @@ func TestConcurrentFederatedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := res.Bindings[0]["n"].Int()
+	n, _ := res.Binding(0)["n"].Int()
 	if int(n) != 12+20+15 {
 		t.Fatalf("geometry count after stress = %d, want 47", n)
 	}

@@ -137,7 +137,7 @@ func TestQueryPartialAnswersWithHungMember(t *testing.T) {
 	if got.err != nil {
 		t.Fatal(got.err)
 	}
-	n, _ := got.res.Bindings[0]["n"].Int()
+	n, _ := got.res.Binding(0)["n"].Int()
 	if int(n) != 12+20 {
 		t.Fatalf("partial count = %d, want 32", n)
 	}

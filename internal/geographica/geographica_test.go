@@ -32,7 +32,8 @@ func sources(t testing.TB, w *Workload) (*strabon.Store, *obda.VirtualGraph) {
 // rows renders results order-independently, one line per binding.
 func rows(res *sparql.Results) string {
 	out := make([]string, len(res.Bindings))
-	for i, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		var row []string
 		for _, v := range res.Vars {
 			row = append(row, v+"="+b[v].String())
@@ -100,9 +101,9 @@ func count(t *testing.T, res *sparql.Results) int64 {
 	if len(res.Bindings) != 1 {
 		t.Fatalf("%d rows, want 1", len(res.Bindings))
 	}
-	n, ok := res.Bindings[0]["n"].Int()
+	n, ok := res.Binding(0)["n"].Int()
 	if !ok {
-		t.Fatalf("?n = %v", res.Bindings[0]["n"])
+		t.Fatalf("?n = %v", res.Binding(0)["n"])
 	}
 	return n
 }
@@ -141,7 +142,7 @@ func TestSystemsAgreeOnAggregate(t *testing.T) {
 			continue
 		}
 		res := agree(t, st, vg, q.ID, q.SPARQL)
-		if total, _ := res.Bindings[0]["total"].Float(); total == 0 {
+		if total, _ := res.Binding(0)["total"].Float(); total == 0 {
 			t.Errorf("%s: no area aggregated", q.ID)
 		}
 	}
@@ -223,7 +224,8 @@ func TestNearest(t *testing.T) {
 						t.Fatal(err)
 					}
 					var got []string
-					for _, b := range res.Bindings {
+					for r := range res.Bindings {
+						b := res.Binding(r)
 						got = append(got, b["f"].Value)
 					}
 					if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -53,7 +53,8 @@ SELECT DISTINCT ?lai WHERE {
 		t.Fatalf("rows = %v", res.Bindings)
 	}
 	vals := map[string]bool{}
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		vals[b["lai"].Value] = true
 	}
 	if !vals["3.5"] || !vals["6.1"] || vals["0.8"] {
@@ -100,7 +101,7 @@ WHERE {}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := res.Bindings[0]
+	b := res.Binding(0)
 	if d, _ := b["d"].Float(); d != 5 {
 		t.Errorf("distance = %v", b["d"])
 	}
@@ -116,7 +117,7 @@ WHERE {}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b = res.Bindings[0]
+	b = res.Binding(0)
 	for _, v := range []string{"e", "h", "b"} {
 		if b[v].Datatype != rdf.WKTLiteral {
 			t.Errorf("%s datatype = %s", v, b[v].Datatype)
@@ -288,8 +289,8 @@ WHERE {}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, _ := res.Bindings[0]["a"].Float(); a != 25 {
-		t.Errorf("intersection area = %v, want 25", res.Bindings[0]["a"])
+	if a, _ := res.Binding(0)["a"].Float(); a != 25 {
+		t.Errorf("intersection area = %v, want 25", res.Binding(0)["a"])
 	}
 	// Line clipped to a viewport (the map-browsing use).
 	res, err = sparql.Eval(g, `
@@ -300,7 +301,7 @@ WHERE {}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clipped, err := geosparql.ParseGeometryTerm(res.Bindings[0]["l"])
+	clipped, err := geosparql.ParseGeometryTerm(res.Binding(0)["l"])
 	if err != nil {
 		t.Fatal(err)
 	}

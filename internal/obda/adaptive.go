@@ -166,6 +166,16 @@ func (ag *AdaptiveGraph) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]
 	return ag.vg.MatchContext(ctx, s, p, o)
 }
 
+// AppendRefs implements sparql.RefSource over whichever of the local
+// copy and the virtual graph is serving; both hand out refs into term
+// tables that are never written again.
+func (ag *AdaptiveGraph) AppendRefs(ctx context.Context, dst []rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error) {
+	if st := ag.serving(); st != nil {
+		return st.AppendRefs(ctx, dst, s, p, o)
+	}
+	return ag.vg.AppendRefs(ctx, dst, s, p, o)
+}
+
 // Invalidate lets the endpoint's per-evaluation refresh hook reach the
 // wrapped virtual graph: while virtual, the snapshot is dropped so the
 // next evaluation re-executes mapping sources (the adapter's windows

@@ -17,7 +17,8 @@ SELECT ?s ?lai WHERE { ?s lai:lai ?lai }`
 
 func canonRows(res *sparql.Results) []string {
 	var rows []string
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		keys := make([]string, 0, len(b))
 		for k := range b {
 			keys = append(keys, k)
@@ -78,6 +79,16 @@ func TestAdaptivePromotionCollapsesUpstreamCalls(t *testing.T) {
 			t.Fatalf("local answer differs from virtual answer")
 		}
 	}
+	// The engine scans the graph itself (as a served stack does) by
+	// reference, from the local copy.
+	var _ sparql.RefSource = ag
+	res, err := sparql.Eval(ag, adaptiveQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(canonRows(res)) != fmt.Sprint(canonRows(res1)) {
+		t.Fatalf("engine answer over the promoted graph differs from the virtual answer")
+	}
 	if got := adapter.PhysicalCalls(); got != calls {
 		t.Fatalf("promoted serving hit upstream: %d -> %d", calls, got)
 	}
@@ -126,7 +137,8 @@ func TestAdaptiveDemotionOnUpstreamChange(t *testing.T) {
 		t.Fatalf("demoted query did not refetch upstream")
 	}
 	// The fresh answer reflects the new upstream content (all cells 9.0).
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if f, ok := b["lai"].Float(); !ok || f != 9.0 {
 			t.Fatalf("post-demotion answer is stale: %v", b["lai"])
 		}
@@ -141,7 +153,8 @@ func TestAdaptiveDemotionOnUpstreamChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range local.Bindings {
+	for i := range local.Bindings {
+		b := local.Binding(i)
 		if f, _ := b["lai"].Float(); f != 9.0 {
 			t.Fatalf("re-promoted copy is stale: %v", b["lai"])
 		}

@@ -53,7 +53,7 @@ source		SELECT gid, name, wkt FROM admin
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := res.Bindings[0]["n"].Int(); n != 2 {
+	if n, _ := res.Binding(0)["n"].Int(); n != 2 {
 		t.Fatalf("parks = %d", n)
 	}
 
@@ -69,7 +69,7 @@ SELECT ?pn WHERE {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) != 1 || res.Bindings[0]["pn"].Value != "Bois de Boulogne" {
+	if len(res.Bindings) != 1 || res.Binding(0)["pn"].Value != "Bois de Boulogne" {
 		t.Fatalf("rows = %v", res.Bindings)
 	}
 }

@@ -178,7 +178,8 @@ WHERE { ?s lai:lai ?lai .
 	if len(res.Bindings) != 13 {
 		t.Fatalf("rows = %d", len(res.Bindings))
 	}
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if b["wkt"].Datatype != rdf.WKTLiteral {
 			t.Errorf("wkt datatype = %s", b["wkt"].Datatype)
 		}
@@ -191,7 +192,7 @@ WHERE { ?s lai:lai ?lai .
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := res.Bindings[0]["n"].Int(); n != 13 {
+	if n, _ := res.Binding(0)["n"].Int(); n != 13 {
 		t.Errorf("observation count = %v", n)
 	}
 }

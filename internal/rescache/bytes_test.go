@@ -34,9 +34,9 @@ func TestEncodedSize(t *testing.T) {
 	if EncodedSize(nil) != 0 {
 		t.Fatal("nil result has nonzero size")
 	}
-	small := &sparql.Results{Vars: []string{"o"}}
-	big := &sparql.Results{Vars: []string{"o"}}
-	big.Bindings = []sparql.Binding{{"o": triple("a", "b", strings.Repeat("x", 1000)).O}}
+	small := &sparql.Results{Vars: []string{"o"}, Cols: []string{"o"}}
+	big := &sparql.Results{Vars: []string{"o"}, Cols: []string{"o"}}
+	big.Bindings = sparql.Table(big.Cols, []sparql.Binding{{"o": triple("a", "b", strings.Repeat("x", 1000)).O}})
 	if EncodedSize(big) <= EncodedSize(small)+1000 {
 		t.Fatalf("cost not payload-proportional: big=%d small=%d", EncodedSize(big), EncodedSize(small))
 	}

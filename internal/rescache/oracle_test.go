@@ -52,7 +52,8 @@ func canon(res *sparql.Results) string {
 		return "<nil>"
 	}
 	rows := make([]string, len(res.Bindings))
-	for i, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		var row []string
 		for _, v := range res.Vars {
 			if tm, ok := b[v]; ok {

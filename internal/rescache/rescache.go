@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"applab/internal/rdf"
 	"applab/internal/sparql"
 	"applab/internal/telemetry"
 )
@@ -225,10 +226,12 @@ func EncodedSize(res *sparql.Results) int64 {
 	for _, v := range res.Vars {
 		n += int64(len(v)) + cellOverhead
 	}
-	for _, b := range res.Bindings {
+	for _, r := range res.Bindings {
 		n += rowOverhead
-		for v, t := range b {
-			n += int64(len(v)+len(t.Value)+len(t.Datatype)+len(t.Lang)) + cellOverhead
+		for j, t := range r {
+			if t != nil {
+				n += int64(len(res.Cols[j])+len(t.Value)+len(t.Datatype)+len(t.Lang)) + cellOverhead
+			}
 		}
 	}
 	for _, t := range res.Graph {
@@ -332,13 +335,15 @@ func (c *Cache) validLocked(e *entry, src sparql.Source) bool {
 	return c.Now().Sub(e.filledAt) < ttl
 }
 
-// Store records res for the looked-up key. Concurrent fills of the same
-// key are last-write-wins; both results are correct answers for their
-// respective epochs, and validation re-checks on every hit.
+// Store detaches res (see detach) and records it for the looked-up key.
+// Concurrent fills of the same key are last-write-wins; both results are
+// correct answers for their respective epochs, and validation re-checks
+// on every hit.
 func (f Fill) Store(res *sparql.Results) {
 	if f.c == nil || res == nil {
 		return
 	}
+	detach(res)
 	e := &entry{res: res, epoch: f.epoch, hasEpoch: f.has, filledAt: f.c.Now(), cost: EncodedSize(res)}
 	if f.eval {
 		if ep, ok := f.src.(Epocher); ok {
@@ -362,6 +367,22 @@ func (f Fill) Store(res *sparql.Results) {
 	c.noteFill()
 	c.setEntries(n)
 	c.setBytes(bytes)
+}
+
+// detach points every cell of res at a copy of its term in one block
+// res owns. The engine's rows point where it found each term — a run's
+// dictionary, a view's term table — and an entry may outlive both, so a
+// cached answer copies its terms rather than pinning their stores.
+func detach(res *sparql.Results) {
+	terms := make([]rdf.Term, 0, len(res.Bindings)*len(res.Cols))
+	for _, r := range res.Bindings {
+		for j, t := range r {
+			if t != nil {
+				terms = append(terms, *t)
+				r[j] = &terms[len(terms)-1]
+			}
+		}
+	}
 }
 
 // Len reports the number of resident entries.

@@ -76,7 +76,8 @@ func (m *Map) AddLayer(name string, style Style) *Layer {
 func (m *Map) LayerFromResults(name string, style Style, res *sparql.Results,
 	wktVar, valueVar, timeVar string) (*Layer, error) {
 	l := m.AddLayer(name, style)
-	for i, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		wkt, ok := b[wktVar]
 		if !ok {
 			continue

@@ -100,8 +100,8 @@ func TestLayerFromResults(t *testing.T) {
 }
 
 func TestLayerFromResultsBadWKT(t *testing.T) {
-	res := &sparql.Results{Vars: []string{"wkt"},
-		Bindings: []sparql.Binding{{"wkt": rdf.NewWKT("JUNK")}}}
+	res := &sparql.Results{Vars: []string{"wkt"}, Cols: []string{"wkt"},
+		Bindings: sparql.Table([]string{"wkt"}, []sparql.Binding{{"wkt": rdf.NewWKT("JUNK")}})}
 	m := NewMap("x")
 	if _, err := m.LayerFromResults("l", DefaultStyle, res, "wkt", "", ""); err == nil {
 		t.Error("bad WKT must error")

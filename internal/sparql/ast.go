@@ -147,13 +147,19 @@ func (Bind) isElement()     {}
 func (Values) isElement()   {}
 
 // Vars returns the variables mentioned in the pattern, in first-seen order.
-func (g *Group) Vars() []string {
+func (g *Group) Vars() []string { return g.vars(false) }
+
+// vars returns Vars, or with inScope also the variables BIND and VALUES
+// bind: every variable in scope after the group (SPARQL 1.1 §18.2.1).
+func (g *Group) vars(inScope bool) []string {
 	seen := map[string]bool{}
 	var out []string
-	add := func(v string) {
-		if v != "" && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
+	add := func(vs ...string) {
+		for _, v := range vs {
+			if v != "" && !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
 		}
 	}
 	var walk func(g *Group)
@@ -162,9 +168,7 @@ func (g *Group) Vars() []string {
 			switch e := el.(type) {
 			case BGP:
 				for _, tp := range e.Patterns {
-					add(tp.S.Var)
-					add(tp.P.Var)
-					add(tp.O.Var)
+					add(tp.S.Var, tp.P.Var, tp.O.Var)
 				}
 			case Optional:
 				walk(e.Group)
@@ -174,6 +178,14 @@ func (g *Group) Vars() []string {
 				}
 			case SubGroup:
 				walk(e.Group)
+			case Bind:
+				if inScope {
+					add(e.Var)
+				}
+			case Values:
+				if inScope {
+					add(e.Vars...)
+				}
 			}
 		}
 	}

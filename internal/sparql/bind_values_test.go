@@ -14,8 +14,8 @@ SELECT ?name ?double WHERE {
 	if len(res.Bindings) != 3 {
 		t.Fatalf("rows = %v", res.Bindings)
 	}
-	if v, _ := res.Bindings[0]["double"].Float(); v != 50 {
-		t.Errorf("first double = %v", res.Bindings[0]["double"])
+	if v, _ := res.Binding(0)["double"].Float(); v != 50 {
+		t.Errorf("first double = %v", res.Binding(0)["double"])
 	}
 	// BIND usable in later filters.
 	res = evalQ(t, g, `PREFIX ex: <http://ex.org/>
@@ -36,7 +36,8 @@ SELECT ?name ?x WHERE {
 	if len(res.Bindings) != 4 {
 		t.Fatalf("error-bind rows = %v", res.Bindings)
 	}
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if _, ok := b["x"]; ok {
 			t.Error("?x must be unbound on expression error")
 		}
@@ -51,7 +52,7 @@ SELECT ?up WHERE {
   BIND(UCASE(?name) AS ?up)
   FILTER(?up = "ALICE")
 }`)
-	if len(res.Bindings) != 1 || res.Bindings[0]["up"].Value != "ALICE" {
+	if len(res.Bindings) != 1 || res.Binding(0)["up"].Value != "ALICE" {
 		t.Fatalf("rows = %v", res.Bindings)
 	}
 }
@@ -138,7 +139,7 @@ SELECT ?name WHERE {
   ?p a ex:Person ; ex:name ?name .
   FILTER NOT EXISTS { ?p ex:knows ?someone }
 }`)
-	if len(res.Bindings) != 1 || res.Bindings[0]["name"].Value != "Carol" {
+	if len(res.Bindings) != 1 || res.Binding(0)["name"].Value != "Carol" {
 		t.Fatalf("NOT EXISTS rows = %v", res.Bindings)
 	}
 	// EXISTS correlates with outer bindings (uses ?p).
@@ -149,7 +150,8 @@ SELECT ?name WHERE {
 }`)
 	// Alice (Paris) knows bob+carol; carol also known by bob (Athens).
 	names := map[string]bool{}
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		names[b["name"].Value] = true
 	}
 	if !names["Bob"] || !names["Carol"] || names["Alice"] {

@@ -104,7 +104,8 @@ func TestConstGeometryMatchesSeed(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: seed: %v", query, err)
 					}
-					for _, b := range seed.Bindings {
+					for i := range seed.Bindings {
+						b := seed.Binding(i)
 						if _, ok := b["v"]; ui == 0 {
 							kept++
 						} else if ok {

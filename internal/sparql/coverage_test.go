@@ -110,7 +110,7 @@ func TestBuiltinFunctionsCoverage(t *testing.T) {
 	g.Add(rdf.NewTriple(rdf.NewIRI("s"), rdf.NewIRI("p"),
 		rdf.NewTypedLiteral("2018-06-15T12:00:00Z", rdf.XSDDateTime)))
 	res := evalQ(t, g, `SELECT (YEAR(?o) AS ?y) (MONTH(?o) AS ?m) WHERE { ?s ?p ?o }`)
-	b := res.Bindings[0]
+	b := res.Binding(0)
 	if y, _ := b["y"].Int(); y != 2018 {
 		t.Errorf("YEAR = %v", b["y"])
 	}
@@ -120,7 +120,7 @@ func TestBuiltinFunctionsCoverage(t *testing.T) {
 	g2 := rdf.NewGraph()
 	g2.Add(rdf.NewTriple(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewInteger(-42)))
 	res = evalQ(t, g2, `SELECT (ABS(?o) AS ?a) (STRLEN(STR(?o)) AS ?l) WHERE { ?s ?p ?o }`)
-	b = res.Bindings[0]
+	b = res.Binding(0)
 	if a, _ := b["a"].Int(); a != 42 {
 		t.Errorf("ABS = %v", b["a"])
 	}

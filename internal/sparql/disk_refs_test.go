@@ -138,16 +138,16 @@ func TestCompiledEngineMatchesSeedOverDiskStore(t *testing.T) {
 // TestDiskScanAllocations is the allocation guard ci.sh names for scans
 // over runs: Engine_BGPJoin's query over a disk store with two runs and
 // a memtable tail. Its scans hand the engine 24-byte refs into the run
-// dictionaries (1.4 MB per evaluation, most of it the memtable's own
-// copies and the result's Binding maps); materializing a 216-byte triple
-// per match instead costs 2.6 MB and trips the byte ceiling. Each
-// nested-loop step appends its refs to one buffer it reuses for every
-// row (3,800 allocations per evaluation, the ceiling 9 % above); a
-// fresh ref slice per scan costs 7,550 and trips the allocation ceiling.
+// dictionaries (607 KB per evaluation, the ceiling 15 % above);
+// materializing a 216-byte triple per match instead costs 1.7 MB and
+// trips the byte ceiling. Each nested-loop step appends its refs to one
+// buffer it reuses for every row (1,306 allocations per evaluation, the
+// ceiling 11 % above); a fresh ref slice per scan costs 5,057 and trips
+// the allocation ceiling.
 func TestDiskScanAllocations(t *testing.T) {
 	const (
-		ceiling      = 2_000_000
-		allocCeiling = 4_150
+		ceiling      = 700_000
+		allocCeiling = 1_450
 	)
 	data := sparql.EquivGraph(sparql.BenchSubjects).Triples()
 	st, err := strabon.Open(t.TempDir(), segment.Options{FlushEvery: -1, CompactAt: -1})
@@ -217,7 +217,7 @@ func TestGraphScanAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Bindings[0]["c"].Value; got != fmt.Sprint(n) {
+		if got := res.Binding(0)["c"].Value; got != fmt.Sprint(n) {
 			t.Fatalf("COUNT = %s at %d subjects, want %d", got, n, n)
 		}
 		if reg.Snapshot().Counters[nested] == before {

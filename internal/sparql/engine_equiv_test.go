@@ -136,6 +136,52 @@ SELECT * WHERE { ?s ex:age 33 . BIND(STR(?s) AS ?str) VALUES ?v { 1 2 } }`,
 CONSTRUCT { ?s ex:peer _:link . _:link ex:to ?o ; ex:via ?c } WHERE { ?s ex:knows ?o . ?s ex:city ?c . OPTIONAL { ?o ex:age ?a . FILTER(?a > 65) } FILTER(BOUND(?a)) }`,
 	`PREFIX ex: <http://ex.org/>
 CONSTRUCT { ?s ex:label ?n . ?s ex:missing ?never } WHERE { ?s ex:name ?n . ?s ex:age 20 }`,
+
+	// A repeated projection is one column, and nothing unprojected
+	// leaves either evaluator.
+	`PREFIX ex: <http://ex.org/>
+SELECT ?s ?s WHERE { ?s ex:knows ?o }`,
+	`PREFIX ex: <http://ex.org/>
+SELECT DISTINCT ?s ?a ?s WHERE { ?s ex:age ?a . FILTER(?a < 22) } ORDER BY ?a ?s`,
+}
+
+// TestSelectAliasInScope: SELECT (expr AS ?v) may not name a variable
+// already in scope (SPARQL 1.1 §18.2.1), where the engine would
+// overwrite it and the seed evaluator would keep both; BIND keeps its
+// join semantics, and FILTER and EXISTS bind nothing.
+func TestSelectAliasInScope(t *testing.T) {
+	g := loopedGraph(20)
+	for _, q := range []string{
+		`SELECT ?s (?o AS ?s) WHERE { ?s <http://ex.org/knows> ?o }`,
+		`SELECT (?o AS ?b) WHERE { ?s <http://ex.org/knows> ?o . BIND(1 AS ?b) }`,
+		`SELECT (1 AS ?v) WHERE { ?s <http://ex.org/knows> ?o . VALUES ?v { 1 } }`,
+		`SELECT (1 AS ?o) WHERE { ?s <http://ex.org/knows> ?p . OPTIONAL { ?p <http://ex.org/name> ?o } }`,
+		`SELECT ?x (1 AS ?x) WHERE { ?s <http://ex.org/knows> ?o }`,
+		`SELECT (1 AS ?x) (2 AS ?x) WHERE { ?s <http://ex.org/knows> ?o }`,
+		`SELECT (COUNT(*) AS ?s) WHERE { ?s <http://ex.org/knows> ?o }`,
+	} {
+		if _, err := Parse(q); err == nil || !strings.Contains(err.Error(), "already in scope") {
+			t.Errorf("%s: parse error %v, want an in-scope error", q, err)
+		}
+	}
+	for _, q := range []string{
+		`SELECT (?o AS ?t) ?t WHERE { ?s <http://ex.org/knows> ?o }`,
+		`SELECT ?s ?o WHERE { ?s <http://ex.org/knows> ?o . BIND(?s AS ?o) }`,
+		`SELECT ?s (1 AS ?z) WHERE { ?s <http://ex.org/knows> ?o FILTER(!BOUND(?z)) FILTER EXISTS { ?s <http://ex.org/name> ?y } } ORDER BY ?s`,
+		`SELECT ?s (STR(?y) AS ?y2) WHERE { ?s <http://ex.org/name> ?y }`,
+	} {
+		seed, err := EvalSeed(g, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		got, err := Eval(g, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(got.Bindings) == 0 || rowsKey(got) != rowsKey(seed) {
+			t.Errorf("%s: engine %d rows, seed %d rows, or they differ", q, len(got.Bindings), len(seed.Bindings))
+		}
+	}
 }
 
 // resultsKey canonicalizes any result kind (rows as a sorted multiset,
@@ -158,7 +204,8 @@ func resultsKey(res *Results) string {
 // orderedKey renders rows in result order for exact comparisons.
 func orderedKey(res *Results) string {
 	var sb strings.Builder
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		vars := make([]string, 0, len(b))
 		for v := range b {
 			vars = append(vars, v)

@@ -46,7 +46,8 @@ SELECT ?n ?fn WHERE {
 	}
 	// Alice's first friend (bob) must carry a name binding.
 	found := false
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if b["n"].Value == "Alice" {
 			if fn, ok := b["fn"]; ok && fn.Value == "Bob" {
 				found = true
@@ -90,7 +91,8 @@ func TestOrderByMultipleKeys(t *testing.T) {
 	add("d", 2, 0)
 	res := evalQ(t, g, `SELECT ?s WHERE { ?s <http://g> ?g ; <http://r> ?r } ORDER BY ?g DESC(?r)`)
 	want := []string{"b", "c", "a", "d"}
-	for i, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if b["s"].Value != want[i] {
 			t.Fatalf("order = %v, want %v", res.Bindings, want)
 		}
@@ -120,7 +122,7 @@ func TestMinMaxOverDates(t *testing.T) {
 			rdf.NewTypedLiteral(d, rdf.XSDDate)))
 	}
 	res := evalQ(t, g, `SELECT (MIN(?d) AS ?min) (MAX(?d) AS ?max) WHERE { ?e <http://when> ?d }`)
-	b := res.Bindings[0]
+	b := res.Binding(0)
 	if b["min"].Value != "2018-01-01" || b["max"].Value != "2018-12-01" {
 		t.Errorf("min/max = %v / %v", b["min"], b["max"])
 	}
@@ -130,7 +132,7 @@ func TestCaseInsensitiveKeywords(t *testing.T) {
 	g := testGraph(t)
 	res := evalQ(t, g, `prefix ex: <http://ex.org/>
 select distinct ?city where { ?p ex:city ?city } order by ?city limit 10`)
-	if len(res.Bindings) != 2 || res.Bindings[0]["city"].Value != "Athens" {
+	if len(res.Bindings) != 2 || res.Binding(0)["city"].Value != "Athens" {
 		t.Fatalf("rows = %v", res.Bindings)
 	}
 }
@@ -162,7 +164,7 @@ func TestArithmetic(t *testing.T) {
 	g.Add(rdf.NewTriple(rdf.NewIRI("x"), rdf.NewIRI("http://v"), rdf.NewInteger(10)))
 	res := evalQ(t, g, `SELECT (?v + 5 AS ?a) (?v - 3 AS ?b) (?v * 2 AS ?c) (?v / 4 AS ?d) (-?v AS ?e)
 WHERE { ?x <http://v> ?v }`)
-	b := res.Bindings[0]
+	b := res.Binding(0)
 	checks := map[string]float64{"a": 15, "b": 7, "c": 20, "d": 2.5, "e": -10}
 	for k, want := range checks {
 		if f, _ := b[k].Float(); f != want {
@@ -178,7 +180,7 @@ WHERE { ?x <http://v> ?v }`)
 	}
 	// Division by zero is an expression error (unbound alias).
 	res = evalQ(t, g, `SELECT (?v / 0 AS ?bad) WHERE { ?x <http://v> ?v }`)
-	if _, ok := res.Bindings[0]["bad"]; ok {
+	if _, ok := res.Binding(0)["bad"]; ok {
 		t.Error("division by zero must leave the alias unbound")
 	}
 }
@@ -203,5 +205,34 @@ func TestModifierProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// nameLength is an Expr the compiler does not know: the engine hands it
+// the row as a map binding.
+type nameLength struct{}
+
+func (nameLength) Eval(b Binding) (rdf.Term, error) {
+	n, ok := b["n"]
+	if !ok || len(b) != 2 {
+		return rdf.Term{}, errUnbound
+	}
+	return rdf.NewInteger(int64(len(n.Value))), nil
+}
+
+func (nameLength) String() string { return "nameLength" }
+
+func TestForeignExprSeesRowAsBinding(t *testing.T) {
+	q := MustParse(`SELECT ?s ?len WHERE { ?s <http://ex.org/name> ?n }`)
+	q.Projection[1].Expr = nameLength{}
+	res, err := q.Eval(testGraph(t))
+	if err != nil || len(res.Bindings) == 0 {
+		t.Fatalf("%d rows, %v", len(res.Bindings), err)
+	}
+	for i := range res.Bindings {
+		b := res.Binding(i)
+		if n, _ := b["len"].Int(); n < 3 || len(b) != 2 {
+			t.Errorf("row %d: %v", i, b)
+		}
 	}
 }

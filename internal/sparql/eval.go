@@ -73,12 +73,46 @@ type ContextSource interface {
 type Results struct {
 	// Vars is the projection in order.
 	Vars []string
+	// Cols names the cells of every row: the projection without
+	// repeats, or under SELECT * every variable of the query.
+	Cols []string
 	// Bindings holds one row per solution.
-	Bindings []Binding
+	Bindings []Row
 	// Bool is the ASK answer.
 	Bool bool
 	// Graph holds CONSTRUCT output triples.
 	Graph []rdf.Triple
+}
+
+// Row is one solution: a handle per Results.Cols entry, nil = unbound.
+// A handle points at the term where the engine found it (see row), so
+// a Row is read-only and lives as long as what it points into.
+type Row []*rdf.Term
+
+// Binding returns row i as a map from column name to term.
+func (r *Results) Binding(i int) Binding {
+	b := make(Binding, len(r.Cols))
+	for j, h := range r.Bindings[i] {
+		if h != nil {
+			b[r.Cols[j]] = *h
+		}
+	}
+	return b
+}
+
+// Table lays map rows out as rows over cols: a column a map does not
+// bind is an unbound cell, and a binding outside cols is dropped.
+func Table(cols []string, rows []Binding) []Row {
+	out := make([]Row, len(rows))
+	for i, b := range rows {
+		out[i] = make(Row, len(cols))
+		for j, v := range cols {
+			if t, ok := b[v]; ok {
+				out[i][j] = &t
+			}
+		}
+	}
+	return out
 }
 
 // Eval parses and evaluates a query string against src.

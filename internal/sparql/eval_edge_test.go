@@ -18,7 +18,8 @@ import (
 // rowsKey renders a result set as a sorted, unambiguous multiset string.
 func rowsKey(res *Results) string {
 	rows := make([]string, 0, len(res.Bindings))
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		vars := make([]string, 0, len(b))
 		for v := range b {
 			vars = append(vars, v)
@@ -58,7 +59,8 @@ SELECT ?n ?f WHERE {
 			wantRows: 5,
 			check: func(t *testing.T, res *Results) {
 				unboundF := 0
-				for _, b := range res.Bindings {
+				for i := range res.Bindings {
+					b := res.Binding(i)
 					if _, ok := b["f"]; !ok {
 						unboundF++
 					}
@@ -150,8 +152,8 @@ SELECT ?p WHERE {
 SELECT (COUNT(*) AS ?n) WHERE { ?p a ex:Spaceship }`,
 			wantRows: 1,
 			check: func(t *testing.T, res *Results) {
-				if v, _ := res.Bindings[0]["n"].Int(); v != 0 {
-					t.Errorf("COUNT over empty = %v", res.Bindings[0]["n"])
+				if v, _ := res.Binding(0)["n"].Int(); v != 0 {
+					t.Errorf("COUNT over empty = %v", res.Binding(0)["n"])
 				}
 			},
 		},
@@ -161,8 +163,8 @@ SELECT (COUNT(*) AS ?n) WHERE { ?p a ex:Spaceship }`,
 SELECT (SUM(?a) AS ?s) WHERE { ?p a ex:Spaceship ; ex:age ?a }`,
 			wantRows: 1,
 			check: func(t *testing.T, res *Results) {
-				if f, _ := res.Bindings[0]["s"].Float(); f != 0 {
-					t.Errorf("SUM over empty = %v", res.Bindings[0]["s"])
+				if f, _ := res.Binding(0)["s"].Float(); f != 0 {
+					t.Errorf("SUM over empty = %v", res.Binding(0)["s"])
 				}
 			},
 		},
@@ -194,7 +196,8 @@ SELECT ?n ?c WHERE {
 }`,
 			wantRows: 4,
 			check: func(t *testing.T, res *Results) {
-				for _, b := range res.Bindings {
+				for i := range res.Bindings {
+					b := res.Binding(i)
 					if b["n"].Value == "Dave" {
 						if _, ok := b["c"]; ok {
 							t.Error("Dave must have unbound ?c")

@@ -87,10 +87,10 @@ func TestEveryFunctionAnyArity(t *testing.T) {
 
 func TestXSDDoubleCast(t *testing.T) {
 	res := evalQ(t, rdf.NewGraph(), `SELECT (xsd:double("1.5") AS ?d) (xsd:double(2) AS ?i) WHERE {}`)
-	if got, want := res.Bindings[0]["d"], rdf.NewTypedLiteral("1.5", rdf.XSDDouble); !got.Equal(want) {
+	if got, want := res.Binding(0)["d"], rdf.NewTypedLiteral("1.5", rdf.XSDDouble); !got.Equal(want) {
 		t.Errorf(`xsd:double("1.5") = %v, want %v`, got, want)
 	}
-	if got, want := res.Bindings[0]["i"], rdf.NewDouble(2); !got.Equal(want) {
+	if got, want := res.Binding(0)["i"], rdf.NewDouble(2); !got.Equal(want) {
 		t.Errorf("xsd:double(2) = %v, want %v", got, want)
 	}
 }

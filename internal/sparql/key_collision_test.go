@@ -36,7 +36,8 @@ SELECT ?x ?y (COUNT(*) AS ?n) WHERE { ?s ex:p1 ?x ; ex:p2 ?y } GROUP BY ?x ?y`)
 	if len(res.Bindings) != 2 {
 		t.Fatalf("GROUP BY merged colliding groups: got %d groups %v", len(res.Bindings), res.Bindings)
 	}
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if v, _ := b["n"].Int(); v != 1 {
 			t.Errorf("group count = %v, want 1", b["n"])
 		}

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"applab/internal/rdf"
@@ -11,16 +12,15 @@ import (
 // projection expressions, aggregates, GROUP BY, ORDER BY, DISTINCT,
 // OFFSET/LIMIT and the CONSTRUCT template. Every variable is resolved to
 // a slot at compile time (before any row exists, so rows are wide enough
-// for projection aliases too) and every step runs on rows; terms are
-// copied out exactly once, into the one Binding built per row that
-// leaves the engine.
+// for projection aliases too) and every step runs on rows; the rows that
+// leave the engine become one table of the same handles, no term copied.
 type tail struct {
 	q       *Query
 	vt      *varTable
 	vars    []string // Results.Vars
 	slots   []int    // slot of each vars entry: the DISTINCT key
-	out     []int    // slots that leave the engine, under these names
-	outName []string
+	out     []int    // slots that leave the engine, once each,
+	outName []string // under these names: Results.Cols
 	proj    []compiledProj
 	hasExpr bool  // some projection computes a value per row
 	grouped bool  // GROUP BY or an aggregate: rows collapse to groups
@@ -91,15 +91,16 @@ func (c *compiler) compileTail(q *Query) *tail {
 	for _, k := range q.OrderBy {
 		t.order = append(t.order, compiledOrder{expr: compileExpr(k.Expr, c.vt), desc: k.Desc})
 	}
-	// The projected variables leave the engine, or under SELECT * every
-	// slot (BIND and VALUES variables included, which Results.Vars does
-	// not list).
-	t.out, t.outName = t.slots, t.vars
+	// The projected variables leave the engine, a repeated one once, or
+	// under SELECT * every slot (BIND and VALUES variables included,
+	// which Results.Vars does not list).
+	names := t.vars
 	if len(q.Projection) == 0 {
-		t.outName = c.vt.names
-		t.out = make([]int, len(t.outName))
-		for s := range t.out {
-			t.out[s] = s
+		names = c.vt.names
+	}
+	for _, v := range names {
+		if !slices.Contains(t.outName, v) {
+			t.out, t.outName = append(t.out, c.vt.slot(v)), append(t.outName, v)
 		}
 	}
 	return t
@@ -147,22 +148,16 @@ func (t *tail) results(rows []row) (*Results, error) {
 	if t.q.Limit >= 0 && t.q.Limit < len(rows) {
 		rows = rows[:t.q.Limit]
 	}
-	res := &Results{Vars: t.vars, Bindings: make([]Binding, len(rows))}
+	n := len(t.out)
+	cells := make([]*rdf.Term, len(rows)*n) // one handle block per answer
+	res := &Results{Vars: t.vars, Cols: t.outName, Bindings: make([]Row, len(rows))}
 	for i, r := range rows {
-		res.Bindings[i] = t.binding(r)
-	}
-	return res, nil
-}
-
-// binding materializes the part of a row that leaves the engine.
-func (t *tail) binding(r row) Binding {
-	b := make(Binding, len(t.out))
-	for i, s := range t.out {
-		if h := r[s]; h != nil {
-			b[t.outName[i]] = *h
+		res.Bindings[i] = cells[i*n : (i+1)*n : (i+1)*n]
+		for j, s := range t.out {
+			res.Bindings[i][j] = r[s]
 		}
 	}
-	return b
+	return res, nil
 }
 
 // aggregate implements GROUP BY + aggregates: one output row per group,

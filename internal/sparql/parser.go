@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -148,6 +149,17 @@ func (p *parser) parseQuery() (*Query, error) {
 		return nil, err
 	}
 	q.Where = g
+	// A SELECT (expr AS ?v) may not rebind a variable already in scope:
+	// one of the WHERE clause or one the SELECT clause named before it.
+	for i, pr := range q.Projection {
+		if pr.Expr == nil && pr.Agg == nil {
+			continue
+		}
+		earlier := func(e Projection) bool { return e.Var == pr.Var }
+		if slices.Contains(g.vars(true), pr.Var) || slices.ContainsFunc(q.Projection[:i], earlier) {
+			return nil, fmt.Errorf("sparql: (... AS ?%s): ?%s is already in scope", pr.Var, pr.Var)
+		}
+	}
 	if err := p.parseSolutionModifiers(q); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -283,32 +284,17 @@ func (q *Query) project(sols []Binding) (*Results, error) {
 	if q.Limit >= 0 && q.Limit < len(sols) {
 		sols = sols[:q.Limit]
 	}
-	// Restrict bindings to projected vars. A binding that carries only
-	// projected vars is kept as-is rather than rebuilt.
-	if len(q.Projection) > 0 {
-		restricted := make([]Binding, len(sols))
-		for i, b := range sols {
-			present := 0
-			for _, v := range res.Vars {
-				if _, ok := b[v]; ok {
-					present++
-				}
-			}
-			if present == len(b) {
-				restricted[i] = b
-				continue
-			}
-			nb := make(Binding, len(res.Vars))
-			for _, v := range res.Vars {
-				if t, ok := b[v]; ok {
-					nb[v] = t
-				}
-			}
-			restricted[i] = nb
-		}
-		sols = restricted
+	// The table's columns: the projection, a repeated variable once, or
+	// under SELECT * every variable a solution can bind.
+	if len(q.Projection) == 0 {
+		res.Cols = q.Where.vars(true)
 	}
-	res.Bindings = sols
+	for _, v := range res.Vars {
+		if !slices.Contains(res.Cols, v) {
+			res.Cols = append(res.Cols, v)
+		}
+	}
+	res.Bindings = Table(res.Cols, sols)
 	return res, nil
 }
 

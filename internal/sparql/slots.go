@@ -12,9 +12,8 @@ import (
 // of map[string]rdf.Term bindings: the query compiler assigns every
 // variable a slot in a per-query variable table, row extension copies
 // 8-byte handles, and variable lookup is an array index. Terms
-// materialize only where a value is needed — FILTER/BIND expressions,
-// spatial refinement, and the one Binding built per row that leaves the
-// engine.
+// materialize only where a value is needed — FILTER/BIND expressions and
+// spatial refinement; the answer is a table of the same handles.
 
 // varTable assigns query variables to row slots.
 type varTable struct {
@@ -88,18 +87,6 @@ func (a *rowArena) term(t rdf.Term) *rdf.Term {
 	}
 	a.terms = append(a.terms, t)
 	return &a.terms[len(a.terms)-1]
-}
-
-// asBinding converts a row to the public map representation. Only the
-// bridge to Expr implementations the compiler does not know uses it.
-func (r row) asBinding(vt *varTable) Binding {
-	b := make(Binding, len(r))
-	for s, t := range r {
-		if t != nil {
-			b[vt.names[s]] = *t
-		}
-	}
-	return b
 }
 
 // compiledExpr is a slot-resolved expression evaluator: variable lookups
@@ -249,7 +236,7 @@ func compileExpr(e Expr, vt *varTable) compiledExpr {
 	default:
 		// Unknown Expr implementation: bridge through a map binding.
 		return func(r row) (rdf.Term, error) {
-			return e.Eval(r.asBinding(vt))
+			return e.Eval((&Results{Cols: vt.names, Bindings: []Row{Row(r)}}).Binding(0))
 		}
 	}
 }

@@ -47,7 +47,8 @@ SELECT ?name WHERE { ?p a ex:Person . ?p ex:name ?name }`)
 		t.Fatalf("got %d rows: %v", len(res.Bindings), res.Bindings)
 	}
 	names := map[string]bool{}
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		names[b["name"].Value] = true
 	}
 	for _, n := range []string{"Alice", "Bob", "Carol"} {
@@ -77,7 +78,7 @@ func TestJoinAcrossPatterns(t *testing.T) {
 	// Friends-of-friends: alice knows bob, bob knows carol.
 	res := evalQ(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?fof WHERE { ex:alice ex:knows ?f . ?f ex:knows ?fof }`)
-	if len(res.Bindings) != 1 || !strings.HasSuffix(res.Bindings[0]["fof"].Value, "carol") {
+	if len(res.Bindings) != 1 || !strings.HasSuffix(res.Binding(0)["fof"].Value, "carol") {
 		t.Fatalf("fof = %v", res.Bindings)
 	}
 }
@@ -110,12 +111,12 @@ func TestFilterRegexAndStrings(t *testing.T) {
 	g := testGraph(t)
 	res := evalQ(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?name WHERE { ?p ex:name ?name . FILTER regex(?name, "^A") }`)
-	if len(res.Bindings) != 1 || res.Bindings[0]["name"].Value != "Alice" {
+	if len(res.Bindings) != 1 || res.Binding(0)["name"].Value != "Alice" {
 		t.Fatalf("regex rows = %v", res.Bindings)
 	}
 	res = evalQ(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?name WHERE { ?p ex:name ?name . FILTER(STRSTARTS(?name, "C")) }`)
-	if len(res.Bindings) != 1 || res.Bindings[0]["name"].Value != "Carol" {
+	if len(res.Bindings) != 1 || res.Binding(0)["name"].Value != "Carol" {
 		t.Fatalf("strstarts rows = %v", res.Bindings)
 	}
 	res = evalQ(t, g, `PREFIX ex: <http://ex.org/>
@@ -137,7 +138,8 @@ SELECT ?name ?friend WHERE {
 		t.Fatalf("rows = %v", res.Bindings)
 	}
 	carolHasFriend := false
-	for _, b := range res.Bindings {
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		if b["name"].Value == "Carol" {
 			if _, ok := b["friend"]; ok {
 				carolHasFriend = true
@@ -154,7 +156,7 @@ SELECT ?name WHERE {
   OPTIONAL { ?p ex:knows ?friend }
   FILTER(!BOUND(?friend))
 }`)
-	if len(res.Bindings) != 1 || res.Bindings[0]["name"].Value != "Carol" {
+	if len(res.Bindings) != 1 || res.Binding(0)["name"].Value != "Carol" {
 		t.Fatalf("!BOUND rows = %v", res.Bindings)
 	}
 }
@@ -179,26 +181,26 @@ SELECT DISTINCT ?city WHERE { ?p ex:city ?city }`)
 	}
 	res = evalQ(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?name ?age WHERE { ?p ex:name ?name ; ex:age ?age } ORDER BY DESC(?age)`)
-	if res.Bindings[0]["name"].Value != "Carol" || res.Bindings[2]["name"].Value != "Bob" {
+	if res.Binding(0)["name"].Value != "Carol" || res.Binding(2)["name"].Value != "Bob" {
 		t.Fatalf("order rows = %v", res.Bindings)
 	}
 	res = evalQ(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?name WHERE { ?p ex:name ?name ; ex:age ?age } ORDER BY ?age LIMIT 1`)
-	if len(res.Bindings) != 1 || res.Bindings[0]["name"].Value != "Bob" {
+	if len(res.Bindings) != 1 || res.Binding(0)["name"].Value != "Bob" {
 		t.Fatalf("limit rows = %v", res.Bindings)
 	}
 	res = evalQ(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?name WHERE { ?p ex:name ?name ; ex:age ?age } ORDER BY ?age LIMIT 1 OFFSET 1`)
-	if len(res.Bindings) != 1 || res.Bindings[0]["name"].Value != "Alice" {
+	if len(res.Bindings) != 1 || res.Binding(0)["name"].Value != "Alice" {
 		t.Fatalf("offset rows = %v", res.Bindings)
 	}
 	// ORDER BY a non-projected variable.
 	res = evalQ(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?name WHERE { ?p ex:name ?name ; ex:age ?age } ORDER BY DESC(?age)`)
-	if res.Bindings[0]["name"].Value != "Carol" {
+	if res.Binding(0)["name"].Value != "Carol" {
 		t.Fatalf("order by non-projected = %v", res.Bindings)
 	}
-	if _, ok := res.Bindings[0]["age"]; ok {
+	if _, ok := res.Binding(0)["age"]; ok {
 		t.Error("age must not leak into projected bindings")
 	}
 }
@@ -233,13 +235,13 @@ func TestAggregates(t *testing.T) {
 	g := testGraph(t)
 	res := evalQ(t, g, `PREFIX ex: <http://ex.org/>
 SELECT (COUNT(*) AS ?n) WHERE { ?p a ex:Person }`)
-	if v, _ := res.Bindings[0]["n"].Int(); v != 3 {
+	if v, _ := res.Binding(0)["n"].Int(); v != 3 {
 		t.Fatalf("count = %v", res.Bindings)
 	}
 	res = evalQ(t, g, `PREFIX ex: <http://ex.org/>
 SELECT (AVG(?a) AS ?avg) (MAX(?a) AS ?max) (MIN(?a) AS ?min) (SUM(?a) AS ?sum)
 WHERE { ?p ex:age ?a }`)
-	b := res.Bindings[0]
+	b := res.Binding(0)
 	if f, _ := b["avg"].Float(); f != 30 {
 		t.Errorf("avg = %v", b["avg"])
 	}
@@ -258,16 +260,16 @@ SELECT ?city (COUNT(*) AS ?n) WHERE { ?p ex:city ?city } GROUP BY ?city ORDER BY
 	if len(res.Bindings) != 2 {
 		t.Fatalf("group rows = %v", res.Bindings)
 	}
-	if res.Bindings[0]["city"].Value != "Paris" {
+	if res.Binding(0)["city"].Value != "Paris" {
 		t.Fatalf("group order = %v", res.Bindings)
 	}
-	if v, _ := res.Bindings[0]["n"].Int(); v != 2 {
-		t.Fatalf("paris count = %v", res.Bindings[0]["n"])
+	if v, _ := res.Binding(0)["n"].Int(); v != 2 {
+		t.Fatalf("paris count = %v", res.Binding(0)["n"])
 	}
 	// COUNT(DISTINCT ?x)
 	res = evalQ(t, g, `PREFIX ex: <http://ex.org/>
 SELECT (COUNT(DISTINCT ?city) AS ?n) WHERE { ?p ex:city ?city }`)
-	if v, _ := res.Bindings[0]["n"].Int(); v != 2 {
+	if v, _ := res.Binding(0)["n"].Int(); v != 2 {
 		t.Fatalf("count distinct = %v", res.Bindings)
 	}
 }
@@ -279,8 +281,8 @@ SELECT ?name (?a * 2 AS ?double) WHERE { ?p ex:name ?name ; ex:age ?a } ORDER BY
 	if len(res.Bindings) != 3 {
 		t.Fatalf("rows = %v", res.Bindings)
 	}
-	if v, _ := res.Bindings[0]["double"].Float(); v != 50 {
-		t.Fatalf("double = %v", res.Bindings[0]["double"])
+	if v, _ := res.Binding(0)["double"].Float(); v != 50 {
+		t.Fatalf("double = %v", res.Binding(0)["double"])
 	}
 }
 
@@ -395,11 +397,45 @@ func TestEmptyGraphQueries(t *testing.T) {
 		t.Error("empty graph must yield no rows")
 	}
 	res = evalQ(t, g, `SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }`)
-	if v, _ := res.Bindings[0]["n"].Int(); v != 0 {
+	if v, _ := res.Binding(0)["n"].Int(); v != 0 {
 		t.Errorf("count over empty graph = %v", res.Bindings)
 	}
 	res = evalQ(t, g, `ASK { ?s ?p ?o }`)
 	if res.Bool {
 		t.Error("ASK over empty graph must be false")
+	}
+}
+
+// TestResultsTableAllocations is the allocation ceiling ci.sh names for
+// the answer: the rows that leave the engine become one table of their
+// handles, so a 1,250-row answer allocates as many objects as a 10-row
+// one, with a repeated projection or under SELECT * alike (one map per
+// row cost two objects a row).
+func TestResultsTableAllocations(t *testing.T) {
+	for _, q := range []string{
+		`SELECT ?s ?n ?s ?a WHERE { ?s <http://ex.org/name> ?n . ?s <http://ex.org/age> ?a }`,
+		`SELECT * WHERE { ?s <http://ex.org/name> ?n . BIND(1 AS ?one) VALUES ?v { 2 } }`,
+	} {
+		tail := compileQuery(MustParse(q), rdf.NewGraph()).tail
+		width := tail.vt.size()
+		term := rdf.NewLiteral("x")
+		allocs := func(n int) float64 {
+			rows := make([]row, n)
+			for i := range rows {
+				rows[i] = make(row, width)
+				for s := range rows[i] {
+					rows[i][s] = &term
+				}
+			}
+			return testing.AllocsPerRun(20, func() {
+				res, err := tail.results(rows)
+				if err != nil || len(res.Bindings) != n {
+					t.Fatalf("%d rows, %v; want %d", len(res.Bindings), err, n)
+				}
+			})
+		}
+		if small, large := allocs(10), allocs(1250); large != small {
+			t.Errorf("%s: a 1,250-row answer allocates %v objects, a 10-row one %v", q, large, small)
+		}
 	}
 }

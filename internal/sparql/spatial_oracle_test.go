@@ -201,7 +201,7 @@ func TestSpatialJoinWarmAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n = res.Bindings[0]["n"]
+		n = res.Binding(0)["n"]
 	}
 	eval() // decode every polygon into the memo
 	allocs := testing.AllocsPerRun(5, eval)

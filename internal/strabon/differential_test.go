@@ -36,12 +36,13 @@ func canonicalTriples(ts []rdf.Triple) []string {
 }
 
 // canonicalBindings renders SPARQL results order-independently.
-func canonicalBindings(t *testing.T, res []sparql.Binding, vars []string) []string {
+func canonicalBindings(t *testing.T, res *sparql.Results) []string {
 	t.Helper()
-	out := make([]string, len(res))
-	for i, b := range res {
+	out := make([]string, len(res.Bindings))
+	for i := range res.Bindings {
+		b := res.Binding(i)
 		var row []string
-		for _, v := range vars {
+		for _, v := range res.Vars {
 			if tm, ok := b[v]; ok {
 				row = append(row, v+"="+tm.String())
 			}
@@ -122,8 +123,8 @@ SELECT ?f ?wkt WHERE {
 		if err != nil {
 			t.Fatalf("%s: disk query: %v", label, err)
 		}
-		am := canonicalBindings(t, rm.Bindings, rm.Vars)
-		ad := canonicalBindings(t, rd.Bindings, rd.Vars)
+		am := canonicalBindings(t, rm)
+		ad := canonicalBindings(t, rd)
 		if len(am) == 0 || len(am) != len(ad) {
 			t.Fatalf("%s: query rows: memory %d, disk %d", label, len(am), len(ad))
 		}

@@ -142,7 +142,8 @@ func TestQueriesRaceFlushAndCompaction(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for _, b := range res.Bindings {
+				for k := range res.Bindings {
+					b := res.Binding(k)
 					sub, v := b["s"].Value, b["v"].Value
 					if !strings.HasPrefix(sub, rdf.NSLAI+"obs") || !strings.HasPrefix(v, "v") || sub[len(rdf.NSLAI+"obs"):] != v[1:] {
 						t.Errorf("row binds ?s=%q ?v=%q, which no write produced", sub, v)

@@ -61,7 +61,7 @@ SELECT (COUNT(*) AS ?n) WHERE { ?o lai:lai ?v }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := res.Bindings[0]["n"].Int(); v != 50 {
+	if v, _ := res.Binding(0)["n"].Int(); v != 50 {
 		t.Errorf("count = %v", res.Bindings)
 	}
 	// Spatial filter through the engine (Listing 1 shape).
