@@ -84,27 +84,31 @@ echo "== golden spatial join against a warm geometry memo"
 # insert, so the spatial_arena_bytes gauge must come from SetMetrics.
 go test -count=2 -run TestGoldenSpatialJoin ./internal/e2e
 
-echo "== allocation ceilings (handle rows, answer tables, join variants, disk scans by reference, graph scans into reused buffers, pipelined joins, results writer, id-space graph, view revalidation, geometry decoding, node answers, cluster wire, batched cluster reads, telemetry lookups, result-cache hits, run encoding)"
+echo "== allocation ceilings (handle rows, answer tables, join variants, disk scans by reference, graph scans into reused buffers, pipelined joins, spatial-join side filters, pooled token slices, results writer, id-space graph, view revalidation, geometry decoding, node answers, cluster wire, batched cluster reads, telemetry lookups, result-cache hits, run encoding)"
 # Engine_BGPJoinCompiled's bytes per evaluation may not regrow (rows are
-# 8-byte handles, not 56-byte terms, and the answer is one table of them,
+# 8-byte handles, not 56-byte terms, the answer is one table of them,
 # not a map per row: a 1,250-row answer allocates as many objects as a
-# 10-row one), and served instrumented, budgeted,
+# 10-row one, and the join unit is one pipeline whose head scan's output
+# is never materialized), and served instrumented, budgeted,
 # with spatial detection off, from the memory-mode store or behind a
 # bypassing result cache it may cost no more than +8 KiB and +64 allocs
 # over plain (one per-row allocation trips it); the same join over a
-# disk store with two runs and a memtable tail stays under 700 KB and
-# 1,450 allocations (607 KB and 1,306 measured), which holds only while
+# disk store with two runs and a memtable tail stays under 625 KB and
+# 1,450 allocations (542 KB and 1,306 measured), which holds only while
 # its scans hand out refs into the run dictionaries rather than a
 # materialized triple per match (1.7 MB), and append them to one buffer
 # per join step rather than a fresh slice per scan (5,057 allocations); a bound-subject
 # nested-loop join over an rdf.Graph allocates as often at 4k probe
 # rows as at 1k (+16 at most: no allocation per row); a Listing-3-shaped
 # viewport query (four patterns and a FILTER keeping 5 % of the rows)
-# over a disk store with two runs allocates for the head scan's rows,
-# the surviving rows and its buffers only (<= 125 KB): its
-# later scans and the FILTER push each row through per-step scratch rows,
-# and materializing every step's output again trips it; encoding a 1000-row
-# result into a warm buffer allocates nothing, neither does rdf.Graph
+# over a disk store with two runs allocates for the surviving rows and
+# its buffers only (<= 55 KB): its four scans and the FILTER push each
+# row through per-step scratch rows, and materializing the head scan's
+# output again trips it; an SJ1-shaped join whose constant FILTER keeps
+# 5 % of the build side filters that side before it pairs (<= 110 KB;
+# filtering after the join costs 284 KB); a warm Parse of Listing 3
+# takes its token slice from a pool (<= 2,500 B; a fresh slice trips
+# it); encoding a 1000-row result into a warm buffer allocates nothing, neither does rdf.Graph
 # on a read with an unknown bound term or (amortized, presized) on an
 # Add of interned terms, and an on-the-fly evaluation over unchanged
 # sources re-publishes the view it has (three Listing-2 mappings inside
@@ -131,7 +135,7 @@ echo "== allocation ceilings (handle rows, answer tables, join variants, disk sc
 # passes reuse one count array and the image is sized before it is
 # written, so nothing is allocated per row, term or comparison.
 go test -count=1 -cpu 1,2,4 -run '^TestBGPJoinBytesCeiling$' ./internal/sparql
-go test -count=1 -run '^(TestSpatialJoinWarmAllocations|TestConstGeometryFilterAllocations|TestDiskScanAllocations|TestGraphScanAllocations|TestPipelineAllocations|TestResultsTableAllocations)$' ./internal/sparql
+go test -count=1 -run '^(TestSpatialJoinWarmAllocations|TestConstGeometryFilterAllocations|TestDiskScanAllocations|TestGraphScanAllocations|TestPipelineAllocations|TestResultsTableAllocations|TestSpatialJoinFilterAllocations|TestParseAllocations)$' ./internal/sparql
 go test -count=1 -run '^TestPredicateAllocations$' ./internal/geom
 go test -count=1 -run '^TestResultsWriterAllocations$' ./internal/endpoint
 go test -count=1 -run '^TestGraphAllocations$' ./internal/rdf

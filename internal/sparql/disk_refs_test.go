@@ -138,7 +138,7 @@ func TestCompiledEngineMatchesSeedOverDiskStore(t *testing.T) {
 // TestDiskScanAllocations is the allocation guard ci.sh names for scans
 // over runs: Engine_BGPJoin's query over a disk store with two runs and
 // a memtable tail. Its scans hand the engine 24-byte refs into the run
-// dictionaries (607 KB per evaluation, the ceiling 15 % above);
+// dictionaries (542 KB per evaluation, the ceiling 15 % above);
 // materializing a 216-byte triple per match instead costs 1.7 MB and
 // trips the byte ceiling. Each nested-loop step appends its refs to one
 // buffer it reuses for every row (1,306 allocations per evaluation, the
@@ -146,7 +146,7 @@ func TestCompiledEngineMatchesSeedOverDiskStore(t *testing.T) {
 // the allocation ceiling.
 func TestDiskScanAllocations(t *testing.T) {
 	const (
-		ceiling      = 700_000
+		ceiling      = 625_000
 		allocCeiling = 1_450
 	)
 	data := sparql.EquivGraph(sparql.BenchSubjects).Triples()

@@ -206,10 +206,11 @@ func (pc *pipeChunk) prepare(k int, sc *scanOp) *scanRun {
 // probes is the row count step k picks its strategy for: the rows
 // entering the pipeline, times the match count of each cross step before
 // k (a cross step passes on that many rows per row, bar repeated
-// variables). For the step right after a join unit's head that is
+// variables). For the step right after a cross-join head that is
 // exactly the row count it joins against; a later step behind 1:1 joins
 // sees about the count that reaches it; behind FILTERs and fan-out
-// joins the estimate is off by their selectivity or fan-out.
+// joins (a nested-loop or hash head too) the estimate is off by their
+// selectivity or fan-out.
 func (pc *pipeChunk) probes(k int) int {
 	n := pc.in
 	for j := range k {
@@ -257,8 +258,9 @@ func (st *scanRun) index(ec *execCtx, sc *scanOp) error {
 	return nil
 }
 
-// push joins one row with the pattern and pushes every extension on.
-// A match bucket is charged in one tickN, a hash chain per element.
+// push joins one row with the pattern and pushes every extension on: a
+// cross head only the row's window of matches. A match bucket is
+// charged in one tickN, a hash chain per element.
 func (sc *scanOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
 	ec := pc.ec
 	st := &pc.scans[k]
@@ -308,14 +310,18 @@ func (sc *scanOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
 			}
 		}
 	}
-	if matches.Len() == 0 {
+	lo, hi := 0, matches.Len()
+	if k == 0 && st.strategy == joinCross {
+		lo, hi = pc.lo, pc.hi
+	}
+	if lo >= hi {
 		return nil
 	}
-	if err := ec.tickN(&pc.n, matches.Len()); err != nil {
+	if err := ec.tickN(&pc.n, hi-lo); err != nil {
 		return err
 	}
 	dst := pc.scratch(k)
-	for i := range matches.Len() {
+	for i := lo; i < hi; i++ {
 		if nr, ok := sc.extend(r, matches.At(i), dst); ok {
 			if err := pc.next(k, nr, scratch || sameRow(nr, dst)); err != nil {
 				return err

@@ -3,6 +3,7 @@ package sparql
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -55,14 +56,21 @@ type lexer struct {
 	toks []token
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+// lex appends src's tokens to toks, which it returns also on error.
+func lex(src string, toks []token) ([]token, error) {
+	l := &lexer{src: src, toks: toks}
 	if err := l.run(); err != nil {
-		return nil, err
+		return l.toks, err
 	}
 	l.toks = append(l.toks, token{kind: tEOF, pos: l.pos})
 	return l.toks, nil
 }
+
+// tokPool recycles Parse's token slices, cleared so they pin no query
+// text; one of more than maxPooledToks tokens is dropped.
+var tokPool = sync.Pool{New: func() any { return new([]token) }}
+
+const maxPooledToks = 4096
 
 func (l *lexer) errf(format string, args ...any) error {
 	return fmt.Errorf("sparql: offset %d: %s", l.pos, fmt.Sprintf(format, args...))

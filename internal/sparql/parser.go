@@ -13,7 +13,15 @@ import (
 // lai, osm, ...) are pre-bound; PREFIX declarations in the query override
 // them.
 func Parse(src string) (*Query, error) {
-	toks, err := lex(src)
+	pooled := tokPool.Get().(*[]token)
+	toks, err := lex(src, *pooled)
+	defer func() {
+		if cap(toks) <= maxPooledToks {
+			clear(toks)
+			*pooled = toks[:0]
+			tokPool.Put(pooled)
+		}
+	}()
 	if err != nil {
 		return nil, err
 	}

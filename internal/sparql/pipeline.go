@@ -14,13 +14,13 @@ import (
 // out in the order operator-at-a-time evaluation produced them — input
 // row first, then each step's match order — for any worker count.
 //
-// Boundaries (compiler.compileGroup): a join unit's first scan is a
-// pipeline of its own, so the rest of the unit is chunked over its
-// materialized output; the unit's remaining scans and the FILTERs and
-// BINDs that follow them form one pipeline. OPTIONAL, UNION, EXISTS,
-// VALUES and the spatial join end a pipeline, and over an
-// ExchangeSource every scan starts one, so a bind-join step still reads
-// its whole chunk in one batch per fragment (exchangeRows).
+// Boundaries (compiler.compileGroup): a join unit's scans and the
+// FILTERs and BINDs that follow them form one pipeline, so no scan's
+// output is materialized for the next; a cross-join head is chunked over
+// (row, match) pairs (pipeOp.run). OPTIONAL, UNION, EXISTS, VALUES and
+// the spatial join end a pipeline, and over an ExchangeSource every scan
+// starts one, so a bind-join step still reads its whole chunk in one
+// batch per fragment (exchangeRows).
 
 // step is one stage of a pipeline: a *scanOp, *filterOp or *bindOp.
 // push takes row r at step k — r is a scratch row when scratch is set —
@@ -49,18 +49,32 @@ func (p *pipeOp) add(s step) {
 }
 
 // run pushes the input through the steps, chunked across the worker
-// pool; the chunks share each scan step's run state.
+// pool; the chunks share each scan step's run state. Step 0 is prepared
+// once, up front: a cross head with m matches (none ends the run) is
+// chunked over the len(in)·m (row, match) pairs, any other over rows.
 func (p *pipeOp) run(ec *execCtx, in []row) ([]row, error) {
-	if ec.serial(len(in)) {
-		pc := p.chunk(ec, in, nil)
-		defer pc.release()
-		return pc.run(in)
+	pc := p.chunk(ec, in, nil)
+	defer pc.release()
+	if sc, ok := p.steps[0].(*scanOp); ok {
+		st := pc.prepare(0, sc)
+		if st.err != nil {
+			return nil, st.err
+		}
+		if st.strategy == joinCross {
+			if pc.m = st.build.Len(); pc.m == 0 {
+				return nil, nil
+			}
+		}
 	}
-	scans := make([]scanRun, len(p.steps))
-	return chunked(ec, in, func(rows []row) ([]row, error) {
-		pc := p.chunk(ec, in, scans)
-		defer pc.release()
-		return pc.run(rows)
+	n := len(in) * pc.m
+	if ec.serial(n) {
+		return pc.run(in, 0, n)
+	}
+	return chunkedRange(ec, n, func(lo, hi int) ([]row, error) {
+		c := p.chunk(ec, in, pc.scans)
+		defer c.release()
+		c.m = pc.m
+		return c.run(in, lo, hi)
 	})
 }
 
@@ -78,7 +92,9 @@ type pipeChunk struct {
 	refs    [][]rdf.Ref // step k's nested-loop scan buffer is refs[k]
 	kb      []byte      // hash-probe key buffer
 	n       int         // rows since the last checkpoint
-	at      int         // index of the input row being pushed
+	at      int         // index of the input row being pushed, in the chunk
+	lo, hi  int         // its window of a cross head's m matches (m is 1 for other heads)
+	m       int
 	batched [][]rdf.Ref
 	out     []row
 	ar      rowArena
@@ -94,7 +110,7 @@ var chunkPool = sync.Pool{New: func() any { return new(pipeChunk) }}
 // that is one chunk (scans nil), with scan state of its own.
 func (p *pipeOp) chunk(ec *execCtx, in []row, scans []scanRun) *pipeChunk {
 	pc := chunkPool.Get().(*pipeChunk)
-	pc.ec, pc.p, pc.in, pc.scans, pc.width = ec, p, len(in), scans, len(in[0])
+	pc.ec, pc.p, pc.in, pc.scans, pc.width, pc.m = ec, p, len(in), scans, len(in[0]), 1
 	pc.rows = sized(pc.rows, len(p.steps)*pc.width)
 	if scans == nil {
 		pc.scanBuf = sized(pc.scanBuf, len(p.steps))
@@ -154,48 +170,36 @@ func pooledRefs(b []rdf.Ref) []rdf.Ref {
 	return b[:0]
 }
 
-func (pc *pipeChunk) run(rows []row) ([]row, error) {
-	ec, p := pc.ec, pc.p
-	hint := len(rows)
-	if sc, ok := p.steps[0].(*scanOp); ok {
-		// Every row reaches the first step, so it is prepared up front:
-		// a cross join sizes the output from its match (and ends the run
-		// when there is none), and over a batching partitioned source a
-		// nested-loop step reads the chunk's scans first, one read per
-		// fragment.
-		st := pc.prepare(0, sc)
-		if st.err != nil {
-			return nil, st.err
-		}
-		switch {
-		case st.strategy == joinCross:
-			if st.build.Len() == 0 {
-				return nil, nil
-			}
-			hint = max(hint, st.build.Len())
-		case st.strategy == joinNested && ec.bx != nil:
-			var err error
-			if pc.batched, err = ec.exchangeRows(sc, rows); err != nil {
-				return nil, err
-			}
+// run pushes pairs [lo, hi) of the run's input through the steps, input
+// row by input row, each with its window of the head's matches.
+func (pc *pipeChunk) run(in []row, lo, hi int) ([]row, error) {
+	ec, p, m := pc.ec, pc.p, pc.m
+	first := lo / m
+	rows := in[first : (hi+m-1)/m]
+	if sc, ok := p.steps[0].(*scanOp); ok && pc.scans[0].strategy == joinNested && ec.bx != nil {
+		// Over a batching partitioned source a nested-loop head reads
+		// the chunk's scans first, one read per fragment.
+		var err error
+		if pc.batched, err = ec.exchangeRows(sc, rows); err != nil {
+			return nil, err
 		}
 	}
-	if !p.filtered && hint >= 2 {
-		// A join that keeps its rows emits about one per input row (a
-		// cross join at least one per match); a FILTER keeps an unknown
-		// share, so a filtered pipeline grows its output on demand. A
-		// single row gets nothing up front, so an OPTIONAL/EXISTS body
-		// run per row allocates only if it matches.
-		pc.out = make([]row, 0, hint)
-		pc.ar.buf = make([]*rdf.Term, hint*pc.width)
+	if !p.filtered && hi-lo >= 2 {
+		// A join that keeps its rows emits about one per pair; a FILTER
+		// keeps an unknown share, so a filtered pipeline grows its
+		// output on demand. A single row gets nothing up front, so an
+		// OPTIONAL/EXISTS body run per row allocates only if it matches.
+		pc.out = make([]row, 0, hi-lo)
+		pc.ar.buf = make([]*rdf.Term, (hi-lo)*pc.width)
 	}
-	first := p.steps[0]
+	head := p.steps[0]
 	for i, r := range rows {
 		if err := ec.tick(&pc.n); err != nil {
 			return nil, err
 		}
-		pc.at = i
-		if err := first.push(pc, 0, r, false); err != nil {
+		at := (first + i) * m
+		pc.at, pc.lo, pc.hi = i, max(lo-at, 0), min(hi-at, m)
+		if err := head.push(pc, 0, r, false); err != nil {
 			return nil, err
 		}
 	}

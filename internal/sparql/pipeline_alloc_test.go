@@ -43,19 +43,18 @@ const pipelineViewportQuery = `SELECT ?s ?wkt ?lai WHERE {
 
 // TestPipelineAllocations is the allocation guard ci.sh names for the
 // pipelined engine: the viewport query over a disk store with two runs.
-// Per evaluation it may allocate for the head scan's 1,000 rows (one
-// materialized output, ~56 KB), for the 50 surviving rows and their
-// answer table, and for the scans' reused ref buffers, plus slack: 81 KB
-// measured, up to 106 KB under the race detector (its sync.Pool drops
-// pooled chunks at random), the ceiling 18 % above that. The three
-// later scans and the FILTER run row by row through per-step scratch
-// rows, so the rows the FILTER drops are never copied; materializing
-// every step's output instead cost 169 KB more when the pipelines
-// landed.
+// Per evaluation it may allocate for the 50 surviving rows and their
+// answer table, and for the scans' reused ref buffers, plus slack: 23 KB
+// measured, up to 44 KB under the race detector (its sync.Pool drops
+// pooled chunks at random, 5 KB each), the ceiling 24 % above that. The
+// unit is one pipeline: the head scan's 1,000 matches, the three later
+// scans and the FILTER run row by row through per-step scratch rows, so
+// the rows the FILTER drops are never copied; materializing the head's
+// output before the rest of the unit costs 81 KB and trips it.
 func TestPipelineAllocations(t *testing.T) {
 	const (
 		features = 2000
-		ceiling  = 125_000
+		ceiling  = 55_000
 	)
 	data := viewportFeatures(features)
 	st, err := strabon.Open(t.TempDir(), segment.Options{FlushEvery: -1, CompactAt: -1})

@@ -342,7 +342,7 @@ SELECT * WHERE { ?s ex:city "Paris" . ?s ex:age 1000 . ?x ex:name ?n }`)
 	}
 }
 
-// fourStepQuery's join unit is a head scan and a four-step pipeline:
+// fourStepQuery's join unit is one five-step pipeline: the head scan,
 // three nested-loop scans and a FILTER.
 const fourStepQuery = `PREFIX ex: <http://ex.org/>
 SELECT ?s ?n WHERE { ?s a ex:Person . ?s ex:knows ?o . ?o ex:name ?n . ?o ex:age ?a . FILTER(?a >= 0) }`
@@ -355,8 +355,8 @@ func TestPipelineStopsWithinInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := compileQuery(q, &plainCounter{}).ops[1].(*pipeOp); !ok || len(p.steps) != 4 {
-		t.Fatalf("plan %v does not run a four-step pipeline after the head", compileQuery(q, &plainCounter{}).ops)
+	if p, ok := compileQuery(q, &plainCounter{}).ops[0].(*pipeOp); !ok || len(p.steps) != 5 {
+		t.Fatalf("plan %v does not run the unit as one five-step pipeline", compileQuery(q, &plainCounter{}).ops)
 	}
 	const stopAt = 500
 	for _, workers := range []int{1, 2} {

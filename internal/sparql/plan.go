@@ -573,14 +573,14 @@ func mergeUnionStates(base map[string]varState, branches []map[string]varState) 
 }
 
 // compileBGP plans a join unit (selectivity order) and lowers each
-// pattern to a scan step: the first scan as a pipeline of its own, the
-// rest as the pipeline that trailing FILTERs and BINDs join — over a
-// partitioned source, one pipeline per scan.
+// pattern to a scan step of one new pipeline, which the FILTERs and
+// BINDs after the unit join; over a partitioned source every scan
+// starts a pipeline of its own.
 func (c *compiler) compileBGP(b *planBuilder, pats []TriplePattern) {
 	ordered := c.plan(pats)
 	notePatternsPlanned(len(ordered))
 	for i, tp := range ordered {
-		if i <= 1 || c.exchange {
+		if i == 0 || c.exchange {
 			b.open = nil
 		}
 		b.step(c.newScanOp(tp))
@@ -589,9 +589,6 @@ func (c *compiler) compileBGP(b *planBuilder, pats []TriplePattern) {
 				c.states[v] = varDef
 			}
 		}
-	}
-	if len(ordered) == 1 {
-		b.open = nil
 	}
 }
 

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -387,6 +388,31 @@ func TestParseWithoutPrefixAllocations(t *testing.T) {
 	const ceiling = 26
 	if n := testing.AllocsPerRun(100, func() { MustParse(listing3Query) }); n > ceiling {
 		t.Errorf("Parse(Listing 3) allocates %v times, ceiling is %d", n, ceiling)
+	}
+}
+
+// TestParseAllocations is the allocation ceiling ci.sh names for the
+// lexer: a warm Parse takes its token slice from tokPool, so Listing 3
+// allocates for its syntax tree only: 1,480 B, up to 2,160 B under the
+// race detector (its sync.Pool drops a quarter of what is put back), the
+// ceiling 16 % above that. Growing a fresh token slice costs 3,624 B and
+// trips it.
+func TestParseAllocations(t *testing.T) {
+	const (
+		runs    = 200
+		ceiling = 2_500
+	)
+	MustParse(listing3Query)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		MustParse(listing3Query)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d B, %d allocs per Parse", bytes, (after.Mallocs-before.Mallocs)/runs)
+	if bytes > ceiling {
+		t.Errorf("Parse(Listing 3) allocates %d B, ceiling is %d", bytes, ceiling)
 	}
 }
 

@@ -221,7 +221,6 @@ func (c *compiler) compileSpatialUnit(b *planBuilder, pats []TriplePattern, filt
 	}
 	sj := &spatialJoinOp{
 		rel:       rel,
-		body:      body.ops,
 		probeSlot: c.vt.slot(probeVar),
 		buildSlot: c.vt.slot(buildVar),
 		swapped:   swapped,
@@ -237,14 +236,52 @@ func (c *compiler) compileSpatialUnit(b *planBuilder, pats []TriplePattern, filt
 			}
 		}
 	}
-	b.add(sj)
+	// A FILTER over variables one side's patterns all bind runs inside
+	// that side, so the join never pairs rows it drops; the rest, and a
+	// bare asWKT build side's, which the store strategy serves, run after.
+	var after []Expr
 	for fi, el := range filters {
-		if fi == pick {
-			continue
+		e := el.(Filter).Expr
+		switch {
+		case fi == pick:
+		case boundBy(e, probePats):
+			b.step(&filterOp{cond: compileExpr(e, c.vt)})
+		case sj.scan == nil && boundBy(e, buildPats):
+			body.step(&filterOp{cond: compileExpr(e, c.vt)})
+		default:
+			after = append(after, e)
 		}
-		b.step(&filterOp{cond: compileExpr(el.(Filter).Expr, c.vt)})
+	}
+	sj.body = body.ops
+	b.add(sj)
+	for _, e := range after {
+		b.step(&filterOp{cond: compileExpr(e, c.vt)})
 	}
 	return true
+}
+
+// boundBy reports whether e has variables and pats bind them all; an Expr
+// other than a variable, constant, operator or call is bound by no side.
+func boundBy(e Expr, pats []TriplePattern) bool {
+	vars := 0
+	var walk func(Expr) bool
+	walk = func(e Expr) bool {
+		switch x := e.(type) {
+		case VarExpr:
+			vars++
+			return slices.ContainsFunc(pats, func(tp TriplePattern) bool { return slices.Contains(patternVars(tp), x.Name) })
+		case ConstExpr:
+			return true
+		case UnaryExpr:
+			return walk(x.X)
+		case BinaryExpr:
+			return walk(x.L) && walk(x.R)
+		case CallExpr:
+			return !slices.ContainsFunc(x.Args, func(a Expr) bool { return !walk(a) })
+		}
+		return false
+	}
+	return walk(e) && vars > 0
 }
 
 var asWKTTerm = rdf.NewIRI(rdf.NSGeo + "asWKT")

@@ -163,25 +163,7 @@ func BenchmarkSpatialJoin(b *testing.B) {
 // one a polygon trips the ceiling.
 func TestSpatialJoinWarmAllocations(t *testing.T) {
 	const perSide = 500
-	kind := rdf.NewIRI("urn:sj:kind")
-	hasGeom := rdf.NewIRI(rdf.NSGeo + "hasGeometry")
-	asWKT := rdf.NewIRI(rdf.NSGeo + "asWKT")
-	st := strabon.New()
-	t.Cleanup(func() { _ = st.Close() })
-	var triples []rdf.Triple
-	for side, class := range []string{"a", "b"} {
-		for i := 0; i < perSide; i++ {
-			f := rdf.NewIRI(fmt.Sprintf("urn:sj:%s%d", class, i))
-			gn := rdf.NewIRI(fmt.Sprintf("urn:sj:%s%d/geom", class, i))
-			x, y := float64(i%25)+0.3*float64(side), float64(i/25)+0.3*float64(side)
-			triples = append(triples,
-				rdf.NewTriple(f, kind, rdf.NewIRI("urn:sj:"+class)),
-				rdf.NewTriple(f, hasGeom, gn),
-				rdf.NewTriple(gn, asWKT, rdf.NewWKT(fmt.Sprintf(
-					"POLYGON ((%g %g, %g %g, %g %g, %g %g, %g %g))", x, y, x+0.5, y, x+0.5, y+0.5, x, y+0.5, x, y))))
-		}
-	}
-	st.AddAll(triples)
+	st := sjPolygons(t, perSide)
 	q, err := sparql.Parse(`SELECT (COUNT(*) AS ?n) WHERE {
   ?a <urn:sj:kind> <urn:sj:a> .
   ?a geo:hasGeometry ?ga .
@@ -213,4 +195,71 @@ func TestSpatialJoinWarmAllocations(t *testing.T) {
 		t.Fatalf("%.0f allocations per warm evaluation, ceiling %d", allocs, ceiling)
 	}
 	t.Logf("%.0f allocations per warm evaluation", allocs)
+}
+
+// sjPolygons is a store of perSide features of class a and of class b,
+// half-unit squares on a 25-wide grid; feature i of a intersects
+// feature i of b only.
+func sjPolygons(t *testing.T, perSide int) *strabon.Store {
+	kind := rdf.NewIRI("urn:sj:kind")
+	hasGeom := rdf.NewIRI(rdf.NSGeo + "hasGeometry")
+	asWKT := rdf.NewIRI(rdf.NSGeo + "asWKT")
+	st := strabon.New()
+	t.Cleanup(func() { _ = st.Close() })
+	var triples []rdf.Triple
+	for side, class := range []string{"a", "b"} {
+		for i := 0; i < perSide; i++ {
+			f := rdf.NewIRI(fmt.Sprintf("urn:sj:%s%d", class, i))
+			gn := rdf.NewIRI(fmt.Sprintf("urn:sj:%s%d/geom", class, i))
+			x, y := float64(i%25)+0.3*float64(side), float64(i/25)+0.3*float64(side)
+			triples = append(triples,
+				rdf.NewTriple(f, kind, rdf.NewIRI("urn:sj:"+class)),
+				rdf.NewTriple(f, hasGeom, gn),
+				rdf.NewTriple(gn, asWKT, rdf.NewWKT(fmt.Sprintf(
+					"POLYGON ((%g %g, %g %g, %g %g, %g %g, %g %g))", x, y, x+0.5, y, x+0.5, y+0.5, x, y+0.5, x, y))))
+		}
+	}
+	st.AddAll(triples)
+	return st
+}
+
+// TestSpatialJoinFilterAllocations is the allocation ceiling ci.sh
+// names for side filters: an SJ1-shaped join whose constant FILTER on
+// the build side's geometry keeps 25 of 500 features. The filter runs
+// inside the build side, so the join indexes and pairs only the rows
+// it keeps: 72 KB per evaluation, up to 93 KB under the race detector,
+// the ceiling 18 % above that. Filtering after the join builds all 500
+// and pairs them (284 KB) and trips it.
+func TestSpatialJoinFilterAllocations(t *testing.T) {
+	const (
+		perSide = 500
+		ceiling = 110_000
+	)
+	st := sjPolygons(t, perSide)
+	q, err := sparql.Parse(`SELECT (COUNT(*) AS ?n) WHERE {
+  ?a <urn:sj:kind> <urn:sj:a> .
+  ?a geo:hasGeometry ?ga .
+  ?ga geo:asWKT ?wa .
+  ?b <urn:sj:kind> <urn:sj:b> .
+  ?b geo:hasGeometry ?gb .
+  ?gb geo:asWKT ?wb .
+  FILTER(geof:sfIntersects(?wa, ?wb))
+  FILTER(geof:sfIntersects(?wb, "POLYGON ((0 0, 25 0, 25 1, 0 1, 0 0))"^^geo:wktLiteral))
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func() (*sparql.Results, error) { return q.EvalOneWorker(context.Background(), st) }
+	res, err := eval()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := res.Binding(0)["n"].Int(); n != 25 {
+		t.Fatalf("COUNT = %d, want 25 pairs", n)
+	}
+	bytes, allocs := perEval(t, eval)
+	t.Logf("%d B, %d allocs per evaluation", bytes, allocs)
+	if bytes > ceiling {
+		t.Fatalf("allocates %d B per evaluation, ceiling is %d", bytes, ceiling)
+	}
 }
