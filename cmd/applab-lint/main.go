@@ -1,14 +1,16 @@
-// Command applab-lint is the repo-specific static-analysis gate: the
-// AST checkers from PR1 plus the CFG/dataflow checkers (lockflow,
-// closeflow, errflow, ctxflow), built on the standard library only (see
+// Command applab-lint is the repo-specific static-analysis gate: errcheck
+// and sharedmap (syntactic, over go/types) and ctxflow (path-sensitive,
+// over a control-flow graph), built on the standard library only (see
 // internal/analysis).
 //
 // Usage:
 //
-//	applab-lint [-checks list] [-list] [packages]
+//	applab-lint [packages]
 //
 // Packages are directories or dir/... patterns; the default is ./...
-// from the module root. Findings print as
+// from the module root. The go command must be on PATH: standard-library
+// imports are read from compiler export data, which it locates. Findings
+// print as
 //
 //	file:line:col: [check] message
 //
@@ -32,22 +34,7 @@ func main() {
 }
 
 func run() int {
-	checks := flag.String("checks", "all", "comma-separated checker names to run")
-	list := flag.Bool("list", false, "list available checkers and exit")
 	flag.Parse()
-
-	if *list {
-		for _, c := range analysis.All() {
-			fmt.Printf("%-10s %s\n", c.Name, c.Doc)
-		}
-		return 0
-	}
-
-	checkers, err := analysis.ByName(*checks)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "applab-lint:", err)
-		return 2
-	}
 
 	loader := analysis.NewLoader()
 	pkgs, err := loader.Load(flag.Args())
@@ -63,7 +50,7 @@ func run() int {
 			broken = true
 			fmt.Fprintf(os.Stderr, "applab-lint: %s: %v\n", pkg.Pass.Path, terr)
 		}
-		findings = append(findings, analysis.RunAll(pkg.Pass, checkers)...)
+		findings = append(findings, analysis.RunAll(pkg.Pass, analysis.All())...)
 	}
 	analysis.SortFindings(findings)
 	for _, f := range findings {

@@ -3,12 +3,10 @@
 // (go/ast, go/parser, go/types, go/token, go/importer) to match the
 // module's dependency-free go.mod.
 //
-// The checkers are tuned to this codebase's failure modes — shared
-// mutable state behind the declarative query surface of the paper's
-// on-the-fly workflow: mutexes held across OPeNDAP/HTTP calls, leaked
-// fan-out goroutines, dropped errors, unguarded map fields on
-// concurrently used types, and wall-clock reads inside pure query
-// evaluation code.
+// Each checker pins a bug class this codebase has had: dropped errors
+// (errcheck), map fields written from goroutines with no mutex in the
+// struct (sharedmap), and engine row loops that never poll cancellation
+// (ctxflow).
 //
 // Findings can be suppressed with a directive on the offending line or
 // the line above:
@@ -25,7 +23,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Finding is one diagnostic produced by a checker.
@@ -63,57 +60,21 @@ type Checker struct {
 // All returns every registered checker in deterministic order.
 func All() []Checker {
 	return []Checker{
-		closeflowChecker(),
 		ctxflowChecker(),
 		errcheckChecker(),
-		errflowChecker(),
-		goleakChecker(),
-		lockflowChecker(),
-		lockioChecker(),
-		nakedtimeChecker(),
 		sharedmapChecker(),
-		telemetryChecker(),
 	}
-}
-
-// ByName resolves a comma-separated checker list ("" or "all" means every
-// checker).
-func ByName(names string) ([]Checker, error) {
-	all := All()
-	if names == "" || names == "all" {
-		return all, nil
-	}
-	byName := map[string]Checker{}
-	for _, c := range all {
-		byName[c.Name] = c
-	}
-	var out []Checker
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		c, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown check %q", n)
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // RunAll applies the checkers to the pass and returns the surviving
 // findings (suppressions applied), sorted by position. Suppressions
-// that match nothing from the checkers that ran are reported as
-// "directive" findings.
+// that match nothing are reported as "directive" findings.
 func RunAll(pass *Pass, checkers []Checker) []Finding {
 	var out []Finding
-	ran := map[string]bool{}
 	for _, c := range checkers {
-		ran[c.Name] = true
 		out = append(out, c.Run(pass)...)
 	}
-	out = append(out, suppress(pass, &out, ran, len(ran) >= len(All()))...)
+	out = append(out, suppress(pass, &out)...)
 	SortFindings(out)
 	return out
 }
@@ -160,23 +121,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// isPkgFunc reports whether fn belongs to pkgPath and is named one of
-// names (any name when names is empty).
-func isPkgFunc(fn *types.Func, pkgPath string, names ...string) bool {
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
-		return false
-	}
-	if len(names) == 0 {
-		return true
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
 }
 
 // recvTypeString returns the receiver type of a method callee rendered

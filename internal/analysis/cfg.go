@@ -8,17 +8,15 @@ import (
 	"strings"
 )
 
-/// cfg.go builds an intraprocedural control-flow graph over go/ast: the
-// foundation for the path-sensitive checkers (lockflow, closeflow,
-// errflow, ctxflow). The builder handles if/else, for, range, switch,
-// type switch, select, labeled statements, break/continue (labeled and
-// not), goto, fallthrough, return, and terminal calls (panic, os.Exit,
-/// log.Fatal*). Defer statements appear as ordinary nodes in their block:
-// a transfer function that sees one knows the deferred call runs at
-// every function exit reached from that point.
+// cfg.go builds an intraprocedural control-flow graph over go/ast: the
+// foundation of the path-sensitive ctxflow checker. The builder handles
+// if/else, for, range, switch, type switch, select, labeled statements,
+// break/continue (labeled and not), goto, fallthrough, return, and
+// terminal calls (panic, os.Exit, log.Fatal*). Defer statements appear as
+// ordinary nodes in their block.
 //
 // Blocks and successor lists are in deterministic construction order, so
-// dataflow results (and therefore findings) are stable across runs.
+// the analysis (and therefore its findings) is stable across runs.
 
 // Block is one basic block: a maximal straight-line sequence of
 // statements and condition expressions.
@@ -28,11 +26,10 @@ type Block struct {
 	// order. Condition expressions of if/for appear as the last node of
 	// their block.
 	Nodes []ast.Node
-	// Succs are the successor blocks. When Cond is non-nil there are
-	// exactly two: Succs[0] is the true edge, Succs[1] the false edge.
+	// Succs are the successor blocks. A block ending in an if or loop
+	// condition has two: Succs[0] is the true edge, Succs[1] the false
+	// edge.
 	Succs []*Block
-	// Cond is the branch condition ending this block, if any.
-	Cond ast.Expr
 }
 
 // Loop records one for/range loop's blocks: Head is the
@@ -185,7 +182,6 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 	}
 	cond := b.cur
 	cond.Nodes = append(cond.Nodes, s.Cond)
-	cond.Cond = s.Cond
 
 	then := b.newBlock()
 	b.edge(cond, then)
@@ -217,7 +213,6 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt, label string) {
 	after := b.newBlock()
 	if s.Cond != nil {
 		head.Nodes = append(head.Nodes, s.Cond)
-		head.Cond = s.Cond
 		head.Succs = []*Block{body, after}
 	} else {
 		head.Succs = []*Block{body}
@@ -246,7 +241,7 @@ func (b *cfgBuilder) rangeStmt(s *ast.RangeStmt, label string) {
 	head := b.newBlock()
 	b.edge(b.cur, head)
 	// The ranged expression (and per-iteration key/value binding) lives
-	// in the head so transfer functions see the reads.
+	// in the head, the block every iteration passes.
 	head.Nodes = append(head.Nodes, s.X)
 	body := b.newBlock()
 	after := b.newBlock()
@@ -419,42 +414,15 @@ func nodeKind(n ast.Node) string {
 	return s
 }
 
-// Preds computes the predecessor lists of every block, in deterministic
-// order (by source block index, then successor position).
-func (c *CFG) Preds() map[*Block][]*Block {
-	preds := map[*Block][]*Block{}
-	for _, blk := range c.Blocks {
-		for _, s := range blk.Succs {
-			preds[s] = append(preds[s], blk)
-		}
-	}
-	return preds
-}
-
-// Reachable returns the set of blocks reachable from Entry.
-func (c *CFG) Reachable() map[*Block]bool {
-	seen := map[*Block]bool{}
-	stack := []*Block{c.Entry}
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[blk] {
-			continue
-		}
-		seen[blk] = true
-		stack = append(stack, blk.Succs...)
-	}
-	return seen
-}
-
-// funcCFGs walks a file and yields every function body (declarations and
-// literals) with its enclosing declaration name, in source order.
+// funcBody is one function body (a declaration's or a literal's) with
+// its enclosing declaration.
 type funcBody struct {
 	decl *ast.FuncDecl // nil for literals outside any decl (var init)
 	lit  *ast.FuncLit  // nil for the declaration body itself
 	body *ast.BlockStmt
 }
 
+// collectFuncBodies yields every function body of a file in source order.
 func collectFuncBodies(file *ast.File) []funcBody {
 	var out []funcBody
 	for _, decl := range file.Decls {

@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// ctxflowChecker is the path-sensitive successor of the PR5 ctxcheck:
-// a row/triple loop inside the compiled SPARQL engine's plan-execution
-// surface must hit a cancellation checkpoint on EVERY path through an
-// iteration, not merely contain one somewhere. A loop whose whole batch
+// ctxflowChecker: a row/triple loop inside the compiled SPARQL engine's
+// plan-execution surface must hit a cancellation checkpoint on EVERY
+// path through an iteration, not merely contain one somewhere (a hash
+// join's build loop that never polled is the bug it was written for). A loop whose whole batch
 // was pre-charged by an `ec.tickN(&n, len(xs))` immediately before it
 // is exempt — that is the engine's documented bulk-accounting idiom.
 func ctxflowChecker() Checker {

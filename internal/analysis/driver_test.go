@@ -17,8 +17,8 @@ func mkFinding(file string, line, col int, check, msg string) analysis.Finding {
 }
 
 func TestFindingString(t *testing.T) {
-	f := mkFinding("a.go", 3, 9, "errflow", "dropped")
-	if got, want := f.String(), "a.go:3:9: [errflow] dropped"; got != want {
+	f := mkFinding("a.go", 3, 9, "errcheck", "dropped")
+	if got, want := f.String(), "a.go:3:9: [errcheck] dropped"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
@@ -51,12 +51,12 @@ func TestSortFindings(t *testing.T) {
 }
 
 func TestUnusedIgnoreDirectiveReported(t *testing.T) {
-	got := runChecker(t, "", checkerCase{ // "" = all checkers: unused detection needs the full set
+	got := runChecker(t, "sharedmap", checkerCase{
 		name: "unused",
 		src: `package fixture
 
 func fine() {
-	//lint:ignore lockflow reason: nothing here ever locked anything
+	//lint:ignore sharedmap reason: nothing here writes a shared map
 	_ = 1
 }
 `,
@@ -69,11 +69,12 @@ func fine() {
 	}
 }
 
-func TestUnknownCheckInIgnoreStillCounts(t *testing.T) {
-	// A directive for a check that did not run must not be flagged as
-	// unused (partial -checks invocations would otherwise churn).
+// TestDirectiveForOtherCheckReported: every directive that suppresses
+// nothing is reported, also one naming a check that did not run or does
+// not exist.
+func TestDirectiveForOtherCheckReported(t *testing.T) {
 	got := runChecker(t, "errcheck", checkerCase{
-		name: "partial",
+		name: "other check",
 		src: `package fixture
 
 func fine() {
@@ -82,24 +83,7 @@ func fine() {
 }
 `,
 	})
-	if len(got) != 0 {
-		t.Fatalf("directive for a non-running check must not be reported, got %v", got)
-	}
-}
-
-func TestByName(t *testing.T) {
-	cs, err := analysis.ByName("lockflow, closeflow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cs) != 2 || cs[0].Name != "lockflow" || cs[1].Name != "closeflow" {
-		t.Errorf("ByName parse: %v", cs)
-	}
-	if _, err := analysis.ByName("nope"); err == nil {
-		t.Error("unknown check must error")
-	}
-	all, err := analysis.ByName("all")
-	if err != nil || len(all) != len(analysis.All()) {
-		t.Errorf("ByName(all) = %d checkers, err %v", len(all), err)
+	if len(got) != 1 || got[0].Check != "directive" || !strings.Contains(got[0].Message, "unused") {
+		t.Fatalf("want 1 unused-directive finding, got %v", got)
 	}
 }

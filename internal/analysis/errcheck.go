@@ -66,7 +66,7 @@ func errAllowlisted(info *types.Info, call *ast.CallExpr, fn *types.Func) bool {
 	if fn == nil {
 		return false
 	}
-	if isPkgFunc(fn, "fmt") {
+	if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 		if strings.HasPrefix(fn.Name(), "Print") {
 			return true
 		}

@@ -2,9 +2,9 @@ package analysis_test
 
 import "testing"
 
-// Generic-code fixtures for the five first-generation checkers: each
-// checker must neither crash on, nor miss findings in, code using type
-// parameters and explicit instantiations.
+// Generic-code fixtures for the syntactic checkers: each checker must
+// neither crash on, nor miss findings in, code using type parameters and
+// explicit instantiations.
 
 func TestSharedmapGenerics(t *testing.T) {
 	runCases(t, "sharedmap", []checkerCase{
@@ -130,191 +130,6 @@ func f() error {
 		return err
 	}
 	return nil
-}
-`,
-			want: 0,
-		},
-	})
-}
-
-func TestGoleakGenerics(t *testing.T) {
-	runCases(t, "goleak", []checkerCase{
-		{
-			name: "unsignalled goroutine inside a generic function",
-			src: `package fixture
-
-func fanOut[T any](xs []T) {
-	for range xs {
-		go func() {
-			_ = 1
-		}()
-	}
-}
-`,
-			want:       1,
-			wantSubstr: "completion signal",
-		},
-		{
-			name: "channel-signalled goroutine inside a generic function",
-			src: `package fixture
-
-func fanOut[T any](xs []T, done chan T) {
-	for _, x := range xs {
-		go func() {
-			done <- x
-		}()
-	}
-}
-`,
-			want: 0,
-		},
-		{
-			name: "waitgroup done via generic helper method",
-			src: `package fixture
-
-import "sync"
-
-type pool[T any] struct {
-	wg sync.WaitGroup
-}
-
-func (p *pool[T]) run(f func()) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		f()
-	}()
-}
-`,
-			want: 0,
-		},
-	})
-}
-
-func TestLockioGenerics(t *testing.T) {
-	runCases(t, "lockio", []checkerCase{
-		{
-			name: "sleep under a generic container's lock",
-			src: `package fixture
-
-import (
-	"sync"
-	"time"
-)
-
-type box[T any] struct {
-	mu sync.Mutex
-	v  T
-}
-
-func (b *box[T]) slowSet(v T) {
-	b.mu.Lock()
-	time.Sleep(time.Millisecond)
-	b.v = v
-	b.mu.Unlock()
-}
-`,
-			want:       1,
-			wantSubstr: "time.Sleep",
-		},
-		{
-			name: "io after unlock in a generic method is fine",
-			src: `package fixture
-
-import (
-	"sync"
-	"time"
-)
-
-type box[T any] struct {
-	mu sync.Mutex
-	v  T
-}
-
-func (b *box[T]) set(v T) {
-	b.mu.Lock()
-	b.v = v
-	b.mu.Unlock()
-	time.Sleep(time.Millisecond)
-}
-`,
-			want: 0,
-		},
-	})
-}
-
-func TestNakedtimeGenerics(t *testing.T) {
-	runCases(t, "nakedtime", []checkerCase{
-		{
-			name: "time.Now inside a generic evaluator helper",
-			path: "applab/internal/sparql",
-			src: `package sparql
-
-import "time"
-
-func evalAll[T any](xs []T) time.Time {
-	return time.Now()
-}
-`,
-			want:       1,
-			wantSubstr: "time.Now()",
-		},
-		{
-			name: "instant parameter in generic code is fine",
-			path: "applab/internal/sparql",
-			src: `package sparql
-
-import "time"
-
-func evalAll[T any](xs []T, now time.Time) time.Time {
-	return now
-}
-`,
-			want: 0,
-		},
-	})
-}
-
-// TestLockflowGenerics: the dataflow checkers must handle generic
-// receivers too — the canonical lock key must collapse instantiations.
-func TestLockflowGenerics(t *testing.T) {
-	runCases(t, "lockflow", []checkerCase{
-		{
-			name: "leak through a generic method",
-			src: `package fixture
-
-import "sync"
-
-type guarded[T any] struct {
-	mu sync.Mutex
-	v  T
-}
-
-func (g *guarded[T]) bad(ok bool) {
-	g.mu.Lock()
-	if ok {
-		return // leak
-	}
-	g.mu.Unlock()
-}
-`,
-			want:       1,
-			wantSubstr: "may still be write-locked",
-		},
-		{
-			name: "deferred unlock in a generic method is fine",
-			src: `package fixture
-
-import "sync"
-
-type guarded[T any] struct {
-	mu sync.Mutex
-	v  T
-}
-
-func (g *guarded[T]) good() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 }
 `,
 			want: 0,

@@ -7,8 +7,8 @@ import (
 	"applab/internal/analysis"
 )
 
-// loader is shared across all checker tests so the source importer's
-// cache of type-checked stdlib packages is reused.
+// loader is shared across all checker tests so its importer reads each
+// standard-library package's export data once.
 var loader = analysis.NewLoader()
 
 // checkerCase is one table entry: an in-memory fixture, the checker to
@@ -34,11 +34,13 @@ func runChecker(t *testing.T, check string, c checkerCase) []analysis.Finding {
 	if err != nil {
 		t.Fatalf("fixture %s does not type-check: %v", c.name, err)
 	}
-	checkers, err := analysis.ByName(check)
-	if err != nil {
-		t.Fatalf("ByName(%q): %v", check, err)
+	for _, c := range analysis.All() {
+		if c.Name == check {
+			return analysis.RunAll(pass, []analysis.Checker{c})
+		}
 	}
-	return analysis.RunAll(pass, checkers)
+	t.Fatalf("no checker named %q", check)
+	return nil
 }
 
 // runCases drives a checker over a table of fixtures.
@@ -126,4 +128,34 @@ func TestLoadSelf(t *testing.T) {
 	if len(pkgs[0].Pass.Files) == 0 {
 		t.Fatal("no files loaded")
 	}
+}
+
+// TestLoadChecksEachPackageOnce: an import of a module package is served
+// from the loader's own result, so the rdf package the sparql pass
+// imports is the very package the loader returns for rdf.
+func TestLoadChecksEachPackageOnce(t *testing.T) {
+	pkgs, err := analysis.NewLoader().Load([]string{"../../internal/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath := map[string]*analysis.Package{}
+	for _, p := range pkgs {
+		if len(p.TypeErrors) > 0 {
+			t.Fatalf("%s: %v", p.Pass.Path, p.TypeErrors[0])
+		}
+		byPath[p.Pass.Path] = p
+	}
+	sparql, rdf := byPath["applab/internal/sparql"], byPath["applab/internal/rdf"]
+	if sparql == nil || rdf == nil {
+		t.Fatalf("sparql or rdf not loaded from ./internal/...: %d packages", len(pkgs))
+	}
+	for _, imp := range sparql.Pass.Pkg.Imports() {
+		if imp.Path() == "applab/internal/rdf" {
+			if imp != rdf.Pass.Pkg {
+				t.Fatal("sparql imports a second type-checked copy of applab/internal/rdf")
+			}
+			return
+		}
+	}
+	t.Fatal("sparql does not import applab/internal/rdf")
 }

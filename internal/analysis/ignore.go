@@ -29,12 +29,9 @@ type ignoreSet map[string][]*ignoreDirective
 //
 //	//lint:ignore <check> reason: <why this is safe>
 //
-// A directive whose checks all ran yet matched nothing is itself
-// reported: stale suppressions hide future regressions. ran is the set
-// of checker names that produced the findings; fullSet marks a run of
-// every registered checker (only then can a wildcard directive be
-// proven unused).
-func suppress(pass *Pass, findings *[]Finding, ran map[string]bool, fullSet bool) []Finding {
+// A directive that matched nothing is itself reported: stale
+// suppressions hide future regressions.
+func suppress(pass *Pass, findings *[]Finding) []Finding {
 	ignores, bad := collectIgnores(pass)
 	kept := (*findings)[:0]
 	for _, f := range *findings {
@@ -48,18 +45,7 @@ func suppress(pass *Pass, findings *[]Finding, ran map[string]bool, fullSet bool
 	var stale []*ignoreDirective
 	for _, ds := range ignores {
 		for _, d := range ds {
-			if d.used {
-				continue
-			}
-			covered := true
-			for c := range d.checks {
-				if c == "*" {
-					covered = covered && fullSet
-				} else if !ran[c] {
-					covered = false
-				}
-			}
-			if covered {
+			if !d.used {
 				stale = append(stale, d)
 			}
 		}

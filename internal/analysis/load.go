@@ -15,25 +15,36 @@ import (
 
 // Package is one loaded, parsed, type-checked package.
 type Package struct {
-	Dir        string
 	Pass       *Pass
 	TypeErrors []error
 }
 
 // Loader discovers, parses, and type-checks packages of the enclosing
-// module using only the standard library: file discovery walks the
-// module tree the way `go build ./...` would, and imports are resolved
-// by the go/importer source importer, which caches across packages. A
-// Loader is not safe for concurrent use.
+// module using only the standard library. File discovery walks the
+// module tree the way `go build ./...` would. Each module package is
+// type-checked once: an import of another module package is served from
+// the loader's own result, and every other import (the standard
+// library) from compiler export data by the "gc" importer, which asks
+// the go command on PATH where that data lives. A Loader is not safe for
+// concurrent use.
 type Loader struct {
-	Fset     *token.FileSet
-	importer types.Importer
+	Fset *token.FileSet
+	gc   types.Importer
+
+	root, module string              // set by Load
+	pkgs         map[string]*Package // by import path; nil when a dir has no Go files
+	loading      map[string]bool     // import paths being type-checked
 }
 
 // NewLoader returns a Loader with a fresh file set and import cache.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	return &Loader{Fset: fset, importer: importer.ForCompiler(fset, "source", nil)}
+	return &Loader{
+		Fset:    fset,
+		gc:      importer.ForCompiler(fset, "gc", nil),
+		pkgs:    map[string]*Package{},
+		loading: map[string]bool{},
+	}
 }
 
 // Load resolves patterns (directories, or dir/... for recursive walks;
@@ -45,13 +56,26 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.root, l.module = root, module
 	dirs, err := expandPatterns(patterns)
 	if err != nil {
 		return nil, err
 	}
 	var pkgs []*Package
 	for _, dir := range dirs {
-		pkg, err := l.loadDir(dir, root, module)
+		abs, err := filepath.Abs(dir)
+		if err != nil {
+			return nil, err
+		}
+		rel, err := filepath.Rel(root, abs)
+		if err != nil || strings.HasPrefix(rel, "..") {
+			return nil, fmt.Errorf("%s is outside module root %s", dir, root)
+		}
+		path := module
+		if rel != "." {
+			path = module + "/" + filepath.ToSlash(rel)
+		}
+		pkg, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
@@ -63,11 +87,28 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// Import implements types.Importer for the packages the loader checks.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if l.module == "" || (path != l.module && !strings.HasPrefix(path, l.module+"/")) {
+		return l.gc.Import(path)
+	}
+	pkg, err := l.load(path)
+	switch {
+	case err != nil:
+		return nil, err
+	case pkg == nil:
+		return nil, fmt.Errorf("no Go files for %s", path)
+	case len(pkg.TypeErrors) > 0:
+		return pkg.Pass.Pkg, fmt.Errorf("%s does not type-check", path)
+	}
+	return pkg.Pass.Pkg, nil
+}
+
 // CheckSource parses and type-checks a single in-memory file as a
 // package with the given import path — the fixture entry point for the
-// checker tests.
+// checker tests. The result is not kept for later imports.
 func (l *Loader) CheckSource(path, src string) (*Pass, error) {
-	file, err := l.parseSource(path, src)
+	file, err := parser.ParseFile(l.Fset, strings.ReplaceAll(path, "/", "_")+".go", src, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
@@ -78,24 +119,23 @@ func (l *Loader) CheckSource(path, src string) (*Pass, error) {
 	return pass, nil
 }
 
-func (l *Loader) parseSource(path, src string) (*ast.File, error) {
-	return parser.ParseFile(l.Fset, strings.ReplaceAll(path, "/", "_")+".go", src, parser.ParseComments)
-}
+// load type-checks the module package at import path path, once; nil
+// when its directory holds no buildable Go files.
+func (l *Loader) load(path string) (*Package, error) {
+	if pkg, done := l.pkgs[path]; done {
+		return pkg, nil
+	}
+	if l.loading[path] {
+		return nil, fmt.Errorf("import cycle through %s", path)
+	}
+	l.loading[path] = true
+	defer delete(l.loading, path)
 
-// loadDir loads the package in one directory; nil when the directory
-// holds no buildable Go files.
-func (l *Loader) loadDir(dir, root, module string) (*Package, error) {
+	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/")
+	dir := filepath.Join(l.root, filepath.FromSlash(rel))
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
-	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := filepath.Rel(root, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return nil, fmt.Errorf("%s is outside module root %s", dir, root)
 	}
 	var files []*ast.File
 	for _, e := range ents {
@@ -104,9 +144,8 @@ func (l *Loader) loadDir(dir, root, module string) (*Package, error) {
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		// Parse under the module-root-relative name: positions (and the
-		// -json / -baseline output built from them) stay stable no
-		// matter which directory the linter is invoked from.
+		// Parse under the module-root-relative name: positions stay
+		// stable no matter which directory the linter is invoked from.
 		src, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
@@ -117,15 +156,13 @@ func (l *Loader) loadDir(dir, root, module string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, nil
+	var pkg *Package
+	if len(files) > 0 {
+		pass, typeErrs := l.typeCheck(path, files)
+		pkg = &Package{Pass: pass, TypeErrors: typeErrs}
 	}
-	path := module
-	if rel != "." {
-		path = module + "/" + filepath.ToSlash(rel)
-	}
-	pass, typeErrs := l.typeCheck(path, files)
-	return &Package{Dir: dir, Pass: pass, TypeErrors: typeErrs}, nil
+	l.pkgs[path] = pkg
+	return pkg, nil
 }
 
 // typeCheck runs go/types over the files, collecting rather than failing
@@ -139,18 +176,11 @@ func (l *Loader) typeCheck(path string, files []*ast.File) (*Pass, []error) {
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: l.importer,
+		Importer: l,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	pkg, _ := conf.Check(path, l.Fset, files, info)
 	return &Pass{Fset: l.Fset, Path: path, Files: files, Pkg: pkg, Info: info}, typeErrs
-}
-
-// ModuleRoot returns the directory of the enclosing go.mod: the base
-// against which the linter's root-relative positions resolve.
-func ModuleRoot() (string, error) {
-	dir, _, err := moduleRoot()
-	return dir, err
 }
 
 // moduleRoot finds the enclosing go.mod and returns its directory and

@@ -27,7 +27,7 @@ import (
 // clause resolved to is identified by its pointer, and the view is derived
 // again only when some mapping resolved to another relation than the one
 // the last view was built from. Otherwise the same immutable graph is
-// published again (DESIGN.md §17). The data epoch counts rebuilds, so a
+// published again (DESIGN.md §12). The data epoch counts rebuilds, so a
 // result cache over the graph validates without any wiring.
 type VirtualGraph struct {
 	db       *madis.DB

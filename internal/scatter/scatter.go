@@ -4,7 +4,7 @@
 // keep their own metric series. Read and Gather do the rest — replica
 // order, failover, hedging, fan-out charging, health and the deadline —
 // Merge is the one merge rule, and a Tally on the context marks an
-// evaluation partial. DESIGN.md §7 "Scatter-gather" states the rules.
+// evaluation partial. DESIGN.md §13 states the rules.
 package scatter
 
 import (

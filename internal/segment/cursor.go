@@ -8,7 +8,7 @@ import (
 	"applab/internal/rdf"
 )
 
-// The read path (DESIGN.md §12): one merged cursor over the memtable
+// The read path (DESIGN.md §10): one merged cursor over the memtable
 // and the runs. Each source yields its candidates in canonical order —
 // (S,P,O) by term key, then valid time — and the cursor steps through
 // them in a k-way merge, so equal triples from different sources meet at

@@ -2,7 +2,7 @@
 // side of the paper's Figure 1: an LSM-style store of immutable sorted
 // runs plus an in-memory memtable, fed through a write-ahead log.
 //
-// The design (DESIGN.md §12) in one paragraph: every mutation is
+// The design (DESIGN.md §10) in one paragraph: every mutation is
 // appended to the WAL and fsynced, then applied to the memtable (an
 // rdf.Graph plus a tombstone set). When the memtable reaches the flush
 // threshold it is written as an immutable run — term dictionary,

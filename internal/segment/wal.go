@@ -23,7 +23,7 @@ import (
 // the group commits as a unit — append never writes a frame replay
 // would have to reject as corrupt.
 //
-// Recovery contract (see DESIGN.md §12):
+// Recovery contract (see DESIGN.md §10):
 //
 //   - A record is committed iff its frame is fully present with a
 //     matching checksum AND its chunk group is complete (a group is
