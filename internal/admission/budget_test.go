@@ -212,7 +212,6 @@ func TestCheckPrefersBudgetOverContext(t *testing.T) {
 	if err := admission.Check(ctx); err != context.Canceled {
 		t.Fatalf("Check with clean budget = %v, want context.Canceled", err)
 	}
-	//lint:ignore errcheck reason: the violation is read back via Check below
 	b.CheckRows(2)
 	err := admission.Check(ctx)
 	if _, ok := admission.AsBudgetError(err); !ok {

@@ -243,7 +243,7 @@ func (c *Coordinator) writeShard(ctx context.Context, shard uint32, rec segment.
 // member down, stale, or refusing): that read is counted partial once
 // and the patterns it left unanswered read as empty. A non-nil error is
 // always an admission abort (cancellation/budget) and aborts the query.
-func readGroup[A any](ctx context.Context, c *Coordinator, shard uint32, pats []rdf.Pattern, decode func([]byte) ([]A, error)) (answers []A, ok bool, err error) {
+func readGroup[A any](ctx context.Context, c *Coordinator, shard uint32, pats []rdf.Ref, decode func([]byte, []rdf.Ref) ([]A, error)) (answers []A, ok bool, err error) {
 	for len(answers) < len(pats) {
 		rest := pats[len(answers):]
 		got, res, err := scatter.Read(ctx, &c.fan, matchLeg(c, shard, rest, decode))
@@ -264,25 +264,25 @@ func readGroup[A any](ctx context.Context, c *Coordinator, shard uint32, pats []
 
 // matchLeg is one read of patterns from a shard: its replica group,
 // each answer accepted only when it covers everything committed to the
-// shard when the read began, and decoded by its own call into memory
-// only that call holds: a hedged read's loser never touches the winner's.
-func matchLeg[A any](c *Coordinator, shard uint32, pats []rdf.Pattern, decode func([]byte) ([]A, error)) scatter.Leg[[]A] {
+// shard when the read began, and decoded by its own call, in the frame,
+// into memory only that call holds: a hedged read's loser never touches
+// the winner's.
+func matchLeg[A any](c *Coordinator, shard uint32, pats []rdf.Ref, decode func([]byte, []rdf.Ref) ([]A, error)) scatter.Leg[[]A] {
 	want := c.logs[shard].last()
 	return scatter.Leg[[]A]{
 		Replicas: c.groups[shard],
 		Size:     len(pats),
-		Call: func(ctx context.Context, node string) ([]A, error) {
-			msg, err := c.tr.Call(ctx, node, Message{Type: MsgMatchReq, Shard: shard, Patterns: pats})
-			if err == nil && (msg.Type != MsgMatchResp || msg.Seq < want) {
-				err = errStaleRead
+		Call: func(ctx context.Context, node string) (answers []A, err error) {
+			read := func(msg Message) (err error) {
+				if msg.Type != MsgMatchResp || msg.Seq < want {
+					return errStaleRead
+				}
+				if answers, err = decode(msg.Records, pats); err == nil && (len(answers) == 0 || len(answers) > len(pats)) {
+					err = errStaleRead
+				}
+				return err
 			}
-			if err != nil {
-				return nil, err
-			}
-			answers, err := decode(msg.Records)
-			if err == nil && (len(answers) == 0 || len(answers) > len(pats)) {
-				err = errStaleRead
-			}
+			_, err = c.tr.Call(ctx, node, Message{Type: MsgMatchReq, Shard: shard, Patterns: pats, Read: read})
 			return answers, err
 		},
 	}
@@ -295,7 +295,7 @@ var errStaleRead = errors.New("cluster: replica answer stale or malformed")
 
 // decodeTriples decodes a match answer's records into one triple slice
 // per record, each the slice its payload decoded into.
-func decodeTriples(records []byte) ([][]rdf.Triple, error) {
+func decodeTriples(records []byte, _ []rdf.Ref) ([][]rdf.Triple, error) {
 	recs, err := segment.DecodeLogRecords(records)
 	answers := make([][]rdf.Triple, len(recs))
 	for i, rec := range recs {
@@ -342,7 +342,7 @@ func (c *Coordinator) Route(s, p, o rdf.Term) (int, bool) {
 // partial, and marked on the context's scatter.Tally;
 // EvalPartialContext reads the mark).
 func (c *Coordinator) FragmentMatch(ctx context.Context, frag int, s, p, o rdf.Term) ([]rdf.Triple, error) {
-	answers, _, err := readGroup(ctx, c, uint32(frag), []rdf.Pattern{{S: s, P: p, O: o}}, decodeTriples)
+	answers, _, err := readGroup(ctx, c, uint32(frag), []rdf.Ref{rdf.PatternRef(s, p, o)}, decodeTriples)
 	if err != nil {
 		return nil, err
 	}
@@ -351,10 +351,11 @@ func (c *Coordinator) FragmentMatch(ctx context.Context, frag int, s, p, o rdf.T
 
 // FragmentMatchBatch implements sparql.BatchExchangeSource: one read
 // of the fragment's replica group carrying every pattern (more only
-// when the answer outgrows a frame), its records decoded straight into
-// refs (segment.DecodeLogRefs) over terms the answer owns. An
-// unreadable group degrades like FragmentMatch, counted once per read.
-func (c *Coordinator) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Ref, error) {
+// when the answer outgrows a frame), its records decoded in the frame
+// straight into refs (segment.DecodeLogRefs) over terms the answer or
+// the pattern owns. An unreadable group degrades like FragmentMatch,
+// counted once per read.
+func (c *Coordinator) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Ref) ([][]rdf.Ref, error) {
 	answers, _, err := readGroup(ctx, c, uint32(frag), pats, segment.DecodeLogRefs)
 	return answers, err
 }
@@ -372,7 +373,7 @@ func (c *Coordinator) Match(s, p, o rdf.Term) []rdf.Triple {
 // group, not their sum.
 func (c *Coordinator) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
 	ctx := context.Background()
-	pats := []rdf.Pattern{{S: s, P: p, O: o}}
+	pats := []rdf.Ref{rdf.PatternRef(s, p, o)}
 	if frag, routed := c.Route(s, p, o); routed {
 		answers, ok, err := readGroup(ctx, c, uint32(frag), pats, decodeTriples)
 		if err != nil {
@@ -490,7 +491,12 @@ func (c *Coordinator) snapshotInto(ctx context.Context, shard uint32, laggard st
 			continue
 		}
 		c.noteRPC("snap")
-		snap, err := c.tr.Call(ctx, donor, Message{Type: MsgSnapReq, Shard: shard})
+		var snap Message
+		keep := func(resp Message) error {
+			snap, snap.Records = resp, slices.Clone(resp.Records)
+			return nil
+		}
+		_, err := c.tr.Call(ctx, donor, Message{Type: MsgSnapReq, Shard: shard, Read: keep})
 		if err != nil || snap.Type != MsgSnapResp || snap.Seq < target {
 			continue
 		}

@@ -357,7 +357,7 @@ func TestClusterHedgedRead(t *testing.T) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		answers, ok, err := readGroup(ctx, tc.c, 1, []rdf.Pattern{{P: rdf.NewIRI("http://ex/p0")}}, decodeTriples)
+		answers, ok, err := readGroup(ctx, tc.c, 1, []rdf.Ref{rdf.PatternRef(rdf.Term{}, rdf.NewIRI("http://ex/p0"), rdf.Term{})}, decodeTriples)
 		var ts []rdf.Triple
 		if err == nil {
 			ts = answers[0]
@@ -405,7 +405,7 @@ func TestHedgedBatchLoserDecodesAlone(t *testing.T) {
 	}
 	// n2 leads group 1 and is slow: the hedge to n3 wins.
 	tc.net.SetSlow("n2", 50*time.Millisecond)
-	pats := []rdf.Pattern{{P: rdf.NewIRI("http://ex/p0")}, {P: rdf.NewIRI("http://ex/p1")}}
+	pats := []rdf.Ref{rdf.PatternRef(rdf.Term{}, rdf.NewIRI("http://ex/p0"), rdf.Term{}), rdf.PatternRef(rdf.Term{}, rdf.NewIRI("http://ex/p1"), rdf.Term{})}
 	idle := runtime.NumGoroutine()
 	timers := tc.clk.Timers()
 	done := make(chan [][]rdf.Ref, 1)
@@ -508,12 +508,12 @@ func TestClusterHedgeScalesWithBatch(t *testing.T) {
 	if d1, d10 := tc.c.hedgeDelay(1), tc.c.hedgeDelay(10); d1 != 2*time.Millisecond || d10 != 20*time.Millisecond {
 		t.Fatalf("hedge delay %v for one pattern, %v for ten; want 2ms and 20ms", d1, d10)
 	}
-	batch := make([]rdf.Pattern, 10)
+	batch := make([]rdf.Ref, 10)
 	for i := range batch {
-		batch[i] = rdf.Pattern{P: rdf.NewIRI("http://ex/p0"), O: rdf.NewInteger(int64(i))}
+		batch[i] = rdf.PatternRef(rdf.Term{}, rdf.NewIRI("http://ex/p0"), rdf.NewInteger(int64(i)))
 	}
 	tc.net.SetSlow("n2", 15*time.Millisecond)
-	read := func(pats []rdf.Pattern, step time.Duration) (hedges, wins int64) {
+	read := func(pats []rdf.Ref, step time.Duration) (hedges, wins int64) {
 		t.Helper()
 		before, timers := tc.reg.Snapshot(), tc.clk.Timers()
 		done := make(chan bool, 1)
@@ -569,7 +569,8 @@ func TestBindJoinReadsPerStep(t *testing.T) {
 // TestBatchAnswerSplitAcrossFrames: a batch whose answer outgrows the
 // frame cap is completed by further reads, over TCP and over the
 // in-memory fabric alike: the answers are the same, complete, and
-// never partial.
+// never partial, and each answer's subject is its pattern's own handle,
+// in the later reads too.
 func TestBatchAnswerSplitAcrossFrames(t *testing.T) {
 	// One subject's two triples encode to well under 256 bytes: a 256-
 	// byte cap fits a few patterns per frame. The cap is set before the
@@ -588,9 +589,9 @@ func TestBatchAnswerSplitAcrossFrames(t *testing.T) {
 	oracle := strabon.New()
 	ts := clusterTriples(40, 0)
 	oracle.AddAll(ts)
-	pats := make([]rdf.Pattern, 0, 40)
+	pats := make([]rdf.Ref, 0, 40)
 	for i := 0; i < 40; i++ {
-		pats = append(pats, rdf.Pattern{S: rdf.NewIRI(testSubjectIRI(i))})
+		pats = append(pats, rdf.PatternRef(rdf.NewIRI(testSubjectIRI(i)), rdf.Term{}, rdf.Term{}))
 	}
 	for name, c := range map[string]*Coordinator{"tcp": tcp, "mem": mem.c} {
 		if applied, err := c.AddAll(context.Background(), ts); err != nil || len(applied) != len(ts) {
@@ -610,12 +611,12 @@ func TestBatchAnswerSplitAcrossFrames(t *testing.T) {
 			t.Fatalf("%s: %d answers for %d patterns", name, len(answers), len(pats))
 		}
 		for i, p := range pats {
-			want := oracle.Match(p.S, p.P, p.O)
+			want := oracle.Match(p.Terms())
 			if len(answers[i]) != len(want) || len(want) != 2 {
 				t.Fatalf("%s: pattern %d: %d triples, want %d", name, i, len(answers[i]), len(want))
 			}
 			for _, r := range answers[i] {
-				if *r.S != p.S {
+				if r.S != p.S {
 					t.Fatalf("%s: pattern %d answered with %v %v %v", name, i, *r.S, *r.P, *r.O)
 				}
 			}
@@ -643,7 +644,7 @@ func TestClusterHedgeSkipsBenched(t *testing.T) {
 	}
 	done := make(chan bool, 1)
 	go func() {
-		_, ok, _ := readGroup(ctx, tc.c, 1, []rdf.Pattern{{P: rdf.NewIRI("http://ex/p0")}}, decodeTriples)
+		_, ok, _ := readGroup(ctx, tc.c, 1, []rdf.Ref{rdf.PatternRef(rdf.Term{}, rdf.NewIRI("http://ex/p0"), rdf.Term{})}, decodeTriples)
 		done <- ok
 	}()
 	tc.clk.AwaitTimers(timersBefore + 1)

@@ -48,16 +48,17 @@ func goldenShard(t *testing.T) *Node {
 // After a deliberate wire change, rerun with -update.
 func TestNodeMatchAnswerGolden(t *testing.T) {
 	n := goldenShard(t)
-	pats := []rdf.Pattern{
-		{S: rdf.NewIRI("http://ex/s1")},
-		{P: rdf.NewIRI("http://ex/p0")},
-		{S: rdf.NewIRI("http://ex/s2")},
+	none := rdf.Term{}
+	pats := []rdf.Ref{
+		rdf.PatternRef(rdf.NewIRI("http://ex/s1"), none, none),
+		rdf.PatternRef(none, rdf.NewIRI("http://ex/p0"), none),
+		rdf.PatternRef(rdf.NewIRI("http://ex/s2"), none, none),
 		{},
-		{S: rdf.NewIRI("http://ex/none")},
-		{P: rdf.NewIRI("http://ex/p0"), O: rdf.NewIRI("http://ex/o")},
+		rdf.PatternRef(rdf.NewIRI("http://ex/none"), none, none),
+		rdf.PatternRef(none, rdf.NewIRI("http://ex/p0"), rdf.NewIRI("http://ex/o")),
 	}
 	var frames []string
-	answer := func(pats []rdf.Pattern) int {
+	answer := func(pats []rdf.Ref) int {
 		resp := n.Handle(Message{Type: MsgMatchReq, Shard: 3, Patterns: pats})
 		frame, err := EncodeMessage(resp)
 		if err != nil {

@@ -174,5 +174,9 @@ func (m *MemNetwork) Call(ctx context.Context, id string, req Message) (Message,
 	if err := ctx.Err(); err != nil {
 		return Message{}, err
 	}
-	return n.Handle(req), nil
+	resp := n.Handle(req)
+	if req.Read != nil {
+		return resp, req.Read(resp)
+	}
+	return resp, nil
 }

@@ -130,7 +130,8 @@ func (n *Node) handleMatch(req Message, b *answerBufs) Message {
 	sh := n.shard(req.Shard)
 	sh.mu.Lock()
 	for _, p := range req.Patterns {
-		ts = sh.store.AppendMatch(ts, p.S, p.P, p.O)
+		s, p, o := p.Terms()
+		ts = sh.store.AppendMatch(ts, s, p, o)
 		ends = append(ends, len(ts))
 	}
 	seq := sh.lastSeq

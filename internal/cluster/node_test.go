@@ -66,7 +66,7 @@ func TestNodeApplyOrdering(t *testing.T) {
 	if resp = n.Handle(Message{Type: MsgApplyReq, Shard: 0, Seq: 1, Records: img1}); !resp.OK || resp.Seq != 2 {
 		t.Fatalf("idempotent apply: %+v", resp)
 	}
-	match := n.Handle(Message{Type: MsgMatchReq, Shard: 0, Patterns: []rdf.Pattern{{}}})
+	match := n.Handle(Message{Type: MsgMatchReq, Shard: 0, Patterns: []rdf.Ref{{}}})
 	if match.Type != MsgMatchResp || match.Seq != 2 {
 		t.Fatalf("match: %+v", match)
 	}
@@ -157,7 +157,7 @@ func TestNodeMatchAllocations(t *testing.T) {
 	n.Handle(Message{Type: MsgApplyReq, Shard: 0, Seq: 1, Records: mustRecord(t, segment.LogRecord{Triples: ts})})
 	var bufs answerBufs
 	cost := func(p string, want int) (allocs, bytes uint64) {
-		req := Message{Type: MsgMatchReq, Shard: 0, Patterns: []rdf.Pattern{{P: rdf.NewIRI(p)}}}
+		req := Message{Type: MsgMatchReq, Shard: 0, Patterns: []rdf.Ref{rdf.PatternRef(rdf.Term{}, rdf.NewIRI(p), rdf.Term{})}}
 		recs, err := segment.DecodeLogRecords(n.handle(req, &bufs).Records)
 		if err != nil || len(recs) != 1 || len(recs[0].Triples) != want {
 			t.Fatalf("%s: %d records, err %v; want %d matches", p, len(recs), err, want)

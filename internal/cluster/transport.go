@@ -5,11 +5,10 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"applab/internal/rdf"
 )
 
-// Transport delivers one request to a node and returns its response.
+// Transport delivers one request to a node and returns its response,
+// after running the request's Read on it (Message.Read).
 // Implementations: TCPTransport (production), MemNetwork (deterministic
 // in-process fabric with fault injection).
 type Transport interface {
@@ -103,13 +102,13 @@ func (t *TCPTransport) put(addr string, c *tcpConn) {
 // write at once.
 var expired = time.Unix(1, 0)
 
-// Call sends one request frame and reads one response frame. A failed
-// exchange closes the connection instead of returning it to the pool,
-// so a half-dead connection cannot poison later calls. Cancelling ctx
-// ends the exchange whether or not ctx carries a deadline: the
-// connection is closed, never pooled, and Call returns ctx.Err() — a
-// replica that accepts and never answers costs a failed call, not a
-// goroutine and a connection forever.
+// Call sends a request frame, reads the response frame and runs req.Read
+// on it before pooling the connection. A failed exchange closes the
+// connection instead, so a half-dead connection cannot poison later
+// calls. Cancelling ctx ends the exchange whether or not ctx carries a
+// deadline: the connection is closed, never pooled, and Call returns
+// ctx.Err() — a replica that accepts and never answers costs a failed
+// call, not a goroutine and a connection forever.
 func (t *TCPTransport) Call(ctx context.Context, addr string, req Message) (Message, error) {
 	c, err := t.get(addr)
 	if err != nil {
@@ -130,9 +129,12 @@ func (t *TCPTransport) Call(ctx context.Context, addr string, req Message) (Mess
 		_ = c.Close()
 		return Message{}, err
 	}
+	if req.Read != nil {
+		err = req.Read(resp)
+	}
 	c.buf = reuse(c.buf, maxConnBuf)
 	t.put(addr, c)
-	return resp, nil
+	return resp, err
 }
 
 // Close drops every pooled connection.
@@ -207,10 +209,10 @@ func (s *NodeServer) serveConn(c net.Conn) {
 	// match request's patterns, a match answer's triples and records
 	// (answerBufs), and the response frame.
 	var in, out []byte
-	var pats []rdf.Pattern
+	var pats patternBufs
 	var answer answerBufs
 	for {
-		req, buf, err := readMessage(c, in, pats)
+		req, buf, err := readMessage(c, in, &pats)
 		if err != nil {
 			return
 		}
@@ -224,9 +226,7 @@ func (s *NodeServer) serveConn(c net.Conn) {
 		}
 		in, out = reuse(buf, maxConnBuf), reuse(frame, maxConnBuf)
 		answer.reset()
-		if cap(req.Patterns) > cap(pats) && cap(req.Patterns) <= maxConnPatterns {
-			pats = req.Patterns
-		}
+		pats.reset()
 	}
 }
 

@@ -20,11 +20,11 @@
 // also matches a request into a per-connection triple buffer and
 // encodes the answer's records from it); a buffer grown past its cap is
 // dropped after the call, so one snapshot does not pin its size.
-// Decoding copies out everything it returns, so a reused buffer never
-// aliases a message (a node decodes a match request's patterns into a
-// slice its connection reuses), and the goroutine that asked decodes a
-// match answer into memory it alone owns: refs for the engine
-// (segment.DecodeLogRefs), triples with valid time for other callers.
+// A read goes by reference both ways: a match request's patterns are
+// handles (a node decodes them into buffers its connection reuses), and
+// the goroutine that asked decodes the answer inside the request's Read,
+// straight from the frame, into memory it alone owns — refs for the
+// engine (segment.DecodeLogRefs), triples with valid time for others.
 package cluster
 
 import (
@@ -97,8 +97,9 @@ type Message struct {
 	OK bool
 	// S, P, O are the CardReq pattern; zero terms are wildcards.
 	S, P, O rdf.Term
-	// Patterns are the MatchReq patterns, all read from Shard.
-	Patterns []rdf.Pattern
+	// Patterns are the MatchReq patterns, all read from Shard: nil
+	// handles are wildcards.
+	Patterns []rdf.Ref
 	// Records holds AWAL1-framed triple batches
 	// (segment.AppendLogRecord / DecodeLogRecords). A MatchResp holds one
 	// record per answered pattern, in request order; a node stops short
@@ -107,6 +108,10 @@ type Message struct {
 	Records []byte
 	// Msg is the MsgErr error text.
 	Msg string
+	// Read, on a request, reads the response while Transport.Call still
+	// holds its frame, which the response's Records alias; Call returns
+	// its error. A caller that keeps Records clones them. Not encoded.
+	Read func(resp Message) error
 }
 
 var (
@@ -155,8 +160,8 @@ func (c *wireCursor) u64() uint64 {
 
 // str reads a length-prefixed string. The length is validated against
 // the bytes actually present before anything is allocated, so a hostile
-// header cannot force a large allocation.
-func (c *wireCursor) str() string {
+// header cannot force a large allocation; bytes equal to like are like.
+func (c *wireCursor) str(like string) string {
 	n := c.u32()
 	if c.err != nil {
 		return ""
@@ -165,12 +170,15 @@ func (c *wireCursor) str() string {
 		c.fail()
 		return ""
 	}
-	v := string(c.data[c.pos : c.pos+int(n)])
+	b := c.data[c.pos : c.pos+int(n)]
 	c.pos += int(n)
-	return v
+	if string(b) == like {
+		return like
+	}
+	return string(b)
 }
 
-// bytes reads a length-prefixed byte payload, copied out of the frame.
+// bytes reads a length-prefixed byte payload, aliasing the frame.
 func (c *wireCursor) bytes() []byte {
 	n := c.u32()
 	if c.err != nil {
@@ -180,13 +188,14 @@ func (c *wireCursor) bytes() []byte {
 		c.fail()
 		return nil
 	}
-	v := append([]byte(nil), c.data[c.pos:c.pos+int(n)]...)
+	v := c.data[c.pos : c.pos+int(n) : c.pos+int(n)]
 	c.pos += int(n)
 	return v
 }
 
-// term reads a presence-flagged pattern term.
-func (c *wireCursor) term() rdf.Term {
+// term reads a presence-flagged pattern term, sharing the strings of
+// like where the bytes are equal.
+func (c *wireCursor) term(like rdf.Term) rdf.Term {
 	switch c.u8() {
 	case 0:
 		return rdf.Term{}
@@ -201,20 +210,36 @@ func (c *wireCursor) term() rdf.Term {
 		return rdf.Term{}
 	}
 	t := rdf.Term{Kind: rdf.TermKind(kind)}
-	t.Value = c.str()
-	t.Datatype = c.str()
-	t.Lang = c.str()
+	t.Value = c.str(like.Value)
+	t.Datatype = c.str(like.Datatype)
+	t.Lang = c.str(like.Lang)
+	if t.IsZero() {
+		c.fail() // only an absent term is a wildcard: decode→encode stays canonical
+	}
 	return t
 }
 
 // minPatternLen is the smallest encoded pattern: three absent terms.
 const minPatternLen = 3
 
-// patterns reads a counted pattern list into into's storage when it is
-// large enough. The count is checked against the bytes left before the
-// list is allocated, so a hostile count costs nothing.
-func (c *wireCursor) patterns(into []rdf.Pattern) []rdf.Pattern {
-	n := c.u32()
+// patternBufs hold decoded patterns: handles into three term slots each.
+type patternBufs struct {
+	refs  []rdf.Ref
+	terms []rdf.Term
+}
+
+// reset clears the terms, pinning no strings, and drops grown buffers.
+func (b *patternBufs) reset() {
+	clear(b.terms)
+	b.refs, b.terms = reuse(b.refs, maxConnPatterns), reuse(b.terms, 3*maxConnPatterns)
+}
+
+// patterns reads a counted pattern list into b's storage, growing it if
+// needed; the count is checked against the bytes left first, so a
+// hostile count costs nothing. A term shares the strings of the last
+// one in its position: a batch repeats its predicate in every pattern.
+func (c *wireCursor) patterns(b *patternBufs) []rdf.Ref {
+	n := int(c.u32())
 	if c.err != nil || n == 0 {
 		return nil
 	}
@@ -222,15 +247,22 @@ func (c *wireCursor) patterns(into []rdf.Pattern) []rdf.Pattern {
 		c.fail()
 		return nil
 	}
-	ps := into[:0]
-	if cap(ps) < int(n) {
-		ps = make([]rdf.Pattern, n)
+	if cap(b.refs) < n || cap(b.terms) < 3*n {
+		b.refs, b.terms = make([]rdf.Ref, n), make([]rdf.Term, 3*n)
 	}
-	ps = ps[:n]
-	for i := range ps {
-		ps[i] = rdf.Pattern{S: c.term(), P: c.term(), O: c.term()}
+	b.refs, b.terms = b.refs[:n], b.terms[:3*n]
+	var last [3]rdf.Term
+	for i := range b.refs {
+		var h [3]*rdf.Term
+		for k := range h {
+			if t := c.term(last[k]); !t.IsZero() {
+				b.terms[3*i+k], last[k] = t, t
+				h[k] = &b.terms[3*i+k]
+			}
+		}
+		b.refs[i] = rdf.Ref{S: h[0], P: h[1], O: h[2]}
 	}
-	return ps
+	return b.refs
 }
 
 func appendU32(b []byte, v uint32) []byte {
@@ -286,9 +318,8 @@ func appendMessage(dst []byte, m Message) ([]byte, error) {
 		dst = appendU32(dst, m.Shard)
 		dst = appendU32(dst, uint32(len(m.Patterns)))
 		for _, p := range m.Patterns {
-			dst = appendTerm(dst, p.S)
-			dst = appendTerm(dst, p.P)
-			dst = appendTerm(dst, p.O)
+			s, p, o := p.Terms()
+			dst = appendTerm(appendTerm(appendTerm(dst, s), p), o)
 		}
 	case MsgCardReq:
 		dst = appendU32(dst, m.Shard)
@@ -337,15 +368,16 @@ func appendMessage(dst []byte, m Message) ([]byte, error) {
 // message and the bytes consumed. The decode is strict — version
 // mismatch, unknown type, bad CRC, short body or trailing body bytes
 // are all errors — and every allocation is bounded by bytes actually
-// present, so it is safe on hostile input (see FuzzWireDecode).
+// present, so it is safe on hostile input (see FuzzWireDecode). Records
+// alias data.
 func DecodeMessage(data []byte) (Message, int, error) {
-	return decodeMessage(data, nil)
+	return decodeMessage(data, &patternBufs{})
 }
 
 // decodeMessage is DecodeMessage with a match request's patterns
 // decoded into pats's storage when it is large enough: the message
 // then aliases pats.
-func decodeMessage(data []byte, pats []rdf.Pattern) (Message, int, error) {
+func decodeMessage(data []byte, pats *patternBufs) (Message, int, error) {
 	if len(data) < wireHeaderLen {
 		return Message{}, 0, errWireShort
 	}
@@ -377,9 +409,9 @@ func decodeMessage(data []byte, pats []rdf.Pattern) (Message, int, error) {
 		m.Patterns = c.patterns(pats)
 	case MsgCardReq:
 		m.Shard = c.u32()
-		m.S = c.term()
-		m.P = c.term()
-		m.O = c.term()
+		m.S = c.term(rdf.Term{})
+		m.P = c.term(rdf.Term{})
+		m.O = c.term(rdf.Term{})
 	case MsgMatchResp, MsgSnapResp:
 		m.Seq = c.u64()
 		m.Records = c.bytes()
@@ -406,7 +438,7 @@ func decodeMessage(data []byte, pats []rdf.Pattern) (Message, int, error) {
 		m.Seq = c.u64()
 	case MsgInstallResp, MsgPingReq, MsgPingResp:
 	case MsgErr:
-		m.Msg = c.str()
+		m.Msg = c.str("")
 	}
 	if c.err != nil {
 		return Message{}, 0, c.err
@@ -417,12 +449,6 @@ func decodeMessage(data []byte, pats []rdf.Pattern) (Message, int, error) {
 	return m, wireHeaderLen + int(n), nil
 }
 
-// ReadMessage reads exactly one frame from a stream.
-func ReadMessage(r io.Reader) (Message, error) {
-	m, _, err := readMessage(r, nil, nil)
-	return m, err
-}
-
 // readChunk caps how far a frame buffer grows ahead of the bytes that
 // have actually arrived.
 const readChunk = 64 << 10
@@ -431,10 +457,10 @@ const readChunk = 64 << 10
 // returning the buffer (grown if the frame needed it) for the next
 // read. The body is read in chunks that at most double what has
 // arrived, so a header declaring a huge body on a stream that then ends
-// costs a bounded allocation, not the declared size. The message never
-// aliases buf: DecodeMessage copies what it returns. A match request's
-// patterns are decoded into pats's storage when it is large enough.
-func readMessage(r io.Reader, buf []byte, pats []rdf.Pattern) (Message, []byte, error) {
+// costs a bounded allocation, not the declared size. The message's
+// Records alias the returned buffer, and a match request's patterns are
+// decoded into pats's storage when it is large enough.
+func readMessage(r io.Reader, buf []byte, pats *patternBufs) (Message, []byte, error) {
 	buf = append(buf[:0], make([]byte, wireHeaderLen)...)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return Message{}, buf, err
@@ -460,14 +486,4 @@ func readMessage(r io.Reader, buf []byte, pats []rdf.Pattern) (Message, []byte, 
 	}
 	m, _, err := decodeMessage(buf, pats)
 	return m, buf, err
-}
-
-// WriteMessage frames and writes one message to a stream.
-func WriteMessage(w io.Writer, m Message) error {
-	buf, err := EncodeMessage(m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }

@@ -22,9 +22,9 @@ func wireMessages(t testing.TB) []Message {
 		t.Fatalf("encode record: %v", err)
 	}
 	return []Message{
-		{Type: MsgMatchReq, Shard: 3, Patterns: []rdf.Pattern{
-			{S: rdf.NewIRI("http://ex/s"), O: rdf.NewLangLiteral("hi", "en")},
-			{P: rdf.NewIRI("http://ex/p"), O: rdf.NewTypedLiteral("7", rdf.XSDInteger)},
+		{Type: MsgMatchReq, Shard: 3, Patterns: []rdf.Ref{
+			rdf.PatternRef(rdf.NewIRI("http://ex/s"), rdf.Term{}, rdf.NewLangLiteral("hi", "en")),
+			rdf.PatternRef(rdf.Term{}, rdf.NewIRI("http://ex/p"), rdf.NewTypedLiteral("7", rdf.XSDInteger)),
 		}},
 		{Type: MsgMatchResp, Seq: 42, Records: img},
 		{Type: MsgCardReq, Shard: 0, S: rdf.Term{}, P: rdf.NewIRI("http://ex/p"), O: rdf.Term{}},
@@ -66,16 +66,25 @@ func TestWireRoundtrip(t *testing.T) {
 	}
 }
 
+func mustEncode(t *testing.T, m Message) []byte {
+	t.Helper()
+	buf, err := EncodeMessage(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
 func TestWireStream(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := wireMessages(t)
 	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
+		if _, err := buf.Write(mustEncode(t, m)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	}
 	for _, want := range msgs {
-		got, err := ReadMessage(&buf)
+		got, _, err := readMessage(&buf, nil, &patternBufs{})
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -123,9 +132,10 @@ func referenceEncodeMessage(m Message) []byte {
 		body = appendU32(body, m.Shard)
 		body = appendU32(body, uint32(len(m.Patterns)))
 		for _, p := range m.Patterns {
-			body = appendTerm(body, p.S)
-			body = appendTerm(body, p.P)
-			body = appendTerm(body, p.O)
+			s, p, o := p.Terms()
+			body = appendTerm(body, s)
+			body = appendTerm(body, p)
+			body = appendTerm(body, o)
 		}
 	case MsgCardReq:
 		body = appendU32(body, m.Shard)
@@ -208,7 +218,7 @@ func TestReadMessageHostileLength(t *testing.T) {
 		in := bytes.NewReader(append(append([]byte(nil), hdr...), tail...))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ReadMessage(in)
+		_, _, err := readMessage(in, nil, &patternBufs{})
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("%d body bytes of %d: %v, want io.ErrUnexpectedEOF", len(tail), maxWireBody, err)
@@ -256,8 +266,8 @@ func TestWireBodyCap(t *testing.T) {
 // an identical frame (the codec is canonical).
 func FuzzWireDecode(f *testing.F) {
 	seedMsgs := []Message{
-		{Type: MsgMatchReq, Shard: 1, Patterns: []rdf.Pattern{{S: rdf.NewIRI("http://ex/s")}}},
-		{Type: MsgMatchReq, Shard: 2, Patterns: []rdf.Pattern{{}, {P: rdf.NewIRI("http://ex/p")}, {S: rdf.NewBlank("b"), O: rdf.NewLangLiteral("x", "en")}}},
+		{Type: MsgMatchReq, Shard: 1, Patterns: []rdf.Ref{rdf.PatternRef(rdf.NewIRI("http://ex/s"), rdf.Term{}, rdf.Term{})}},
+		{Type: MsgMatchReq, Shard: 2, Patterns: []rdf.Ref{{}, rdf.PatternRef(rdf.Term{}, rdf.NewIRI("http://ex/p"), rdf.Term{}), rdf.PatternRef(rdf.NewBlank("b"), rdf.Term{}, rdf.NewLangLiteral("x", "en"))}},
 		{Type: MsgMatchReq, Shard: 0},
 		{Type: MsgCardReq, Shard: 1, P: rdf.NewIRI("http://ex/p")},
 		{Type: MsgApplyResp, Seq: 5, OK: true},

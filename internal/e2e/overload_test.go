@@ -93,7 +93,6 @@ func TestOverloadBurstEndToEnd(t *testing.T) {
 				t.Errorf("GET: %v", err)
 				return
 			}
-			//lint:ignore errcheck reason: drain for connection reuse
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			results <- outcome{resp.StatusCode, resp.Header.Get("Retry-After")}

@@ -287,9 +287,9 @@ func checkBatchRefs(t *testing.T, label string, bx sparql.BatchExchangeSource, f
 		t.Fatalf("%s: FragmentMatch: %v", label, err)
 	}
 	want := termsOf(ts)
-	p := rdf.Pattern{S: pat[0], P: pat[1], O: pat[2]}
+	p := rdf.PatternRef(pat[0], pat[1], pat[2])
 	read := func() [][]rdf.Ref {
-		answers, err := bx.FragmentMatchBatch(context.Background(), frag, []rdf.Pattern{p, p})
+		answers, err := bx.FragmentMatchBatch(context.Background(), frag, []rdf.Ref{p, p})
 		if err != nil || len(answers) != 2 {
 			t.Fatalf("%s: %d answers, err %v", label, len(answers), err)
 		}

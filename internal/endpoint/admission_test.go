@@ -96,10 +96,8 @@ func TestHandlerOverloadBurst(t *testing.T) {
 				} `json:"error"`
 			}
 			if resp.StatusCode == http.StatusServiceUnavailable {
-				//lint:ignore errcheck reason: non-JSON bodies leave Code empty and fail the assert below
 				json.NewDecoder(resp.Body).Decode(&body)
 			} else {
-				//lint:ignore errcheck reason: drain for connection reuse
 				io.Copy(io.Discard, resp.Body)
 			}
 			resp.Body.Close()
@@ -184,7 +182,6 @@ func TestHandlerDegradedServe(t *testing.T) {
 			first <- 0
 			return
 		}
-		//lint:ignore errcheck reason: drain for connection reuse
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		first <- resp.StatusCode

@@ -59,7 +59,6 @@ func TestFromSeedDeterministic(t *testing.T) {
 
 func TestRoundTripperModes(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		//lint:ignore errcheck reason: test handler write
 		w.Write([]byte("hello world"))
 	}))
 	defer ts.Close()
@@ -78,14 +77,12 @@ func TestRoundTripperModes(t *testing.T) {
 	if err != nil || resp.StatusCode != 502 {
 		t.Fatalf("Status step: resp=%v err=%v", resp, err)
 	}
-	//lint:ignore errcheck reason: test body close
 	resp.Body.Close()
 	resp, err = client.Get(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
-	//lint:ignore errcheck reason: test body close
 	resp.Body.Close()
 	if string(body) != "hello" {
 		t.Fatalf("Truncate kept %q, want \"hello\"", body)
@@ -96,7 +93,6 @@ func TestRoundTripperModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	body, _ = io.ReadAll(resp.Body)
-	//lint:ignore errcheck reason: test body close
 	resp.Body.Close()
 	if string(body) != "hello world" {
 		t.Fatalf("OK step body = %q", body)
@@ -120,7 +116,6 @@ func TestRoundTripperHangHonoursContext(t *testing.T) {
 
 func TestRoundTripperHangRelease(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		//lint:ignore errcheck reason: test handler write
 		w.Write([]byte("back"))
 	}))
 	defer ts.Close()
@@ -134,7 +129,6 @@ func TestRoundTripperHangRelease(t *testing.T) {
 			return
 		}
 		body, _ := io.ReadAll(resp.Body)
-		//lint:ignore errcheck reason: test body close
 		resp.Body.Close()
 		resCh <- string(body)
 	}()

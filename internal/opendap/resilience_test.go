@@ -177,7 +177,6 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	c.Breaker.Now = clock.Now
 
 	for i := 0; i < 3; i++ {
-		//lint:ignore errcheck reason: deliberate faulted fetch
 		c.Fetch("lai", laiConstraint)
 	}
 	if c.Breaker.State() != BreakerOpen {

@@ -325,11 +325,6 @@ type Triple struct {
 	ValidTo   time.Time
 }
 
-// Pattern is a triple pattern: zero terms are wildcards.
-type Pattern struct {
-	S, P, O Term
-}
-
 // NewTriple returns a triple without valid time.
 func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
@@ -356,8 +351,32 @@ func (t *Triple) Compare(o *Triple) int {
 func (t Triple) HasValidTime() bool { return !t.ValidFrom.IsZero() || !t.ValidTo.IsZero() }
 
 // Ref is a triple by reference: handles to terms that whoever handed
-// them out never mutates. It carries no valid time.
+// them out never mutates. It carries no valid time. As a triple pattern
+// a nil handle is a wildcard.
 type Ref struct{ S, P, O *Term }
+
+// PatternRef returns the pattern s p o by reference: handles to one copy
+// of its terms, nil for the zero (wildcard) ones.
+func PatternRef(s, p, o Term) Ref {
+	ts := &[3]Term{s, p, o}
+	var h [3]*Term
+	for i := range ts {
+		if !ts[i].IsZero() {
+			h[i] = &ts[i]
+		}
+	}
+	return Ref{h[0], h[1], h[2]}
+}
+
+// Terms returns the terms behind the handles, zero for nil ones.
+func (r Ref) Terms() (s, p, o Term) { return deref(r.S), deref(r.P), deref(r.O) }
+
+func deref(h *Term) Term {
+	if h == nil {
+		return Term{}
+	}
+	return *h
+}
 
 // Ref returns handles to the triple's own terms.
 func (t *Triple) Ref() Ref { return Ref{&t.S, &t.P, &t.O} }

@@ -43,18 +43,6 @@ func AppendLogRecord(dst []byte, rec LogRecord) ([]byte, error) {
 	return dst, err
 }
 
-// AppendLogRecords encodes a record sequence back-to-back; the result
-// decodes with DecodeLogRecords.
-func AppendLogRecords(dst []byte, recs []LogRecord) ([]byte, error) {
-	for _, rec := range recs {
-		var err error
-		if dst, err = AppendLogRecord(dst, rec); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
 // DecodeLogRecords decodes a concatenation of AWAL1 frames into record
 // batches. Unlike WAL replay — which treats a torn tail as the end of
 // the committed prefix — the wire decode is strict: a short, corrupt or
@@ -73,15 +61,44 @@ func DecodeLogRecords(data []byte) ([]LogRecord, error) {
 
 // DecodeLogRefs decodes AWAL1 add records like DecodeLogRecords, into
 // one ref slice per record: the same S/P/O terms in the same order,
-// valid time checked and dropped; a delete record is an error. A term
-// equal to the previous triple's in its position is shared, and term
-// blocks are sized from the triples left in the payload (capped) plus 2.
-func DecodeLogRefs(data []byte) ([][]rdf.Ref, error) {
-	s := sink{byRef: true}
+// valid time checked and dropped; a delete record is an error. Record i
+// answers pats[i] (nil handles are wildcards): a term equal to its
+// pattern's bound term is the pattern's handle, its strings never
+// allocated, and one equal to the previous triple's in its position is
+// shared. A header-only prescan sizes the record and ref slices once;
+// term blocks are sized from the triples left in the whole answer.
+func DecodeLogRefs(data []byte, pats []rdf.Ref) ([][]rdf.Ref, error) {
+	recs, triples := prescan(data)
+	s := sink{byRef: true, pats: pats, out: make([][]rdf.Ref, 0, recs), refs: make([]rdf.Ref, 0, triples), left: triples}
 	if err := decodeFrames(data, &s); err != nil {
 		return nil, err
 	}
 	return s.out, nil
+}
+
+// minTripleLen is the smallest encoded triple: three empty terms, a flag.
+const minTripleLen = 3*(1+4) + 1
+
+// prescan counts the records a frame sequence closes and the triples its
+// headers declare, each payload's count capped by what its bytes hold.
+// It checks nothing: its counts only size what a decode preallocates.
+func prescan(data []byte) (recs, triples int) {
+	for pos := 0; len(data)-pos >= 8+5; {
+		c := cursor{data: data[pos:]}
+		n, _ := c.u32()
+		_, _ = c.u32()
+		if n < 5 || int(n) > c.remaining() {
+			break
+		}
+		op, _ := c.u8()
+		count, _ := c.u32()
+		triples += min(int(count), (int(n)-5)/minTripleLen)
+		if op&walMore == 0 {
+			recs++
+		}
+		pos += 8 + int(n)
+	}
+	return recs, triples
 }
 
 // decodeFrames is the strict wire frame loop: every frame is checked
@@ -135,23 +152,32 @@ type sink struct {
 	out   [][]rdf.Ref  // ref records
 	refs  []rdf.Ref    // refs[start:] are the open ref record
 	start int
-	last  rdf.Ref // prev by reference
+	last  rdf.Ref   // prev by reference
+	pats  []rdf.Ref // ref record i answers pats[i]
 	block []rdf.Term
-	left  uint32 // triples left in the payload, the one decoding included
+	left  int // triples left in the answer, the one decoding included
 }
 
 // payload decodes a payload's count triples off c, which is past the op
 // and the count, and returns the offset after them.
 func (s *sink) payload(op byte, count uint32, c cursor) (int, error) {
+	var pat rdf.Ref // the open ref record's pattern
 	switch {
 	case s.byRef && op == opDelete:
 		return 0, fmt.Errorf("segment: delete record where only adds may appear")
-	case s.byRef && s.refs == nil:
-		s.refs = make([]rdf.Ref, 0, min(count, maxCountHint))
+	case s.byRef && len(s.out) < len(s.pats):
+		// A bound position's strings are shared with the pattern's.
+		pat = s.pats[len(s.out)]
+		prev := [3]*rdf.Term{&s.prev.S, &s.prev.P, &s.prev.O}
+		for i, h := range [3]*rdf.Term{pat.S, pat.P, pat.O} {
+			if h != nil {
+				*prev[i] = *h
+			}
+		}
 	case !s.byRef && s.cur == nil && count > 0:
 		s.cur = make([]rdf.Triple, 0, min(count, maxCountHint))
 	}
-	for s.left = count; s.left > 0; s.left-- {
+	for ; count > 0; count-- {
 		t, err := c.triple(&s.prev)
 		if err != nil {
 			return 0, err
@@ -160,19 +186,23 @@ func (s *sink) payload(op byte, count uint32, c cursor) (int, error) {
 			s.cur = append(s.cur, t)
 			continue
 		}
-		s.last = rdf.Ref{S: s.term(t.S, s.last.S), P: s.term(t.P, s.last.P), O: s.term(t.O, s.last.O)}
+		s.last = rdf.Ref{S: s.term(t.S, pat.S, s.last.S), P: s.term(t.P, pat.P, s.last.P), O: s.term(t.O, pat.O, s.last.O)}
 		s.refs = append(s.refs, s.last)
+		s.left--
 	}
 	return c.off, nil
 }
 
-// term is last when t equals it, else t's new block entry.
-func (s *sink) term(t rdf.Term, last *rdf.Term) *rdf.Term {
-	if last != nil && *last == t {
+// term is bound or last when t equals it, else t's new block entry.
+func (s *sink) term(t rdf.Term, bound, last *rdf.Term) *rdf.Term {
+	switch {
+	case bound != nil && *bound == t:
+		return bound
+	case last != nil && *last == t:
 		return last
 	}
 	if len(s.block) == cap(s.block) {
-		s.block = make([]rdf.Term, 0, int(min(s.left, maxCountHint))+2)
+		s.block = make([]rdf.Term, 0, min(max(s.left, 0), maxCountHint)+2)
 	}
 	s.block = append(s.block, t)
 	return &s.block[len(s.block)-1]

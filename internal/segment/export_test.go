@@ -20,6 +20,18 @@ func exportTriples(n, base int) []rdf.Triple {
 	return ts
 }
 
+// appendLogRecords encodes a record sequence back-to-back, as a match
+// answer carries it; the result decodes with DecodeLogRecords.
+func appendLogRecords(dst []byte, recs []LogRecord) ([]byte, error) {
+	for _, rec := range recs {
+		var err error
+		if dst, err = AppendLogRecord(dst, rec); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
 func TestLogRecordRoundtrip(t *testing.T) {
 	recs := []LogRecord{
 		{Triples: exportTriples(5, 0)},
@@ -27,7 +39,7 @@ func TestLogRecordRoundtrip(t *testing.T) {
 		{Triples: nil}, // empty batches frame fine
 		{Triples: exportTriples(1, 9)},
 	}
-	img, err := AppendLogRecords(nil, recs)
+	img, err := appendLogRecords(nil, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +122,11 @@ func TestLogRecordChunkGroups(t *testing.T) {
 func TestDecodeLogRefs(t *testing.T) {
 	from := time.Date(2019, 3, 26, 0, 0, 0, 0, time.UTC)
 	head := []rdf.Triple{vtTri("s", "p", "o", from, from.Add(time.Hour)), tri("s", "p", "o"), tri("s", "q", "o")}
-	img, err := AppendLogRecords(nil, []LogRecord{{Triples: head}, {}, {Triples: []rdf.Triple{tri("t", "q", "o")}}})
+	img, err := appendLogRecords(nil, []LogRecord{{Triples: head}, {}, {Triples: []rdf.Triple{tri("t", "q", "o")}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := DecodeLogRefs(img)
+	refs, err := DecodeLogRefs(img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +149,7 @@ func TestDecodeLogRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeLogRefs(append(img, del...)); err == nil {
+	if _, err := DecodeLogRefs(append(img, del...), nil); err == nil {
 		t.Fatal("a delete record decoded to refs")
 	}
 }

@@ -174,17 +174,25 @@ func FuzzWALReplay(f *testing.F) {
 }
 
 // FuzzDecodeLogRefs holds the ref decoder to DecodeLogRecords, the
-// decoder it shares its frame loop with: on any input DecodeLogRefs
-// accepts exactly when DecodeLogRecords decodes the input into add
-// records only, and then yields the same S/P/O terms in the same
-// order, record by record.
+// decoder it shares its frame loop with: on any input and under any
+// pattern list DecodeLogRefs accepts exactly when DecodeLogRecords
+// decodes the input into add records only, and then yields the same
+// S/P/O terms in the same order, record by record. The pattern list is
+// built from shape (fuzzPatterns): wildcards, terms the records hold,
+// and terms that disagree with them; a term equal to its pattern's must
+// be the pattern's own handle.
 func FuzzDecodeLogRefs(f *testing.F) {
 	// FuzzWALReplay's corpus, its checked-in entries included, and the
-	// same images as bare frames (the wire carries no magic).
+	// same images as bare frames (the wire carries no magic), each under
+	// no patterns and under a mix of agreeing and disagreeing ones.
+	add := func(data []byte) {
+		f.Add(data, []byte(nil))
+		f.Add(data, []byte{0x15, 0x2a, 0x3f, 0x01, 0x00, 0x3a})
+	}
 	for _, seed := range walSeeds(f) {
-		f.Add(seed)
+		add(seed)
 		if len(seed) > len(walMagic) {
-			f.Add(seed[len(walMagic):])
+			add(seed[len(walMagic):])
 		}
 	}
 	entries, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzWALReplay", "*"))
@@ -198,7 +206,7 @@ func FuzzDecodeLogRefs(f *testing.F) {
 		}
 		_, arg, _ := strings.Cut(string(data), "[]byte(")
 		if seed, err := strconv.Unquote(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(arg), ")"))); err == nil {
-			f.Add([]byte(seed))
+			add([]byte(seed))
 		}
 	}
 	encode := func(rec LogRecord) []byte {
@@ -209,20 +217,29 @@ func FuzzDecodeLogRefs(f *testing.F) {
 		return img
 	}
 	from := time.Date(2019, 3, 26, 0, 0, 0, 0, time.UTC)
-	f.Add(encode(LogRecord{Triples: []rdf.Triple{vtTri("s", "p", "o", from, from.Add(time.Hour)), tri("s", "p", "o")}}))
-	f.Add(encode(LogRecord{Delete: true, Triples: nTriples(3)}))
+	add(encode(LogRecord{Triples: []rdf.Triple{vtTri("s", "p", "o", from, from.Add(time.Hour)), tri("s", "p", "o")}}))
+	add(encode(LogRecord{Delete: true, Triples: nTriples(3)}))
 	old := walChunkPayload
 	walChunkPayload = 128
-	f.Add(encode(LogRecord{Triples: nTriples(12)}))
+	add(encode(LogRecord{Triples: nTriples(12)}))
 	walChunkPayload = old
+	lit, err := appendLogRecords(nil, []LogRecord{
+		{Triples: []rdf.Triple{rdf.NewTriple(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewLangLiteral("v", "en"))}},
+		{Triples: []rdf.Triple{rdf.NewTriple(rdf.NewBlank("s"), rdf.NewIRI("p"), rdf.NewTypedLiteral("v", rdf.XSDInteger))}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	add(lit)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, shape []byte) {
 		recs, recErr := DecodeLogRecords(data)
 		adds := recErr == nil
 		for _, rec := range recs {
 			adds = adds && !rec.Delete
 		}
-		refs, err := DecodeLogRefs(data)
+		pats := fuzzPatterns(recs, shape)
+		refs, err := DecodeLogRefs(data, pats)
 		if (err == nil) != adds {
 			t.Fatalf("DecodeLogRefs error %v, but DecodeLogRecords error %v over %d records", err, recErr, len(recs))
 		}
@@ -236,11 +253,51 @@ func FuzzDecodeLogRefs(f *testing.F) {
 			if len(refs[i]) != len(rec.Triples) {
 				t.Fatalf("record %d: %d refs, %d triples", i, len(refs[i]), len(rec.Triples))
 			}
+			var pat rdf.Ref
+			if i < len(pats) {
+				pat = pats[i]
+			}
 			for j, tr := range rec.Triples {
-				if r := refs[i][j]; *r.S != tr.S || *r.P != tr.P || *r.O != tr.O {
+				r := refs[i][j]
+				if *r.S != tr.S || *r.P != tr.P || *r.O != tr.O {
 					t.Fatalf("record %d, triple %d: ref reads %v %v %v, triple is %v", i, j, *r.S, *r.P, *r.O, tr)
+				}
+				for k, h := range [3][2]*rdf.Term{{pat.S, r.S}, {pat.P, r.P}, {pat.O, r.O}} {
+					if bound, got := h[0], h[1]; bound != nil && *bound == *got && bound != got {
+						t.Fatalf("record %d, triple %d: position %d equals its pattern's term but is not its handle", i, j, k)
+					}
 				}
 			}
 		}
 	})
+}
+
+// fuzzPatterns builds a pattern list from shape, one pattern per byte,
+// two bits per position: 0 a wildcard, 1 the term the record at that
+// index holds first in that position (when it has one), 2 a term that
+// disagrees with it in its value, 3 one that agrees in its value only.
+func fuzzPatterns(recs []LogRecord, shape []byte) []rdf.Ref {
+	pats := make([]rdf.Ref, len(shape))
+	for i, b := range shape {
+		var first rdf.Triple
+		if i < len(recs) && len(recs[i].Triples) > 0 {
+			first = recs[i].Triples[0]
+		}
+		pick := func(t rdf.Term, bits byte) *rdf.Term {
+			switch bits & 3 {
+			case 1:
+				return &t
+			case 2:
+				t.Value += "~"
+				return &t
+			case 3:
+				t.Kind = (t.Kind + 1) % 3
+				t.Lang = "x"
+				return &t
+			}
+			return nil
+		}
+		pats[i] = rdf.Ref{S: pick(first.S, b), P: pick(first.P, b>>2), O: pick(first.O, b>>4)}
+	}
+	return pats
 }

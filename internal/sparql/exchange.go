@@ -41,14 +41,15 @@ type ExchangeSource interface {
 // exchange scan goes through it: a routed scan is a batch of one, a
 // fan-out one batch per fragment, and a nested-loop join step reads
 // each fragment's routed patterns as one batch, the fragments in
-// parallel. Errors follow FragmentMatch. Answers follow RefSource's
-// rules, except that the terms may be the answer's own: the slices are
+// parallel. A pattern is by reference, a nil handle a wildcard. Errors
+// follow FragmentMatch. Answers follow RefSource's rules, except that
+// the terms may be the answer's own or the pattern's: the slices are
 // the caller's, and the terms are never mutated.
 type BatchExchangeSource interface {
 	ExchangeSource
 	// FragmentMatchBatch answers every pattern from one fragment, one
 	// answer per pattern, in pattern order.
-	FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Ref, error)
+	FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Ref) ([][]rdf.Ref, error)
 }
 
 // exchangeMatch is the exchange operator's scan: the pattern-level
@@ -56,24 +57,26 @@ type BatchExchangeSource interface {
 // its probes through when the source is partitioned. A fan-out merges
 // into *buf (see execCtx.match).
 func (ec *execCtx) exchangeMatch(buf *[]rdf.Ref, s, p, o rdf.Term) (rdf.Matches, error) {
+	pat := rdf.PatternRef(s, p, o)
 	if frag, ok := ec.ex.Route(s, p, o); ok {
 		noteExchange("routed")
-		m, err := ec.fragmentMatch(frag, s, p, o)
+		m, err := ec.fragmentMatch(frag, pat)
 		return m, ec.scanErr("exchange", err)
 	}
-	refs, err := ec.exchangeFanout((*buf)[:0], s, p, o)
+	refs, err := ec.exchangeFanout((*buf)[:0], pat)
 	*buf = refs
 	return rdf.Matches{Refs: refs}, err
 }
 
 // fragmentMatch answers a pattern from one fragment: a batch of one over
 // a BatchExchangeSource, FragmentMatch's triples otherwise.
-func (ec *execCtx) fragmentMatch(frag int, s, p, o rdf.Term) (rdf.Matches, error) {
+func (ec *execCtx) fragmentMatch(frag int, pat rdf.Ref) (rdf.Matches, error) {
 	if ec.bx == nil {
+		s, p, o := pat.Terms()
 		ts, err := ec.ex.FragmentMatch(ec.ctx, frag, s, p, o)
 		return rdf.Matches{Triples: ts}, err
 	}
-	answers, err := ec.bx.FragmentMatchBatch(ec.ctx, frag, []rdf.Pattern{{S: s, P: p, O: o}})
+	answers, err := ec.bx.FragmentMatchBatch(ec.ctx, frag, []rdf.Ref{pat})
 	if err != nil || len(answers) == 0 {
 		return rdf.Matches{}, err
 	}
@@ -85,8 +88,9 @@ func (ec *execCtx) fragmentMatch(frag int, s, p, o rdf.Term) (rdf.Matches, error
 // resolves to, in row order. Rows without a route fan out one by one;
 // the routed patterns are laid out grouped by fragment, and each
 // fragment gets one batch, the fragments read in parallel. Scans are
-// counted per row, as exchangeMatch counts them. The pattern list is
-// the call's own: a hedged read's losers may still be encoding it.
+// counted per row, as exchangeMatch counts them. A routed pattern points
+// at the row's terms and the scan's constants; the pattern list is the
+// call's own: a hedged read's losers may still be encoding it.
 func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Ref, error) {
 	answers := make([][]rdf.Ref, len(rows))
 	frags := make([]int, len(rows))           // the row's fragment, -1 when it fanned out
@@ -104,7 +108,7 @@ func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Ref, error) {
 		frag, ok := ec.ex.Route(s, p, o)
 		if !ok {
 			frags[i] = -1
-			refs, err := ec.exchangeFanout(nil, s, p, o)
+			refs, err := ec.exchangeFanout(nil, rdf.PatternRef(s, p, o))
 			if err != nil {
 				return nil, err
 			}
@@ -126,7 +130,7 @@ func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Ref, error) {
 		}
 		start[f] += start[f-1]
 	}
-	pats := make([]rdf.Pattern, routed)
+	pats := make([]rdf.Ref, routed)
 	owner := make([]int, routed) // pats[j] is rows[owner[j]]'s pattern
 	next := append([]int(nil), start[:len(start)-1]...)
 	for i, f := range frags {
@@ -136,7 +140,7 @@ func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Ref, error) {
 		r := rows[i]
 		j := next[f]
 		next[f]++
-		pats[j] = rdf.Pattern{S: resolve(sc.sSlot, sc.s, r), P: resolve(sc.pSlot, sc.p, r), O: resolve(sc.oSlot, sc.o, r)}
+		pats[j] = rdf.Ref{S: handle(sc.sSlot, &sc.s, r), P: handle(sc.pSlot, &sc.p, r), O: handle(sc.oSlot, &sc.o, r)}
 		owner[j] = i
 	}
 	errs := make([]error, len(start)-1)
@@ -174,9 +178,17 @@ func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Ref, error) {
 	return answers, nil
 }
 
+// handle is a pattern position by reference: nil for an unbound slot.
+func handle(slot int, constant *rdf.Term, r row) *rdf.Term {
+	if slot < 0 {
+		return constant
+	}
+	return r[slot]
+}
+
 // exchangeFanout reads an unrouted pattern from every fragment in
 // parallel and appends the answers to dst in canonical (term-key) order.
-func (ec *execCtx) exchangeFanout(dst []rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error) {
+func (ec *execCtx) exchangeFanout(dst []rdf.Ref, pat rdf.Ref) ([]rdf.Ref, error) {
 	n := max(ec.ex.Fragments(), 1)
 	noteExchange("fanout")
 	parts := make([]rdf.Matches, n)
@@ -186,7 +198,7 @@ func (ec *execCtx) exchangeFanout(dst []rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parts[frag], errs[frag] = ec.fragmentMatch(frag, s, p, o)
+			parts[frag], errs[frag] = ec.fragmentMatch(frag, pat)
 		}()
 	}
 	wg.Wait()

@@ -64,7 +64,7 @@ type batching struct {
 	err  error
 }
 
-func (b *batching) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Pattern) ([][]rdf.Ref, error) {
+func (b *batching) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Ref) ([][]rdf.Ref, error) {
 	b.batches.Add(1)
 	b.batchedPats.Add(int64(len(pats)))
 	if frag == b.fail {
@@ -72,7 +72,8 @@ func (b *batching) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.
 	}
 	out := make([][]rdf.Ref, len(pats))
 	for i, p := range pats {
-		out[i], _ = b.frags[frag].AppendRefs(ctx, nil, p.S, p.P, p.O)
+		s, p, o := p.Terms()
+		out[i], _ = b.frags[frag].AppendRefs(ctx, nil, s, p, o)
 	}
 	return out, nil
 }

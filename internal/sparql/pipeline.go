@@ -33,7 +33,7 @@ type step interface {
 type pipeOp struct {
 	steps    []step
 	filtered bool       // some step is a FILTER: the output is not presized
-	binds    []bindStep // the BIND steps, whose scratch values leave through emit
+	binds    []bindStep // the computed BIND steps, whose scratch values leave through emit
 }
 
 type bindStep struct{ k, slot int }
@@ -43,7 +43,9 @@ func (p *pipeOp) add(s step) {
 	case *filterOp:
 		p.filtered = true
 	case *bindOp:
-		p.binds = append(p.binds, bindStep{k: len(p.steps), slot: s.slot})
+		if s.konst == nil {
+			p.binds = append(p.binds, bindStep{k: len(p.steps), slot: s.slot})
+		}
 	}
 	p.steps = append(p.steps, s)
 }
@@ -227,8 +229,8 @@ func (pc *pipeChunk) next(k int, r row, scratch bool) error {
 
 // emit appends a row leaving the pipeline to the chunk's output. An
 // input row that no step changed leaves as it is; a scratch row is
-// copied into the arena, and so is every BIND value it holds: scratch
-// rows and values never escape the pipeline.
+// copied into the arena, and so is every computed BIND value it holds:
+// scratch rows and values never escape the pipeline.
 func (pc *pipeChunk) emit(r row, scratch bool) {
 	if scratch {
 		r = pc.ar.clone(r)
@@ -260,26 +262,32 @@ func (f *filterOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
 
 // bindOp implements BIND(expr AS ?var): a fresh binding on success,
 // join-style agreement when the variable is already bound, and the row
-// passed on unchanged (variable unbound) on expression error.
+// passed on unchanged (variable unbound) on expression error. Every row
+// points at konst, the plan's term, when the expression is a constant.
 type bindOp struct {
-	slot int
-	expr compiledExpr
+	slot  int
+	expr  compiledExpr
+	konst *rdf.Term
 }
 
 func (b *bindOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
-	v, err := b.expr(r)
-	if err != nil {
-		return pc.next(k, r, scratch)
+	v := b.konst
+	if v == nil {
+		t, err := b.expr(r)
+		if err != nil {
+			return pc.next(k, r, scratch)
+		}
+		pc.terms[k] = t
+		v = &pc.terms[k]
 	}
 	if old := r[b.slot]; old != nil {
-		if old.Equal(v) {
+		if old.Equal(*v) {
 			return pc.next(k, r, scratch)
 		}
 		return nil
 	}
 	nr := copyRow(pc.scratch(k), r)
-	pc.terms[k] = v
-	nr[b.slot] = &pc.terms[k]
+	nr[b.slot] = v
 	return pc.next(k, nr, true)
 }
 

@@ -88,3 +88,40 @@ func TestPipelineAllocations(t *testing.T) {
 		t.Fatalf("allocates %d B per evaluation, ceiling is %d", bytes, ceiling)
 	}
 }
+
+// TestConstBindAllocations is the allocation guard ci.sh names for a
+// constant BIND: every one of the 1,000 rows a join keeps binds ?req
+// to the one term the plan owns, so the BIND adds the answer's extra
+// slot and nothing per row: 102 KB per evaluation measured, up to 112
+// KB under the race detector, the ceiling 12 % above that. Copying the
+// constant into each row's arena, as a computed BIND's value is copied,
+// costs 179 KB (189–199 KB under the race detector) and trips it.
+func TestConstBindAllocations(t *testing.T) {
+	const (
+		people  = 4000
+		ceiling = 125_000
+	)
+	g := rdf.NewGraph()
+	city, name := rdf.NewIRI("http://ex.org/city"), rdf.NewIRI("http://ex.org/name")
+	for i := 0; i < people; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("http://ex.org/p%d", i))
+		g.Add(rdf.NewTriple(s, city, rdf.NewLiteral([]string{"Paris", "Athens", "Berlin", "Madrid"}[i%4])))
+		g.Add(rdf.NewTriple(s, name, rdf.NewLiteral(fmt.Sprintf("n%d", i))))
+	}
+	q, err := sparql.Parse(`SELECT ?s ?n ?req WHERE { ?s <http://ex.org/city> "Paris" . ?s <http://ex.org/name> ?n . BIND(7 AS ?req) }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := q.EvalOneWorker(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Bindings) != people/4 {
+		t.Fatalf("%d rows, want %d", len(res.Bindings), people/4)
+	}
+	bytes, allocs := perEval(t, plainEval(q, g))
+	t.Logf("%d B, %d allocs per evaluation", bytes, allocs)
+	if bytes > ceiling {
+		t.Fatalf("allocates %d B per evaluation, ceiling is %d", bytes, ceiling)
+	}
+}

@@ -500,9 +500,13 @@ func (c *compiler) compileGroup(g *Group) []op {
 			c.states = base // EXISTS binds nothing
 			b.add(&existsOp{body: body, negated: e.Negated})
 		case Bind:
-			ce := compileExpr(e.Expr, c.vt)
-			slot := c.vt.slot(e.Var)
-			b.step(&bindOp{slot: slot, expr: ce})
+			bo := &bindOp{slot: c.vt.slot(e.Var)}
+			if k, ok := e.Expr.(ConstExpr); ok {
+				bo.konst = &k.Term
+			} else {
+				bo.expr = compileExpr(e.Expr, c.vt)
+			}
+			b.step(bo)
 			// Errors leave the variable unbound, so it is only maybe-bound.
 			if c.states[e.Var] == varUnseen {
 				c.states[e.Var] = varMaybe
