@@ -82,6 +82,30 @@ if [ "$(echo "$installs" | cut -d: -f1 | sort -u)" != "internal/core/applab.go" 
     exit 1
 fi
 
+echo "== one read path through the engine"
+# internal/sparql finds what a Source can do in one function,
+# capabilities (eval.go); every other engine file reads through what it
+# found, so a capability check cannot creep back in beside it. A scan's
+# answer is a []rdf.Ref: the two-variant rdf.Matches stays gone.
+caps='ContextSource|ErrorSource|RefSource|ExchangeSource|BatchExchangeSource|StatsSource|SpatialSource'
+asserts=$(for f in internal/sparql/*.go; do
+    case "$f" in *_test.go) continue ;; esac
+    awk -v caps="$caps" '
+        /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+        $0 ~ "\\.\\((" caps ")\\)" || $0 ~ "^[[:space:]]*case ([^:]*, )?(" caps ")[,:]" {
+            if (fn != "capabilities") print FILENAME ":" FNR ": " $0
+        }' "$f"
+done)
+if [ -n "$asserts" ]; then
+    echo "Source capabilities asserted outside sparql's capabilities():" >&2
+    echo "$asserts" >&2
+    exit 1
+fi
+if grep -rnE --include='*.go' 'rdf\.Matches\b|^type Matches\b' cmd internal examples bench >&2; then
+    echo "rdf.Matches is back; scans answer []rdf.Ref" >&2
+    exit 1
+fi
+
 echo "== go test"
 go test ./...
 

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -160,6 +161,20 @@ func TestSourceInjection(t *testing.T) {
 	}
 	if got := src.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}); len(got) != 2 {
 		t.Fatalf("exhausted script Match = %d triples", len(got))
+	}
+}
+
+// TestSourcePassThroughKeepsInnerErrors: a pass-through step, and a
+// Truncate step, over a failing source return the inner source's error
+// rather than an empty answer.
+func TestSourcePassThroughKeepsInnerErrors(t *testing.T) {
+	for _, outer := range []*Script{Seq(), Seq(Step{Kind: Truncate, KeepBytes: 1})} {
+		inner := NewSource(fixedSource{}, Seq(Step{Kind: ConnError}))
+		triples, err := NewSource(inner, outer).MatchErr(rdf.Term{}, rdf.Term{}, rdf.Term{})
+		var injected *InjectedError
+		if !errors.As(err, &injected) || len(triples) != 0 {
+			t.Fatalf("pass-through over a ConnError source: %d triples, err=%v", len(triples), err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"sync"
 
 	"applab/internal/rdf"
@@ -11,7 +12,9 @@ import (
 // federation-member analogue of RoundTripper. ConnError and Status steps
 // fail the call (MatchErr returns an error; Match returns nil, matching
 // how real remote members degrade); Hang blocks until Release; Truncate
-// passes through with the triple list cut to KeepBytes entries.
+// passes through with the triple list cut to KeepBytes entries. A
+// pass-through reads Inner with sparql.MatchContext, so an error of
+// Inner's own reaches MatchErr.
 //
 // OnCall, when set, observes every call before its step executes — tests
 // use it to count fan-out arrivals deterministically.
@@ -77,11 +80,11 @@ func (f *Source) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
 	case Hang:
 		<-f.releaseCh()
 	case Truncate:
-		triples := f.Inner.Match(s, p, o)
+		triples, err := sparql.MatchContext(context.Background(), f.Inner, s, p, o)
 		if step.KeepBytes < len(triples) {
 			triples = triples[:step.KeepBytes]
 		}
-		return triples, nil
+		return triples, err
 	}
-	return f.Inner.Match(s, p, o), nil
+	return sparql.MatchContext(context.Background(), f.Inner, s, p, o)
 }

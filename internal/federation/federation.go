@@ -162,20 +162,6 @@ func capKey(s, p, o rdf.Term) (string, bool) {
 	return p.Key() + "|" + o.Key(), true
 }
 
-// matchMember asks one member through its context-aware path when it
-// has one, so cancelling the fan-out aborts in-flight member requests
-// instead of just abandoning their answers, and else through the
-// error-surfacing one when it has that.
-func matchMember(ctx context.Context, src sparql.Source, s, p, o rdf.Term) ([]rdf.Triple, error) {
-	switch src := src.(type) {
-	case sparql.ContextSource:
-		return src.MatchContext(ctx, s, p, o)
-	case sparql.ErrorSource:
-		return src.MatchErr(s, p, o)
-	}
-	return src.Match(s, p, o), nil
-}
-
 // allFailedErr applies the federation's error rule: a fan-out fails only
 // when every targeted member failed, so a federation nests as a member
 // of another federation with sensible semantics.
@@ -202,7 +188,8 @@ func allFailedErr(rep Report) error {
 // Match implements sparql.Source: the pattern is sent to every member
 // that may hold matching triples (all members when the pattern class is
 // unknown), and the union is deduplicated. Failures degrade to partial
-// results; use MatchReport or MatchErr when the error report matters.
+// results; use MatchReportContext or MatchErr when the error report
+// matters.
 func (f *Federation) Match(s, p, o rdf.Term) []rdf.Triple {
 	triples, _ := f.MatchErr(s, p, o)
 	return triples
@@ -227,18 +214,12 @@ func (f *Federation) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rdf.
 	return triples, allFailedErr(rep)
 }
 
-// MatchReport is Match plus the per-member outcome report. Each targeted
-// member gets MemberTimeout to answer; late answers are abandoned and
-// the union is returned as a partial result with the slow/broken members
-// reported.
-func (f *Federation) MatchReport(s, p, o rdf.Term) ([]rdf.Triple, Report) {
-	triples, rep, _ := f.MatchReportContext(context.Background(), s, p, o)
-	return triples, rep
-}
-
-// MatchReportContext is MatchReport under a context: each member request
-// is charged to the context's budget (admission.Limits.MaxFanout) before
-// it is sent, members that support it are queried with ctx, and a
+// MatchReportContext is Match plus the per-member outcome report. Each
+// targeted member gets MemberTimeout to answer; late answers are
+// abandoned and the union is returned as a partial result with the
+// slow/broken members reported. Each member request is charged to the
+// context's budget (admission.Limits.MaxFanout) before it is sent, a
+// member is read through sparql.MatchContext under ctx, and a
 // cancellation or budget violation stops collection early. An abort
 // marks unanswered members timed out in the report but does not count
 // against their health — the query ran out of budget, the members did
@@ -317,7 +298,9 @@ func (f *Federation) selectSources(s, p, o rdf.Term) ([]scatter.Target, []int) {
 	for _, idx := range asked {
 		m := f.members[idx]
 		targets = append(targets, scatter.Target{Name: m.Name, Replicas: []string{m.Name},
-			Call: func(ctx context.Context, _ string) ([]rdf.Triple, error) { return matchMember(ctx, m.Source, s, p, o) }})
+			Call: func(ctx context.Context, _ string) ([]rdf.Triple, error) {
+				return sparql.MatchContext(ctx, m.Source, s, p, o)
+			}})
 	}
 	for _, idx := range skipped {
 		targets = append(targets, scatter.Target{Name: f.members[idx].Name})
@@ -343,25 +326,6 @@ type QueryReport struct {
 	// Cached marks an answer served from the federation's result cache:
 	// no pattern fan-out ran at all.
 	Cached bool
-}
-
-// session is the federation as one evaluation sees it: every pattern is
-// asked under the evaluation's context, however the engine asks, so the
-// context's scatter.Tally sees every fan-out. As an ErrorSource it keeps
-// the engine on sequential Match calls, with no parallel fan-out on top
-// of the federation's own.
-type session struct {
-	*Federation
-	ctx context.Context
-}
-
-func (s session) Match(a, p, o rdf.Term) []rdf.Triple {
-	triples, _ := s.MatchErr(a, p, o)
-	return triples
-}
-
-func (s session) MatchErr(a, p, o rdf.Term) ([]rdf.Triple, error) {
-	return s.MatchContext(s.ctx, a, p, o)
 }
 
 // Cardinality implements sparql.StatsSource by summing the members'
@@ -415,7 +379,7 @@ func (f *Federation) QueryPartialContext(ctx context.Context, q string) (*sparql
 		}
 	}
 	ctx, tally := scatter.WithTally(ctx)
-	res, err := query.EvalContext(ctx, session{f, ctx})
+	res, err := query.EvalContext(ctx, f)
 	qr := &QueryReport{Patterns: tally.Fanouts, Partial: tally.Partial, Members: tally.Members}
 	if err == nil && !qr.Partial {
 		fill.Store(res)

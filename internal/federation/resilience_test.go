@@ -8,6 +8,7 @@ package federation
 // zero real-time sleeps.
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func TestPartialResultsUnderHungMember(t *testing.T) {
 	}
 	resCh := make(chan matchOut, 1)
 	go func() {
-		triples, rep := fed.MatchReport(rdf.Term{}, hasGeometry, rdf.Term{})
+		triples, rep, _ := fed.MatchReportContext(context.Background(), rdf.Term{}, hasGeometry, rdf.Term{})
 		resCh <- matchOut{triples, rep}
 	}()
 	// Both healthy members have answered and been collected; only the
@@ -167,7 +168,7 @@ func TestDemotionAndProbeRecovery(t *testing.T) {
 
 	// Two failing fan-outs demote the member.
 	for i := 0; i < 2; i++ {
-		_, rep := fed.MatchReport(rdf.Term{}, hasGeometry, rdf.Term{})
+		_, rep, _ := fed.MatchReportContext(context.Background(), rdf.Term{}, hasGeometry, rdf.Term{})
 		if !rep.Partial {
 			t.Fatalf("fan-out %d with erroring member must be partial", i)
 		}
@@ -178,7 +179,7 @@ func TestDemotionAndProbeRecovery(t *testing.T) {
 	}
 	// While demoted: skipped without being asked.
 	calls := script.Calls()
-	triples, rep := fed.MatchReport(rdf.Term{}, hasGeometry, rdf.Term{})
+	triples, rep, _ := fed.MatchReportContext(context.Background(), rdf.Term{}, hasGeometry, rdf.Term{})
 	if script.Calls() != calls {
 		t.Error("demoted member must not be asked")
 	}
@@ -197,7 +198,7 @@ func TestDemotionAndProbeRecovery(t *testing.T) {
 	// Cooldown elapsed: the member is probed, answers (script exhausted),
 	// and is rehabilitated. clc holds 15 features => 47 triples total.
 	clock.Advance(30 * time.Second)
-	triples, rep = fed.MatchReport(rdf.Term{}, hasGeometry, rdf.Term{})
+	triples, rep, _ = fed.MatchReportContext(context.Background(), rdf.Term{}, hasGeometry, rdf.Term{})
 	if rep.Partial {
 		t.Fatalf("probe fan-out must be complete: %+v", rep.Results)
 	}
@@ -218,7 +219,7 @@ func TestDemotionFailSafeWhenAllDemoted(t *testing.T) {
 	clock := faults.NewClock(time.Date(2019, 3, 26, 9, 0, 0, 0, time.UTC))
 	fed.Now = clock.Now
 
-	_, rep := fed.MatchReport(rdf.Term{}, hasGeometry, rdf.Term{})
+	_, rep, _ := fed.MatchReportContext(context.Background(), rdf.Term{}, hasGeometry, rdf.Term{})
 	if !rep.Partial {
 		t.Fatal("failing member must yield a partial report")
 	}
@@ -226,7 +227,7 @@ func TestDemotionFailSafeWhenAllDemoted(t *testing.T) {
 		t.Fatal("member must be demoted")
 	}
 	// Next fan-out: still asked (fail-safe), not silently skipped.
-	_, rep = fed.MatchReport(rdf.Term{}, hasGeometry, rdf.Term{})
+	_, rep, _ = fed.MatchReportContext(context.Background(), rdf.Term{}, hasGeometry, rdf.Term{})
 	if len(rep.Results) != 1 || rep.Results[0].Skipped {
 		t.Fatalf("sole member must be probed, got %+v", rep.Results)
 	}
@@ -253,7 +254,7 @@ func TestMatchErrAllMembersFailed(t *testing.T) {
 func TestErrorReportFromErrorSource(t *testing.T) {
 	gadm, _ := buildMembers(t)
 	fed := New(Member{"gadm", gadm}, Member{"bad", failingSource{}})
-	_, rep := fed.MatchReport(rdf.Term{}, hasGeometry, rdf.Term{})
+	_, rep, _ := fed.MatchReportContext(context.Background(), rdf.Term{}, hasGeometry, rdf.Term{})
 	var badResult *MemberResult
 	for i := range rep.Results {
 		if rep.Results[i].Member == "bad" {

@@ -152,10 +152,7 @@ func (ag *AdaptiveGraph) Match(s, p, o rdf.Term) []rdf.Triple {
 
 // MatchErr implements sparql.ErrorSource.
 func (ag *AdaptiveGraph) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
-	if st := ag.serving(); st != nil {
-		return st.Match(s, p, o), nil
-	}
-	return ag.vg.MatchErr(s, p, o)
+	return ag.MatchContext(context.Background(), s, p, o)
 }
 
 // MatchContext implements sparql.ContextSource.

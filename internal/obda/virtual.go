@@ -148,14 +148,10 @@ func (vg *VirtualGraph) Match(s, p, o rdf.Term) []rdf.Triple {
 }
 
 // MatchErr implements sparql.ErrorSource: Match with mapping-source
-// failures surfaced instead of swallowed. The federation engine uses it
-// to report a broken OBDA member rather than treating it as empty.
+// failures surfaced instead of swallowed, so a federation reports a
+// broken OBDA member rather than treating it as empty.
 func (vg *VirtualGraph) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
-	g, err := vg.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return g.Match(s, p, o), nil
+	return vg.MatchContext(context.Background(), s, p, o)
 }
 
 // MatchContext implements sparql.ContextSource: pattern scans check the

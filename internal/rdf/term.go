@@ -381,25 +381,6 @@ func deref(h *Term) Term {
 // Ref returns handles to the triple's own terms.
 func (t *Triple) Ref() Ref { return Ref{&t.S, &t.P, &t.O} }
 
-// Matches is one scan's answer, held either as triples or as refs —
-// at most one of the two is set — and read the same way through At.
-// Wrapping a triple slice copies nothing.
-type Matches struct {
-	Triples []Triple
-	Refs    []Ref
-}
-
-// Len reports the number of matches.
-func (m Matches) Len() int { return len(m.Triples) + len(m.Refs) }
-
-// At returns match i by reference.
-func (m Matches) At(i int) Ref {
-	if m.Refs != nil {
-		return m.Refs[i]
-	}
-	return m.Triples[i].Ref()
-}
-
 // String renders the triple in N-Triples form (valid time, when present, is
 // appended as an stRDF-style comment).
 func (t Triple) String() string {

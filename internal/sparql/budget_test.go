@@ -9,6 +9,7 @@ import (
 
 	"applab/internal/admission"
 	"applab/internal/rdf"
+	"applab/internal/telemetry"
 )
 
 // budgetGraph builds a graph whose two-pattern join examines well over
@@ -173,22 +174,48 @@ func (flakySource) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rdf.Tr
 	return nil, errors.New("upstream 500")
 }
 
+// errOnlySource is an ErrorSource (no MatchContext) whose scans fail
+// with an ordinary upstream error; its Match swallows the error.
+type errOnlySource struct{}
+
+func (errOnlySource) Match(s, p, o rdf.Term) []rdf.Triple { return nil }
+
+func (errOnlySource) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
+	return nil, errors.New("upstream 500")
+}
+
 // TestContextSourceOrdinaryErrorReadsEmpty pins the seed semantics: a
-// non-abort upstream failure during a budgeted evaluation is swallowed
-// into empty results, exactly like the plain Source path.
+// non-abort upstream failure is swallowed into empty results, and the
+// one scan that read it is counted on the ref path — budgeted or not,
+// and through MatchErr when the source has no MatchContext.
 func TestContextSourceOrdinaryErrorReadsEmpty(t *testing.T) {
-	b := admission.NewBudget(admission.Limits{MaxIntermediate: 1000}, nil)
-	ctx := admission.WithBudget(context.Background(), b)
+	budgeted := admission.WithBudget(context.Background(), admission.NewBudget(admission.Limits{MaxIntermediate: 1000}, nil))
 	q, err := Parse(budgetQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.EvalContext(ctx, flakySource{})
-	if err != nil {
-		t.Fatalf("EvalContext: %v", err)
-	}
-	if len(res.Bindings) != 0 {
-		t.Fatalf("got %d rows, want 0", len(res.Bindings))
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		src  Source
+	}{
+		{"context source, budgeted", budgeted, flakySource{}},
+		{"context source, unlimited", context.Background(), flakySource{}},
+		{"error source, unlimited", context.Background(), errOnlySource{}},
+	} {
+		reg := telemetry.NewRegistry()
+		SetMetrics(reg)
+		res, err := q.EvalContext(c.ctx, c.src)
+		SetMetrics(nil)
+		if err != nil {
+			t.Fatalf("%s: EvalContext: %v", c.name, err)
+		}
+		if len(res.Bindings) != 0 {
+			t.Fatalf("%s: got %d rows, want 0", c.name, len(res.Bindings))
+		}
+		if n := reg.Counter("sparql_scan_errors_total", "path", "ref").Value(); n != 1 {
+			t.Fatalf("%s: %d scan errors on the ref path, want 1", c.name, n)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"runtime"
+	"slices"
 
 	"applab/internal/admission"
 	"applab/internal/rdf"
@@ -24,9 +25,9 @@ type Source interface {
 // RefSource is an optional extension of Source for backends that answer
 // a scan by reference: rdf.Graph, segment.Engine, strabon.Store and
 // obda.VirtualGraph hand out handles into their own term tables instead
-// of materialized triples. The compiled engine reads a pattern scan
-// through AppendRefs whenever no exchange path claims it, ahead of
-// MatchContext and Match.
+// of materialized triples. AppendRefs is the engine's one scan read
+// outside the exchange: a source without it is read through an adapter
+// over its strongest triple read (MatchContext).
 //
 // Two rules make the engine's buffer reuse safe. The slice is the
 // caller's: the source appends to dst and keeps nothing of it, so the
@@ -39,17 +40,17 @@ type RefSource interface {
 	Source
 	// AppendRefs appends the pattern's matches to dst by reference, in
 	// Match's order, and returns the extended slice (dst as it was on
-	// error). Errors follow ContextSource: only admission.Aborted ones
-	// abort the query; any other reads as an empty answer.
+	// error). Only admission.Aborted errors abort the query; any other
+	// reads as an empty answer and is counted.
 	AppendRefs(ctx context.Context, dst []rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error)
 }
 
 // ErrorSource is an optional extension of Source for backends whose
 // Match can fail (remote endpoints, OBDA virtual graphs over live
 // OPeNDAP calls). Match's signature has no error channel, so plain
-// sources swallow failures into empty results; callers that care —
-// the federation engine's per-member error reports, resilience tests —
-// type-assert for ErrorSource and use MatchErr instead.
+// sources swallow failures into empty results; MatchErr surfaces them,
+// and the engine reads it when the source has neither AppendRefs nor
+// MatchContext.
 type ErrorSource interface {
 	Source
 	// MatchErr is Match with the upstream error surfaced.
@@ -58,15 +59,86 @@ type ErrorSource interface {
 
 // ContextSource is an optional extension of Source for backends that
 // honor cancellation and query budgets mid-scan (remote endpoints,
-// federations, OBDA virtual graphs). EvalContext routes pattern scans
-// through MatchContext when the evaluation carries a deadline or budget
-// and src is not a RefSource. The engine aborts the query only on
-// cancellation/budget errors (admission.Aborted); other upstream
-// failures keep the plain Source semantics and read as empty results.
+// federations, OBDA virtual graphs). The engine reads every scan of a
+// source without AppendRefs through MatchContext, under the
+// evaluation's context whether or not it carries a deadline or budget.
 type ContextSource interface {
 	Source
-	// MatchContext is Match under a context.
+	// MatchContext is Match under a context, with the upstream error
+	// surfaced.
 	MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rdf.Triple, error)
+}
+
+// MatchContext reads the pattern from src through the strongest triple
+// read it has: MatchContext under ctx, else MatchErr, else Match. The
+// engine reads a source without AppendRefs this way, and so do wrappers
+// of a Source (federations, fault injectors).
+func MatchContext(ctx context.Context, src Source, s, p, o rdf.Term) ([]rdf.Triple, error) {
+	return capabilities(src).triples.match(ctx, s, p, o)
+}
+
+// caps is a source as capabilities found it: one scan read, one
+// exchange read, and the planner's optional helpers.
+type caps struct {
+	triples tripleRefs
+	refs    RefSource           // every scan outside the exchange: the source, or triples
+	ex      BatchExchangeSource // every scan of a partitioned source, else nil: the source, or fragmentBatch
+	stats   StatsSource         // nil without statistics
+	spatial SpatialSource       // nil without a spatial index
+}
+
+// capabilities reads what src can do. It is the one place the engine
+// type-asserts a Source (ci.sh holds it to that).
+func capabilities(src Source) caps {
+	c := caps{triples: tripleRefs{Source: src}}
+	c.triples.cs, _ = src.(ContextSource)
+	c.triples.es, _ = src.(ErrorSource)
+	c.stats, _ = src.(StatsSource)
+	c.spatial, _ = src.(SpatialSource)
+	if ex, ok := src.(ExchangeSource); ok {
+		if c.ex, ok = src.(BatchExchangeSource); !ok {
+			c.ex = fragmentBatch{ex}
+		}
+	} else if c.refs, ok = src.(RefSource); !ok {
+		c.refs = c.triples
+	}
+	return c
+}
+
+// tripleRefs is the RefSource adapter of a source that answers with
+// triples, read through its strongest triple read. Rows point into the
+// triple slice, which the Source contract makes the caller's.
+type tripleRefs struct {
+	Source
+	cs ContextSource // nil unless the source has MatchContext
+	es ErrorSource   // nil unless the source has MatchErr
+}
+
+func (t tripleRefs) match(ctx context.Context, s, p, o rdf.Term) ([]rdf.Triple, error) {
+	switch {
+	case t.cs != nil:
+		return t.cs.MatchContext(ctx, s, p, o)
+	case t.es != nil:
+		return t.es.MatchErr(s, p, o)
+	}
+	return t.Match(s, p, o), nil
+}
+
+func (t tripleRefs) AppendRefs(ctx context.Context, dst []rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error) {
+	ts, err := t.match(ctx, s, p, o)
+	if err != nil {
+		return dst, err
+	}
+	return appendTripleRefs(dst, ts), nil
+}
+
+// appendTripleRefs appends a handle to each triple of ts to dst.
+func appendTripleRefs(dst []rdf.Ref, ts []rdf.Triple) []rdf.Ref {
+	dst = slices.Grow(dst, len(ts))
+	for i := range ts {
+		dst = append(dst, (&ts[i]).Ref())
+	}
+	return dst
 }
 
 // Results is the outcome of query evaluation.
@@ -139,8 +211,8 @@ func (q *Query) Eval(src Source) (*Results, error) {
 // EvalContext is Eval with cooperative cancellation and resource
 // governance: plan operators poll ctx and the attached
 // *admission.Budget (admission.WithBudget) every budgetCheckInterval
-// rows, pattern scans go through MatchContext when src supports it,
-// and an over-budget query returns the structured *admission.BudgetError
+// rows, pattern scans of a triple source go through MatchContext under
+// ctx, and an over-budget query returns the structured *admission.BudgetError
 // instead of hanging. A background context with no budget evaluates on
 // the exact unlimited path Eval always used.
 func (q *Query) EvalContext(ctx context.Context, src Source) (*Results, error) {
@@ -152,32 +224,19 @@ func (q *Query) EvalContext(ctx context.Context, src Source) (*Results, error) {
 }
 
 func (q *Query) evalCtx(ctx context.Context, src Source, workers, threshold int) (*Results, error) {
-	if _, remote := src.(ErrorSource); remote {
-		// Remote-backed sources keep sequential, single-flight Match
-		// calls: error reporting and federation deadlines depend on it.
+	c := capabilities(src)
+	if c.triples.es != nil {
+		// Remote-backed sources keep sequential, single-flight scans:
+		// error reporting and federation deadlines depend on it.
 		workers = 1
 	}
 	budget := admission.FromContext(ctx)
 	ec := &execCtx{
-		src: src, ctx: ctx, budget: budget,
+		refs: c.refs, ex: c.ex, spatial: c.spatial, ctx: ctx, budget: budget,
 		limited: budget != nil || ctx.Done() != nil,
 		workers: workers, threshold: threshold,
 	}
-	if ec.limited {
-		if cs, ok := src.(ContextSource); ok {
-			ec.csrc = cs
-		}
-	}
-	if rs, ok := src.(RefSource); ok {
-		ec.rsrc = rs
-	}
-	if ex, ok := src.(ExchangeSource); ok {
-		ec.ex = ex
-	}
-	if bx, ok := src.(BatchExchangeSource); ok {
-		ec.bx = bx
-	}
-	prog := compileQuery(q, src)
+	prog := compileQuery(q, c)
 	rows, err := runOps(ec, prog.ops, []row{make(row, prog.vt.size())})
 	if err != nil {
 		return nil, err

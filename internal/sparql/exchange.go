@@ -19,10 +19,13 @@ import (
 // canonical (term-key) order. Fragments are disjoint (placement puts
 // each triple in exactly one), so the merge drops nothing.
 //
-// Error semantics follow Source/ErrorSource: a fragment failure reads
-// as an empty contribution (the source itself tracks partiality — see
-// cluster.Coordinator), except cancellation/budget violations
-// (admission.Aborted), which abort the query.
+// The engine reads every exchange scan through FragmentMatchBatch; a
+// source without it is read through an adapter whose every pattern is
+// one FragmentMatch. A fragment failure reads as an empty contribution,
+// counted in sparql_scan_errors_total{path="exchange"} (the source
+// itself tracks partiality — see cluster.Coordinator), except
+// cancellation/budget violations (admission.Aborted), which abort the
+// query.
 type ExchangeSource interface {
 	Source
 	// Fragments reports the fragment count (stable per evaluation).
@@ -31,7 +34,7 @@ type ExchangeSource interface {
 	// of the pattern, when placement can prove one.
 	Route(s, p, o rdf.Term) (frag int, ok bool)
 	// FragmentMatch answers the pattern from one fragment, valid time
-	// included; the engine scans through it unless the source batches.
+	// included; the engine reads it only through the batch adapter.
 	FragmentMatch(ctx context.Context, frag int, s, p, o rdf.Term) ([]rdf.Triple, error)
 }
 
@@ -54,43 +57,49 @@ type BatchExchangeSource interface {
 
 // exchangeMatch is the exchange operator's scan: the pattern-level
 // fan-out/merge every scan strategy (cross, hash, nested_loop) drives
-// its probes through when the source is partitioned. A fan-out merges
-// into *buf (see execCtx.match).
-func (ec *execCtx) exchangeMatch(buf *[]rdf.Ref, s, p, o rdf.Term) (rdf.Matches, error) {
+// its probes through when the source is partitioned. A routed scan is a
+// batch of one; a fan-out merges into *buf (see execCtx.match).
+func (ec *execCtx) exchangeMatch(buf *[]rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error) {
 	pat := rdf.PatternRef(s, p, o)
 	if frag, ok := ec.ex.Route(s, p, o); ok {
 		noteExchange("routed")
-		m, err := ec.fragmentMatch(frag, pat)
-		return m, ec.scanErr("exchange", err)
+		answers, err := ec.ex.FragmentMatchBatch(ec.ctx, frag, []rdf.Ref{pat})
+		if err != nil || len(answers) == 0 {
+			return nil, ec.scanErr("exchange", err)
+		}
+		return answers[0], nil
 	}
 	refs, err := ec.exchangeFanout((*buf)[:0], pat)
 	*buf = refs
-	return rdf.Matches{Refs: refs}, err
+	return refs, err
 }
 
-// fragmentMatch answers a pattern from one fragment: a batch of one over
-// a BatchExchangeSource, FragmentMatch's triples otherwise.
-func (ec *execCtx) fragmentMatch(frag int, pat rdf.Ref) (rdf.Matches, error) {
-	if ec.bx == nil {
+// fragmentBatch is the BatchExchangeSource adapter of an ExchangeSource
+// without the batch: it answers each pattern with FragmentMatch, taking
+// the triples by reference. A failed pattern fails the batch.
+type fragmentBatch struct{ ExchangeSource }
+
+func (f fragmentBatch) FragmentMatchBatch(ctx context.Context, frag int, pats []rdf.Ref) ([][]rdf.Ref, error) {
+	answers := make([][]rdf.Ref, len(pats))
+	for i, pat := range pats {
 		s, p, o := pat.Terms()
-		ts, err := ec.ex.FragmentMatch(ec.ctx, frag, s, p, o)
-		return rdf.Matches{Triples: ts}, err
+		ts, err := f.FragmentMatch(ctx, frag, s, p, o)
+		if err != nil {
+			return nil, err
+		}
+		answers[i] = appendTripleRefs(nil, ts)
 	}
-	answers, err := ec.bx.FragmentMatchBatch(ec.ctx, frag, []rdf.Ref{pat})
-	if err != nil || len(answers) == 0 {
-		return rdf.Matches{}, err
-	}
-	return rdf.Matches{Refs: answers[0]}, nil
+	return answers, nil
 }
 
 // exchangeRows is the exchange operator's scan for a nested-loop join
-// step over a BatchExchangeSource: the answer to the pattern each row
-// resolves to, in row order. Rows without a route fan out one by one;
-// the routed patterns are laid out grouped by fragment, and each
-// fragment gets one batch, the fragments read in parallel. Scans are
-// counted per row, as exchangeMatch counts them. A routed pattern points
-// at the row's terms and the scan's constants; the pattern list is the
-// call's own: a hedged read's losers may still be encoding it.
+// step: the answer to the pattern each row resolves to, in row order.
+// Rows without a route fan out one by one; the routed patterns are laid
+// out grouped by fragment, and each fragment gets one batch, the
+// fragments read in parallel. Scans are counted per row, as
+// exchangeMatch counts them. A routed pattern points at the row's terms
+// and the scan's constants; the pattern list is the call's own: a hedged
+// read's losers may still be encoding it.
 func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Ref, error) {
 	answers := make([][]rdf.Ref, len(rows))
 	frags := make([]int, len(rows))           // the row's fragment, -1 when it fanned out
@@ -146,7 +155,7 @@ func (ec *execCtx) exchangeRows(sc *scanOp, rows []row) ([][]rdf.Ref, error) {
 	errs := make([]error, len(start)-1)
 	read := func(f int) {
 		lo, hi := start[f], start[f+1]
-		got, err := ec.bx.FragmentMatchBatch(ec.ctx, f, pats[lo:hi])
+		got, err := ec.ex.FragmentMatchBatch(ec.ctx, f, pats[lo:hi])
 		if err != nil {
 			errs[f] = err
 			return
@@ -191,29 +200,32 @@ func handle(slot int, constant *rdf.Term, r row) *rdf.Term {
 func (ec *execCtx) exchangeFanout(dst []rdf.Ref, pat rdf.Ref) ([]rdf.Ref, error) {
 	n := max(ec.ex.Fragments(), 1)
 	noteExchange("fanout")
-	parts := make([]rdf.Matches, n)
+	parts := make([][]rdf.Ref, n)
 	errs := make([]error, n)
+	pats := []rdf.Ref{pat}
 	var wg sync.WaitGroup
 	for frag := range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parts[frag], errs[frag] = ec.fragmentMatch(frag, pat)
+			answers, err := ec.ex.FragmentMatchBatch(ec.ctx, frag, pats)
+			if err == nil && len(answers) > 0 {
+				parts[frag] = answers[0]
+			}
+			errs[frag] = err
 		}()
 	}
 	wg.Wait()
 	total, start := 0, len(dst)
-	for _, m := range parts {
-		total += m.Len()
+	for _, refs := range parts {
+		total += len(refs)
 	}
 	dst = slices.Grow(dst, total)
-	for i, m := range parts {
+	for i, refs := range parts {
 		if err := ec.scanErr("exchange", errs[i]); err != nil {
 			return dst, err
 		}
-		for j := range m.Len() {
-			dst = append(dst, m.At(j))
-		}
+		dst = append(dst, refs...)
 	}
 	slices.SortFunc(dst[start:], compareRefs)
 	return dst, nil

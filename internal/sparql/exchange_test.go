@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"applab/internal/rdf"
+	"applab/internal/telemetry"
 )
 
 // fragmented is an in-process partitioned source: triples placed on
@@ -102,33 +103,43 @@ var exchangeQueries = []string{
 	`SELECT ?s ?p ?k WHERE { ?s ?p ?o . ?s <http://ex.org/kind> ?k FILTER(?o != "k0") }`,
 }
 
-// TestBatchedExchangeMatchesPerRow: a nested-loop step over a batching
-// partitioned source answers row for row and in the same order as the
-// per-row exchange (whose rows equal the unpartitioned graph's), on one
-// worker and on four. Every exchange scan of a batching source is a
-// batch: each per-row fragment read becomes one batched pattern, and
+// TestBatchedExchangeMatchesPerRow: a partitioned source without the
+// batch, read through the FragmentMatch adapter, answers what EvalSeed
+// answers on 1, 2, 4 and 8 workers, with one exchange scan per routed row
+// and per fan-out. A batching source answers row for row and in the same
+// order: each per-row fragment read becomes one batched pattern, and
 // FragmentMatch is never called.
 func TestBatchedExchangeMatchesPerRow(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	SetMetrics(reg)
+	t.Cleanup(func() { SetMetrics(nil) })
+	routed := reg.Counter("sparql_exchange_scans_total", "mode", "routed")
+	fanout := reg.Counter("sparql_exchange_scans_total", "mode", "fanout")
+	scans := []struct{ routed, fanout int64 }{{30, 1}, {120, 1}, {3, 118}, {180, 1}}
 	ts := exchangeTriples()
 	g := rdf.NewGraph()
 	g.AddAll(ts)
-	for _, q := range exchangeQueries {
+	for i, q := range exchangeQueries {
 		parsed, err := Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := parsed.eval(g, 1, parallelThreshold)
+		want, err := parsed.EvalSeed(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			perRow := newFragmented(3, ts)
+			r0, f0 := routed.Value(), fanout.Value()
 			rows, err := parsed.eval(perRow, workers, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if resultsKey(rows) != resultsKey(want) {
-				t.Fatalf("%d workers, per-row exchange diverged from the graph on %s", workers, q)
+				t.Fatalf("%d workers, per-row exchange diverged from EvalSeed on %s", workers, q)
+			}
+			if r, f := routed.Value()-r0, fanout.Value()-f0; r != scans[i].routed || f != scans[i].fanout {
+				t.Fatalf("%d workers: %d routed and %d fan-out exchange scans on %s, want %d and %d", workers, r, f, q, scans[i].routed, scans[i].fanout)
 			}
 			batched := &batching{fragmented: newFragmented(3, ts), fail: -1}
 			got, err := parsed.eval(batched, workers, 16)

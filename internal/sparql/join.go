@@ -173,8 +173,8 @@ type scanRun struct {
 	mu       sync.Mutex
 	strategy joinStrategy
 	err      error
-	build    rdf.Matches // cross: the shared match; hash: the build side
-	refs     []rdf.Ref   // backs build when the source answers by reference
+	build    []rdf.Ref // cross: the shared match; hash: the build side
+	refs     []rdf.Ref // backs build when it is not a routed exchange answer
 	// Hash buckets are int32 chains through the build side in Match
 	// order: buckets maps a key to its bucket b, first[b] heads b's
 	// chain and next[i] continues it.
@@ -215,7 +215,7 @@ func (pc *pipeChunk) probes(k int) int {
 	n := pc.in
 	for j := range k {
 		if st := &pc.scans[j]; st.ready.Load() && st.strategy == joinCross {
-			if m := st.build.Len(); m > 1 {
+			if m := len(st.build); m > 1 {
 				n = min(n, unknownCardinality/m) * m
 			}
 		}
@@ -235,17 +235,17 @@ func (st *scanRun) index(ec *execCtx, sc *scanOp) error {
 		return err
 	}
 	st.build = build
-	st.buckets = make(map[string]int32, build.Len())
-	st.next = make([]int32, build.Len())
+	st.buckets = make(map[string]int32, len(build))
+	st.next = make([]int32, len(build))
 	var kb []byte
 	n := 0
-	for i := build.Len() - 1; i >= 0; i-- {
+	for i := len(build) - 1; i >= 0; i-- {
 		if err := ec.tick(&n); err != nil {
 			return err
 		}
 		kb = kb[:0]
 		for _, slot := range sc.keys {
-			kb = appendSolutionKey(kb, sc.tripleAt(build.At(i), slot))
+			kb = appendSolutionKey(kb, sc.tripleAt(build[i], slot))
 		}
 		b, ok := st.buckets[string(kb)]
 		if !ok {
@@ -270,7 +270,7 @@ func (sc *scanOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
 	if st.err != nil {
 		return st.err
 	}
-	var matches rdf.Matches
+	var matches []rdf.Ref
 	switch st.strategy {
 	case joinCross:
 		matches = st.build
@@ -290,7 +290,7 @@ func (sc *scanOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
 			if err := ec.tick(&pc.n); err != nil {
 				return err
 			}
-			if nr, ok := sc.extend(r, st.build.At(int(i)), dst); ok {
+			if nr, ok := sc.extend(r, st.build[i], dst); ok {
 				if err := pc.next(k, nr, scratch || sameRow(nr, dst)); err != nil {
 					return err
 				}
@@ -299,7 +299,7 @@ func (sc *scanOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
 		return nil
 	default:
 		if pc.batched != nil && k == 0 {
-			matches = rdf.Matches{Refs: pc.batched[pc.at]}
+			matches = pc.batched[pc.at]
 		} else {
 			s := resolve(sc.sSlot, sc.s, r)
 			p := resolve(sc.pSlot, sc.p, r)
@@ -310,7 +310,7 @@ func (sc *scanOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
 			}
 		}
 	}
-	lo, hi := 0, matches.Len()
+	lo, hi := 0, len(matches)
 	if k == 0 && st.strategy == joinCross {
 		lo, hi = pc.lo, pc.hi
 	}
@@ -322,7 +322,7 @@ func (sc *scanOp) push(pc *pipeChunk, k int, r row, scratch bool) error {
 	}
 	dst := pc.scratch(k)
 	for i := lo; i < hi; i++ {
-		if nr, ok := sc.extend(r, matches.At(i), dst); ok {
+		if nr, ok := sc.extend(r, matches[i], dst); ok {
 			if err := pc.next(k, nr, scratch || sameRow(nr, dst)); err != nil {
 				return err
 			}

@@ -68,8 +68,8 @@ func noteExchange(mode string) {
 }
 
 // noteScanError counts one pattern scan whose error the engine turned
-// into an empty answer, by the path that read it: "ref" (RefSource),
-// "context" (ContextSource) or "exchange" (a fragment read).
+// into an empty answer, by the path that read it: "ref" (a scan) or
+// "exchange" (a fragment read).
 func noteScanError(path string) {
 	metricsReg().Counter("sparql_scan_errors_total", "path", path).Inc()
 }

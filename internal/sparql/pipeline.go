@@ -63,7 +63,7 @@ func (p *pipeOp) run(ec *execCtx, in []row) ([]row, error) {
 			return nil, st.err
 		}
 		if st.strategy == joinCross {
-			if pc.m = st.build.Len(); pc.m == 0 {
+			if pc.m = len(st.build); pc.m == 0 {
 				return nil, nil
 			}
 		}
@@ -139,8 +139,9 @@ func sized[T any](s []T, n int) []T {
 // points into, cleared of what they referenced. Ref buffers qualify —
 // rows point at the terms behind refs, not into the buffer — so each
 // step's scan buffer and each scan state's build buffer is kept,
-// emptied, for the next run; a triple answer (rdf.Matches.Triples) is
-// pointed into by rows and is never kept.
+// emptied, for the next run. A triple source's triples (read through
+// tripleRefs) live in the slices the source returned, which no buffer
+// here owns.
 func (pc *pipeChunk) release() {
 	for i := range pc.scanBuf {
 		pc.scanBuf[i] = scanRun{refs: pooledRefs(pc.scanBuf[i].refs)}
@@ -178,9 +179,9 @@ func (pc *pipeChunk) run(in []row, lo, hi int) ([]row, error) {
 	ec, p, m := pc.ec, pc.p, pc.m
 	first := lo / m
 	rows := in[first : (hi+m-1)/m]
-	if sc, ok := p.steps[0].(*scanOp); ok && pc.scans[0].strategy == joinNested && ec.bx != nil {
-		// Over a batching partitioned source a nested-loop head reads
-		// the chunk's scans first, one read per fragment.
+	if sc, ok := p.steps[0].(*scanOp); ok && pc.scans[0].strategy == joinNested && ec.ex != nil {
+		// Over a partitioned source a nested-loop head reads the
+		// chunk's scans first, one read per fragment.
 		var err error
 		if pc.batched, err = ec.exchangeRows(sc, rows); err != nil {
 			return nil, err

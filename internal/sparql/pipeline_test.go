@@ -355,8 +355,8 @@ func TestPipelineStopsWithinInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := compileQuery(q, &plainCounter{}).ops[0].(*pipeOp); !ok || len(p.steps) != 5 {
-		t.Fatalf("plan %v does not run the unit as one five-step pipeline", compileQuery(q, &plainCounter{}).ops)
+	if p, ok := compileQuery(q, capabilities(&plainCounter{})).ops[0].(*pipeOp); !ok || len(p.steps) != 5 {
+		t.Fatalf("plan %v does not run the unit as one five-step pipeline", compileQuery(q, capabilities(&plainCounter{})).ops)
 	}
 	const stopAt = 500
 	for _, workers := range []int{1, 2} {

@@ -29,11 +29,11 @@ type StatsSource interface {
 
 // Parallel execution partitions intermediate solution sets of at least
 // parallelThreshold rows across GOMAXPROCS workers. It is disabled for
-// ErrorSource-backed sources (remote endpoints, OBDA virtual graphs,
-// federations, the cluster coordinator) so error semantics and
-// federation deadlines are untouched, and partition results are
-// concatenated in partition order, so query results are identical for
-// any worker count.
+// sources capabilities finds to be ErrorSources (remote endpoints, OBDA
+// virtual graphs, federations, the cluster coordinator), so their scans
+// stay sequential and error semantics and federation deadlines are
+// untouched. Partition results are concatenated in partition order, so
+// query results are identical for any worker count.
 const parallelThreshold = 256
 
 // forced replaces what the evaluator otherwise derives — the worker
@@ -51,11 +51,9 @@ type forcedEval struct {
 
 // execCtx carries the per-evaluation runtime state.
 type execCtx struct {
-	src       Source
-	csrc      ContextSource       // non-nil only when limited and src supports it
-	rsrc      RefSource           // non-nil when src answers scans by reference
-	ex        ExchangeSource      // non-nil for partitioned sources: routes scans through the exchange operator
-	bx        BatchExchangeSource // non-nil when ex batches a nested-loop step's routed scans
+	refs      RefSource           // every scan, unless ex is set
+	ex        BatchExchangeSource // non-nil for partitioned sources: every scan goes through the exchange operator
+	spatial   SpatialSource       // nil when the source has no spatial index
 	ctx       context.Context
 	budget    *admission.Budget
 	limited   bool // ctx can be cancelled or a budget is attached
@@ -126,38 +124,23 @@ func (ec *execCtx) checkpoint(rows int) error {
 	return nil
 }
 
-// match issues one pattern scan. Precedence: the exchange operator for
-// a partitioned source, then the source's refs appended to *buf, then
-// the context-aware path when the evaluation is limited, then plain
-// Match. Every scan strategy reads its matches through At. Only refs
-// appended here (a RefSource's, an exchange fan-out's merge) live in
-// *buf, a buffer the caller reuses for its next scan: rows point at the
-// terms behind refs, never into the ref array. A triple answer is
-// pointed into by rows and is never reused. Only
-// cancellation and budget violations abort the query; ordinary upstream
-// errors keep the seed Source semantics (they read as empty results —
-// federation partial answers and the error-report machinery depend on
-// that) and are counted (scanErr).
-func (ec *execCtx) match(buf *[]rdf.Ref, s, p, o rdf.Term) (rdf.Matches, error) {
+// match issues one pattern scan: through the exchange operator over a
+// partitioned source, else by AppendRefs into *buf, a buffer the caller
+// reuses for its next scan. Rows point at the terms behind refs, never
+// into the ref array. Only cancellation and budget violations abort the
+// query; ordinary upstream errors read as empty answers (federation
+// partial answers and the error-report machinery depend on that) and
+// are counted (scanErr).
+func (ec *execCtx) match(buf *[]rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error) {
 	if ec.ex != nil {
 		return ec.exchangeMatch(buf, s, p, o)
 	}
-	if ec.rsrc != nil {
-		refs, err := ec.rsrc.AppendRefs(ec.ctx, (*buf)[:0], s, p, o)
-		*buf = refs
-		if err != nil {
-			return rdf.Matches{}, ec.scanErr("ref", err)
-		}
-		return rdf.Matches{Refs: refs}, nil
+	refs, err := ec.refs.AppendRefs(ec.ctx, (*buf)[:0], s, p, o)
+	*buf = refs
+	if err != nil {
+		return nil, ec.scanErr("ref", err)
 	}
-	if ec.csrc != nil {
-		ts, err := ec.csrc.MatchContext(ec.ctx, s, p, o)
-		if err != nil {
-			return rdf.Matches{}, ec.scanErr("context", err)
-		}
-		return rdf.Matches{Triples: ts}, nil
-	}
-	return rdf.Matches{Triples: ec.src.Match(s, p, o)}, nil
+	return refs, nil
 }
 
 // scanErr applies the engine's error rule to a failed scan: only
@@ -411,12 +394,8 @@ type compiler struct {
 // compileQuery lowers the WHERE clause onto a slot table and a plan.
 // Compilation is per-evaluation: the planner consults the source's
 // statistics as they are now.
-func compileQuery(q *Query, src Source) *program {
-	c := &compiler{vt: newVarTable(), states: map[string]varState{}}
-	if st, ok := src.(StatsSource); ok {
-		c.stats = st
-	}
-	_, c.exchange = src.(ExchangeSource)
+func compileQuery(q *Query, src caps) *program {
+	c := &compiler{vt: newVarTable(), states: map[string]varState{}, stats: src.stats, exchange: src.ex != nil}
 	ops := c.compileGroup(q.Where)
 	return &program{ops: ops, vt: c.vt, tail: c.compileTail(q)}
 }

@@ -442,7 +442,7 @@ func TestResultsTableAllocations(t *testing.T) {
 		`SELECT ?s ?n ?s ?a WHERE { ?s <http://ex.org/name> ?n . ?s <http://ex.org/age> ?a }`,
 		`SELECT * WHERE { ?s <http://ex.org/name> ?n . BIND(1 AS ?one) VALUES ?v { 2 } }`,
 	} {
-		tail := compileQuery(MustParse(q), rdf.NewGraph()).tail
+		tail := compileQuery(MustParse(q), capabilities(rdf.NewGraph())).tail
 		width := tail.vt.size()
 		term := rdf.NewLiteral("x")
 		allocs := func(n int) float64 {

@@ -347,7 +347,7 @@ func mergeRow(a, b row, ar *rowArena) (row, bool) {
 func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 	mode := spatialMode()
 	if sj.scan != nil && (mode == spatialAuto || mode == spatialStore) {
-		if sp, ok := ec.src.(SpatialSource); ok {
+		if sp := ec.spatial; sp != nil {
 			if _, avail := sp.SpatialCandidates(geom.EmptyEnvelope()); avail {
 				return sj.runStore(ec, sp, in)
 			}

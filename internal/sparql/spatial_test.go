@@ -82,7 +82,7 @@ func compileOps(t *testing.T, query string, src Source) []op {
 	if err != nil {
 		t.Fatalf("parse %q: %v", query, err)
 	}
-	return compileQuery(q, src).ops
+	return compileQuery(q, capabilities(src)).ops
 }
 
 func TestSpatialJoinDetection(t *testing.T) {

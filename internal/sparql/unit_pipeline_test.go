@@ -175,7 +175,7 @@ SELECT ?a ?b WHERE {
 }`)
 	last := len(q.Where.Elements) - 1
 	q.Where.Elements[last] = Filter{Expr: UnaryExpr{Op: "!", X: nameLength{}}}
-	if probe, build, after := sideFilters(t, compileQuery(q, spatialGraph(60, 150)).ops); probe != 0 || build != 0 || after != 1 {
+	if probe, build, after := sideFilters(t, compileQuery(q, capabilities(spatialGraph(60, 150))).ops); probe != 0 || build != 0 || after != 1 {
 		t.Fatalf("filters probe/build/after = %d/%d/%d, want 0/0/1", probe, build, after)
 	}
 }
