@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=3s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLogRefs$$' -fuzztime=3s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='^FuzzWireDecode$$' -fuzztime=3s ./internal/cluster/
+	$(GO) test -run='^$$' -fuzz='^FuzzRTreeSearch$$' -fuzztime=3s ./internal/geom/rtree/
 
 # Engine benchmarks, measured and not gated: the BenchmarkEngine_*
 # family (seed vs compiled, and the BGP join through each serving layer

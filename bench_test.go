@@ -377,30 +377,30 @@ func BenchmarkE7_BlockedParallel(b *testing.B) {
 
 // Ablation: R-tree bulk (STR) packing — build cost and query cost.
 func BenchmarkAblation_RTreeBuild(b *testing.B) {
-	items := make([]rtree.Item, 5000)
+	envs := make([]geom.Envelope, 5000)
 	rng := rand.New(rand.NewSource(5))
-	for i := range items {
+	for i := range envs {
 		x, y := rng.Float64()*1000, rng.Float64()*1000
-		items[i] = rtree.Item{Env: geom.Envelope{MinX: x, MinY: y, MaxX: x + 5, MaxY: y + 5}, Data: i}
+		envs[i] = geom.Envelope{MinX: x, MinY: y, MaxX: x + 5, MaxY: y + 5}
 	}
 	for i := 0; i < b.N; i++ {
-		rtree.Bulk(items)
+		rtree.Bulk(envs)
 	}
 }
 
 func BenchmarkAblation_RTreeQuery(b *testing.B) {
-	items := make([]rtree.Item, 5000)
+	envs := make([]geom.Envelope, 5000)
 	rng := rand.New(rand.NewSource(5))
-	for i := range items {
+	for i := range envs {
 		x, y := rng.Float64()*1000, rng.Float64()*1000
-		items[i] = rtree.Item{Env: geom.Envelope{MinX: x, MinY: y, MaxX: x + 5, MaxY: y + 5}, Data: i}
+		envs[i] = geom.Envelope{MinX: x, MinY: y, MaxX: x + 5, MaxY: y + 5}
 	}
-	tr := rtree.Bulk(items)
+	tr := rtree.Bulk(envs)
 	q := geom.Envelope{MinX: 200, MinY: 200, MaxX: 320, MaxY: 320}
+	var ids []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := 0
-		tr.Search(q, func(rtree.Item) bool { n++; return true })
+		ids = tr.Search(q, ids[:0])
 	}
 }
 

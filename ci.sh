@@ -188,8 +188,10 @@ echo "== allocation ceilings (handle rows, answer tables, join variants, disk sc
 # key is the query text the parser kept. Encoding a segment run of 1k
 # rows and of 64k rows costs the same <= 8 allocations: the counting
 # passes reuse one count array and the image is sized before it is
-# written, so nothing is allocated per row, term or comparison.
-go test -count=1 -cpu 1,2,4 -run '^TestBGPJoinBytesCeiling$' ./internal/sparql
+# written, so nothing is allocated per row, term or comparison. The
+# -cpu line also runs a spatial join of 1,500 features a side, which the
+# planner serves from the R-tree nested loop at every core count.
+go test -count=1 -cpu 1,2,4 -run '^(TestBGPJoinBytesCeiling|TestSpatialJoinLargeBuildSide)$' ./internal/sparql
 go test -count=1 -run '^(TestSpatialJoinWarmAllocations|TestConstGeometryFilterAllocations|TestDiskScanAllocations|TestGraphScanAllocations|TestPipelineAllocations|TestResultsTableAllocations|TestSpatialJoinFilterAllocations|TestConstBindAllocations|TestParseAllocations)$' ./internal/sparql
 go test -count=1 -run '^TestPredicateAllocations$' ./internal/geom
 go test -count=1 -run '^TestResultsWriterAllocations$' ./internal/endpoint

@@ -90,13 +90,6 @@ func (n *Node) handle(req Message, bufs *answerBufs) Message {
 		return Message{Type: MsgPingResp}
 	case MsgMatchReq:
 		return n.handleMatch(req, bufs)
-	case MsgCardReq:
-		sh := n.shard(req.Shard)
-		sh.mu.Lock()
-		card := sh.store.Cardinality(req.S, req.P, req.O)
-		seq := sh.lastSeq
-		sh.mu.Unlock()
-		return Message{Type: MsgCardResp, Seq: seq, Card: int64(card)}
 	case MsgApplyReq:
 		return n.handleApply(req)
 	case MsgSnapReq:

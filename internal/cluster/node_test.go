@@ -36,6 +36,27 @@ func itoa(i int) string {
 	return string(b)
 }
 
+// matchCount is the number of triples a node answers for the pattern
+// (?, <http://ex/p0>, ?) on shard, and the sequence the answer is
+// current as of.
+func matchCount(t *testing.T, n *Node, shard uint32) (int, uint64) {
+	t.Helper()
+	pat := rdf.PatternRef(rdf.Term{}, rdf.NewIRI("http://ex/p0"), rdf.Term{})
+	resp := n.Handle(Message{Type: MsgMatchReq, Shard: shard, Patterns: []rdf.Ref{pat}})
+	if resp.Type != MsgMatchResp {
+		t.Fatalf("match: %+v", resp)
+	}
+	recs, err := segment.DecodeLogRecords(resp.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, r := range recs {
+		total += len(r.Triples)
+	}
+	return total, resp.Seq
+}
+
 func mustRecord(t testing.TB, rec segment.LogRecord) []byte {
 	t.Helper()
 	img, err := segment.EncodeLogRecord(rec)
@@ -88,9 +109,8 @@ func TestNodeDeleteCardAndSeq(t *testing.T) {
 	ts := testTriples(4, 0)
 	n.Handle(Message{Type: MsgApplyReq, Shard: 1, Seq: 1, Records: mustRecord(t, segment.LogRecord{Triples: ts})})
 	n.Handle(Message{Type: MsgApplyReq, Shard: 1, Seq: 2, Records: mustRecord(t, segment.LogRecord{Delete: true, Triples: ts[:2]})})
-	card := n.Handle(Message{Type: MsgCardReq, Shard: 1, P: rdf.NewIRI("http://ex/p0")})
-	if card.Type != MsgCardResp || card.Card != 2 || card.Seq != 2 {
-		t.Fatalf("card: %+v", card)
+	if count, seq := matchCount(t, n, 1); count != 2 || seq != 2 {
+		t.Fatalf("match after delete: %d triples as of %d, want 2 as of 2", count, seq)
 	}
 	seq := n.Handle(Message{Type: MsgSeqReq, Shard: 1})
 	if seq.Type != MsgSeqResp || seq.Seq != 2 {
@@ -117,9 +137,8 @@ func TestNodeSnapshotInstall(t *testing.T) {
 	if resp := dst.Handle(Message{Type: MsgApplyReq, Shard: 0, Seq: 2, Records: mustRecord(t, segment.LogRecord{Triples: testTriples(1, 100)})}); !resp.OK {
 		t.Fatalf("apply after install: %+v", resp)
 	}
-	card := dst.Handle(Message{Type: MsgCardReq, Shard: 0, P: rdf.NewIRI("http://ex/p0")})
-	if card.Card != 6 {
-		t.Fatalf("installed card = %d, want 6", card.Card)
+	if count, _ := matchCount(t, dst, 0); count != 6 {
+		t.Fatalf("installed replica answers %d triples, want 6", count)
 	}
 }
 

@@ -57,14 +57,16 @@ const wireHeaderLen = 10
 type MsgType uint8
 
 // Wire message types. Requests are odd concerns of the read path
-// (Match/Card), the replication path (Apply/Snap/Install/Seq) and
-// liveness (Ping); every request has exactly one success response type,
-// and any request may instead be answered with MsgErr.
+// (Match), the replication path (Apply/Snap/Install/Seq) and liveness
+// (Ping); every request has exactly one success response type, and any
+// request may instead be answered with MsgErr. Types 3 and 4 are
+// reserved: no message has them, and decode rejects them like any
+// unknown type.
 const (
 	MsgMatchReq MsgType = 1 + iota
 	MsgMatchResp
-	MsgCardReq
-	MsgCardResp
+	msgReserved3
+	msgReserved4
 	MsgApplyReq
 	MsgApplyResp
 	MsgSnapReq
@@ -88,15 +90,11 @@ type Message struct {
 	// Seq is the replication sequence number: the record being applied
 	// (ApplyReq/InstallReq), the node's last applied sequence
 	// (ApplyResp/SeqResp), or the sequence the payload is current as of
-	// (MatchResp/CardResp/SnapResp) — readers use it to reject answers
-	// from replicas that have not caught up.
+	// (MatchResp/SnapResp) — readers use it to reject answers from
+	// replicas that have not caught up.
 	Seq uint64
-	// Card is the CardResp cardinality.
-	Card int64
 	// OK reports ApplyResp acceptance.
 	OK bool
-	// S, P, O are the CardReq pattern; zero terms are wildcards.
-	S, P, O rdf.Term
 	// Patterns are the MatchReq patterns, all read from Shard: nil
 	// handles are wildcards.
 	Patterns []rdf.Ref
@@ -321,18 +319,10 @@ func appendMessage(dst []byte, m Message) ([]byte, error) {
 			s, p, o := p.Terms()
 			dst = appendTerm(appendTerm(appendTerm(dst, s), p), o)
 		}
-	case MsgCardReq:
-		dst = appendU32(dst, m.Shard)
-		dst = appendTerm(dst, m.S)
-		dst = appendTerm(dst, m.P)
-		dst = appendTerm(dst, m.O)
 	case MsgMatchResp, MsgSnapResp:
 		dst = appendU64(dst, m.Seq)
 		dst = appendU32(dst, uint32(len(m.Records)))
 		dst = append(dst, m.Records...)
-	case MsgCardResp:
-		dst = appendU64(dst, m.Seq)
-		dst = appendU64(dst, uint64(m.Card))
 	case MsgApplyReq, MsgInstallReq:
 		dst = appendU32(dst, m.Shard)
 		dst = appendU64(dst, m.Seq)
@@ -385,7 +375,7 @@ func decodeMessage(data []byte, pats *patternBufs) (Message, int, error) {
 		return Message{}, 0, fmt.Errorf("cluster: wire version %d, want %d", data[0], wireVersion)
 	}
 	typ := MsgType(data[1])
-	if typ == 0 || typ >= msgTypeEnd {
+	if typ == 0 || typ >= msgTypeEnd || typ == msgReserved3 || typ == msgReserved4 {
 		return Message{}, 0, fmt.Errorf("cluster: unknown message type %d", typ)
 	}
 	hc := wireCursor{data: data[2:wireHeaderLen]}
@@ -407,17 +397,9 @@ func decodeMessage(data []byte, pats *patternBufs) (Message, int, error) {
 	case MsgMatchReq:
 		m.Shard = c.u32()
 		m.Patterns = c.patterns(pats)
-	case MsgCardReq:
-		m.Shard = c.u32()
-		m.S = c.term(rdf.Term{})
-		m.P = c.term(rdf.Term{})
-		m.O = c.term(rdf.Term{})
 	case MsgMatchResp, MsgSnapResp:
 		m.Seq = c.u64()
 		m.Records = c.bytes()
-	case MsgCardResp:
-		m.Seq = c.u64()
-		m.Card = int64(c.u64())
 	case MsgApplyReq, MsgInstallReq:
 		m.Shard = c.u32()
 		m.Seq = c.u64()

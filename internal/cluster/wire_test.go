@@ -27,8 +27,6 @@ func wireMessages(t testing.TB) []Message {
 			rdf.PatternRef(rdf.Term{}, rdf.NewIRI("http://ex/p"), rdf.NewTypedLiteral("7", rdf.XSDInteger)),
 		}},
 		{Type: MsgMatchResp, Seq: 42, Records: img},
-		{Type: MsgCardReq, Shard: 0, S: rdf.Term{}, P: rdf.NewIRI("http://ex/p"), O: rdf.Term{}},
-		{Type: MsgCardResp, Seq: 7, Card: -1},
 		{Type: MsgApplyReq, Shard: 1, Seq: 9, Records: img},
 		{Type: MsgApplyResp, Seq: 9, OK: true},
 		{Type: MsgApplyResp, Seq: 8, OK: false},
@@ -105,6 +103,8 @@ func TestWireDecodeStrict(t *testing.T) {
 		"bad version": append([]byte{9}, valid[1:]...),
 		"bad type":    append([]byte{wireVersion, 0}, valid[2:]...),
 		"truncated":   valid[:len(valid)-2],
+		"card req":    cardRequestFrame,
+		"card resp":   cardResponseFrame,
 	}
 	crcFlip := append([]byte(nil), valid...)
 	crcFlip[len(crcFlip)-1] ^= 0xff
@@ -122,6 +122,17 @@ func TestWireDecodeStrict(t *testing.T) {
 	}
 }
 
+// cardRequestFrame and cardResponseFrame are well-formed frames of the
+// reserved types 3 and 4, a cardinality request for (?, <http://ex/p>, ?)
+// on shard 1 and its answer, which no node serves: decode rejects them.
+var (
+	cardRequestFrame = []byte{0x2, 0x3, 0x1f, 0x0, 0x0, 0x0, 0xa, 0xde, 0x4c, 0x1f, 0x1, 0x0, 0x0, 0x0,
+		0x0, 0x1, 0x0, 0xb, 0x0, 0x0, 0x0, 0x68, 0x74, 0x74, 0x70, 0x3a, 0x2f, 0x2f, 0x65, 0x78, 0x2f, 0x70,
+		0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0}
+	cardResponseFrame = []byte{0x2, 0x4, 0x10, 0x0, 0x0, 0x0, 0x44, 0xbd, 0xa2, 0x59,
+		0x7, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x5, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0}
+)
+
 // referenceEncodeMessage is the frame encoder appendMessage replaced:
 // body built in a buffer of its own, then copied behind a header. It is
 // the byte oracle for TestWireFramesUnchanged.
@@ -137,18 +148,10 @@ func referenceEncodeMessage(m Message) []byte {
 			body = appendTerm(body, p)
 			body = appendTerm(body, o)
 		}
-	case MsgCardReq:
-		body = appendU32(body, m.Shard)
-		body = appendTerm(body, m.S)
-		body = appendTerm(body, m.P)
-		body = appendTerm(body, m.O)
 	case MsgMatchResp, MsgSnapResp:
 		body = appendU64(body, m.Seq)
 		body = appendU32(body, uint32(len(m.Records)))
 		body = append(body, m.Records...)
-	case MsgCardResp:
-		body = appendU64(body, m.Seq)
-		body = appendU64(body, uint64(m.Card))
 	case MsgApplyReq, MsgInstallReq:
 		body = appendU32(body, m.Shard)
 		body = appendU64(body, m.Seq)
@@ -202,9 +205,11 @@ func TestWireFramesUnchanged(t *testing.T) {
 		}
 	}
 	// A refused message leaves the buffer as it was.
-	kept, err := appendMessage(append([]byte(nil), prefix...), Message{Type: msgTypeEnd})
-	if err == nil || !bytes.Equal(kept, prefix) {
-		t.Fatalf("unencodable type: %x, err %v", kept, err)
+	for _, typ := range []MsgType{msgReserved3, msgReserved4, msgTypeEnd} {
+		kept, err := appendMessage(append([]byte(nil), prefix...), Message{Type: typ})
+		if err == nil || !bytes.Equal(kept, prefix) {
+			t.Fatalf("unencodable type %d: %x, err %v", typ, kept, err)
+		}
 	}
 }
 
@@ -269,7 +274,6 @@ func FuzzWireDecode(f *testing.F) {
 		{Type: MsgMatchReq, Shard: 1, Patterns: []rdf.Ref{rdf.PatternRef(rdf.NewIRI("http://ex/s"), rdf.Term{}, rdf.Term{})}},
 		{Type: MsgMatchReq, Shard: 2, Patterns: []rdf.Ref{{}, rdf.PatternRef(rdf.Term{}, rdf.NewIRI("http://ex/p"), rdf.Term{}), rdf.PatternRef(rdf.NewBlank("b"), rdf.Term{}, rdf.NewLangLiteral("x", "en"))}},
 		{Type: MsgMatchReq, Shard: 0},
-		{Type: MsgCardReq, Shard: 1, P: rdf.NewIRI("http://ex/p")},
 		{Type: MsgApplyResp, Seq: 5, OK: true},
 		{Type: MsgSeqResp, Seq: 1},
 		{Type: MsgErr, Msg: "x"},
@@ -287,6 +291,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{wireVersion, byte(MsgErr), 4, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{wireVersion, byte(MsgApplyReq)})
 	f.Add(hostilePatternCount())
+	f.Add(cardRequestFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := DecodeMessage(data)
 		if err != nil {

@@ -322,8 +322,7 @@ func TestGoldenWorkflows(t *testing.T) {
 // way TestGoldenWorkflows pins the engine's: a tiny deterministic store
 // where the strategy the planner picks for each query shape, the counter
 // deltas and the probe count are exact, and every answer is the seed
-// evaluator's. The cells strategy, which needs a build side past
-// spatialINLMaxBuild, is pinned in internal/sparql.
+// evaluator's.
 func TestGoldenSpatialJoin(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sparql.SetMetrics(reg)
@@ -413,7 +412,6 @@ func TestGoldenSpatialJoin(t *testing.T) {
 	s1 := reg.Snapshot()
 	wantCounters(t, "seed", s0, s1, map[string]int64{
 		`spatial_join_total{strategy="inl"}`:   0,
-		`spatial_join_total{strategy="cells"}`: 0,
 		`spatial_join_total{strategy="store"}`: 0,
 		"spatial_index_probes_total":           0,
 	})
@@ -432,7 +430,6 @@ func TestGoldenSpatialJoin(t *testing.T) {
 	s2 := reg.Snapshot()
 	wantCounters(t, "spatial joins", s1, s2, map[string]int64{
 		`spatial_join_total{strategy="inl"}`:   1,
-		`spatial_join_total{strategy="cells"}`: 0,
 		`spatial_join_total{strategy="store"}`: 1,
 		"spatial_index_probes_total":           8,
 	})

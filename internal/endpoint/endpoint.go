@@ -328,22 +328,29 @@ func ResultsJSON(res *sparql.Results) map[string]any {
 	}
 }
 
-// parseCell converts one JSON results cell back to a term.
-func parseCell(cell map[string]any) rdf.Term {
-	val, _ := cell["value"].(string)
-	switch cell["type"] {
+// resultCell is one cell of a SPARQL JSON results binding.
+type resultCell struct {
+	Type     string `json:"type"`
+	Value    string `json:"value"`
+	Lang     string `json:"xml:lang"`
+	Datatype string `json:"datatype"`
+}
+
+// term converts the cell back to a term.
+func (c *resultCell) term() rdf.Term {
+	switch c.Type {
 	case "uri":
-		return rdf.NewIRI(val)
+		return rdf.NewIRI(c.Value)
 	case "bnode":
-		return rdf.NewBlank(val)
+		return rdf.NewBlank(c.Value)
 	default:
-		if lang, ok := cell["xml:lang"].(string); ok && lang != "" {
-			return rdf.NewLangLiteral(val, lang)
+		if c.Lang != "" {
+			return rdf.NewLangLiteral(c.Value, c.Lang)
 		}
-		if dt, ok := cell["datatype"].(string); ok && dt != "" {
-			return rdf.NewTypedLiteral(val, dt)
+		if c.Datatype != "" {
+			return rdf.NewTypedLiteral(c.Value, c.Datatype)
 		}
-		return rdf.NewLiteral(val)
+		return rdf.NewLiteral(c.Value)
 	}
 }
 
@@ -429,7 +436,7 @@ func (r *RemoteSource) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rd
 	}
 	var doc struct {
 		Results struct {
-			Bindings []map[string]map[string]any `json:"bindings"`
+			Bindings []map[string]resultCell `json:"bindings"`
 		} `json:"results"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
@@ -439,13 +446,13 @@ func (r *RemoteSource) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rd
 	for _, row := range doc.Results.Bindings {
 		t := rdf.Triple{S: s, P: p, O: o}
 		if cell, ok := row["s"]; ok {
-			t.S = parseCell(cell)
+			t.S = cell.term()
 		}
 		if cell, ok := row["p"]; ok {
-			t.P = parseCell(cell)
+			t.P = cell.term()
 		}
 		if cell, ok := row["o"]; ok {
-			t.O = parseCell(cell)
+			t.O = cell.term()
 		}
 		out = append(out, t)
 	}

@@ -137,6 +137,39 @@ func TestRemoteSourceMatch(t *testing.T) {
 	}
 }
 
+// TestRemoteSourceDecodesCells: each kind of results cell decodes to its
+// term, and a cell whose value is not a string is a bad document, not
+// an empty literal.
+func TestRemoteSourceDecodesCells(t *testing.T) {
+	cases := []struct {
+		name, cell string
+		want       rdf.Term // zero: the document is bad
+	}{
+		{"iri", `{"type":"uri","value":"http://ex.org/a"}`, rdf.NewIRI("http://ex.org/a")},
+		{"bnode", `{"type":"bnode","value":"b0"}`, rdf.NewBlank("b0")},
+		{"lang literal", `{"type":"literal","value":"Alpha","xml:lang":"en"}`, rdf.NewLangLiteral("Alpha", "en")},
+		{"typed literal", `{"type":"literal","value":"5","datatype":"` + rdf.XSDInteger + `"}`, rdf.NewTypedLiteral("5", rdf.XSDInteger)},
+		{"plain literal", `{"type":"literal","value":"Beta"}`, rdf.NewLiteral("Beta")},
+		{"numeric value", `{"type":"literal","value":5}`, rdf.Term{}},
+	}
+	for _, c := range cases {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte(`{"head":{"vars":["o"]},"results":{"bindings":[{"o":` + c.cell + `}]}}`))
+		}))
+		got, err := NewRemoteSource(srv.URL).MatchErr(rdf.NewIRI("http://ex.org/s"), rdf.NewIRI("http://ex.org/p"), rdf.Term{})
+		srv.Close()
+		if c.want.IsZero() {
+			if err == nil || !strings.Contains(err.Error(), "bad results document") {
+				t.Errorf("%s: got %v, %v; want a bad results document", c.name, got, err)
+			}
+			continue
+		}
+		if err != nil || len(got) != 1 || !got[0].O.Equal(c.want) {
+			t.Errorf("%s: got %v, %v; want object %v", c.name, got, err, c.want)
+		}
+	}
+}
+
 func TestRemoteSourceThroughEngine(t *testing.T) {
 	_, srv := newStoreAndServer(t)
 	remote := NewRemoteSource(srv.URL)

@@ -1,29 +1,32 @@
-// Package rtree provides an R-tree spatial index over geometry envelopes.
-// Trees are bulk loaded (sort-tile-recursive packing) and answer
-// envelope-intersection queries. The Strabon store and the evaluator's
-// spatial join build on it.
+// Package rtree provides an R-tree over a column of geometry envelopes.
+// A tree is bulk loaded (sort-tile-recursive packing) from a slice of
+// envelopes and answers envelope-intersection queries with the slice
+// positions of the envelopes that intersect. The Strabon store, the
+// evaluator's spatial join and the spatial linker build on it.
 package rtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"applab/internal/geom"
 )
 
 const maxEntries = 16
 
-// Item is a value stored in the tree together with its envelope.
-type Item struct {
-	Env  geom.Envelope
-	Data any
+// entry is one indexed envelope and its position in the input column.
+type entry struct {
+	env geom.Envelope
+	id  int32
 }
 
+// node is a leaf when it holds entries, an internal node when it holds
+// children.
 type node struct {
-	leaf     bool
 	env      geom.Envelope
-	items    []Item  // leaf payload
-	children []*node // internal children
+	entries  []entry
+	children []*node
 }
 
 // Tree is an R-tree. The zero value is not usable; call Bulk.
@@ -32,50 +35,44 @@ type Tree struct {
 	size int
 }
 
-// Bulk builds a tree from items using sort-tile-recursive packing.
-func Bulk(items []Item) *Tree {
-	t := &Tree{}
-	if len(items) == 0 {
-		t.root = &node{leaf: true, env: geom.EmptyEnvelope()}
+// Bulk builds a tree over envs using sort-tile-recursive packing: the
+// id of envs[i] is i. Empty envelopes cover nothing and are not indexed.
+func Bulk(envs []geom.Envelope) *Tree {
+	entries := make([]entry, 0, len(envs))
+	for i, e := range envs {
+		if !e.IsEmpty() {
+			entries = append(entries, entry{e, int32(i)})
+		}
+	}
+	t := &Tree{size: len(entries)}
+	if len(entries) == 0 {
+		t.root = &node{env: geom.EmptyEnvelope()}
 		return t
 	}
-	leaves := packLeaves(items)
-	t.size = len(items)
-	for len(leaves) > 1 {
-		leaves = packNodes(leaves)
+	level := packLeaves(entries)
+	for len(level) > 1 {
+		level = packNodes(level)
 	}
-	t.root = leaves[0]
+	t.root = level[0]
 	return t
 }
 
-func packLeaves(items []Item) []*node {
-	sorted := make([]Item, len(items))
-	copy(sorted, items)
-	nLeaves := (len(sorted) + maxEntries - 1) / maxEntries
+// packLeaves sorts entries into vertical slices by centre x, each slice
+// by centre y, and cuts them into leaves that alias entries.
+func packLeaves(entries []entry) []*node {
+	nLeaves := (len(entries) + maxEntries - 1) / maxEntries
 	nSlices := int(math.Ceil(math.Sqrt(float64(nLeaves))))
 	sliceCap := nSlices * maxEntries
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Env.Center().X < sorted[j].Env.Center().X
-	})
-	var leaves []*node
-	for start := 0; start < len(sorted); start += sliceCap {
-		end := start + sliceCap
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		slice := sorted[start:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].Env.Center().Y < slice[j].Env.Center().Y
-		})
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.env.Center().X, b.env.Center().X) })
+	leaves := make([]*node, 0, nLeaves)
+	for start := 0; start < len(entries); start += sliceCap {
+		slice := entries[start:min(start+sliceCap, len(entries))]
+		slices.SortFunc(slice, func(a, b entry) int { return cmp.Compare(a.env.Center().Y, b.env.Center().Y) })
 		for s := 0; s < len(slice); s += maxEntries {
-			e := s + maxEntries
-			if e > len(slice) {
-				e = len(slice)
-			}
-			n := &node{leaf: true, env: geom.EmptyEnvelope()}
-			n.items = append(n.items, slice[s:e]...)
-			for _, it := range n.items {
-				n.env = n.env.Extend(it.Env)
+			e := min(s+maxEntries, len(slice))
+			n := &node{env: geom.EmptyEnvelope(), entries: slice[s:e:e]}
+			for _, it := range n.entries {
+				n.env = n.env.Extend(it.env)
 			}
 			leaves = append(leaves, n)
 		}
@@ -84,17 +81,11 @@ func packLeaves(items []Item) []*node {
 }
 
 func packNodes(nodes []*node) []*node {
-	sort.Slice(nodes, func(i, j int) bool {
-		return nodes[i].env.Center().X < nodes[j].env.Center().X
-	})
-	var out []*node
+	slices.SortFunc(nodes, func(a, b *node) int { return cmp.Compare(a.env.Center().X, b.env.Center().X) })
+	out := make([]*node, 0, (len(nodes)+maxEntries-1)/maxEntries)
 	for start := 0; start < len(nodes); start += maxEntries {
-		end := start + maxEntries
-		if end > len(nodes) {
-			end = len(nodes)
-		}
-		n := &node{env: geom.EmptyEnvelope()}
-		n.children = append(n.children, nodes[start:end]...)
+		end := min(start+maxEntries, len(nodes))
+		n := &node{env: geom.EmptyEnvelope(), children: nodes[start:end:end]}
 		for _, c := range n.children {
 			n.env = n.env.Extend(c.env)
 		}
@@ -103,33 +94,26 @@ func packNodes(nodes []*node) []*node {
 	return out
 }
 
-// Len returns the number of stored items.
+// Len returns the number of indexed envelopes.
 func (t *Tree) Len() int { return t.size }
 
-// Search calls fn for every item whose envelope intersects query. Returning
-// false from fn stops the search early.
-func (t *Tree) Search(query geom.Envelope, fn func(Item) bool) {
-	searchNode(t.root, query, fn)
+// Search appends to dst the id of every indexed envelope that intersects
+// q, each once and in tree order, and returns the extended slice.
+func (t *Tree) Search(q geom.Envelope, dst []int32) []int32 {
+	return search(t.root, q, dst)
 }
 
-func searchNode(n *node, q geom.Envelope, fn func(Item) bool) bool {
+func search(n *node, q geom.Envelope, dst []int32) []int32 {
 	if !n.env.Intersects(q) {
-		return true
+		return dst
 	}
-	if n.leaf {
-		for _, it := range n.items {
-			if it.Env.Intersects(q) {
-				if !fn(it) {
-					return false
-				}
-			}
+	for _, e := range n.entries {
+		if e.env.Intersects(q) {
+			dst = append(dst, e.id)
 		}
-		return true
 	}
 	for _, c := range n.children {
-		if !searchNode(c, q, fn) {
-			return false
-		}
+		dst = search(c, q, dst)
 	}
-	return true
+	return dst
 }

@@ -6,9 +6,10 @@
 // paper cites as "scalable to very large datasets".
 //
 // Both tools avoid the O(n*m) comparison explosion with blocking: spatial
-// discovery probes geom's Hilbert cell index and verifies only pairs
-// whose envelopes intersect; entity resolution compares only entities
-// sharing a name token.
+// discovery probes an STR R-tree (internal/geom/rtree) over the
+// destination envelopes and verifies only pairs whose envelopes
+// intersect; entity resolution compares only entities sharing a name
+// token.
 package interlink
 
 import (
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"applab/internal/geom"
+	"applab/internal/geom/rtree"
 	"applab/internal/rdf"
 )
 
@@ -115,7 +117,7 @@ type SpatialLinker struct {
 
 // Discover returns all (src, dst) pairs satisfying the relation — the
 // links DiscoverNaive returns, in the same order — with JedAI-spatial's
-// blocking → verification split: a geom.CellIndex over the destination
+// blocking → verification split: an R-tree over the destination
 // envelopes reports each envelope-intersecting candidate once per
 // source geometry, and only those pairs are verified with Relation.
 func (l *SpatialLinker) Discover(src, dst []Entity) []Link {
@@ -126,7 +128,7 @@ func (l *SpatialLinker) Discover(src, dst []Entity) []Link {
 	for i, d := range dst {
 		envs[i] = d.Geom.Envelope()
 	}
-	index := geom.BuildCellIndex(envs)
+	index := rtree.Bulk(envs)
 
 	workers := max(l.Workers, 1)
 	results := make([][]Link, workers)
@@ -136,16 +138,17 @@ func (l *SpatialLinker) Discover(src, dst []Entity) []Link {
 		go func(w int) {
 			defer wg.Done()
 			var links []Link
+			var cand []int32
 			for i := w; i < len(src); i += workers {
 				e := src[i]
-				index.Probe(e.Geom.Envelope(), func(di int32) bool {
+				cand = index.Search(e.Geom.Envelope(), cand[:0])
+				for _, di := range cand {
 					d := dst[di]
 					if !e.ID.Equal(d.ID) && l.Relation(e.Geom, d.Geom) {
 						links = append(links, Link{Source: e.ID, Target: d.ID,
 							Predicate: l.Predicate, Score: 1})
 					}
-					return true
-				})
+				}
 			}
 			results[w] = links
 		}(w)

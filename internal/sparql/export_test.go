@@ -49,7 +49,6 @@ const (
 	SpatialAuto  = spatialAuto
 	SpatialOff   = spatialOff
 	SpatialINL   = spatialINL
-	SpatialCells = spatialCells
 	SpatialStore = spatialStore
 )
 

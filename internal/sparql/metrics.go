@@ -44,9 +44,9 @@ func noteRows(n int) {
 }
 
 // noteSpatialJoin counts one spatial-join operator execution by the
-// candidate-generation strategy its run chose: "inl" (R-tree index
-// nested loop), "cells" (Hilbert cell-partitioned join) or "store"
-// (SpatialSource index pushdown).
+// candidate-generation strategy its run chose: "inl" (an R-tree over
+// the build side, probed per row) or "store" (SpatialSource index
+// pushdown).
 func noteSpatialJoin(strategy string) {
 	metricsReg().Counter("spatial_join_total", "strategy", strategy).Inc()
 }

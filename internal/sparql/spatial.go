@@ -16,22 +16,19 @@ import (
 // the whole unit to a spatialJoinOp: the build side's WKT column is
 // looked up in geosparql's process-wide geometry memo, an envelope index
 // prunes candidate pairs, and the exact predicate (geosparql.Relation)
-// refines the survivors. Three interchangeable candidate generators:
+// refines the survivors. Two interchangeable candidate generators, both
+// probing an STR-packed R-tree (internal/geom/rtree):
 //
-//   - "inl":   index nested loop — STR-bulk-load an R-tree over the
-//     build side, probe per probe-side row. Wins while the build side
-//     is small enough that the tree stays cache-resident.
-//   - "cells": Hilbert cell index (geom.CellIndex) — flat sorted
-//     buckets, no pointer chasing; the cell-partitioned choice when
-//     both sides are large.
+//   - "inl":   index nested loop — bulk-load a tree over the build
+//     side's envelope column, probe it per probe-side row.
 //   - "store": when the build side is the bare `?g geo:asWKT ?w` scan
-//     and the source has its own spatial index (strabon.Store's R-tree,
+//     and the source has its own spatial index (strabon.Store's tree,
 //     via SpatialSource), probe the store directly and never
 //     materialize the build side at all.
 //
-// Every strategy emits identical rows in identical order (probe rows in
-// input order, candidates in build-row order), for any worker count —
-// the same determinism contract as hash join — and ticks the same
+// Both emit identical rows in identical order (probe rows in input
+// order, candidates in build-row order), for any worker count — the
+// same determinism contract as hash join — and tick the same
 // cancellation checkpoints.
 
 // SpatialSource is an optional extension of Source for backends with
@@ -46,14 +43,13 @@ type SpatialSource interface {
 	SpatialCandidates(env geom.Envelope) ([]rdf.Triple, bool)
 }
 
-// Spatial-join strategies. spatialAuto is the planner's own choice from
-// runtime sizes; the others exist to be forced in tests (see forced).
+// Spatial-join strategies. spatialAuto is the planner's own choice; the
+// others exist to be forced in tests (see forced).
 const (
-	spatialAuto  = "auto"  // pick a strategy from runtime sizes
+	spatialAuto  = "auto"  // store when the source serves it, else inl
 	spatialOff   = "off"   // per-row filter path (the seed shape)
 	spatialINL   = "inl"   // index nested loop
-	spatialCells = "cells" // Hilbert cell index
-	spatialStore = "store" // the store's index (falls back to auto)
+	spatialStore = "store" // the store's index (falls back to inl)
 )
 
 // spatialMode is the strategy the planner runs with: spatialAuto unless
@@ -64,10 +60,6 @@ func spatialMode() string {
 	}
 	return spatialAuto
 }
-
-// spatialINLMaxBuild is the build-side row count up to which auto mode
-// prefers the R-tree nested loop over the cell-partitioned join.
-const spatialINLMaxBuild = 1024
 
 // ---- compile-time detection ----
 
@@ -372,34 +364,9 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 		bGeoms[bi], bEnvs[bi], _ = geosparql.Decode(br[sj.buildSlot])
 	}
 
-	strategy := mode
-	if strategy == spatialStore || strategy == spatialAuto {
-		if len(bRows) <= spatialINLMaxBuild {
-			strategy = spatialINL
-		} else {
-			strategy = spatialCells
-		}
-	}
-
-	// Build the envelope index over the build side; empty envelopes
-	// (undecodable rows) are excluded from both generators.
-	var tree *rtree.Tree
-	var cells *geom.CellIndex
-	if strategy == spatialINL {
-		items := make([]rtree.Item, 0, len(bRows))
-		for bi, env := range bEnvs {
-			if err := ec.tick(&n); err != nil {
-				return nil, err
-			}
-			if !env.IsEmpty() {
-				items = append(items, rtree.Item{Env: env, Data: int32(bi)})
-			}
-		}
-		tree = rtree.Bulk(items)
-	} else {
-		cells = geom.BuildCellIndex(bEnvs)
-	}
-	noteSpatialJoin(strategy)
+	// Undecodable rows have empty envelopes, which the tree leaves out.
+	tree := rtree.Bulk(bEnvs)
+	noteSpatialJoin(spatialINL)
 
 	return chunkedRange(ec, len(in), func(lo, hi int) ([]row, error) {
 		var ar rowArena
@@ -417,20 +384,9 @@ func (sj *spatialJoinOp) run(ec *execCtx, in []row) ([]row, error) {
 				continue
 			}
 			probes++
-			cand = cand[:0]
-			if tree != nil {
-				tree.Search(env, func(it rtree.Item) bool {
-					cand = append(cand, it.Data.(int32))
-					return true
-				})
-			} else {
-				cells.Probe(env, func(id int32) bool {
-					cand = append(cand, id)
-					return true
-				})
-			}
-			// Candidates come out in index order; sort by build-row index
+			// Candidates come out in tree order; sort by build-row index
 			// so every strategy emits the same rows in the same order.
+			cand = tree.Search(env, cand[:0])
 			slices.Sort(cand)
 			if err := ec.tickN(&n, len(cand)); err != nil {
 				return nil, err

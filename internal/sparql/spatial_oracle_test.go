@@ -3,6 +3,7 @@ package sparql_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"applab/internal/geographica"
@@ -10,10 +11,11 @@ import (
 	"applab/internal/segment"
 	"applab/internal/sparql"
 	"applab/internal/strabon"
+	"applab/internal/telemetry"
 )
 
 // The spatial-join operator must be answer-invisible: for every
-// strategy (off/inl/cells/store/auto), any worker count, and both the
+// strategy (off/inl/store/auto), any worker count, and both the
 // in-memory and the segment-backed disk store, a Geographica join query
 // returns exactly the rows the seed evaluator produces. This is the
 // differential oracle the perf work is gated on.
@@ -85,8 +87,7 @@ func TestSpatialJoinOracle(t *testing.T) {
 	defer cold.Close()
 
 	modes := []string{
-		sparql.SpatialOff, sparql.SpatialINL, sparql.SpatialCells,
-		sparql.SpatialStore, sparql.SpatialAuto,
+		sparql.SpatialOff, sparql.SpatialINL, sparql.SpatialStore, sparql.SpatialAuto,
 	}
 	for qi, qs := range oracleQueries() {
 		parsed, err := sparql.Parse(qs)
@@ -221,6 +222,61 @@ func sjPolygons(t *testing.T, perSide int) *strabon.Store {
 	}
 	st.AddAll(triples)
 	return st
+}
+
+// TestSpatialJoinLargeBuildSide: the planner runs the R-tree nested loop
+// whatever the build side's size, and a join of 1,500 features a side
+// pairs exactly feature i of a with feature i of b, on one worker and
+// on four.
+func TestSpatialJoinLargeBuildSide(t *testing.T) {
+	const perSide = 1500
+	st := sjPolygons(t, perSide)
+	const where = `WHERE {
+  ?a <urn:sj:kind> <urn:sj:a> .
+  ?a geo:hasGeometry ?ga .
+  ?ga geo:asWKT ?wa .
+  ?b <urn:sj:kind> <urn:sj:b> .
+  ?b geo:hasGeometry ?gb .
+  ?gb geo:asWKT ?wb .
+  FILTER(geof:sfIntersects(?wa, ?wb))
+}`
+	pairs, err := sparql.Parse("SELECT ?a ?b " + where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count, err := sparql.Parse("SELECT (COUNT(*) AS ?n) " + where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		sparql.Force(t, workers, 1, sparql.SpatialAuto)
+		reg := telemetry.NewRegistry()
+		sparql.SetMetrics(reg)
+		res, err := pairs.Eval(st)
+		sparql.SetMetrics(nil)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(res.Bindings) != perSide {
+			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(res.Bindings), perSide)
+		}
+		for i := range res.Bindings {
+			b := res.Binding(i)
+			if a, bb := b["a"].Value, b["b"].Value; strings.TrimPrefix(a, "urn:sj:a") != strings.TrimPrefix(bb, "urn:sj:b") {
+				t.Fatalf("workers=%d: pair %s, %s is not feature i of both sides", workers, a, bb)
+			}
+		}
+		if got := reg.Snapshot().Counters[`spatial_join_total{strategy="inl"}`]; got != 1 {
+			t.Fatalf(`workers=%d: spatial_join_total{strategy="inl"} = %d, want 1`, workers, got)
+		}
+		res, err = count.Eval(st)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if n, _ := res.Binding(0)["n"].Int(); n != perSide {
+			t.Fatalf("workers=%d: COUNT = %d, want %d", workers, n, perSide)
+		}
+	}
 }
 
 // TestSpatialJoinFilterAllocations is the allocation ceiling ci.sh

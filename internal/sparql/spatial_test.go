@@ -14,7 +14,7 @@ import (
 )
 
 // The spatial-join operator must be invisible except for speed: every
-// strategy (R-tree nested loop, Hilbert cells, store pushdown) has to
+// strategy (R-tree nested loop, store pushdown) has to
 // produce exactly the rows the per-row filter path produces, in the
 // same order for any worker count. These tests pin the detection rules
 // and the equivalence, forcing each strategy through Force.
@@ -192,7 +192,7 @@ func TestSpatialJoinMatchesFilterPath(t *testing.T) {
 		t.Fatal("compiled filter path disagrees with seed evaluator")
 	}
 
-	for _, mode := range []string{SpatialAuto, SpatialINL, SpatialCells, SpatialStore} {
+	for _, mode := range []string{SpatialAuto, SpatialINL, SpatialStore} {
 		Force(t, 0, 0, mode)
 		var firstOrdered string
 		for _, workers := range []int{1, 8} {
@@ -312,19 +312,17 @@ func TestSpatialJoinBudgetAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{SpatialINL, SpatialCells} {
-		Force(t, 0, 0, mode)
-		for _, workers := range []int{1, 8} {
-			b := admission.NewBudget(admission.Limits{MaxIntermediate: 60}, nil)
-			ctx := admission.WithBudget(context.Background(), b)
-			_, err := q.evalCtx(ctx, g, workers, 8)
-			be, ok := admission.AsBudgetError(err)
-			if !ok {
-				t.Fatalf("mode=%s workers=%d: err = %v, want budget error", mode, workers, err)
-			}
-			if be.Kind != admission.KindIntermediate {
-				t.Fatalf("mode=%s workers=%d: kind = %s", mode, workers, be.Kind)
-			}
+	Force(t, 0, 0, SpatialINL)
+	for _, workers := range []int{1, 8} {
+		b := admission.NewBudget(admission.Limits{MaxIntermediate: 60}, nil)
+		ctx := admission.WithBudget(context.Background(), b)
+		_, err := q.evalCtx(ctx, g, workers, 8)
+		be, ok := admission.AsBudgetError(err)
+		if !ok {
+			t.Fatalf("workers=%d: err = %v, want budget error", workers, err)
+		}
+		if be.Kind != admission.KindIntermediate {
+			t.Fatalf("workers=%d: kind = %s", workers, be.Kind)
 		}
 	}
 }
@@ -351,9 +349,8 @@ func pinnedSpatialGraph() *rdf.Graph {
 
 // TestSpatialJoinCounters pins each strategy's telemetry exactly: one
 // spatial_join_total tick for the strategy that ran and one index probe
-// per probe-side geometry. The planner picks inl and store by itself
-// (internal/e2e pins those over strabon.Store); cells needs more build
-// rows than spatialINLMaxBuild, so it is pinned here, forced.
+// per probe-side geometry, forced and as the planner picks them
+// (internal/e2e pins the planner's picks over strabon.Store).
 func TestSpatialJoinCounters(t *testing.T) {
 	src := &fakeSpatialSource{Graph: pinnedSpatialGraph()}
 	generic := `PREFIX sp: <urn:sp:>
@@ -370,7 +367,6 @@ SELECT ?a ?b WHERE {
 }`
 	cases := []struct{ mode, query, want string }{
 		{SpatialINL, generic, "inl"},
-		{SpatialCells, generic, "cells"},
 		{SpatialStore, storeShape, "store"},
 		{SpatialAuto, generic, "inl"},
 		{SpatialAuto, storeShape, "store"},
@@ -396,7 +392,7 @@ SELECT ?a ?b WHERE {
 			t.Fatalf("mode=%s %s: %d rows, the seed evaluator's %d", c.mode, c.want, len(res.Bindings), len(seed.Bindings))
 		}
 		counters := reg.Snapshot().Counters
-		for _, strategy := range []string{"inl", "cells", "store"} {
+		for _, strategy := range []string{"inl", "store"} {
 			want := int64(0)
 			if strategy == c.want {
 				want = 1

@@ -48,9 +48,10 @@ type Store struct {
 	// indexErr records the first geometry error of the last index build;
 	// queries proceed over the parseable subset (see IndexErr).
 	indexErr error
-	// spatial indexes the geo:asWKT triples by envelope; geometries
-	// counts their distinct subjects.
+	// spatial indexes the envelopes of the geo:asWKT triples in wkt,
+	// tree id i naming wkt[i]; geometries counts their distinct subjects.
 	spatial    *rtree.Tree
+	wkt        []rdf.Triple
 	geometries int
 
 	// epoch counts mutations that changed data; fingerprint identifies
@@ -279,21 +280,23 @@ func (s *Store) freezeLocked() {
 	if !s.dirty {
 		return
 	}
-	var items []rtree.Item
+	wkt := s.eng.Match(rdf.Term{}, rdf.NewIRI(geosparql.AsWKT), rdf.Term{})
+	envs := make([]geom.Envelope, len(wkt))
 	nodes := map[rdf.Term]struct{}{}
 	var firstErr error
-	for _, t := range s.eng.Match(rdf.Term{}, rdf.NewIRI(geosparql.AsWKT), rdf.Term{}) {
+	for i, t := range wkt {
 		g, err := geosparql.ParseGeometryTerm(t.O)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("strabon: geometry of %s: %v", t.S, err)
 			}
+			envs[i] = geom.EmptyEnvelope()
 			continue
 		}
 		nodes[t.S] = struct{}{}
-		items = append(items, rtree.Item{Env: g.Envelope(), Data: rdf.NewTriple(t.S, t.P, t.O)})
+		envs[i] = g.Envelope()
 	}
-	s.spatial = rtree.Bulk(items)
+	s.spatial, s.wkt = rtree.Bulk(envs), wkt
 	s.geometries = len(nodes)
 	s.dirty = false
 	s.indexErr = firstErr
@@ -311,11 +314,11 @@ func (s *Store) SpatialCandidates(env geom.Envelope) ([]rdf.Triple, bool) {
 	s.ensureFrozen()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []rdf.Triple
-	s.spatial.Search(env, func(it rtree.Item) bool {
-		out = append(out, it.Data.(rdf.Triple))
-		return true
-	})
+	ids := s.spatial.Search(env, nil)
+	out := make([]rdf.Triple, len(ids))
+	for i, id := range ids {
+		out[i] = s.wkt[id]
+	}
 	return out, true
 }
 
