@@ -131,6 +131,66 @@ func TestBulkMatchesInsert(t *testing.T) {
 	}
 }
 
+// TestSearchMatchesBruteForce differentially checks Search against the
+// O(n) envelope scan over trees of one to several levels, with empty,
+// point-sized and world-spanning envelopes injected and probes that reach
+// past the data's extent.
+func TestSearchMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	randomEnv := func(world, maxSize float64) geom.Envelope {
+		x, y := rng.Float64()*world, rng.Float64()*world
+		return geom.Envelope{MinX: x, MinY: y, MaxX: x + rng.Float64()*maxSize, MaxY: y + rng.Float64()*maxSize}
+	}
+	for _, n := range []int{1, maxEntries, maxEntries + 1, 200, 2000} {
+		for trial := 0; trial < 5; trial++ {
+			envs := make([]geom.Envelope, 0, n+3)
+			for i := 0; i < n; i++ {
+				envs = append(envs, randomEnv(100, 12))
+			}
+			envs = append(envs, geom.EmptyEnvelope(), ptEnv(50, 50), geom.Envelope{MinX: -5, MinY: -5, MaxX: 200, MaxY: 200})
+			tr := Bulk(envs)
+			if tr.Len() != n+2 {
+				t.Fatalf("n=%d: Len = %d, want %d", n, tr.Len(), n+2)
+			}
+			for probe := 0; probe < 30; probe++ {
+				q := randomEnv(110, 25)
+				if got, want := searchIDs(tr, q), bruteForce(envs, q); !slices.Equal(got, want) {
+					t.Fatalf("n=%d: probe %v: got %v want %v", n, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchReportsOnce: a probe that covers every envelope, over
+// envelopes that overlap every node of a multi-level tree, reports each
+// id exactly once.
+func TestSearchReportsOnce(t *testing.T) {
+	envs := []geom.Envelope{
+		{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, // spans the whole extent
+		{MinX: 10, MinY: 10, MaxX: 90, MaxY: 90},
+		{MinX: 0, MinY: 0, MaxX: 0.5, MaxY: 0.5},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		x, y := rng.Float64()*100, rng.Float64()*100
+		envs = append(envs, geom.Envelope{MinX: x, MinY: y, MaxX: x + 40, MaxY: y + 40})
+	}
+	tr := Bulk(envs)
+	counts := map[int32]int{}
+	for _, id := range tr.Search(geom.Envelope{MinX: -10, MinY: -10, MaxX: 150, MaxY: 150}, nil) {
+		counts[id]++
+	}
+	for id, c := range counts {
+		if c != 1 {
+			t.Fatalf("id %d reported %d times", id, c)
+		}
+	}
+	if len(counts) != len(envs) {
+		t.Fatalf("got %d ids, want %d", len(counts), len(envs))
+	}
+}
+
 // Property: tree search is exactly brute force for random rectangles,
 // over trees of one to several levels.
 func TestSearchEquivalenceProperty(t *testing.T) {
