@@ -134,7 +134,7 @@ echo "== golden spatial join against a warm geometry memo"
 # insert, so the spatial_arena_bytes gauge must come from SetMetrics.
 go test -count=2 -run TestGoldenSpatialJoin ./internal/e2e
 
-echo "== allocation ceilings (handle rows, answer tables, join variants, disk scans by reference, graph scans into reused buffers, pipelined joins, spatial-join side filters, constant BINDs, pooled token slices, results writer, id-space graph, view revalidation, geometry decoding, node answers, cluster wire, batched cluster reads, telemetry lookups, result-cache hits, run encoding)"
+echo "== allocation ceilings (handle rows, answer tables, join variants, disk scans by reference, graph scans into reused buffers, pipelined joins, spatial-join side filters, constant BINDs, pooled token slices, results writer, id-space graph, view revalidation, 304 revalidation, dataset encoding, geometry decoding, node answers, cluster wire, batched cluster reads, telemetry lookups, result-cache hits, run encoding)"
 # Engine_BGPJoinCompiled's bytes per evaluation may not regrow (rows are
 # 8-byte handles, not 56-byte terms, the answer is one table of them,
 # not a map per row: a 1,250-row answer allocates as many objects as a
@@ -164,7 +164,12 @@ echo "== allocation ceilings (handle rows, answer tables, join variants, disk sc
 # on a read with an unknown bound term or (amortized, presized) on an
 # Add of interned terms, and an on-the-fly evaluation over unchanged
 # sources re-publishes the view it has (three Listing-2 mappings inside
-# their windows: < 1 KiB). Geometry literals are decoded once per process
+# their windows: < 1 KiB), and an expired region the DAP server answers
+# 304 keeps its table for one HTTP round trip over loopback, with no
+# dataset encoded or decoded and no grid read (<= 9 KiB and 110 allocs
+# across both ends; the full fetch of the same 18-value grid costs
+# ~19 KB and 272), while netcdf.Write allocates per attribute map, never
+# per value. Geometry literals are decoded once per process
 # and constant ones once per plan: a warm SJ1-shaped join over 1,000
 # polygons decodes none of them, FILTER(geof:sfWithin(?w, CONST)) over
 # 1,000 rows allocates for rows only, and the OGC predicates on two
@@ -196,7 +201,8 @@ go test -count=1 -run '^(TestSpatialJoinWarmAllocations|TestConstGeometryFilterA
 go test -count=1 -run '^TestPredicateAllocations$' ./internal/geom
 go test -count=1 -run '^TestResultsWriterAllocations$' ./internal/endpoint
 go test -count=1 -run '^TestGraphAllocations$' ./internal/rdf
-go test -count=1 -run '^TestRevalidateAllocations$' ./internal/obda
+go test -count=1 -run '^(TestRevalidateAllocations|TestNotModifiedAllocations)$' ./internal/obda
+go test -count=1 -run '^TestWriteAllocations$' ./internal/netcdf
 go test -count=1 -cpu 1,2,4 -run '^(TestNodeMatchAllocations|TestRoutedReadAllocations|TestBatchedReadAllocations|TestBindJoinReadsPerStep|TestReadMessageHostileLength)$' ./internal/cluster
 go test -count=1 -run '^TestSeriesLookupAllocations$' ./internal/telemetry
 go test -count=1 -run '^TestLookupHitAllocations$' ./internal/rescache

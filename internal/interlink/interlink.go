@@ -120,13 +120,17 @@ type SpatialLinker struct {
 // blocking → verification split: an R-tree over the destination
 // envelopes reports each envelope-intersecting candidate once per
 // source geometry, and only those pairs are verified with Relation.
+// Entities without a geometry take part in no link.
 func (l *SpatialLinker) Discover(src, dst []Entity) []Link {
 	if len(src) == 0 || len(dst) == 0 {
 		return nil
 	}
 	envs := make([]geom.Envelope, len(dst))
 	for i, d := range dst {
-		envs[i] = d.Geom.Envelope()
+		envs[i] = geom.EmptyEnvelope() // rtree.Bulk indexes no empty envelope
+		if d.Geom != nil {
+			envs[i] = d.Geom.Envelope()
+		}
 	}
 	index := rtree.Bulk(envs)
 
@@ -141,6 +145,9 @@ func (l *SpatialLinker) Discover(src, dst []Entity) []Link {
 			var cand []int32
 			for i := w; i < len(src); i += workers {
 				e := src[i]
+				if e.Geom == nil {
+					continue
+				}
 				cand = index.Search(e.Geom.Envelope(), cand[:0])
 				for _, di := range cand {
 					d := dst[di]
@@ -162,12 +169,16 @@ func (l *SpatialLinker) Discover(src, dst []Entity) []Link {
 	return out
 }
 
-// DiscoverNaive is the blocking-free baseline: all pairs are verified.
+// DiscoverNaive is the blocking-free baseline: all pairs with a
+// geometry on both sides are verified.
 func DiscoverNaive(src, dst []Entity, rel func(a, b geom.Geometry) bool, predicate string) []Link {
 	var out []Link
 	for _, e := range src {
+		if e.Geom == nil {
+			continue
+		}
 		for _, d := range dst {
-			if e.ID.Equal(d.ID) {
+			if d.Geom == nil || e.ID.Equal(d.ID) {
 				continue
 			}
 			if rel(e.Geom, d.Geom) {

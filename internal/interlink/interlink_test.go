@@ -126,6 +126,29 @@ func TestSpatialLinkerRectangles(t *testing.T) {
 	}
 }
 
+// Entity.Geom is nil for an entity without a geometry: on either side,
+// blocked or naive, such an entity links to nothing and the others'
+// links stand.
+func TestSpatialLinkerSkipsEntitiesWithoutGeometry(t *testing.T) {
+	a := []Entity{ent("a", geom.NewRect(0, 0, 1, 1)), {ID: rdf.NewIRI("http://ex.org/nameless"), Name: "no geometry"}}
+	b := []Entity{{ID: rdf.NewIRI("http://ex.org/named"), Name: "no geometry"}, ent("b", geom.NewRect(0.5, 0.5, 2, 2))}
+	l := &SpatialLinker{Relation: geom.Intersects, Predicate: "p"}
+	for _, c := range []struct {
+		name     string
+		src, dst []Entity
+		want     int
+	}{
+		{"both sides", a, b, 1},
+		{"self-join", append(a, b...), append(a, b...), 2},
+		{"only nil destinations", a, b[:1], 0},
+	} {
+		if got := l.Discover(c.src, c.dst); len(got) != c.want {
+			t.Fatalf("%s: %d links, want %d: %+v", c.name, len(got), c.want, got)
+		}
+		assertMatchesNaive(t, c.name, c.src, c.dst)
+	}
+}
+
 func TestSpatialLinkerEmptyInputs(t *testing.T) {
 	l := &SpatialLinker{Relation: geom.Intersects, Predicate: "p"}
 	if got := l.Discover(nil, nil); got != nil {

@@ -27,81 +27,91 @@ const magic = "ANC1"
 
 // Write encodes the dataset to w.
 func Write(w io.Writer, d *Dataset) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	writeStr := func(s string) error {
-		if err := binary.Write(bw, binary.BigEndian, uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	writeAttrs := func(attrs map[string]string) error {
-		if err := binary.Write(bw, binary.BigEndian, uint32(len(attrs))); err != nil {
-			return err
-		}
-		keys := make([]string, 0, len(attrs))
-		for k := range attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if err := writeStr(k); err != nil {
-				return err
-			}
-			if err := writeStr(attrs[k]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeStr(d.Name); err != nil {
-		return err
-	}
-	if err := writeAttrs(d.Attrs); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.BigEndian, uint32(len(d.Dims))); err != nil {
-		return err
-	}
+	e := &encoder{w: bufio.NewWriter(w)}
+	e.str(magic)
+	e.name(d.Name)
+	e.attrs(d.Attrs)
+	e.u32(uint32(len(d.Dims)))
 	for _, dim := range d.Dims {
-		if err := writeStr(dim.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.BigEndian, uint32(dim.Size)); err != nil {
-			return err
-		}
+		e.name(dim.Name)
+		e.u32(uint32(dim.Size))
 	}
-	if err := binary.Write(bw, binary.BigEndian, uint32(len(d.Vars))); err != nil {
-		return err
-	}
+	e.u32(uint32(len(d.Vars)))
 	for _, v := range d.Vars {
-		if err := writeStr(v.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.BigEndian, uint32(len(v.Dims))); err != nil {
-			return err
-		}
+		e.name(v.Name)
+		e.u32(uint32(len(v.Dims)))
 		for _, dn := range v.Dims {
-			if err := writeStr(dn); err != nil {
-				return err
-			}
+			e.name(dn)
 		}
-		if err := writeAttrs(v.Attrs); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.BigEndian, uint64(len(v.Data))); err != nil {
-			return err
-		}
-		for _, f := range v.Data {
-			if err := binary.Write(bw, binary.BigEndian, math.Float64bits(f)); err != nil {
-				return err
-			}
-		}
+		e.attrs(v.Attrs)
+		e.u64(uint64(len(v.Data)))
+		e.floats(v.Data)
 	}
-	return bw.Flush()
+	if e.err != nil {
+		return e.err
+	}
+	return e.w.Flush()
+}
+
+// encoder writes Write's fixed-width fields through one scratch array,
+// so encoding allocates nothing per value. The first write error
+// sticks and turns every later write into a no-op.
+type encoder struct {
+	w       *bufio.Writer
+	err     error
+	scratch [512]byte
+}
+
+func (e *encoder) write(b []byte) {
+	if e.err == nil {
+		_, e.err = e.w.Write(b)
+	}
+}
+
+func (e *encoder) str(s string) {
+	if e.err == nil {
+		_, e.err = e.w.WriteString(s)
+	}
+}
+
+func (e *encoder) u32(v uint32) {
+	e.write(binary.BigEndian.AppendUint32(e.scratch[:0], v))
+}
+
+func (e *encoder) u64(v uint64) {
+	e.write(binary.BigEndian.AppendUint64(e.scratch[:0], v))
+}
+
+// name writes a length-prefixed string.
+func (e *encoder) name(s string) {
+	e.u32(uint32(len(s)))
+	e.str(s)
+}
+
+// attrs writes an attribute map in key order.
+func (e *encoder) attrs(attrs map[string]string) {
+	e.u32(uint32(len(attrs)))
+	keys := make([]string, 0, len(attrs))
+	for k := range attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		e.name(k)
+		e.name(attrs[k])
+	}
+}
+
+// floats writes values as float64 bits, a scratch array at a time.
+func (e *encoder) floats(fs []float64) {
+	for len(fs) > 0 && e.err == nil {
+		n := min(len(fs), len(e.scratch)/8)
+		for i, f := range fs[:n] {
+			binary.BigEndian.PutUint64(e.scratch[i*8:], math.Float64bits(f))
+		}
+		e.write(e.scratch[:n*8])
+		fs = fs[n:]
+	}
 }
 
 // Read decodes a dataset from r.

@@ -131,6 +131,22 @@ func (r Range) Count() int {
 // FullRange selects every index of a dimension of the given size.
 func FullRange(size int) Range { return Range{Start: 0, Stride: 1, Stop: size - 1} }
 
+// CheckRanges reports why ranges select no hyperslab of a variable of
+// the given shape, or nil when Subset would accept them: one non-empty,
+// in-bounds range per dimension.
+func CheckRanges(varName string, shape []int, ranges []Range) error {
+	if len(ranges) != len(shape) {
+		return fmt.Errorf("netcdf: %s has rank %d, got %d ranges", varName, len(shape), len(ranges))
+	}
+	for i, r := range ranges {
+		if r.Start < 0 || r.Stop >= shape[i] || r.Count() == 0 {
+			return fmt.Errorf("netcdf: range %d [%d:%d:%d] invalid for size %d",
+				i, r.Start, r.Stride, r.Stop, shape[i])
+		}
+	}
+	return nil
+}
+
 // Subset extracts a hyperslab of v as a standalone dataset containing the
 // subset variable and shrunken dimensions. ranges must have one entry per
 // dimension of v.
@@ -140,14 +156,8 @@ func (d *Dataset) Subset(varName string, ranges []Range) (*Dataset, error) {
 		return nil, fmt.Errorf("netcdf: no variable %q", varName)
 	}
 	shape := v.Shape(d)
-	if len(ranges) != len(shape) {
-		return nil, fmt.Errorf("netcdf: %s has rank %d, got %d ranges", varName, len(shape), len(ranges))
-	}
-	for i, r := range ranges {
-		if r.Start < 0 || r.Stop >= shape[i] || r.Count() == 0 {
-			return nil, fmt.Errorf("netcdf: range %d [%d:%d:%d] invalid for size %d",
-				i, r.Start, r.Stride, r.Stop, shape[i])
-		}
+	if err := CheckRanges(varName, shape, ranges); err != nil {
+		return nil, err
 	}
 	out := NewDataset(d.Name)
 	for k, val := range d.Attrs {

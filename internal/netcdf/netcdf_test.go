@@ -2,6 +2,9 @@ package netcdf
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -253,5 +256,65 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The encoding is a wire and file format: Write must keep producing
+// these bytes. The small dataset covers sorted attributes, a negative
+// zero, an infinity and a NaN; the larger one's values span many
+// scratch-array chunks and are pinned by digest.
+func TestWriteGolden(t *testing.T) {
+	d := NewDataset("ba300")
+	d.Attrs["title"] = "Burnt Area"
+	d.Attrs["Conventions"] = "CF-1.6"
+	d.AddDim("time", 2)
+	d.AddDim("lat", 3)
+	mustAdd(t, d, &Variable{Name: "time", Dims: []string{"time"}, Data: []float64{0, 10},
+		Attrs: map[string]string{"units": "days since 2018-06-01"}})
+	mustAdd(t, d, &Variable{Name: "BA", Dims: []string{"time", "lat"},
+		Data: []float64{0.5, math.Copysign(0, -1), math.Inf(1), math.NaN(), 1e-300, -7}})
+	const golden = "414e4331000000056261333030000000020000000b436f6e76656e74696f6e73" +
+		"0000000643462d312e36000000057469746c650000000a4275726e7420417265" +
+		"61000000020000000474696d6500000002000000036c61740000000300000002" +
+		"0000000474696d65000000010000000474696d650000000100000005756e6974" +
+		"7300000015646179732073696e636520323031382d30362d3031000000000000" +
+		"000200000000000000004024000000000000000000024241000000020000000474" +
+		"696d65000000036c61740000000000000000000000063fe00000000000008000" +
+		"0000000000007ff00000000000007ff800000000000101a56e1fc2f8f359c01c" +
+		"000000000000"
+	var buf bytes.Buffer
+	if err := Write(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != golden {
+		t.Fatalf("encoding changed:\n got %s\nwant %s", got, golden)
+	}
+
+	buf.Reset()
+	if err := Write(&buf, laiDataset(t, 5, 17, 13)); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if n, got := buf.Len(), hex.EncodeToString(sum[:]); n != 9502 ||
+		got != "185ba5fd1e65c71f0aaa8b9125f59173080456856b02f8bb0d446cfbf9dc71c3" {
+		t.Fatalf("encoding of a 1,105-value grid changed: %d bytes, sha256 %s", n, got)
+	}
+}
+
+// Write allocates per call and per attribute map, never per value: a
+// grid of 10,880 values costs what one of 36 does.
+func TestWriteAllocations(t *testing.T) {
+	small, large := laiDataset(t, 1, 6, 6), laiDataset(t, 10, 32, 34)
+	allocs := func(d *Dataset) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := Write(io.Discard, d); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	s, l := allocs(small), allocs(large)
+	t.Logf("Write: %.0f allocs (36 values), %.0f allocs (10,880 values)", s, l)
+	if l != s || l > 8 {
+		t.Fatalf("Write allocates %.0f times for 10,880 values, %.0f for 36; want equal and <= 8", l, s)
 	}
 }

@@ -1,6 +1,7 @@
 package obda
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -68,11 +69,13 @@ type OpendapAdapter struct {
 }
 
 // region is what one opendap(url, w) call site last fetched: the
-// dataset, when, the grid read from it and the relation derived from
-// that grid. The relation is kept for as long as the fetched grids stay
-// equal, so an unchanged source keeps handing back the same table.
+// dataset, its validator, when, the grid read from it and the relation
+// derived from that grid. The relation is kept for as long as the
+// server answers 304 or the fetched grids stay equal, so an unchanged
+// source keeps handing back the same table.
 type region struct {
 	ds      *netcdf.Dataset // nil after InvalidateCaches: no window hit, no stale serve
+	etag    string          // the server's validator of ds; "" when it sent none or after InvalidateCaches
 	fetched time.Time
 	grid    netcdf.Grid
 	table   *madis.Table
@@ -89,13 +92,14 @@ func (a *OpendapAdapter) Register(db *madis.DB) {
 }
 
 // InvalidateCaches closes every window (used by benchmarks to force
-// cold-cache behaviour): the next call of each region fetches, and none
-// is served stale before it has fetched again.
+// cold-cache behaviour): the next call of each region fetches
+// unconditionally, and none is served stale before it has fetched
+// again.
 func (a *OpendapAdapter) InvalidateCaches() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for key, r := range a.regions {
-		r.ds = nil
+		r.ds, r.etag = nil, ""
 		a.regions[key] = r
 	}
 }
@@ -116,8 +120,10 @@ func (a *OpendapAdapter) now() time.Time {
 
 // Table is the virtual table function. Inside the region's window it
 // returns the region's relation without a fetch. Otherwise it fetches,
-// and derives the relation again only when the grid that came back is
-// not the one the region's relation was built from. When that fetch
+// conditionally on the region's validator: a 304 keeps the region's
+// relation, and a full answer derives it again only when the grid that
+// came back is not the one the region's relation was built from. After
+// InvalidateCaches the fetch is unconditional. When that fetch
 // fails on a windowed region under ServeStale, the region's relation is
 // served stale. Callers can therefore tell an unchanged source by the
 // returned pointer.
@@ -152,7 +158,7 @@ func (a *OpendapAdapter) Table(args []string) (*madis.Table, error) {
 	a.calls++
 	a.mu.Unlock()
 	a.notePhysicalFetch()
-	ds, err := a.client.Fetch(dataset, opendap.Constraint{Var: varName})
+	ds, etag, err := a.client.FetchIfChanged(context.Background(), dataset, opendap.Constraint{Var: varName}, r.etag)
 	if err != nil {
 		if a.ServeStale && window > 0 {
 			a.mu.Lock()
@@ -168,14 +174,17 @@ func (a *OpendapAdapter) Table(args []string) (*madis.Table, error) {
 	if window > 0 {
 		a.noteWindowMiss()
 	}
-	g, err := netcdf.ReadGrid(ds, varName)
-	if err != nil {
-		return nil, err
+	if ds != nil {
+		g, err := netcdf.ReadGrid(ds, varName)
+		if err != nil {
+			return nil, err
+		}
+		if r.table == nil || !r.grid.Equal(g) {
+			r.grid, r.table = g, gridTable(g, varName)
+		}
+		r.ds, r.etag = ds, etag
 	}
-	if r.table == nil || !r.grid.Equal(g) {
-		r.grid, r.table = g, gridTable(g, varName)
-	}
-	r.ds, r.fetched = ds, now
+	r.fetched = now
 	a.mu.Lock()
 	a.regions[key] = r
 	a.mu.Unlock()

@@ -176,7 +176,12 @@ func (c *Client) buildURL(path, rawQuery string) (string, error) {
 // attempt is the outcome of a single request attempt.
 type attempt struct {
 	body []byte
-	err  error
+	// etag is the response's ETag, "" when the server sent none.
+	etag string
+	// notModified marks a 304 to a conditional request: the answer the
+	// caller holds stands, and there is no body to decode.
+	notModified bool
+	err         error
 	// retryable marks failures worth another attempt (transport errors,
 	// 5xx, short reads). 4xx responses are final.
 	retryable bool
@@ -203,11 +208,15 @@ func parseRetryAfter(h string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// once performs a single GET attempt with the per-request deadline.
-func (c *Client) once(ctx context.Context, u string) attempt {
+// once performs a single GET attempt with the per-request deadline,
+// conditional on ifNoneMatch when it is not empty.
+func (c *Client) once(ctx context.Context, u, ifNoneMatch string) attempt {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return attempt{err: fmt.Errorf("opendap: GET %s: %v", u, err)}
+	}
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
 	}
 	var timedOut atomic.Bool
 	if c.Timeout > 0 {
@@ -236,6 +245,13 @@ func (c *Client) once(ctx context.Context, u string) attempt {
 		return attempt{err: err, retryable: true, upstreamFault: true}
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotModified {
+		if ifNoneMatch == "" {
+			// The upstream answered, wrongly: final, not its fault.
+			return attempt{err: fmt.Errorf("opendap: %s: 304 Not Modified to an unconditional request", u)}
+		}
+		return attempt{notModified: true, etag: resp.Header.Get("ETag")}
+	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return attempt{err: fmt.Errorf("opendap: read %s: %v", u, err),
@@ -249,7 +265,7 @@ func (c *Client) once(ctx context.Context, u string) attempt {
 		}
 		return attempt{err: err}
 	}
-	return attempt{body: body}
+	return attempt{body: body, etag: resp.Header.Get("ETag")}
 }
 
 // do runs the full resilient request cycle: breaker admission, bounded
@@ -257,7 +273,8 @@ func (c *Client) once(ctx context.Context, u string) attempt {
 // (a body that fails to decode is treated like a truncated stream and
 // retried).
 func (c *Client) do(path, rawQuery string, decode func([]byte) error) error {
-	return c.doCtx(context.Background(), path, rawQuery, decode)
+	_, err := c.doCtx(context.Background(), path, rawQuery, "", decode)
+	return err
 }
 
 // doCtx is do under a caller context: a cancellation aborts the
@@ -265,11 +282,13 @@ func (c *Client) do(path, rawQuery string, decode func([]byte) error) error {
 // between attempts. When a failed attempt carried a server Retry-After
 // hint, the next backoff honors it — capped at the configured maximum
 // backoff and without jitter, so a shedding server shapes client retry
-// traffic exactly.
-func (c *Client) doCtx(ctx context.Context, path, rawQuery string, decode func([]byte) error) error {
+// traffic exactly. A non-empty ifNoneMatch makes every attempt
+// conditional: a 304 is a success with nothing to decode, and the
+// returned attempt says so.
+func (c *Client) doCtx(ctx context.Context, path, rawQuery, ifNoneMatch string, decode func([]byte) error) (attempt, error) {
 	u, err := c.buildURL(path, rawQuery)
 	if err != nil {
-		return err
+		return attempt{}, err
 	}
 	attempts := c.MaxRetries + 1
 	if attempts < 1 {
@@ -291,24 +310,24 @@ func (c *Client) doCtx(ctx context.Context, path, rawQuery string, decode func([
 		}
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
-				return fmt.Errorf("opendap: GET %s: %w (last attempt: %v)", u, err, lastErr)
+				return attempt{}, fmt.Errorf("opendap: GET %s: %w (last attempt: %v)", u, err, lastErr)
 			}
-			return fmt.Errorf("opendap: GET %s: %w", u, err)
+			return attempt{}, fmt.Errorf("opendap: GET %s: %w", u, err)
 		}
 		if b := c.Breaker; b != nil {
 			if err := b.Allow(); err != nil {
 				c.metricRequestErrors().Inc()
 				if lastErr != nil {
-					return fmt.Errorf("%w (last attempt: %v)", err, lastErr)
+					return attempt{}, fmt.Errorf("%w (last attempt: %v)", err, lastErr)
 				}
-				return err
+				return attempt{}, err
 			}
 		}
 		start := c.clock()
-		a := c.once(ctx, u)
+		a := c.once(ctx, u, ifNoneMatch)
 		c.metricFetchSeconds().ObserveDuration(c.clock().Sub(start))
 		serverHint = a.retryAfter
-		if a.err == nil && decode != nil {
+		if a.err == nil && !a.notModified && decode != nil {
 			if derr := decode(a.body); derr != nil {
 				a = attempt{err: fmt.Errorf("opendap: decode %s: %v", u, derr),
 					retryable: true, upstreamFault: true}
@@ -322,19 +341,22 @@ func (c *Client) doCtx(ctx context.Context, path, rawQuery string, decode func([
 			}
 		}
 		if a.err == nil {
-			return nil
+			if a.notModified {
+				c.metricNotModified().Inc()
+			}
+			return a, nil
 		}
 		lastErr = a.err
 		if !a.retryable {
 			c.metricRequestErrors().Inc()
-			return a.err
+			return attempt{}, a.err
 		}
 	}
 	c.metricRequestErrors().Inc()
 	if attempts > 1 {
-		return fmt.Errorf("opendap: giving up after %d attempts: %w", attempts, lastErr)
+		return attempt{}, fmt.Errorf("opendap: giving up after %d attempts: %w", attempts, lastErr)
 	}
-	return lastErr
+	return attempt{}, lastErr
 }
 
 func (c *Client) get(path, rawQuery string) ([]byte, error) {
@@ -389,12 +411,24 @@ func (c *Client) Fetch(name string, constraint Constraint) (*netcdf.Dataset, err
 // query whose deadline expires releases its OPeNDAP connection instead
 // of riding out the full retry schedule.
 func (c *Client) FetchContext(ctx context.Context, name string, constraint Constraint) (*netcdf.Dataset, error) {
+	ds, _, err := c.FetchIfChanged(ctx, name, constraint, "")
+	return ds, err
+}
+
+// FetchIfChanged is FetchContext made conditional on etag, the
+// validator the server sent with an earlier answer to the same
+// constraint. When the server reports that answer unchanged (304 Not
+// Modified) it returns a nil dataset, having decoded nothing. An empty
+// etag fetches unconditionally, and a 304 to that is an error. The
+// returned validator is the server's ETag ("" when it sent none; etag
+// itself on a 304 without one).
+func (c *Client) FetchIfChanged(ctx context.Context, name string, constraint Constraint, etag string) (*netcdf.Dataset, string, error) {
 	rawQuery := url.QueryEscape(constraint.String())
 	if c.Token != "" {
 		rawQuery = "token=" + url.QueryEscape(c.Token) + "&" + rawQuery
 	}
 	var ds *netcdf.Dataset
-	err := c.doCtx(ctx, "/"+name+".dods", rawQuery, func(body []byte) error {
+	a, err := c.doCtx(ctx, "/"+name+".dods", rawQuery, etag, func(body []byte) error {
 		d, derr := netcdf.Read(bytes.NewReader(body))
 		if derr != nil {
 			return derr
@@ -403,9 +437,12 @@ func (c *Client) FetchContext(ctx context.Context, name string, constraint Const
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return ds, nil
+	if a.notModified && a.etag == "" {
+		return nil, etag, nil
+	}
+	return ds, a.etag, nil
 }
 
 func splitLines(s string) []string {

@@ -234,6 +234,17 @@ func ParseConstraint(s string) (Constraint, error) {
 // Apply evaluates the constraint against a dataset, returning the subset.
 // Missing ranges select whole dimensions.
 func (c Constraint) Apply(d *netcdf.Dataset) (*netcdf.Dataset, error) {
+	ranges, err := c.resolve(d)
+	if err != nil {
+		return nil, err
+	}
+	return d.Subset(c.Var, ranges)
+}
+
+// resolve checks the constraint against a dataset without subsetting it
+// and returns its ranges, whole dimensions where it names none: the
+// server answers a bad constraint 400 before it looks at validators.
+func (c Constraint) resolve(d *netcdf.Dataset) ([]netcdf.Range, error) {
 	v, ok := d.Var(c.Var)
 	if !ok {
 		return nil, fmt.Errorf("opendap: no variable %q in %s", c.Var, d.Name)
@@ -250,5 +261,8 @@ func (c Constraint) Apply(d *netcdf.Dataset) (*netcdf.Dataset, error) {
 		return nil, fmt.Errorf("opendap: %s has rank %d, constraint has %d ranges",
 			c.Var, len(shape), len(ranges))
 	}
-	return d.Subset(c.Var, ranges)
+	if err := netcdf.CheckRanges(c.Var, shape, ranges); err != nil {
+		return nil, err
+	}
+	return ranges, nil
 }

@@ -26,6 +26,12 @@ func (c *Client) metricRequestErrors() *telemetry.Counter {
 	return c.Metrics.Counter("opendap_request_errors_total")
 }
 
+// metricNotModified counts fetches the server answered 304 Not
+// Modified: the caller's copy stands, nothing was decoded.
+func (c *Client) metricNotModified() *telemetry.Counter {
+	return c.Metrics.Counter("opendap_not_modified_total")
+}
+
 // noteState records a breaker state change in the registry: a gauge of
 // the current state (0 closed, 1 open, 2 half-open) and a transition
 // counter labelled by destination. Called with b.mu held, which is safe:

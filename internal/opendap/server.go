@@ -1,6 +1,8 @@
 package opendap
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -23,12 +25,17 @@ import (
 //	GET /lai.dods?<CE>       binary subset (our netcdf encoding)
 //	GET /catalog             newline-separated dataset names
 //
+// Every .dods answer carries a strong ETag, and a request whose
+// If-None-Match names it is answered 304 Not Modified with no body: an
+// unchanged product costs a round trip, not a subset, an encode and a
+// transfer.
+//
 // The optional per-request latency simulates the wide-area link between the
 // App Lab tools and the VITO data archive (used by the E1/E3 experiments to
 // make "two orders of magnitude" measurable without a real WAN).
 type Server struct {
 	mu       sync.RWMutex
-	datasets map[string]*netcdf.Dataset
+	datasets map[string]published
 
 	// Latency is added to every data response when non-zero.
 	Latency time.Duration
@@ -45,24 +52,82 @@ type Server struct {
 	requests atomic.Int64
 }
 
-// NewServer returns an empty server.
-func NewServer() *Server {
-	return &Server{datasets: map[string]*netcdf.Dataset{}}
+// published is a dataset with its content tag, the SHA-256 of its
+// netcdf encoding.
+type published struct {
+	ds  *netcdf.Dataset
+	tag [sha256.Size]byte
 }
 
-// Publish makes a dataset available under its name.
+// NewServer returns an empty server.
+func NewServer() *Server {
+	return &Server{datasets: map[string]published{}}
+}
+
+// Publish makes a dataset available under its name. The dataset is not
+// written again once published (change a product by publishing a new
+// dataset): its content tag is derived here, once, and every ETag of
+// its answers comes from it.
 func (s *Server) Publish(d *netcdf.Dataset) {
+	p := published{ds: d}
+	h := sha256.New()
+	_ = netcdf.Write(h, d) // a hash never fails a write
+	h.Sum(p.tag[:0])
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.datasets[d.Name] = d
+	s.datasets[d.Name] = p
 }
 
 // Dataset returns a published dataset.
 func (s *Server) Dataset(name string) (*netcdf.Dataset, bool) {
+	p, ok := s.lookup(name)
+	return p.ds, ok
+}
+
+func (s *Server) lookup(name string) (published, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	d, ok := s.datasets[name]
-	return d, ok
+	p, ok := s.datasets[name]
+	return p, ok
+}
+
+// etag is the strong validator of the answer to c: a hash of the
+// content tag and c's canonical text, so a change to either changes it
+// and two spellings of one constraint share it.
+func (p published) etag(c Constraint) string {
+	sum := sha256.Sum256(append(p.tag[:], c.String()...))
+	return `"` + hex.EncodeToString(sum[:16]) + `"`
+}
+
+// noneMatch evaluates If-None-Match against the current entity tag as
+// RFC 9110 §13.1.2 says: true when the field is "*" or lists a tag
+// equal to etag under weak comparison (a W/ prefix is ignored). A field
+// that does not parse matches nothing, so the full answer is sent.
+func noneMatch(h http.Header, etag string) bool {
+	for _, field := range h.Values("If-None-Match") {
+		for {
+			field = strings.TrimLeft(field, " \t,")
+			if field == "" {
+				break
+			}
+			if field[0] == '*' {
+				return true
+			}
+			field = strings.TrimPrefix(field, "W/")
+			if !strings.HasPrefix(field, `"`) {
+				break
+			}
+			end := strings.IndexByte(field[1:], '"')
+			if end < 0 {
+				break
+			}
+			if field[:end+2] == etag {
+				return true
+			}
+			field = field[end+2:]
+		}
+	}
+	return false
 }
 
 // Requests returns the number of handled requests (any route).
@@ -91,7 +156,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name, ext := path[:dot], path[dot+1:]
-	d, ok := s.Dataset(name)
+	p, ok := s.lookup(name)
+	d := p.ds
 	if !ok {
 		http.Error(w, fmt.Sprintf("opendap: no dataset %q", name), http.StatusNotFound)
 		return
@@ -130,7 +196,22 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		sub, err := c.Apply(d)
+		ranges, err := c.resolve(d)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		etag := p.etag(c)
+		w.Header().Set("ETag", etag)
+		if noneMatch(r.Header, etag) {
+			if r.Method == http.MethodGet || r.Method == http.MethodHead {
+				w.WriteHeader(http.StatusNotModified)
+			} else {
+				http.Error(w, "opendap: If-None-Match matched", http.StatusPreconditionFailed)
+			}
+			return
+		}
+		sub, err := d.Subset(c.Var, ranges)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

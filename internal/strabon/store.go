@@ -16,6 +16,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -41,6 +42,8 @@ type Store struct {
 	mu  sync.RWMutex
 	eng *segment.Engine
 
+	// dirty marks the spatial index out of date: set by a write that
+	// changed a geo:asWKT triple, the only triples the index holds.
 	dirty bool
 	// writeErr records the first storage-engine write failure (WAL
 	// append, flush); see Err.
@@ -59,6 +62,9 @@ type Store struct {
 	epoch       uint64
 	fingerprint string
 }
+
+// asWKT is the predicate of the triples the spatial index holds.
+var asWKT = rdf.NewIRI(geosparql.AsWKT)
 
 // New returns an empty in-memory store. An in-memory store behaves
 // exactly like the pre-engine seed store (the differential tests pin
@@ -138,7 +144,7 @@ func (s *Store) Add(t rdf.Triple) {
 		s.writeErr = err
 	}
 	if changed {
-		s.dirty = true
+		s.dirty = s.dirty || t.P == asWKT
 		s.epoch++
 	}
 }
@@ -152,7 +158,7 @@ func (s *Store) AddAll(ts []rdf.Triple) {
 		s.writeErr = err
 	}
 	if changed {
-		s.dirty = true
+		s.dirty = s.dirty || slices.ContainsFunc(ts, func(t rdf.Triple) bool { return t.P == asWKT })
 		s.epoch++
 	}
 }
@@ -167,7 +173,7 @@ func (s *Store) Delete(t rdf.Triple) {
 		s.writeErr = err
 	}
 	if changed {
-		s.dirty = true
+		s.dirty = s.dirty || t.P == asWKT
 		s.epoch++
 	}
 }
@@ -280,7 +286,7 @@ func (s *Store) freezeLocked() {
 	if !s.dirty {
 		return
 	}
-	wkt := s.eng.Match(rdf.Term{}, rdf.NewIRI(geosparql.AsWKT), rdf.Term{})
+	wkt := s.eng.Match(rdf.Term{}, asWKT, rdf.Term{})
 	envs := make([]geom.Envelope, len(wkt))
 	nodes := map[rdf.Term]struct{}{}
 	var firstErr error

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"applab/internal/geom"
 	"applab/internal/rdf"
 )
 
@@ -101,5 +102,48 @@ func TestIncrementalReindex(t *testing.T) {
 	n2 := s.GeometryCount()
 	if n2 <= n1 {
 		t.Errorf("reindex after add: %d -> %d", n1, n2)
+	}
+}
+
+// The spatial index holds geo:asWKT triples only, so only a write that
+// changes one rebuilds it: the tree after writes of other triples, or
+// of an asWKT triple already stored, is the same tree.
+func TestIndexRebuildsOnlyForGeometryWrites(t *testing.T) {
+	s := New()
+	s.AddAll(buildParkData(t, 10))
+	n := s.GeometryCount()
+	obs := rdf.NewIRI(rdf.NSLAI + "obs0")
+	label := rdf.NewTriple(obs, rdf.NewIRI(rdf.RDFSLabel), rdf.NewLiteral("first"))
+	point := rdf.NewTriple(rdf.NewIRI(rdf.NSLAI+"geom99"), asWKT, rdf.NewWKT("POINT (50 50)"))
+	for _, step := range []struct {
+		name    string
+		write   func()
+		rebuild bool
+		count   int
+	}{
+		{"Add of another predicate", func() { s.Add(label) }, false, n},
+		{"AddAll of other predicates", func() {
+			s.AddAll([]rdf.Triple{rdf.NewTriple(obs, rdf.NewIRI(rdf.NSLAI+"lai"), rdf.NewDouble(42))})
+		}, false, n},
+		{"Delete of another predicate", func() { s.Delete(label) }, false, n},
+		{"Add of a stored asWKT triple", func() { s.Add(buildParkData(t, 1)[2]) }, false, n},
+		{"Add of a new asWKT triple", func() { s.Add(point) }, true, n + 1},
+		{"AddAll with an asWKT triple", func() {
+			s.AddAll([]rdf.Triple{label, rdf.NewTriple(rdf.NewIRI(rdf.NSLAI+"geom98"), asWKT, rdf.NewWKT("POINT (60 60)"))})
+		}, true, n + 2},
+		{"Delete of an asWKT triple", func() { s.Delete(point) }, true, n + 1},
+	} {
+		tree := s.spatial
+		step.write()
+		if got := s.GeometryCount(); got != step.count {
+			t.Fatalf("%s: %d geometries, want %d", step.name, got, step.count)
+		}
+		if rebuilt := s.spatial != tree; rebuilt != step.rebuild {
+			t.Fatalf("%s: index rebuilt = %v, want %v", step.name, rebuilt, step.rebuild)
+		}
+	}
+	far := geom.Envelope{MinX: 55, MinY: 55, MaxX: 65, MaxY: 65}
+	if got, _ := s.SpatialCandidates(far); len(got) != 1 || got[0].O.Value != "POINT (60 60)" {
+		t.Fatalf("candidates near (60, 60) = %v", got)
 	}
 }
