@@ -106,6 +106,23 @@ if grep -rnE --include='*.go' 'rdf\.Matches\b|^type Matches\b' cmd internal exam
     exit 1
 fi
 
+echo "== one partial signal"
+# An answer says it is partial: sparql.Results.Partial, read off the
+# evaluation's scatter.Tally. No source evaluates a query itself to
+# report partiality, nothing type-asserts the retired PartialEvaluator
+# capability, and the federation keeps no result cache of its own (the
+# endpoint's cache serves it). bench/ keeps its mirror of the handler
+# until the benchmark's next revision.
+partial=$( (grep -rnE --include='*.go' --exclude='*_test.go' \
+        'func (\([^)]*\) )?EvalPartialContext\(|\.EvalPartialContext\(|\.\((endpoint\.)?PartialEvaluator\)|case ([^:]*, )?(endpoint\.)?PartialEvaluator[,:]' \
+        cmd internal examples
+    grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]+Cache[[:space:]]' internal/federation) || true)
+if [ -n "$partial" ]; then
+    echo "a second partial signal (use sparql.Results.Partial):" >&2
+    echo "$partial" >&2
+    exit 1
+fi
+
 echo "== go test"
 go test ./...
 

@@ -5,13 +5,18 @@ package main
 // through real flags, real TCP, and real HTTP.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"log"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -107,5 +112,43 @@ func TestRunClusterBadSpec(t *testing.T) {
 	defer fs()
 	if err := run(context.Background(), []string{"-cluster", ";"}, nil); err == nil {
 		t.Fatal("empty cluster spec accepted")
+	}
+}
+
+// TestRunClusterQueryWarnsPartial: a one-shot -query over a cluster
+// with one replica group unreachable prints its rows, warns on stderr
+// that the answer is partial, and exits 0.
+func TestRunClusterQueryWarnsPartial(t *testing.T) {
+	addrs, cancel, _ := startRun(t, []string{"-cluster-node", "127.0.0.1:0"}, "cluster-node")
+	defer cancel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	// Load through a one-group cluster while every node is up; the
+	// node keeps the triples for the query below.
+	nt := filepath.Join(t.TempDir(), "data.nt")
+	if err := os.WriteFile(nt, []byte(e2eTriples), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), []string{"-cluster", addrs["cluster-node"], "-load", nt,
+		"-query", `ASK { ?s ?p ?o }`}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	err = run(context.Background(), []string{
+		"-cluster", addrs["cluster-node"] + ";" + dead,
+		"-query", `SELECT ?s ?o WHERE { ?s <http://example.org/p> ?o }`,
+	}, nil)
+	log.SetOutput(io.Discard)
+	if err != nil {
+		t.Fatalf("run = %v, want nil", err)
+	}
+	if !strings.Contains(logged.String(), "WARNING: partial results") {
+		t.Fatalf("stderr lacks the partial-results warning:\n%s", logged.String())
 	}
 }

@@ -129,7 +129,7 @@ func (r *chaosRun) checkQuery(ctx context.Context, q string) {
 	var got *sparql.Results
 	var partial bool
 	var err error
-	r.drive(func() { got, partial, err = r.tc.c.EvalPartialContext(ctx, q) })
+	r.drive(func() { got, partial, err = evalPartial(ctx, r.tc.c, q) })
 	if err != nil {
 		r.t.Fatalf("cluster eval %q: %v", q, err)
 	}

@@ -13,7 +13,6 @@ import (
 	"applab/internal/rdf"
 	"applab/internal/scatter"
 	"applab/internal/segment"
-	"applab/internal/sparql"
 	"applab/internal/telemetry"
 )
 
@@ -339,8 +338,8 @@ func (c *Coordinator) Route(s, p, o rdf.Term) (int, bool) {
 // answered as triples with their valid time, for callers that need it
 // (the engine scans through FragmentMatchBatch). An unreadable group
 // degrades to an empty contribution (counted as
-// partial, and marked on the context's scatter.Tally;
-// EvalPartialContext reads the mark).
+// partial, and marked on the context's scatter.Tally, from which the
+// evaluation sets Results.Partial).
 func (c *Coordinator) FragmentMatch(ctx context.Context, frag int, s, p, o rdf.Term) ([]rdf.Triple, error) {
 	answers, _, err := readGroup(ctx, c, uint32(frag), []rdf.Ref{rdf.PatternRef(s, p, o)}, decodeTriples)
 	if err != nil {
@@ -412,19 +411,6 @@ func (c *Coordinator) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
 		}
 	}
 	return out, err
-}
-
-// EvalPartialContext evaluates a query against the cluster and reports
-// whether the answer is partial (some replica group was entirely
-// unreadable). The endpoint surfaces the flag as X-Applab-Partial.
-func (c *Coordinator) EvalPartialContext(ctx context.Context, query string) (*sparql.Results, bool, error) {
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, false, err
-	}
-	ctx, tally := scatter.WithTally(ctx)
-	res, err := q.EvalContext(ctx, c)
-	return res, tally.Partial, err
 }
 
 // ---- catch-up ----

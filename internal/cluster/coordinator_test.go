@@ -33,6 +33,20 @@ type testCluster struct {
 	reg *telemetry.Registry
 }
 
+// evalPartial evaluates query over src and reports whether the answer
+// says it is partial.
+func evalPartial(ctx context.Context, src sparql.Source, query string) (*sparql.Results, bool, error) {
+	q, err := sparql.Parse(query)
+	if err != nil {
+		return nil, false, err
+	}
+	res, err := q.EvalContext(ctx, src)
+	if err != nil {
+		return nil, false, err
+	}
+	return res, res.Partial, nil
+}
+
 func newTestCluster(t testing.TB, mod func(*Config)) *testCluster {
 	t.Helper()
 	clk := faults.NewClock(time.Unix(1700000000, 0))
@@ -122,7 +136,7 @@ func canonResults(res *sparql.Results) string {
 // byte-identical to the oracle store's.
 func mustMatchOracle(t *testing.T, tc *testCluster, oracle *strabon.Store, query, stage string) {
 	t.Helper()
-	got, partial, err := tc.c.EvalPartialContext(context.Background(), query)
+	got, partial, err := evalPartial(context.Background(), tc.c, query)
 	if err != nil {
 		t.Fatalf("%s: cluster eval: %v", stage, err)
 	}
@@ -305,7 +319,7 @@ func TestClusterWholeGroupLossIsPartial(t *testing.T) {
 	tc.net.Kill("n2")
 	tc.net.Kill("n3")
 	before := tc.reg.Snapshot()
-	got, partial, err := tc.c.EvalPartialContext(ctx, qFan)
+	got, partial, err := evalPartial(ctx, tc.c, qFan)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -466,7 +480,7 @@ func TestTimedVariantsThroughCluster(t *testing.T) {
 	oracle := strabon.New()
 	oracle.AddAll(ts)
 	for name, q := range map[string]string{"routed": qRouted(0), "fan-out": qFan, "bind join": qJoin3} {
-		got, partial, err := tc.c.EvalPartialContext(ctx, q)
+		got, partial, err := evalPartial(ctx, tc.c, q)
 		if err != nil || partial {
 			t.Fatalf("%s: partial=%v err=%v", name, partial, err)
 		}
@@ -600,8 +614,8 @@ func TestBatchAnswerSplitAcrossFrames(t *testing.T) {
 		before := c.Metrics.Snapshot()
 		ctx, tally := scatter.WithTally(context.Background())
 		answers, err := c.FragmentMatchBatch(ctx, 0, pats)
-		if err != nil || tally.Partial {
-			t.Fatalf("%s: split batch: partial=%v err=%v", name, tally.Partial, err)
+		if err != nil || tally.Partial() {
+			t.Fatalf("%s: split batch: partial=%v err=%v", name, tally.Partial(), err)
 		}
 		reads := c.Metrics.Snapshot().Counters[`cluster_rpcs_total{type="match"}`] - before.Counters[`cluster_rpcs_total{type="match"}`]
 		if reads < 4 {
@@ -800,7 +814,7 @@ func TestClusterFanoutBudget(t *testing.T) {
 	}
 	b := admission.NewBudget(admission.Limits{MaxFanout: 2}, nil)
 	bctx := admission.WithBudget(ctx, b)
-	_, _, err := tc.c.EvalPartialContext(bctx, qFan)
+	_, _, err := evalPartial(bctx, tc.c, qFan)
 	if err == nil {
 		t.Fatal("fan-out past the budget should abort")
 	}

@@ -121,7 +121,7 @@ func TestTCPCluster(t *testing.T) {
 	if err != nil || len(applied) != len(ts) {
 		t.Fatalf("AddAll over tcp: %d applied, err %v", len(applied), err)
 	}
-	res, partial, err := c.EvalPartialContext(ctx, qFan)
+	res, partial, err := evalPartial(ctx, c, qFan)
 	if err != nil || partial {
 		t.Fatalf("eval over tcp: partial=%v err=%v", partial, err)
 	}
@@ -243,11 +243,11 @@ func TestClusterTCPMatchesMem(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		for _, q := range chaosQueries() {
-			got, partial, err := tcp.EvalPartialContext(ctx, q)
+			got, partial, err := evalPartial(ctx, tcp, q)
 			if err != nil || partial {
 				t.Fatalf("%s: tcp %q: partial=%v err=%v", stage, q, partial, err)
 			}
-			want, partial, err := mem.c.EvalPartialContext(ctx, q)
+			want, partial, err := evalPartial(ctx, mem.c, q)
 			if err != nil || partial {
 				t.Fatalf("%s: mem %q: partial=%v err=%v", stage, q, partial, err)
 			}

@@ -16,7 +16,6 @@ import (
 
 	"applab/internal/admission"
 	"applab/internal/endpoint"
-	"applab/internal/federation"
 	"applab/internal/geosparql"
 	"applab/internal/interlink"
 	"applab/internal/madis"
@@ -25,6 +24,7 @@ import (
 	"applab/internal/opendap"
 	"applab/internal/rdf"
 	"applab/internal/rescache"
+	"applab/internal/scatter"
 	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/telemetry"
@@ -332,9 +332,10 @@ func (o Options) withMetrics(ctx context.Context, reg *telemetry.Registry, ready
 
 // Query answers q over src once, under o.Limits, and prints the answer
 // to stdout: a SELECT as tab-separated rows (the row count goes to
-// stderr), an ASK as true or false, a CONSTRUCT as N-Triples. With
-// o.MetricsAddr the registry is served while the query runs and its
-// final Prometheus text is written to stderr.
+// stderr), an ASK as true or false, a CONSTRUCT as N-Triples. A partial
+// answer is printed too, after a warning on stderr. With o.MetricsAddr
+// the registry is served while the query runs and its final Prometheus
+// text is written to stderr.
 func Query(ctx context.Context, reg *telemetry.Registry, o Options, src sparql.Source, q string, ready func(name, addr string)) error {
 	return o.withMetrics(ctx, reg, ready, func() error {
 		if o.Limits.Enabled() {
@@ -354,38 +355,40 @@ func Query(ctx context.Context, reg *telemetry.Registry, o Options, src sparql.S
 	})
 }
 
-// eval evaluates q the way src's workflow does: a federation reports the
-// members it missed, and the virtual and adaptive graphs re-execute their
-// mappings before the query runs.
+// eval evaluates q the way src's workflow does (the virtual and
+// adaptive graphs re-execute their mappings before the query runs) and
+// warns on stderr when the answer is partial, with the fan-out targets
+// it missed.
 func eval(ctx context.Context, src sparql.Source, q string) (*sparql.Results, error) {
-	switch s := src.(type) {
-	case *federation.Federation:
-		res, report, err := s.QueryPartialContext(ctx, q)
-		if err != nil || !report.Partial {
-			return res, err
-		}
-		log.Printf("WARNING: partial results (%d patterns)", report.Patterns)
-		for name, mr := range report.Members {
-			if mr.Errors == 0 && mr.Timeouts == 0 && mr.Skips == 0 {
-				continue
-			}
-			line := fmt.Sprintf("  member %s: %d errors, %d timeouts, %d skips", name, mr.Errors, mr.Timeouts, mr.Skips)
-			if mr.LastErr != nil {
-				line += fmt.Sprintf(" (last: %v)", mr.LastErr)
-			}
-			log.Print(line)
-		}
-		return res, nil
-	case interface {
+	ctx, tally := scatter.WithTally(ctx)
+	var res *sparql.Results
+	var err error
+	if s, ok := src.(interface {
 		QueryContext(context.Context, string) (*sparql.Results, error)
-	}:
-		return s.QueryContext(ctx, q)
+	}); ok {
+		res, err = s.QueryContext(ctx, q)
+	} else {
+		var query *sparql.Query
+		if query, err = sparql.Parse(q); err != nil {
+			return nil, err
+		}
+		res, err = query.EvalContext(ctx, src)
 	}
-	query, err := sparql.Parse(q)
-	if err != nil {
-		return nil, err
+	if err != nil || !res.Partial {
+		return res, err
 	}
-	return query.EvalContext(ctx, src)
+	log.Printf("WARNING: partial results (%d fan-outs)", tally.Fanouts)
+	for name, mt := range tally.Members {
+		if mt.Errors == 0 && mt.Timeouts == 0 && mt.Skips == 0 {
+			continue
+		}
+		line := fmt.Sprintf("  member %s: %d errors, %d timeouts, %d skips", name, mt.Errors, mt.Timeouts, mt.Skips)
+		if mt.LastErr != nil {
+			line += fmt.Sprintf(" (last: %v)", mt.LastErr)
+		}
+		log.Print(line)
+	}
+	return res, nil
 }
 
 func printResults(res *sparql.Results) error {

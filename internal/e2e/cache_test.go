@@ -8,7 +8,7 @@ package e2e
 // miss → hit). The federated stage proves the ROADMAP steady-state
 // target: the repeated workload collapses from 2·nobs+1 upstream
 // endpoint calls to exactly 0, and independently-cached sub-plan
-// answers keep serving after the federated wrapper's own entry is
+// answers keep serving after the federation endpoint's own entry is
 // dropped. A final stage drives the adaptive-materialization promoter
 // end to end against the live OPeNDAP server. All timing runs on a
 // fake clock; the background promotion is awaited with Quiesce.
@@ -238,7 +238,9 @@ func TestGoldenResultCache(t *testing.T) {
 		"rescache_hits_total":  1,
 	})
 
-	// ---- Stage 3: federated workflow. The remote member's endpoint
+	// ---- Stage 3: federated workflow, deployed as `strabon -federate
+	// -serve -result-cache` deploys it: the federation behind an
+	// endpoint with its own result cache. The remote member's endpoint
 	// carries its own sub-plan cache on a separate registry, so the two
 	// cache populations are separately countable.
 	epCacheReg := telemetry.NewRegistry()
@@ -252,29 +254,27 @@ func TestGoldenResultCache(t *testing.T) {
 	fed.Metrics = reg
 	fed.Now = clk.Now
 	fed.AddMember(federation.Member{Name: "remote1", Source: endpoint.NewRemoteSource(epHTTP.URL)})
-	fed.Cache = fedCache
+	fedHTTP := httptest.NewServer(endpoint.NewHandlerOpts(fed, reg, endpoint.Options{Cache: fedCache}))
+	defer fedHTTP.Close()
 
 	fanouts := 2*nobs + 1
 	s7 := reg.Snapshot()
-	fedRes, report, err := fed.QueryPartial(core.Listing3Query)
-	if err != nil {
-		t.Fatal(err)
+	hdr, fedRows := cacheGet(t, fedHTTP.URL)
+	if hdr != "miss" {
+		t.Fatalf("fed cold header = %q, want miss", hdr)
 	}
-	if report.Partial || report.Cached {
-		t.Fatalf("cold federated report: %+v", report)
-	}
-	if int64(report.Patterns) != fanouts {
-		t.Errorf("cold federated patterns = %d, want %d", report.Patterns, fanouts)
-	}
-	if !equalRows(canonical(t, fedRes), matRows) {
+	if !equalRows(fedRows, matRows) {
 		t.Error("federated answer differs from the materialized one")
 	}
 	s8 := reg.Snapshot()
 	wantCounters(t, "fed cold", s7, s8, map[string]int64{
 		"federation_fanouts_total": fanouts,
-		"endpoint_requests_total":  fanouts,
-		"rescache_misses_total":    1, // the federation's own cache
-		"rescache_fills_total":     1,
+		"federation_partial_total": 0,
+		"endpoint_partial_total":   0,
+		// One request per member fan-out, plus the federation's own.
+		"endpoint_requests_total": fanouts + 1,
+		"rescache_misses_total":   1, // the federation endpoint's cache
+		"rescache_fills_total":    1,
 		// The outer query plans 3 patterns; each remote sub-query plans 1.
 		"sparql_patterns_planned_total": 3 + fanouts,
 	})
@@ -286,49 +286,47 @@ func TestGoldenResultCache(t *testing.T) {
 	// Steady state: the ROADMAP collapse. 2·nobs+1 upstream calls cold,
 	// exactly zero on repeat — the whole-query entry answers.
 	for i := 0; i < 3; i++ {
-		res, rep, err := fed.QueryPartial(core.Listing3Query)
-		if err != nil {
-			t.Fatal(err)
+		hdr, rows := cacheGet(t, fedHTTP.URL)
+		if hdr != "hit" {
+			t.Fatalf("fed repeat %d header = %q, want hit", i, hdr)
 		}
-		if !rep.Cached || rep.Patterns != 0 {
-			t.Fatalf("fed repeat %d: Cached=%v Patterns=%d, want cached with zero fan-outs", i, rep.Cached, rep.Patterns)
-		}
-		if !equalRows(canonical(t, res), matRows) {
+		if !equalRows(rows, matRows) {
 			t.Fatalf("fed repeat %d answered differently", i)
 		}
 	}
 	s9 := reg.Snapshot()
 	wantCounters(t, "fed steady", s8, s9, map[string]int64{
 		"federation_fanouts_total":      0,
-		"endpoint_requests_total":       0,
+		"endpoint_requests_total":       3, // the federation endpoint's own
 		"rescache_hits_total":           3,
 		"rescache_misses_total":         0,
 		"sparql_patterns_planned_total": 0,
 	})
 
-	// Sub-plan independence: drop the federated wrapper's entry; the
+	// Sub-plan independence: drop the federation endpoint's entry; the
 	// re-evaluation fans out again, but every member sub-query is served
-	// from the endpoint's own cache — requests arrive, evaluations don't.
+	// from the member endpoint's own cache — requests arrive, evaluations
+	// don't.
 	fedCache.Purge()
-	res, rep, err := fed.QueryPartial(core.Listing3Query)
-	if err != nil {
-		t.Fatal(err)
+	hdr, rows = cacheGet(t, fedHTTP.URL)
+	if hdr != "miss" {
+		t.Fatalf("post-purge header = %q, want miss", hdr)
 	}
-	if rep.Cached || int64(rep.Patterns) != fanouts {
-		t.Fatalf("post-purge report: %+v", rep)
-	}
-	if !equalRows(canonical(t, res), matRows) {
+	if !equalRows(rows, matRows) {
 		t.Error("post-purge federated answer differs")
 	}
 	s10 := reg.Snapshot()
 	wantCounters(t, "fed sub-plan", s9, s10, map[string]int64{
-		"endpoint_requests_total":       fanouts,
-		"rescache_misses_total":         1, // only the purged wrapper entry
+		"federation_fanouts_total":      fanouts,
+		"endpoint_requests_total":       fanouts + 1,
+		"rescache_misses_total":         1, // only the purged federation entry
 		"rescache_fills_total":          1,
 		"sparql_patterns_planned_total": 3, // sub-queries skip the planner
 	})
-	wantHistogram(t, "fed sub-plan", s9, s10, `endpoint_stage_seconds{stage="eval"}`, 0)
-	wantHistogram(t, "fed sub-plan", s9, s10, `endpoint_stage_seconds{stage="parse"}`, fanouts)
+	// The federation endpoint parses and evaluates once; the member
+	// endpoint parses each sub-query and evaluates none.
+	wantHistogram(t, "fed sub-plan", s9, s10, `endpoint_stage_seconds{stage="eval"}`, 1)
+	wantHistogram(t, "fed sub-plan", s9, s10, `endpoint_stage_seconds{stage="parse"}`, fanouts+1)
 	epWarm := epCacheReg.Snapshot()
 	if got := epWarm.Counters["rescache_hits_total"] - epCold.Counters["rescache_hits_total"]; got != fanouts {
 		t.Errorf("sub-plan cache hits = %d, want %d", got, fanouts)

@@ -27,6 +27,20 @@ import (
 	"applab/internal/workload"
 )
 
+// evalPartial evaluates query over src and reports whether the answer
+// says it is partial.
+func evalPartial(ctx context.Context, src sparql.Source, query string) (*sparql.Results, bool, error) {
+	q, err := sparql.Parse(query)
+	if err != nil {
+		return nil, false, err
+	}
+	res, err := q.EvalContext(ctx, src)
+	if err != nil {
+		return nil, false, err
+	}
+	return res, res.Partial, nil
+}
+
 // evalCluster evaluates a query against the coordinator while driving
 // the fake clock, so reads blocked on injected latency make progress.
 // The clock steps only while the fabric is parked on that latency: a
@@ -41,7 +55,7 @@ func evalCluster(t *testing.T, clk *faults.Clock, net *cluster.MemNetwork, c *cl
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		res, partial, err = c.EvalPartialContext(context.Background(), q)
+		res, partial, err = evalPartial(context.Background(), c, q)
 	}()
 	for i := 0; ; i++ {
 		select {
@@ -194,7 +208,7 @@ func TestClusterGoldenWorkflows(t *testing.T) {
 	outc := make(chan evalOut, 1)
 	timersBefore := clk.Timers()
 	go func() {
-		res, partial, err := coord.EvalPartialContext(context.Background(), routed)
+		res, partial, err := evalPartial(context.Background(), coord, routed)
 		outc <- evalOut{res, partial, err}
 	}()
 	// Two timers arm: the slow n3 delivery and the hedge. Fire the hedge

@@ -1,6 +1,7 @@
 package e2e
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"sort"
@@ -18,6 +19,7 @@ import (
 	"applab/internal/obda"
 	"applab/internal/opendap"
 	"applab/internal/rdf"
+	"applab/internal/scatter"
 	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/telemetry"
@@ -233,16 +235,21 @@ func TestGoldenWorkflows(t *testing.T) {
 	fed.Now = clk.Now
 	fed.AddMember(federation.Member{Name: "remote1", Source: endpoint.NewRemoteSource(epHTTP.URL)})
 
-	fedRes, report, err := fed.QueryPartial(core.Listing3Query)
+	listing3, err := sparql.Parse(core.Listing3Query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Partial {
-		t.Fatalf("federated query reported partial results: %+v", report)
+	ctx, tally := scatter.WithTally(context.Background())
+	fedRes, err := listing3.EvalContext(ctx, fed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fedRes.Partial {
+		t.Fatalf("federated query reported partial results: %+v", tally.Members)
 	}
 	fanouts := 2*nobs + 1
-	if int64(report.Patterns) != fanouts {
-		t.Errorf("federated query patterns = %d, want %d", report.Patterns, fanouts)
+	if int64(tally.Fanouts) != fanouts {
+		t.Errorf("federated query fan-outs = %d, want %d", tally.Fanouts, fanouts)
 	}
 	s4 := reg.Snapshot()
 	wantCounters(t, "federated", s3, s4, map[string]int64{

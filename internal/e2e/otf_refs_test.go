@@ -5,18 +5,24 @@ package e2e
 // reuses, and pooled pipeline state keeps those buffers between
 // evaluations. These tests pin the two things that must not change with
 // it: a pooled buffer never keeps an old view alive, and an upstream
-// outage still reads as an empty answer, now counted.
+// outage still reads as an empty answer, counted and marked partial.
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 	"weak"
 
 	"applab/internal/core"
+	"applab/internal/endpoint"
+	"applab/internal/faults"
 	"applab/internal/madis"
 	"applab/internal/obda"
 	"applab/internal/opendap"
@@ -26,6 +32,7 @@ import (
 	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/telemetry"
+	"applab/internal/workload"
 )
 
 // viewTermHandle is a weak handle on the term table of vg's current
@@ -112,8 +119,8 @@ func TestOnTheFlyOutageCountsScanError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("an outage must read as an empty answer, got %v", err)
 	}
-	if len(res.Bindings) != 0 {
-		t.Fatalf("%d rows with the server down, want 0", len(res.Bindings))
+	if len(res.Bindings) != 0 || !res.Partial {
+		t.Fatalf("%d rows, partial %v with the server down; want 0, partial", len(res.Bindings), res.Partial)
 	}
 	if vg.LastError() == nil {
 		t.Error("LastError is nil after an outage")
@@ -122,6 +129,86 @@ func TestOnTheFlyOutageCountsScanError(t *testing.T) {
 		`sparql_scan_errors_total{path="ref"}`:      1,
 		`sparql_scan_errors_total{path="context"}`:  0,
 		`sparql_scan_errors_total{path="exchange"}`: 0,
+	})
+}
+
+// TestOnTheFlyOutageAnswerNotCached: behind a caching endpoint with a
+// window of 0, an OPeNDAP fetch whose every attempt fails answers 200,
+// empty and marked partial, and is not cached: once the upstream is
+// back, the next request misses and gets the full answer instead of a
+// cached empty one.
+func TestOnTheFlyOutageAnswerNotCached(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	opts := workload.DefaultLAIOptions()
+	opts.NLat, opts.NLon, opts.Times = 4, 4, 2
+	grid := workload.LAIGrid(opts)
+	grid.Name = "lai"
+	dapSrv := opendap.NewServer()
+	dapSrv.Publish(grid)
+	dapHTTP := httptest.NewServer(dapSrv)
+	defer dapHTTP.Close()
+
+	stack := func(client *opendap.Client) *obda.VirtualGraph {
+		db := madis.NewDB()
+		obda.NewOpendapAdapter(client).Register(db)
+		mappings, err := obda.ParseMappings(strings.Replace(core.Listing2Mapping, "lai/LAI/, 10", "lai/LAI/, 0", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obda.NewVirtualGraph(db, mappings)
+	}
+	want, err := sparql.Eval(stack(opendap.NewClient(dapHTTP.URL)), core.Listing3Query)
+	if err != nil || len(want.Bindings) == 0 || want.Partial {
+		t.Fatalf("healthy oracle: %d rows, partial %v, err %v", len(want.Bindings), want != nil && want.Partial, err)
+	}
+
+	// The resilient client makes 4 attempts per fetch: all 4 fail.
+	client := opendap.NewResilientClient(dapHTTP.URL)
+	client.HTTP = &http.Client{Transport: faults.NewRoundTripper(faults.FailN(4, faults.Step{Kind: faults.ConnError}), nil)}
+	client.Sleep = func(time.Duration) {}
+	cache := rescache.New(16, 0)
+	cache.Metrics = reg
+	srv := httptest.NewServer(endpoint.NewHandlerOpts(stack(client), reg, endpoint.Options{Cache: cache}))
+	defer srv.Close()
+	get := func() (*http.Response, []string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(core.Listing3Query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := listing3Rows(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, rows
+	}
+
+	s0 := reg.Snapshot()
+	resp, rows := get()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Applab-Partial") != "true" || len(rows) != 0 {
+		t.Fatalf("outage: status %d, partial %q, %d rows; want 200, true, 0", resp.StatusCode, resp.Header.Get("X-Applab-Partial"), len(rows))
+	}
+	s1 := reg.Snapshot()
+	wantCounters(t, "outage", s0, s1, map[string]int64{
+		"endpoint_partial_total": 1,
+		"rescache_misses_total":  1,
+		"rescache_fills_total":   0,
+	})
+	resp, rows = get()
+	if got := resp.Header.Get("X-Applab-Cache"); got != "miss" || resp.Header.Get("X-Applab-Partial") != "" {
+		t.Fatalf("after the outage: cache %q, partial %q; want miss, not partial", got, resp.Header.Get("X-Applab-Partial"))
+	}
+	if !equalRows(rows, canonical(t, want)) {
+		t.Fatalf("after the outage: %d rows, want the full answer of %d", len(rows), len(want.Bindings))
+	}
+	wantCounters(t, "recovered", s1, reg.Snapshot(), map[string]int64{
+		"endpoint_partial_total": 0,
+		"rescache_fills_total":   1,
 	})
 }
 

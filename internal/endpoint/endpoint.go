@@ -20,6 +20,7 @@ import (
 	"applab/internal/admission"
 	"applab/internal/rdf"
 	"applab/internal/rescache"
+	"applab/internal/scatter"
 	"applab/internal/sparql"
 	"applab/internal/telemetry"
 )
@@ -67,12 +68,10 @@ type Options struct {
 	Cache *rescache.Cache
 }
 
-// PartialEvaluator is implemented by sources that can degrade to partial
-// answers instead of failing outright (cluster.Coordinator when a whole
-// replica group is unreachable). The handler prefers it over plain
-// evaluation: when the source reports a partial answer the response
-// carries X-Applab-Partial: true and is never written into the result
-// cache, so a later healthy evaluation is not shadowed by a degraded one.
+// PartialEvaluator is a retired capability: nothing implements it and
+// the handler does not look for it, because an answer says it is
+// partial itself (sparql.Results.Partial). The benchmark's copy of the
+// handler still names it.
 type PartialEvaluator interface {
 	EvalPartialContext(ctx context.Context, query string) (*sparql.Results, bool, error)
 }
@@ -140,8 +139,8 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 				// Shed — but a cache-satisfiable query can still be
 				// answered from the degraded source without occupying an
 				// evaluation slot.
-				if opts.Cache != nil {
-					if query, perr := sparql.Parse(q); perr == nil {
+				if query, perr := sparql.Parse(q); perr == nil {
+					if opts.Cache != nil {
 						if res, ok := opts.Cache.LookupStale(query, src); ok {
 							degraded.Inc()
 							w.Header().Set("X-Applab-Degraded", "stale")
@@ -150,13 +149,17 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 							return
 						}
 					}
-				}
-				if opts.Degraded != nil {
-					if res, derr := sparql.Eval(opts.Degraded, q); derr == nil {
-						degraded.Inc()
-						w.Header().Set("X-Applab-Degraded", "stale")
-						writeResults(w, res, nil)
-						return
+					if opts.Degraded != nil {
+						if res, derr := query.EvalContext(r.Context(), opts.Degraded); derr == nil {
+							degraded.Inc()
+							w.Header().Set("X-Applab-Degraded", "stale")
+							if res.Partial {
+								partialCount.Inc()
+								w.Header().Set("X-Applab-Partial", "true")
+							}
+							writeResults(w, res, nil)
+							return
+						}
 					}
 				}
 				failed.Inc()
@@ -219,13 +222,7 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 			rf.Invalidate()
 		}
 		sp = tr.StartSpan("eval", now)
-		var res *sparql.Results
-		var partial bool
-		if pe, ok := src.(PartialEvaluator); ok {
-			res, partial, err = pe.EvalPartialContext(ctx, q)
-		} else {
-			res, err = query.EvalContext(ctx, src)
-		}
+		res, err := query.EvalContext(ctx, src)
 		now = reg.Time()
 		sp.End(now)
 		evalSec.ObserveDuration(sp.Duration())
@@ -240,12 +237,11 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 			return
 		}
 		sp.Annotate("rows", strconv.Itoa(len(res.Bindings)))
-		if partial {
+		if res.Partial {
 			partialCount.Inc()
 			w.Header().Set("X-Applab-Partial", "true")
-		} else {
-			fill.Store(res)
 		}
+		fill.Store(res)
 		respond(res, now)
 	})
 	return mux
@@ -413,7 +409,9 @@ func (r *RemoteSource) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
 
 // MatchContext implements sparql.ContextSource: the pattern request
 // rides ctx (on top of the per-request Timeout), so a cancelled or
-// over-budget federated query aborts its member requests in flight.
+// over-budget federated query aborts its member requests in flight. An
+// answer the endpoint marks X-Applab-Partial or X-Applab-Degraded marks
+// ctx's scatter.Tally partial, so the evaluation reading it says so too.
 func (r *RemoteSource) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rdf.Triple, error) {
 	q := patternQuery(s, p, o)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.URL+"?query="+url.QueryEscape(q), nil)
@@ -433,6 +431,9 @@ func (r *RemoteSource) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rd
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBodyBytes))
 		return nil, fmt.Errorf("endpoint: query %s: %s: %s", r.URL, resp.Status, body)
+	}
+	if resp.Header.Get("X-Applab-Partial") != "" || resp.Header.Get("X-Applab-Degraded") != "" {
+		scatter.FromContext(ctx).MarkPartial()
 	}
 	var doc struct {
 		Results struct {

@@ -18,10 +18,11 @@
 // graph inherits the reliability of its sources), the fan-out is
 // deadline-bounded and failure-aware: each member gets MemberTimeout to
 // answer, slow or broken members are skipped and reported instead of
-// stalling the query (partial results), and members that fail repeatedly
-// are demoted out of source selection until a cooldown elapses. The
-// fan-out itself is internal/scatter's, with every member a one-replica
-// target; the federation chooses the targets.
+// stalling the query (the answer's sparql.Results.Partial says so: each
+// fan-out counts on the evaluation's scatter.Tally), and members that
+// fail repeatedly are demoted out of source selection until a cooldown
+// elapses. The fan-out itself is internal/scatter's, with every member
+// a one-replica target; the federation chooses the targets.
 package federation
 
 import (
@@ -78,10 +79,6 @@ type Federation struct {
 	// Metrics, when set, records fan-out counts, per-member latency,
 	// failures and demotions in the registry (see metrics.go).
 	Metrics *telemetry.Registry
-	// Cache, when set, caches whole federated query results (partial
-	// answers are never cached). Sub-plan answers cache at each member's
-	// own endpoint independently of this wrapper.
-	Cache *rescache.Cache
 
 	members []Member
 
@@ -242,8 +239,10 @@ func (f *Federation) MatchReportContext(ctx context.Context, s, p, o rdf.Term) (
 		}
 	}
 	// Capability learning stays sound only on complete fan-outs: a member
-	// that timed out or errored may well hold the predicate.
-	if key, ok := capKey(s, p, o); ok && !rep.Partial {
+	// that timed out or errored may well hold the predicate, and so may
+	// one whose endpoint called its answer partial (it marked the
+	// evaluation's Tally).
+	if key, ok := capKey(s, p, o); ok && !rep.Partial && !scatter.FromContext(ctx).Partial() {
 		if _, known := f.capable[key]; !known {
 			var able []int
 			for i, mr := range results {
@@ -313,21 +312,6 @@ func (f *Federation) Query(q string) (*sparql.Results, error) {
 	return sparql.Eval(f, q)
 }
 
-// MemberReport aggregates one member's outcomes over a whole query.
-type MemberReport = scatter.MemberTally
-
-// QueryReport describes the reliability of one query evaluation: how
-// many pattern fan-outs ran, whether any produced partial results, and
-// the per-member aggregate.
-type QueryReport struct {
-	Patterns int
-	Partial  bool
-	Members  map[string]*MemberReport
-	// Cached marks an answer served from the federation's result cache:
-	// no pattern fan-out ran at all.
-	Cached bool
-}
-
 // Cardinality implements sparql.StatsSource by summing the members'
 // estimates. It stays unknown (-1) — keeping the planner in textual
 // order — unless every member provides statistics: a partial sum would
@@ -347,52 +331,6 @@ func (f *Federation) Cardinality(s, p, o rdf.Term) int {
 		total += est
 	}
 	return total
-}
-
-// QueryPartial evaluates a query in partial-results mode: slow and
-// broken members are skipped after their budget and the answer is
-// returned together with a report saying exactly which members failed to
-// contribute and how. This is the resilient entry point of the paper's
-// §5 federation scenario — one dead endpoint must not kill the query.
-func (f *Federation) QueryPartial(q string) (*sparql.Results, *QueryReport, error) {
-	return f.QueryPartialContext(context.Background(), q)
-}
-
-// QueryPartialContext is QueryPartial under a context: with an
-// admission.Budget attached, every member request charges the
-// federation fan-out budget and the evaluation stops cooperatively on
-// cancellation or violation, returning the structured budget error with
-// the report of whatever work was done.
-func (f *Federation) QueryPartialContext(ctx context.Context, q string) (*sparql.Results, *QueryReport, error) {
-	query, err := sparql.Parse(q)
-	if err != nil {
-		return nil, &QueryReport{Members: map[string]*MemberReport{}}, err
-	}
-	var fill rescache.Fill
-	if f.Cache != nil {
-		res, fl, st := f.Cache.Lookup(query, f)
-		if st == rescache.Hit {
-			return res, &QueryReport{Cached: true, Members: map[string]*MemberReport{}}, nil
-		}
-		if st != rescache.Bypass {
-			fill = fl
-		}
-	}
-	ctx, tally := scatter.WithTally(ctx)
-	res, err := query.EvalContext(ctx, f)
-	qr := &QueryReport{Patterns: tally.Fanouts, Partial: tally.Partial, Members: tally.Members}
-	if err == nil && !qr.Partial {
-		fill.Store(res)
-	}
-	return res, qr, err
-}
-
-// EvalPartialContext implements endpoint.PartialEvaluator, so a served
-// federation marks an answer missing a member X-Applab-Partial and keeps
-// it out of the endpoint's result cache.
-func (f *Federation) EvalPartialContext(ctx context.Context, q string) (*sparql.Results, bool, error) {
-	res, rep, err := f.QueryPartialContext(ctx, q)
-	return res, rep.Partial, err
 }
 
 // DataEpoch implements rescache.Epocher by summing the members' epochs.

@@ -185,3 +185,52 @@ func TestAddMember(t *testing.T) {
 		t.Fatalf("count after AddMember = %d", n)
 	}
 }
+
+// TestFederationCacheIdentity: the federation composes its members'
+// cache identities (the endpoint's result cache keys on them), so two federations over the same member instances
+// share entries while a federation over different instances does not.
+func TestFederationCacheIdentity(t *testing.T) {
+	gadm, osm := buildMembers(t)
+	fedA := New(Member{"gadm", gadm}, Member{"osm", osm})
+	fedB := New(Member{"gadm", gadm}, Member{"osm", osm})
+	if fedA.Fingerprint() != fedB.Fingerprint() {
+		t.Fatalf("same members, different fingerprints: %q vs %q",
+			fedA.Fingerprint(), fedB.Fingerprint())
+	}
+	gadm2, osm2 := buildMembers(t)
+	fedC := New(Member{"gadm", gadm2}, Member{"osm", osm2})
+	if fedA.Fingerprint() == fedC.Fingerprint() {
+		t.Fatal("distinct member instances share a fingerprint")
+	}
+	// Epoch moves with member ingest.
+	before := fedA.DataEpoch()
+	osm.Add(rdf.NewTriple(rdf.NewIRI(rdf.NSOSM+"extra"),
+		hasGeometry, rdf.NewIRI(rdf.NSOSM+"extraGeom")))
+	if fedA.DataEpoch() == before {
+		t.Fatal("member ingest did not move the federation epoch")
+	}
+}
+
+// TestFederatedAnswerSaysPartial: an answer missing a broken member's
+// triples says so, and an answer every member contributed to does not.
+func TestFederatedAnswerSaysPartial(t *testing.T) {
+	gadm, osm := buildMembers(t)
+	q := `SELECT (COUNT(*) AS ?n) WHERE { ?s geo:hasGeometry ?g }`
+	for _, c := range []struct {
+		name    string
+		fed     *Federation
+		n       int64
+		partial bool
+	}{
+		{"healthy", New(Member{"gadm", gadm}, Member{"osm", osm}), 12 + 20, false},
+		{"broken member", New(Member{"gadm", gadm}, Member{"bad", failingSource{}}), 12, true},
+	} {
+		res, err := c.fed.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n, _ := res.Binding(0)["n"].Int(); n != c.n || res.Partial != c.partial {
+			t.Fatalf("%s: count %d, partial %v; want %d, %v", c.name, n, res.Partial, c.n, c.partial)
+		}
+	}
+}

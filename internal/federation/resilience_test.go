@@ -15,6 +15,7 @@ import (
 
 	"applab/internal/faults"
 	"applab/internal/rdf"
+	"applab/internal/scatter"
 	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/workload"
@@ -119,13 +120,17 @@ func TestQueryPartialAnswersWithHungMember(t *testing.T) {
 
 	type queryOut struct {
 		res *sparql.Results
-		qr  *QueryReport
 		err error
 	}
 	resCh := make(chan queryOut, 1)
+	q, err := sparql.Parse(`SELECT (COUNT(*) AS ?n) WHERE { ?s geo:hasGeometry ?g }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, tally := scatter.WithTally(context.Background())
 	go func() {
-		res, qr, err := fed.QueryPartial(`SELECT (COUNT(*) AS ?n) WHERE { ?s geo:hasGeometry ?g }`)
-		resCh <- queryOut{res, qr, err}
+		res, err := q.EvalContext(ctx, fed)
+		resCh <- queryOut{res, err}
 	}()
 	// First pattern: wait for the two healthy answers, then expire the
 	// hung member's budget.
@@ -142,10 +147,10 @@ func TestQueryPartialAnswersWithHungMember(t *testing.T) {
 	if int(n) != 12+20 {
 		t.Fatalf("partial count = %d, want 32", n)
 	}
-	if !got.qr.Partial || got.qr.Patterns == 0 {
-		t.Fatalf("query report = %+v", got.qr)
+	if !got.res.Partial || tally.Fanouts == 0 {
+		t.Fatalf("partial = %v after %d fan-outs", got.res.Partial, tally.Fanouts)
 	}
-	clc := got.qr.Members["clc"]
+	clc := tally.Members["clc"]
 	if clc == nil || clc.Timeouts != 1 {
 		t.Fatalf("clc report = %+v", clc)
 	}

@@ -336,11 +336,13 @@ func (c *Cache) validLocked(e *entry, src sparql.Source) bool {
 }
 
 // Store detaches res (see detach) and records it for the looked-up key.
+// A partial answer (Results.Partial) stores nothing: it would shadow
+// the full answer of a later healthy evaluation until it expired.
 // Concurrent fills of the same key are last-write-wins; both results are
 // correct answers for their respective epochs, and validation re-checks
 // on every hit.
 func (f Fill) Store(res *sparql.Results) {
-	if f.c == nil || res == nil {
+	if f.c == nil || res == nil || res.Partial {
 		return
 	}
 	detach(res)

@@ -240,6 +240,30 @@ SELECT DISTINCT ?s ?wkt ?lai WHERE {
 	}
 }
 
+// TestStoreRefusesPartialAnswer: a Fill.Store of a partial answer
+// stores nothing, so the next lookup misses and a later full answer
+// fills the entry.
+func TestStoreRefusesPartialAnswer(t *testing.T) {
+	src := newMemSource()
+	src.Add(triple("http://ex/a", "http://ex/p", "1"))
+	c := New(16, 0)
+	q := parseQ(t, qBase)
+	_, fill, st := c.Lookup(q, src)
+	if st != Miss {
+		t.Fatalf("cold lookup: %v, want Miss", st)
+	}
+	fill.Store(&sparql.Results{Vars: []string{"s"}, Partial: true})
+	if c.Len() != 0 {
+		t.Fatalf("a partial answer was stored: %d entries", c.Len())
+	}
+	if _, st := evalThrough(t, c, src, qBase); st != Miss {
+		t.Fatalf("after a partial answer: %v, want Miss", st)
+	}
+	if _, st := evalThrough(t, c, src, qBase); st != Hit {
+		t.Fatalf("after the full answer: %v, want Hit", st)
+	}
+}
+
 func TestCacheDistinctSourcesDoNotShare(t *testing.T) {
 	a, b := newMemSource(), newMemSource()
 	a.Add(triple("http://ex/a", "http://ex/p", "1"))

@@ -360,14 +360,18 @@ func Merge(answers [][]rdf.Triple) []rdf.Triple {
 
 // Tally adds up every fan-out run under one context — one query
 // evaluation, nested fan-outs included — so its owner can mark the
-// answer partial and report which targets failed how. WithTally attaches
-// one; read its fields once the evaluation has returned.
+// answer partial and report which targets failed how. It is the one
+// partial signal: sparql's evaluator attaches one when the caller
+// brought none, marks the scans it reads as empty after an error, and
+// sets Results.Partial from it. WithTally attaches one; read Fanouts
+// and Members once the evaluation has returned.
 type Tally struct {
 	mu sync.Mutex
 	// Fanouts counts the reads and gathers.
 	Fanouts int
-	// Partial is set once any target did not answer.
-	Partial bool
+	// partial is set once any target did not answer or a reader marked
+	// its answer incomplete.
+	partial bool
 	// Members aggregates the outcomes of the named targets.
 	Members map[string]*MemberTally
 }
@@ -388,9 +392,39 @@ func WithTally(ctx context.Context) (context.Context, *Tally) {
 	return context.WithValue(ctx, tallyKey{}, t), t
 }
 
+// FromContext returns the Tally ctx carries, or nil.
+func FromContext(ctx context.Context) *Tally {
+	t, _ := ctx.Value(tallyKey{}).(*Tally)
+	return t
+}
+
+// MarkPartial marks the answer partial without a fan-out: a read that
+// degraded to an empty answer, or a remote answer its endpoint called
+// partial. A nil Tally ignores it. A replica abandoned by its read may
+// still mark after the evaluation returned; Partial stays safe to call.
+func (t *Tally) MarkPartial() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.partial = true
+	t.mu.Unlock()
+}
+
+// Partial reports whether any target did not answer or any read was
+// marked partial; false for a nil Tally.
+func (t *Tally) Partial() bool {
+	if t == nil {
+		return false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.partial
+}
+
 // count adds one fan-out's results to the context's Tally, if any.
 func count(ctx context.Context, results []Result) {
-	t, _ := ctx.Value(tallyKey{}).(*Tally)
+	t := FromContext(ctx)
 	if t == nil {
 		return
 	}
@@ -398,7 +432,7 @@ func count(ctx context.Context, results []Result) {
 	defer t.mu.Unlock()
 	t.Fanouts++
 	for _, r := range results {
-		t.Partial = t.Partial || !r.OK()
+		t.partial = t.partial || !r.OK()
 		if r.Member == "" {
 			continue
 		}

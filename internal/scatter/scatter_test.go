@@ -460,8 +460,8 @@ func TestTallyAddsUpEveryFanout(t *testing.T) {
 	if _, _, err := scatter.Read(ctx, &f, scatter.Target{Replicas: []string{"x"}, Call: r.call}); err != nil {
 		t.Fatal(err)
 	}
-	if tally.Fanouts != 2 || !tally.Partial {
-		t.Fatalf("tally = %d fan-outs, partial %v; want 2, true", tally.Fanouts, tally.Partial)
+	if tally.Fanouts != 2 || !tally.Partial() {
+		t.Fatalf("tally = %d fan-outs, partial %v; want 2, true", tally.Fanouts, tally.Partial())
 	}
 	want := map[string]scatter.MemberTally{
 		"x": {Member: "x", Answers: 1},
@@ -475,5 +475,22 @@ func TestTallyAddsUpEveryFanout(t *testing.T) {
 		if got := tally.Members[name]; got == nil || *got != w {
 			t.Fatalf("member %s = %+v, want %+v", name, got, w)
 		}
+	}
+}
+
+// TestMarkPartial: a reader marks the context's Tally partial without a
+// fan-out; a context without a Tally ignores the mark.
+func TestMarkPartial(t *testing.T) {
+	scatter.FromContext(context.Background()).MarkPartial()
+	if scatter.FromContext(context.Background()).Partial() {
+		t.Fatal("a context without a Tally reads partial")
+	}
+	ctx, tally := scatter.WithTally(context.Background())
+	if scatter.FromContext(ctx) != tally || tally.Partial() {
+		t.Fatal("a fresh Tally must be the context's and complete")
+	}
+	scatter.FromContext(ctx).MarkPartial()
+	if !tally.Partial() || tally.Fanouts != 0 {
+		t.Fatalf("after MarkPartial: partial %v, %d fan-outs; want true, 0", tally.Partial(), tally.Fanouts)
 	}
 }

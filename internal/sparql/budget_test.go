@@ -185,9 +185,10 @@ func (errOnlySource) MatchErr(s, p, o rdf.Term) ([]rdf.Triple, error) {
 }
 
 // TestContextSourceOrdinaryErrorReadsEmpty pins the seed semantics: a
-// non-abort upstream failure is swallowed into empty results, and the
-// one scan that read it is counted on the ref path — budgeted or not,
-// and through MatchErr when the source has no MatchContext.
+// non-abort upstream failure is swallowed into empty results, the one
+// scan that read it is counted on the ref path and the answer is marked
+// partial — budgeted or not, and through MatchErr when the source has
+// no MatchContext.
 func TestContextSourceOrdinaryErrorReadsEmpty(t *testing.T) {
 	budgeted := admission.WithBudget(context.Background(), admission.NewBudget(admission.Limits{MaxIntermediate: 1000}, nil))
 	q, err := Parse(budgetQuery)
@@ -210,8 +211,8 @@ func TestContextSourceOrdinaryErrorReadsEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: EvalContext: %v", c.name, err)
 		}
-		if len(res.Bindings) != 0 {
-			t.Fatalf("%s: got %d rows, want 0", c.name, len(res.Bindings))
+		if len(res.Bindings) != 0 || !res.Partial {
+			t.Fatalf("%s: got %d rows, partial %v; want 0, partial", c.name, len(res.Bindings), res.Partial)
 		}
 		if n := reg.Counter("sparql_scan_errors_total", "path", "ref").Value(); n != 1 {
 			t.Fatalf("%s: %d scan errors on the ref path, want 1", c.name, n)

@@ -7,6 +7,7 @@ import (
 
 	"applab/internal/admission"
 	"applab/internal/rdf"
+	"applab/internal/scatter"
 )
 
 // Source is the data interface the evaluator queries. rdf.Graph, the
@@ -154,6 +155,11 @@ type Results struct {
 	Bool bool
 	// Graph holds CONSTRUCT output triples.
 	Graph []rdf.Triple
+	// Partial marks an answer that may be missing solutions: a fan-out
+	// target did not answer, a remote member called its answer partial,
+	// or a scan read an upstream error as empty. It is read off the
+	// evaluation's scatter.Tally; a partial answer is never cached.
+	Partial bool
 }
 
 // Row is one solution: a handle per Results.Cols entry, nil = unbound.
@@ -214,7 +220,9 @@ func (q *Query) Eval(src Source) (*Results, error) {
 // rows, pattern scans of a triple source go through MatchContext under
 // ctx, and an over-budget query returns the structured *admission.BudgetError
 // instead of hanging. A background context with no budget evaluates on
-// the exact unlimited path Eval always used.
+// the exact unlimited path Eval always used. The evaluation counts its
+// fan-outs and absorbed read errors on ctx's scatter.Tally, attaching
+// one when ctx carries none, and Results.Partial reports its verdict.
 func (q *Query) EvalContext(ctx context.Context, src Source) (*Results, error) {
 	workers, threshold := runtime.GOMAXPROCS(0), parallelThreshold
 	if f := forced.Load(); f != nil {
@@ -231,8 +239,12 @@ func (q *Query) evalCtx(ctx context.Context, src Source, workers, threshold int)
 		workers = 1
 	}
 	budget := admission.FromContext(ctx)
+	tally := scatter.FromContext(ctx)
+	if tally == nil {
+		ctx, tally = scatter.WithTally(ctx)
+	}
 	ec := &execCtx{
-		refs: c.refs, ex: c.ex, spatial: c.spatial, ctx: ctx, budget: budget,
+		refs: c.refs, ex: c.ex, spatial: c.spatial, ctx: ctx, budget: budget, tally: tally,
 		limited: budget != nil || ctx.Done() != nil,
 		workers: workers, threshold: threshold,
 	}
@@ -261,5 +273,6 @@ func (q *Query) evalCtx(ctx context.Context, src Source, workers, threshold int)
 	if err := budget.CheckRows(out); err != nil {
 		return nil, err
 	}
+	res.Partial = tally.Partial()
 	return res, nil
 }

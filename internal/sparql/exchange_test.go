@@ -160,7 +160,8 @@ func TestBatchedExchangeMatchesPerRow(t *testing.T) {
 }
 
 // TestBatchedExchangeErrors: a fragment's failed batch reads as empty
-// answers for its rows, unless it is an abort, which ends the query.
+// answers for its rows and marks the answer partial, unless it is an
+// abort, which ends the query.
 func TestBatchedExchangeErrors(t *testing.T) {
 	ts := exchangeTriples()
 	q, err := Parse(exchangeQueries[0])
@@ -177,6 +178,9 @@ func TestBatchedExchangeErrors(t *testing.T) {
 	}
 	if n := len(degraded.Bindings); n == 0 || n >= len(full.Bindings) {
 		t.Fatalf("one failed fragment left %d of %d rows", n, len(full.Bindings))
+	}
+	if full.Partial || !degraded.Partial {
+		t.Fatalf("partial: full answer %v, degraded answer %v; want false, true", full.Partial, degraded.Partial)
 	}
 	_, err = q.eval(&batching{fragmented: newFragmented(3, ts), fail: 1, err: context.Canceled}, 1, parallelThreshold)
 	if !errors.Is(err, context.Canceled) {

@@ -7,6 +7,7 @@ import (
 
 	"applab/internal/admission"
 	"applab/internal/rdf"
+	"applab/internal/scatter"
 )
 
 // StatsSource is an optional extension of Source for backends that can
@@ -56,7 +57,8 @@ type execCtx struct {
 	spatial   SpatialSource       // nil when the source has no spatial index
 	ctx       context.Context
 	budget    *admission.Budget
-	limited   bool // ctx can be cancelled or a budget is attached
+	tally     *scatter.Tally // ctx's Tally: scanErr marks the evaluation partial on it
+	limited   bool           // ctx can be cancelled or a budget is attached
 	workers   int
 	threshold int
 }
@@ -129,8 +131,8 @@ func (ec *execCtx) checkpoint(rows int) error {
 // reuses for its next scan. Rows point at the terms behind refs, never
 // into the ref array. Only cancellation and budget violations abort the
 // query; ordinary upstream errors read as empty answers (federation
-// partial answers and the error-report machinery depend on that) and
-// are counted (scanErr).
+// partial answers and the error-report machinery depend on that), are
+// counted and mark the answer partial (scanErr).
 func (ec *execCtx) match(buf *[]rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error) {
 	if ec.ex != nil {
 		return ec.exchangeMatch(buf, s, p, o)
@@ -146,13 +148,15 @@ func (ec *execCtx) match(buf *[]rdf.Ref, s, p, o rdf.Term) ([]rdf.Ref, error) {
 // scanErr applies the engine's error rule to a failed scan: only
 // cancellation and budget violations (admission.Aborted) abort, with
 // the structured budget error preferred; anything else degrades to an
-// empty answer and is counted in sparql_scan_errors_total{path}.
+// empty answer, is counted in sparql_scan_errors_total{path} and marks
+// the evaluation's Tally partial.
 func (ec *execCtx) scanErr(path string, err error) error {
 	if err == nil {
 		return nil
 	}
 	if !admission.Aborted(err) {
 		noteScanError(path)
+		ec.tally.MarkPartial()
 		return nil
 	}
 	if berr := ec.budget.Err(); berr != nil {
