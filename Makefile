@@ -6,7 +6,7 @@ GO ?= go
 # the fault-injection harness, the SPARQL HTTP transport it exercises,
 # the segment storage engine (concurrent readers vs writer/flush), the
 # spatial core (parallel join probes, bounded geometry cache), the result
-# cache, the adaptive OBDA graph, the cluster, the id-space graph
+# cache, the OBDA virtual graph, the cluster, the id-space graph
 # (readers never intern) and MadIS (prepared statements and relations are
 # shared between requests). ci.sh runs `make race` and `make fuzz`, so
 # these lists are the only ones.

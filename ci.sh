@@ -123,6 +123,20 @@ if [ -n "$partial" ]; then
     exit 1
 fi
 
+echo "== one freshness mechanism for the on-the-fly view"
+# The mapping's cache window, opendap(url, w), decides when the virtual
+# view revalidates: a conditional request past the window, a 304 that
+# keeps the view, -serve-stale through an outage. No second mechanism
+# materializes the view beside it (adaptive promotion was removed).
+fresh=$(grep -rnE --include='*.go' --exclude='*_test.go' \
+        'AdaptiveGraph|Promoter|UpstreamStamp|OnTable|PromoteAfter|promotion_|promote-after|revalidate-every' \
+        cmd internal examples || true)
+if [ -n "$fresh" ]; then
+    echo "a second freshness mechanism for the on-the-fly view (the mapping's window is the one):" >&2
+    echo "$fresh" >&2
+    exit 1
+fi
+
 echo "== go test"
 go test ./...
 

@@ -20,12 +20,10 @@ func TestFlags(t *testing.T) {
 		"max-rows int=0",
 		"metrics-addr string=",
 		"opendap string=",
-		"promote-after int=0",
 		"query string=",
 		"query-deadline time.Duration=0s",
 		"result-cache int=0",
 		"retries int=3",
-		"revalidate-every time.Duration=1m0s",
 		"serve string=",
 		"serve-stale bool=false",
 		"timeout time.Duration=30s",

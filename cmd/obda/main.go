@@ -9,8 +9,11 @@
 //	     -query 'SELECT ?s ?lai WHERE { ?s lai:lai ?lai }'
 //	obda -mapping listing2.obda -opendap http://localhost:8080 \
 //	     -serve :7861 -result-cache 256 -cache-ttl 10m       # SPARQL endpoint
-//	obda -mapping listing2.obda -opendap http://localhost:8080 \
-//	     -serve :7861 -promote-after 3                       # adaptive materialization
+//
+// Freshness is the mapping's cache window, opendap(url, w): a repeat
+// inside it makes no upstream call, and past it one conditional request
+// revalidates the product. -serve-stale answers from an expired window
+// while the upstream is down.
 //
 // The endpoint and the metrics server drain in-flight requests for
 // endpoint.DefaultDrain on SIGINT/SIGTERM.
@@ -45,8 +48,6 @@ func (c *config) flags() *flag.FlagSet {
 	fs.IntVar(&c.CacheEntries, "result-cache", 0, "text-keyed result cache capacity in entries for -serve (0 disables); cache hits skip mapping execution entirely")
 	fs.DurationVar(&c.CacheTTL, "cache-ttl", 0, "result-cache entry lifetime; match the mapping's cache window (e.g. 10m for Listing 2) so upstream changes inside the window stay invisible for exactly as long as the window cache would hide them anyway")
 	fs.Int64Var(&c.CacheBytes, "cache-bytes", 0, "result-cache byte budget; entry cost is the encoded answer size (0 = entry-count bound only)")
-	fs.IntVar(&c.PromoteAfter, "promote-after", 0, "adaptive materialization: promote the virtual view into a local store after this many uses per opendap region (0 disables; requires -opendap)")
-	fs.DurationVar(&c.RevalidateEvery, "revalidate-every", c.RevalidateEvery, "how often a promoted region's upstream content stamp is rechecked; drift demotes back to the virtual path")
 
 	fs.DurationVar(&c.Timeout, "timeout", c.Timeout, "per-request OPeNDAP deadline (0 disables)")
 	fs.IntVar(&c.Retries, "retries", c.Retries, "max OPeNDAP retries after the first attempt (idempotent GETs only)")
@@ -85,10 +86,10 @@ func run(ctx context.Context, args []string, ready func(name, addr string)) erro
 	}
 	defer fly.Close()
 	if c.Addr == "" {
-		return core.Query(ctx, reg, c.Options, fly.Source(), c.query, ready)
+		return core.Query(ctx, reg, c.Options, fly.Graph, c.query, ready)
 	}
 	if c.CacheEntries > 0 && c.CacheTTL == 0 && c.opendap != "" {
 		log.Printf("WARNING: -cache-ttl 0 over OPeNDAP: a cache hit revalidates nothing, so an upstream change is seen only once a miss rebuilds the view; set -cache-ttl to bound staleness")
 	}
-	return core.Serve(ctx, reg, c.Options, fly.Source(), ready)
+	return core.Serve(ctx, reg, c.Options, fly.Graph, ready)
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"log"
+	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -63,5 +65,47 @@ func TestRunQueryForms(t *testing.T) {
 		if !strings.HasPrefix(l, "<") || !strings.Contains(l, "> <http://www.app-lab.eu/lai/lai> ") || !strings.HasSuffix(l, " .") {
 			t.Fatalf("CONSTRUCT line %q is not an N-Triples lai:lai statement", l)
 		}
+	}
+}
+
+// TestRunQueryUpstreamDownIsPartial: with the OPeNDAP server
+// unreachable, a one-shot query answers the way the served endpoint
+// does: an empty partial answer, warned about on stderr, and exit 0.
+func TestRunQueryUpstreamDownIsPartial(t *testing.T) {
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close()
+	mapping := filepath.Join(t.TempDir(), "listing2.obda")
+	if err := os.WriteFile(mapping, []byte(core.Listing2Mapping), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(context.Background(), []string{"-mapping", mapping, "-opendap", dead, "-retries", "0",
+		"-query", `SELECT ?s ?lai WHERE { ?s lai:lai ?lai }`}, nil)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatalf("run = %v, want nil", err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(printed); got != "s\tlai\n" {
+		t.Errorf("printed %q, want the SELECT header and no rows", got)
+	}
+	if !strings.Contains(logged.String(), "WARNING: partial results") {
+		t.Errorf("stderr lacks the partial-results warning:\n%s", logged.String())
 	}
 }

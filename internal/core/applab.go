@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -77,16 +78,14 @@ func (m *MaterializedStack) Query(q string) (*sparql.Results, error) {
 
 // OnTheFlyStack is the right-hand workflow of Figure 1: an OPeNDAP
 // client, the MadIS backend with the opendap virtual table over it, and
-// an Ontop-spatial virtual graph over mappings, optionally behind
-// adaptive materialization. NewOnTheFlyStack also runs the OPeNDAP
-// server (the VITO deployment substitute) in process.
+// an Ontop-spatial virtual graph over mappings. NewOnTheFlyStack also
+// runs the OPeNDAP server (the VITO deployment substitute) in process.
 type OnTheFlyStack struct {
-	Server   *opendap.Server      // nil unless NewOnTheFlyStack started it
-	Client   *opendap.Client      // nil without an OPeNDAP server
-	Adapter  *obda.OpendapAdapter // nil without an OPeNDAP server
-	DB       *madis.DB
-	Graph    *obda.VirtualGraph
-	Adaptive *obda.AdaptiveGraph // nil unless PromoteAfter > 0
+	Server  *opendap.Server      // nil unless NewOnTheFlyStack started it
+	Client  *opendap.Client      // nil without an OPeNDAP server
+	Adapter *obda.OpendapAdapter // nil without an OPeNDAP server
+	DB      *madis.DB
+	Graph   *obda.VirtualGraph
 
 	httpServer *http.Server
 	served     chan struct{} // closed when httpServer.Serve returns
@@ -95,11 +94,8 @@ type OnTheFlyStack struct {
 // NewOnTheFly builds the on-the-fly workflow over the OPeNDAP server at
 // url ("" leaves the opendap virtual table out) from a mapping document
 // in Ontop native syntax (the paper's Listing 2), with o's OPeNDAP
-// resilience and promotion settings. reg may be nil.
+// resilience settings. reg may be nil.
 func NewOnTheFly(url, mappingDoc string, o Options, reg *telemetry.Registry) (*OnTheFlyStack, error) {
-	if o.PromoteAfter > 0 && url == "" {
-		return nil, errors.New("core: promotion needs an OPeNDAP server (it tracks opendap virtual-table regions)")
-	}
 	mappings, err := obda.ParseMappings(mappingDoc)
 	if err != nil {
 		return nil, err
@@ -117,21 +113,7 @@ func NewOnTheFly(url, mappingDoc string, o Options, reg *telemetry.Registry) (*O
 	}
 	s.Graph = obda.NewVirtualGraph(s.DB, mappings)
 	s.Graph.Metrics = reg
-	if o.PromoteAfter > 0 {
-		s.Adaptive = obda.NewAdaptiveGraph(s.Graph, s.Adapter, o.PromoteAfter, o.RevalidateEvery)
-		s.Adaptive.SetMetrics(reg)
-		log.Printf("adaptive materialization: promote after %d uses, revalidate every %s", o.PromoteAfter, o.RevalidateEvery)
-	}
 	return s, nil
-}
-
-// Source is what the workflow serves: the adaptive graph when promotion
-// is on, else the virtual graph.
-func (s *OnTheFlyStack) Source() sparql.Source {
-	if s.Adaptive != nil {
-		return s.Adaptive
-	}
-	return s.Graph
 }
 
 // NewOnTheFlyStack starts a loopback OPeNDAP server publishing the given
@@ -245,15 +227,13 @@ type Options struct {
 	BreakerFailures int           // failures that open the circuit; 0 disables
 	BreakerCooldown time.Duration // how long an open circuit waits to probe
 	ServeStale      bool          // serve stale windows while the upstream is down
-	PromoteAfter    int           // uses per region before promotion; 0 disables
-	RevalidateEvery time.Duration // how often a promoted region is rechecked
 }
 
 // Defaults returns the commands' flag defaults: a 5 s drain and queue
 // timeout, and opendap.NewResilientClient's resilience.
 func Defaults() Options {
 	return Options{Drain: endpoint.DefaultDrain, QueueTimeout: 5 * time.Second, Timeout: 30 * time.Second,
-		Retries: 3, BreakerFailures: 5, BreakerCooldown: 10 * time.Second, RevalidateEvery: time.Minute}
+		Retries: 3, BreakerFailures: 5, BreakerCooldown: 10 * time.Second}
 }
 
 // Serve serves src as a SPARQL endpoint on o.Addr (ready "sparql") until
@@ -355,30 +335,32 @@ func Query(ctx context.Context, reg *telemetry.Registry, o Options, src sparql.S
 	})
 }
 
-// eval evaluates q the way src's workflow does (the virtual and
-// adaptive graphs re-execute their mappings before the query runs) and
-// warns on stderr when the answer is partial, with the fan-out targets
-// it missed.
+// eval evaluates q the way the endpoint's handler does: a Refresher
+// drops its view first, so the virtual graph re-executes its mappings,
+// and an upstream failure reads as a partial answer, not an error. A
+// partial answer is warned about on stderr, with the fan-out targets it
+// missed in name order.
 func eval(ctx context.Context, src sparql.Source, q string) (*sparql.Results, error) {
-	ctx, tally := scatter.WithTally(ctx)
-	var res *sparql.Results
-	var err error
-	if s, ok := src.(interface {
-		QueryContext(context.Context, string) (*sparql.Results, error)
-	}); ok {
-		res, err = s.QueryContext(ctx, q)
-	} else {
-		var query *sparql.Query
-		if query, err = sparql.Parse(q); err != nil {
-			return nil, err
-		}
-		res, err = query.EvalContext(ctx, src)
+	query, err := sparql.Parse(q)
+	if err != nil {
+		return nil, err
 	}
+	if rf, ok := src.(endpoint.Refresher); ok {
+		rf.Invalidate()
+	}
+	ctx, tally := scatter.WithTally(ctx)
+	res, err := query.EvalContext(ctx, src)
 	if err != nil || !res.Partial {
 		return res, err
 	}
 	log.Printf("WARNING: partial results (%d fan-outs)", tally.Fanouts)
-	for name, mt := range tally.Members {
+	names := make([]string, 0, len(tally.Members))
+	for name := range tally.Members {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		mt := tally.Members[name]
 		if mt.Errors == 0 && mt.Timeouts == 0 && mt.Skips == 0 {
 			continue
 		}

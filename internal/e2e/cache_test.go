@@ -9,9 +9,10 @@ package e2e
 // target: the repeated workload collapses from 2·nobs+1 upstream
 // endpoint calls to exactly 0, and independently-cached sub-plan
 // answers keep serving after the federation endpoint's own entry is
-// dropped. A final stage drives the adaptive-materialization promoter
-// end to end against the live OPeNDAP server. All timing runs on a
-// fake clock; the background promotion is awaited with Quiesce.
+// dropped. A final stage walks the on-the-fly freshness timeline of the
+// mapping's cache window against the live OPeNDAP server: cold fetch,
+// a 304 past the window for an unchanged product, a rebuild on drift.
+// All timing runs on a fake clock.
 
 import (
 	"io"
@@ -335,9 +336,11 @@ func TestGoldenResultCache(t *testing.T) {
 		t.Errorf("sub-plan cache misses moved by %d on the warm fan-out", got)
 	}
 
-	// ---- Stage 4: adaptive materialization against the live OPeNDAP
-	// server: promote after 2 uses, serve locally with zero upstream
-	// calls past the window, demote on upstream drift.
+	// ---- Stage 4: the on-the-fly freshness timeline, the mapping's
+	// cache window alone. A plain virtual graph over Listing 2 (w = 10
+	// minutes): past the window, repeats of an unchanged product cost
+	// one conditional request, answered 304, and the view is re-published
+	// rather than rebuilt; upstream drift is a full fetch and a rebuild.
 	client2 := opendap.NewClient(dapHTTP.URL)
 	client2.Metrics = reg
 	client2.Now = clk.Now
@@ -350,85 +353,65 @@ func TestGoldenResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag := obda.NewAdaptiveGraph(obda.NewVirtualGraph(db2, mappings2), adapter2, 2, 30*time.Minute)
-	ag.SetClock(clk.Now)
-	ag.SetMetrics(reg)
+	vg2 := obda.NewVirtualGraph(db2, mappings2)
+	vg2.Metrics = reg
 
 	s11 := reg.Snapshot()
-	agRes, err := ag.Query(core.Listing3Query)
+	coldRes, err := vg2.Query(core.Listing3Query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agRows := canonical(t, agRes)
-	if len(agRows) != int(nobs) {
-		t.Fatalf("adaptive cold rows = %d, want %d", len(agRows), nobs)
-	}
-	// Second use arrives outside a query (deterministic promotion: no
-	// evaluation races the background snapshot).
-	ag.Promoter().Note("lai/LAI?w=10")
-	ag.Quiesce()
-	if !ag.Promoted() {
-		t.Fatal("not promoted after threshold")
+	coldRows := canonical(t, coldRes)
+	if len(coldRows) != int(nobs) {
+		t.Fatalf("window cold rows = %d, want %d", len(coldRows), nobs)
 	}
 	s12 := reg.Snapshot()
-	wantCounters(t, "adaptive promote", s11, s12, map[string]int64{
-		"promotion_started_total":   1,
-		"promotion_completed_total": 1,
-		"promotion_failed_total":    0,
-		// The cold query's single fetch; the promotion snapshot runs
-		// inside the 10-minute window and is served by the window cache.
-		// The promotion's baseline stamp is a raw (uncounted) server
-		// request, hence 2 server requests for 1 physical fetch.
+	wantCounters(t, "window cold", s11, s12, map[string]int64{
 		"obda_physical_fetches_total":   1,
-		"opendap_server_requests_total": 2,
+		"opendap_server_requests_total": 1,
+		"opendap_not_modified_total":    0,
+		"obda_view_rebuilds_total":      1,
 	})
-	if got := s12.Gauges["promotion_promoted_regions"]; got != 1 {
-		t.Errorf("promotion_promoted_regions = %g, want 1", got)
-	}
 
-	// Steady state well past the window: local serving, zero upstream.
-	clk.Advance(31 * time.Minute)
+	// Past the window, five repeats of the unchanged product: the first
+	// revalidates with the region's ETag and gets a 304, which restarts
+	// the window; the other four are window hits.
+	clk.Advance(11 * time.Minute)
 	for i := 0; i < 5; i++ {
-		res, err := ag.Query(core.Listing3Query)
+		res, err := vg2.Query(core.Listing3Query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalRows(canonical(t, res), agRows) {
-			t.Fatalf("promoted repeat %d answered differently", i)
+		if !equalRows(canonical(t, res), coldRows) {
+			t.Fatalf("window repeat %d answered differently", i)
 		}
 	}
 	s13 := reg.Snapshot()
-	wantCounters(t, "adaptive steady", s12, s13, map[string]int64{
-		"obda_physical_fetches_total":   0,
-		"promotion_revalidations_total": 1, // the due, unchanged check
-		"promotion_demotions_total":     0,
-		// The revalidation stamp is the only thing on the wire: one
-		// lightweight server request, zero data fetches, for 5 queries.
+	wantCounters(t, "window unchanged", s12, s13, map[string]int64{
 		"opendap_server_requests_total": 1,
+		"opendap_not_modified_total":    1,
+		"obda_physical_fetches_total":   1,
+		"obda_view_rebuilds_total":      0,
+		"obda_view_reuses_total":        5,
 	})
 
-	// Upstream drift: the next due revalidation demotes, the next query
-	// goes back to the virtual path and refetches the new content.
+	// Upstream drift: past the window the conditional request gets the
+	// new product in full, and the view is rebuilt from it.
 	publishShift(2)
-	clk.Advance(31 * time.Minute)
-	if ag.Promoted() {
-		t.Fatal("still promoted after upstream drift")
-	}
-	postRes, err := ag.Query(core.Listing3Query)
+	clk.Advance(11 * time.Minute)
+	postRes, err := vg2.Query(core.Listing3Query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if equalRows(canonical(t, postRes), agRows) {
-		t.Fatal("post-demotion answer is stale")
+	if equalRows(canonical(t, postRes), coldRows) {
+		t.Fatal("post-drift answer is stale")
 	}
 	s14 := reg.Snapshot()
-	wantCounters(t, "adaptive demote", s13, s14, map[string]int64{
-		"promotion_demotions_total":     1,
-		"promotion_revalidations_total": 1,
+	wantCounters(t, "window drift", s13, s14, map[string]int64{
+		"opendap_server_requests_total": 1,
+		"opendap_not_modified_total":    0,
 		"obda_physical_fetches_total":   1,
+		"obda_view_rebuilds_total":      1,
 	})
-	if got := s14.Gauges["promotion_promoted_regions"]; got != 0 {
-		t.Errorf("promotion_promoted_regions = %g, want 0", got)
-	}
 	wantNoScanErrors(t, s14)
 }

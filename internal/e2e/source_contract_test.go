@@ -27,7 +27,6 @@ import (
 	"applab/internal/federation"
 	"applab/internal/madis"
 	"applab/internal/obda"
-	"applab/internal/opendap"
 	"applab/internal/rdf"
 	"applab/internal/segment"
 	"applab/internal/sparql"
@@ -114,8 +113,6 @@ func TestSourcesHandOutCallerOwnedSlices(t *testing.T) {
 
 	db, table, mappings := thingsDB(t)
 	virtual := obda.NewVirtualGraph(db, mappings)
-	adaptive := obda.NewAdaptiveGraph(obda.NewVirtualGraph(db, mappings),
-		obda.NewOpendapAdapter(opendap.NewClient("http://unused.invalid")), 1000, 0)
 
 	remoteSrv := httptest.NewServer(endpoint.Handler(graph()))
 	defer remoteSrv.Close()
@@ -147,7 +144,6 @@ func TestSourcesHandOutCallerOwnedSlices(t *testing.T) {
 		"strabon.Store":         store,
 		"strabon.Store (disk)":  diskStore,
 		"obda.VirtualGraph":     virtual,
-		"obda.AdaptiveGraph":    adaptive,
 		"endpoint.RemoteSource": remote,
 		"federation.Federation": fed,
 		"cluster.Coordinator":   coord,
@@ -231,7 +227,7 @@ func TestSourcesHandOutCallerOwnedSlices(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"rdf.Graph", "segment.Engine (disk)", "segment.Engine (mem)", "strabon.Store", "strabon.Store (disk)", "obda.VirtualGraph", "obda.AdaptiveGraph"} {
+	for _, name := range []string{"rdf.Graph", "segment.Engine (disk)", "segment.Engine (mem)", "strabon.Store", "strabon.Store (disk)", "obda.VirtualGraph"} {
 		if _, ok := sources[name].(sparql.RefSource); !ok {
 			t.Errorf("%s is not a sparql.RefSource", name)
 		}

@@ -1,9 +1,7 @@
 package netcdf
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"strconv"
@@ -15,8 +13,7 @@ import (
 // (VAR[time][lat][lon] or VAR[lat][lon]). Both workflows flatten a grid
 // through Cells, so the on-the-fly view and the materialized graph mint
 // the same resource for one cell. The virtual table compares grids with
-// Equal and the promoter hashes them with Stamp, so the two cannot
-// disagree on what "the same grid" means.
+// Equal to tell a changed product from an unchanged one re-sent in full.
 type Grid struct {
 	nt, nlat, nlon int
 	data           []float64
@@ -74,27 +71,6 @@ func (g Grid) Equal(o Grid) bool {
 		}
 	}
 	return true
-}
-
-// Stamp hashes exactly what Equal compares.
-func (g Grid) Stamp() string {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(bits uint64) {
-		binary.LittleEndian.PutUint64(buf[:], bits)
-		h.Write(buf[:])
-	}
-	put(uint64(g.nt))
-	put(uint64(g.nlat))
-	put(uint64(g.nlon))
-	for _, fs := range g.arrays() {
-		put(uint64(len(fs)))
-		for _, f := range fs {
-			put(math.Float64bits(f))
-		}
-	}
-	h.Write([]byte(g.timeUnits))
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 func (g Grid) arrays() [4][]float64 { return [4][]float64{g.data, g.lat, g.lon, g.time} }

@@ -52,12 +52,6 @@ type OpendapAdapter struct {
 	// the fetches that reach the server. Set before the first query.
 	Metrics *telemetry.Registry
 
-	// OnTable, when set, observes every virtual-table materialization
-	// with its region key "<dataset>/<var>?w=<window>" — the hot-region
-	// feed of the adaptive promoter (rescache.Promoter.Note). Set before
-	// the first query; called outside the adapter lock.
-	OnTable func(region string)
-
 	// Now overrides the window clock in tests.
 	Now func() time.Time
 
@@ -144,9 +138,6 @@ func (a *OpendapAdapter) Table(args []string) (*madis.Table, error) {
 		window = time.Duration(mins * float64(time.Minute))
 	}
 	key := dataset + "/" + varName + "?w=" + strconv.FormatFloat(window.Minutes(), 'g', -1, 64)
-	if hook := a.OnTable; hook != nil {
-		hook(key)
-	}
 	now := a.now()
 	a.mu.Lock()
 	r := a.regions[key]

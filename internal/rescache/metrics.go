@@ -57,39 +57,3 @@ func (c *Cache) setBytes(n int64) {
 		c.Metrics.Gauge("rescache_bytes").Set(float64(n))
 	}
 }
-
-func (p *Promoter) notePromotionStarted() {
-	if p.Metrics != nil {
-		p.Metrics.Counter("promotion_started_total").Inc()
-	}
-}
-
-func (p *Promoter) notePromotionDone() {
-	if p.Metrics != nil {
-		p.Metrics.Counter("promotion_completed_total").Inc()
-	}
-}
-
-func (p *Promoter) notePromotionFailed() {
-	if p.Metrics != nil {
-		p.Metrics.Counter("promotion_failed_total").Inc()
-	}
-}
-
-func (p *Promoter) noteDemotion() {
-	if p.Metrics != nil {
-		p.Metrics.Counter("promotion_demotions_total").Inc()
-	}
-}
-
-func (p *Promoter) noteRevalidation() {
-	if p.Metrics != nil {
-		p.Metrics.Counter("promotion_revalidations_total").Inc()
-	}
-}
-
-func (p *Promoter) setPromotedRegions(n int) {
-	if p.Metrics != nil {
-		p.Metrics.Gauge("promotion_promoted_regions").Set(float64(n))
-	}
-}

@@ -1,16 +1,15 @@
 package rescache_test
 
 // Cache-correctness differential oracle: randomized schedules of
-// ingest / delete / reopen / promotion ticks / concurrent query
-// batches run against memory and disk-reopened strabon stores behind
-// an adaptive (promotable) source, and every answer the cache serves
-// is compared canonically byte-for-byte against a fresh EvalSeed
-// evaluation through the same source. The store is quiescent during
-// each query batch (mutations and clock advances happen only between
-// batches), so "cached answer == fresh evaluation" is an exact
-// invariant, not a racy approximation. All timing runs on a fake
-// clock and background promotions are awaited with Quiesce — zero
-// real sleeps, deterministic under -race.
+// ingest / delete / reopen / clock ticks / concurrent query batches run
+// against memory and disk-reopened strabon stores, and every answer the
+// cache serves is compared canonically byte-for-byte against a fresh
+// EvalSeed evaluation through the same source. The store is quiescent
+// during each query batch (mutations and clock advances happen only
+// between batches), so "cached answer == fresh evaluation" is an exact
+// invariant, not a racy approximation. The cache's TTL runs on a fake
+// clock that the ticks step past, so expiry is exercised beside epoch
+// validation; zero real sleeps, deterministic under -race.
 
 import (
 	"context"
@@ -66,36 +65,19 @@ func canon(res *sparql.Results) string {
 	return fmt.Sprintf("bool=%v vars=%v\n%s", res.Bool, res.Vars, strings.Join(rows, "\n"))
 }
 
-// oracleSource is a miniature adaptive source: it serves from the live
-// store until the promoter flips it onto a materialized local copy,
-// demoting when the live store's content stamp drifts. Its cache
-// identity composes the live store's fingerprint, so a disk reopen
-// (fresh instance, epoch restarted at zero) re-keys every entry
-// instead of wrongly validating against the old epochs.
+// oracleSource serves the live store under a cache identity that
+// composes the live store's fingerprint, so a disk reopen (fresh
+// instance, epoch restarted at zero) re-keys every entry instead of
+// wrongly validating against the old epochs.
 type oracleSource struct {
-	p  *rescache.Promoter
 	fp string
 
-	mu    sync.Mutex
-	live  *strabon.Store
-	local *strabon.Store // nil unless a promotion has completed
+	mu   sync.Mutex
+	live *strabon.Store
 }
 
-const oracleRegion = "oracle/main"
-
-func newOracleSource(live *strabon.Store, now func() time.Time) *oracleSource {
-	o := &oracleSource{live: live, fp: rescache.NextFingerprint("oracle")}
-	p := rescache.NewPromoter(2, time.Minute)
-	p.Now = now
-	p.Promote = o.promote
-	p.Check = o.stamp
-	p.OnDemote = func(string) {
-		o.mu.Lock()
-		o.local = nil
-		o.mu.Unlock()
-	}
-	o.p = p
-	return o
+func newOracleSource(live *strabon.Store) *oracleSource {
+	return &oracleSource{live: live, fp: rescache.NextFingerprint("oracle")}
 }
 
 func (o *oracleSource) setLive(st *strabon.Store) {
@@ -110,51 +92,11 @@ func (o *oracleSource) liveStore() *strabon.Store {
 	return o.live
 }
 
-// stamp fingerprints the live store's content identity: instance plus
-// epoch, so both mutations and reopens demote a promoted region.
-func (o *oracleSource) stamp(string) (string, error) {
-	live := o.liveStore()
-	return fmt.Sprintf("%s@%d", live.Fingerprint(), live.DataEpoch()), nil
-}
-
-func (o *oracleSource) promote(region string) (string, error) {
-	stamp, err := o.stamp(region)
-	if err != nil {
-		return "", err
-	}
-	live := o.liveStore()
-	st := strabon.New()
-	st.AddAll(live.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}))
-	if err := st.Err(); err != nil {
-		return "", err
-	}
-	o.mu.Lock()
-	o.local = st
-	o.mu.Unlock()
-	return stamp, nil
-}
-
-func (o *oracleSource) serving() *strabon.Store {
-	if o.p.Promoted() {
-		o.mu.Lock()
-		local := o.local
-		o.mu.Unlock()
-		if local != nil {
-			return local
-		}
-	}
-	return o.liveStore()
-}
-
 func (o *oracleSource) Match(s, p, obj rdf.Term) []rdf.Triple {
-	return o.serving().Match(s, p, obj)
+	return o.liveStore().Match(s, p, obj)
 }
 
-// DataEpoch: promoter flips plus live mutations, both monotonic, so
-// the sum moves on every event that could change served content.
-func (o *oracleSource) DataEpoch() uint64 {
-	return o.p.Epoch() + o.liveStore().DataEpoch()
-}
+func (o *oracleSource) DataEpoch() uint64 { return o.liveStore().DataEpoch() }
 
 func (o *oracleSource) Fingerprint() string {
 	return o.fp + "|" + o.liveStore().Fingerprint()
@@ -207,17 +149,6 @@ func queryBatch(t *testing.T, rng *rand.Rand, cache *rescache.Cache, src *oracle
 	wg.Wait()
 }
 
-// promotionTick advances the fake clock past the revalidation window,
-// settles any due demotion, counts one use toward promotion, and waits
-// out the background promotion it may have started.
-func promotionTick(clock *faults.Clock, src *oracleSource) {
-	clock.Advance(61 * time.Second)
-	src.p.Promoted() // settle due revalidation (may demote) first
-	src.p.Note(oracleRegion)
-	src.p.Quiesce()
-	src.p.Promoted() // settle the just-completed promotion's state
-}
-
 func runOracle(t *testing.T, seed int64, workers int, disk bool) {
 	rng := rand.New(rand.NewSource(seed))
 	clock := faults.NewClock(time.Date(2019, 3, 26, 9, 0, 0, 0, time.UTC))
@@ -264,9 +195,10 @@ func runOracle(t *testing.T, seed int64, workers int, disk bool) {
 		added = append(added, b...)
 	}
 
-	src := newOracleSource(live, clock.Now)
+	src := newOracleSource(live)
 	reg := telemetry.NewRegistry()
-	cache := rescache.New(32, 0)
+	cache := rescache.New(32, time.Minute)
+	cache.Now = clock.Now
 	cache.Metrics = reg
 
 	for step := 0; step < 60; step++ {
@@ -293,8 +225,8 @@ func runOracle(t *testing.T, seed int64, workers int, disk bool) {
 				t.Fatalf("step %d: reopen: %v", step, err)
 			}
 			src.setLive(live)
-		case pick < 7: // promotion tick
-			promotionTick(clock, src)
+		case pick < 7: // clock tick: every entry outlives its TTL
+			clock.Advance(61 * time.Second)
 		default:
 			queryBatch(t, rng, cache, src, workers)
 		}
@@ -310,12 +242,11 @@ func runOracle(t *testing.T, seed int64, workers int, disk bool) {
 	if hits := reg.Counter("rescache_hits_total").Value(); hits == 0 {
 		t.Error("schedule never exercised the cache hit path")
 	}
-	t.Logf("hits=%d misses=%d stale=%d fills=%d promoted=%v",
+	t.Logf("hits=%d misses=%d stale=%d fills=%d",
 		reg.Counter("rescache_hits_total").Value(),
 		reg.Counter("rescache_misses_total").Value(),
 		reg.Counter("rescache_stale_total").Value(),
-		reg.Counter("rescache_fills_total").Value(),
-		src.p.Promoted())
+		reg.Counter("rescache_fills_total").Value())
 }
 
 func TestCacheOracle(t *testing.T) {

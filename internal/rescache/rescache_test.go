@@ -1,7 +1,6 @@
 package rescache
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -536,189 +535,6 @@ func TestNextFingerprintUnique(t *testing.T) {
 	}
 }
 
-// ---- promoter ----
-
-func TestPromoterLifecycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	p := NewPromoter(3, time.Minute)
-	p.Now = func() time.Time { return now }
-	stamp := "v1"
-	var promoted, checked int
-	p.Promote = func(region string) (string, error) { promoted++; return stamp, nil }
-	p.Check = func(region string) (string, error) { checked++; return stamp, nil }
-
-	p.Note("r1")
-	p.Note("r1")
-	if p.Promoted() {
-		t.Fatalf("promoted before threshold")
-	}
-	p.Note("r1") // threshold: background promotion starts
-	p.Quiesce()
-	if !p.Promoted() {
-		t.Fatalf("not promoted after threshold")
-	}
-	if promoted != 1 {
-		t.Fatalf("promote calls: %d", promoted)
-	}
-	if p.Epoch() != 1 {
-		t.Fatalf("epoch after promote: %d", p.Epoch())
-	}
-
-	// Within the revalidation window: no checks.
-	now = now.Add(30 * time.Second)
-	p.Promoted()
-	if checked != 0 {
-		t.Fatalf("checked early: %d", checked)
-	}
-
-	// Past the window with an unchanged stamp: still promoted.
-	now = now.Add(31 * time.Second)
-	if !p.Promoted() || checked != 1 {
-		t.Fatalf("revalidation failed: promoted=%v checked=%d", p.Promoted(), checked)
-	}
-
-	// Upstream changes: next revalidation demotes.
-	stamp = "v2"
-	var demoted []string
-	p.OnDemote = func(r string) { demoted = append(demoted, r) }
-	now = now.Add(time.Minute)
-	if p.Promoted() {
-		t.Fatalf("still promoted after upstream change")
-	}
-	if len(demoted) != 1 || demoted[0] != "r1" {
-		t.Fatalf("demote hook: %v", demoted)
-	}
-	if p.Epoch() != 2 {
-		t.Fatalf("epoch after demote: %d", p.Epoch())
-	}
-
-	// Uses re-accumulate toward re-promotion.
-	p.Note("r1")
-	p.Note("r1")
-	p.Note("r1")
-	p.Quiesce()
-	if !p.Promoted() {
-		t.Fatalf("re-promotion failed")
-	}
-}
-
-func TestPromoterCheckErrorServesStale(t *testing.T) {
-	now := time.Unix(0, 0)
-	p := NewPromoter(1, time.Minute)
-	p.Now = func() time.Time { return now }
-	p.Promote = func(string) (string, error) { return "v1", nil }
-	fail := true
-	checks := 0
-	p.Check = func(string) (string, error) {
-		checks++
-		if fail {
-			return "", errors.New("upstream down")
-		}
-		return "v1", nil
-	}
-	p.Note("r")
-	p.Quiesce()
-	now = now.Add(2 * time.Minute)
-	if !p.Promoted() || checks != 1 {
-		t.Fatalf("check error must keep serving promoted: %v %d", p.Promoted(), checks)
-	}
-	// Backed off: immediate re-call doesn't re-check.
-	p.Promoted()
-	if checks != 1 {
-		t.Fatalf("no backoff after error: %d", checks)
-	}
-	now = now.Add(2 * time.Minute)
-	fail = false
-	if !p.Promoted() || checks != 2 {
-		t.Fatalf("recovery check missing: %d", checks)
-	}
-}
-
-func TestPromoterPromoteFailureStaysCold(t *testing.T) {
-	p := NewPromoter(1, 0)
-	p.Promote = func(string) (string, error) { return "", errors.New("boom") }
-	p.Note("r")
-	p.Quiesce()
-	if p.Promoted() {
-		t.Fatalf("failed promotion marked promoted")
-	}
-	if p.Epoch() != 0 {
-		t.Fatalf("failed promotion bumped epoch")
-	}
-	// Counter reset: threshold must be crossed again.
-	ok := false
-	p.Promote = func(string) (string, error) { ok = true; return "v", nil }
-	p.Note("r")
-	p.Quiesce()
-	if !ok || !p.Promoted() {
-		t.Fatalf("retry after failure did not promote")
-	}
-}
-
-func TestPromoterPartialSetNotPromoted(t *testing.T) {
-	p := NewPromoter(2, 0)
-	p.Promote = func(string) (string, error) { return "v", nil }
-	p.Note("a")
-	p.Note("a")
-	p.Quiesce()
-	p.Note("b") // b is cold
-	if p.Promoted() {
-		t.Fatalf("partial region set reported promoted")
-	}
-	p.Note("b")
-	p.Quiesce()
-	if !p.Promoted() {
-		t.Fatalf("full set not promoted")
-	}
-	if p.Regions() != 2 {
-		t.Fatalf("regions: %d", p.Regions())
-	}
-}
-
-func TestPromoterEmptyAndNil(t *testing.T) {
-	p := NewPromoter(1, 0)
-	if p.Promoted() {
-		t.Fatalf("empty set reported promoted")
-	}
-	var nilP *Promoter
-	nilP.Note("x")
-	nilP.Demote("x")
-	nilP.Quiesce()
-	if nilP.Promoted() || nilP.Epoch() != 0 || nilP.Regions() != 0 {
-		t.Fatalf("nil promoter misbehaved")
-	}
-}
-
-func TestPromoterConcurrentNotes(t *testing.T) {
-	p := NewPromoter(10, 0)
-	var promotions int
-	var mu sync.Mutex
-	p.Promote = func(string) (string, error) {
-		mu.Lock()
-		promotions++
-		mu.Unlock()
-		return "v", nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				p.Note("hot")
-			}
-		}()
-	}
-	wg.Wait()
-	p.Quiesce()
-	if promotions != 1 {
-		t.Fatalf("promotion ran %d times", promotions)
-	}
-	if !p.Promoted() {
-		t.Fatalf("not promoted")
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	for st, want := range map[Status]string{Hit: "hit", Miss: "miss", Stale: "stale", Bypass: "bypass"} {
 		if st.String() != want {
@@ -755,44 +571,5 @@ func TestCachePurgeAndDefaults(t *testing.T) {
 	evalThrough(t, small, src, `SELECT ?s WHERE { ?s <http://ex/q> ?o }`)
 	if v := c.Metrics.Counter("rescache_evictions_total").Value(); v != 1 {
 		t.Fatalf("eviction counter: %v", v)
-	}
-}
-
-func TestPromoterMetrics(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	now := time.Unix(0, 0)
-	p := NewPromoter(0, time.Minute) // promoteAfter default → 1
-	p.Metrics = reg
-	p.Now = func() time.Time { return now }
-	stamp := "v1"
-	p.Promote = func(string) (string, error) { return stamp, nil }
-	p.Check = func(string) (string, error) { return stamp, nil }
-
-	p.Note("r")
-	p.Quiesce()
-	if !p.Promoted() {
-		t.Fatalf("not promoted")
-	}
-	stamp = "v2"
-	now = now.Add(2 * time.Minute)
-	p.Promoted() // revalidate → demote
-	for name, want := range map[string]int64{
-		"promotion_started_total":       1,
-		"promotion_completed_total":     1,
-		"promotion_demotions_total":     1,
-		"promotion_revalidations_total": 1,
-	} {
-		if v := reg.Counter(name).Value(); v != want {
-			t.Fatalf("%s: %v", name, v)
-		}
-	}
-	// Failure path with metrics.
-	p2 := NewPromoter(1, 0)
-	p2.Metrics = reg
-	p2.Promote = func(string) (string, error) { return "", errors.New("x") }
-	p2.Note("r")
-	p2.Quiesce()
-	if v := reg.Counter("promotion_failed_total").Value(); v != 1 {
-		t.Fatalf("failed counter: %v", v)
 	}
 }
