@@ -49,7 +49,7 @@ func BenchmarkE1_Materialized(b *testing.B) {
 	mat.Store.Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mat.Query(core.Listing3Query); err != nil {
+		if _, err := sparql.Eval(mat.Store, core.Listing3Query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func BenchmarkE1_OnTheFlyCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fly.Adapter.InvalidateCaches()
-		if _, err := fly.Query(core.Listing3Query); err != nil {
+		if _, err := sparql.Eval(fly.Graph, core.Listing3Query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,12 +76,12 @@ func BenchmarkE1_OnTheFlyWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer fly.Close()
-	if _, err := fly.Query(core.Listing3Query); err != nil {
+	if _, err := sparql.Eval(fly.Graph, core.Listing3Query); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fly.Query(core.Listing3Query); err != nil {
+		if _, err := sparql.Eval(fly.Graph, core.Listing3Query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func BenchmarkE3_WindowCache(b *testing.B) {
 			defer fly.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := fly.Query(core.Listing3Query); err != nil {
+				if _, err := sparql.Eval(fly.Graph, core.Listing3Query); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -442,7 +442,7 @@ func BenchmarkAblation_FederationSourceSelection(b *testing.B) {
 	q := `SELECT (COUNT(*) AS ?n) WHERE { ?s osm:poiType osm:park . ?s geo:hasGeometry ?g }`
 	b.Run("selection-on", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fed.Query(q); err != nil {
+			if _, err := sparql.Eval(fed, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -450,7 +450,7 @@ func BenchmarkAblation_FederationSourceSelection(b *testing.B) {
 	b.Run("selection-off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fed.ForgetCapabilities()
-			if _, err := fed.Query(q); err != nil {
+			if _, err := sparql.Eval(fed, q); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -87,7 +87,7 @@ echo "== one read path through the engine"
 # capabilities (eval.go); every other engine file reads through what it
 # found, so a capability check cannot creep back in beside it. A scan's
 # answer is a []rdf.Ref: the two-variant rdf.Matches stays gone.
-caps='ContextSource|ErrorSource|RefSource|ExchangeSource|BatchExchangeSource|StatsSource|SpatialSource'
+caps='ContextSource|ErrorSource|RefSource|ExchangeSource|BatchExchangeSource|StatsSource|SpatialSource|Refresher'
 asserts=$(for f in internal/sparql/*.go; do
     case "$f" in *_test.go) continue ;; esac
     awk -v caps="$caps" '
@@ -120,6 +120,24 @@ partial=$( (grep -rnE --include='*.go' --exclude='*_test.go' \
 if [ -n "$partial" ]; then
     echo "a second partial signal (use sparql.Results.Partial):" >&2
     echo "$partial" >&2
+    exit 1
+fi
+
+echo "== refresh belongs to the evaluation"
+# The engine drops a live view (sparql.Refresher) once when an
+# evaluation starts, before it plans: no other code decides when, and no
+# one-shot Query helper wraps that step or sparql.Eval beside it. bench/
+# keeps its mirror of the handler, and strabon.Store.Query stays, until
+# the benchmark's next revision.
+refresh=$( (grep -rnE --include='*.go' --exclude='*_test.go' \
+        '\.\(([A-Za-z_]+\.)?Refresher\)|^[[:space:]]*case ([^:]*, )?([A-Za-z_]+\.)?Refresher[,:]' \
+        cmd internal examples | grep -v '^internal/sparql/'
+    grep -rnE --include='*.go' --exclude='*_test.go' \
+        '^func \(([A-Za-z_]+ )?\*(VirtualGraph\) (Query|QueryContext|LastError)|(Federation|MaterializedStack|OnTheFlyStack)\) Query)\(' \
+        cmd internal examples) || true)
+if [ -n "$refresh" ]; then
+    echo "a view refreshed, or a one-shot helper declared, outside the engine (use sparql.Eval):" >&2
+    echo "$refresh" >&2
     exit 1
 fi
 

@@ -105,12 +105,12 @@ func runE1(cfg scales) error {
 	if err := mat.Store.Freeze(); err != nil {
 		return err
 	}
-	if _, err := mat.Query(core.Listing3Query); err != nil { // warm caches
+	if _, err := sparql.Eval(mat.Store, core.Listing3Query); err != nil { // warm caches
 		return err
 	}
 
 	matTime, err := median(cfg.repeats, func() error {
-		_, err := mat.Query(core.Listing3Query)
+		_, err := sparql.Eval(mat.Store, core.Listing3Query)
 		return err
 	})
 	if err != nil {
@@ -119,18 +119,18 @@ func runE1(cfg scales) error {
 
 	coldTime, err := median(cfg.repeats, func() error {
 		fly.Adapter.InvalidateCaches()
-		_, err := fly.Query(core.Listing3Query)
+		_, err := sparql.Eval(fly.Graph, core.Listing3Query)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 
-	if _, err := fly.Query(core.Listing3Query); err != nil { // fill cache
+	if _, err := sparql.Eval(fly.Graph, core.Listing3Query); err != nil { // fill cache
 		return err
 	}
 	warmTime, err := median(cfg.repeats, func() error {
-		_, err := fly.Query(core.Listing3Query)
+		_, err := sparql.Eval(fly.Graph, core.Listing3Query)
 		return err
 	})
 	if err != nil {
@@ -155,7 +155,7 @@ func runE1(cfg scales) error {
 		fly.SetLatency(time.Duration(lat) * time.Millisecond)
 		cold, err := median(cfg.repeats, func() error {
 			fly.Adapter.InvalidateCaches()
-			_, err := fly.Query(core.Listing3Query)
+			_, err := sparql.Eval(fly.Graph, core.Listing3Query)
 			return err
 		})
 		if err != nil {
@@ -240,7 +240,7 @@ func runE3(cfg scales) error {
 		var total time.Duration
 		for i := 0; i < calls; i++ {
 			start := time.Now()
-			if _, err := fly.Query(core.Listing3Query); err != nil {
+			if _, err := sparql.Eval(fly.Graph, core.Listing3Query); err != nil {
 				fly.Close()
 				return err
 			}
@@ -558,7 +558,7 @@ func runF1() error {
 		return err
 	}
 	defer fly.Close()
-	flyRes, err := fly.Query(core.Listing3Query)
+	flyRes, err := sparql.Eval(fly.Graph, core.Listing3Query)
 	if err != nil {
 		return err
 	}
@@ -569,7 +569,7 @@ func runF1() error {
 	if err := mat.LoadLAI(grid, "LAI"); err != nil {
 		return err
 	}
-	matRes, err := mat.Query(core.Listing3Query)
+	matRes, err := sparql.Eval(mat.Store, core.Listing3Query)
 	if err != nil {
 		return err
 	}
@@ -605,7 +605,7 @@ func runF4(outPath string) error {
 
 	m := sextant.NewMap("The greenness of Paris")
 	addLayer := func(name, q, wktVar, valVar, timeVar string, style sextant.Style) error {
-		res, err := stack.Query(q)
+		res, err := sparql.Eval(stack.Store, q)
 		if err != nil {
 			return err
 		}

@@ -105,7 +105,7 @@ func TestRunQueryUpstreamDownIsPartial(t *testing.T) {
 	if got := string(printed); got != "s\tlai\n" {
 		t.Errorf("printed %q, want the SELECT header and no rows", got)
 	}
-	if !strings.Contains(logged.String(), "WARNING: partial results") {
-		t.Errorf("stderr lacks the partial-results warning:\n%s", logged.String())
+	if !strings.Contains(logged.String(), "WARNING: partial results") || !strings.Contains(logged.String(), "connection refused") {
+		t.Errorf("stderr lacks the partial-results warning naming its cause:\n%s", logged.String())
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"applab/internal/core"
 	"applab/internal/rdf"
 	"applab/internal/sextant"
+	"applab/internal/sparql"
 	"applab/internal/workload"
 )
 
@@ -42,7 +43,7 @@ func main() {
 
 	m := sextant.NewMap("The greenness of Paris")
 	layer := func(name, q, wktVar, valVar, timeVar string, style sextant.Style) {
-		res, err := stack.Query(q)
+		res, err := sparql.Eval(stack.Store, q)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}

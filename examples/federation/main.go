@@ -16,6 +16,7 @@ import (
 	"applab/internal/endpoint"
 	"applab/internal/federation"
 	"applab/internal/rdf"
+	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/workload"
 )
@@ -64,7 +65,7 @@ func main() {
 
 	// A cross-endpoint GeoSPARQL join: which administrative areas does
 	// each park intersect? Neither endpoint alone can answer this.
-	res, err := fed.Query(`
+	res, err := sparql.Eval(fed, `
 SELECT ?parkName ?areaName WHERE {
   ?park osm:poiType osm:park ; osm:hasName ?parkName ; geo:hasGeometry ?pg .
   ?pg geo:asWKT ?pw .
@@ -92,9 +93,9 @@ SELECT ?parkName ?areaName WHERE {
 	// not to contribute.
 	fed.ForgetCapabilities()
 	before := fed.RequestCount("gadm")
-	fed.Query(`SELECT (COUNT(*) AS ?n) WHERE { ?s osm:poiType osm:park }`)
+	sparql.Eval(fed, `SELECT (COUNT(*) AS ?n) WHERE { ?s osm:poiType osm:park }`)
 	mid := fed.RequestCount("gadm")
-	fed.Query(`SELECT (COUNT(*) AS ?n) WHERE { ?s osm:poiType osm:park }`)
+	sparql.Eval(fed, `SELECT (COUNT(*) AS ?n) WHERE { ?s osm:poiType osm:park }`)
 	after := fed.RequestCount("gadm")
 	fmt.Printf("\nsource selection: GADM endpoint requests %d -> %d -> %d "+
 		"(probed once, then skipped)\n", before, mid, after)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"applab/internal/core"
+	"applab/internal/sparql"
 	"applab/internal/workload"
 )
 
@@ -44,7 +45,7 @@ func main() {
 	// 2. The paper's Listing 3 over the virtual graph: data is fetched
 	// from OPeNDAP at query time.
 	start := time.Now()
-	res, err := stack.Query(core.Listing3Query)
+	res, err := sparql.Eval(stack.Graph, core.Listing3Query)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func main() {
 	// 3. Repeat within the 10-minute cache window of Listing 2: no new
 	// OPeNDAP call.
 	start = time.Now()
-	res, err = stack.Query(core.Listing3Query)
+	res, err = sparql.Eval(stack.Graph, core.Listing3Query)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func main() {
   ?g geo:asWKT ?wkt .
   FILTER(geof:distance(?wkt, "POINT (%g %g)"^^geo:wktLiteral) < 0.05)
 }`, center.X, center.Y)
-	res, err = stack.Query(q)
+	res, err = sparql.Eval(stack.Graph, q)
 	if err != nil {
 		log.Fatal(err)
 	}

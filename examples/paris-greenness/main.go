@@ -16,6 +16,7 @@ import (
 	"applab/internal/interlink"
 	"applab/internal/rdf"
 	"applab/internal/sextant"
+	"applab/internal/sparql"
 	"applab/internal/workload"
 )
 
@@ -41,7 +42,7 @@ func main() {
 	if err := stack.LoadLAI(lai, "LAI"); err != nil {
 		log.Fatal(err)
 	}
-	res, err := stack.Query(`SELECT (COUNT(*) AS ?n) WHERE { ?o a lai:Observation }`)
+	res, err := sparql.Eval(stack.Store, `SELECT (COUNT(*) AS ?n) WHERE { ?o a lai:Observation }`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func main() {
 	fmt.Printf("interlinking: %d geo:sfIntersects links added\n", n)
 
 	// 4. The paper's Listing 1: LAI values over the Bois de Boulogne.
-	res, err = stack.Query(core.Listing1Query)
+	res, err = sparql.Eval(stack.Store, core.Listing1Query)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func main() {
 	// 5. Figure 4: the layered "greenness of Paris" map.
 	m := sextant.NewMap("The greenness of Paris")
 	mustLayer := func(name, q, wkt, val, tm string, style sextant.Style) {
-		r, err := stack.Query(q)
+		r, err := sparql.Eval(stack.Store, q)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}

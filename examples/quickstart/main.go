@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"applab/internal/rdf"
+	"applab/internal/sparql"
 	"applab/internal/strabon"
 )
 
@@ -46,7 +47,7 @@ func main() {
 
 	// 2. A GeoSPARQL query: which parks is the Eiffel tower within 0.05
 	// degrees of?
-	res, err := store.Query(`
+	res, err := sparql.Eval(store, `
 SELECT ?name (geof:distance(?parkWKT, "POINT (2.2945 48.8584)"^^geo:wktLiteral) AS ?d)
 WHERE {
   ?park a osm:park ; osm:hasName ?name ; geo:hasGeometry ?g .
@@ -65,7 +66,7 @@ ORDER BY ?d`)
 	}
 
 	// 3. A spatial ASK: does the Bois de Boulogne contain point (2.24, 48.86)?
-	ask, err := store.Query(`ASK {
+	ask, err := sparql.Eval(store, `ASK {
   ?park osm:hasName "Bois de Boulogne" ; geo:hasGeometry ?g .
   ?g geo:asWKT ?wkt .
   FILTER(geof:sfContains(?wkt, "POINT (2.24 48.86)"^^geo:wktLiteral))

@@ -71,11 +71,6 @@ func (m *MaterializedStack) Interlink(linker *interlink.SpatialLinker, srcNamePr
 	return len(links)
 }
 
-// Query runs a GeoSPARQL query against the store.
-func (m *MaterializedStack) Query(q string) (*sparql.Results, error) {
-	return m.Store.Query(q)
-}
-
 // OnTheFlyStack is the right-hand workflow of Figure 1: an OPeNDAP
 // client, the MadIS backend with the opendap virtual table over it, and
 // an Ontop-spatial virtual graph over mappings. NewOnTheFlyStack also
@@ -146,12 +141,6 @@ func (s *OnTheFlyStack) URL() string { return s.Client.Base }
 
 // SetLatency configures the simulated WAN latency per data request.
 func (s *OnTheFlyStack) SetLatency(d time.Duration) { s.Server.Latency = d }
-
-// Query evaluates a GeoSPARQL query on-the-fly (mapping sources
-// re-executed; OPeNDAP hit unless the adapter cache window covers it).
-func (s *OnTheFlyStack) Query(q string) (*sparql.Results, error) {
-	return s.Graph.Query(q)
-}
 
 // Materialize snapshots the current virtual graph into a Strabon store —
 // the paper's "for more costly operations ... it is better to materialize
@@ -335,25 +324,26 @@ func Query(ctx context.Context, reg *telemetry.Registry, o Options, src sparql.S
 	})
 }
 
-// eval evaluates q the way the endpoint's handler does: a Refresher
-// drops its view first, so the virtual graph re-executes its mappings,
-// and an upstream failure reads as a partial answer, not an error. A
-// partial answer is warned about on stderr, with the fan-out targets it
-// missed in name order.
+// eval evaluates q the way the endpoint's handler does, through the
+// engine, which refreshes a live view itself: an upstream failure reads
+// as a partial answer, not an error. A partial answer is warned about on
+// stderr with its first cause, then the fan-out targets it missed in
+// name order.
 func eval(ctx context.Context, src sparql.Source, q string) (*sparql.Results, error) {
 	query, err := sparql.Parse(q)
 	if err != nil {
 		return nil, err
-	}
-	if rf, ok := src.(endpoint.Refresher); ok {
-		rf.Invalidate()
 	}
 	ctx, tally := scatter.WithTally(ctx)
 	res, err := query.EvalContext(ctx, src)
 	if err != nil || !res.Partial {
 		return res, err
 	}
-	log.Printf("WARNING: partial results (%d fan-outs)", tally.Fanouts)
+	warning := fmt.Sprintf("WARNING: partial results (%d fan-outs)", tally.Fanouts)
+	if cause := tally.Cause(); cause != nil {
+		warning += fmt.Sprintf(": %v", cause)
+	}
+	log.Print(warning)
 	names := make([]string, 0, len(tally.Members))
 	for name := range tally.Members {
 		names = append(names, name)

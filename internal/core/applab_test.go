@@ -10,6 +10,7 @@ import (
 	"applab/internal/interlink"
 	"applab/internal/rdf"
 	"applab/internal/sextant"
+	"applab/internal/sparql"
 	"applab/internal/workload"
 )
 
@@ -89,7 +90,7 @@ func newCaseStudyStack(t testing.TB) *MaterializedStack {
 // materialized stack.
 func TestListing1(t *testing.T) {
 	m := newCaseStudyStack(t)
-	res, err := m.Query(Listing1Query)
+	res, err := sparql.Eval(m.Store, Listing1Query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestGreennessOfParis(t *testing.T) {
 	mp := sextant.NewMap("The greenness of Paris")
 
 	// GADM boundaries (magenta lines in the paper's figure).
-	gadmRes, err := m.Query(`SELECT ?wkt WHERE {
+	gadmRes, err := sparql.Eval(m.Store, `SELECT ?wkt WHERE {
 	  ?a gadm:hasType ?ty . ?a geo:hasGeometry ?g . ?g geo:asWKT ?wkt }`)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestGreennessOfParis(t *testing.T) {
 	}
 
 	// CORINE green urban areas.
-	clcRes, err := m.Query(`SELECT ?wkt WHERE {
+	clcRes, err := sparql.Eval(m.Store, `SELECT ?wkt WHERE {
 	  ?a clc:hasCorineValue clc:greenUrbanAreas .
 	  ?a geo:hasGeometry ?g . ?g geo:asWKT ?wkt }`)
 	if err != nil {
@@ -133,7 +134,7 @@ func TestGreennessOfParis(t *testing.T) {
 	mp.LayerFromResults("CLC green", sextant.Style{Fill: "#44aa44", FillOpacity: 0.5}, clcRes, "wkt", "", "")
 
 	// LAI circles over time.
-	laiRes, err := m.Query(`SELECT ?wkt ?lai ?t WHERE {
+	laiRes, err := sparql.Eval(m.Store, `SELECT ?wkt ?lai ?t WHERE {
 	  ?o lai:lai ?lai ; geo:hasGeometry ?g ; time:hasTime ?t .
 	  ?g geo:asWKT ?wkt }`)
 	if err != nil {
@@ -179,7 +180,7 @@ func TestFigure1Architecture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fly.Close()
-	flyRes, err := fly.Query(Listing3Query)
+	flyRes, err := sparql.Eval(fly.Graph, Listing3Query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestFigure1Architecture(t *testing.T) {
 	if err := mat.LoadLAI(grid, "LAI"); err != nil {
 		t.Fatal(err)
 	}
-	matRes, err := mat.Query(Listing3Query)
+	matRes, err := sparql.Eval(mat.Store, Listing3Query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,18 +240,18 @@ func TestOnTheFlyCacheWindow(t *testing.T) {
 	clock := time.Date(2018, 6, 1, 0, 0, 0, 0, time.UTC)
 	fly.Adapter.Now = func() time.Time { return clock }
 
-	if _, err := fly.Query(Listing3Query); err != nil {
+	if _, err := sparql.Eval(fly.Graph, Listing3Query); err != nil {
 		t.Fatal(err)
 	}
 	calls := fly.Adapter.PhysicalCalls()
-	if _, err := fly.Query(Listing3Query); err != nil {
+	if _, err := sparql.Eval(fly.Graph, Listing3Query); err != nil {
 		t.Fatal(err)
 	}
 	if fly.Adapter.PhysicalCalls() != calls {
 		t.Error("second query within window must be served from cache")
 	}
 	clock = clock.Add(11 * time.Minute)
-	if _, err := fly.Query(Listing3Query); err != nil {
+	if _, err := sparql.Eval(fly.Graph, Listing3Query); err != nil {
 		t.Fatal(err)
 	}
 	if fly.Adapter.PhysicalCalls() != calls+1 {

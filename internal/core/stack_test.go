@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"applab/internal/endpoint"
+	"applab/internal/sparql"
 	"applab/internal/workload"
 )
 
@@ -30,7 +31,7 @@ func TestOnTheFlyStackCloseJoinsServer(t *testing.T) {
 		t.Errorf("OPeNDAP server timeouts: read-header %s, write %s, idle %s; want endpoint.NewServer's",
 			hs.ReadHeaderTimeout, hs.WriteTimeout, hs.IdleTimeout)
 	}
-	if _, err := fly.Query(Listing3Query); err != nil {
+	if _, err := sparql.Eval(fly.Graph, Listing3Query); err != nil {
 		t.Fatal(err)
 	}
 	if err := fly.Close(); err != nil {

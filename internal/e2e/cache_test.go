@@ -357,7 +357,7 @@ func TestGoldenResultCache(t *testing.T) {
 	vg2.Metrics = reg
 
 	s11 := reg.Snapshot()
-	coldRes, err := vg2.Query(core.Listing3Query)
+	coldRes, err := sparql.Eval(vg2, core.Listing3Query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestGoldenResultCache(t *testing.T) {
 	// the window; the other four are window hits.
 	clk.Advance(11 * time.Minute)
 	for i := 0; i < 5; i++ {
-		res, err := vg2.Query(core.Listing3Query)
+		res, err := sparql.Eval(vg2, core.Listing3Query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +399,7 @@ func TestGoldenResultCache(t *testing.T) {
 	// new product in full, and the view is rebuilt from it.
 	publishShift(2)
 	clk.Advance(11 * time.Minute)
-	postRes, err := vg2.Query(core.Listing3Query)
+	postRes, err := sparql.Eval(vg2, core.Listing3Query)
 	if err != nil {
 		t.Fatal(err)
 	}

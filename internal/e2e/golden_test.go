@@ -142,7 +142,7 @@ func TestGoldenWorkflows(t *testing.T) {
 	// Stage 1: first on-the-fly query — a cache miss and one physical
 	// fetch reaching the OPeNDAP server.
 	s0 := reg.Snapshot()
-	flyRes, err := vg.Query(core.Listing3Query)
+	flyRes, err := sparql.Eval(vg, core.Listing3Query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestGoldenWorkflows(t *testing.T) {
 
 	// Stage 2: second query inside the 10-minute Listing 2 window — a
 	// cache hit, nothing reaches the server.
-	flyRes2, err := vg.Query(core.Listing3Query)
+	flyRes2, err := sparql.Eval(vg, core.Listing3Query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,8 +95,9 @@ func TestPooledChunksPinNoView(t *testing.T) {
 }
 
 // TestOnTheFlyOutageCountsScanError: with the OPeNDAP server down, an
-// on-the-fly query still answers empty, the view records the outage,
-// and the scan that read the failure as empty is counted.
+// on-the-fly query still answers empty and partial, the scan that read
+// the failure as empty is counted, and a caller that builds the view
+// itself gets the error.
 func TestOnTheFlyOutageCountsScanError(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sparql.SetMetrics(reg)
@@ -122,8 +123,8 @@ func TestOnTheFlyOutageCountsScanError(t *testing.T) {
 	if len(res.Bindings) != 0 || !res.Partial {
 		t.Fatalf("%d rows, partial %v with the server down; want 0, partial", len(res.Bindings), res.Partial)
 	}
-	if vg.LastError() == nil {
-		t.Error("LastError is nil after an outage")
+	if _, err := vg.SnapshotContext(context.Background()); err == nil {
+		t.Error("a caller building the view itself gets no error during the outage")
 	}
 	wantCounters(t, "outage", before, reg.Snapshot(), map[string]int64{
 		`sparql_scan_errors_total{path="ref"}`:      1,

@@ -46,7 +46,7 @@ func TestSegmentDifferentialWorkflows(t *testing.T) {
 		t.Fatal(err)
 	}
 	vg := obda.NewVirtualGraph(db, mappings)
-	flyRes, err := vg.Query(core.Listing3Query)
+	flyRes, err := sparql.Eval(vg, core.Listing3Query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,14 +76,9 @@ type PartialEvaluator interface {
 	EvalPartialContext(ctx context.Context, query string) (*sparql.Results, bool, error)
 }
 
-// Refresher is implemented by sources whose Match view is a transient
-// snapshot of live upstream data (obda.VirtualGraph): the handler drops
-// the snapshot before each evaluation — mirroring VirtualGraph.Query —
-// so every evaluated request sees current upstream data, with the
-// adapter's window caches (not a pinned snapshot) deciding what is
-// actually refetched. Result-cache hits skip evaluation and therefore
-// skip the refresh, which is what makes a hit completely free.
-type Refresher interface{ Invalidate() }
+// Refresher is sparql.Refresher, which the engine, not the handler,
+// calls; the benchmark's copy of the handler still names it here.
+type Refresher = sparql.Refresher
 
 // maxQueryBytes bounds a POSTed query body. It matches
 // http.DefaultMaxHeaderBytes, which already bounds a GET ?query=.
@@ -218,9 +213,6 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 			defer stop()
 		}
 
-		if rf, ok := src.(Refresher); ok {
-			rf.Invalidate()
-		}
 		sp = tr.StartSpan("eval", now)
 		res, err := query.EvalContext(ctx, src)
 		now = reg.Time()
@@ -432,8 +424,11 @@ func (r *RemoteSource) MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rd
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBodyBytes))
 		return nil, fmt.Errorf("endpoint: query %s: %s: %s", r.URL, resp.Status, body)
 	}
-	if resp.Header.Get("X-Applab-Partial") != "" || resp.Header.Get("X-Applab-Degraded") != "" {
-		scatter.FromContext(ctx).MarkPartial()
+	for _, h := range []string{"X-Applab-Partial", "X-Applab-Degraded"} {
+		if v := resp.Header.Get(h); v != "" {
+			scatter.FromContext(ctx).MarkPartial(fmt.Errorf("endpoint: %s answered %s: %s", r.URL, h, v))
+			break
+		}
 	}
 	var doc struct {
 		Results struct {

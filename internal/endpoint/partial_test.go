@@ -128,8 +128,8 @@ func TestHandlerDegradedPartial(t *testing.T) {
 }
 
 // TestRemoteSourceReadsPartialHeaders: a member answer its endpoint
-// marks partial or degraded marks the caller's Tally partial; a plain
-// answer does not.
+// marks partial or degraded marks the caller's Tally partial, with a
+// cause naming the member and the header; a plain answer does not.
 func TestRemoteSourceReadsPartialHeaders(t *testing.T) {
 	for _, header := range []string{"", "X-Applab-Partial", "X-Applab-Degraded"} {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -146,6 +146,10 @@ func TestRemoteSourceReadsPartialHeaders(t *testing.T) {
 		}
 		if tally.Partial() != (header != "") {
 			t.Fatalf("header %q: tally partial %v", header, tally.Partial())
+		}
+		if cause := tally.Cause(); header != "" && (cause == nil ||
+			!strings.Contains(cause.Error(), srv.URL) || !strings.Contains(cause.Error(), header)) {
+			t.Fatalf("header %q: cause %v names neither the member nor the header", header, cause)
 		}
 	}
 }

@@ -307,11 +307,6 @@ func (f *Federation) selectSources(s, p, o rdf.Term) ([]scatter.Target, []int) {
 	return targets, append(asked, skipped...)
 }
 
-// Query evaluates a (Geo)SPARQL query over the federation.
-func (f *Federation) Query(q string) (*sparql.Results, error) {
-	return sparql.Eval(f, q)
-}
-
 // Cardinality implements sparql.StatsSource by summing the members'
 // estimates. It stays unknown (-1) — keeping the planner in textual
 // order — unless every member provides statistics: a partial sum would

@@ -6,6 +6,7 @@ import (
 
 	"applab/internal/endpoint"
 	"applab/internal/rdf"
+	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/workload"
 )
@@ -26,7 +27,7 @@ func buildMembers(t testing.TB) (*strabon.Store, *strabon.Store) {
 func TestFederatedUnionQuery(t *testing.T) {
 	gadm, osm := buildMembers(t)
 	fed := New(Member{"gadm", gadm}, Member{"osm", osm})
-	res, err := fed.Query(`SELECT (COUNT(*) AS ?n) WHERE { ?s geo:hasGeometry ?g }`)
+	res, err := sparql.Eval(fed, `SELECT (COUNT(*) AS ?n) WHERE { ?s geo:hasGeometry ?g }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestFederatedSpatialJoin(t *testing.T) {
 	fed := New(Member{"gadm", gadm}, Member{"osm", osm})
 	// Cross-endpoint GeoSPARQL join: which parks intersect which
 	// administrative areas — the paper's GADM x OSM federation scenario.
-	res, err := fed.Query(`
+	res, err := sparql.Eval(fed, `
 SELECT ?park ?area WHERE {
   ?park osm:poiType osm:park .
   ?park geo:hasGeometry ?pg . ?pg geo:asWKT ?pw .
@@ -73,11 +74,11 @@ func TestSourceSelectionLearning(t *testing.T) {
 	// First query with osm:poiType asks both members; afterwards the gadm
 	// member is known not to answer that predicate.
 	q := `SELECT (COUNT(*) AS ?n) WHERE { ?s osm:poiType osm:park }`
-	if _, err := fed.Query(q); err != nil {
+	if _, err := sparql.Eval(fed, q); err != nil {
 		t.Fatal(err)
 	}
 	gadmAfterFirst := fed.RequestCount("gadm")
-	if _, err := fed.Query(q); err != nil {
+	if _, err := sparql.Eval(fed, q); err != nil {
 		t.Fatal(err)
 	}
 	if fed.RequestCount("gadm") != gadmAfterFirst {
@@ -89,7 +90,7 @@ func TestSourceSelectionLearning(t *testing.T) {
 	}
 	// ForgetCapabilities resets the learning.
 	fed.ForgetCapabilities()
-	if _, err := fed.Query(q); err != nil {
+	if _, err := sparql.Eval(fed, q); err != nil {
 		t.Fatal(err)
 	}
 	if fed.RequestCount("gadm") == gadmAfterFirst {
@@ -146,7 +147,7 @@ func TestFederationOverHTTPEndpoints(t *testing.T) {
 	}
 	fed := New(Member{"gadm", gadmRemote}, Member{"osm", osmRemote})
 
-	res, err := fed.Query(`
+	res, err := sparql.Eval(fed, `
 SELECT ?name WHERE {
   ?park osm:poiType osm:park ; osm:hasName ?name ;
         geo:hasGeometry ?pg .
@@ -177,7 +178,7 @@ func TestAddMember(t *testing.T) {
 		t.Fatal("initial members")
 	}
 	fed.AddMember(Member{"osm", osm})
-	res, err := fed.Query(`SELECT (COUNT(*) AS ?n) WHERE { ?s osm:poiType ?t }`)
+	res, err := sparql.Eval(fed, `SELECT (COUNT(*) AS ?n) WHERE { ?s osm:poiType ?t }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestFederatedAnswerSaysPartial(t *testing.T) {
 		{"healthy", New(Member{"gadm", gadm}, Member{"osm", osm}), 12 + 20, false},
 		{"broken member", New(Member{"gadm", gadm}, Member{"bad", failingSource{}}), 12, true},
 	} {
-		res, err := c.fed.Query(q)
+		res, err := sparql.Eval(c.fed, q)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"applab/internal/rdf"
+	"applab/internal/sparql"
 	"applab/internal/strabon"
 	"applab/internal/workload"
 )
@@ -35,7 +36,7 @@ func TestConcurrentFederatedQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				q := queries[(w+i)%len(queries)]
-				res, err := fed.Query(q)
+				res, err := sparql.Eval(fed, q)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -70,7 +71,7 @@ func TestConcurrentFederatedQueries(t *testing.T) {
 	wg.Wait()
 
 	// Empty extra members contribute nothing: counts are stable.
-	res, err := fed.Query(queries[0])
+	res, err := sparql.Eval(fed, queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}

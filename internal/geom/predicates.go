@@ -273,6 +273,33 @@ func inSegmentInterior(p Point, g Geometry) bool {
 
 func midpoint(a, b Point) Point { return Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2} }
 
+// interiorInside reports whether a point strictly inside one of b's
+// polygons lies strictly inside a. Every vertex and midpoint of b can lie
+// on a's boundary (two equal polygons); this probe cannot: it is on the
+// line halfway between the polygon's two lowest vertex heights, which
+// meets no vertex, midway between the line's first two boundary crossings.
+func interiorInside(b, a Geometry) bool {
+	return anyPolygon(b, func(pb *Polygon) bool {
+		lo, next := pb.Envelope().MinY, math.Inf(1)
+		anyVertex(pb, func(v Point) bool {
+			if v.Y > lo {
+				next = min(next, v.Y)
+			}
+			return false
+		})
+		y, x1, x2 := (lo+next)/2, math.Inf(1), math.Inf(1)
+		anySegment(pb, func(p, q Point) bool {
+			if (p.Y > y) != (q.Y > y) {
+				x := p.X + (y-p.Y)/(q.Y-p.Y)*(q.X-p.X)
+				x1, x2 = min(x1, x), min(x2, max(x1, x))
+			}
+			return false
+		})
+		c := Point{(x1 + x2) / 2, y}
+		return pointInPolygon(c, pb) > 0 && pointInAny(c, a) > 0
+	})
+}
+
 // ---- OGC simple feature predicates ----
 
 // Intersects reports whether a and b share at least one point.
@@ -331,7 +358,10 @@ func Contains(a, b Geometry) bool {
 			}
 			return r < 0
 		}
-		if anyVertex(b, outside) {
+		// A ring vertex of a (outer or hole) has a's exterior beside it:
+		// b may not hold one strictly inside.
+		insideB := func(p Point) bool { return pointInAny(p, b) > 0 }
+		if anyVertex(b, outside) || hasArea(b) && anyPolygon(a, func(pa *Polygon) bool { return anyVertex(pa, insideB) }) {
 			return false
 		}
 		if anySegment(b, func(p, q Point) bool {
@@ -342,17 +372,11 @@ func Contains(a, b Geometry) bool {
 		}) {
 			return false
 		}
-		if !interior {
-			// All sampled points sit on a's boundary. For an areal b this
-			// happens when the boundaries coincide (Contains(A, A) must
-			// hold): probe interior points of b's polygons. Otherwise b (a
-			// point/line) lies entirely on a's boundary.
-			interior = anyPolygon(b, func(pb *Polygon) bool {
-				c := polygonCentroid(pb)
-				return pointInPolygon(c, pb) > 0 && pointInAny(c, a) > 0
-			})
-		}
-		return interior
+		// All sampled points may sit on a's boundary. For an areal b
+		// this happens when the boundaries coincide (Contains(A, A) must
+		// hold): probe an interior point of b's polygons. Otherwise b (a
+		// point/line) lies entirely on a's boundary.
+		return interior || interiorInside(b, a)
 	}
 	switch ta := a.(type) {
 	case *LineString, *MultiLineString:
@@ -386,16 +410,18 @@ func interiorsIntersect(a, b Geometry) bool {
 	}
 	if areaA {
 		// b strictly inside a somewhere (for a line/point b, that is what
-		// interior intersection means), a strictly inside an areal b, or
-		// proper crossings. One polygon entirely inside the other with no
-		// vertex strictly inside is impossible once envelopes overlap and
-		// edges don't cross, except identical boundaries — hence the
-		// midpoints.
+		// interior intersection means), proper crossings, or for an
+		// areal b the same tests the other way round. Vertices and
+		// midpoints can all lie on the other's boundary (equal or
+		// edge-sharing polygons), hence the interior probes.
 		insideA := func(p Point) bool { return pointInAny(p, a) > 0 }
+		insideB := func(p Point) bool { return pointInAny(p, b) > 0 }
 		return anyVertex(b, insideA) ||
-			(areaB && anyVertex(a, func(p Point) bool { return pointInAny(p, b) > 0 })) ||
+			anySegment(b, func(p, q Point) bool { return insideA(midpoint(p, q)) }) ||
 			anySegmentPair(a, b, segmentsProperCross) ||
-			anySegment(b, func(p, q Point) bool { return insideA(midpoint(p, q)) })
+			areaB && (anyVertex(a, insideB) ||
+				anySegment(a, func(p, q Point) bool { return insideB(midpoint(p, q)) }) ||
+				interiorInside(b, a) || interiorInside(a, b))
 	}
 	// line/line: proper crossing or collinear overlap of positive length,
 	// then points against line/point interiors.

@@ -2,6 +2,8 @@ package geom
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -461,5 +463,147 @@ func TestEveryKindPredicatesAgree(t *testing.T) {
 				t.Fatalf("%s: Distance %g, Intersects %v", name, d, in)
 			}
 		}
+	}
+}
+
+// TestTopologyCounterexamples pins four answers that vertex and midpoint
+// sampling alone gets wrong: a polygon does not touch itself, a concave
+// polygon whose centroid lies outside it still contains itself, Touches
+// and Overlaps do not depend on argument order, and a polygon covering
+// a hole of another is not contained in it.
+func TestTopologyCounterexamples(t *testing.T) {
+	concave := MustParseWKT("POLYGON ((1 4, 5 5, 6 1, 6 6, 1 4))")
+	covering := MustParseWKT("POLYGON ((3 3, 7 3, 7 7, 3 7, 3 3))")
+	cases := []struct {
+		name string
+		got  bool
+		want bool
+	}{
+		{"Touches(square, square)", Touches(unitSquare, unitSquare), false},
+		{"Touches(concave, concave)", Touches(concave, concave), false},
+		{"Contains(concave, concave)", Contains(concave, concave), true},
+		{"Equals(concave, concave)", Equals(concave, concave), true},
+		{"Contains(holed, covers the hole)", Contains(holed, covering), false},
+		{"Within(covers the hole, holed)", Within(covering, holed), false},
+		{"Overlaps(holed, covers the hole)", Overlaps(holed, covering), true},
+	}
+	for _, c := range cases {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	// Each pair below was answered differently in the two orders.
+	for _, pair := range [][2]string{
+		{"POLYGON ((5 7, 4 8, 0 6, 3 4, 2 3, 5 4, 5 7))", "POLYGON ((0 4, 2 3, 3 2, 5 0, 6 4, 0 4))"},
+		{"POLYGON ((2 4, 0 2, 0 1, -1 1, -2 0, -1 0, 2 -5, 2 4))", "POLYGON ((11 5, 9 6, 7 9, 6 8, 1 3, 2 2, 4 1, 10 1, 11 5))"},
+	} {
+		a, b := MustParseWKT(pair[0]), MustParseWKT(pair[1])
+		if Touches(a, b) != Touches(b, a) || Overlaps(a, b) != Overlaps(b, a) {
+			t.Errorf("%s / %s: Touches %v/%v, Overlaps %v/%v", pair[0], pair[1],
+				Touches(a, b), Touches(b, a), Overlaps(a, b), Overlaps(b, a))
+		}
+	}
+}
+
+// randomSimplePolygon draws a star-shaped polygon with 4–8 integer
+// vertices on a small grid, so that pairs share vertices and edges
+// often, and most are concave. Rounding can fold the ring: drawings
+// that are not simple are retried.
+func randomSimplePolygon(rng *rand.Rand) *Polygon {
+	for {
+		cx, cy := float64(rng.Intn(12)), float64(rng.Intn(12))
+		n := 4 + rng.Intn(5)
+		angles := make([]float64, n)
+		for i := range angles {
+			angles[i] = rng.Float64() * 2 * math.Pi
+		}
+		sort.Float64s(angles)
+		ring := make([]Point, 0, n+1)
+		for _, a := range angles {
+			r := 1 + rng.Float64()*6
+			p := Point{math.Round(cx+r*math.Cos(a)) + 0, math.Round(cy+r*math.Sin(a)) + 0} // + 0: no -0
+			if len(ring) == 0 || p != ring[len(ring)-1] {
+				ring = append(ring, p)
+			}
+		}
+		if len(ring) > 1 && ring[0] == ring[len(ring)-1] {
+			ring = ring[:len(ring)-1]
+		}
+		if len(ring) < 3 {
+			continue
+		}
+		ring = append(ring, ring[0])
+		if pg := (&Polygon{Rings: [][]Point{ring}}); simpleRing(ring) && pg.Area() > 0 {
+			return pg
+		}
+	}
+}
+
+// simpleRing reports whether no two edges of the closed ring meet except
+// adjacent edges at their shared vertex.
+func simpleRing(ring []Point) bool {
+	m := len(ring) - 1
+	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
+			a, b, c, d := ring[i], ring[i+1], ring[j], ring[j+1]
+			switch {
+			case j == i+1 || (i == 0 && j == m-1):
+				if math.Abs(orient(a, b, d)) == 0 && math.Abs(orient(c, d, a)) == 0 && collinearOverlap(a, b, c, d) {
+					return false // the ring doubles back on itself
+				}
+				shared, far := b, d
+				if j != i+1 {
+					shared, far = a, c
+				}
+				if onSegment(far, a, b) && far != shared || onSegment(a, c, d) && a != shared || onSegment(b, c, d) && b != shared {
+					return false
+				}
+			case segmentsIntersect(a, b, c, d):
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestRandomPolygonTopologyProperty checks the OGC identities over
+// seeded random concave integer polygons: the symmetric predicates are
+// symmetric, Within is the converse of Contains, a polygon equals and
+// contains itself and does not touch itself, and touching excludes
+// overlapping.
+func TestRandomPolygonTopologyProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	bad := map[string]int{}
+	example := map[string]string{}
+	note := func(what string, a, b Geometry) {
+		if bad[what]++; bad[what] == 1 {
+			example[what] = a.WKT() + " / " + b.WKT()
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := randomSimplePolygon(rng), randomSimplePolygon(rng)
+		for _, p := range []struct {
+			name string
+			fn   func(a, b Geometry) bool
+		}{{"Intersects", Intersects}, {"Touches", Touches}, {"Overlaps", Overlaps}, {"Crosses", Crosses}, {"Equals", Equals}} {
+			if p.fn(a, b) != p.fn(b, a) {
+				note(p.name+" asymmetric", a, b)
+			}
+		}
+		if Within(a, b) != Contains(b, a) {
+			note("Within is not the converse of Contains", a, b)
+		}
+		if Touches(a, b) && Overlaps(a, b) {
+			note("Touches and Overlaps", a, b)
+		}
+		if Touches(a, a) {
+			note("Touches(g, g)", a, a)
+		}
+		if !Contains(a, a) || !Equals(a, a) {
+			note("not Contains(g, g) or not Equals(g, g)", a, a)
+		}
+	}
+	for what, n := range bad {
+		t.Errorf("%s: %d of 20000 pairs, e.g. %s", what, n, example[what])
 	}
 }

@@ -49,7 +49,7 @@ source		SELECT gid, name, wkt FROM admin
 	vg := NewVirtualGraph(db, ms)
 
 	// Virtual class instances from both mappings.
-	res, err := vg.Query(`SELECT (COUNT(*) AS ?n) WHERE { ?s a osm:park }`)
+	res, err := sparql.Eval(vg, `SELECT (COUNT(*) AS ?n) WHERE { ?s a osm:park }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ source		SELECT gid, name, wkt FROM admin
 	}
 
 	// Cross-mapping spatial join: which parks are within West Paris?
-	res, err = vg.Query(`
+	res, err = sparql.Eval(vg, `
 SELECT ?pn WHERE {
   ?park a osm:park ; osm:hasName ?pn ; geo:hasGeometry ?pg .
   ?pg geo:asWKT ?pw .
@@ -82,8 +82,13 @@ target		osm:{id} a osm:Thing .
 source		SELECT id FROM missing
 `)
 	vg := NewVirtualGraph(db, ms)
-	if _, err := vg.Query(`SELECT ?s WHERE { ?s ?p ?o }`); err == nil {
-		t.Error("missing source table must surface as a query error")
+	// The failure reads as a partial answer, counted, not as an empty
+	// dataset.
+	if res, scanErrs := evalCounted(t, vg, `SELECT ?s WHERE { ?s ?p ?o }`); len(res.Bindings) != 0 || !res.Partial || scanErrs != 1 {
+		t.Errorf("missing source table: %d rows, partial %v, %d scan errors; want 0, partial, 1", len(res.Bindings), res.Partial, scanErrs)
+	}
+	if _, err := vg.Snapshot(); err == nil {
+		t.Error("missing source table must surface to a caller that builds the view")
 	}
 	// Match swallows the error per the Source contract.
 	if got := vg.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}); got != nil {
@@ -105,20 +110,28 @@ target		osm:{id} a osm:Thing .
 source		SELECT id FROM (counter 1)
 `)
 	vg := NewVirtualGraph(db, ms)
-	for i := 0; i < 2; i++ {
-		if _, err := vg.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
+	// Each evaluation re-executes the sources once; Snapshot reuses the
+	// view the evaluation built until something invalidates it.
+	for i := 1; i <= 2; i++ {
 		if _, err := sparql.Eval(vg, `ASK { ?s ?p ?o }`); err != nil {
 			t.Fatal(err)
 		}
+		if calls != i {
+			t.Errorf("evaluation %d: %d source executions, want %d", i, calls, i)
+		}
+		if _, err := vg.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if calls != i {
+			t.Errorf("Snapshot after evaluation %d must reuse the view: %d source executions", i, calls)
+		}
 	}
-	if calls != 1 {
-		t.Errorf("Snapshot must reuse the view: %d source executions", calls)
+	vg.Invalidate()
+	if _, err := vg.Snapshot(); err != nil {
+		t.Fatal(err)
 	}
-	vg.Query(`ASK { ?s ?p ?o }`) // Query always re-executes
-	if calls != 2 {
-		t.Errorf("Query must re-execute sources: %d", calls)
+	if calls != 3 {
+		t.Errorf("Snapshot after Invalidate must re-execute: %d source executions, want 3", calls)
 	}
 }
 

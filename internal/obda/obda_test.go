@@ -167,7 +167,7 @@ func TestVirtualGraphListing3(t *testing.T) {
 	vg := NewVirtualGraph(db, ms)
 	// The paper's Listing 3 query (modulo the lai:hasLai/lai:lai naming
 	// which the paper itself uses inconsistently; we follow the mapping).
-	res, err := vg.Query(`
+	res, err := sparql.Eval(vg, `
 SELECT DISTINCT ?s ?wkt ?lai
 WHERE { ?s lai:lai ?lai .
         ?s geo:hasGeometry ?g .
@@ -202,7 +202,7 @@ func TestVirtualGraphSpatialFilter(t *testing.T) {
 	defer closeFn()
 	ms, _ := ParseMappings(listing2)
 	vg := NewVirtualGraph(db, ms)
-	res, err := vg.Query(`
+	res, err := sparql.Eval(vg, `
 SELECT ?lai WHERE {
   ?s lai:lai ?lai ; geo:hasGeometry ?g .
   ?g geo:asWKT ?wkt .

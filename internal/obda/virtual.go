@@ -10,7 +10,6 @@ import (
 	"applab/internal/madis"
 	"applab/internal/rdf"
 	"applab/internal/rescache"
-	"applab/internal/sparql"
 	"applab/internal/telemetry"
 )
 
@@ -42,7 +41,6 @@ type VirtualGraph struct {
 	snap        *rdf.Graph     // published view; nil = stale
 	view        *rdf.Graph     // last view built, kept across Invalidate
 	bases       []*madis.Table // source relations view was built from
-	lastErr     error          // most recent Snapshot failure; nil after success
 	rebuilds    uint64         // views built: the data epoch
 	fingerprint string
 }
@@ -53,8 +51,9 @@ func NewVirtualGraph(db *madis.DB, mappings []Mapping) *VirtualGraph {
 		fingerprint: rescache.NextFingerprint("obda")}
 }
 
-// Invalidate marks the view stale so the next query re-executes the
-// mapping sources.
+// Invalidate implements sparql.Refresher: it marks the view stale so
+// the next read re-executes the mapping sources. The engine calls it
+// when an evaluation starts.
 func (vg *VirtualGraph) Invalidate() {
 	vg.mu.Lock()
 	defer vg.mu.Unlock()
@@ -72,9 +71,8 @@ func (vg *VirtualGraph) Snapshot() (*rdf.Graph, error) {
 // mapping sources (each potentially a live OPeNDAP call through the
 // SQL layer) it polls ctx and the attached admission budget, so an
 // over-deadline query stops before the next expensive fetch instead of
-// executing the rest of the sources. An abort is not recorded in
-// LastError — the source is fine, the query ran out of budget. A failed
-// or aborted revalidation publishes nothing; the previous view is never
+// executing the rest of the sources. A failed or aborted revalidation
+// publishes nothing and returns its error; the previous view is never
 // served in its place.
 func (vg *VirtualGraph) SnapshotContext(ctx context.Context) (*rdf.Graph, error) {
 	vg.mu.Lock()
@@ -83,8 +81,7 @@ func (vg *VirtualGraph) SnapshotContext(ctx context.Context) (*rdf.Graph, error)
 		return vg.snap, nil
 	}
 	fail := func(m Mapping, err error) (*rdf.Graph, error) {
-		vg.lastErr = fmt.Errorf("obda: mapping %s: %v", m.ID, err)
-		return nil, vg.lastErr
+		return nil, fmt.Errorf("obda: mapping %s: %v", m.ID, err)
 	}
 	bases := make([]*madis.Table, len(vg.mappings))
 	for i, m := range vg.mappings {
@@ -129,16 +126,15 @@ func (vg *VirtualGraph) SnapshotContext(ctx context.Context) (*rdf.Graph, error)
 		vg.noteReuse()
 	}
 	vg.snap = vg.view
-	vg.lastErr = nil
 	return vg.snap, nil
 }
 
 // Match implements sparql.Source over the current snapshot (building it on
 // first use). An upstream failure (e.g. the OPeNDAP server behind the
 // opendap virtual table is down) yields empty results here — the Source
-// contract has no error channel — but is retained for LastError and
-// surfaced by MatchErr, so callers never mistake an outage for an empty
-// dataset.
+// contract has no error channel — and is surfaced by MatchErr and
+// AppendRefs, which the engine reads: the answer is marked partial, so
+// callers never mistake an outage for an empty dataset.
 func (vg *VirtualGraph) Match(s, p, o rdf.Term) []rdf.Triple {
 	triples, err := vg.MatchErr(s, p, o)
 	if err != nil {
@@ -220,36 +216,4 @@ func (vg *VirtualGraph) EpochAdvancesOnEval() {}
 // Fingerprint implements rescache.Fingerprinter (per-instance identity).
 func (vg *VirtualGraph) Fingerprint() string {
 	return vg.fingerprint
-}
-
-// LastError reports the most recent snapshot failure (nil once a
-// snapshot succeeds). Callers of the plain Source interface check it to
-// distinguish "no data" from "source down".
-func (vg *VirtualGraph) LastError() error {
-	vg.mu.Lock()
-	defer vg.mu.Unlock()
-	return vg.lastErr
-}
-
-// Query evaluates a GeoSPARQL query on-the-fly: the mapping sources are
-// re-executed (subject to any adapter caches below the SQL layer), then the
-// query runs over the transient view.
-func (vg *VirtualGraph) Query(q string) (*sparql.Results, error) {
-	return vg.QueryContext(context.Background(), q)
-}
-
-// QueryContext is Query under a context: with an admission.Budget
-// attached (admission.WithBudget) the snapshot build and the query
-// evaluation both stop cooperatively on cancellation, deadline expiry
-// or budget violation, returning the structured budget error.
-func (vg *VirtualGraph) QueryContext(ctx context.Context, q string) (*sparql.Results, error) {
-	vg.Invalidate()
-	if _, err := vg.SnapshotContext(ctx); err != nil {
-		return nil, err
-	}
-	query, err := sparql.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return query.EvalContext(ctx, vg)
 }

@@ -372,6 +372,8 @@ type Tally struct {
 	// partial is set once any target did not answer or a reader marked
 	// its answer incomplete.
 	partial bool
+	// cause is the first reason a reader marked the answer partial with.
+	cause error
 	// Members aggregates the outcomes of the named targets.
 	Members map[string]*MemberTally
 }
@@ -400,15 +402,30 @@ func FromContext(ctx context.Context) *Tally {
 
 // MarkPartial marks the answer partial without a fan-out: a read that
 // degraded to an empty answer, or a remote answer its endpoint called
-// partial. A nil Tally ignores it. A replica abandoned by its read may
-// still mark after the evaluation returned; Partial stays safe to call.
-func (t *Tally) MarkPartial() {
+// partial. cause says why; the Tally keeps the first one. A nil Tally
+// ignores it. A replica abandoned by its read may still mark after the
+// evaluation returned; Partial and Cause stay safe to call.
+func (t *Tally) MarkPartial(cause error) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.partial = true
+	if t.cause == nil {
+		t.cause = cause
+	}
 	t.mu.Unlock()
+}
+
+// Cause returns the first cause a reader marked the answer partial
+// with; nil when none did, and for a nil Tally.
+func (t *Tally) Cause() error {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.cause
 }
 
 // Partial reports whether any target did not answer or any read was

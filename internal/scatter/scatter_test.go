@@ -479,18 +479,21 @@ func TestTallyAddsUpEveryFanout(t *testing.T) {
 }
 
 // TestMarkPartial: a reader marks the context's Tally partial without a
-// fan-out; a context without a Tally ignores the mark.
+// fan-out, and the Tally keeps the first cause; a context without a
+// Tally ignores the mark.
 func TestMarkPartial(t *testing.T) {
-	scatter.FromContext(context.Background()).MarkPartial()
-	if scatter.FromContext(context.Background()).Partial() {
+	scatter.FromContext(context.Background()).MarkPartial(errors.New("ignored"))
+	if none := scatter.FromContext(context.Background()); none.Partial() || none.Cause() != nil {
 		t.Fatal("a context without a Tally reads partial")
 	}
 	ctx, tally := scatter.WithTally(context.Background())
 	if scatter.FromContext(ctx) != tally || tally.Partial() {
 		t.Fatal("a fresh Tally must be the context's and complete")
 	}
-	scatter.FromContext(ctx).MarkPartial()
-	if !tally.Partial() || tally.Fanouts != 0 {
-		t.Fatalf("after MarkPartial: partial %v, %d fan-outs; want true, 0", tally.Partial(), tally.Fanouts)
+	first, second := errors.New("first"), errors.New("second")
+	scatter.FromContext(ctx).MarkPartial(first)
+	scatter.FromContext(ctx).MarkPartial(second)
+	if !tally.Partial() || tally.Fanouts != 0 || tally.Cause() != first {
+		t.Fatalf("after MarkPartial: partial %v, %d fan-outs, cause %v; want true, 0, first", tally.Partial(), tally.Fanouts, tally.Cause())
 	}
 }

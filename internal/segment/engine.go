@@ -830,7 +830,7 @@ func (e *Engine) Segments() int {
 func (e *Engine) Dir() string { return e.dir }
 
 // Err returns the first segment read error observed by a query, nil
-// when every read verified. Mirrors strabon.Store.IndexErr.
+// when every read verified.
 func (e *Engine) Err() error {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()

@@ -70,6 +70,12 @@ type ContextSource interface {
 	MatchContext(ctx context.Context, s, p, o rdf.Term) ([]rdf.Triple, error)
 }
 
+// Refresher is an optional extension of Source for a view that is a
+// live snapshot of upstream data (obda.VirtualGraph). The engine calls
+// Invalidate once when an evaluation starts, before it plans; the
+// source's own caches (the mapping's window) decide what is refetched.
+type Refresher interface{ Invalidate() }
+
 // MatchContext reads the pattern from src through the strongest triple
 // read it has: MatchContext under ctx, else MatchErr, else Match. The
 // engine reads a source without AppendRefs this way, and so do wrappers
@@ -86,6 +92,7 @@ type caps struct {
 	ex      BatchExchangeSource // every scan of a partitioned source, else nil: the source, or fragmentBatch
 	stats   StatsSource         // nil without statistics
 	spatial SpatialSource       // nil without a spatial index
+	refresh Refresher           // nil unless the view is a live snapshot
 }
 
 // capabilities reads what src can do. It is the one place the engine
@@ -96,6 +103,7 @@ func capabilities(src Source) caps {
 	c.triples.es, _ = src.(ErrorSource)
 	c.stats, _ = src.(StatsSource)
 	c.spatial, _ = src.(SpatialSource)
+	c.refresh, _ = src.(Refresher)
 	if ex, ok := src.(ExchangeSource); ok {
 		if c.ex, ok = src.(BatchExchangeSource); !ok {
 			c.ex = fragmentBatch{ex}
@@ -223,6 +231,7 @@ func (q *Query) Eval(src Source) (*Results, error) {
 // the exact unlimited path Eval always used. The evaluation counts its
 // fan-outs and absorbed read errors on ctx's scatter.Tally, attaching
 // one when ctx carries none, and Results.Partial reports its verdict.
+// A Refresher source drops its view before the query is planned.
 func (q *Query) EvalContext(ctx context.Context, src Source) (*Results, error) {
 	workers, threshold := runtime.GOMAXPROCS(0), parallelThreshold
 	if f := forced.Load(); f != nil {
@@ -233,6 +242,9 @@ func (q *Query) EvalContext(ctx context.Context, src Source) (*Results, error) {
 
 func (q *Query) evalCtx(ctx context.Context, src Source, workers, threshold int) (*Results, error) {
 	c := capabilities(src)
+	if c.refresh != nil {
+		c.refresh.Invalidate()
+	}
 	if c.triples.es != nil {
 		// Remote-backed sources keep sequential, single-flight scans:
 		// error reporting and federation deadlines depend on it.

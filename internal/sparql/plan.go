@@ -156,7 +156,7 @@ func (ec *execCtx) scanErr(path string, err error) error {
 	}
 	if !admission.Aborted(err) {
 		noteScanError(path)
-		ec.tally.MarkPartial()
+		ec.tally.MarkPartial(err)
 		return nil
 	}
 	if berr := ec.budget.Err(); berr != nil {

@@ -49,7 +49,7 @@ type Store struct {
 	// append, flush); see Err.
 	writeErr error
 	// indexErr records the first geometry error of the last index build;
-	// queries proceed over the parseable subset (see IndexErr).
+	// queries proceed over the parseable subset (see Freeze).
 	indexErr error
 	// spatial indexes the envelopes of the geo:asWKT triples in wkt,
 	// tree id i naming wkt[i]; geometries counts their distinct subjects.
@@ -248,20 +248,11 @@ func (s *Store) Query(q string) (*sparql.Results, error) {
 // Freeze (re)builds the spatial index. It is called automatically by
 // SpatialCandidates and GeometryCount when the store changed. The
 // returned error is the first geometry that failed to parse (the index is
-// still built over the parseable subset); it stays available via
-// IndexErr.
+// still built over the parseable subset).
 func (s *Store) Freeze() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.freezeLocked()
-	return s.indexErr
-}
-
-// IndexErr returns the first geometry error of the last index build, nil
-// when every geometry parsed.
-func (s *Store) IndexErr() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.indexErr
 }
 
