@@ -5,6 +5,7 @@
 package applab
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -311,7 +312,7 @@ func BenchmarkE6_TileCache(b *testing.B) {
 		tiles := opendap.NewTileCache(client, 12)
 		tiles.SetShape("viewport", "NDVI", []int{128, 128})
 		for _, c := range reqs {
-			if _, err := tiles.Fetch("viewport", c); err != nil {
+			if _, err := tiles.Fetch(context.Background(), "viewport", c); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -326,7 +327,7 @@ func BenchmarkE6_ExactCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		exact := opendap.NewExactCache(client)
 		for _, c := range reqs {
-			if _, err := exact.Fetch("viewport", c); err != nil {
+			if _, err := exact.Fetch(context.Background(), "viewport", c); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -126,7 +126,9 @@ fi
 echo "== refresh belongs to the evaluation"
 # The engine drops a live view (sparql.Refresher) once when an
 # evaluation starts, before it plans: no other code decides when, and no
-# one-shot Query helper wraps that step or sparql.Eval beside it. bench/
+# one-shot Query helper wraps that step or sparql.Eval beside it. A
+# federation refreshes its members through sparql.Refresh, so it asserts
+# no Refresher either. bench/
 # keeps its mirror of the handler, and strabon.Store.Query stays, until
 # the benchmark's next revision.
 refresh=$( (grep -rnE --include='*.go' --exclude='*_test.go' \
@@ -152,6 +154,26 @@ fresh=$(grep -rnE --include='*.go' --exclude='*_test.go' \
 if [ -n "$fresh" ]; then
     echo "a second freshness mechanism for the on-the-fly view (the mapping's window is the one):" >&2
     echo "$fresh" >&2
+    exit 1
+fi
+
+echo "== the on-the-fly read runs under the caller's context"
+# A query's deadline reaches the OPeNDAP request behind the virtual
+# graph: MadIS, the OPeNDAP client and the obda layer make no context of
+# their own. VirtualGraph.Snapshot and MatchErr, the context-less entry
+# points bench/ calls, are the only exceptions until the benchmark's
+# next revision.
+bg=$(for f in internal/madis/*.go internal/opendap/*.go internal/obda/*.go; do
+    case "$f" in *_test.go) continue ;; esac
+    awk '
+        /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+        /context\.(Background|TODO)\(\)/ {
+            if (FILENAME != "internal/obda/virtual.go" || (fn != "Snapshot" && fn != "MatchErr")) print FILENAME ":" FNR ": " $0
+        }' "$f"
+done)
+if [ -n "$bg" ]; then
+    echo "a context made on the on-the-fly read path (take the caller's):" >&2
+    echo "$bg" >&2
     exit 1
 fi
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -439,6 +440,7 @@ func runE6(cfg scales) error {
 	viewport := cfg.e6Grid / 5
 	trace := viewportTrace(cfg.e6Grid, viewport, cfg.e6Steps)
 
+	ctx := context.Background()
 	run := func(f opendap.Fetcher) (int64, error) {
 		before := srv.Requests()
 		for _, tl := range trace {
@@ -446,7 +448,7 @@ func runE6(cfg scales) error {
 				{Start: tl[1], Stride: 1, Stop: tl[1] + viewport - 1},
 				{Start: tl[0], Stride: 1, Stop: tl[0] + viewport - 1},
 			}}
-			if _, err := f.Fetch("viewport", c); err != nil {
+			if _, err := f.Fetch(ctx, "viewport", c); err != nil {
 				return 0, err
 			}
 		}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -52,7 +53,8 @@ func main() {
 		// so fetching the smallest variable is enough — but the simplest
 		// faithful route is fetching the dataset whole.
 		client := opendap.NewClient(*baseURL)
-		names, err := client.Catalog()
+		ctx := context.Background()
+		names, err := client.Catalog(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -66,7 +68,7 @@ func main() {
 			log.Fatalf("dataset %q not in catalog %v", *dataset, names)
 		}
 		// Fetch every variable named in the DDS to rebuild the dataset.
-		dds, err := client.DDS(*dataset)
+		dds, err := client.DDS(ctx, *dataset)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,7 +78,7 @@ func main() {
 		}
 		ds = nil
 		for _, dv := range ddsVars {
-			sub, err := client.Fetch(*dataset, opendap.Constraint{Var: dv.Name})
+			sub, err := client.Fetch(ctx, *dataset, opendap.Constraint{Var: dv.Name})
 			if err != nil {
 				log.Fatal(err)
 			}

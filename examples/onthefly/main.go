@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -36,7 +37,7 @@ func main() {
 	fmt.Printf("OPeNDAP server at %s\n", stack.URL())
 
 	// Metadata discovery the way a mobile developer would do it.
-	dds, err := stack.Client.DDS("lai")
+	dds, err := stack.Client.DDS(context.Background(), "lai")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,12 +56,12 @@ func (c *tcpConn) roundTrip(req Message) (Message, error) {
 	return resp, err
 }
 
+// dialTimeout bounds a TCPTransport's connection establishment.
+const dialTimeout = 2 * time.Second
+
 // TCPTransport speaks the wire protocol over TCP with a per-address
 // connection pool. The node name passed to Call is its dial address.
 type TCPTransport struct {
-	// DialTimeout bounds connection establishment (default 2s).
-	DialTimeout time.Duration
-
 	mu    sync.Mutex
 	conns map[string][]*tcpConn
 }
@@ -81,11 +81,7 @@ func (t *TCPTransport) get(addr string) (*tcpConn, error) {
 		return c, nil
 	}
 	t.mu.Unlock()
-	d := t.DialTimeout
-	if d <= 0 {
-		d = 2 * time.Second
-	}
-	c, err := net.DialTimeout("tcp", addr, d)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

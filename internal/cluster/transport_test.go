@@ -66,7 +66,6 @@ func TestTCPTransportServerDown(t *testing.T) {
 	srv := ServeNode(l, n)
 	addr := srv.Addr()
 	tr := NewTCPTransport()
-	tr.DialTimeout = 2 * time.Second
 	defer tr.Close()
 	ctx := context.Background()
 	if _, err := tr.Call(ctx, addr, Message{Type: MsgPingReq}); err != nil {

@@ -219,7 +219,9 @@ type Options struct {
 }
 
 // Defaults returns the commands' flag defaults: a 5 s drain and queue
-// timeout, and opendap.NewResilientClient's resilience.
+// timeout, and the OPeNDAP client's resilience: a 30 s deadline per
+// attempt, 3 retries, and a breaker that opens for 10 s after 5
+// consecutive failures.
 func Defaults() Options {
 	return Options{Drain: endpoint.DefaultDrain, QueueTimeout: 5 * time.Second, Timeout: 30 * time.Second,
 		Retries: 3, BreakerFailures: 5, BreakerCooldown: 10 * time.Second}

@@ -1,6 +1,7 @@
 package e2e
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 
 	"applab/internal/core"
 	"applab/internal/endpoint"
+	"applab/internal/federation"
 	"applab/internal/madis"
 	"applab/internal/obda"
 	"applab/internal/opendap"
@@ -17,6 +19,29 @@ import (
 	"applab/internal/telemetry"
 	"applab/internal/workload"
 )
+
+// liveGraph is a virtual graph over a window-0 Listing 2 mapping, so
+// every evaluation reads the OPeNDAP server, which the test may close.
+func liveGraph(t *testing.T) (*obda.VirtualGraph, *httptest.Server) {
+	t.Helper()
+	opts := workload.DefaultLAIOptions()
+	opts.NLat, opts.NLon, opts.Times = 4, 4, 2
+	grid := workload.LAIGrid(opts)
+	grid.Name = "lai"
+	dapSrv := opendap.NewServer()
+	dapSrv.Publish(grid)
+	dapHTTP := httptest.NewServer(dapSrv)
+	t.Cleanup(dapHTTP.Close)
+
+	client := opendap.NewClient(dapHTTP.URL)
+	db := madis.NewDB()
+	obda.NewOpendapAdapter(client).Register(db)
+	mappings, err := obda.ParseMappings(strings.Replace(core.Listing2Mapping, "lai/LAI/, 10", "lai/LAI/, 0", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obda.NewVirtualGraph(db, mappings), dapHTTP
+}
 
 // TestOneShotReadsLiveViewLikeEndpoint: one virtual graph whose mapping
 // has window 0, evaluated one-shot through sparql.Eval and served by the
@@ -26,24 +51,7 @@ import (
 // both answer empty and partial. Neither serves the view an earlier
 // evaluation built.
 func TestOneShotReadsLiveViewLikeEndpoint(t *testing.T) {
-	opts := workload.DefaultLAIOptions()
-	opts.NLat, opts.NLon, opts.Times = 4, 4, 2
-	grid := workload.LAIGrid(opts)
-	grid.Name = "lai"
-	dapSrv := opendap.NewServer()
-	dapSrv.Publish(grid)
-	dapHTTP := httptest.NewServer(dapSrv)
-	defer dapHTTP.Close()
-
-	client := opendap.NewClient(dapHTTP.URL)
-	client.MaxRetries = 0
-	db := madis.NewDB()
-	obda.NewOpendapAdapter(client).Register(db)
-	mappings, err := obda.ParseMappings(strings.Replace(core.Listing2Mapping, "lai/LAI/, 10", "lai/LAI/, 0", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vg := obda.NewVirtualGraph(db, mappings)
+	vg, dapHTTP := liveGraph(t)
 	srv := httptest.NewServer(endpoint.NewHandlerOpts(vg, telemetry.NewRegistry(), endpoint.Options{}))
 	defer srv.Close()
 
@@ -91,4 +99,31 @@ func TestOneShotReadsLiveViewLikeEndpoint(t *testing.T) {
 	if rows, partial := served(); len(rows) != 0 || !partial {
 		t.Fatalf("served with OPeNDAP down: %d rows, partial %v; want 0, partial", len(rows), partial)
 	}
+}
+
+// TestFederationRefreshesLiveMember: a federation whose one member is a
+// live virtual graph refreshes that member with every evaluation, so
+// once OPeNDAP is down the answer is empty and partial, not the view an
+// earlier evaluation pinned.
+func TestFederationRefreshesLiveMember(t *testing.T) {
+	vg, dapHTTP := liveGraph(t)
+	fed := federation.New(federation.Member{Name: "otf", Source: vg})
+
+	res, err := sparql.Eval(fed, core.Listing3Query)
+	if err != nil || len(res.Bindings) != 31 || res.Partial {
+		t.Fatalf("OPeNDAP up: %v; want 31 rows, complete", describe(res, err))
+	}
+	dapHTTP.Close()
+	res, err = sparql.Eval(fed, core.Listing3Query)
+	if err != nil || len(res.Bindings) != 0 || !res.Partial {
+		t.Fatalf("OPeNDAP down: %v; want 0 rows, partial", describe(res, err))
+	}
+}
+
+// describe summarizes an evaluation's outcome for a failure message.
+func describe(res *sparql.Results, err error) string {
+	if err != nil {
+		return err.Error()
+	}
+	return fmt.Sprintf("%d rows, partial %v", len(res.Bindings), res.Partial)
 }

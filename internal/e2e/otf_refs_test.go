@@ -163,8 +163,11 @@ func TestOnTheFlyOutageAnswerNotCached(t *testing.T) {
 		t.Fatalf("healthy oracle: %d rows, partial %v, err %v", len(want.Bindings), want != nil && want.Partial, err)
 	}
 
-	// The resilient client makes 4 attempts per fetch: all 4 fail.
-	client := opendap.NewResilientClient(dapHTTP.URL)
+	// The commands' resilience makes 4 attempts per fetch: all 4 fail.
+	d := core.Defaults()
+	client := opendap.NewClient(dapHTTP.URL)
+	client.Timeout, client.MaxRetries = d.Timeout, d.Retries
+	client.Breaker = opendap.NewBreaker(d.BreakerFailures, d.BreakerCooldown)
 	client.HTTP = &http.Client{Transport: faults.NewRoundTripper(faults.FailN(4, faults.Step{Kind: faults.ConnError}), nil)}
 	client.Sleep = func(time.Duration) {}
 	cache := rescache.New(16, 0)

@@ -357,6 +357,16 @@ func (f *Federation) Fingerprint() string {
 	return fp
 }
 
+// Invalidate implements sparql.Refresher: an evaluation over the
+// federation refreshes every member as an evaluation over that member
+// would, so a live member (a virtual graph) revalidates its view once
+// per evaluation instead of serving the one it pinned.
+func (f *Federation) Invalidate() {
+	for _, m := range f.snapshot() {
+		sparql.Refresh(m.Source)
+	}
+}
+
 // ForgetCapabilities clears learned source selection (e.g. after member
 // data changes).
 func (f *Federation) ForgetCapabilities() {

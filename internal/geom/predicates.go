@@ -226,6 +226,27 @@ func anyPolygon(g Geometry, fn func(*Polygon) bool) bool {
 	return false
 }
 
+// anyLine walks the vertex lists of g's linear components.
+func anyLine(g Geometry, fn func([]Point) bool) bool {
+	switch t := g.(type) {
+	case *LineString:
+		return fn(t.Points)
+	case *MultiLineString:
+		for _, l := range t.Lines {
+			if fn(l.Points) {
+				return true
+			}
+		}
+	case *Collection:
+		for _, m := range t.Members {
+			if anyLine(m, fn) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // anyLoosePoint walks the point components of g (point and multipoint
 // members).
 func anyLoosePoint(g Geometry, fn func(Point) bool) bool {
@@ -263,12 +284,25 @@ func onAnySegment(p Point, g Geometry) bool {
 	return anySegment(g, func(a, b Point) bool { return onSegment(p, a, b) })
 }
 
-// inSegmentInterior reports whether p lies on some segment of g other
-// than at its endpoints.
-func inSegmentInterior(p Point, g Geometry) bool {
-	return anySegment(g, func(a, b Point) bool {
-		return onSegment(p, a, b) && !samePoint(p, a) && !samePoint(p, b)
+// lineBoundary reports whether p is on the boundary of g's linear
+// components under the mod-2 rule: it is an endpoint of an odd number of
+// them, so a closed line has none.
+func lineBoundary(p Point, g Geometry) bool {
+	odd := false
+	anyLine(g, func(pts []Point) bool {
+		if len(pts) > 0 && samePoint(p, pts[0]) != samePoint(p, pts[len(pts)-1]) {
+			odd = !odd
+		}
+		return false
 	})
+	return odd
+}
+
+// inInterior reports whether p is in the interior of a g without area:
+// one of its points, or on one of its lines off their boundary.
+func inInterior(p Point, g Geometry) bool {
+	return anyLoosePoint(g, func(w Point) bool { return samePoint(p, w) }) ||
+		onAnySegment(p, g) && !lineBoundary(p, g)
 }
 
 func midpoint(a, b Point) Point { return Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2} }
@@ -378,20 +412,20 @@ func Contains(a, b Geometry) bool {
 		// point/line) lies entirely on a's boundary.
 		return interior || interiorInside(b, a)
 	}
-	switch ta := a.(type) {
+	switch a.(type) {
 	case *LineString, *MultiLineString:
 		// Line contains points / sub-lines: every vertex and midpoint of b
-		// must lie on some segment of a. A line contains a point only in
-		// its interior; endpoints are boundary. Accept boundary too
-		// (pragmatic covers semantics).
+		// lies on a, and one of them in a's interior. An endpoint of a is
+		// its boundary (mod-2 rule), so a line does not contain it.
 		offLine := func(p Point) bool { return !onAnySegment(p, a) }
+		interior := func(p Point) bool { return !lineBoundary(p, a) }
 		return !anyVertex(b, offLine) &&
-			!anySegment(b, func(p, q Point) bool { return offLine(midpoint(p, q)) })
-	case *PointGeom:
-		return !anyVertex(b, func(v Point) bool { return !samePoint(ta.P, v) })
-	case *MultiPoint:
-		return !anyVertex(b, func(v Point) bool {
-			return !anyPoint(ta.Points, func(p Point) bool { return samePoint(p, v) })
+			!anySegment(b, func(p, q Point) bool { return offLine(midpoint(p, q)) }) &&
+			(anyVertex(b, interior) || anySegment(b, func(p, q Point) bool { return interior(midpoint(p, q)) }))
+	case *PointGeom, *MultiPoint:
+		// Points contain points only.
+		return dimension(b) == 0 && !anyVertex(b, func(v Point) bool {
+			return !anyLoosePoint(a, func(p Point) bool { return samePoint(p, v) })
 		})
 	}
 	return false
@@ -423,15 +457,13 @@ func interiorsIntersect(a, b Geometry) bool {
 				anySegment(a, func(p, q Point) bool { return insideB(midpoint(p, q)) }) ||
 				interiorInside(b, a) || interiorInside(a, b))
 	}
-	// line/line: proper crossing or collinear overlap of positive length,
-	// then points against line/point interiors.
+	// Neither is areal: a proper crossing, a collinear overlap of positive
+	// length, or a vertex of one that is interior to both (mod-2 rule).
 	return anySegmentPair(a, b, func(p1, p2, q1, q2 Point) bool {
 		return segmentsProperCross(p1, p2, q1, q2) || collinearOverlap(p1, p2, q1, q2)
 	}) ||
-		anyLoosePoint(a, func(v Point) bool {
-			return inSegmentInterior(v, b) || anyLoosePoint(b, func(w Point) bool { return samePoint(v, w) })
-		}) ||
-		anyLoosePoint(b, func(v Point) bool { return inSegmentInterior(v, a) })
+		anyVertex(a, func(v Point) bool { return !lineBoundary(v, a) && inInterior(v, b) }) ||
+		anyVertex(b, func(v Point) bool { return !lineBoundary(v, b) && inInterior(v, a) })
 }
 
 // collinearOverlap reports whether segments ab and cd are collinear and
@@ -459,22 +491,30 @@ func Touches(a, b Geometry) bool {
 	return Intersects(a, b) && !interiorsIntersect(a, b)
 }
 
-// Overlaps reports whether a and b have the same dimension, their interiors
-// intersect, and neither contains the other.
+// Overlaps reports whether a and b have the same dimension, their
+// interiors meet in that dimension, and neither contains the other. Two
+// lines overlap along a length, not at a point where they cross.
 func Overlaps(a, b Geometry) bool {
-	if dimension(a) != dimension(b) {
+	d := dimension(a)
+	if d != dimension(b) {
 		return false
 	}
-	return interiorsIntersect(a, b) && !Contains(a, b) && !Contains(b, a)
+	var meet bool
+	if d == 1 {
+		meet = anySegmentPair(a, b, collinearOverlap)
+	} else {
+		meet = interiorsIntersect(a, b)
+	}
+	return meet && !Contains(a, b) && !Contains(b, a)
 }
 
 // Crosses reports whether the interiors intersect and the geometries have
-// different dimensions (or two lines crossing at a point).
+// different dimensions, or whether two lines' interiors meet at points
+// only.
 func Crosses(a, b Geometry) bool {
 	da, db := dimension(a), dimension(b)
 	if da == db {
-		// Two lines cross when they properly cross at points.
-		return da == 1 && anySegmentPair(a, b, segmentsProperCross)
+		return da == 1 && interiorsIntersect(a, b) && !anySegmentPair(a, b, collinearOverlap)
 	}
 	return interiorsIntersect(a, b) && !Contains(a, b) && !Contains(b, a)
 }
@@ -484,29 +524,7 @@ func Equals(a, b Geometry) bool {
 	if a.IsEmpty() && b.IsEmpty() {
 		return true
 	}
-	da, db := dimension(a), dimension(b)
-	if da != db {
-		return false
-	}
-	if da == 0 {
-		return Contains(a, b) && Contains(b, a)
-	}
-	// For lines and areas mutual "every point inside" is sufficient at our
-	// tolerance: check all vertices and midpoints mutually.
-	return coveredBy(a, b) && coveredBy(b, a)
-}
-
-// coveredBy reports whether every sampled point of a lies on/in b.
-func coveredBy(a, b Geometry) bool {
-	areal := hasArea(b)
-	outside := func(p Point) bool {
-		if areal {
-			return pointInAny(p, b) < 0
-		}
-		return !onAnySegment(p, b)
-	}
-	return !anyVertex(a, outside) &&
-		!anySegment(a, func(p, q Point) bool { return outside(midpoint(p, q)) })
+	return dimension(a) == dimension(b) && Contains(a, b) && Contains(b, a)
 }
 
 func dimension(g Geometry) int {

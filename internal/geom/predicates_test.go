@@ -607,3 +607,73 @@ func TestRandomPolygonTopologyProperty(t *testing.T) {
 		t.Errorf("%s: %d of 20000 pairs, e.g. %s", what, n, example[what])
 	}
 }
+
+// TestRelationSpecTable pins the named relations on cases whose answers
+// are written by hand from the DE-9IM definitions of OGC Simple Features
+// (06-103r4, §6.1.15), not computed by this package. A line's boundary
+// follows the mod-2 rule: the endpoints shared by an odd number of its
+// components, none for a closed line.
+func TestRelationSpecTable(t *testing.T) {
+	preds := map[string]func(a, b Geometry) bool{
+		"Equals": Equals, "Disjoint": Disjoint, "Intersects": Intersects, "Touches": Touches,
+		"Crosses": Crosses, "Within": Within, "Contains": Contains, "Overlaps": Overlaps,
+	}
+	const (
+		square = "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))"
+		vee    = "LINESTRING (0 0, 1 1, 2 0)"
+		upward = "LINESTRING (1 -1, 1 3)"
+	)
+	cases := []struct {
+		a, b string
+		want map[string]bool // predicates not named are not checked
+	}{
+		// A hole is exterior: the holed square is within the square and
+		// not equal to it.
+		{square, "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 3 1, 3 3, 1 3, 1 1))",
+			map[string]bool{"Equals": false, "Contains": true, "Within": false, "Overlaps": false}},
+		{square, "POLYGON ((4 0, 4 4, 0 4, 0 0, 4 0))",
+			map[string]bool{"Equals": true, "Contains": true, "Within": true, "Touches": false}},
+		// The vertical line passes through the vee's apex, a point of both
+		// interiors: they cross at a point.
+		{vee, upward, map[string]bool{"Intersects": true, "Touches": false, "Crosses": true, "Overlaps": false}},
+		{upward, vee, map[string]bool{"Touches": false, "Crosses": true}},
+		// Two lines crossing at one point cross; they do not overlap.
+		{"LINESTRING (-1 2, 5 2)", upward, map[string]bool{"Crosses": true, "Overlaps": false, "Touches": false}},
+		// The multipoint's (1 1) is the vee's apex, (2 2) is off it.
+		{"MULTIPOINT ((1 1), (2 2), (3 1))", vee,
+			map[string]bool{"Touches": false, "Crosses": true, "Within": false}},
+		{"MULTIPOINT ((0 0), (2 0))", vee, map[string]bool{"Touches": true, "Crosses": false}},
+		// An endpoint is on a line's boundary, not in its interior.
+		{upward, "POINT (1 -1)", map[string]bool{"Contains": false, "Intersects": true}},
+		{"POINT (1 -1)", upward, map[string]bool{"Within": false, "Touches": true}},
+		{upward, "POINT (1 0)", map[string]bool{"Contains": true}},
+		{"LINESTRING (0 0, 2 0, 2 2, 0 0)", "POINT (0 0)", map[string]bool{"Contains": true, "Touches": false}},
+		{"MULTILINESTRING ((0 0, 1 0), (1 0, 2 0))", "POINT (1 0)", map[string]bool{"Contains": true}},
+		{"MULTILINESTRING ((0 0, 1 0), (1 0, 2 0))", "POINT (0 0)", map[string]bool{"Contains": false, "Touches": true}},
+		// One line ends in the other's interior: they touch.
+		{"LINESTRING (0 0, 2 0)", "LINESTRING (1 0, 1 1)",
+			map[string]bool{"Touches": true, "Crosses": false, "Overlaps": false}},
+		// Collinear along a length, neither inside the other: overlap.
+		{"LINESTRING (0 0, 2 0)", "LINESTRING (1 0, 3 0)",
+			map[string]bool{"Overlaps": true, "Crosses": false, "Touches": false, "Contains": false}},
+		{"LINESTRING (0 0, 2 0)", "LINESTRING (2 0, 1 0, 0 0)",
+			map[string]bool{"Equals": true, "Contains": true, "Overlaps": false}},
+		{"LINESTRING (0 0, 4 0)", "LINESTRING (0 0, 1 0)", map[string]bool{"Contains": true, "Equals": false}},
+		{"LINESTRING (0 0, 2 0)", "MULTIPOINT ((0 0), (1 0), (2 0))", map[string]bool{"Contains": true, "Equals": false}},
+		{"MULTIPOINT ((0 0), (1 0), (2 0))", "LINESTRING (0 0, 2 0)", map[string]bool{"Equals": false, "Contains": false}},
+		{"MULTIPOINT ((0 0), (2 0))", "LINESTRING (0 0, 2 0)", map[string]bool{"Contains": false, "Touches": true}},
+		{"MULTIPOINT ((0 0), (2 0))", "POINT (2 0)", map[string]bool{"Contains": true, "Equals": false}},
+		// A line along a polygon's edge touches it; one through it crosses.
+		{"LINESTRING (0 0, 4 0)", square, map[string]bool{"Touches": true, "Crosses": false, "Within": false}},
+		{"LINESTRING (-1 2, 5 2)", square, map[string]bool{"Crosses": true, "Within": false, "Touches": false}},
+		{"POINT (4 2)", square, map[string]bool{"Touches": true, "Within": false}},
+	}
+	for _, c := range cases {
+		a, b := MustParseWKT(c.a), MustParseWKT(c.b)
+		for name, want := range c.want {
+			if got := preds[name](a, b); got != want {
+				t.Errorf("%s(%s, %s) = %v, want %v", name, c.a, c.b, got, want)
+			}
+		}
+	}
+}

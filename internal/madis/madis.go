@@ -14,6 +14,7 @@
 package madis
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -47,8 +48,9 @@ func (t *Table) ColIndex(name string) (int, bool) {
 }
 
 // VirtualTable is a user-defined table function: it receives the raw
-// argument strings from the FROM clause and produces a relation.
-type VirtualTable func(args []string) (*Table, error)
+// argument strings from the FROM clause and produces a relation. ctx is
+// the caller's: a function that blocks (a fetch) stops when it is done.
+type VirtualTable func(ctx context.Context, args []string) (*Table, error)
 
 // DB is a collection of named tables and registered virtual table
 // functions. It is safe for concurrent reads; registration and table
@@ -96,19 +98,6 @@ func (db *DB) virtualTable(name string) (VirtualTable, bool) {
 	return fn, ok
 }
 
-// Query parses and evaluates a SQL statement.
-func (db *DB) Query(sql string) (*Table, error) {
-	stmt, err := db.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	base, err := stmt.Base()
-	if err != nil {
-		return nil, err
-	}
-	return stmt.Over(base)
-}
-
 // Stmt is a parsed statement bound to its database. It holds no
 // per-execution state, so one Stmt may be executed from many goroutines.
 type Stmt struct {
@@ -128,17 +117,18 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 // Base resolves the statement's single FROM relation: the stored table
 // as registered now, or one call of the virtual table function. Tables
 // are immutable once registered or returned, so the statement and the
-// pointer Base returns together determine what Over answers.
-func (st *Stmt) Base() (*Table, error) {
+// pointer Base returns together determine what Over answers. A virtual
+// table function runs under ctx.
+func (st *Stmt) Base(ctx context.Context) (*Table, error) {
 	stmt := st.sel
 	if stmt.fromVTable != "" {
 		fn, ok := st.db.virtualTable(stmt.fromVTable)
 		if !ok {
 			return nil, fmt.Errorf("madis: unknown virtual table %q", stmt.fromVTable)
 		}
-		t, err := fn(stmt.vtableArgs)
+		t, err := fn(ctx, stmt.vtableArgs)
 		if err != nil {
-			return nil, fmt.Errorf("madis: virtual table %s: %v", stmt.fromVTable, err)
+			return nil, fmt.Errorf("madis: virtual table %s: %w", stmt.fromVTable, err)
 		}
 		return t, nil
 	}

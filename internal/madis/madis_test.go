@@ -1,6 +1,8 @@
 package madis
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -19,10 +21,23 @@ func peopleTable() *Table {
 	}
 }
 
+// query prepares sql and runs it once.
+func query(db *DB, sql string) (*Table, error) {
+	stmt, err := db.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	base, err := stmt.Base(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	return stmt.Over(base)
+}
+
 func TestSelectAll(t *testing.T) {
 	db := NewDB()
 	db.CreateTable(peopleTable())
-	res, err := db.Query("SELECT * FROM people")
+	res, err := query(db, "SELECT * FROM people")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +49,7 @@ func TestSelectAll(t *testing.T) {
 func TestProjection(t *testing.T) {
 	db := NewDB()
 	db.CreateTable(peopleTable())
-	res, err := db.Query("SELECT name, city FROM people")
+	res, err := query(db, "SELECT name, city FROM people")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +59,7 @@ func TestProjection(t *testing.T) {
 	if res.Rows[0][0] != "Alice" || res.Rows[0][1] != "Paris" {
 		t.Fatalf("row0 = %v", res.Rows[0])
 	}
-	if _, err := db.Query("SELECT nope FROM people"); err == nil {
+	if _, err := query(db, "SELECT nope FROM people"); err == nil {
 		t.Error("unknown column must error")
 	}
 }
@@ -64,7 +79,7 @@ func TestWhere(t *testing.T) {
 		{"SELECT name FROM people WHERE name < 'C'", 2},
 	}
 	for _, c := range cases {
-		res, err := db.Query(c.sql)
+		res, err := query(db, c.sql)
 		if err != nil {
 			t.Errorf("%q: %v", c.sql, err)
 			continue
@@ -74,7 +89,7 @@ func TestWhere(t *testing.T) {
 		}
 	}
 	// NULL never matches
-	res, _ := db.Query("SELECT name FROM people WHERE age < 100")
+	res, _ := query(db, "SELECT name FROM people WHERE age < 100")
 	if len(res.Rows) != 3 {
 		t.Errorf("NULL age must not match: %v", res.Rows)
 	}
@@ -84,7 +99,7 @@ func TestWhereColumnToColumn(t *testing.T) {
 	db := NewDB()
 	db.CreateTable(&Table{Name: "t", Cols: []string{"a", "b"},
 		Rows: []Row{{1.0, 2.0}, {3.0, 3.0}, {5.0, 4.0}}})
-	res, err := db.Query("SELECT a FROM t WHERE a < b")
+	res, err := query(db, "SELECT a FROM t WHERE a < b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +111,14 @@ func TestWhereColumnToColumn(t *testing.T) {
 func TestOrderByLimit(t *testing.T) {
 	db := NewDB()
 	db.CreateTable(peopleTable())
-	res, err := db.Query("SELECT name FROM people WHERE age > 0 ORDER BY age DESC LIMIT 2")
+	res, err := query(db, "SELECT name FROM people WHERE age > 0 ORDER BY age DESC LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 || res.Rows[0][0] != "Carol" || res.Rows[1][0] != "Alice" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	res, err = db.Query("SELECT name FROM people ORDER BY name LIMIT 1")
+	res, err = query(db, "SELECT name FROM people ORDER BY name LIMIT 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +129,7 @@ func TestOrderByLimit(t *testing.T) {
 
 func TestVirtualTable(t *testing.T) {
 	db := NewDB()
-	db.RegisterVirtualTable("range", func(args []string) (*Table, error) {
+	db.RegisterVirtualTable("range", func(_ context.Context, args []string) (*Table, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("range takes 1 argument")
 		}
@@ -126,7 +141,7 @@ func TestVirtualTable(t *testing.T) {
 		}
 		return tb, nil
 	})
-	res, err := db.Query("SELECT i, sq FROM (range 5) WHERE sq > 3")
+	res, err := query(db, "SELECT i, sq FROM (range 5) WHERE sq > 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +149,17 @@ func TestVirtualTable(t *testing.T) {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	// with "ordered" keyword and url: prefix like the paper's Listing 2
-	res, err = db.Query("SELECT i FROM (ordered range url:5) WHERE i >= 2")
+	res, err = query(db, "SELECT i FROM (ordered range url:5) WHERE i >= 2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("ordered rows = %v", res.Rows)
 	}
-	if _, err := db.Query("SELECT x FROM (nosuch 1)"); err == nil {
+	if _, err := query(db, "SELECT x FROM (nosuch 1)"); err == nil {
 		t.Error("unknown vtable must error")
 	}
-	if _, err := db.Query("SELECT i FROM (range)"); err == nil {
+	if _, err := query(db, "SELECT i FROM (range)"); err == nil {
 		t.Error("vtable arg error must propagate")
 	}
 }
@@ -152,7 +167,7 @@ func TestVirtualTable(t *testing.T) {
 func TestListing2SourceShape(t *testing.T) {
 	// The exact FROM/WHERE shape of the paper's Listing 2 mapping source.
 	db := NewDB()
-	db.RegisterVirtualTable("opendap", func(args []string) (*Table, error) {
+	db.RegisterVirtualTable("opendap", func(_ context.Context, args []string) (*Table, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("opendap takes url and window, got %v", args)
 		}
@@ -170,7 +185,7 @@ func TestListing2SourceShape(t *testing.T) {
 FROM (ordered opendap
 url:https://analytics.ramani.ujuizi.com/thredds/dodsC/Copernicus-Land-timeseries-global-LAI%29/readdods/LAI/, 10)
 WHERE LAI > 0`
-	res, err := db.Query(sql)
+	res, err := query(db, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +214,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT name FROM people trailing garbage",
 	}
 	for _, q := range bad {
-		if _, err := db.Query(q); err == nil {
+		if _, err := query(db, q); err == nil {
 			t.Errorf("expected error for %q", q)
 		}
 	}
@@ -208,7 +223,7 @@ func TestParseErrors(t *testing.T) {
 func TestCaseInsensitivity(t *testing.T) {
 	db := NewDB()
 	db.CreateTable(peopleTable())
-	res, err := db.Query("select NAME from PEOPLE where AGE > 26 order by NAME limit 10")
+	res, err := query(db, "select NAME from PEOPLE where AGE > 26 order by NAME limit 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +234,7 @@ func TestCaseInsensitivity(t *testing.T) {
 
 // A prepared statement is parsed once; Base resolves the FROM relation as
 // it is now (a stored table by pointer, a virtual table by one call) and
-// Over answers what Query answers.
+// Over answers what a one-off query answers.
 func TestPreparedStatement(t *testing.T) {
 	db := NewDB()
 	people := peopleTable()
@@ -228,7 +243,7 @@ func TestPreparedStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := stmt.Base()
+	base, err := stmt.Base(context.Background())
 	if err != nil || base != people {
 		t.Fatalf("Base = %p, %v; want the registered table %p", base, err, people)
 	}
@@ -236,9 +251,9 @@ func TestPreparedStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := db.Query("SELECT name FROM people WHERE city = 'Paris' ORDER BY age DESC")
+	want, _ := query(db, "SELECT name FROM people WHERE city = 'Paris' ORDER BY age DESC")
 	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) || fmt.Sprint(got.Rows) != "[[Carol] [Alice]]" {
-		t.Fatalf("Over = %v, Query = %v", got.Rows, want.Rows)
+		t.Fatalf("Over = %v, query = %v", got.Rows, want.Rows)
 	}
 	if len(people.Rows) != 4 || people.Rows[0][1] != "Alice" {
 		t.Fatal("Over mutated its base")
@@ -247,12 +262,12 @@ func TestPreparedStatement(t *testing.T) {
 	// Replacing the table is what changes the relation.
 	replaced := &Table{Name: "people", Cols: people.Cols, Rows: people.Rows[:1]}
 	db.CreateTable(replaced)
-	if base, _ := stmt.Base(); base != replaced {
+	if base, _ := stmt.Base(context.Background()); base != replaced {
 		t.Fatal("Base must resolve the table registered now")
 	}
 
 	calls := 0
-	db.RegisterVirtualTable("gen", func(args []string) (*Table, error) {
+	db.RegisterVirtualTable("gen", func(_ context.Context, args []string) (*Table, error) {
 		calls++
 		return &Table{Name: "gen", Cols: []string{"n"}, Rows: []Row{{float64(calls)}}}, nil
 	})
@@ -261,7 +276,7 @@ func TestPreparedStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for want := 1; want <= 2; want++ {
-		base, err := vstmt.Base()
+		base, err := vstmt.Base(context.Background())
 		if err != nil || calls != want {
 			t.Fatalf("Base call %d: %d virtual table calls, %v", want, calls, err)
 		}
@@ -277,7 +292,7 @@ func TestPreparedStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := missing.Base(); err == nil {
+	if _, err := missing.Base(context.Background()); err == nil {
 		t.Error("Base must report an unknown table")
 	}
 	badCol, _ := db.Prepare("SELECT nope FROM people")
@@ -301,7 +316,7 @@ func TestStmtSharedAcrossGoroutines(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50 && errs[g] == nil; i++ {
-				base, err := stmt.Base()
+				base, err := stmt.Base(context.Background())
 				if err != nil {
 					errs[g] = err
 					return
@@ -317,5 +332,24 @@ func TestStmtSharedAcrossGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// A virtual table function runs under the caller's context, and its
+// error wraps the context's.
+func TestVirtualTableRunsUnderCallerContext(t *testing.T) {
+	db := NewDB()
+	db.RegisterVirtualTable("wait", func(ctx context.Context, _ []string) (*Table, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	stmt, err := db.Prepare("SELECT n FROM (wait 1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := stmt.Base(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Base under a cancelled context = %v, want context.Canceled", err)
 	}
 }

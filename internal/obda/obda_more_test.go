@@ -1,6 +1,7 @@
 package obda
 
 import (
+	"context"
 	"testing"
 
 	"applab/internal/madis"
@@ -99,7 +100,7 @@ source		SELECT id FROM missing
 func TestSnapshotReusedUntilInvalidated(t *testing.T) {
 	db := madis.NewDB()
 	calls := 0
-	db.RegisterVirtualTable("counter", func(args []string) (*madis.Table, error) {
+	db.RegisterVirtualTable("counter", func(_ context.Context, args []string) (*madis.Table, error) {
 		calls++
 		return &madis.Table{Name: "counter", Cols: []string{"id"},
 			Rows: []madis.Row{{"x"}}}, nil

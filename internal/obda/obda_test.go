@@ -1,6 +1,7 @@
 package obda
 
 import (
+	"context"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -131,10 +132,23 @@ func laiServer(t testing.TB, latency time.Duration) (*madis.DB, *OpendapAdapter,
 	return db, adapter, srv, hs.Close
 }
 
+// query prepares sql and runs it once.
+func query(db *madis.DB, sql string) (*madis.Table, error) {
+	stmt, err := db.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	base, err := stmt.Base(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	return stmt.Over(base)
+}
+
 func TestOpendapVirtualTable(t *testing.T) {
 	db, _, _, closeFn := laiServer(t, 0)
 	defer closeFn()
-	res, err := db.Query("SELECT id, LAI, ts, loc FROM (ordered opendap url:lai/LAI/, 0) WHERE LAI > 0")
+	res, err := query(db, "SELECT id, LAI, ts, loc FROM (ordered opendap url:lai/LAI/, 0) WHERE LAI > 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +241,12 @@ func TestCacheWindowReducesCalls(t *testing.T) {
 	adapter.Now = func() time.Time { return clock }
 
 	q := "SELECT id, LAI, ts, loc FROM (ordered opendap url:lai/LAI/, 10) WHERE LAI > 0"
-	if _, err := db.Query(q); err != nil {
+	if _, err := query(db, q); err != nil {
 		t.Fatal(err)
 	}
 	calls1 := adapter.PhysicalCalls()
 	// Second identical query within the window: served from cache.
-	if _, err := db.Query(q); err != nil {
+	if _, err := query(db, q); err != nil {
 		t.Fatal(err)
 	}
 	if adapter.PhysicalCalls() != calls1 {
@@ -240,7 +254,7 @@ func TestCacheWindowReducesCalls(t *testing.T) {
 	}
 	// After the window expires, the server is called again.
 	clock = clock.Add(11 * time.Minute)
-	if _, err := db.Query(q); err != nil {
+	if _, err := query(db, q); err != nil {
 		t.Fatal(err)
 	}
 	if adapter.PhysicalCalls() != calls1+1 {
@@ -248,8 +262,8 @@ func TestCacheWindowReducesCalls(t *testing.T) {
 	}
 	// Window 0 always fetches.
 	q0 := "SELECT id, LAI, ts, loc FROM (ordered opendap url:lai/LAI/, 0) WHERE LAI > 0"
-	db.Query(q0)
-	db.Query(q0)
+	query(db, q0)
+	query(db, q0)
 	if adapter.PhysicalCalls() != calls1+3 {
 		t.Errorf("window 0 must always fetch: calls = %d", adapter.PhysicalCalls())
 	}

@@ -119,9 +119,10 @@ func (a *OpendapAdapter) now() time.Time {
 // came back is not the one the region's relation was built from. After
 // InvalidateCaches the fetch is unconditional. When that fetch
 // fails on a windowed region under ServeStale, the region's relation is
-// served stale. Callers can therefore tell an unchanged source by the
-// returned pointer.
-func (a *OpendapAdapter) Table(args []string) (*madis.Table, error) {
+// served stale, unless it failed because ctx is done: the caller's abort
+// is not an outage. The fetch runs under ctx. Callers can therefore tell
+// an unchanged source by the returned pointer.
+func (a *OpendapAdapter) Table(ctx context.Context, args []string) (*madis.Table, error) {
 	if len(args) == 0 {
 		return nil, fmt.Errorf("opendap: missing dataset argument")
 	}
@@ -149,9 +150,9 @@ func (a *OpendapAdapter) Table(args []string) (*madis.Table, error) {
 	a.calls++
 	a.mu.Unlock()
 	a.notePhysicalFetch()
-	ds, etag, err := a.client.FetchIfChanged(context.Background(), dataset, opendap.Constraint{Var: varName}, r.etag)
+	ds, etag, err := a.client.FetchIfChanged(ctx, dataset, opendap.Constraint{Var: varName}, r.etag)
 	if err != nil {
-		if a.ServeStale && window > 0 {
+		if a.ServeStale && window > 0 && ctx.Err() == nil {
 			a.mu.Lock()
 			r = a.regions[key]
 			a.mu.Unlock()

@@ -64,7 +64,7 @@ func TestShiftedTimeAxisIsAnotherGrid(t *testing.T) {
 	args := []string{"lai/LAI/", "10"}
 	table := func() *madis.Table {
 		t.Helper()
-		tb, err := adapter.Table(args)
+		tb, err := adapter.Table(context.Background(), args)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestServeStaleReusesSlot(t *testing.T) {
 	adapter.ServeStale = true
 
 	g1 := wantView(t, vg, "cold", 1, 0)
-	t1, err := adapter.Table([]string{"lai/LAI/", "10"})
+	t1, err := adapter.Table(context.Background(), []string{"lai/LAI/", "10"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestServeStaleReusesSlot(t *testing.T) {
 	if g := wantView(t, vg, "stale", 1, 1); g != g1 {
 		t.Fatal("the stale copy must re-publish the same view")
 	}
-	if t2, err := adapter.Table([]string{"lai/LAI/", "10"}); err != nil || t2 != t1 {
+	if t2, err := adapter.Table(context.Background(), []string{"lai/LAI/", "10"}); err != nil || t2 != t1 {
 		t.Fatalf("the stale serve is not the region's table (%v)", err)
 	}
 	if stale := vg.Metrics.Snapshot().Counters["opendap_cache_stale_total"]; stale != 2 {
@@ -191,7 +191,7 @@ func TestAbortBetweenSourcesPublishesNothing(t *testing.T) {
 	db := madis.NewDB()
 	calls := map[string]int{}
 	var cancel context.CancelFunc
-	db.RegisterVirtualTable("counter", func(args []string) (*madis.Table, error) {
+	db.RegisterVirtualTable("counter", func(_ context.Context, args []string) (*madis.Table, error) {
 		calls[args[0]]++
 		if args[0] == "a" && cancel != nil {
 			cancel()
@@ -335,7 +335,7 @@ func TestNotModifiedKeepsTable(t *testing.T) {
 	args := []string{"lai/LAI/", "10"}
 	table := func(step string) *madis.Table {
 		t.Helper()
-		tb, err := adapter.Table(args)
+		tb, err := adapter.Table(context.Background(), args)
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
@@ -428,7 +428,7 @@ func TestNotModifiedAllocations(t *testing.T) {
 	clock := time.Date(2018, 6, 1, 12, 0, 0, 0, time.UTC)
 	adapter.Now = func() time.Time { return clock }
 	args := []string{"lai/LAI/", "10"}
-	t1, err := adapter.Table(args)
+	t1, err := adapter.Table(context.Background(), args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestNotModifiedAllocations(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		clock = clock.Add(11 * time.Minute)
-		if tb, err := adapter.Table(args); err != nil || tb != t1 {
+		if tb, err := adapter.Table(context.Background(), args); err != nil || tb != t1 {
 			t.Fatalf("revalidation %d: same table = %v, %v", i, tb == t1, err)
 		}
 	}

@@ -67,12 +67,12 @@ func (vg *VirtualGraph) Snapshot() (*rdf.Graph, error) {
 	return vg.SnapshotContext(context.Background())
 }
 
-// SnapshotContext is Snapshot with cooperative cancellation: between
-// mapping sources (each potentially a live OPeNDAP call through the
-// SQL layer) it polls ctx and the attached admission budget, so an
-// over-deadline query stops before the next expensive fetch instead of
-// executing the rest of the sources. A failed or aborted revalidation
-// publishes nothing and returns its error; the previous view is never
+// SnapshotContext is Snapshot under the caller's context: each mapping
+// source runs under ctx, so a live OPeNDAP fetch behind it stops when
+// ctx is done, and between sources it polls ctx and the attached
+// admission budget, so an over-deadline query stops before the next
+// expensive fetch. A failed or aborted revalidation publishes nothing
+// and returns its error, which wraps ctx's; the previous view is never
 // served in its place.
 func (vg *VirtualGraph) SnapshotContext(ctx context.Context) (*rdf.Graph, error) {
 	vg.mu.Lock()
@@ -81,7 +81,7 @@ func (vg *VirtualGraph) SnapshotContext(ctx context.Context) (*rdf.Graph, error)
 		return vg.snap, nil
 	}
 	fail := func(m Mapping, err error) (*rdf.Graph, error) {
-		return nil, fmt.Errorf("obda: mapping %s: %v", m.ID, err)
+		return nil, fmt.Errorf("obda: mapping %s: %w", m.ID, err)
 	}
 	bases := make([]*madis.Table, len(vg.mappings))
 	for i, m := range vg.mappings {
@@ -95,7 +95,7 @@ func (vg *VirtualGraph) SnapshotContext(ctx context.Context) (*rdf.Graph, error)
 			}
 			vg.stmts[i] = stmt
 		}
-		base, err := vg.stmts[i].Base()
+		base, err := vg.stmts[i].Base(ctx)
 		if err != nil {
 			return fail(m, err)
 		}

@@ -6,6 +6,7 @@ package obda
 // region is windowed) or a stale serve — and what it hands back.
 
 import (
+	"context"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -48,7 +49,7 @@ func wantCalls(t *testing.T, a *OpendapAdapter, step string, hits, misses, stale
 // mustTable calls the virtual table with args.
 func mustTable(t *testing.T, a *OpendapAdapter, args ...string) *madis.Table {
 	t.Helper()
-	tb, err := a.Table(args)
+	tb, err := a.Table(context.Background(), args)
 	if err != nil {
 		t.Fatalf("opendap %v: %v", args, err)
 	}
@@ -129,7 +130,7 @@ func TestWindowCacheInvalidate(t *testing.T) {
 
 	a.InvalidateCaches()
 	goDown(a, 1)
-	if _, err := a.Table([]string{"lai/LAI/", "60"}); err == nil {
+	if _, err := a.Table(context.Background(), []string{"lai/LAI/", "60"}); err == nil {
 		t.Fatal("an invalidated window was served stale")
 	}
 	wantCalls(t, a, "outage", 0, 2, 0, 3)
@@ -146,13 +147,13 @@ func TestStaleWhileError(t *testing.T) {
 
 	*clock = clock.Add(20 * time.Minute)
 	goDown(a, 3)
-	if tb, err := a.Table([]string{"lai/LAI/", "10"}); err != nil || tb != t1 {
+	if tb, err := a.Table(context.Background(), []string{"lai/LAI/", "10"}); err != nil || tb != t1 {
 		t.Fatalf("stale-while-error must serve the region's table (%v)", err)
 	}
-	if _, err := a.Table([]string{"lai/LAI/", "0"}); err == nil {
+	if _, err := a.Table(context.Background(), []string{"lai/LAI/", "0"}); err == nil {
 		t.Fatal("an un-windowed region was served stale")
 	}
-	if _, err := a.Table([]string{"lai/LAI/", "5"}); err == nil {
+	if _, err := a.Table(context.Background(), []string{"lai/LAI/", "5"}); err == nil {
 		t.Fatal("a region never fetched was served")
 	}
 	wantCalls(t, a, "outage", 0, 1, 1, 5)
@@ -167,7 +168,7 @@ func TestStaleWhileError(t *testing.T) {
 	a.ServeStale = false
 	*clock = clock.Add(20 * time.Minute)
 	goDown(a, 1)
-	if _, err := a.Table([]string{"lai/LAI/", "10"}); err == nil {
+	if _, err := a.Table(context.Background(), []string{"lai/LAI/", "10"}); err == nil {
 		t.Fatal("served stale without ServeStale")
 	}
 	wantCalls(t, a, "no ServeStale", 0, 2, 1, 7)
@@ -192,7 +193,7 @@ func TestWindowCacheConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				tb, err := a.Table(calls[(w+i)%len(calls)])
+				tb, err := a.Table(context.Background(), calls[(w+i)%len(calls)])
 				if err != nil || len(tb.Rows) != 18 {
 					t.Errorf("worker %d: %v", w, err)
 					return

@@ -23,12 +23,12 @@ func TestAuthRejectsUnregistered(t *testing.T) {
 	defer closeFn()
 
 	anon := NewClient(base)
-	if _, err := anon.Fetch("lai", Constraint{Var: "time"}); err == nil {
+	if _, err := anon.Fetch(ctx, "lai", Constraint{Var: "time"}); err == nil {
 		t.Error("anonymous data fetch must be rejected")
 	}
 	bad := NewClient(base)
 	bad.Token = "wrong"
-	if _, err := bad.Fetch("lai", Constraint{Var: "time"}); err == nil {
+	if _, err := bad.Fetch(ctx, "lai", Constraint{Var: "time"}); err == nil {
 		t.Error("bad token must be rejected")
 	}
 	if ac.Denied() != 2 {
@@ -43,13 +43,13 @@ func TestAuthAllowsRegisteredAndTracksUsage(t *testing.T) {
 	alice := NewClient(base)
 	alice.Token = "secret-token-1"
 	for i := 0; i < 3; i++ {
-		if _, err := alice.Fetch("lai", Constraint{Var: "time"}); err != nil {
+		if _, err := alice.Fetch(ctx, "lai", Constraint{Var: "time"}); err != nil {
 			t.Fatalf("registered fetch: %v", err)
 		}
 	}
 	bob := NewClient(base)
 	bob.Token = "secret-token-2"
-	if _, err := bob.Fetch("lai", Constraint{Var: "LAI"}); err != nil {
+	if _, err := bob.Fetch(ctx, "lai", Constraint{Var: "LAI"}); err != nil {
 		t.Fatalf("bob fetch: %v", err)
 	}
 
@@ -69,13 +69,13 @@ func TestAuthMetadataStaysOpen(t *testing.T) {
 	_, _, base, closeFn := newAuthServer(t)
 	defer closeFn()
 	anon := NewClient(base)
-	if _, err := anon.DDS("lai"); err != nil {
+	if _, err := anon.DDS(ctx, "lai"); err != nil {
 		t.Errorf("DDS must stay open: %v", err)
 	}
-	if _, err := anon.Catalog(); err != nil {
+	if _, err := anon.Catalog(ctx); err != nil {
 		t.Errorf("catalog must stay open: %v", err)
 	}
-	if _, err := anon.NcML("lai"); err != nil {
+	if _, err := anon.NcML(ctx, "lai"); err != nil {
 		t.Errorf("NcML must stay open: %v", err)
 	}
 }
@@ -103,11 +103,11 @@ func TestAuthRevoke(t *testing.T) {
 	defer closeFn()
 	c := NewClient(base)
 	c.Token = "secret-token-1"
-	if _, err := c.Fetch("lai", Constraint{Var: "time"}); err != nil {
+	if _, err := c.Fetch(ctx, "lai", Constraint{Var: "time"}); err != nil {
 		t.Fatal(err)
 	}
 	ac.Revoke("secret-token-1")
-	if _, err := c.Fetch("lai", Constraint{Var: "time"}); err == nil {
+	if _, err := c.Fetch(ctx, "lai", Constraint{Var: "time"}); err == nil {
 		t.Error("revoked token must be rejected")
 	}
 }

@@ -103,7 +103,8 @@ func (b *Breaker) setState(s BreakerState) {
 
 // Allow reports whether a request may proceed, transitioning open →
 // half-open when the cooldown has elapsed. Every successful Allow must
-// be matched by a Record call with the request's outcome.
+// be matched by a Record call with the request's outcome, or by release
+// when the caller abandoned the request.
 func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -141,6 +142,18 @@ func (b *Breaker) Record(err error) {
 		b.setState(BreakerOpen)
 		b.openedAt = b.now()
 	}
+}
+
+// release matches an Allow whose request the caller abandoned: no
+// outcome is recorded, and a half-open circuit admits the next probe.
+// A nil breaker is a no-op.
+func (b *Breaker) release() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
 }
 
 // State returns the current circuit state without transitioning it.

@@ -1,6 +1,7 @@
 package opendap
 
 import (
+	"context"
 	"sync"
 
 	"applab/internal/netcdf"
@@ -21,10 +22,10 @@ func (s CacheStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Fetcher retrieves a constrained subset of a named dataset. Client
-// implements it; the caches wrap any Fetcher.
+// Fetcher retrieves a constrained subset of a named dataset under the
+// caller's context. Client implements it; the caches wrap any Fetcher.
 type Fetcher interface {
-	Fetch(name string, constraint Constraint) (*netcdf.Dataset, error)
+	Fetch(ctx context.Context, name string, constraint Constraint) (*netcdf.Dataset, error)
 }
 
 // TileCache is the index-aligned cache of the paper's §5 discussion:
@@ -65,14 +66,14 @@ func NewTileCache(inner Fetcher, tileSize int) *TileCache {
 
 // Fetch implements Fetcher. The constraint must use stride 1 (viewport
 // requests do); other strides bypass the cache.
-func (c *TileCache) Fetch(name string, constraint Constraint) (*netcdf.Dataset, error) {
+func (c *TileCache) Fetch(ctx context.Context, name string, constraint Constraint) (*netcdf.Dataset, error) {
 	for _, r := range constraint.Ranges {
 		if r.Stride != 1 {
-			return c.inner.Fetch(name, constraint)
+			return c.inner.Fetch(ctx, name, constraint)
 		}
 	}
 	if len(constraint.Ranges) == 0 {
-		return c.inner.Fetch(name, constraint)
+		return c.inner.Fetch(ctx, name, constraint)
 	}
 	// Enumerate covering tiles.
 	type tileCoord []int
@@ -115,7 +116,7 @@ func (c *TileCache) Fetch(name string, constraint Constraint) (*netcdf.Dataset, 
 			}
 			ranges[i] = netcdf.Range{Start: t * c.tileSize, Stride: 1, Stop: stop}
 		}
-		ds, err := c.inner.Fetch(name, Constraint{Var: constraint.Var, Ranges: ranges})
+		ds, err := c.inner.Fetch(ctx, name, Constraint{Var: constraint.Var, Ranges: ranges})
 		if err != nil {
 			return nil, err
 		}
@@ -253,7 +254,7 @@ func NewExactCache(inner Fetcher) *ExactCache {
 }
 
 // Fetch implements Fetcher.
-func (c *ExactCache) Fetch(name string, constraint Constraint) (*netcdf.Dataset, error) {
+func (c *ExactCache) Fetch(ctx context.Context, name string, constraint Constraint) (*netcdf.Dataset, error) {
 	key := name + "?" + constraint.String()
 	c.mu.Lock()
 	if ds, ok := c.entries[key]; ok {
@@ -262,7 +263,7 @@ func (c *ExactCache) Fetch(name string, constraint Constraint) (*netcdf.Dataset,
 		return ds, nil
 	}
 	c.mu.Unlock()
-	ds, err := c.inner.Fetch(name, constraint)
+	ds, err := c.inner.Fetch(ctx, name, constraint)
 	if err != nil {
 		return nil, err
 	}

@@ -20,9 +20,9 @@ import (
 )
 
 // Client talks to an OPeNDAP server. The zero-value resilience knobs
-// reproduce the old naive behaviour (one attempt, no deadline, no
-// breaker); NewResilientClient selects production defaults. All requests
-// are idempotent GETs, so retrying is always safe.
+// make one attempt with no deadline of its own and no breaker (the
+// commands take theirs from core.Defaults). Every request is an
+// idempotent GET, so retrying is safe, under the caller's context.
 type Client struct {
 	// Base is the server base URL, e.g. "http://host:port".
 	Base string
@@ -39,10 +39,6 @@ type Client struct {
 	// failure (transport error, 5xx, truncated/corrupt body); 0 disables
 	// retrying.
 	MaxRetries int
-	// BackoffBase and BackoffMax bound the exponential backoff between
-	// attempts (defaults 100ms and 5s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Breaker, when set, fail-fasts requests after consecutive upstream
 	// failures instead of stacking them behind timeouts.
 	Breaker *Breaker
@@ -73,21 +69,16 @@ type Client struct {
 	jitterRand *rand.Rand
 }
 
-// NewClient returns a client for the given base URL with the historic
-// non-resilient behaviour (no deadline, no retries, no breaker).
-func NewClient(base string) *Client { return &Client{Base: base} }
+// The exponential backoff between attempts starts at backoffBase and
+// doubles up to backoffMax; a server's Retry-After hint is capped at
+// backoffMax too.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+)
 
-// NewResilientClient returns a client with the production resilience
-// defaults: 30s per-request timeout, 3 retries with exponential backoff
-// and jitter, and a 5-failure/10s-cooldown circuit breaker.
-func NewResilientClient(base string) *Client {
-	return &Client{
-		Base:       base,
-		Timeout:    30 * time.Second,
-		MaxRetries: 3,
-		Breaker:    NewBreaker(5, 10*time.Second),
-	}
-}
+// NewClient returns a client for the given base URL with zero knobs.
+func NewClient(base string) *Client { return &Client{Base: base} }
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
@@ -96,12 +87,18 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) sleep(d time.Duration) {
+// sleep waits d, or until ctx is done.
+func (c *Client) sleep(ctx context.Context, d time.Duration) {
 	if c.Sleep != nil {
 		c.Sleep(d)
 		return
 	}
-	time.Sleep(d)
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
 }
 
 func (c *Client) after(d time.Duration) <-chan time.Time {
@@ -118,33 +115,13 @@ func (c *Client) clock() time.Time {
 	return time.Now()
 }
 
-// backoffCeil is the effective maximum backoff (BackoffMax or its 5s
-// default); server Retry-After hints are capped at it too.
-func (c *Client) backoffCeil() time.Duration {
-	if c.BackoffMax > 0 {
-		return c.BackoffMax
-	}
-	return 5 * time.Second
-}
-
 // backoff computes the sleep before retry attempt n (n >= 1).
 func (c *Client) backoff(attempt int) time.Duration {
-	base := c.BackoffBase
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	ceil := c.backoffCeil()
-	d := base
-	for i := 1; i < attempt; i++ {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
-		if d >= ceil || d <= 0 {
-			d = ceil
-			break
-		}
 	}
-	if d > ceil {
-		d = ceil
-	}
+	d = min(d, backoffMax)
 	if c.Jitter != nil {
 		return c.Jitter(d)
 	}
@@ -211,16 +188,9 @@ func parseRetryAfter(h string) time.Duration {
 // once performs a single GET attempt with the per-request deadline,
 // conditional on ifNoneMatch when it is not empty.
 func (c *Client) once(ctx context.Context, u, ifNoneMatch string) attempt {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return attempt{err: fmt.Errorf("opendap: GET %s: %v", u, err)}
-	}
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
-	}
 	var timedOut atomic.Bool
 	if c.Timeout > 0 {
-		tctx, cancel := context.WithCancel(req.Context())
+		tctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		stop := make(chan struct{})
 		defer close(stop)
@@ -233,7 +203,14 @@ func (c *Client) once(ctx context.Context, u, ifNoneMatch string) attempt {
 			case <-stop:
 			}
 		}()
-		req = req.WithContext(tctx)
+		ctx = tctx
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return attempt{err: fmt.Errorf("opendap: GET %s: %v", u, err)}
+	}
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
@@ -268,23 +245,21 @@ func (c *Client) once(ctx context.Context, u, ifNoneMatch string) attempt {
 	return attempt{body: body, etag: resp.Header.Get("ETag")}
 }
 
-// do runs the full resilient request cycle: breaker admission, bounded
-// retries with backoff, per-attempt deadline, and decode validation
-// (a body that fails to decode is treated like a truncated stream and
-// retried).
-func (c *Client) do(path, rawQuery string, decode func([]byte) error) error {
-	_, err := c.doCtx(context.Background(), path, rawQuery, "", decode)
-	return err
-}
-
-// doCtx is do under a caller context: a cancellation aborts the
-// in-flight attempt (requests carry ctx) and stops the retry loop
-// between attempts. When a failed attempt carried a server Retry-After
-// hint, the next backoff honors it — capped at the configured maximum
-// backoff and without jitter, so a shedding server shapes client retry
-// traffic exactly. A non-empty ifNoneMatch makes every attempt
-// conditional: a 304 is a success with nothing to decode, and the
-// returned attempt says so.
+// doCtx runs the full resilient request cycle under the caller's
+// context: breaker admission, bounded retries with backoff, per-attempt
+// deadline, and decode validation (a body that fails to decode is
+// treated like a truncated stream and retried). When a failed attempt
+// carried a server Retry-After hint, the next backoff honors it —
+// capped at backoffMax and without jitter, so a shedding server shapes
+// client retry traffic exactly. A non-empty ifNoneMatch makes every
+// attempt conditional: a 304 is a success with nothing to decode, and
+// the returned attempt says so.
+//
+// Cancellation is the caller's abort, not an upstream fault: ctx aborts
+// the in-flight attempt (requests carry it) and a backoff sleep, and an
+// attempt that fails because ctx is done is neither recorded on the
+// breaker nor retried nor counted as a request error. The returned
+// error wraps ctx.Err().
 func (c *Client) doCtx(ctx context.Context, path, rawQuery, ifNoneMatch string, decode func([]byte) error) (attempt, error) {
 	u, err := c.buildURL(path, rawQuery)
 	if err != nil {
@@ -295,24 +270,24 @@ func (c *Client) doCtx(ctx context.Context, path, rawQuery, ifNoneMatch string, 
 		attempts = 1
 	}
 	var lastErr error
+	aborted := func() (attempt, error) {
+		if lastErr != nil {
+			return attempt{}, fmt.Errorf("opendap: GET %s: %w (last attempt: %v)", u, ctx.Err(), lastErr)
+		}
+		return attempt{}, fmt.Errorf("opendap: GET %s: %w", u, ctx.Err())
+	}
 	var serverHint time.Duration
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			c.metricRetries().Inc()
 			d := c.backoff(i)
 			if serverHint > 0 {
-				d = serverHint
-				if ceil := c.backoffCeil(); d > ceil {
-					d = ceil
-				}
+				d = min(serverHint, backoffMax)
 			}
-			c.sleep(d)
+			c.sleep(ctx, d)
 		}
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return attempt{}, fmt.Errorf("opendap: GET %s: %w (last attempt: %v)", u, err, lastErr)
-			}
-			return attempt{}, fmt.Errorf("opendap: GET %s: %w", u, err)
+		if ctx.Err() != nil {
+			return aborted()
 		}
 		if b := c.Breaker; b != nil {
 			if err := b.Allow(); err != nil {
@@ -332,6 +307,10 @@ func (c *Client) doCtx(ctx context.Context, path, rawQuery, ifNoneMatch string, 
 				a = attempt{err: fmt.Errorf("opendap: decode %s: %v", u, derr),
 					retryable: true, upstreamFault: true}
 			}
+		}
+		if a.err != nil && ctx.Err() != nil {
+			c.Breaker.release()
+			return aborted()
 		}
 		if b := c.Breaker; b != nil {
 			if a.upstreamFault {
@@ -359,18 +338,14 @@ func (c *Client) doCtx(ctx context.Context, path, rawQuery, ifNoneMatch string, 
 	return attempt{}, lastErr
 }
 
-func (c *Client) get(path, rawQuery string) ([]byte, error) {
-	var body []byte
-	err := c.do(path, rawQuery, func(b []byte) error {
-		body = b
-		return nil
-	})
-	return body, err
+func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
+	a, err := c.doCtx(ctx, path, "", "", nil)
+	return a.body, err
 }
 
 // Catalog lists the datasets published by the server.
-func (c *Client) Catalog() ([]string, error) {
-	body, err := c.get("/catalog", "")
+func (c *Client) Catalog(ctx context.Context) ([]string, error) {
+	body, err := c.get(ctx, "/catalog")
 	if err != nil {
 		return nil, err
 	}
@@ -381,41 +356,34 @@ func (c *Client) Catalog() ([]string, error) {
 }
 
 // DDS fetches the structure document of a dataset.
-func (c *Client) DDS(name string) (string, error) {
-	body, err := c.get("/"+name+".dds", "")
+func (c *Client) DDS(ctx context.Context, name string) (string, error) {
+	body, err := c.get(ctx, "/"+name+".dds")
 	return string(body), err
 }
 
 // DAS fetches the attribute document of a dataset.
-func (c *Client) DAS(name string) (string, error) {
-	body, err := c.get("/"+name+".das", "")
+func (c *Client) DAS(ctx context.Context, name string) (string, error) {
+	body, err := c.get(ctx, "/"+name+".das")
 	return string(body), err
 }
 
 // NcML fetches the combined NcML document of a dataset.
-func (c *Client) NcML(name string) (string, error) {
-	body, err := c.get("/"+name+".ncml", "")
+func (c *Client) NcML(ctx context.Context, name string) (string, error) {
+	body, err := c.get(ctx, "/"+name+".ncml")
 	return string(body), err
 }
 
 // Fetch retrieves a hyperslab of a dataset variable. An empty range list
 // requests the whole array. The constraint expression and token travel
 // in the query string with standard query escaping (the server strips
-// the token pair and unescapes the rest).
-func (c *Client) Fetch(name string, constraint Constraint) (*netcdf.Dataset, error) {
-	return c.FetchContext(context.Background(), name, constraint)
-}
-
-// FetchContext is Fetch under a caller context: cancelling ctx aborts
-// the in-flight HTTP request and stops the retry loop, so a budgeted
-// query whose deadline expires releases its OPeNDAP connection instead
-// of riding out the full retry schedule.
-func (c *Client) FetchContext(ctx context.Context, name string, constraint Constraint) (*netcdf.Dataset, error) {
+// the token pair and unescapes the rest). It is FetchIfChanged with no
+// validator.
+func (c *Client) Fetch(ctx context.Context, name string, constraint Constraint) (*netcdf.Dataset, error) {
 	ds, _, err := c.FetchIfChanged(ctx, name, constraint, "")
 	return ds, err
 }
 
-// FetchIfChanged is FetchContext made conditional on etag, the
+// FetchIfChanged is Fetch made conditional on etag, the
 // validator the server sent with an earlier answer to the same
 // constraint. When the server reports that answer unchanged (304 Not
 // Modified) it returns a nil dataset, having decoded nothing. An empty

@@ -220,7 +220,7 @@ func TestFetchIfChanged(t *testing.T) {
 	before = srv.Requests()
 	c.HTTP = &http.Client{Transport: faults.NewRoundTripper(
 		faults.FailN(1, faults.Step{Kind: faults.Status, Code: http.StatusNotModified}), nil)}
-	if _, err := c.Fetch("lai", laiConstraint); err == nil || !strings.Contains(err.Error(), "unconditional") {
+	if _, err := c.Fetch(ctx, "lai", laiConstraint); err == nil || !strings.Contains(err.Error(), "unconditional") {
 		t.Fatalf("unasked 304: err = %v", err)
 	}
 	if n := srv.Requests() - before; n != 0 {

@@ -1,12 +1,16 @@
 package opendap
 
 import (
+	"context"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"applab/internal/netcdf"
 )
+
+// ctx is the caller's context of the package's tests: none is cancelled.
+var ctx = context.Background()
 
 func testDataset(t testing.TB) *netcdf.Dataset {
 	t.Helper()
@@ -87,21 +91,21 @@ func TestDDSAndDASAndNcML(t *testing.T) {
 	_, client, closeFn := newTestServer(t)
 	defer closeFn()
 
-	dds, err := client.DDS("lai")
+	dds, err := client.DDS(ctx, "lai")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(dds, "Float64 LAI[time = 4][lat = 10][lon = 10];") {
 		t.Errorf("DDS:\n%s", dds)
 	}
-	das, err := client.DAS("lai")
+	das, err := client.DAS(ctx, "lai")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(das, `String units "m2/m2";`) || !strings.Contains(das, "NC_GLOBAL") {
 		t.Errorf("DAS:\n%s", das)
 	}
-	ncml, err := client.NcML("lai")
+	ncml, err := client.NcML(ctx, "lai")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,17 +120,17 @@ func TestDDSAndDASAndNcML(t *testing.T) {
 func TestCatalogAndErrors(t *testing.T) {
 	_, client, closeFn := newTestServer(t)
 	defer closeFn()
-	names, err := client.Catalog()
+	names, err := client.Catalog(ctx)
 	if err != nil || len(names) != 1 || names[0] != "lai" {
 		t.Fatalf("catalog = %v, %v", names, err)
 	}
-	if _, err := client.DDS("nope"); err == nil {
+	if _, err := client.DDS(ctx, "nope"); err == nil {
 		t.Error("missing dataset must 404")
 	}
-	if _, err := client.Fetch("lai", Constraint{Var: "missing"}); err == nil {
+	if _, err := client.Fetch(ctx, "lai", Constraint{Var: "missing"}); err == nil {
 		t.Error("missing variable must error")
 	}
-	if _, err := client.Fetch("lai", Constraint{Var: "LAI",
+	if _, err := client.Fetch(ctx, "lai", Constraint{Var: "LAI",
 		Ranges: []netcdf.Range{{Start: 0, Stride: 1, Stop: 99}}}); err == nil {
 		t.Error("rank mismatch must error")
 	}
@@ -135,7 +139,7 @@ func TestCatalogAndErrors(t *testing.T) {
 func TestFetchSubset(t *testing.T) {
 	_, client, closeFn := newTestServer(t)
 	defer closeFn()
-	ds, err := client.Fetch("lai", Constraint{Var: "LAI", Ranges: []netcdf.Range{
+	ds, err := client.Fetch(ctx, "lai", Constraint{Var: "LAI", Ranges: []netcdf.Range{
 		{Start: 1, Stride: 1, Stop: 2},
 		{Start: 0, Stride: 1, Stop: 4},
 		{Start: 5, Stride: 1, Stop: 9},
@@ -157,7 +161,7 @@ func TestFetchSubset(t *testing.T) {
 		t.Errorf("value = %v, want 105", got)
 	}
 	// whole-array fetch
-	full, err := client.Fetch("lai", Constraint{Var: "LAI"})
+	full, err := client.Fetch(ctx, "lai", Constraint{Var: "LAI"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +180,7 @@ func TestTileCacheViewport(t *testing.T) {
 	// First viewport: time 0, lat/lon [0..5]
 	req1 := Constraint{Var: "LAI", Ranges: []netcdf.Range{
 		{Start: 0, Stride: 1, Stop: 0}, {Start: 0, Stride: 1, Stop: 5}, {Start: 0, Stride: 1, Stop: 5}}}
-	ds1, err := tiles.Fetch("lai", req1)
+	ds1, err := tiles.Fetch(ctx, "lai", req1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +189,7 @@ func TestTileCacheViewport(t *testing.T) {
 		t.Fatalf("viewport 1 = %d values", len(v1.Data))
 	}
 	// Verify values against direct fetch.
-	direct, _ := client.Fetch("lai", req1)
+	direct, _ := client.Fetch(ctx, "lai", req1)
 	dv, _ := direct.Var("LAI")
 	for i := range dv.Data {
 		if dv.Data[i] != v1.Data[i] {
@@ -197,11 +201,11 @@ func TestTileCacheViewport(t *testing.T) {
 	// Pan slightly: lat/lon [2..7] — mostly the same tiles.
 	req2 := Constraint{Var: "LAI", Ranges: []netcdf.Range{
 		{Start: 0, Stride: 1, Stop: 0}, {Start: 2, Stride: 1, Stop: 7}, {Start: 2, Stride: 1, Stop: 7}}}
-	ds2, err := tiles.Fetch("lai", req2)
+	ds2, err := tiles.Fetch(ctx, "lai", req2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct2, _ := client.Fetch("lai", req2)
+	direct2, _ := client.Fetch(ctx, "lai", req2)
 	dv2, _ := direct2.Var("LAI")
 	v2, _ := ds2.Var("LAI")
 	for i := range dv2.Data {
@@ -220,11 +224,11 @@ func TestTileCacheViewport(t *testing.T) {
 	// Edge tile: request touching the array boundary.
 	req3 := Constraint{Var: "LAI", Ranges: []netcdf.Range{
 		{Start: 3, Stride: 1, Stop: 3}, {Start: 8, Stride: 1, Stop: 9}, {Start: 8, Stride: 1, Stop: 9}}}
-	ds3, err := tiles.Fetch("lai", req3)
+	ds3, err := tiles.Fetch(ctx, "lai", req3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct3, _ := client.Fetch("lai", req3)
+	direct3, _ := client.Fetch(ctx, "lai", req3)
 	dv3, _ := direct3.Var("LAI")
 	v3, _ := ds3.Var("LAI")
 	for i := range dv3.Data {
@@ -242,9 +246,9 @@ func TestExactCacheOnlyHitsIdentical(t *testing.T) {
 		{Start: 0, Stride: 1, Stop: 0}, {Start: 0, Stride: 1, Stop: 5}, {Start: 0, Stride: 1, Stop: 5}}}
 	r2 := Constraint{Var: "LAI", Ranges: []netcdf.Range{
 		{Start: 0, Stride: 1, Stop: 0}, {Start: 1, Stride: 1, Stop: 6}, {Start: 1, Stride: 1, Stop: 6}}}
-	exact.Fetch("lai", r1)
-	exact.Fetch("lai", r1)
-	exact.Fetch("lai", r2) // overlaps heavily, still a miss
+	exact.Fetch(ctx, "lai", r1)
+	exact.Fetch(ctx, "lai", r1)
+	exact.Fetch(ctx, "lai", r2) // overlaps heavily, still a miss
 	st := exact.Stats()
 	if st.Hits != 1 || st.Misses != 2 {
 		t.Errorf("stats = %+v", st)

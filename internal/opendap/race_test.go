@@ -34,7 +34,7 @@ func TestTileCacheConcurrency(t *testing.T) {
 	// Ground truth straight from the server, before any concurrency.
 	want := make([][]float64, len(windows))
 	for i, c := range windows {
-		ds, err := client.Fetch("lai", c)
+		ds, err := client.Fetch(ctx, "lai", c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestTileCacheConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				k := (w + i) % len(windows)
-				ds, err := cache.Fetch("lai", windows[k])
+				ds, err := cache.Fetch(ctx, "lai", windows[k])
 				if err != nil {
 					t.Errorf("worker %d: Fetch: %v", w, err)
 					return

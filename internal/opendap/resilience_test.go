@@ -7,6 +7,8 @@ package opendap
 // zero real-time waits.
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -16,6 +18,7 @@ import (
 
 	"applab/internal/faults"
 	"applab/internal/netcdf"
+	"applab/internal/telemetry"
 )
 
 // newFaultyClient wires a test server, a fault script and a client with
@@ -64,7 +67,7 @@ func TestRetryMatrix(t *testing.T) {
 			c, slept, closeFn := newFaultyClient(t, tc.script)
 			defer closeFn()
 			c.MaxRetries = tc.retries
-			ds, err := c.Fetch("lai", laiConstraint)
+			ds, err := c.Fetch(ctx, "lai", laiConstraint)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("want error")
@@ -85,10 +88,10 @@ func TestRetryMatrix(t *testing.T) {
 }
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	c := &Client{BackoffBase: 100 * time.Millisecond, BackoffMax: 500 * time.Millisecond,
-		Jitter: func(d time.Duration) time.Duration { return d }}
+	c := &Client{Jitter: func(d time.Duration) time.Duration { return d }}
 	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond,
-		400 * time.Millisecond, 500 * time.Millisecond, 500 * time.Millisecond}
+		400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
+		3200 * time.Millisecond, 5 * time.Second, 5 * time.Second}
 	for i, w := range want {
 		if got := c.backoff(i + 1); got != w {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
@@ -110,7 +113,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 // investigations) while clients for different upstreams decorrelate.
 func TestBackoffJitterDeterministicPerClient(t *testing.T) {
 	schedule := func(base string) []time.Duration {
-		c := &Client{Base: base, BackoffBase: 100 * time.Millisecond, BackoffMax: 5 * time.Second}
+		c := &Client{Base: base}
 		out := make([]time.Duration, 8)
 		for i := range out {
 			out[i] = c.backoff(i + 1)
@@ -149,7 +152,7 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 	c.Breaker.Now = clock.Now
 
 	for i := 0; i < 3; i++ {
-		if _, err := c.Fetch("lai", laiConstraint); err == nil {
+		if _, err := c.Fetch(ctx, "lai", laiConstraint); err == nil {
 			t.Fatal("faulted fetch must fail")
 		}
 	}
@@ -158,7 +161,7 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 	}
 	calls := script.Calls()
 	// Open circuit: fail fast without touching the transport.
-	if _, err := c.Fetch("lai", laiConstraint); err == nil || !strings.Contains(err.Error(), "circuit breaker open") {
+	if _, err := c.Fetch(ctx, "lai", laiConstraint); err == nil || !strings.Contains(err.Error(), "circuit breaker open") {
 		t.Fatalf("open breaker error = %v", err)
 	}
 	if script.Calls() != calls {
@@ -177,19 +180,19 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	c.Breaker.Now = clock.Now
 
 	for i := 0; i < 3; i++ {
-		c.Fetch("lai", laiConstraint)
+		c.Fetch(ctx, "lai", laiConstraint)
 	}
 	if c.Breaker.State() != BreakerOpen {
 		t.Fatal("breaker must open")
 	}
 	// Cooldown not elapsed: still failing fast.
 	clock.Advance(9 * time.Second)
-	if _, err := c.Fetch("lai", laiConstraint); err == nil || !strings.Contains(err.Error(), "circuit breaker open") {
+	if _, err := c.Fetch(ctx, "lai", laiConstraint); err == nil || !strings.Contains(err.Error(), "circuit breaker open") {
 		t.Fatalf("pre-cooldown error = %v", err)
 	}
 	// Cooldown elapsed: the half-open probe goes through and succeeds.
 	clock.Advance(time.Second)
-	if _, err := c.Fetch("lai", laiConstraint); err != nil {
+	if _, err := c.Fetch(ctx, "lai", laiConstraint); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
 	if st := c.Breaker.State(); st != BreakerClosed {
@@ -230,6 +233,52 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	}
 }
 
+// A cancellation is the caller's abort, not an upstream fault: the
+// attempt it cuts short is not recorded on the breaker, retried, slept
+// on or counted as a request error, and a half-open probe it abandons
+// frees the circuit for the next one.
+func TestCancellationIsNotAnUpstreamFault(t *testing.T) {
+	clock := faults.NewClock(time.Date(2019, 3, 26, 9, 0, 0, 0, time.UTC))
+	script := faults.Seq(faults.Step{Kind: faults.Hang}, faults.Step{Kind: faults.ConnError},
+		faults.Step{Kind: faults.Hang})
+	c, slept, closeFn := newFaultyClient(t, script)
+	defer closeFn()
+	rt := c.HTTP.Transport.(*faults.RoundTripper)
+	defer rt.Release()
+	reg := telemetry.NewRegistry()
+	c.Metrics = reg
+	c.Breaker = NewBreaker(1, 10*time.Second)
+	c.Breaker.Now = clock.Now
+	abandon := func(step string) {
+		t.Helper()
+		failures := c.Breaker.ConsecutiveFailures()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if _, err := c.Fetch(ctx, "lai", laiConstraint); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want the deadline", step, err)
+		}
+		counters := reg.Snapshot().Counters
+		if n := c.Breaker.ConsecutiveFailures(); n != failures || len(*slept) != 0 ||
+			counters["opendap_retries_total"] != 0 || counters["opendap_request_errors_total"] != 0 {
+			t.Fatalf("%s: breaker failures %d, sleeps %v, counters %v; the abort was taken for a fault",
+				step, n, *slept, counters)
+		}
+	}
+	abandon("closed circuit")
+
+	c.MaxRetries = 0
+	if _, err := c.Fetch(ctx, "lai", laiConstraint); err == nil || c.Breaker.State() != BreakerOpen {
+		t.Fatalf("a connection error must open the circuit: %v, %v", err, c.Breaker.State())
+	}
+	reg = telemetry.NewRegistry()
+	c.Metrics = reg
+	clock.Advance(10 * time.Second)
+	abandon("half-open probe")
+	if _, err := c.Fetch(ctx, "lai", laiConstraint); err != nil || c.Breaker.State() != BreakerClosed {
+		t.Fatalf("the probe after an abandoned one: %v, %v", err, c.Breaker.State())
+	}
+}
+
 var errFake = &faults.InjectedError{Op: "test failure"}
 
 // assertAllowed asserts Allow passes and returns outcome unchanged, so
@@ -255,7 +304,7 @@ func TestDeadlineCancelsHungUpstream(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.Fetch("lai", laiConstraint)
+		_, err := c.Fetch(ctx, "lai", laiConstraint)
 		errCh <- err
 	}()
 	clock.AwaitTimers(1) // the attempt has registered its deadline
@@ -290,7 +339,7 @@ func TestDeadlineThenRetrySucceeds(t *testing.T) {
 	}
 	resCh := make(chan fetchResult, 1)
 	go func() {
-		ds, err := c.Fetch("lai", laiConstraint)
+		ds, err := c.Fetch(ctx, "lai", laiConstraint)
 		resCh <- fetchResult{ds, err}
 	}()
 	clock.AwaitTimers(1)
@@ -335,7 +384,7 @@ func TestFetchURLConstruction(t *testing.T) {
 				srv.Auth = ac
 				defer func() { srv.Auth = nil }()
 			}
-			ds, err := c.Fetch("lai", laiConstraint)
+			ds, err := c.Fetch(ctx, "lai", laiConstraint)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -365,12 +414,5 @@ func TestFetchURLConstruction(t *testing.T) {
 				t.Fatalf("malformed query %q", raw)
 			}
 		})
-	}
-}
-
-func TestResilientClientDefaults(t *testing.T) {
-	c := NewResilientClient("http://example.org")
-	if c.Timeout == 0 || c.MaxRetries == 0 || c.Breaker == nil {
-		t.Fatalf("resilient defaults missing: %+v", c)
 	}
 }

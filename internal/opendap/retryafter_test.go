@@ -32,8 +32,6 @@ func newSheddingClient(t *testing.T, fail int, retryAfter string) (*Client, *[]t
 	var slept []time.Duration
 	c := NewClient(ts.URL)
 	c.MaxRetries = 3
-	c.BackoffBase = 100 * time.Millisecond
-	c.BackoffMax = 5 * time.Second
 	c.Sleep = func(d time.Duration) { slept = append(slept, d) }
 	c.Jitter = func(d time.Duration) time.Duration { return d }
 	return c, &slept, ts.Close
@@ -59,7 +57,7 @@ func TestRetryAfterShapesBackoff(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, slept, closeFn := newSheddingClient(t, tc.fail, tc.retryAfter)
 			defer closeFn()
-			if _, err := c.Fetch("lai", laiConstraint); err != nil {
+			if _, err := c.Fetch(ctx, "lai", laiConstraint); err != nil {
 				t.Fatal(err)
 			}
 			if len(*slept) != len(tc.wantSleeps) {

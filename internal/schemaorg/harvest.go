@@ -1,6 +1,7 @@
 package schemaorg
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -19,15 +20,16 @@ import (
 //
 // Recognized (ACDD-style) attributes: title, summary, keywords, license,
 // institution/creator_name, platform/source, processing_level,
-// geospatial_{lat,lon}_{min,max}, time_coverage_{start,end}.
-func Harvest(client *opendap.Client) ([]EODataset, error) {
-	names, err := client.Catalog()
+// geospatial_{lat,lon}_{min,max}, time_coverage_{start,end}. Every
+// request runs under ctx.
+func Harvest(ctx context.Context, client *opendap.Client) ([]EODataset, error) {
+	names, err := client.Catalog(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("schemaorg: harvest: %v", err)
 	}
 	var out []EODataset
 	for _, name := range names {
-		doc, err := client.NcML(name)
+		doc, err := client.NcML(ctx, name)
 		if err != nil {
 			return nil, fmt.Errorf("schemaorg: harvest %s: %v", name, err)
 		}

@@ -1,6 +1,7 @@
 package schemaorg
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestHarvestFromOPeNDAP(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	datasets, err := Harvest(opendap.NewClient(ts.URL))
+	datasets, err := Harvest(context.Background(), opendap.NewClient(ts.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestDatasetFromMetadataDefaults(t *testing.T) {
 }
 
 func TestHarvestErrors(t *testing.T) {
-	if _, err := Harvest(opendap.NewClient("http://127.0.0.1:1")); err == nil {
+	if _, err := Harvest(context.Background(), opendap.NewClient("http://127.0.0.1:1")); err == nil {
 		t.Error("harvest of dead server must fail")
 	}
 }

@@ -463,52 +463,6 @@ func TestClosedEngineRefusesWrites(t *testing.T) {
 	}
 }
 
-// TestBackgroundCompactionError: a failing merge (corrupt run) is noted
-// on the engine instead of killing the compaction loop.
-func TestBackgroundCompactionError(t *testing.T) {
-	dir := t.TempDir()
-	clock := faults.NewClock(time.Unix(0, 0))
-	e := mustOpen(t, dir, Options{
-		CompactAt:    2,
-		CompactEvery: time.Minute,
-		After:        clock.After,
-	})
-	mustAdd(t, e, nTriples(6)...)
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	mustAdd(t, e, tri("second", "run", "x"))
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the first run at rest so the merge read fails.
-	name := filepath.Join(dir, runName(e.segs[0].seq))
-	f, err := os.OpenFile(name, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0xFF}, int64(len(runMagic))+1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	clock.AwaitTimers(1)
-	clock.Advance(time.Minute)
-	clock.AwaitTimers(2) // first tick fully processed
-
-	if err := e.Err(); err == nil {
-		t.Fatal("background compaction over a corrupt run noted no error")
-	}
-	if e.Stats().Compactions != 0 {
-		t.Fatal("a failed compaction was counted as done")
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRegisterMetricsLabels: the segment gauges register unlabeled —
 // one engine per registry since the per-shard labels went with the
 // sharded store — under the bare names README's metric table lists,

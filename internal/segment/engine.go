@@ -40,17 +40,9 @@ type Options struct {
 	// that triggers a flush to a new run (default 8192; negative
 	// disables auto-flush).
 	FlushEvery int
-	// CompactAt is the run count that triggers compaction (default 4;
-	// negative disables).
+	// CompactAt is the run count that triggers compaction, at the flush
+	// that reaches it (default 4; negative disables).
 	CompactAt int
-	// CompactEvery, when positive, moves compaction to a background
-	// goroutine woken on this period; zero compacts synchronously at
-	// flush time. Background compaction uses the After hook, so tests
-	// drive it with a fake clock and zero real sleeps.
-	CompactEvery time.Duration
-	// After is the timer hook for background compaction (default
-	// time.After).
-	After func(time.Duration) <-chan time.Time
 	// WrapWAL, when set, wraps the WAL file before it is written
 	// through — the fault-injection seam (faults.NewFile).
 	WrapWAL func(Sink) Sink
@@ -157,11 +149,6 @@ type Engine struct {
 	next uint64 // next run sequence number
 
 	closed bool
-	stopBg chan struct{}
-	bgDone chan struct{}
-	// bgOnce guards the background-compaction shutdown: concurrent
-	// Close calls must not double-close stopBg.
-	bgOnce sync.Once
 
 	// statsMu guards the advisory fields written on read paths
 	// (readErr, stats.ReadErrors); everything else in stats is written
@@ -253,11 +240,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 			}
 			e.stats.WALReplayed++
 		}
-	}
-	if opts.CompactEvery > 0 {
-		e.stopBg = make(chan struct{})
-		e.bgDone = make(chan struct{})
-		go e.backgroundCompact()
 	}
 	return e, nil
 }
@@ -434,7 +416,7 @@ func (e *Engine) flushLocked() error {
 	}
 	e.stats.Flushes++
 	e.stats.FlushTime += time.Since(start)
-	if e.opts.CompactEvery == 0 && e.opts.compactAt() > 0 && len(e.segs) >= e.opts.compactAt() {
+	if e.opts.compactAt() > 0 && len(e.segs) >= e.opts.compactAt() {
 		return e.compactLocked()
 	}
 	return nil
@@ -610,39 +592,10 @@ func mergeDicts(dicts [][]rdf.Term, used [][]bool) ([]rdf.Term, [][]uint32) {
 	}
 }
 
-// backgroundCompact is the timer-driven compaction loop.
-func (e *Engine) backgroundCompact() {
-	defer close(e.bgDone)
-	after := e.opts.After
-	if after == nil {
-		after = time.After
-	}
-	for {
-		select {
-		case <-e.stopBg:
-			return
-		case <-after(e.opts.CompactEvery):
-			e.mu.Lock()
-			if !e.closed && e.opts.compactAt() > 0 && len(e.segs) >= e.opts.compactAt() {
-				if err := e.compactLocked(); err != nil {
-					e.noteReadErr(err)
-				}
-			}
-			e.mu.Unlock()
-		}
-	}
-}
-
 // Close flushes the memtable (so the next open boots from footers, not
-// a WAL replay), stops background compaction, and closes every file.
-// Safe to call more than once, including concurrently.
+// a WAL replay) and closes every file. Safe to call more than once,
+// including concurrently.
 func (e *Engine) Close() error {
-	if e.stopBg != nil {
-		e.bgOnce.Do(func() {
-			close(e.stopBg)
-			<-e.bgDone
-		})
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {

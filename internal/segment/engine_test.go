@@ -498,11 +498,11 @@ func TestMemoryModeDeleteNoTombstones(t *testing.T) {
 }
 
 // TestCloseConcurrent: Close is documented safe to call more than
-// once, including concurrently — the background-compaction channel
-// must be closed exactly once (run with -race).
+// once, including concurrently: the files are closed exactly once (run
+// with -race).
 func TestCloseConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	e := mustOpen(t, dir, Options{FlushEvery: 4, CompactEvery: 10 * time.Millisecond})
+	e := mustOpen(t, dir, Options{FlushEvery: 4})
 	mustAdd(t, e, nTriples(20)...)
 	var wg sync.WaitGroup
 	errs := make([]error, 4)

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"applab/internal/faults"
 	"applab/internal/rdf"
@@ -16,7 +15,7 @@ import (
 // tail, short write, write error, fsync error, duplicate replay) and
 // asserts the reopened engine serves EXACTLY the committed pre-crash
 // set — nothing lost, nothing resurrected. All scenarios run with zero
-// real sleeps; the background-compaction test drives a fake clock.
+// real sleeps.
 
 // abandon simulates a crash: close the raw file descriptors without
 // flushing or resetting anything, as a killed process would.
@@ -267,77 +266,5 @@ func TestRecoveryCrashBeforeManifest(t *testing.T) {
 	}
 	if got, want := committedSet(e2), canonicalSet(ts); !reflect.DeepEqual(got, want) {
 		t.Fatalf("WAL-backed set wrong after orphan cleanup: %d vs %d", len(got), len(want))
-	}
-}
-
-// TestBackgroundCompactionFakeClock drives the periodic compactor with
-// a manual clock: no compaction before the tick, one full merge after.
-func TestBackgroundCompactionFakeClock(t *testing.T) {
-	dir := t.TempDir()
-	clock := faults.NewClock(time.Unix(0, 0))
-	e := mustOpen(t, dir, Options{
-		CompactAt:    2,
-		CompactEvery: time.Minute,
-		After:        clock.After,
-	})
-	mustAdd(t, e, nTriples(10)...)
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	mustAdd(t, e, tri("second", "run", "here"))
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Segments() != 2 {
-		t.Fatalf("segments = %d before tick, want 2 (compaction ran early?)", e.Segments())
-	}
-
-	clock.AwaitTimers(1) // the loop armed its first timer
-	clock.Advance(time.Minute)
-	clock.AwaitTimers(2) // the loop re-armed: the first tick's work is done
-
-	if e.Segments() != 1 {
-		t.Fatalf("segments = %d after tick, want 1", e.Segments())
-	}
-	if e.Stats().Compactions != 1 {
-		t.Fatalf("compactions = %d, want 1", e.Stats().Compactions)
-	}
-	if e.Len() != 11 {
-		t.Fatalf("Len = %d after background compaction, want 11", e.Len())
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBackgroundCompactionHonorsNegativeCompactAt: a negative CompactAt
-// disables compaction in the background loop too, so a tick over three
-// runs leaves them alone.
-func TestBackgroundCompactionHonorsNegativeCompactAt(t *testing.T) {
-	clock := faults.NewClock(time.Unix(0, 0))
-	e := mustOpen(t, t.TempDir(), Options{
-		CompactAt:    -1,
-		CompactEvery: time.Minute,
-		After:        clock.After,
-	})
-	for _, sub := range []string{"first", "second", "third"} {
-		mustAdd(t, e, tri(sub, "run", "here"))
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	clock.AwaitTimers(1)
-	clock.Advance(time.Minute)
-	clock.AwaitTimers(2) // the tick's work is done
-
-	if got := e.Segments(); got != 3 {
-		t.Fatalf("segments = %d after tick, want 3", got)
-	}
-	if got := e.Stats().Compactions; got != 0 {
-		t.Fatalf("compactions = %d, want 0", got)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -76,6 +76,15 @@ type ContextSource interface {
 // source's own caches (the mapping's window) decide what is refetched.
 type Refresher interface{ Invalidate() }
 
+// Refresh drops src's view when src is a Refresher, as an evaluation
+// over src does when it starts. A source that wraps other sources (a
+// federation) refreshes them through it when it is refreshed itself.
+func Refresh(src Source) {
+	if r := capabilities(src).refresh; r != nil {
+		r.Invalidate()
+	}
+}
+
 // MatchContext reads the pattern from src through the strongest triple
 // read it has: MatchContext under ctx, else MatchErr, else Match. The
 // engine reads a source without AppendRefs this way, and so do wrappers
