@@ -205,7 +205,7 @@ echo "== golden spatial join against a warm geometry memo"
 # insert, so the spatial_arena_bytes gauge must come from SetMetrics.
 go test -count=2 -run TestGoldenSpatialJoin ./internal/e2e
 
-echo "== allocation ceilings (handle rows, answer tables, join variants, disk scans by reference, graph scans into reused buffers, pipelined joins, spatial-join side filters, constant BINDs, pooled token slices, results writer, id-space graph, view revalidation, 304 revalidation, dataset encoding, geometry decoding, node answers, cluster wire, batched cluster reads, telemetry lookups, result-cache hits, run encoding)"
+echo "== allocation ceilings (handle rows, answer tables, join variants, disk scans by reference, graph scans into reused buffers, pipelined joins, spatial-join side filters, constant BINDs, pooled token slices, results writer, id-space graph, view revalidation, 304 revalidation, dataset encoding, geometry decoding, node answers, cluster wire, batched cluster reads, telemetry lookups, result-cache hits and first sightings, run encoding)"
 # Engine_BGPJoinCompiled's bytes per evaluation may not regrow (rows are
 # 8-byte handles, not 56-byte terms, the answer is one table of them,
 # not a map per row: a 1,250-row answer allocates as many objects as a
@@ -261,7 +261,11 @@ echo "== allocation ceilings (handle rows, answer tables, join variants, disk sc
 # cluster_rpcs_total{type="match"}. Looking up
 # an existing telemetry series allocates nothing, and neither does a
 # result-cache hit on a Listing-3-shaped query (<= 1 alloc, 64 B): the
-# key is the query text the parser kept. Encoding a segment run of 1k
+# key is the query text as sent, so the handler serves a hit before it
+# parses (no parse span; <= 1,500 B and 16 allocs per served hit, where
+# parsing first costs ~2.8 KB and 45 allocs more), and a full cache
+# declines a first sighting of a 1,000-row answer without copying it
+# (<= 1 alloc, 64 B; the copy is ~100 KB). Encoding a segment run of 1k
 # rows and of 64k rows costs the same <= 8 allocations: the counting
 # passes reuse one count array and the image is sized before it is
 # written, so nothing is allocated per row, term or comparison. The
@@ -270,13 +274,13 @@ echo "== allocation ceilings (handle rows, answer tables, join variants, disk sc
 go test -count=1 -cpu 1,2,4 -run '^(TestBGPJoinBytesCeiling|TestSpatialJoinLargeBuildSide)$' ./internal/sparql
 go test -count=1 -run '^(TestSpatialJoinWarmAllocations|TestConstGeometryFilterAllocations|TestDiskScanAllocations|TestGraphScanAllocations|TestPipelineAllocations|TestResultsTableAllocations|TestSpatialJoinFilterAllocations|TestConstBindAllocations|TestParseAllocations)$' ./internal/sparql
 go test -count=1 -run '^TestPredicateAllocations$' ./internal/geom
-go test -count=1 -run '^TestResultsWriterAllocations$' ./internal/endpoint
+go test -count=1 -run '^(TestResultsWriterAllocations|TestHandlerHitAllocations)$' ./internal/endpoint
 go test -count=1 -run '^TestGraphAllocations$' ./internal/rdf
 go test -count=1 -run '^(TestRevalidateAllocations|TestNotModifiedAllocations)$' ./internal/obda
 go test -count=1 -run '^TestWriteAllocations$' ./internal/netcdf
 go test -count=1 -cpu 1,2,4 -run '^(TestNodeMatchAllocations|TestRoutedReadAllocations|TestBatchedReadAllocations|TestBindJoinReadsPerStep|TestReadMessageHostileLength)$' ./internal/cluster
 go test -count=1 -run '^TestSeriesLookupAllocations$' ./internal/telemetry
-go test -count=1 -run '^TestLookupHitAllocations$' ./internal/rescache
+go test -count=1 -run '^(TestLookupHitAllocations|TestFirstSightingAllocations)$' ./internal/rescache
 go test -count=1 -run '^TestEncodeRowsAllocations$' ./internal/segment
 
 echo "== bench module (its own go.mod, outside ./...)"

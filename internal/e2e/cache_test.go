@@ -160,6 +160,7 @@ func TestGoldenResultCache(t *testing.T) {
 		"opendap_server_requests_total": 0,
 		"sparql_patterns_planned_total": 0,
 	})
+	wantHistogram(t, "fly steady", s1, s2, `endpoint_stage_seconds{stage="parse"}`, 0)
 	wantHistogram(t, "fly steady", s1, s2, `endpoint_stage_seconds{stage="eval"}`, 0)
 	wantHistogram(t, "fly steady", s1, s2, `endpoint_stage_seconds{stage="encode"}`, 5)
 
@@ -325,9 +326,10 @@ func TestGoldenResultCache(t *testing.T) {
 		"sparql_patterns_planned_total": 3, // sub-queries skip the planner
 	})
 	// The federation endpoint parses and evaluates once; the member
-	// endpoint parses each sub-query and evaluates none.
+	// endpoint answers each sub-query from its cache before parsing it,
+	// so it parses and evaluates none.
 	wantHistogram(t, "fed sub-plan", s9, s10, `endpoint_stage_seconds{stage="eval"}`, 1)
-	wantHistogram(t, "fed sub-plan", s9, s10, `endpoint_stage_seconds{stage="parse"}`, fanouts+1)
+	wantHistogram(t, "fed sub-plan", s9, s10, `endpoint_stage_seconds{stage="parse"}`, 1)
 	epWarm := epCacheReg.Snapshot()
 	if got := epWarm.Counters["rescache_hits_total"] - epCold.Counters["rescache_hits_total"]; got != fanouts {
 		t.Errorf("sub-plan cache hits = %d, want %d", got, fanouts)

@@ -301,11 +301,7 @@ func checkCachedThings(t *testing.T, c *rescache.Cache, src sparql.Source, old w
 	if old.Value() != nil {
 		t.Fatal("a replaced term table survived a GC: the cached answer still points into it")
 	}
-	q, err := sparql.Parse(thingsQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, ok := c.LookupStale(q, src)
+	res, ok := c.LookupStale(thingsQuery, src)
 	if !ok || len(res.Bindings) != 10 {
 		t.Fatalf("the cache lost the entry (%v)", ok)
 	}

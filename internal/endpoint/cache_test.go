@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -237,5 +238,97 @@ func TestHandlerCacheBypass(t *testing.T) {
 	}
 	if got := reg.Counter("rescache_bypass_total").Value(); got != 2 {
 		t.Errorf("rescache_bypass_total = %d, want 2", got)
+	}
+}
+
+// TestHandlerBadQueryNotCached: a text that does not parse misses the
+// cache (nothing that did not parse is ever stored), is answered 400
+// every time, and carries no X-Applab-Cache header.
+func TestHandlerBadQueryNotCached(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cache := rescache.New(8, 0)
+	cache.Metrics = reg
+	src := &epochGateSource{g: smallGraph(t, 2), fp: rescache.NextFingerprint("bad")}
+	srv := httptest.NewServer(NewHandlerOpts(src, reg, Options{Cache: cache}))
+	defer srv.Close()
+	for i := 0; i < 2; i++ {
+		status, hdr, _ := get(t, srv.URL, `SELECT ?s WHERE { ?s ?p`)
+		if status != http.StatusBadRequest {
+			t.Fatalf("request %d: status %d, want 400", i, status)
+		}
+		if h := hdr.Get("X-Applab-Cache"); h != "" {
+			t.Fatalf("request %d: a bad query carries X-Applab-Cache = %q", i, h)
+		}
+	}
+	if cache.Len() != 0 {
+		t.Fatalf("a bad query left %d cache entries", cache.Len())
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps nothing.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestHandlerHitAllocations pins what a served cache hit costs on a
+// Listing-3-shaped query: the handler looks the text up before it
+// parses, so a hit records no parse span and allocates for the request,
+// its trace and the encoded body only (1,128 B and 10 allocations
+// measured). Parsing the text first costs ~2.8 KB and 45 allocations
+// more, so a hit that parses trips the ceiling.
+func TestHandlerHitAllocations(t *testing.T) {
+	const text = `PREFIX lai: <http://ex/lai#>
+SELECT DISTINCT ?s ?wkt ?lai WHERE {
+  ?s <http://www.w3.org/2006/time#hasTime> "2018-06-01T00:00:00Z"^^<http://www.w3.org/2001/XMLSchema#dateTime> .
+  ?s lai:lai ?lai .
+  ?s geo:hasGeometry ?g .
+  ?g geo:asWKT ?wkt .
+  FILTER(geof:sfWithin(?wkt, "POLYGON ((7.6 45.0, 7.7 45.0, 7.7 45.1, 7.6 45.1, 7.6 45.0))"^^geo:wktLiteral))
+}`
+	reg := telemetry.NewRegistry()
+	cache := rescache.New(8, 0)
+	cache.Metrics = reg
+	src := &epochGateSource{g: smallGraph(t, 2), fp: rescache.NextFingerprint("hits")}
+	h := NewHandlerOpts(src, reg, Options{Cache: cache})
+	req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(text), nil)
+	w := &discardWriter{h: http.Header{}}
+	h.ServeHTTP(w, req) // the miss that fills the entry
+	parse := func() int64 {
+		return reg.Snapshot().Histograms[`endpoint_stage_seconds{stage="parse"}`].Count
+	}
+	parsed := parse()
+	if parsed != 1 {
+		t.Fatalf("the miss parsed %d times, want 1", parsed)
+	}
+
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		h.ServeHTTP(w, req)
+	}
+	runtime.ReadMemStats(&after)
+	if got := w.h.Get("X-Applab-Cache"); got != "hit" {
+		t.Fatalf("X-Applab-Cache = %q, want hit", got)
+	}
+	if hits := reg.Counter("rescache_hits_total").Value(); hits != runs {
+		t.Fatalf("rescache_hits_total = %d, want %d", hits, runs)
+	}
+	if got := parse(); got != parsed {
+		t.Fatalf("%d hits recorded %d parse stages", runs, got-parsed)
+	}
+	traces := reg.RecentTraces()
+	for _, sp := range traces[len(traces)-1].Spans {
+		if sp.Name == "parse" {
+			t.Fatal("a hit's trace has a parse span")
+		}
+	}
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("%d B, %d allocs per served hit", bytes, allocs)
+	if bytes > 1_500 || allocs > 16 {
+		t.Fatalf("a served hit costs %d B and %d allocs; ceiling is 1,500 B and 16 allocs", bytes, allocs)
 	}
 }

@@ -31,8 +31,9 @@ func Handler(src sparql.Source) http.Handler { return NewHandler(src, nil) }
 
 // NewHandler serves GET/POST /sparql?query=... over src. When reg is
 // non-nil every request is counted and traced: a "sparql_query" trace
-// with parse/eval/encode stage spans lands in the registry's recent
-// ring (visible at /debug/applab), stage latencies feed the
+// with parse/eval/encode stage spans (a result-cache hit has only the
+// encode span) lands in the registry's recent ring (visible at
+// /debug/applab), stage latencies feed the
 // endpoint_stage_seconds histogram, and the trace rides the request
 // context so downstream sources can attach their own spans. Timestamps
 // come from the registry's clock, so with a fake clock every stage
@@ -61,10 +62,12 @@ type Options struct {
 	// After is the budget-deadline clock hook (time.After when nil);
 	// tests drive it from a faults.Clock.
 	After func(time.Duration) <-chan time.Time
-	// Cache, when set, is the text-keyed result cache consulted between
-	// parse and eval. Responses carry X-Applab-Cache: hit|miss|stale;
-	// shed requests may be answered from an invalidated entry (stale)
-	// before falling back to the Degraded source.
+	// Cache, when set, is the text-keyed result cache, consulted with
+	// the query text before it is parsed: a hit is served without a
+	// parse, and a miss is parsed, evaluated and offered to the cache.
+	// Responses to a query that parsed carry X-Applab-Cache:
+	// hit|miss|stale; shed requests may be answered from an invalidated
+	// entry (stale) before falling back to the Degraded source.
 	Cache *rescache.Cache
 }
 
@@ -134,17 +137,15 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 				// Shed — but a cache-satisfiable query can still be
 				// answered from the degraded source without occupying an
 				// evaluation slot.
-				if query, perr := sparql.Parse(q); perr == nil {
-					if opts.Cache != nil {
-						if res, ok := opts.Cache.LookupStale(query, src); ok {
-							degraded.Inc()
-							w.Header().Set("X-Applab-Degraded", "stale")
-							w.Header().Set("X-Applab-Cache", "stale")
-							writeResults(w, res, nil)
-							return
-						}
-					}
-					if opts.Degraded != nil {
+				if res, ok := opts.Cache.LookupStale(q, src); ok {
+					degraded.Inc()
+					w.Header().Set("X-Applab-Degraded", "stale")
+					w.Header().Set("X-Applab-Cache", "stale")
+					writeResults(w, res, nil)
+					return
+				}
+				if opts.Degraded != nil {
+					if query, perr := sparql.Parse(q); perr == nil {
 						if res, derr := query.EvalContext(r.Context(), opts.Degraded); derr == nil {
 							degraded.Inc()
 							w.Header().Set("X-Applab-Degraded", "stale")
@@ -178,9 +179,20 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 			})
 		}
 
-		sp := tr.StartSpan("parse", reg.Time())
-		query, err := sparql.Parse(q)
+		// The cache is keyed on the text as sent, so a hit is served
+		// before (and without) a parse; a text that does not parse has
+		// no entry and misses. A nil cache bypasses.
 		now := reg.Time()
+		cached, fill, st := opts.Cache.LookupText(q, src)
+		if st == rescache.Hit {
+			w.Header().Set("X-Applab-Cache", "hit")
+			respond(cached, now)
+			return
+		}
+
+		sp := tr.StartSpan("parse", now)
+		query, err := sparql.Parse(q)
+		now = reg.Time()
 		sp.End(now)
 		parseSec.ObserveDuration(sp.Duration())
 		if err != nil {
@@ -189,19 +201,8 @@ func NewHandlerOpts(src sparql.Source, reg *telemetry.Registry, opts Options) ht
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-
-		var fill rescache.Fill
-		if opts.Cache != nil {
-			res, f, st := opts.Cache.Lookup(query, src)
-			if st == rescache.Hit {
-				w.Header().Set("X-Applab-Cache", "hit")
-				respond(res, now)
-				return
-			}
-			if st != rescache.Bypass {
-				w.Header().Set("X-Applab-Cache", "miss")
-				fill = f
-			}
+		if st != rescache.Bypass {
+			w.Header().Set("X-Applab-Cache", "miss")
 		}
 
 		ctx := r.Context()

@@ -2,9 +2,11 @@ package opendap
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"applab/internal/netcdf"
 )
@@ -168,6 +170,24 @@ func TestFetchSubset(t *testing.T) {
 	fv, _ := full.Var("LAI")
 	if len(fv.Data) != 400 {
 		t.Errorf("full fetch = %d values", len(fv.Data))
+	}
+}
+
+// TestLatencyEndsWithTheRequest: the server's simulated latency waits on
+// the request's context, so a request its client abandoned releases the
+// handler at once and closing the server does not wait out the latency.
+func TestLatencyEndsWithTheRequest(t *testing.T) {
+	srv, client, closeFn := newTestServer(t)
+	srv.Latency = 2 * time.Second
+	cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if _, err := client.Fetch(cctx, "lai", Constraint{Var: "LAI"}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("fetch under a 50ms deadline: %v, want context.DeadlineExceeded", err)
+	}
+	start := time.Now()
+	closeFn()
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("closing the server took %v: the abandoned handler slept out its latency", d)
 	}
 }
 

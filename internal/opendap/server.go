@@ -180,7 +180,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if s.Latency > 0 {
-			time.Sleep(s.Latency)
+			// A client that gives up releases the handler at once.
+			t := time.NewTimer(s.Latency)
+			select {
+			case <-t.C:
+			case <-r.Context().Done():
+				t.Stop()
+				return
+			}
 		}
 		ce, err := url.QueryUnescape(stripTokenParam(r.URL.RawQuery))
 		if err != nil {

@@ -15,7 +15,8 @@ import (
 )
 
 // fillDistinct evaluates nq distinct queries through the cache, each
-// answered with a payload of roughly payload bytes.
+// answered with a payload of roughly payload bytes and each sighted
+// twice, so a full cache stores it too.
 func fillDistinct(t *testing.T, c *Cache, src *memSource, nq, payload int) []string {
 	t.Helper()
 	queries := make([]string, nq)
@@ -26,6 +27,7 @@ func fillDistinct(t *testing.T, c *Cache, src *memSource, nq, payload int) []str
 		if _, st := evalThrough(t, c, src, queries[i]); st != Miss && st != Stale {
 			t.Fatalf("query %d: status %v", i, st)
 		}
+		evalThrough(t, c, src, queries[i])
 	}
 	return queries
 }
@@ -85,16 +87,21 @@ func TestByteBudgetShrinkAndOversized(t *testing.T) {
 	if c.Len() >= resident || c.Bytes() > c.MaxBytes() {
 		t.Fatalf("shrink did not evict: %d entries, %d bytes", c.Len(), c.Bytes())
 	}
-	// An answer bigger than the whole budget is not pinned: the fill
-	// self-evicts and the cache stays within budget.
+	// An answer bigger than the whole budget is refused: it is not
+	// pinned, and it evicts none of the resident entries.
+	resident = c.Len()
 	src.Add(triple("http://ex/s", "http://ex/huge", strings.Repeat("y", 4096)))
 	huge := `SELECT ?o WHERE { ?s <http://ex/huge> ?o }`
+	evalThrough(t, c, src, huge)
 	evalThrough(t, c, src, huge)
 	if c.Bytes() > c.MaxBytes() {
 		t.Fatalf("oversized answer pinned: %d bytes > budget %d", c.Bytes(), c.MaxBytes())
 	}
 	if _, _, st := c.Lookup(parseQ(t, huge), src); st == Hit {
 		t.Fatal("oversized answer resident")
+	}
+	if c.Len() != resident {
+		t.Fatalf("an oversized answer emptied the cache: %d of %d entries left", c.Len(), resident)
 	}
 	// Removing the bound restores count-only behaviour.
 	c.SetMaxBytes(0)

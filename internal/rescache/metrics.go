@@ -57,3 +57,9 @@ func (c *Cache) setBytes(n int64) {
 		c.Metrics.Gauge("rescache_bytes").Set(float64(n))
 	}
 }
+
+func (c *Cache) noteDeferred() {
+	if c.Metrics != nil {
+		c.Metrics.Counter("rescache_deferred_total").Inc()
+	}
+}

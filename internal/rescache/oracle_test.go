@@ -9,7 +9,10 @@ package rescache_test
 // between batches), so "cached answer == fresh evaluation" is an exact
 // invariant, not a racy approximation. The cache's TTL runs on a fake
 // clock that the ticks step past, so expiry is exercised beside epoch
-// validation; zero real sleeps, deterministic under -race.
+// validation; zero real sleeps, deterministic under -race. A second
+// family of runs gives the cache fewer entries than the query pool, so
+// the cache fills and the admission doorkeeper decides which answers are
+// kept while the store changes under it.
 
 import (
 	"context"
@@ -149,7 +152,7 @@ func queryBatch(t *testing.T, rng *rand.Rand, cache *rescache.Cache, src *oracle
 	wg.Wait()
 }
 
-func runOracle(t *testing.T, seed int64, workers int, disk bool) {
+func runOracle(t *testing.T, seed int64, workers int, disk bool, capacity int) {
 	rng := rand.New(rand.NewSource(seed))
 	clock := faults.NewClock(time.Date(2019, 3, 26, 9, 0, 0, 0, time.UTC))
 	dir := t.TempDir()
@@ -197,7 +200,7 @@ func runOracle(t *testing.T, seed int64, workers int, disk bool) {
 
 	src := newOracleSource(live)
 	reg := telemetry.NewRegistry()
-	cache := rescache.New(32, time.Minute)
+	cache := rescache.New(capacity, time.Minute)
 	cache.Now = clock.Now
 	cache.Metrics = reg
 
@@ -242,24 +245,29 @@ func runOracle(t *testing.T, seed int64, workers int, disk bool) {
 	if hits := reg.Counter("rescache_hits_total").Value(); hits == 0 {
 		t.Error("schedule never exercised the cache hit path")
 	}
-	t.Logf("hits=%d misses=%d stale=%d fills=%d",
+	if capacity < len(oracleQueries) && reg.Counter("rescache_deferred_total").Value() == 0 {
+		t.Error("a cache smaller than the query pool never deferred an answer")
+	}
+	t.Logf("hits=%d misses=%d stale=%d fills=%d deferred=%d",
 		reg.Counter("rescache_hits_total").Value(),
 		reg.Counter("rescache_misses_total").Value(),
 		reg.Counter("rescache_stale_total").Value(),
-		reg.Counter("rescache_fills_total").Value())
+		reg.Counter("rescache_fills_total").Value(),
+		reg.Counter("rescache_deferred_total").Value())
 }
 
 func TestCacheOracle(t *testing.T) {
 	modes := []struct {
-		name string
-		disk bool
-	}{{"memory", false}, {"disk", true}}
+		name     string
+		disk     bool
+		capacity int
+	}{{"memory", false, 32}, {"disk", true, 32}, {"memory-small", false, 3}, {"disk-small", true, 3}}
 	for _, mode := range modes {
 		for _, workers := range []int{1, 4} {
 			for seed := int64(1); seed <= 3; seed++ {
 				mode, workers, seed := mode, workers, seed
 				t.Run(fmt.Sprintf("%s-w%d-seed%d", mode.name, workers, seed), func(t *testing.T) {
-					runOracle(t, seed, workers, mode.disk)
+					runOracle(t, seed, workers, mode.disk, mode.capacity)
 				})
 			}
 		}

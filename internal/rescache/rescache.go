@@ -1,11 +1,20 @@
 // Package rescache is a query-result cache keyed by a source fingerprint
-// and the exact query text the parser read (sparql.Query.Text). Map
-// clients repeat byte-identical queries, so the text is identity enough;
-// two spellings of one query get two entries. Entries are validated
-// against the source's data epoch — a monotonic counter the source bumps
-// on every mutation — so ingest invalidates cached answers without any
-// explicit hook call. Sources that expose no epoch fall back to a TTL
-// bound.
+// and the exact query text as the client sent it. Map clients repeat
+// byte-identical queries, so the text is identity enough; two spellings
+// of one query get two entries. Only a text that parsed is ever
+// evaluated and stored, so a caller looks the raw text up (LookupText)
+// and parses only on a miss. Entries are validated against the source's
+// data epoch — a monotonic counter the source bumps on every mutation —
+// so ingest invalidates cached answers without any explicit hook call.
+// Sources that expose no epoch fall back to a TTL bound.
+//
+// Admission: while the cache has room, every answer is stored. Once it
+// is full (either bound), an answer is stored only if its key was seen
+// before — a stale re-fill of a resident key, or a key a small
+// doorkeeper remembers declining once (TinyLFU's doorkeeper, a FIFO of
+// key hashes as long as the entry capacity). A first sighting in a full
+// cache costs a hash and no copy of the answer, so a stream of distinct
+// queries neither copies its answers nor evicts the repeated ones.
 //
 // Correctness contract:
 //
@@ -28,6 +37,7 @@ package rescache
 
 import (
 	"container/list"
+	"hash/maphash"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -100,6 +110,9 @@ func NextFingerprint(prefix string) string {
 // key identifies an entry: the source instance and the query text.
 type key struct{ fp, text string }
 
+// keySeed seeds the doorkeeper's key hashes.
+var keySeed = maphash.MakeSeed()
+
 type entry struct {
 	res      *sparql.Results
 	epoch    uint64
@@ -138,6 +151,37 @@ type Cache struct {
 	lru      *list.List // front = most recent; values are keys
 	maxBytes int64
 	bytes    int64
+	door     doorkeeper
+}
+
+// doorkeeper remembers the keys a full cache declined, as a FIFO of key
+// hashes at most capacity long. A hash collision can only admit a key
+// one sighting early; what a hit returns is decided by the entry map.
+type doorkeeper struct {
+	seen map[uint64]struct{}
+	fifo []uint64 // ring of the hashes in seen, oldest at next once full
+	next int
+}
+
+// sighted reports whether h was recorded before; if not, it records h,
+// forgetting the oldest hash when the FIFO already holds capacity.
+func (d *doorkeeper) sighted(h uint64, capacity int) bool {
+	if _, ok := d.seen[h]; ok {
+		return true
+	}
+	if d.seen == nil {
+		d.seen = make(map[uint64]struct{}, capacity)
+		d.fifo = make([]uint64, 0, capacity)
+	}
+	if len(d.fifo) < capacity {
+		d.fifo = append(d.fifo, h)
+	} else {
+		delete(d.seen, d.fifo[d.next])
+		d.fifo[d.next] = h
+		d.next = (d.next + 1) % capacity
+	}
+	d.seen[h] = struct{}{}
+	return false
 }
 
 // New returns a cache holding at most capacity entries, each valid for
@@ -196,9 +240,7 @@ func (c *Cache) Bytes() int64 {
 	return c.bytes
 }
 
-// evictLocked pops LRU-tail entries until both bounds hold. A single
-// entry costing more than the whole byte budget is evicted too: the
-// cache honors its budget rather than pinning one oversized answer.
+// evictLocked pops LRU-tail entries until both bounds hold.
 func (c *Cache) evictLocked() {
 	for len(c.entries) > c.capacity || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
 		back := c.lru.Back()
@@ -241,25 +283,28 @@ func EncodedSize(res *sparql.Results) int64 {
 	return n
 }
 
-// keyOf derives the cache key for a query against a source; ok is false
-// when the pair is not cacheable (no text, or no fingerprint — identity
-// unknown).
-func keyOf(q *sparql.Query, src sparql.Source) (k key, ok bool) {
+// keyOf derives the cache key for a query text against a source; ok is
+// false when the pair is not cacheable (no text, or no fingerprint —
+// identity unknown).
+func keyOf(text string, src sparql.Source) (k key, ok bool) {
 	fp, isFP := src.(Fingerprinter)
-	if !isFP || q.Text == "" {
+	if !isFP || text == "" {
 		return key{}, false
 	}
-	return key{fp: fp.Fingerprint(), text: q.Text}, true
+	return key{fp: fp.Fingerprint(), text: text}, true
 }
 
-// Lookup checks for a cached answer to q over src. On Hit the returned
-// results are ready to serve. On Miss/Stale/Bypass the caller evaluates
-// and, for Miss/Stale, calls Fill.Store with the fresh result.
-func (c *Cache) Lookup(q *sparql.Query, src sparql.Source) (*sparql.Results, Fill, Status) {
+// LookupText checks for a cached answer to the query text over src. The
+// text needs no parse: a caller stores only the answer of a text that
+// parsed, so a text that does not parse just misses. On Hit the returned
+// results are ready to serve. On Miss/Stale/Bypass the caller parses and
+// evaluates the text and, for Miss/Stale, calls Fill.Store with the fresh
+// result.
+func (c *Cache) LookupText(text string, src sparql.Source) (*sparql.Results, Fill, Status) {
 	if c == nil {
 		return nil, Fill{}, Bypass
 	}
-	k, ok := keyOf(q, src)
+	k, ok := keyOf(text, src)
 	if !ok {
 		c.noteBypass()
 		return nil, Fill{}, Bypass
@@ -292,14 +337,20 @@ func (c *Cache) Lookup(q *sparql.Query, src sparql.Source) (*sparql.Results, Fil
 	return res, fill, Hit
 }
 
-// LookupStale returns a cached entry even if its epoch is behind or its
-// TTL has lapsed — the degraded-serving path. It never returns entries
-// from a different source instance (fingerprints see to that).
-func (c *Cache) LookupStale(q *sparql.Query, src sparql.Source) (*sparql.Results, bool) {
+// Lookup is LookupText of the text q was parsed from.
+func (c *Cache) Lookup(q *sparql.Query, src sparql.Source) (*sparql.Results, Fill, Status) {
+	return c.LookupText(q.Text, src)
+}
+
+// LookupStale returns the cached entry for the query text even if its
+// epoch is behind or its TTL has lapsed — the degraded-serving path. It
+// never returns entries from a different source instance (fingerprints
+// see to that).
+func (c *Cache) LookupStale(text string, src sparql.Source) (*sparql.Results, bool) {
 	if c == nil {
 		return nil, false
 	}
-	k, ok := keyOf(q, src)
+	k, ok := keyOf(text, src)
 	if !ok {
 		return nil, false
 	}
@@ -335,25 +386,37 @@ func (c *Cache) validLocked(e *entry, src sparql.Source) bool {
 	return c.Now().Sub(e.filledAt) < ttl
 }
 
-// Store detaches res (see detach) and records it for the looked-up key.
-// A partial answer (Results.Partial) stores nothing: it would shadow
-// the full answer of a later healthy evaluation until it expired.
-// Concurrent fills of the same key are last-write-wins; both results are
-// correct answers for their respective epochs, and validation re-checks
-// on every hit.
+// Store detaches res (see detach) and records it for the looked-up key,
+// if the admission rule (see the package doc) keeps it. A partial answer
+// (Results.Partial) stores nothing and is no sighting: it would shadow
+// the full answer of a later healthy evaluation until it expired. An
+// answer costing more than the whole byte budget is refused too, before
+// it could evict every resident entry. Concurrent fills of the same key
+// are last-write-wins; both results are correct answers for their
+// respective epochs, and validation re-checks on every hit.
 func (f Fill) Store(res *sparql.Results) {
 	if f.c == nil || res == nil || res.Partial {
 		return
 	}
+	c := f.c
+	cost := EncodedSize(res)
+	c.mu.Lock()
+	keep, deferred := c.admitLocked(f.key, cost)
+	c.mu.Unlock()
+	if !keep {
+		if deferred {
+			c.noteDeferred()
+		}
+		return
+	}
 	detach(res)
-	e := &entry{res: res, epoch: f.epoch, hasEpoch: f.has, filledAt: f.c.Now(), cost: EncodedSize(res)}
+	e := &entry{res: res, epoch: f.epoch, hasEpoch: f.has, filledAt: c.Now(), cost: cost}
 	if f.eval {
 		if ep, ok := f.src.(Epocher); ok {
 			e.epoch = ep.DataEpoch()
 			e.hasEpoch = true
 		}
 	}
-	c := f.c
 	c.mu.Lock()
 	if old, ok := c.entries[f.key]; ok {
 		c.lru.Remove(old.elem)
@@ -369,6 +432,27 @@ func (f Fill) Store(res *sparql.Results) {
 	c.noteFill()
 	c.setEntries(n)
 	c.setBytes(bytes)
+}
+
+// admitLocked decides whether Store keeps an answer of cost for k: a
+// resident key, a cache with room under both bounds, or a key the
+// doorkeeper saw declined before. Otherwise it records the sighting and
+// reports it deferred. An answer larger than the whole byte budget is
+// never kept and no sighting.
+func (c *Cache) admitLocked(k key, cost int64) (keep, deferred bool) {
+	if c.maxBytes > 0 && cost > c.maxBytes {
+		return false, false
+	}
+	if _, ok := c.entries[k]; ok {
+		return true, false
+	}
+	if len(c.entries) < c.capacity && (c.maxBytes <= 0 || c.bytes+cost <= c.maxBytes) {
+		return true, false
+	}
+	if c.door.sighted(maphash.Comparable(keySeed, k), c.capacity) {
+		return true, false
+	}
+	return false, true
 }
 
 // detach points every cell of res at a copy of its term in one block
@@ -397,7 +481,7 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Purge drops every entry.
+// Purge drops every entry and forgets every declined key.
 func (c *Cache) Purge() {
 	if c == nil {
 		return
@@ -406,6 +490,7 @@ func (c *Cache) Purge() {
 	c.entries = make(map[key]*entry)
 	c.lru.Init()
 	c.bytes = 0
+	c.door = doorkeeper{}
 	c.mu.Unlock()
 	c.setEntries(0)
 	c.setBytes(0)
